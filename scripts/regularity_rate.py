@@ -18,7 +18,7 @@ def main():
     weight = WeightField.constant(grid, 2.0, rho)
     dec = conjugated_operator(
         assemble_h(grid, WeightField.constant(grid, 2.0)),
-        rho)[0].eigendecomposition()
+        rho).eigendecomposition()
     rng = np.random.default_rng(20260809)
     psi = random_algebra_field(grid, rng, 3, 1.0)
     fs = [random_one_form(grid, rng, modes=3, normalized=True)

@@ -14,7 +14,8 @@ from .grid import (Field, GridManifold, GridError, WeightField, build_grid,
 from .su2 import (adjoint, algebra_inner, bracket, dexp, exp_map, killing_form,
                   killing_matrix, rotation_of)
 from .operators import (DiscreteOperator, SpectralDecomposition, assemble_h,
-                        conjugated_operator, hilbert_schmidt_test)
+                        conjugated_operator, conjugation_residuals,
+                        hilbert_schmidt_test)
 from .hermite import (HermiteLadder, build_ladders, canonical_chain_check,
                       commutation_bound_check, normal_order,
                       word_bound_constant)

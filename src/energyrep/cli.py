@@ -43,10 +43,7 @@ def main(argv=None) -> int:
     outdir = Path(outdir)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            import dataclasses
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = load_config(args.config, seed=args.seed)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -146,7 +146,8 @@ def parse_kv(path) -> dict:
     return pairs
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate a config file; a given `seed` overrides its own."""
     pairs = parse_kv(path)
     unknown = sorted(set(pairs) - set(_SCHEMA))
     if unknown:
@@ -163,6 +164,8 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
     canonical = "\n".join(f"{k}={pairs[k]}" for k in sorted(pairs))
     kwargs["source_digest"] = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    if seed is not None:
+        kwargs["seed"] = seed
     cfg = ExperimentConfig(**kwargs)
     _validate(cfg)
     return cfg
@@ -184,3 +187,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("regularity.t_list entries must be positive")
     if cfg.domain_nodes < 4:
         raise ConfigError("domain.nodes must be at least 4")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
+    for key in ("gauge.pairs", "fock.tuples", "fock.pairs",
+                "conformal.elements", "ladders.samples", "seminorms.functions",
+                "regularity.functions", "cutoff.count"):
+        if getattr(cfg, _SCHEMA[key][0]) < 1:
+            raise ConfigError(f"{key} must be at least 1")

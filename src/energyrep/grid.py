@@ -330,13 +330,6 @@ def covariant_derivative_adjoint(f: Field) -> Field:
     return Field(grid, f.rank - 1, -acc / c, f.algebra)
 
 
-def iterated_derivative(f: Field, order: int) -> Field:
-    out = f
-    for _ in range(order):
-        out = covariant_derivative(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------

@@ -39,19 +39,26 @@ class DiscreteOperator:
         s = self.node_weights[:, None] * self.matrix
         return float(np.max(np.abs(s - s.T)) / np.max(np.abs(s)))
 
+    def _symmetrized(self) -> tuple:
+        """sqrt(w) and diag(sqrt w) M diag(sqrt w)^{-1}, symmetric for H."""
+        sqw = np.sqrt(self.node_weights)
+        return sqw, (sqw[:, None] * self.matrix) / sqw[None, :]
+
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the same symmetric solve, no vectors."""
+        return np.linalg.eigvalsh(self._symmetrized()[1])
+
     def eigendecomposition(self) -> "SpectralDecomposition":
         """Dense symmetric solve; ascending eigenvalues, weight-orthonormal
         eigenvectors, first significant component made positive."""
-        sqw = np.sqrt(self.node_weights)
-        sym = (sqw[:, None] * self.matrix) / sqw[None, :]
+        sqw, sym = self._symmetrized()
         eigvals, eigvecs = np.linalg.eigh(sym)
         vecs = eigvecs / sqw[:, None]
         # deterministic sign: first component exceeding a relative floor is > 0
-        for k in range(vecs.shape[1]):
-            col = vecs[:, k]
-            idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-            if col[idx] < 0:
-                vecs[:, k] = -col
+        mag = np.abs(vecs)
+        first = np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0)
+        flip = vecs[first, np.arange(vecs.shape[1])] < 0
+        vecs[:, flip] = -vecs[:, flip]
         return SpectralDecomposition(self.grid, eigvals, vecs,
                                      self.node_weights, self.rho)
 
@@ -143,41 +150,45 @@ def assemble_h(grid: GridManifold, weight: WeightField, rank: int = 0) -> Discre
     return DiscreteOperator(grid, mat, grid.measure_weights(), None, rank, weight.w)
 
 
-def conjugated_operator(op: DiscreteOperator, rho: np.ndarray):
-    """H_rho = E^{-1} H E with E = diag(e^{rho/2}); same spectrum as H.
-
-    Returns (H_rho, report) where the report carries the adjoint-identity
-    residual for the conjugated gradient and the eigenpair mapping residual.
-    """
+def conjugated_operator(op: DiscreteOperator,
+                        rho: np.ndarray) -> DiscreteOperator:
+    """H_rho = E^{-1} H E with E = diag(e^{rho/2}); same spectrum as H."""
     rho = np.asarray(rho, float)
     e = np.exp(rho / 2.0)
     mat = (op.matrix * e[None, :]) / e[:, None]
     weights = op.node_weights * np.exp(rho)
-    h_rho = DiscreteOperator(op.grid, mat, weights, rho, op.rank, op.potential)
+    return DiscreteOperator(op.grid, mat, weights, rho, op.rank, op.potential)
 
-    report = {
-        "adjoint_identity_residual": _adjoint_identity_residual(op.grid, rho),
-        "eigenpair_residual": _eigenpair_map_residual(op, h_rho, e),
+
+def conjugation_residuals(h_rho: DiscreteOperator,
+                          dec: "SpectralDecomposition") -> dict:
+    """Residuals of the conjugation H_rho against the base decomposition dec.
+
+    The adjoint-identity residual of the conjugated centered gradient, and the
+    eigenpair mapping residual of e^{-rho/2} e_n for the lowest 32 modes.
+    """
+    return {
+        "adjoint_identity_residual": _adjoint_identity_residual(h_rho.grid,
+                                                                h_rho.rho),
+        "eigenpair_residual": _eigenpair_map_residual(h_rho, dec),
     }
-    return h_rho, report
 
 
-def _centered_difference_matrices(grid: GridManifold) -> list:
-    """Dense centered-difference matrices per axis (the field-calculus grad)."""
-    mats = []
-    periodic = grid.topology == "periodic"
-    for j, n in enumerate(grid.axis_sizes):
-        h = grid.spacing[j]
-        d = np.eye(n, k=1) - np.eye(n, k=-1)
-        if periodic:
-            d[n - 1, 0] += 1.0
-            d[0, n - 1] -= 1.0
-        d = d / (2.0 * h)
-        mats.append(d)
-    if grid.dimension == 1:
-        return mats
-    nx, ny = grid.axis_sizes
-    return [np.kron(mats[0], np.eye(ny)), np.kron(np.eye(nx), mats[1])]
+def _centered_stencil(grid: GridManifold, axis: int) -> tuple:
+    """(rows, cols, values) of the nonzero entries of the centered-difference
+    matrix (f_{i+1} - f_{i-1}) / 2h along one axis (the field-calculus grad)."""
+    idx = np.arange(grid.node_count).reshape(grid.axis_sizes)
+    if grid.topology == "periodic":
+        lo, hi = idx, np.roll(idx, -1, axis)
+    else:
+        n = grid.axis_sizes[axis]
+        lo = np.take(idx, range(n - 1), axis)
+        hi = np.take(idx, range(1, n), axis)
+    lo, hi = lo.ravel(), hi.ravel()
+    c = 1.0 / (2.0 * grid.spacing[axis])
+    # D[lo, hi] = c, D[hi, lo] = -c
+    return (np.concatenate([lo, hi]), np.concatenate([hi, lo]),
+            np.repeat([c, -c], lo.size))
 
 
 def _adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
@@ -185,23 +196,25 @@ def _adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
 
     adj_w(A) = diag(w)^{-1} A^T diag(w); with uniform base weights adj_0 is
     the plain transpose.  This is the conjugated-adjoint identity as an
-    operator statement on the centered gradient.
+    operator statement on the centered gradient, evaluated entrywise on the
+    stencil: both sides vanish wherever D^T does.
     """
     e = np.exp(rho / 2.0)
     w_rho = grid.measure_weights() * np.exp(rho)
     worst = 0.0
-    for d in _centered_difference_matrices(grid):
-        d_rho = (d * e[None, :]) / e[:, None]
-        lhs = (d_rho.T * w_rho[None, :]) / w_rho[:, None]
-        rhs = (d.T * e[None, :]) / e[:, None]
+    for axis in range(grid.dimension):
+        # entry D[r, c] = v sits at (c, r) of both sides
+        r, c, v = _centered_stencil(grid, axis)
+        lhs = (((v * e[c]) / e[r]) * w_rho[r]) / w_rho[c]
+        rhs = (v * e[r]) / e[c]
         scale = max(np.max(np.abs(lhs)), 1.0)
         worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
     return worst
 
 
-def _eigenpair_map_residual(op: DiscreteOperator, h_rho: DiscreteOperator,
-                            e: np.ndarray) -> float:
-    dec = op.eigendecomposition()
+def _eigenpair_map_residual(h_rho: DiscreteOperator,
+                            dec: "SpectralDecomposition") -> float:
+    e = np.exp(h_rho.rho / 2.0)
     worst = 0.0
     for k in range(min(dec.eigenvalues.size, 32)):
         v = dec.eigenvectors[:, k] / e

@@ -22,15 +22,6 @@ class Profile:
 
 
 @dataclass(frozen=True)
-class ZeroProfile(Profile):
-    def value(self, nodes):
-        return np.zeros(nodes.shape[0])
-
-    def gradient(self, nodes):
-        return np.zeros_like(nodes)
-
-
-@dataclass(frozen=True)
 class ConstantProfile(Profile):
     amplitude: float
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .gauge import AlgebraValuedField, GaugeField, gauge_from_profiles
 from .grid import Field, GridManifold
-from .profiles import (BumpProfile, ConstantProfile, FourierProfile,
-                       GaussianProfile, TorusWaveProfile)
+from .profiles import (BumpProfile, FourierProfile, GaussianProfile,
+                       TorusWaveProfile)
 
 
 def suite_rng(seed: int, stream: int) -> np.random.Generator:
@@ -121,6 +121,3 @@ def rho_field(grid: GridManifold, profile: str, amplitude: float,
         return prof.value(nodes)
     raise ValueError(f"unknown rho profile {profile!r}")
 
-
-def constant_profiles(coeff) -> list:
-    return [ConstantProfile(float(c)) for c in coeff]

@@ -171,7 +171,7 @@ def test_criterion_6_weight_conjugation():
     grid = build_grid("circle", 48, radius=1.0)
     op = operators.assemble_h(grid, WeightField.constant(grid, 2.0))
     rho = rho_field(grid, "random", 0.5, rng=rng)
-    h_rho, _ = operators.conjugated_operator(op, rho)
+    h_rho = operators.conjugated_operator(op, rho)
     lam = np.sort(op.eigendecomposition().eigenvalues)
     lam_rho = np.sort(h_rho.eigendecomposition().eigenvalues)
     spec_dev = float(np.max(np.abs(lam - lam_rho)))
@@ -220,7 +220,7 @@ def test_criterion_8_regularity_rate():
     weight = WeightField.constant(grid, 2.0, rho)
     dec = operators.conjugated_operator(
         operators.assemble_h(grid, WeightField.constant(grid, 2.0)),
-        rho)[0].eigendecomposition()
+        rho).eigendecomposition()
     psi = random_algebra_field(grid, rng, 3, 1.0)
     fs = [random_one_form(grid, rng, modes=3, normalized=True)
           for _ in range(20)]

@@ -1,6 +1,9 @@
 """CLI runner: subcommands, exit codes, determinism, report artifacts."""
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +79,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(p)
 
+    @pytest.mark.parametrize("key", [
+        "gauge.pairs", "fock.tuples", "fock.pairs", "conformal.elements",
+        "ladders.samples", "seminorms.functions", "regularity.functions",
+        "cutoff.count"])
+    def test_count_below_one_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config(small_config(tmp_path, **{key: 0}))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(small_config(tmp_path, seed=-1))
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(small_config(tmp_path), seed=-1)
+
+
+def run_cli(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "energyrep.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -90,6 +116,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("suite,overrides,argv", [
+        ("gauge", {"gauge.pairs": 0}, ()),
+        ("fock", {"fock.tuples": 0}, ()),
+        ("ladders", {}, ("--seed", "-1")),
+    ])
+    def test_bad_domain_exits_2_before_output(self, tmp_path, suite,
+                                              overrides, argv):
+        cfg = small_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        proc = run_cli(suite, "--config", str(cfg), "--out", str(out), *argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "configuration error" in proc.stderr
+        assert not out.exists()
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

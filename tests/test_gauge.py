@@ -147,7 +147,7 @@ def setup():
     rho = rho_field(g, "cosine", 0.3, 1)
     w = WeightField.constant(g, 2.0, rho)
     dec = conjugated_operator(
-        assemble_h(g, WeightField.constant(g, 2.0)), rho)[0] \
+        assemble_h(g, WeightField.constant(g, 2.0)), rho) \
         .eigendecomposition()
     rng = np.random.default_rng(77)
     psi = random_algebra_field(g, rng, amplitude=1.0)
@@ -176,7 +176,7 @@ class TestRegularity:
         w = WeightField.constant(torus, 2.0, rho)
         dec = conjugated_operator(
             assemble_h(torus, WeightField.constant(torus, 2.0)),
-            rho)[0].eigendecomposition()
+            rho).eigendecomposition()
         rng = np.random.default_rng(13)
         psi = random_algebra_field(torus, rng, 2, 0.8)
         fs = [random_one_form(torus, rng, modes=2, normalized=True)
@@ -232,7 +232,7 @@ class TestCutoffs:
         rho = rho_field(g, "bump", 0.4)
         dec = conjugated_operator(
             assemble_h(g, WeightField.quadratic(g, 1.0)),
-            rho)[0].eigendecomposition()
+            rho).eigendecomposition()
         psi = gauge.AlgebraValuedField.constant(g, (0.8, -0.5, 0.3))
         stages = gauge.cutoff_sequence(g, 8, 1.0, 1.0)
         gauss = np.zeros((g.node_count, 1, 3), dtype=complex)

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from energyrep.grid import Field, GridError, WeightField, build_grid
-from energyrep.operators import (assemble_h, conjugated_operator,
+from energyrep.operators import (_adjoint_identity_residual, assemble_h,
+                                 conjugated_operator, conjugation_residuals,
                                  hilbert_schmidt_test)
 
 
@@ -129,7 +130,8 @@ class TestDecomposition:
 class TestConjugation:
     def test_zero_rho_is_identity(self):
         g, op = circle_operator(32)
-        h_rho, rep = conjugated_operator(op, np.zeros(32))
+        h_rho = conjugated_operator(op, np.zeros(32))
+        rep = conjugation_residuals(h_rho, op.eigendecomposition())
         assert np.array_equal(h_rho.matrix, op.matrix)
         assert rep["adjoint_identity_residual"] <= 1e-12
 
@@ -145,7 +147,8 @@ class TestConjugation:
         rng = np.random.default_rng(9)
         x = g.nodes[:, 0]
         rho = 0.5 * np.cos(2 * np.pi * x / (x.max() - x.min() + g.spacing[0]))
-        h_rho, rep = conjugated_operator(op, rho)
+        h_rho = conjugated_operator(op, rho)
+        rep = conjugation_residuals(h_rho, op.eigendecomposition())
         lam = np.sort(op.eigendecomposition().eigenvalues)
         lam_rho = np.sort(h_rho.eigendecomposition().eigenvalues)
         assert np.max(np.abs(lam - lam_rho)) <= 1e-8
@@ -156,13 +159,103 @@ class TestConjugation:
     def test_conjugate_eigenvectors(self):
         g, op = circle_operator(32)
         rho = 0.4 * np.sin(g.nodes[:, 0])
-        h_rho, _ = conjugated_operator(op, rho)
+        h_rho = conjugated_operator(op, rho)
         dec = op.eigendecomposition()
         e = np.exp(rho / 2.0)
         for k in (0, 5, 11):
             v = dec.eigenvectors[:, k] / e
             resid = np.linalg.norm(h_rho.matrix @ v - dec.eigenvalues[k] * v)
             assert resid <= 1e-9 * abs(dec.eigenvalues[k]) * np.linalg.norm(v)
+
+
+def _dense_centered_differences(grid):
+    """Oracle: dense n x n centered-difference matrix per axis."""
+    mats = []
+    for j, n in enumerate(grid.axis_sizes):
+        d = np.eye(n, k=1) - np.eye(n, k=-1)
+        if grid.topology == "periodic":
+            d[n - 1, 0] += 1.0
+            d[0, n - 1] -= 1.0
+        mats.append(d / (2.0 * grid.spacing[j]))
+    if grid.dimension == 1:
+        return mats
+    nx, ny = grid.axis_sizes
+    return [np.kron(mats[0], np.eye(ny)), np.kron(np.eye(nx), mats[1])]
+
+
+def _dense_adjoint_identity_residual(grid, rho):
+    """Oracle: adj_rho(E^{-1} D E) - E^{-1} D^T E on the dense matrices."""
+    e = np.exp(rho / 2.0)
+    w_rho = grid.measure_weights() * np.exp(rho)
+    worst = 0.0
+    for d in _dense_centered_differences(grid):
+        d_rho = (d * e[None, :]) / e[:, None]
+        lhs = (d_rho.T * w_rho[None, :]) / w_rho[:, None]
+        rhs = (d.T * e[None, :]) / e[:, None]
+        scale = max(np.max(np.abs(lhs)), 1.0)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
+    return worst
+
+
+def _loop_signed(op):
+    """Oracle: the per-column sign normalization on the same eigh output."""
+    sqw, sym = op._symmetrized()
+    _, eigvecs = np.linalg.eigh(sym)
+    vecs = eigvecs / sqw[:, None]
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
+        if col[idx] < 0:
+            vecs[:, k] = -col
+    return vecs
+
+
+GRIDS = [("circle", {"radius": 1.0}, 4), ("circle", {"radius": 1.0}, 32),
+         ("interval", {"halfwidth": 5.0}, 20), ("torus", {"radius": 1.0}, 8)]
+
+
+class TestFastPathsAgainstDense:
+    @pytest.mark.parametrize("shape,kw,n", GRIDS)
+    def test_stencil_adjoint_identity_is_dense_formula(self, shape, kw, n):
+        g = build_grid(shape, n, **kw)
+        rng = np.random.default_rng(n)
+        for rho in (np.zeros(g.node_count),
+                    0.6 * rng.standard_normal(g.node_count)):
+            assert (_adjoint_identity_residual(g, rho)
+                    == _dense_adjoint_identity_residual(g, rho))
+
+    @pytest.mark.parametrize("shape,kw,n", GRIDS[1:])
+    def test_eigenvalues_match_decomposition(self, shape, kw, n):
+        g = build_grid(shape, n, **kw)
+        periodic = g.topology == "periodic"
+        op = assemble_h(g, WeightField.constant(g, 2.0) if periodic
+                        else WeightField.quadratic(g, 1.0))
+        rho = 0.4 * np.cos(g.nodes[:, 0])
+        for h in (op, conjugated_operator(op, rho)):
+            lam = h.eigenvalues()
+            ref = h.eigendecomposition().eigenvalues
+            assert np.max(np.abs(lam - ref) / np.abs(ref)) <= 1e-10
+
+    def test_sign_convention_on_degenerate_torus(self):
+        g = build_grid("torus", 8, radius=1.0)
+        op = assemble_h(g, WeightField.constant(g, 2.0))
+        dec = op.eigendecomposition()
+        assert np.min(np.diff(dec.eigenvalues)) <= 1e-10  # degenerate
+        vecs = dec.eigenvectors
+        for k in range(vecs.shape[1]):
+            col = vecs[:, k]
+            idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
+            assert col[idx] > 0
+        assert np.array_equal(vecs, _loop_signed(op))
+
+    def test_conjugation_residuals_on_torus(self):
+        g = build_grid("torus", 8, radius=1.0)
+        op = assemble_h(g, WeightField.constant(g, 2.0))
+        rho = 0.3 * np.cos(g.nodes[:, 0]) * np.sin(g.nodes[:, 1])
+        rep = conjugation_residuals(conjugated_operator(op, rho),
+                                    op.eigendecomposition())
+        assert rep["adjoint_identity_residual"] <= 1e-12
+        assert rep["eigenpair_residual"] <= 1e-8
 
 
 class TestHilbertSchmidt:

@@ -128,7 +128,7 @@ class TestWeightedIntertwine:
         op = assemble_h(g, w)
         rho = rho_field(g, "cosine", 0.5, 1)
         dec = op.eigendecomposition()
-        dec_rho = conjugated_operator(op, rho)[0].eigendecomposition()
+        dec_rho = conjugated_operator(op, rho).eigendecomposition()
         rng = np.random.default_rng(5)
         for p in (0.5, 1.0, 2.0):
             f = random_one_form(g, rng, modes=3)
