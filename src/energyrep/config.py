@@ -172,9 +172,16 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    from .grid import SUPPORTED_SHAPES
+    from .grid import MIN_NODES, PERIODIC_SHAPES, SUPPORTED_SHAPES
+    from .hermite import MIN_CUTOFF
+    from .sampling import RHO_PROFILES
     if cfg.domain_shape not in SUPPORTED_SHAPES:
         raise ConfigError(f"domain.shape must be one of {SUPPORTED_SHAPES}")
+    if cfg.rho_profile not in RHO_PROFILES:
+        raise ConfigError(f"rho.profile must be one of {RHO_PROFILES}")
+    if cfg.rho_profile == "cosine" and cfg.domain_shape not in PERIODIC_SHAPES:
+        raise ConfigError(f"rho.profile = cosine needs a periodic domain.shape "
+                          f"{PERIODIC_SHAPES}")
     for name in ("domain_radius", "domain_halfwidth", "potential_value",
                  "hs_p", "cutoff_step", "cutoff_collar", "punctured_eps0"):
         if getattr(cfg, name) <= 0:
@@ -185,8 +192,18 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("constant potential must be >= 1")
     if any(t <= 0 for t in cfg.regularity_t_list):
         raise ConfigError("regularity.t_list entries must be positive")
-    if cfg.domain_nodes < 4:
-        raise ConfigError("domain.nodes must be at least 4")
+    for key in ("domain.nodes", "spectrum.circle_nodes",
+                "spectrum.oscillator_nodes", "gauge.nodes", "cutoff.nodes",
+                "fock.nodes", "conformal.torus_nodes", "conformal.circle_nodes"):
+        if getattr(cfg, _SCHEMA[key][0]) < MIN_NODES:
+            raise ConfigError(f"{key} must be at least {MIN_NODES}")
+    if any(n < MIN_NODES for n in cfg.seminorms_nodes):
+        raise ConfigError(f"seminorms.nodes entries must be at least {MIN_NODES}")
+    if len(set(cfg.seminorms_nodes)) < 2:
+        raise ConfigError("seminorms.nodes needs at least two distinct sizes "
+                          "for the refinement-stability ratio")
+    if cfg.ladders_cutoff < MIN_CUTOFF:
+        raise ConfigError(f"ladders.cutoff must be at least {MIN_CUTOFF}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     for key in ("gauge.pairs", "fock.tuples", "fock.pairs",

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SUPPORTED_SHAPES = ("circle", "interval", "torus", "square", "punctured_square")
+PERIODIC_SHAPES = ("circle", "torus")
+MIN_NODES = 4  # per axis
 
 # -B on the su(2) basis used throughout is 2 * identity, so every algebra
 # contraction in an inner product carries this factor.
@@ -57,13 +59,14 @@ class GridManifold:
             raise GridError("operation requires a constant metric scale")
         return float(s[0])
 
-    def to_mesh(self, values: np.ndarray) -> np.ndarray:
-        comp = values.shape[1:]
-        return values.reshape(self.axis_sizes + comp)
+    def to_mesh(self, values: np.ndarray, lead: int = 0) -> np.ndarray:
+        """Split the node axis, which follows `lead` sample axes, per grid axis."""
+        return values.reshape(values.shape[:lead] + self.axis_sizes
+                              + values.shape[lead + 1:])
 
-    def from_mesh(self, mesh: np.ndarray) -> np.ndarray:
-        comp = mesh.shape[self.dimension:]
-        return mesh.reshape((self.node_count,) + comp)
+    def from_mesh(self, mesh: np.ndarray, lead: int = 0) -> np.ndarray:
+        return mesh.reshape(mesh.shape[:lead] + (self.node_count,)
+                            + mesh.shape[lead + self.dimension:])
 
     def compatible_with(self, other: "GridManifold") -> bool:
         return (
@@ -84,10 +87,10 @@ def build_grid(shape: str, nodes: int, radius: float | None = None,
     """
     if shape not in SUPPORTED_SHAPES:
         raise GridError(f"unsupported shape {shape!r}; choose from {SUPPORTED_SHAPES}")
-    if nodes < 4:
-        raise GridError("need at least 4 nodes per axis")
+    if nodes < MIN_NODES:
+        raise GridError(f"need at least {MIN_NODES} nodes per axis")
 
-    if shape in ("circle", "torus"):
+    if shape in PERIODIC_SHAPES:
         r = 1.0 if radius is None else float(radius)
         if r <= 0:
             raise GridError("radius must be positive")
@@ -128,10 +131,13 @@ def build_grid(shape: str, nodes: int, radius: float | None = None,
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """A tensor field on a grid.
+    """A tensor field on a grid, or a test set of them.
 
     values has shape (n,) + (d,)*rank, with a trailing (3,) axis when the
-    field carries complexified su(2) coefficients (algebra=True).
+    field carries complexified su(2) coefficients (algebra=True).  A test set
+    (see stack_fields) carries one more, leading, sample axis; scaling,
+    arithmetic, the covariant derivative, inner products and spectral
+    expansion then act on every sample at once.
     """
 
     grid: GridManifold
@@ -143,9 +149,14 @@ class Field:
         expected = (self.grid.node_count,) + (self.grid.dimension,) * self.rank
         if self.algebra:
             expected = expected + (3,)
-        if self.values.shape != expected:
+        if self.values.shape not in (expected, self.values.shape[:1] + expected):
             raise GridError(
                 f"field values have shape {self.values.shape}, expected {expected}")
+
+    @property
+    def sample_axes(self) -> int:
+        """1 for a test set with a leading sample axis, 0 for a single field."""
+        return self.values.ndim - 1 - self.rank - int(self.algebra)
 
     @classmethod
     def scalar(cls, grid: GridManifold, values: np.ndarray) -> "Field":
@@ -167,8 +178,8 @@ class Field:
         return Field(self.grid, self.rank, values, self.algebra)
 
     def scale_by_nodes(self, factor: np.ndarray) -> "Field":
-        """Multiply by a per-node scalar (broadcast over component axes)."""
-        extra = self.values.ndim - 1
+        """Multiply by a per-node scalar (broadcast over the other axes)."""
+        extra = self.values.ndim - 1 - self.sample_axes
         shaped = np.asarray(factor).reshape((-1,) + (1,) * extra)
         return self.copy_with(self.values * shaped)
 
@@ -217,39 +228,69 @@ class WeightField:
 
 
 def _check_pair(f: Field, g: Field) -> None:
-    if not f.grid.compatible_with(g.grid):
+    if f.grid is not g.grid and not f.grid.compatible_with(g.grid):
         raise GridError("fields live on different grids")
     if f.rank != g.rank or f.algebra != g.algebra:
         raise GridError("fields have mismatched rank or algebra structure")
+
+
+def _check_scales(f: Field, g: Field) -> None:
+    # one grid object has one metric scale, so only distinct grids are compared
+    if f.grid is not g.grid and not np.allclose(f.grid.metric_scale,
+                                                g.grid.metric_scale):
+        raise GridError("fields live on different conformal rescalings")
+
+
+def stack_fields(fields) -> Field:
+    """A test set of single fields as one field with a leading sample axis.
+
+    The members must share one grid (up to an identical copy), one metric
+    scale, one rank and one algebra structure; the checks run here, once for
+    the whole set.
+    """
+    if not fields:
+        raise GridError("a test set needs at least one field")
+    first = fields[0]
+    for f in fields:
+        if f.sample_axes:
+            raise GridError("a test set is stacked from single fields")
+        _check_pair(first, f)
+        _check_scales(first, f)
+    return first.copy_with(np.stack([f.values for f in fields]))
 
 
 # ---------------------------------------------------------------------------
 # Quadrature inner products
 # ---------------------------------------------------------------------------
 
-def inner_product(f: Field, g: Field, rho: np.ndarray | None = None) -> complex:
+def inner_product(f: Field, g: Field,
+                  rho: np.ndarray | None = None) -> complex | np.ndarray:
     """<f, g>_{rho,0}: quadrature sum of the pointwise inner product.
 
     Antilinear in the left argument.  Covector indices contract with the
     inverse metric (scale^-rank), algebra indices with -B (2 * identity).
+    With a sample axis on either field the result is an array, one value per
+    sample.
     """
     _check_pair(f, g)
+    _check_scales(f, g)
     grid = f.grid
-    if not np.allclose(f.grid.metric_scale, g.grid.metric_scale):
-        raise GridError("fields live on different conformal rescalings")
-    axes = tuple(range(1, f.values.ndim))
-    pointwise = np.sum(np.conj(f.values) * g.values, axis=axes)
+    product = np.conj(f.values) * g.values
+    lead = max(f.sample_axes, g.sample_axes)
+    pointwise = np.sum(product, axis=tuple(range(lead + 1, product.ndim)))
     if f.algebra:
         pointwise = pointwise * ALGEBRA_METRIC_FACTOR
     weight = grid.measure_weights() * grid.metric_scale ** (-f.rank)
     if rho is not None:
         weight = weight * np.exp(np.asarray(rho, float))
-    return complex(np.sum(pointwise * weight))
+    total = np.sum(pointwise * weight, axis=-1)
+    return total if lead else complex(total)
 
 
-def norm(f: Field, rho: np.ndarray | None = None) -> float:
-    val = inner_product(f, f, rho).real
-    return float(np.sqrt(max(val, 0.0)))
+def norm(f: Field, rho: np.ndarray | None = None) -> float | np.ndarray:
+    """|f|_{rho,0}; an array with one value per sample for a test set."""
+    val = np.sqrt(np.maximum(inner_product(f, f, rho).real, 0.0))
+    return val if f.sample_axes else float(val)
 
 
 def conformal_rescale(grid: GridManifold, rho: np.ndarray):
@@ -294,12 +335,15 @@ def _shifted(mesh: np.ndarray, axis: int, step: int, topology: str) -> np.ndarra
     return out
 
 
-def _axis_derivative(grid: GridManifold, values: np.ndarray, axis: int) -> np.ndarray:
-    mesh = grid.to_mesh(values)
+def _axis_derivative(grid: GridManifold, values: np.ndarray, axis: int,
+                     lead: int = 0) -> np.ndarray:
+    """Centered difference along one grid axis; the node axis follows `lead`
+    sample axes."""
+    mesh = grid.to_mesh(values, lead)
     h = grid.spacing[axis]
-    dmesh = (_shifted(mesh, axis, +1, grid.topology)
-             - _shifted(mesh, axis, -1, grid.topology)) / (2.0 * h)
-    return grid.from_mesh(dmesh)
+    dmesh = (_shifted(mesh, lead + axis, +1, grid.topology)
+             - _shifted(mesh, lead + axis, -1, grid.topology)) / (2.0 * h)
+    return grid.from_mesh(dmesh, lead)
 
 
 def covariant_derivative(f: Field) -> Field:
@@ -310,8 +354,10 @@ def covariant_derivative(f: Field) -> Field:
     """
     grid = f.grid
     grid.constant_scale()
-    parts = [_axis_derivative(grid, f.values, j) for j in range(grid.dimension)]
-    values = np.stack(parts, axis=1)
+    lead = f.sample_axes
+    parts = [_axis_derivative(grid, f.values, j, lead)
+             for j in range(grid.dimension)]
+    values = np.stack(parts, axis=lead + 1)
     return Field(grid, f.rank + 1, values, f.algebra)
 
 
@@ -321,9 +367,11 @@ def covariant_derivative_adjoint(f: Field) -> Field:
     c = grid.constant_scale()
     if f.rank < 1:
         raise GridError("adjoint derivative needs rank >= 1")
+    lead = f.sample_axes
     acc = None
     for j in range(grid.dimension):
-        term = _axis_derivative(grid, f.values[:, j], j)
+        term = _axis_derivative(grid, np.take(f.values, j, axis=lead + 1), j,
+                                lead)
         acc = term if acc is None else acc + term
     # centered differences are skew under uniform weights; the constant scale
     # contributes one inverse-metric factor on the removed index
@@ -337,6 +385,8 @@ def covariant_derivative_adjoint(f: Field) -> Field:
 def field_to_csv(f: Field, path) -> None:
     """Write node coordinates plus every component (re, im) as CSV."""
     import pathlib
+    if f.sample_axes:
+        raise GridError("CSV export takes a single field")
     pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
     grid = f.grid
     comp_shape = f.values.shape[1:]

@@ -13,7 +13,7 @@ monomial prod_j (A_j†)^k A_j^k = prod_j N_j(N_j-1)...(N_j-k+1) by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,13 +28,20 @@ class HermiteLadder:
     raising: tuple               # A_j† matrices
     number_ops: tuple            # N_j = A_j† A_j
     number_total: np.ndarray     # N = sum_j N_j
+    _degrees: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        degrees = np.array([sum(s) for s in self.states])
+        degrees.flags.writeable = False  # shared by every caller
+        object.__setattr__(self, "_degrees", degrees)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def degrees(self) -> np.ndarray:
-        return np.array([sum(s) for s in self.states])
+        """Total degree of each retained state (read-only, computed once)."""
+        return self._degrees
 
     def guard_mask(self, margin: int) -> np.ndarray:
         """States safely below the truncation boundary for words of length margin."""
@@ -56,11 +63,14 @@ class HermiteLadder:
         return np.diag(diag)
 
 
+MIN_CUTOFF = 4
+
+
 def build_ladders(d: int, n_cut: int) -> HermiteLadder:
     if d not in (1, 2):
         raise ValueError("ladder calculus shipped for d in {1, 2}")
-    if n_cut < 4:
-        raise ValueError("need n_cut >= 4")
+    if n_cut < MIN_CUTOFF:
+        raise ValueError(f"need n_cut >= {MIN_CUTOFF}")
     if d == 1:
         states = [(n,) for n in range(n_cut + 1)]
     else:

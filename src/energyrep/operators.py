@@ -15,6 +15,12 @@ import numpy as np
 from .grid import Field, GridManifold, GridError, WeightField
 
 
+def _node_columns(f: Field, n: int) -> np.ndarray:
+    """Values as an (n, channels) matrix, one per sample of a test set, so a
+    matmul does for each sample what it does for a single field."""
+    return f.values.reshape(f.values.shape[:f.sample_axes] + (n, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Square operator on per-node coefficients, symmetric under its weights."""
@@ -29,9 +35,7 @@ class DiscreteOperator:
     def apply(self, f: Field) -> Field:
         if f.rank != self.rank:
             raise GridError(f"operator assembled for rank {self.rank}")
-        n = self.grid.node_count
-        flat = f.values.reshape(n, -1)
-        out = self.matrix @ flat
+        out = self.matrix @ _node_columns(f, self.grid.node_count)
         return f.copy_with(out.reshape(f.values.shape))
 
     def symmetry_residual(self) -> float:
@@ -74,9 +78,9 @@ class SpectralDecomposition:
     rho: np.ndarray | None
 
     def expand(self, f: Field) -> np.ndarray:
-        """Coefficients <e_n, f>_w per channel; shape (modes, channels)."""
-        n = self.grid.node_count
-        flat = f.values.reshape(n, -1)
+        """Coefficients <e_n, f>_w per channel; shape (modes, channels),
+        after the sample axis of a test set."""
+        flat = _node_columns(f, self.grid.node_count)
         return self.eigenvectors.T @ (self.node_weights[:, None] * flat)
 
     def synthesize(self, coeffs: np.ndarray, like: Field) -> Field:

@@ -92,6 +92,10 @@ def random_algebra_field(grid: GridManifold, rng: np.random.Generator,
     return AlgebraValuedField.from_profiles(grid, profiles, bounded)
 
 
+# the profile names rho_field accepts; "cosine" needs a periodic domain
+RHO_PROFILES = ("zero", "constant", "cosine", "bump", "random")
+
+
 def rho_field(grid: GridManifold, profile: str, amplitude: float,
               mode: int = 1, rng: np.random.Generator | None = None) -> np.ndarray:
     """Weight exponent values per the named profile."""

@@ -14,6 +14,9 @@ from energyrep.config import ConfigError, load_config
 REPO = Path(__file__).resolve().parents[1]
 CIRCLE_CFG = REPO / "configs" / "circle.cfg"
 PUNCTURED_CFG = REPO / "configs" / "punctured.cfg"
+NODE_KEYS = ["spectrum.circle_nodes", "spectrum.oscillator_nodes", "gauge.nodes",
+             "cutoff.nodes", "fock.nodes", "conformal.torus_nodes",
+             "conformal.circle_nodes"]
 
 
 def small_config(tmp_path, **overrides) -> Path:
@@ -49,6 +52,11 @@ class TestConfigParsing:
         assert cfg.seed == 12345
         assert cfg.domain_shape == "circle"
         assert cfg.seminorms_nodes == (16, 32, 64)
+
+    @pytest.mark.parametrize("name", ["circle", "interval", "torus",
+                                      "punctured"])
+    def test_every_shipped_config_loads(self, name):
+        assert load_config(REPO / "configs" / f"{name}.cfg").domain_shape
 
     def test_missing_required_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -87,6 +95,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             load_config(small_config(tmp_path, **{key: 0}))
 
+    @pytest.mark.parametrize("key,value", [(k, 3) for k in NODE_KEYS]
+                             + [("seminorms.nodes", "3 16")])
+    def test_node_count_below_four_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(small_config(tmp_path, **{key: value}))
+
+    @pytest.mark.parametrize("sizes", ["16", "16 16"])
+    def test_single_refinement_size_rejected(self, tmp_path, sizes):
+        with pytest.raises(ConfigError, match="seminorms.nodes"):
+            load_config(small_config(tmp_path, **{"seminorms.nodes": sizes}))
+
+    def test_ladder_cutoff_below_four_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="ladders.cutoff"):
+            load_config(small_config(tmp_path, **{"ladders.cutoff": 3}))
+
+    def test_unknown_rho_profile_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="rho.profile"):
+            load_config(small_config(tmp_path, **{"rho.profile": "bogus"}))
+
+    @pytest.mark.parametrize("shape", ["interval", "square",
+                                       "punctured_square"])
+    def test_cosine_rho_on_truncated_domain_rejected(self, tmp_path, shape):
+        with pytest.raises(ConfigError, match="cosine"):
+            load_config(small_config(tmp_path, **{"domain.shape": shape,
+                                                  "rho.profile": "cosine"}))
+
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="seed"):
             load_config(small_config(tmp_path, seed=-1))
@@ -121,6 +155,11 @@ class TestExitCodes:
         ("gauge", {"gauge.pairs": 0}, ()),
         ("fock", {"fock.tuples": 0}, ()),
         ("ladders", {}, ("--seed", "-1")),
+        ("fock", {"fock.nodes": 3}, ()),
+        ("seminorms", {"seminorms.nodes": 16}, ()),
+        ("ladders", {"ladders.cutoff": 2}, ()),
+        ("spectrum", {"rho.profile": "bogus"}, ()),
+        ("spectrum", {"domain.shape": "interval", "rho.profile": "cosine"}, ()),
     ])
     def test_bad_domain_exits_2_before_output(self, tmp_path, suite,
                                               overrides, argv):

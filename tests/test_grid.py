@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
                             conformal_rescale, covariant_derivative,
                             covariant_derivative_adjoint, field_to_csv,
-                            inner_product, norm, rebind)
+                            inner_product, norm, rebind, stack_fields)
+from energyrep.operators import assemble_h
 
 
 def random_field(grid, rng, rank=1, algebra=False):
@@ -223,6 +224,79 @@ class TestWeightField:
         g = build_grid("interval", 10, halfwidth=2.0)
         w = WeightField.quadratic(g, 1.0)
         assert np.allclose(w.w, g.nodes[:, 0] ** 2 + 1.0)
+
+
+class TestSampleAxis:
+    """A stacked test set gives per sample exactly what each field gives."""
+
+    @pytest.mark.parametrize("shape,kw,rank,algebra", [
+        ("circle", {"radius": 1.0}, 1, False),
+        ("interval", {"halfwidth": 3.0}, 2, False),
+        ("torus", {"radius": 1.0}, 1, True),
+        ("square", {"halfwidth": 2.0}, 2, True),
+    ])
+    def test_grid_operations_match_per_field(self, shape, kw, rank, algebra):
+        g = build_grid(shape, 8, **kw)
+        rng = np.random.default_rng(41)
+        fields = [random_field(g, rng, rank, algebra) for _ in range(4)]
+        others = [random_field(g, rng, rank, algebra) for _ in range(4)]
+        batch, other = stack_fields(fields), stack_fields(others)
+        assert (batch.sample_axes, fields[0].sample_axes) == (1, 0)
+        rho = rng.uniform(-0.5, 0.5, g.node_count)
+        assert np.array_equal(inner_product(batch, other, rho),
+                              [inner_product(f, h, rho)
+                               for f, h in zip(fields, others)])
+        assert np.array_equal(norm(batch, rho), [norm(f, rho) for f in fields])
+        scale = rng.uniform(1.0, 2.0, g.node_count)
+        for op in (covariant_derivative, covariant_derivative_adjoint,
+                   lambda f: f.scale_by_nodes(scale)):
+            out = op(batch)
+            assert np.array_equal(out.values,
+                                  np.stack([op(f).values for f in fields]))
+            assert out.rank == op(fields[0]).rank
+
+    def test_expand_and_apply_match_per_field(self):
+        g = build_grid("torus", 6, radius=1.0)
+        op = assemble_h(g, WeightField.constant(g, 2.0), rank=1)
+        dec = op.eigendecomposition()
+        rng = np.random.default_rng(43)
+        fields = [random_field(g, rng, 1, True) for _ in range(3)]
+        batch = stack_fields(fields)
+        assert np.array_equal(dec.expand(batch),
+                              np.stack([dec.expand(f) for f in fields]))
+        assert np.array_equal(op.apply(batch).values,
+                              np.stack([op.apply(f).values for f in fields]))
+
+    def test_stack_checks(self, tmp_path):
+        g = build_grid("circle", 8, radius=1.0)
+        rng = np.random.default_rng(44)
+        f = random_field(g, rng)
+        with pytest.raises(GridError):
+            stack_fields([])
+        with pytest.raises(GridError):
+            stack_fields([f, random_field(g, rng, rank=2)])
+        with pytest.raises(GridError):
+            stack_fields([f, random_field(build_grid("circle", 16), rng)])
+        with pytest.raises(GridError):
+            stack_fields([stack_fields([f])])
+        rescaled, _ = conformal_rescale(g, np.linspace(0.0, 1.0, 8))
+        with pytest.raises(GridError, match="rescaling"):
+            stack_fields([f, rebind(f, rescaled)])
+        with pytest.raises(GridError):
+            field_to_csv(stack_fields([f]), tmp_path / "set.csv")
+        assert not (tmp_path / "set.csv").exists()
+
+    def test_same_grid_shortcut_is_bit_identical(self):
+        # one grid object skips the metric-scale comparison; an identical
+        # copy still runs it, and both give the same bits
+        g = build_grid("torus", 8, radius=1.0)
+        copy, _ = conformal_rescale(g, np.zeros(g.node_count))
+        assert copy is not g
+        rng = np.random.default_rng(45)
+        f = random_field(g, rng, algebra=True)
+        h = random_field(g, rng, algebra=True)
+        rho = rng.uniform(-0.5, 0.5, g.node_count)
+        assert inner_product(f, h, rho) == inner_product(f, rebind(h, copy), rho)
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -34,6 +34,14 @@ class TestStructure:
         for a, ad in zip(ladder2.lowering, ladder2.raising):
             assert np.array_equal(ad, a.T)
 
+    def test_degrees_computed_once(self, ladder2):
+        degrees = ladder2.degrees()
+        assert degrees is ladder2.degrees()
+        want = np.array([sum(s) for s in ladder2.states])
+        assert degrees.dtype == want.dtype and np.array_equal(degrees, want)
+        with pytest.raises(ValueError):
+            degrees[0] = 1
+
     def test_number_diagonal(self, ladder2):
         n_tot = ladder2.number_total
         assert np.allclose(n_tot, np.diag(ladder2.degrees()), atol=1e-13)

@@ -5,10 +5,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from energyrep.config import ExperimentConfig
-from energyrep.grid import Field, WeightField, build_grid, norm
+from energyrep.grid import (ALGEBRA_METRIC_FACTOR, Field, GridError,
+                            WeightField, build_grid, conformal_rescale,
+                            covariant_derivative, norm, rebind, stack_fields)
 from energyrep.operators import assemble_h, conjugated_operator
-from energyrep.sampling import random_one_form, rho_field
-from energyrep.seminorms import (equivalence_probe, seminorm_p, seminorm_prime,
+from energyrep.sampling import (random_covector_testset, random_one_form,
+                                rho_field)
+from energyrep.seminorms import (equivalence_probe, seminorm_p,
+                                 seminorm_p_batch, seminorm_prime,
+                                 seminorm_prime_batch, twisted_chain,
                                  weighted_chain_residual)
 from energyrep.suites import _probe_data
 
@@ -173,3 +178,123 @@ class TestEquivalenceProbe:
         data = _probe_data("circle", cfg, 5)
         rep = equivalence_probe("circle", data, (0, 1), (0.0, 1.0))
         json.dumps(rep.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# Batched test sets against the per-field loop they replace
+# ---------------------------------------------------------------------------
+
+def loop_seminorm_p(f, p, dec):
+    """One field, one p: expand, weight by lambda^{2p}, sum."""
+    coeffs = dec.expand(f)
+    weights = dec.eigenvalues[:, None] ** (2.0 * p)
+    total = float(np.sum(weights * np.abs(coeffs) ** 2))
+    if f.algebra:
+        total *= ALGEBRA_METRIC_FACTOR
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def loop_seminorm_prime(f, m, weight):
+    """One field, one m: a fresh derivative chain for every n <= m."""
+    half = np.exp(weight.rho / 2.0)
+    total = 0.0
+    for n in range(m + 1):
+        g = f.scale_by_nodes(half)
+        for _ in range(n):
+            g = covariant_derivative(g)
+        g = g.scale_by_nodes(1.0 / half).scale_by_nodes(weight.w ** m)
+        total += norm(g, weight.rho)
+    return total
+
+
+def assert_batch_equals_loop(fields, m_list, p_list, weight, dec):
+    prime = seminorm_prime_batch(fields, m_list, weight)
+    spec = seminorm_p_batch(fields, p_list, dec)
+    assert prime.shape == (len(m_list), len(fields))
+    assert spec.shape == (len(p_list), len(fields))
+    assert np.array_equal(prime, [[loop_seminorm_prime(f, m, weight)
+                                   for f in fields] for m in m_list])
+    assert np.array_equal(spec, [[loop_seminorm_p(f, p, dec) for f in fields]
+                                 for p in p_list])
+
+
+M_LIST = (0, 1, 2, 3)
+P_LIST = (0.0, 0.5, 1.0, 1.25, 2.0)
+
+
+class TestBatchedAgainstLoop:
+    @pytest.mark.parametrize("shape,kw,make,value,rho_kind", [
+        ("circle", {"radius": 1.0}, WeightField.constant, 2.0, "cosine"),
+        ("interval", {"halfwidth": 6.0}, WeightField.quadratic, 1.0, "bump"),
+    ])
+    def test_one_dimensional_sets(self, shape, kw, make, value, rho_kind):
+        g = build_grid(shape, 40, **kw)
+        rho = rho_field(g, rho_kind, 0.4)
+        weight = make(g, value, rho)
+        dec = conjugated_operator(assemble_h(g, make(g, value)),
+                                  rho).eigendecomposition()
+        rng = np.random.default_rng(31)
+        fields = random_covector_testset(g, rng, 12)
+        fields += [random_one_form(g, rng, modes=3) for _ in range(3)]
+        covectors = [f for f in fields if not f.algebra]
+        algebra = [f for f in fields if f.algebra]
+        for subset in (covectors, algebra):
+            assert_batch_equals_loop(subset, M_LIST, P_LIST, weight, dec)
+
+    def test_torus_algebra_one_forms_with_rho(self):
+        torus = build_grid("torus", 8, radius=1.0)
+        rho = rho_field(torus, "cosine", 0.3, 1)
+        weight = WeightField.constant(torus, 2.0, rho)
+        dec = conjugated_operator(assemble_h(torus, WeightField.constant(torus, 2.0)),
+                                  rho).eigendecomposition()
+        rng = np.random.default_rng(17)
+        fields = [random_one_form(torus, rng, modes=2) for _ in range(6)]
+        chain = list(twisted_chain(stack_fields(fields), rho, 3))
+        # a test set of rank-1 algebra fields climbs to rank 4 at n = 3
+        assert [g.values.shape for g in chain] == [
+            (6, 64) + (2,) * (k + 1) + (3,) for k in range(4)]
+        assert_batch_equals_loop(fields, M_LIST, P_LIST, weight, dec)
+
+    def test_single_field_is_the_one_field_batch(self, circle_setup):
+        g, w, dec = circle_setup
+        rng = np.random.default_rng(9)
+        fields = [random_one_form(g, rng, modes=3) for _ in range(5)]
+        prime = seminorm_prime_batch(fields, (0, 2), w)
+        spec = seminorm_p_batch(fields, (0.5, 1.5), dec)
+        for k, f in enumerate(fields):
+            for i, m in enumerate((0, 2)):
+                one = seminorm_prime_batch([f], (m,), w)
+                assert one.shape == (1, 1)
+                assert seminorm_prime(f, m, w) == one[0, 0] == prime[i, k]
+            for i, p in enumerate((0.5, 1.5)):
+                one = seminorm_p_batch([f], (p,), dec)
+                assert seminorm_p(f, p, dec) == one[0, 0] == spec[i, k]
+
+    def test_empty_set_rejected(self, circle_setup):
+        g, w, dec = circle_setup
+        with pytest.raises(ValueError):
+            seminorm_p_batch([], (1.0,), dec)
+        with pytest.raises(ValueError):
+            seminorm_prime_batch([], (1,), w)
+
+    def test_negative_order_rejected(self, circle_setup):
+        g, w, dec = circle_setup
+        f = random_one_form(g, np.random.default_rng(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            seminorm_prime_batch([f], (1, -1), w)
+
+    def test_conformally_rescaled_fields_rejected(self, circle_setup):
+        g, w, dec = circle_setup
+        f = random_one_form(g, np.random.default_rng(3))
+        g2, _ = conformal_rescale(g, rho_field(g, "cosine", 0.5, 1))
+        moved = rebind(f, g2)
+        # the covariant derivative needs a constant metric scale
+        with pytest.raises(GridError):
+            seminorm_prime(moved, 1, w)
+        with pytest.raises(GridError):
+            seminorm_prime_batch([moved], (1,), w)
+        # one set, two metric scales
+        with pytest.raises(GridError, match="rescaling"):
+            seminorm_prime_batch([f, moved], (0,), w)
+        with pytest.raises(GridError, match="rescaling"):
+            seminorm_p_batch([f, moved], (1.0,), dec)
