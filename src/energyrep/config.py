@@ -173,8 +173,8 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig) -> None:
     from .grid import MIN_NODES, PERIODIC_SHAPES, SUPPORTED_SHAPES
-    from .hermite import MIN_CUTOFF
     from .sampling import RHO_PROFILES
+    from .suites import LADDER_WORDS
     if cfg.domain_shape not in SUPPORTED_SHAPES:
         raise ConfigError(f"domain.shape must be one of {SUPPORTED_SHAPES}")
     if cfg.rho_profile not in RHO_PROFILES:
@@ -192,6 +192,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("constant potential must be >= 1")
     if any(t <= 0 for t in cfg.regularity_t_list):
         raise ConfigError("regularity.t_list entries must be positive")
+    if len(set(cfg.regularity_t_list)) < 2:
+        raise ConfigError("regularity.t_list needs at least two distinct "
+                          "values for the slope fit")
     for key in ("domain.nodes", "spectrum.circle_nodes",
                 "spectrum.oscillator_nodes", "gauge.nodes", "cutoff.nodes",
                 "fock.nodes", "conformal.torus_nodes", "conformal.circle_nodes"):
@@ -202,8 +205,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     if len(set(cfg.seminorms_nodes)) < 2:
         raise ConfigError("seminorms.nodes needs at least two distinct sizes "
                           "for the refinement-stability ratio")
-    if cfg.ladders_cutoff < MIN_CUTOFF:
-        raise ConfigError(f"ladders.cutoff must be at least {MIN_CUTOFF}")
+    min_cutoff = 2 * max(len(word) for word in LADDER_WORDS)
+    if cfg.ladders_cutoff < min_cutoff:
+        raise ConfigError(f"ladders.cutoff must be at least {min_cutoff}, "
+                          f"twice the longest ladder word")
+    if cfg.fock_cutoff < 0:
+        raise ConfigError("fock.cutoff must be non-negative")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     for key in ("gauge.pairs", "fock.tuples", "fock.pairs",

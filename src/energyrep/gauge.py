@@ -32,14 +32,6 @@ class GaugeField:
     u: np.ndarray
     du: np.ndarray
 
-    @property
-    def support_mask(self) -> np.ndarray:
-        dev = np.max(np.abs(self.u - su2.IDENTITY2), axis=(1, 2))
-        return dev > 1e-14
-
-    def unitarity_defect(self) -> float:
-        return su2.group_defect(self.u)
-
 
 @dataclass(frozen=True, eq=False)
 class AlgebraValuedField:
@@ -71,14 +63,6 @@ class AlgebraValuedField:
 def gauge_identity(grid: GridManifold) -> GaugeField:
     n, d = grid.node_count, grid.dimension
     u = np.tile(su2.IDENTITY2, (n, 1, 1))
-    du = np.zeros((n, d, 2, 2), dtype=complex)
-    return GaugeField(grid, u, du)
-
-
-def gauge_constant(grid: GridManifold, coeff) -> GaugeField:
-    n, d = grid.node_count, grid.dimension
-    g = su2.exp_map(np.asarray(coeff, float))
-    u = np.tile(g, (n, 1, 1))
     du = np.zeros((n, d, 2, 2), dtype=complex)
     return GaugeField(grid, u, du)
 
@@ -138,11 +122,8 @@ def log_derivative(psi: GaugeField) -> Field:
     return Field(psi.grid, 1, coeffs, algebra=True)
 
 
-def v_action(psi: GaugeField, f: Field) -> Field:
-    """V(psi) f: pointwise Ad(psi(x)) on the algebra leg."""
-    if not psi.grid.compatible_with(f.grid):
-        raise GridError("gauge field and one-form live on different grids")
-    r = su2.rotation_of(psi.u)  # (n, 3, 3)
+def _rotate(r: np.ndarray, f: Field) -> Field:
+    """Apply per-node rotations r, shape (n, 3, 3), to the algebra leg of f."""
     if f.rank == 0:
         vals = np.einsum("xab,xb->xa", r, f.values)
     else:
@@ -150,11 +131,16 @@ def v_action(psi: GaugeField, f: Field) -> Field:
     return f.copy_with(vals)
 
 
+def v_action(psi: GaugeField, f: Field) -> Field:
+    """V(psi) f: pointwise Ad(psi(x)) on the algebra leg."""
+    if not psi.grid.compatible_with(f.grid):
+        raise GridError("gauge field and one-form live on different grids")
+    return _rotate(su2.rotation_of(psi.u), f)
+
+
 def v_action_of_exp(field: AlgebraValuedField, t: float, f: Field) -> Field:
     """V(exp(t Psi)) f without derivative data (values only)."""
-    r = su2.rotation_of(su2.exp_map(t * field.values))
-    vals = np.einsum("xab,xjb->xja", r, f.values)
-    return f.copy_with(vals)
+    return _rotate(su2.rotation_of(su2.exp_map(t * field.values)), f)
 
 
 def v_prime(field: AlgebraValuedField, f: Field) -> Field:
@@ -247,7 +233,9 @@ def regularity_check(field: AlgebraValuedField, test_set, t_list, p: float,
     errors = []
     margins = []
     for t in t_list:
-        quotients = [(v_action_of_exp(field, t, f) - f) * (1.0 / t) - vf
+        # V(exp(t Psi)) depends on t alone: one rotation serves every f
+        r = su2.rotation_of(su2.exp_map(t * field.values))
+        quotients = [(_rotate(r, f) - f) * (1.0 / t) - vf
                      for f, vf in zip(test_set, drift)]
         err = seminorm_p_batch(quotients, (p,), decomposition)[0]
         err_m = seminorm_prime_batch(quotients, (m,), weight)[0]
@@ -318,7 +306,7 @@ def cutoff_approximation(field: AlgebraValuedField, stages, f_set, p: float,
     Psi_n := psi_n Psi.  Refuses on domains flagged as violating condition (c)
     (see punctured_plane_demo for why such domains admit no usable family).
     """
-    from .seminorms import seminorm_p
+    from .seminorms import seminorm_p_batch
 
     grid = field.grid
     if not grid.condition_c_ok:
@@ -327,22 +315,19 @@ def cutoff_approximation(field: AlgebraValuedField, stages, f_set, p: float,
             "sequence exists (see punctured_plane_demo)")
     if not field.bounded:
         raise ValueError("cutoff approximation needs a uniformly bounded field")
-    rows = []
+    diffs = [AlgebraValuedField(grid, (1.0 - s.values)[:, None] * field.values,
+                                np.zeros_like(field.derivs), field.bounded)
+             for s in stages]
+    images = [v_prime(diff, f) for f in f_set for diff in diffs]
+    values = (seminorm_p_batch(images, (p,), decomposition)[0] if images
+              else np.zeros(0)).reshape(len(f_set), len(stages))
+    rows = tuple(tuple(float(v) for v in row) for row in values)
     covered = []
     for f in f_set:
         supp = np.max(np.abs(f.values.reshape(grid.node_count, -1)), axis=1) > 0
-        row = []
-        first_covered = -1
-        for stage in stages:
-            remainder = 1.0 - stage.values
-            diff = AlgebraValuedField(grid, remainder[:, None] * field.values,
-                                      np.zeros_like(field.derivs), field.bounded)
-            row.append(seminorm_p(v_prime(diff, f), p, decomposition))
-            if first_covered < 0 and np.all(stage.values[supp] == 1.0):
-                first_covered = stage.index
-        rows.append(tuple(row))
-        covered.append(first_covered)
-    return CutoffDecayReport(tuple(s.index for s in stages), tuple(rows),
+        covered.append(next((s.index for s in stages
+                             if np.all(s.values[supp] == 1.0)), -1))
+    return CutoffDecayReport(tuple(s.index for s in stages), rows,
                              tuple(covered))
 
 

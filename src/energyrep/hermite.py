@@ -107,20 +107,18 @@ def word_dagger(word) -> tuple:
     return tuple((j, not r) for (j, r) in reversed(word))
 
 
-def word_matrix(ladder: HermiteLadder, word) -> np.ndarray:
-    out = np.eye(ladder.size)
-    for (j, raising) in reversed(word):
-        m = ladder.raising[j] if raising else ladder.lowering[j]
-        out = m @ out
-    return out
-
-
 def word_apply(ladder: HermiteLadder, word, vec: np.ndarray) -> np.ndarray:
+    """The operator product of word applied to vec, rightmost letter first."""
     out = np.asarray(vec, float)
     for (j, raising) in reversed(word):
         m = ladder.raising[j] if raising else ladder.lowering[j]
         out = m @ out
     return out
+
+
+def word_matrix(ladder: HermiteLadder, word) -> np.ndarray:
+    """The matrix of word: word_apply on the identity."""
+    return word_apply(ladder, word, np.eye(ladder.size))
 
 
 @lru_cache(maxsize=None)
@@ -167,17 +165,17 @@ def word_bound_constant(word, d: int) -> float:
 
 
 def expansion_matrix(ladder: HermiteLadder, expansion) -> np.ndarray:
-    """Realize a normal-ordered expansion as a matrix on the retained basis."""
+    """Realize a normal-ordered expansion as a matrix on the retained basis.
+
+    Each monomial prod_j (A_j†)^{r_j} prod_j A_j^{l_j} is the word that,
+    read right to left, lowers mode 0, 1, ... and then raises mode 0, 1, ...
+    """
+    modes = range(ladder.dimension - 1, -1, -1)
     out = np.zeros((ladder.size, ladder.size))
     for (raises, lowers), coeff in expansion:
-        term = np.eye(ladder.size)
-        for j in range(ladder.dimension):
-            for _ in range(lowers[j]):
-                term = ladder.lowering[j] @ term
-        for j in range(ladder.dimension):
-            for _ in range(raises[j]):
-                term = ladder.raising[j] @ term
-        out += coeff * term
+        word = (tuple((j, True) for j in modes for _ in range(raises[j]))
+                + tuple((j, False) for j in modes for _ in range(lowers[j])))
+        out += coeff * word_matrix(ladder, word)
     return out
 
 

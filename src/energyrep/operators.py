@@ -83,16 +83,6 @@ class SpectralDecomposition:
         flat = _node_columns(f, self.grid.node_count)
         return self.eigenvectors.T @ (self.node_weights[:, None] * flat)
 
-    def synthesize(self, coeffs: np.ndarray, like: Field) -> Field:
-        vals = self.eigenvectors @ coeffs
-        return like.copy_with(vals.reshape(like.values.shape))
-
-    def apply_power(self, f: Field, p: float) -> Field:
-        """Spectral calculus H^p via eigen-expansion per channel."""
-        coeffs = self.expand(f)
-        scaled = (self.eigenvalues[:, None] ** p) * coeffs
-        return self.synthesize(scaled, f)
-
     def gram_residual(self) -> float:
         g = self.eigenvectors.T @ (self.node_weights[:, None] * self.eigenvectors)
         return float(np.max(np.abs(g - np.eye(g.shape[0]))))

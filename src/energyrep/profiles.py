@@ -22,17 +22,6 @@ class Profile:
 
 
 @dataclass(frozen=True)
-class ConstantProfile(Profile):
-    amplitude: float
-
-    def value(self, nodes):
-        return np.full(nodes.shape[0], self.amplitude)
-
-    def gradient(self, nodes):
-        return np.zeros_like(nodes)
-
-
-@dataclass(frozen=True)
 class FourierProfile(Profile):
     """sum_k ca_k cos(2 pi k s / period) + sa_k sin(...) on a periodic axis."""
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -101,29 +102,21 @@ class Report:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         path = outdir / f"{self.suite}.json"
-        # NaN is not valid JSON; refusals serialize their sentinel as a string
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                             allow_nan=False) \
-            if _finite(self) else _dumps_with_nan(self.to_dict())
+        payload = json.dumps(_without_nan(self.to_dict()), indent=2,
+                             sort_keys=True, allow_nan=False)
         path.write_text(payload + "\n", encoding="utf-8")
         return path
 
 
-def _finite(report: Report) -> bool:
-    return all(np.isfinite(c.measured) and np.isfinite(c.tolerance)
-               for c in report.checks)
-
-
-def _dumps_with_nan(payload: dict) -> str:
-    def clean(obj):
-        if isinstance(obj, float) and not np.isfinite(obj):
-            return "refused"
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [clean(v) for v in obj]
-        return obj
-    return json.dumps(clean(payload), indent=2, sort_keys=True)
+def _without_nan(obj):
+    """NaN is not valid JSON; refusals serialize their sentinel as a string."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else "refused"
+    if isinstance(obj, dict):
+        return {k: _without_nan(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_without_nan(v) for v in obj]
+    return obj
 
 
 def write_sidecar_meta(outdir: Path, note: str = "") -> Path:

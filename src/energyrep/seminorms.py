@@ -58,6 +58,13 @@ def seminorm_p(f: Field, p: float, dec: SpectralDecomposition) -> float:
     return float(seminorm_p_batch([f], (p,), dec)[0, 0])
 
 
+def eigenvector_covector(dec: SpectralDecomposition, k: int) -> Field:
+    """The k-th eigenvector of dec as a covector along the first axis."""
+    vals = np.zeros((dec.grid.node_count, dec.grid.dimension), dtype=complex)
+    vals[:, 0] = dec.eigenvectors[:, k]
+    return Field.covector(dec.grid, vals)
+
+
 def twisted_chain(f: Field, rho: np.ndarray, order: int):
     """Yield grad_rho^n f for n = 0..order from one derivative chain:
     grad_rho^n f = e^{-rho/2} grad^n (e^{rho/2} f), exact as a chain."""
@@ -179,10 +186,7 @@ def equivalence_probe(domain: str, grids_and_data, m_list, p_grid) -> SeminormRe
                     bwd = float(np.max(spec_vals[p] / prime_vals[m]))
                 report.constants[(m, p, n_size)] = (fwd, bwd)
         # sanity row: the ground mode has comparable small values in both families
-        gvals = np.zeros((weight.grid.node_count, weight.grid.dimension),
-                         dtype=complex)
-        gvals[:, 0] = dec.eigenvectors[:, 0]
-        ground = Field.covector(weight.grid, gvals)
+        ground = eigenvector_covector(dec, 0)
         report.sanity_rows.append({
             "N": n_size,
             "prime_m1": seminorm_prime(ground, 1, weight),

@@ -154,6 +154,17 @@ def suite_spectrum(cfg: ExperimentConfig, outdir: Path) -> Report:
 # ladders
 # ---------------------------------------------------------------------------
 
+# The words whose bounds and normal-ordered forms the ladders suite checks.
+# word†word has length 2m, so ladders.cutoff must leave guarded states for
+# twice the longest word (config.py derives its load rule from this).
+LADDER_WORDS = (
+    ((0, True),),
+    ((0, False), (1, True)),
+    ((0, True), (0, False), (1, True)),
+    ((1, False), (0, True), (1, True), (0, False)),
+)
+
+
 def _guarded_sample(ladder, rng, margin: int) -> np.ndarray:
     mask = ladder.guard_mask(margin)
     v = np.zeros(ladder.size)
@@ -189,16 +200,10 @@ def suite_ladders(cfg: ExperimentConfig, outdir: Path) -> Report:
                   0.0, detail=f"max ratio {worst_ratio:.6f} over "
                               f"{cfg.ladders_samples} samples"))
 
-    words = [
-        ((0, True),),
-        ((0, False), (1, True)),
-        ((0, True), (0, False), (1, True)),
-        ((1, False), (0, True), (1, True), (0, False)),
-    ]
     rows = []
     worst_word = 0.0
     expansion_resid = 0.0
-    for word in words:
+    for word in LADDER_WORDS:
         m = len(word)
         c = hermite.word_bound_constant(word, 2)
         word_max = 0.0
@@ -252,10 +257,7 @@ def _probe_data(domain: str, cfg: ExperimentConfig, seed_stream):
         bvals = np.zeros((grid.node_count, 1), dtype=complex)
         bvals[:, 0] = bump.value(grid.nodes)
         fields.append(Field.covector(grid, bvals))
-        for k in range(3):
-            vals = np.zeros((grid.node_count, 1), dtype=complex)
-            vals[:, 0] = dec.eigenvectors[:, k]
-            fields.append(Field.covector(grid, vals))
+        fields.extend(seminorms.eigenvector_covector(dec, k) for k in range(3))
         data.append((n_size, weight, dec, fields))
     return data
 
@@ -289,21 +291,17 @@ def suite_seminorms(cfg: ExperimentConfig, outdir: Path) -> Report:
     grid = build_grid("circle", n_size, radius=1.0)
     weight = WeightField.constant(grid, 2.0)
     dec = operators.assemble_h(grid, weight).eigendecomposition()
+    fs = [random_one_form(grid, rng, modes=3) for _ in range(10)]
     mono_defect = 0.0
+    for v0, v1, v2 in seminorms.seminorm_p_batch(fs, (0.0, 0.5, 1.5), dec).T:
+        mono_defect = max(mono_defect, float(v0 - v1), float(v1 - v2))
+    modes = (0, 3, 7)
+    got = seminorms.seminorm_p_batch(
+        [seminorms.eigenvector_covector(dec, k) for k in modes], (1.25,), dec)[0]
     eig_defect = 0.0
-    for _ in range(10):
-        f = random_one_form(grid, rng, modes=3)
-        v0 = seminorms.seminorm_p(f, 0.0, dec)
-        v1 = seminorms.seminorm_p(f, 0.5, dec)
-        v2 = seminorms.seminorm_p(f, 1.5, dec)
-        mono_defect = max(mono_defect, v0 - v1, v1 - v2)
-    for k in (0, 3, 7):
-        vals = np.zeros((grid.node_count, 1), dtype=complex)
-        vals[:, 0] = dec.eigenvectors[:, k]
-        ef = Field.covector(grid, vals)
-        got = seminorms.seminorm_p(ef, 1.25, dec)
+    for k, g in zip(modes, got):
         want = float(dec.eigenvalues[k] ** 1.25)
-        eig_defect = max(eig_defect, abs(got - want) / want)
+        eig_defect = max(eig_defect, abs(float(g) - want) / want)
     rep.add(check("p_scale_monotone", dig("mono"), mono_defect, 1e-12))
     rep.add(check("eigenvector_p_norm", dig("eig"), eig_defect, 1e-10))
 
@@ -312,12 +310,14 @@ def suite_seminorms(cfg: ExperimentConfig, outdir: Path) -> Report:
     h_rho = operators.conjugated_operator(
         operators.assemble_h(grid, weight), rho)
     dec_rho = h_rho.eigendecomposition()
+    fs = [random_one_form(grid, rng, modes=3) for _ in range(5)]
+    half = np.exp(rho / 2.0)
+    lhs = seminorms.seminorm_p_batch(fs, (1.0,), dec_rho)[0]
+    rhs = seminorms.seminorm_p_batch([f.scale_by_nodes(half) for f in fs],
+                                     (1.0,), dec)[0]
     intertwine = 0.0
-    for _ in range(5):
-        f = random_one_form(grid, rng, modes=3)
-        lhs = seminorms.seminorm_p(f, 1.0, dec_rho)
-        rhs = seminorms.seminorm_p(f.scale_by_nodes(np.exp(rho / 2.0)), 1.0, dec)
-        intertwine = max(intertwine, abs(lhs - rhs) / max(lhs, rhs))
+    for a, b in zip(lhs, rhs):
+        intertwine = max(intertwine, float(abs(a - b) / max(a, b)))
     rep.add(check("weighted_scale_intertwines", dig("twine"), intertwine, 1e-10))
 
     rep.write_json(outdir)

@@ -1,5 +1,6 @@
 """CLI runner: subcommands, exit codes, determinism, report artifacts."""
 import filecmp
+import importlib.util
 import json
 import os
 import subprocess
@@ -110,6 +111,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="ladders.cutoff"):
             load_config(small_config(tmp_path, **{"ladders.cutoff": 3}))
 
+    @pytest.mark.parametrize("cutoff", [4, 6, 7])
+    def test_ladder_cutoff_below_twice_longest_word_rejected(self, tmp_path,
+                                                             cutoff):
+        # the length-4 suite word needs guarded states of word†word (length 8)
+        with pytest.raises(ConfigError, match="ladders.cutoff"):
+            load_config(small_config(tmp_path, **{"ladders.cutoff": cutoff}))
+        assert load_config(small_config(tmp_path, **{"ladders.cutoff": 8}))
+
+    @pytest.mark.parametrize("t_list", ["0.1", "0.1 0.1"])
+    def test_single_regularity_t_rejected(self, tmp_path, t_list):
+        with pytest.raises(ConfigError, match="regularity.t_list"):
+            load_config(small_config(tmp_path, **{"regularity.t_list": t_list}))
+
+    def test_negative_fock_cutoff_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="fock.cutoff"):
+            load_config(small_config(tmp_path, **{"fock.cutoff": -1}))
+        assert load_config(small_config(tmp_path, **{"fock.cutoff": 0}))
+
     def test_unknown_rho_profile_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="rho.profile"):
             load_config(small_config(tmp_path, **{"rho.profile": "bogus"}))
@@ -160,6 +179,11 @@ class TestExitCodes:
         ("ladders", {"ladders.cutoff": 2}, ()),
         ("spectrum", {"rho.profile": "bogus"}, ()),
         ("spectrum", {"domain.shape": "interval", "rho.profile": "cosine"}, ()),
+        ("ladders", {"ladders.cutoff": 4}, ()),
+        ("ladders", {"ladders.cutoff": 6}, ()),
+        ("gauge", {"regularity.t_list": "0.1"}, ()),
+        ("gauge", {"regularity.t_list": "0.1 0.1"}, ()),
+        ("fock", {"fock.cutoff": -1}, ()),
     ])
     def test_bad_domain_exits_2_before_output(self, tmp_path, suite,
                                               overrides, argv):
@@ -257,3 +281,22 @@ class TestDeterminism:
         main(["gauge", "--config", str(cfg), "--out", str(out_one)])
         assert filecmp.cmp(out_all / "gauge.json", out_one / "gauge.json",
                            shallow=False)
+
+
+def test_layer_trace_binds_every_traced_name():
+    """perfbench/layertrace.py wraps package functions by name; one that is
+    deleted or renamed fails here instead of in `run.py --trace 1`."""
+    from energyrep import seminorms  # energyrep.cli is loaded at the top
+
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", REPO / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    original = seminorms.seminorm_p
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        assert seminorms.seminorm_p is not original
+    finally:
+        tracer.uninstall()
+    assert seminorms.seminorm_p is original

@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
-from energyrep import gauge
+from energyrep import gauge, su2
 from energyrep.grid import Field, WeightField, build_grid, norm
 from energyrep.operators import assemble_h, conjugated_operator
-from energyrep.profiles import BumpProfile, ConstantProfile, FourierProfile
+from energyrep.profiles import BumpProfile, FourierProfile
 from energyrep.sampling import (random_algebra_field, random_gauge_field,
                                 random_one_form, rho_field)
+from energyrep.seminorms import (seminorm_p, seminorm_p_batch,
+                                 seminorm_prime_batch)
 
 
 @pytest.fixture(scope="module")
@@ -26,15 +28,16 @@ class TestLogDerivative:
         assert np.all(beta.values == 0)
 
     def test_constant_field(self, circle32):
-        psi = gauge.gauge_constant(circle32, (0.7, -0.4, 1.2))
+        psi = gauge.gauge_from_algebra(
+            gauge.AlgebraValuedField.constant(circle32, (0.7, -0.4, 1.2)))
         beta = gauge.log_derivative(psi)
         assert np.max(np.abs(beta.values)) == 0.0
 
     def test_single_direction_commuting_profile(self, circle32):
         # psi = exp(b(x) X_1) gives beta = b'(x) dx tensor X_1 exactly
         prof = FourierProfile(2 * np.pi, (0.8, 0.3), (0.0, -0.5))
-        psi = gauge.gauge_from_profiles(
-            circle32, [prof, ConstantProfile(0.0), ConstantProfile(0.0)])
+        zero = FourierProfile(2 * np.pi, (0.0,), (0.0,))
+        psi = gauge.gauge_from_profiles(circle32, [prof, zero, zero])
         beta = gauge.log_derivative(psi)
         expected = prof.gradient(circle32.nodes)[:, 0]
         assert np.max(np.abs(beta.values[:, 0, 0] - expected)) <= 1e-12
@@ -79,7 +82,7 @@ class TestCocycle:
     def test_product_unitary(self, circle32, rng):
         psi = random_gauge_field(circle32, rng)
         phi = random_gauge_field(circle32, rng)
-        assert gauge.gauge_product(psi, phi).unitarity_defect() <= 1e-12
+        assert su2.group_defect(gauge.gauge_product(psi, phi).u) <= 1e-12
 
 
 class TestVAction:
@@ -186,6 +189,38 @@ class TestRegularity:
         assert abs(rep.slope - 1.0) <= 0.05
         assert max(rep.bound_margins) <= 1.0
 
+    def test_shared_rotation_matches_per_field_action(self, setup):
+        g, w, dec, psi, fs = setup
+        t_list = (1e-1, 1e-2, 1e-3, 1e-4)
+        rep = gauge.regularity_check(psi, fs, t_list, 1.0, 0.5, 1, w, dec)
+        errors, margins = loop_regularity(psi, fs, t_list, 1.0, 0.5, 1, w, dec,
+                                          rep.bound_constant)
+        assert np.array_equal(rep.errors, errors)
+        assert np.array_equal(rep.bound_margins, margins)
+
+
+def loop_regularity(field, fs, t_list, p, q, m, weight, dec, c_hat):
+    """Errors and margins with V(exp(t Psi)) rebuilt for every field and t."""
+    den = seminorm_p_batch(fs, (q,), dec)[0]
+    den_m = seminorm_prime_batch(fs, (m,), weight)[0]
+    drift = [gauge.v_prime(field, f) for f in fs]
+    errors, margins = [], []
+    for t in t_list:
+        quotients = [(gauge.v_action_of_exp(field, t, f) - f) * (1.0 / t) - vf
+                     for f, vf in zip(fs, drift)]
+        err = seminorm_p_batch(quotients, (p,), dec)[0]
+        err_m = seminorm_prime_batch(quotients, (m,), weight)[0]
+        worst = 0.0
+        worst_m = 0.0
+        for e, d, e_m, d_m in zip(err, den, err_m, den_m):
+            if d > 0:
+                worst = max(worst, e / d)
+            if d_m > 0:
+                worst_m = max(worst_m, e_m / (t * np.exp(c_hat) * d_m))
+        errors.append(float(worst))
+        margins.append(float(worst_m))
+    return errors, margins
+
 
 @pytest.fixture(scope="module")
 def interval_setup():
@@ -256,6 +291,24 @@ class TestCutoffs:
         idx = rep.n_list.index(covered)
         assert all(v == 0.0 for v in rep.values[0][idx:])
 
+    def test_batched_rows_match_per_field_seminorm(self, interval_setup):
+        g, dec = interval_setup
+        psi = gauge.AlgebraValuedField.constant(g, (0.8, -0.5, 0.3))
+        stages = gauge.cutoff_sequence(g, 8, 1.0, 1.0)
+        rng = np.random.default_rng(41)
+        fs = [random_one_form(g, rng, modes=3) for _ in range(3)]
+        rep = gauge.cutoff_approximation(psi, stages, fs, 1.0, dec)
+        rows = []
+        for f in fs:
+            row = []
+            for stage in stages:
+                diff = gauge.AlgebraValuedField(
+                    g, (1.0 - stage.values)[:, None] * psi.values,
+                    np.zeros_like(psi.derivs), psi.bounded)
+                row.append(seminorm_p(gauge.v_prime(diff, f), 1.0, dec))
+            rows.append(row)
+        assert np.array_equal(rep.values, rows)
+
     def test_refusal_on_flagged_domain(self):
         g = build_grid("punctured_square", 8, halfwidth=4.0)
         psi = gauge.AlgebraValuedField.constant(g, (1.0, 0.0, 0.0))
@@ -269,12 +322,6 @@ class TestCutoffs:
             np.zeros((g.node_count, 1, 3)), bounded=False)
         with pytest.raises(ValueError, match="bounded"):
             gauge.cutoff_approximation(psi, [], [], 1.0, dec)
-
-
-def test_support_mask(circle32):
-    assert not gauge.gauge_identity(circle32).support_mask.any()
-    psi = random_gauge_field(circle32, np.random.default_rng(31))
-    assert psi.support_mask.any()
 
 
 class TestPuncturedPlane:

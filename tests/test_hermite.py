@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from energyrep import hermite
+from energyrep.suites import LADDER_WORDS
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,25 @@ class TestNormalOrdering:
         mask = ladder2.guard_mask(len(full))
         resid = np.max(np.abs((brute - ordered)[:, mask]))
         assert resid <= 1e-12 * max(np.max(np.abs(brute)), 1.0)
+
+    @pytest.mark.parametrize("d,n_cut", [(1, 12), (2, 10)])
+    def test_expansion_matrix_matches_lowering_then_raising_loop(self, d, n_cut):
+        ladder = hermite.build_ladders(d, n_cut)
+        for word in LADDER_WORDS:
+            word = tuple((j % d, r) for j, r in word)  # one mode when d = 1
+            expansion = hermite.normal_order(hermite.word_dagger(word) + word, d)
+            want = np.zeros((ladder.size, ladder.size))
+            for (raises, lowers), coeff in expansion:
+                term = np.eye(ladder.size)
+                for j in range(d):
+                    for _ in range(lowers[j]):
+                        term = ladder.lowering[j] @ term
+                for j in range(d):
+                    for _ in range(raises[j]):
+                        term = ladder.raising[j] @ term
+                want += coeff * term
+            assert np.array_equal(hermite.expansion_matrix(ladder, expansion),
+                                  want)
 
     def test_coefficients_nonnegative(self):
         word = ((0, False), (0, True), (1, False), (1, False))

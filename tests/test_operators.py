@@ -118,14 +118,6 @@ class TestDecomposition:
             idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
             assert col[idx] > 0
 
-    def test_spectral_calculus_on_eigenvector(self):
-        g, op = circle_operator(32)
-        dec = op.eigendecomposition()
-        f = Field.scalar(g, dec.eigenvectors[:, 4] + 0j)
-        out = dec.apply_power(f, 2.0)
-        assert np.allclose(out.values, dec.eigenvalues[4] ** 2 * f.values,
-                           atol=1e-9)
-
 
 class TestConjugation:
     def test_zero_rho_is_identity(self):
