@@ -172,6 +172,7 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    from .fock import MAX_CUTOFF
     from .grid import MIN_NODES, PERIODIC_SHAPES, SUPPORTED_SHAPES
     from .sampling import RHO_PROFILES
     from .suites import LADDER_WORDS
@@ -209,8 +210,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.ladders_cutoff < min_cutoff:
         raise ConfigError(f"ladders.cutoff must be at least {min_cutoff}, "
                           f"twice the longest ladder word")
-    if cfg.fock_cutoff < 0:
-        raise ConfigError("fock.cutoff must be non-negative")
+    if not 0 <= cfg.fock_cutoff <= MAX_CUTOFF:
+        raise ConfigError(f"fock.cutoff must be in 0..{MAX_CUTOFF}; the "
+                          f"truncation oracle needs n! as a finite double")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     for key in ("gauge.pairs", "fock.tuples", "fock.pairs",

@@ -16,6 +16,7 @@ small orthonormalized one-particle space) cross-validates the kernel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,10 @@ def conformal_check(psi: GaugeField, rho_conf: np.ndarray, f_set, g_set,
 # Truncated symmetric-tensor cross-validation
 # ---------------------------------------------------------------------------
 
+# from_coherent divides by sqrt(n!) as a double; 170! is the last finite one.
+MAX_CUTOFF = 170
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedFockVector:
     """Occupation-number coefficients per degree over a small orthonormal basis.
@@ -231,7 +236,17 @@ def orthonormal_coordinates(fields, rho: np.ndarray | None = None) -> list:
     return [np.pad(c, (0, dim - c.size)) for c in coords]
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def truncation_tail_bound(fa_norm: float, fb_norm: float, cutoff: int) -> float:
-    """Tail of the exponential series: e^{|f||g|} (|f||g|)^{K+1} / (K+1)!."""
+    """Tail of the exponential series: e^{|f||g|} (|f||g|)^{K+1} / (K+1)!.
+
+    Evaluated in log space, so it never raises: it underflows to 0 at large
+    cutoffs and saturates at inf for huge norms.
+    """
     x = fa_norm * fb_norm
-    return float(np.exp(x) * x ** (cutoff + 1) / math.factorial(cutoff + 1))
+    if x == 0.0:
+        return 0.0
+    log_bound = x + (cutoff + 1) * math.log(x) - math.lgamma(cutoff + 2)
+    return math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else math.inf

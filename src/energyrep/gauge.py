@@ -1,7 +1,8 @@
 """Gauge fields, the Maurer-Cartan cocycle, the actions V and V', cutoffs.
 
 Gauge fields carry exact per-node derivative data (built from analytic
-profiles through the block-exponential differential), so the cocycle identity
+profiles through the closed-form differential of the su(2) exponential,
+`su2.dexp_batch`), so the cocycle identity
 beta(psi phi) = V(psi) beta(phi) + beta(psi) is a machine-precision statement,
 uncontaminated by grid differencing.
 """
@@ -68,16 +69,14 @@ def gauge_identity(grid: GridManifold) -> GaugeField:
 
 
 def gauge_from_algebra(field: AlgebraValuedField, t: float = 1.0) -> GaugeField:
-    """Pointwise exp(t Psi) with derivatives from the block exponential."""
-    grid = field.grid
+    """Pointwise exp(t Psi), with derivatives from the closed-form dexp.
+
+    One `su2.dexp_batch` call covers every node and every axis.
+    """
     a = su2.to_matrix(t * field.values)               # (n, 2, 2)
-    u = su2.exp_map(t * field.values)
-    n, d = grid.node_count, grid.dimension
-    du = np.empty((n, d, 2, 2), dtype=complex)
-    for j in range(d):
-        aprime = su2.to_matrix(t * field.derivs[:, j, :])
-        du[:, j] = su2.dexp_batch(a, aprime)
-    return GaugeField(grid, u, du)
+    aprime = su2.to_matrix(t * field.derivs)          # (n, d, 2, 2)
+    du = su2.dexp_batch(np.broadcast_to(a[:, None], aprime.shape), aprime)
+    return GaugeField(field.grid, su2.exp_map(t * field.values), du)
 
 
 def gauge_from_profiles(grid: GridManifold, profiles) -> GaugeField:

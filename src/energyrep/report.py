@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -46,11 +47,12 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
+        refused = self.verdict == "refused"
         return {
             "name": self.name,
             "inputs_digest": self.inputs_digest,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
+            "measured": "refused" if refused else self.measured,
+            "tolerance": "refused" if refused else self.tolerance,
             "comparator": self.comparator,
             "verdict": self.verdict,
             "detail": self.detail,
@@ -102,30 +104,43 @@ class Report:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         path = outdir / f"{self.suite}.json"
-        payload = json.dumps(_without_nan(self.to_dict()), indent=2,
+        payload = json.dumps(_json_safe(self.to_dict()), indent=2,
                              sort_keys=True, allow_nan=False)
         path.write_text(payload + "\n", encoding="utf-8")
         return path
 
 
-def _without_nan(obj):
-    """NaN is not valid JSON; refusals serialize their sentinel as a string."""
+def _json_safe(obj):
+    """NaN and inf are not valid JSON: write them as "nan", "inf" or "-inf".
+
+    A refusal's sentinels are already the string "refused" (CheckResult.to_dict),
+    so a non-finite measurement, which is a failure, never reads as a refusal.
+    """
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else "refused"
+        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
-        return {k: _without_nan(v) for k, v in obj.items()}
+        return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_without_nan(v) for v in obj]
+        return [_json_safe(v) for v in obj]
     return obj
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_sidecar_meta(outdir: Path, note: str = "") -> Path:
-    """Wall-clock stamp, isolated from the deterministic reports."""
+    """Wall-clock stamp and BLAS thread setup, isolated from the reports.
+
+    Report bytes depend on the BLAS thread count (last digits of dense
+    solves), so the thread variables are recorded here, "unset" if absent.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "run_meta.txt"
     stamp = datetime.now(timezone.utc).isoformat()
-    path.write_text(f"timestamp_utc={stamp}\n{note}\n", encoding="utf-8")
+    threads = "".join(f"{var}={os.environ.get(var, 'unset')}\n"
+                      for var in BLAS_THREAD_VARS)
+    path.write_text(f"timestamp_utc={stamp}\n{threads}{note}\n", encoding="utf-8")
     return path
 
 

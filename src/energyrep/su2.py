@@ -7,7 +7,6 @@ The Killing form on this basis is B = -2 * identity.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 PAULI = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
@@ -109,29 +108,41 @@ def exp_map(coeff: np.ndarray) -> np.ndarray:
             + s[..., None, None] * m)
 
 
-def dexp(a: np.ndarray, aprime: np.ndarray) -> np.ndarray:
-    """Frechet derivative of the 2x2 exponential at a along aprime.
-
-    Uses the block upper-triangular identity: expm([[a, a'], [0, a]]) carries
-    the derivative in its upper-right 2x2 block.  Exact up to expm accuracy.
-    """
-    block = np.zeros((4, 4), dtype=complex)
-    block[:2, :2] = a
-    block[2:, 2:] = a
-    block[:2, 2:] = aprime
-    return scipy.linalg.expm(block)[:2, 2:]
+# Below this phi^2 the middle coefficient of dexp comes from its Taylor series,
+# whose first dropped term, -phi^4/1680, is then below 6e-16.
+_TAYLOR_PHI2 = 1e-6
 
 
 def dexp_batch(a: np.ndarray, aprime: np.ndarray) -> np.ndarray:
-    """dexp over a batch: a (..., 2, 2), aprime (..., 2, 2)."""
+    """Frechet derivative of exp at a along aprime, batched over leading axes.
+
+    a and aprime are 2x2 su(2) matrices of shape (..., 2, 2).  With
+    phi^2 = det a (a^2 = -phi^2 I, phi = |c|/2) and delta = -tr(a aprime),
+
+        dexp = -(sinc(phi)/2) delta I
+               + ((cos(phi) - sinc(phi)) / (2 phi^2)) delta a + sinc(phi) aprime,
+
+    sinc(phi) = sin(phi)/phi; for small phi the middle coefficient is
+    (-1/3 + phi^2/30) / 2.  Hall, Lie Groups, Lie Algebras, and
+    Representations (2015), Thm 5.4.
+    """
     a = np.asarray(a)
-    ap = np.asarray(aprime)
-    flat_a = a.reshape(-1, 2, 2)
-    flat_p = ap.reshape(-1, 2, 2)
-    out = np.empty_like(flat_a)
-    for i in range(flat_a.shape[0]):
-        out[i] = dexp(flat_a[i], flat_p[i])
-    return out.reshape(a.shape)
+    b = np.asarray(aprime)
+    phi2 = (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]).real
+    phi = np.sqrt(phi2)
+    sinc = np.sinc(phi / np.pi)
+    # -tr(a b) written out, so that a batch rounds exactly like one block
+    delta = -(a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
+              + a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1])
+    small = phi2 < _TAYLOR_PHI2
+    mid = np.where(small, (phi2 / 30.0 - 1.0 / 3.0) / 2.0,
+                   (np.cos(phi) - sinc) / np.where(small, 1.0, 2.0 * phi2))
+    return ((-0.5 * sinc * delta)[..., None, None] * IDENTITY2
+            + (mid * delta)[..., None, None] * a
+            + sinc[..., None, None] * b)
+
+
+dexp = dexp_batch  # one 2x2 block is the case with no leading axes
 
 
 def group_defect(g: np.ndarray) -> float:

@@ -8,6 +8,7 @@ streams make the reports independent of execution order.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -519,7 +520,8 @@ def suite_fock(cfg: ExperimentConfig, outdir: Path) -> Report:
         exact = fock.coherent_inner(fock.CoherentVector(1.0, f),
                                     fock.CoherentVector(1.0, g))
         bound = fock.truncation_tail_bound(norm(f), norm(g), cfg.fock_cutoff)
-        worst_trunc = max(worst_trunc, abs(exact - tf.inner(tg)) / bound)
+        ratio = abs(exact - tf.inner(tg)) / bound if bound > 0.0 else math.inf
+        worst_trunc = max(worst_trunc, ratio)
     rep.add(check("kernel_vs_truncated_expansion", dig("trunc"), worst_trunc,
                   1.0, detail="difference over the factorial tail bound"))
 

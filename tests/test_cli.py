@@ -11,6 +11,7 @@ import pytest
 
 from energyrep.cli import main
 from energyrep.config import ConfigError, load_config
+from energyrep.report import Report, check, refusal, write_sidecar_meta
 
 REPO = Path(__file__).resolve().parents[1]
 CIRCLE_CFG = REPO / "configs" / "circle.cfg"
@@ -129,6 +130,11 @@ class TestConfigParsing:
             load_config(small_config(tmp_path, **{"fock.cutoff": -1}))
         assert load_config(small_config(tmp_path, **{"fock.cutoff": 0}))
 
+    def test_fock_cutoff_capped_at_finite_factorial(self, tmp_path):
+        with pytest.raises(ConfigError, match="fock.cutoff"):
+            load_config(small_config(tmp_path, **{"fock.cutoff": 171}))
+        assert load_config(small_config(tmp_path, **{"fock.cutoff": 170}))
+
     def test_unknown_rho_profile_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="rho.profile"):
             load_config(small_config(tmp_path, **{"rho.profile": "bogus"}))
@@ -184,6 +190,7 @@ class TestExitCodes:
         ("gauge", {"regularity.t_list": "0.1"}, ()),
         ("gauge", {"regularity.t_list": "0.1 0.1"}, ()),
         ("fock", {"fock.cutoff": -1}, ()),
+        ("fock", {"fock.cutoff": 171}, ()),
     ])
     def test_bad_domain_exits_2_before_output(self, tmp_path, suite,
                                               overrides, argv):
@@ -194,6 +201,31 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "configuration error" in proc.stderr
         assert not out.exists()
+
+    def test_fock_cutoff_170_fails_without_traceback(self, tmp_path):
+        # the tail bound underflows to 0 there; the gate fails with inf
+        cfg = small_config(tmp_path, **{"fock.cutoff": 170})
+        out = tmp_path / "out"
+        proc = run_cli("fock", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        data = json.loads((out / "fock.json").read_text())
+        trunc = {c["name"]: c for c in data["checks"]}[
+            "kernel_vs_truncated_expansion"]
+        assert trunc["verdict"] == "fail"
+        assert trunc["measured"] == "inf"
+        assert trunc["tolerance"] == 1.0
+
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        code = ("import sys, energyrep.cli; "
+                "print('scipy.linalg' in sys.modules)")
+        path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -226,6 +258,34 @@ class TestReports:
         assert {"name", "inputs_digest", "measured", "tolerance", "comparator",
                 "verdict", "detail"} <= set(data["checks"][0])
         assert "environment" in data and "python" in data["environment"]
+
+    def test_non_finite_failure_is_not_a_refusal(self, tmp_path):
+        rep = Report("mixed", 1, "digest")
+        rep.add(check("nan_measurement", "d1", float("nan"), 1.0))
+        rep.add(check("inf_measurement", "d2", float("inf"), 1.0))
+        rep.add(refusal("declined", "d3", "not applicable"))
+        rep.extras.update(nan=float("nan"), inf=float("inf"),
+                          neg=[float("-inf"), 2.5])
+        data = json.loads(rep.write_json(tmp_path).read_text())
+        checks = {c["name"]: c for c in data["checks"]}
+        assert checks["nan_measurement"]["verdict"] == "fail"
+        assert checks["nan_measurement"]["measured"] == "nan"
+        assert checks["nan_measurement"]["tolerance"] == 1.0
+        assert checks["inf_measurement"]["measured"] == "inf"
+        assert checks["declined"]["verdict"] == "refused"
+        assert checks["declined"]["measured"] == "refused"
+        assert checks["declined"]["tolerance"] == "refused"
+        assert data["extras"] == {"nan": "nan", "inf": "inf",
+                                  "neg": ["-inf", 2.5]}
+
+    def test_sidecar_records_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        lines = write_sidecar_meta(tmp_path, note="n").read_text().splitlines()
+        assert lines[0].startswith("timestamp_utc=")
+        assert lines[1:] == ["OPENBLAS_NUM_THREADS=3", "OMP_NUM_THREADS=unset",
+                             "MKL_NUM_THREADS=1", "n"]
 
     def test_spectrum_csv_tables(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -88,6 +88,29 @@ class TestTruncatedExpansion:
             want = (0.5 + 0.2j) ** n / math.sqrt(math.factorial(n))
             assert amp == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("x", [0.05, 0.6, 1.0, 3.0])
+    def test_tail_bound_equals_factorial_form(self, x):
+        for cutoff in range(0, 40):
+            want = math.exp(x) * x ** (cutoff + 1) / math.factorial(cutoff + 1)
+            got = fock.truncation_tail_bound(x, 1.0, cutoff)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_tail_bound_never_raises(self):
+        # the factorial form raised ZeroDivisionError (via the gate) at 169
+        # and OverflowError at 170
+        for cutoff in (169, 170, fock.MAX_CUTOFF, 10 ** 6):
+            assert fock.truncation_tail_bound(0.9, 0.7, cutoff) == 0.0
+        assert fock.truncation_tail_bound(0.0, 0.7, 12) == 0.0
+        assert fock.truncation_tail_bound(1e200, 1e200, 12) == math.inf
+        assert fock.truncation_tail_bound(30.0, 30.0, 12) == math.inf
+
+    def test_max_cutoff_normalization_is_finite(self):
+        v = fock.TruncatedFockVector.from_coherent(np.array([0.5]), 1.0,
+                                                   fock.MAX_CUTOFF)
+        assert math.isfinite(abs(v.blocks[fock.MAX_CUTOFF][(fock.MAX_CUTOFF,)]))
+        with pytest.raises(OverflowError):
+            math.sqrt(math.factorial(fock.MAX_CUTOFF + 1))
+
 
 class TestEnergyRepresentation:
     def test_identity_gauge_field_acts_trivially(self, circle, rng):

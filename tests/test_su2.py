@@ -154,3 +154,79 @@ class TestDexp:
                    + scipy.linalg.expm(su2.to_matrix(ca))
                    @ su2.dexp(su2.to_matrix(cb), su2.to_matrix(db)))
             assert np.max(np.abs(got - fd)) <= 1e-10
+
+
+def block_dexp(a, aprime):
+    """Reference: expm([[a, a'], [0, a]]) carries dexp in its upper-right block
+    (Najfeld & Havel, Adv. Appl. Math. 16, 1995)."""
+    block = np.zeros((4, 4), dtype=complex)
+    block[:2, :2] = a
+    block[2:, 2:] = a
+    block[:2, 2:] = aprime
+    return scipy.linalg.expm(block)[:2, 2:]
+
+
+def scaled(direction, length):
+    return direction * (length / np.linalg.norm(direction))
+
+
+class TestDexpClosedFormAgainstBlock:
+    """The closed-form dexp against the 4x4 block exponential, to 1e-14."""
+
+    def assert_matches_block(self, coeffs, derivs):
+        for c, dc in zip(coeffs, derivs):
+            a, ap = su2.to_matrix(c), su2.to_matrix(dc)
+            assert np.max(np.abs(su2.dexp(a, ap) - block_dexp(a, ap))) <= 1e-14
+
+    def test_random_coefficients(self):
+        rng = np.random.default_rng(6)
+        self.assert_matches_block(rng.standard_normal((200, 3)) * 2.0,
+                                  rng.standard_normal((200, 3)))
+
+    def test_tiny_coefficients(self):
+        rng = np.random.default_rng(7)
+        lengths = np.geomspace(1e-12, 9e-7, 40)
+        coeffs = [scaled(rng.standard_normal(3), s) for s in lengths]
+        self.assert_matches_block(coeffs, rng.standard_normal((40, 3)))
+
+    @pytest.mark.parametrize("length", [2 * np.pi, 4 * np.pi])
+    def test_near_full_turns(self, length):
+        # phi = pi and 2 pi: sin(phi) = 0, so sinc and the I term vanish there
+        rng = np.random.default_rng(8)
+        offsets = [-1e-3, -1e-8, 0.0, 1e-8, 1e-3]
+        coeffs = [scaled(rng.standard_normal(3), length + o)
+                  for o in offsets for _ in range(4)]
+        self.assert_matches_block(coeffs, rng.standard_normal((20, 3)))
+
+    def test_both_sides_of_taylor_branch(self):
+        # phi^2 = |c|^2 / 4 crosses su2._TAYLOR_PHI2 at |c| = 2 sqrt(_TAYLOR_PHI2)
+        switch = 2.0 * np.sqrt(su2._TAYLOR_PHI2)
+        rng = np.random.default_rng(9)
+        factors = [0.5, 1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6, 2.0]
+        coeffs = [scaled(rng.standard_normal(3), switch * f)
+                  for f in factors for _ in range(4)]
+        phi2 = np.array([np.dot(c, c) / 4.0 for c in coeffs])
+        assert np.any(phi2 < su2._TAYLOR_PHI2)
+        assert np.any(phi2 >= su2._TAYLOR_PHI2)
+        self.assert_matches_block(coeffs, rng.standard_normal((24, 3)))
+
+    def test_real_zero_input(self):
+        zero = np.zeros((2, 2))
+        got = su2.dexp(zero, zero)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - block_dexp(zero, zero))) <= 1e-14
+
+    def test_batch_equals_per_block_calls(self):
+        rng = np.random.default_rng(10)
+        n, d = 17, 2
+        coeffs = rng.standard_normal((n, 3))
+        coeffs[:3] *= 1e-5  # some nodes on the Taylor branch
+        a = su2.to_matrix(coeffs)
+        ap = su2.to_matrix(rng.standard_normal((n, d, 3)))
+        batch = su2.dexp_batch(np.broadcast_to(a[:, None], ap.shape), ap)
+        assert batch.shape == (n, d, 2, 2)
+        for i in range(n):
+            for j in range(d):
+                assert np.array_equal(batch[i, j], su2.dexp(a[i], ap[i, j]))
+                assert (np.max(np.abs(batch[i, j] - block_dexp(a[i], ap[i, j])))
+                        <= 1e-14)
