@@ -48,20 +48,16 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        reports = run_suite(args.suite, cfg, outdir)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
+    reports = run_suite(args.suite, cfg, outdir)
     write_sidecar_meta(outdir, note=f"suite={args.suite} config={args.config}")
 
     failed = 0
     for rep in reports:
         for c in rep.checks:
             marker = {"pass": "ok", "fail": "FAIL", "refused": "REFUSED"}[c.verdict]
-            print(f"[{marker:>7}] {rep.suite}.{c.name}: measured={c.measured:.3e} "
-                  f"{c.comparator} {c.tolerance:.3e}")
+            outcome = (c.detail if c.verdict == "refused" else
+                       f"measured={c.measured:.3e} {c.comparator} {c.tolerance:.3e}")
+            print(f"[{marker:>7}] {rep.suite}.{c.name}: {outcome}")
             if c.verdict != "pass":
                 failed += 1
         print(f"suite {rep.suite}: {'pass' if rep.passed else 'FAIL'} "

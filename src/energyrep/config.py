@@ -7,71 +7,14 @@ documented in the README.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     """Missing, unknown or malformed configuration keys."""
-
-
-def _int_list(text: str):
-    return tuple(int(x) for x in text.replace(",", " ").split())
-
-
-def _float_list(text: str):
-    return tuple(float(x) for x in text.replace(",", " ").split())
-
-
-# key -> (attribute, parser)
-_SCHEMA = {
-    "seed": ("seed", int),
-    "domain.shape": ("domain_shape", str),
-    "domain.nodes": ("domain_nodes", int),
-    "domain.radius": ("domain_radius", float),
-    "domain.halfwidth": ("domain_halfwidth", float),
-    "potential.kind": ("potential_kind", str),
-    "potential.value": ("potential_value", float),
-    "rho.profile": ("rho_profile", str),
-    "rho.amplitude": ("rho_amplitude", float),
-    "rho.mode": ("rho_mode", int),
-    "hs.p": ("hs_p", float),
-    "spectrum.circle_nodes": ("spectrum_circle_nodes", int),
-    "spectrum.oscillator_nodes": ("spectrum_oscillator_nodes", int),
-    "spectrum.oscillator_halfwidth": ("spectrum_oscillator_halfwidth", float),
-    "ladders.cutoff": ("ladders_cutoff", int),
-    "ladders.samples": ("ladders_samples", int),
-    "seminorms.nodes": ("seminorms_nodes", _int_list),
-    "seminorms.m_list": ("seminorms_m_list", _int_list),
-    "seminorms.p_grid": ("seminorms_p_grid", _float_list),
-    "seminorms.functions": ("seminorms_functions", int),
-    "seminorms.interval_halfwidth": ("seminorms_interval_halfwidth", float),
-    "gauge.nodes": ("gauge_nodes", int),
-    "gauge.pairs": ("gauge_pairs", int),
-    "gauge.modes": ("gauge_modes", int),
-    "gauge.amplitude": ("gauge_amplitude", float),
-    "regularity.t_list": ("regularity_t_list", _float_list),
-    "regularity.p": ("regularity_p", float),
-    "regularity.q": ("regularity_q", float),
-    "regularity.m": ("regularity_m", int),
-    "regularity.functions": ("regularity_functions", int),
-    "cutoff.count": ("cutoff_count", int),
-    "cutoff.step": ("cutoff_step", float),
-    "cutoff.collar": ("cutoff_collar", float),
-    "cutoff.p": ("cutoff_p", float),
-    "cutoff.halfwidth": ("cutoff_halfwidth", float),
-    "cutoff.nodes": ("cutoff_nodes", int),
-    "punctured.eps0": ("punctured_eps0", float),
-    "punctured.halvings": ("punctured_halvings", int),
-    "fock.tuples": ("fock_tuples", int),
-    "fock.pairs": ("fock_pairs", int),
-    "fock.nodes": ("fock_nodes", int),
-    "fock.cutoff": ("fock_cutoff", int),
-    "conformal.torus_nodes": ("conformal_torus_nodes", int),
-    "conformal.circle_nodes": ("conformal_circle_nodes", int),
-    "conformal.rho_amplitude": ("conformal_rho_amplitude", float),
-    "conformal.elements": ("conformal_elements", int),
-}
 
 
 @dataclass(frozen=True)
@@ -92,16 +35,16 @@ class ExperimentConfig:
     spectrum_oscillator_halfwidth: float = 8.0
     ladders_cutoff: int = 16
     ladders_samples: int = 1000
-    seminorms_nodes: tuple = (16, 32, 64)
-    seminorms_m_list: tuple = (0, 1, 2)
-    seminorms_p_grid: tuple = (0.0, 0.5, 1.0, 1.5, 2.0)
+    seminorms_nodes: tuple[int, ...] = (16, 32, 64)
+    seminorms_m_list: tuple[int, ...] = (0, 1, 2)
+    seminorms_p_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0)
     seminorms_functions: int = 100
     seminorms_interval_halfwidth: float = 6.0
     gauge_nodes: int = 32
     gauge_pairs: int = 50
     gauge_modes: int = 3
     gauge_amplitude: float = 1.0
-    regularity_t_list: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
+    regularity_t_list: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
     regularity_p: float = 1.0
     regularity_q: float = 1.0
     regularity_m: int = 1
@@ -126,6 +69,23 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return self.source_digest
+
+
+def _parser(annotation):
+    """The field's own type, or for `tuple[T, ...]` a list of T separated by
+    blanks or commas."""
+    if typing.get_origin(annotation) is not tuple:
+        return annotation
+    item = typing.get_args(annotation)[0]
+    return lambda text: tuple(item(x) for x in text.replace(",", " ").split())
+
+
+# key -> (attribute, parser); the key `section.rest` names the field
+# `section_rest`, and every field but `source_digest` is a key
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_SCHEMA = {f.name.replace("_", ".", 1): (f.name, _parser(_HINTS[f.name]))
+           for f in dataclasses.fields(ExperimentConfig)
+           if f.name != "source_digest"}
 
 
 def parse_kv(path) -> dict:
@@ -201,11 +161,21 @@ def _validate(cfg: ExperimentConfig) -> None:
                 "fock.nodes", "conformal.torus_nodes", "conformal.circle_nodes"):
         if getattr(cfg, _SCHEMA[key][0]) < MIN_NODES:
             raise ConfigError(f"{key} must be at least {MIN_NODES}")
+    if cfg.spectrum_circle_nodes < 8:
+        raise ConfigError("spectrum.circle_nodes must be at least 8, so the "
+                          "continuum check has a mode |k| <= N/8")
     if any(n < MIN_NODES for n in cfg.seminorms_nodes):
         raise ConfigError(f"seminorms.nodes entries must be at least {MIN_NODES}")
     if len(set(cfg.seminorms_nodes)) < 2:
         raise ConfigError("seminorms.nodes needs at least two distinct sizes "
                           "for the refinement-stability ratio")
+    if any(m < 0 for m in cfg.seminorms_m_list):
+        raise ConfigError("seminorms.m_list entries must be at least 0")
+    if all(m > 2 for m in cfg.seminorms_m_list):
+        raise ConfigError("seminorms.m_list needs an entry in 0..2, the orders "
+                          "the equivalence gates cover")
+    if cfg.regularity_m < 0:
+        raise ConfigError("regularity.m must be at least 0")
     min_cutoff = 2 * max(len(word) for word in LADDER_WORDS)
     if cfg.ladders_cutoff < min_cutoff:
         raise ConfigError(f"ladders.cutoff must be at least {min_cutoff}, "
@@ -217,6 +187,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be non-negative")
     for key in ("gauge.pairs", "fock.tuples", "fock.pairs",
                 "conformal.elements", "ladders.samples", "seminorms.functions",
-                "regularity.functions", "cutoff.count"):
+                "regularity.functions", "cutoff.count", "gauge.modes",
+                "punctured.halvings"):
         if getattr(cfg, _SCHEMA[key][0]) < 1:
             raise ConfigError(f"{key} must be at least 1")

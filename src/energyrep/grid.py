@@ -8,12 +8,12 @@ componentwise finite differences.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .report import write_csv
 
 SUPPORTED_SHAPES = ("circle", "interval", "torus", "square", "punctured_square")
 PERIODIC_SHAPES = ("circle", "torus")
@@ -335,6 +335,19 @@ def _shifted(mesh: np.ndarray, axis: int, step: int, topology: str) -> np.ndarra
     return out
 
 
+def centered_stencil(grid: GridManifold, axis: int) -> tuple:
+    """(rows, cols, values) of the nonzero entries of the centered-difference
+    matrix (f_{i+1} - f_{i-1}) / 2h along one axis, the one _axis_derivative
+    applies; its neighbour pairs come from _shifted on 1-based node indices."""
+    idx = np.arange(1, grid.node_count + 1).reshape(grid.axis_sizes)
+    hi = _shifted(idx, axis, +1, grid.topology).ravel()
+    lo, hi = idx.ravel()[hi > 0] - 1, hi[hi > 0] - 1  # 0 is the zero extension
+    c = 1.0 / (2.0 * grid.spacing[axis])
+    # D[lo, hi] = c, D[hi, lo] = -c
+    return (np.concatenate([lo, hi]), np.concatenate([hi, lo]),
+            np.repeat([c, -c], lo.size))
+
+
 def _axis_derivative(grid: GridManifold, values: np.ndarray, axis: int,
                      lead: int = 0) -> np.ndarray:
     """Centered difference along one grid axis; the node axis follows `lead`
@@ -382,25 +395,16 @@ def covariant_derivative_adjoint(f: Field) -> Field:
 # CSV export
 # ---------------------------------------------------------------------------
 
-def field_to_csv(f: Field, path) -> None:
-    """Write node coordinates plus every component (re, im) as CSV."""
-    import pathlib
+def field_to_csv(f: Field, outdir, name: str) -> None:
+    """Write node coordinates plus every component (re, im) as `<name>.csv`."""
     if f.sample_axes:
         raise GridError("CSV export takes a single field")
-    pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
     grid = f.grid
-    comp_shape = f.values.shape[1:]
-    comp_indices = list(itertools.product(*[range(s) for s in comp_shape]))
     header = [f"x{j}" for j in range(grid.dimension)]
-    for idx in comp_indices:
+    for idx in np.ndindex(*f.values.shape[1:]):
         tag = "c" + "_".join(str(i) for i in idx) if idx else "c"
         header += [f"{tag}_re", f"{tag}_im"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for x in range(grid.node_count):
-            row = [repr(float(v)) for v in grid.nodes[x]]
-            for idx in comp_indices:
-                v = complex(f.values[(x,) + idx])
-                row += [repr(v.real), repr(v.imag)]
-            writer.writerow(row)
+    n = grid.node_count
+    comps = f.values.reshape(n, -1).astype(complex)
+    parts = np.stack([comps.real, comps.imag], axis=-1).reshape(n, -1)
+    write_csv(outdir, name, header, np.hstack([grid.nodes, parts]).tolist())

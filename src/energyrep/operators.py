@@ -8,11 +8,14 @@ spectrum of H with eigenvectors e^{-rho/2} e_n.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridManifold, GridError, WeightField
+from .grid import (Field, GridManifold, GridError, WeightField,
+                   centered_stencil)
 
 
 def _node_columns(f: Field, n: int) -> np.ndarray:
@@ -168,23 +171,6 @@ def conjugation_residuals(h_rho: DiscreteOperator,
     }
 
 
-def _centered_stencil(grid: GridManifold, axis: int) -> tuple:
-    """(rows, cols, values) of the nonzero entries of the centered-difference
-    matrix (f_{i+1} - f_{i-1}) / 2h along one axis (the field-calculus grad)."""
-    idx = np.arange(grid.node_count).reshape(grid.axis_sizes)
-    if grid.topology == "periodic":
-        lo, hi = idx, np.roll(idx, -1, axis)
-    else:
-        n = grid.axis_sizes[axis]
-        lo = np.take(idx, range(n - 1), axis)
-        hi = np.take(idx, range(1, n), axis)
-    lo, hi = lo.ravel(), hi.ravel()
-    c = 1.0 / (2.0 * grid.spacing[axis])
-    # D[lo, hi] = c, D[hi, lo] = -c
-    return (np.concatenate([lo, hi]), np.concatenate([hi, lo]),
-            np.repeat([c, -c], lo.size))
-
-
 def _adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
     """Residual of adj_rho(E^{-1} D E) = E^{-1} adj_0(D) E per axis.
 
@@ -198,7 +184,7 @@ def _adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
     worst = 0.0
     for axis in range(grid.dimension):
         # entry D[r, c] = v sits at (c, r) of both sides
-        r, c, v = _centered_stencil(grid, axis)
+        r, c, v = centered_stencil(grid, axis)
         lhs = (((v * e[c]) / e[r]) * w_rho[r]) / w_rho[c]
         rhs = (v * e[r]) / e[c]
         scale = max(np.max(np.abs(lhs)), 1.0)
@@ -221,6 +207,9 @@ def _eigenpair_map_residual(h_rho: DiscreteOperator,
 # ---------------------------------------------------------------------------
 # Hilbert-Schmidt probe for condition (a)
 # ---------------------------------------------------------------------------
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class HilbertSchmidtReport:
@@ -272,11 +261,14 @@ def hilbert_schmidt_test(dec: SpectralDecomposition, p: float,
         verdict = "converging"
     else:
         verdict = "diverging"
-    # integral remainder of sum (c n^alpha)^(-2p) past the last partial sum
+    # integral remainder of sum (c n^alpha)^(-2p) past the last partial sum,
+    # c^(-2p) K^(1 - 2p alpha) / (2p alpha - 1), in log space: it underflows
+    # to 0 or saturates at inf instead of raising
     if verdict == "converging":
-        k_last = float(max(k_list))
-        tail = (prefactor ** (-2.0 * p) * k_last ** (1.0 - 2.0 * p * alpha)
-                / (2.0 * p * alpha - 1.0))
+        log_tail = (-2.0 * p * logc
+                    + (1.0 - 2.0 * p * alpha) * math.log(max(k_list))
+                    - math.log(2.0 * p * alpha - 1.0))
+        tail = math.exp(log_tail) if log_tail < _LOG_FLOAT_MAX else math.inf
     else:
         tail = None  # no finite remainder to estimate
     return HilbertSchmidtReport(p, tuple(int(k) for k in k_list), sums, alpha,

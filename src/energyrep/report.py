@@ -101,13 +101,18 @@ class Report:
         }
 
     def write_json(self, outdir: Path) -> Path:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"{self.suite}.json"
-        payload = json.dumps(_json_safe(self.to_dict()), indent=2,
-                             sort_keys=True, allow_nan=False)
-        path.write_text(payload + "\n", encoding="utf-8")
-        return path
+        return write_json(outdir, self.suite, self.to_dict())
+
+
+def write_json(outdir: Path, name: str, payload: dict) -> Path:
+    """`<name>.json` with sorted keys; non-finite floats as strings."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / f"{name}.json"
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
+    return path
 
 
 def _json_safe(obj):

@@ -1,13 +1,14 @@
 """Check suites behind the CLI subcommands.
 
 Each suite builds its inputs from the experiment config and a dedicated
-seeded stream, evaluates its checks, writes CSV tables, and returns a Report.
+seeded stream, adds its checks to a Report and writes CSV tables; run_suite
+supplies the report, stream and digest, and writes the report's JSON.
 `all` is literally the concatenation of the individual suites; per-suite
 streams make the reports independent of execution order.
 """
 from __future__ import annotations
 
-import json
+import functools
 import math
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import numpy as np
 from . import fock, gauge, hermite, operators, seminorms
 from .config import ExperimentConfig
 from .grid import Field, WeightField, build_grid, field_to_csv, norm
-from .report import Report, check, digest_of, refusal, write_csv
+from .report import (Report, check, digest_of, refusal, write_csv,
+                     write_json)
 from .sampling import (random_algebra_field, random_covector_testset,
                        random_gauge_field, random_one_form, rho_field,
                        suite_rng)
@@ -24,7 +26,7 @@ from .sampling import (random_algebra_field, random_covector_testset,
 SUITE_STREAMS = {
     "spectrum": 1,
     "ladders": 2,
-    "seminorms": 3,
+    "seminorms": 103,  # not 3: the stream the seminorms reports are made with
     "gauge": 4,
     "fock": 5,
     "conformal": 6,
@@ -61,11 +63,8 @@ def _circle_modes(n: int) -> np.ndarray:
     return np.concatenate([[0], np.repeat(np.arange(1, (n + 1) // 2), 2)])
 
 
-def suite_spectrum(cfg: ExperimentConfig, outdir: Path) -> Report:
-    rng = suite_rng(cfg.seed, SUITE_STREAMS["spectrum"])
-    rep = Report("spectrum", cfg.seed, cfg.digest())
-    dig = lambda *p: digest_of("spectrum", cfg.seed, cfg.digest(), *p)
-
+def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
+                   outdir: Path) -> None:
     grid = _domain_grid(cfg)
     rho = _domain_rho(cfg, grid, rng)
     weight = _domain_weight(cfg, grid)
@@ -115,10 +114,7 @@ def suite_spectrum(cfg: ExperimentConfig, outdir: Path) -> Report:
 
     hs = operators.hilbert_schmidt_test(dec, cfg.hs_p)
     rep.extras["hilbert_schmidt"] = hs.to_dict()
-    hs_dir = Path(outdir)
-    hs_dir.mkdir(parents=True, exist_ok=True)
-    (hs_dir / "hilbert_schmidt.json").write_text(
-        json.dumps(hs.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(outdir, "hilbert_schmidt", rep.extras["hilbert_schmidt"])
     rep.add(check("hs_verdict_converging", dig("hs"),
                   1.0 if hs.verdict == "converging" else 0.0, 1.0,
                   comparator=">=", detail=f"verdict={hs.verdict}"))
@@ -147,9 +143,6 @@ def suite_spectrum(cfg: ExperimentConfig, outdir: Path) -> Report:
                                   seminorms.weighted_chain_residual(f, m, n, wfield))
     rep.add(check("twisted_chain_identity", dig("chain"), worst_chain, 1e-12))
 
-    rep.write_json(outdir)
-    return rep
-
 
 # ---------------------------------------------------------------------------
 # ladders
@@ -174,11 +167,8 @@ def _guarded_sample(ladder, rng, margin: int) -> np.ndarray:
     return v / nrm if nrm > 0 else v
 
 
-def suite_ladders(cfg: ExperimentConfig, outdir: Path) -> Report:
-    rng = suite_rng(cfg.seed, SUITE_STREAMS["ladders"])
-    rep = Report("ladders", cfg.seed, cfg.digest())
-    dig = lambda *p: digest_of("ladders", cfg.seed, cfg.digest(), *p)
-
+def suite_ladders(cfg: ExperimentConfig, rng, rep: Report, dig,
+                  outdir: Path) -> None:
     ladder = hermite.build_ladders(2, cfg.ladders_cutoff)
     rep.add(check("ccr_below_guard", dig("ccr"), hermite.ccr_residual(ladder),
                   1e-14))
@@ -229,9 +219,6 @@ def suite_ladders(cfg: ExperimentConfig, outdir: Path) -> Report:
     write_csv(outdir, "ladder_words", ["word", "m", "constant", "last_ratio"],
               rows)
 
-    rep.write_json(outdir)
-    return rep
-
 
 # ---------------------------------------------------------------------------
 # seminorms
@@ -263,11 +250,8 @@ def _probe_data(domain: str, cfg: ExperimentConfig, seed_stream):
     return data
 
 
-def suite_seminorms(cfg: ExperimentConfig, outdir: Path) -> Report:
-    rep = Report("seminorms", cfg.seed, cfg.digest())
-    dig = lambda *p: digest_of("seminorms", cfg.seed, cfg.digest(), *p)
-    rng = suite_rng(cfg.seed, SUITE_STREAMS["seminorms"] + 100)
-
+def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
+                    outdir: Path) -> None:
     rows = []
     for domain, stream in (("circle", 21), ("interval", 22)):
         data = _probe_data(domain, cfg, stream)
@@ -321,27 +305,20 @@ def suite_seminorms(cfg: ExperimentConfig, outdir: Path) -> Report:
         intertwine = max(intertwine, float(abs(a - b) / max(a, b)))
     rep.add(check("weighted_scale_intertwines", dig("twine"), intertwine, 1e-10))
 
-    rep.write_json(outdir)
-    return rep
-
 
 # ---------------------------------------------------------------------------
 # gauge
 # ---------------------------------------------------------------------------
 
-def suite_gauge(cfg: ExperimentConfig, outdir: Path) -> Report:
-    rng = suite_rng(cfg.seed, SUITE_STREAMS["gauge"])
-    rep = Report("gauge", cfg.seed, cfg.digest())
-    dig = lambda *p: digest_of("gauge", cfg.seed, cfg.digest(), *p)
-
+def suite_gauge(cfg: ExperimentConfig, rng, rep: Report, dig,
+                outdir: Path) -> None:
     domain = _domain_grid(cfg)
     if not domain.condition_c_ok:
         rep.add(refusal("suite_refused_condition_c", dig("refuse"),
                         "domain violates condition (c); cutoff machinery is "
                         "unavailable, see the punctured growth table"))
         _punctured_checks(cfg, rep, dig, outdir)
-        rep.write_json(outdir)
-        return rep
+        return
 
     grid = build_grid("circle", cfg.gauge_nodes, radius=1.0)
     rho = rho_field(grid, "cosine", cfg.rho_amplitude, cfg.rho_mode)
@@ -370,7 +347,7 @@ def suite_gauge(cfg: ExperimentConfig, outdir: Path) -> Report:
     rep.add(check("cocycle_real_valued", dig("real"), worst_real, 1e-10))
     rep.add(check("v_isometry", dig("iso"), worst_iso, 1e-12))
     rep.add(check("v_homomorphism", dig("homo"), worst_homo, 1e-12))
-    field_to_csv(beta_sample, Path(outdir) / "gauge_beta_sample.csv")
+    field_to_csv(beta_sample, outdir, "gauge_beta_sample")
 
     psi_field = random_algebra_field(grid, rng, cfg.gauge_modes, 1.0)
     f = random_one_form(grid, rng, modes=3, normalized=True)
@@ -401,9 +378,6 @@ def suite_gauge(cfg: ExperimentConfig, outdir: Path) -> Report:
 
     _cutoff_checks(cfg, rep, dig, outdir)
     _punctured_checks(cfg, rep, dig, outdir)
-
-    rep.write_json(outdir)
-    return rep
 
 
 def _cutoff_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> None:
@@ -470,11 +444,8 @@ def _punctured_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> 
 # fock
 # ---------------------------------------------------------------------------
 
-def suite_fock(cfg: ExperimentConfig, outdir: Path) -> Report:
-    rng = suite_rng(cfg.seed, SUITE_STREAMS["fock"])
-    rep = Report("fock", cfg.seed, cfg.digest())
-    dig = lambda *p: digest_of("fock", cfg.seed, cfg.digest(), *p)
-
+def suite_fock(cfg: ExperimentConfig, rng, rep: Report, dig,
+               outdir: Path) -> None:
     grid = build_grid("circle", cfg.fock_nodes, radius=1.0)
 
     worst_unitary = 0.0
@@ -525,19 +496,13 @@ def suite_fock(cfg: ExperimentConfig, outdir: Path) -> Report:
     rep.add(check("kernel_vs_truncated_expansion", dig("trunc"), worst_trunc,
                   1.0, detail="difference over the factorial tail bound"))
 
-    rep.write_json(outdir)
-    return rep
-
 
 # ---------------------------------------------------------------------------
 # conformal
 # ---------------------------------------------------------------------------
 
-def suite_conformal(cfg: ExperimentConfig, outdir: Path) -> Report:
-    rng = suite_rng(cfg.seed, SUITE_STREAMS["conformal"])
-    rep = Report("conformal", cfg.seed, cfg.digest())
-    dig = lambda *p: digest_of("conformal", cfg.seed, cfg.digest(), *p)
-
+def suite_conformal(cfg: ExperimentConfig, rng, rep: Report, dig,
+                    outdir: Path) -> None:
     torus = build_grid("torus", cfg.conformal_torus_nodes, radius=1.0)
     psi2 = random_gauge_field(torus, rng, 2, 0.8)
     f_set = [random_one_form(torus, rng, modes=2, normalized=True)
@@ -567,9 +532,6 @@ def suite_conformal(cfg: ExperimentConfig, outdir: Path) -> Report:
                   detail=f"one-particle scale {res1.one_particle_scale:.6f}"))
     rep.extras["dimension1_max_change"] = res1.max_relative_change
 
-    rep.write_json(outdir)
-    return rep
-
 
 SUITES = {
     "spectrum": suite_spectrum,
@@ -582,6 +544,17 @@ SUITES = {
 
 
 def run_suite(name: str, cfg: ExperimentConfig, outdir: Path) -> list:
-    if name == "all":
-        return [SUITES[s](cfg, outdir) for s in SUITES]
-    return [SUITES[name](cfg, outdir)]
+    """Run one suite, or each in turn for "all", and write `<suite>.json`.
+
+    Every suite gets a fresh report, its own seeded stream and an inputs
+    digest salted with its name; the suite function only adds checks.
+    """
+    reports = []
+    for suite in (tuple(SUITES) if name == "all" else (name,)):
+        rep = Report(suite, cfg.seed, cfg.digest())
+        rng = suite_rng(cfg.seed, SUITE_STREAMS[suite])
+        dig = functools.partial(digest_of, suite, cfg.seed, cfg.digest())
+        SUITES[suite](cfg, rng, rep, dig, outdir)
+        rep.write_json(outdir)
+        reports.append(rep)
+    return reports

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from energyrep import config
 from energyrep.cli import main
 from energyrep.config import ConfigError, load_config
 from energyrep.report import Report, check, refusal, write_sidecar_meta
@@ -16,6 +17,25 @@ from energyrep.report import Report, check, refusal, write_sidecar_meta
 REPO = Path(__file__).resolve().parents[1]
 CIRCLE_CFG = REPO / "configs" / "circle.cfg"
 PUNCTURED_CFG = REPO / "configs" / "punctured.cfg"
+# Every key load_config accepts, written out here rather than read from
+# config.py; the four list keys parse to tuples of the given item type.
+ACCEPTED_KEYS = [
+    "seed", "domain.shape", "domain.nodes", "domain.radius", "domain.halfwidth",
+    "potential.kind", "potential.value", "rho.profile", "rho.amplitude",
+    "rho.mode", "hs.p", "spectrum.circle_nodes", "spectrum.oscillator_nodes",
+    "spectrum.oscillator_halfwidth", "ladders.cutoff", "ladders.samples",
+    "seminorms.nodes", "seminorms.m_list", "seminorms.p_grid",
+    "seminorms.functions", "seminorms.interval_halfwidth", "gauge.nodes",
+    "gauge.pairs", "gauge.modes", "gauge.amplitude", "regularity.t_list",
+    "regularity.p", "regularity.q", "regularity.m", "regularity.functions",
+    "cutoff.count", "cutoff.step", "cutoff.collar", "cutoff.p",
+    "cutoff.halfwidth", "cutoff.nodes", "punctured.eps0", "punctured.halvings",
+    "fock.tuples", "fock.pairs", "fock.nodes", "fock.cutoff",
+    "conformal.torus_nodes", "conformal.circle_nodes",
+    "conformal.rho_amplitude", "conformal.elements",
+]
+LIST_KEYS = {"seminorms.nodes": int, "seminorms.m_list": int,
+             "seminorms.p_grid": float, "regularity.t_list": float}
 NODE_KEYS = ["spectrum.circle_nodes", "spectrum.oscillator_nodes", "gauge.nodes",
              "cutoff.nodes", "fock.nodes", "conformal.torus_nodes",
              "conformal.circle_nodes"]
@@ -89,10 +109,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(p)
 
+    def test_accepted_keys_are_the_listed_ones(self, tmp_path):
+        assert len(ACCEPTED_KEYS) == len(set(ACCEPTED_KEYS)) == 46
+        assert sorted(config._SCHEMA) == sorted(ACCEPTED_KEYS)
+        # circle.cfg sets every key but domain.halfwidth; all of them load
+        assert sorted(config.parse_kv(CIRCLE_CFG)) == sorted(
+            k for k in ACCEPTED_KEYS if k != "domain.halfwidth")
+        p = tmp_path / "every.cfg"
+        p.write_text(CIRCLE_CFG.read_text() + "domain.halfwidth = 8.0\n")
+        cfg = load_config(p)
+        for key, item in LIST_KEYS.items():
+            value = getattr(cfg, key.replace(".", "_"))
+            assert type(value) is tuple and value
+            assert all(type(x) is item for x in value), key
+
     @pytest.mark.parametrize("key", [
         "gauge.pairs", "fock.tuples", "fock.pairs", "conformal.elements",
         "ladders.samples", "seminorms.functions", "regularity.functions",
-        "cutoff.count"])
+        "cutoff.count", "gauge.modes", "punctured.halvings"])
     def test_count_below_one_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match=key):
             load_config(small_config(tmp_path, **{key: 0}))
@@ -107,6 +141,25 @@ class TestConfigParsing:
     def test_single_refinement_size_rejected(self, tmp_path, sizes):
         with pytest.raises(ConfigError, match="seminorms.nodes"):
             load_config(small_config(tmp_path, **{"seminorms.nodes": sizes}))
+
+    @pytest.mark.parametrize("key,value", [("seminorms.m_list", "0 -1"),
+                                           ("regularity.m", -1)])
+    def test_negative_derivative_order_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(small_config(tmp_path, **{key: value}))
+        assert load_config(small_config(tmp_path, **{key: 0}))
+
+    def test_m_list_without_gated_order_rejected(self, tmp_path):
+        # the equivalence gates cover m <= 2; larger orders go to the CSV only
+        with pytest.raises(ConfigError, match="seminorms.m_list"):
+            load_config(small_config(tmp_path, **{"seminorms.m_list": "3 4"}))
+        assert load_config(small_config(tmp_path, **{"seminorms.m_list": "2 3"}))
+
+    def test_continuum_check_needs_a_mode(self, tmp_path):
+        # the Taylor-envelope check covers |k| <= N/8
+        with pytest.raises(ConfigError, match="spectrum.circle_nodes"):
+            load_config(small_config(tmp_path, **{"spectrum.circle_nodes": 7}))
+        assert load_config(small_config(tmp_path, **{"spectrum.circle_nodes": 8}))
 
     def test_ladder_cutoff_below_four_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ladders.cutoff"):
@@ -191,6 +244,12 @@ class TestExitCodes:
         ("gauge", {"regularity.t_list": "0.1 0.1"}, ()),
         ("fock", {"fock.cutoff": -1}, ()),
         ("fock", {"fock.cutoff": 171}, ()),
+        ("gauge", {"punctured.halvings": 0}, ()),
+        ("seminorms", {"seminorms.m_list": "0 -1"}, ()),
+        ("gauge", {"regularity.m": -1}, ()),
+        ("seminorms", {"seminorms.m_list": 3}, ()),
+        ("spectrum", {"spectrum.circle_nodes": 7}, ()),
+        ("fock", {"gauge.modes": 0}, ()),
     ])
     def test_bad_domain_exits_2_before_output(self, tmp_path, suite,
                                               overrides, argv):
@@ -238,14 +297,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "ladders.json").exists()
 
-    def test_condition_c_refusal_returns_one(self, tmp_path):
+    def test_condition_c_refusal_returns_one(self, tmp_path, capsys):
         code = main(["gauge", "--config", str(PUNCTURED_CFG),
                      "--out", str(tmp_path / "out")])
         assert code == 1
         data = json.loads((tmp_path / "out" / "gauge.json").read_text())
-        verdicts = {c["name"]: c["verdict"] for c in data["checks"]}
-        assert verdicts["suite_refused_condition_c"] == "refused"
-        assert verdicts["punctured_gradient_growth"] == "pass"
+        checks = {c["name"]: c for c in data["checks"]}
+        refused = checks["suite_refused_condition_c"]
+        assert refused["verdict"] == "refused"
+        assert checks["punctured_gradient_growth"]["verdict"] == "pass"
+        # the refusal line gives the reason, not nan sentinels
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if "suite_refused_condition_c" in ln)
+        assert line == ("[REFUSED] gauge.suite_refused_condition_c: "
+                        + refused["detail"])
+        assert "condition (c)" in line and "nan" not in line
 
 
 class TestReports:

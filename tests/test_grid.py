@@ -283,7 +283,7 @@ class TestSampleAxis:
         with pytest.raises(GridError, match="rescaling"):
             stack_fields([f, rebind(f, rescaled)])
         with pytest.raises(GridError):
-            field_to_csv(stack_fields([f]), tmp_path / "set.csv")
+            field_to_csv(stack_fields([f]), tmp_path, "set")
         assert not (tmp_path / "set.csv").exists()
 
     def test_same_grid_shortcut_is_bit_identical(self):
@@ -303,8 +303,8 @@ def test_field_csv_roundtrip(tmp_path):
     import csv
     g = build_grid("circle", 8, radius=1.0)
     f = random_field(g, np.random.default_rng(3))
+    field_to_csv(f, tmp_path, "field")
     path = tmp_path / "field.csv"
-    field_to_csv(f, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "x0"

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from energyrep.grid import Field, GridError, WeightField, build_grid
+from energyrep.grid import (Field, GridError, WeightField, build_grid,
+                            centered_stencil, covariant_derivative)
 from energyrep.operators import (_adjoint_identity_residual, assemble_h,
                                  conjugated_operator, conjugation_residuals,
                                  hilbert_schmidt_test)
@@ -216,6 +217,19 @@ class TestFastPathsAgainstDense:
             assert (_adjoint_identity_residual(g, rho)
                     == _dense_adjoint_identity_residual(g, rho))
 
+    @pytest.mark.parametrize("shape,kw,n", GRIDS + [("square",
+                                                     {"halfwidth": 3.0}, 6)])
+    def test_centered_stencil_is_the_applied_difference(self, shape, kw, n):
+        g = build_grid(shape, n, **kw)
+        # the identity as a test set: sample s is the unit vector at node s
+        applied = covariant_derivative(Field(g, 0, np.eye(g.node_count))).values
+        for axis, dense in enumerate(_dense_centered_differences(g)):
+            rows, cols, vals = centered_stencil(g, axis)
+            d = np.zeros_like(dense)
+            np.add.at(d, (rows, cols), vals)
+            assert np.array_equal(d, dense)
+            assert np.array_equal(d, applied[:, :, axis].T)
+
     @pytest.mark.parametrize("shape,kw,n", GRIDS[1:])
     def test_eigenvalues_match_decomposition(self, shape, kw, n):
         g = build_grid(shape, n, **kw)
@@ -286,6 +300,26 @@ class TestHilbertSchmidt:
         rep = hilbert_schmidt_test(op.eigendecomposition(), 1.0)
         assert rep.verdict == "converging"
         assert rep.fitted_exponent > 1.0  # lambda ~ k^2, two modes per k
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0])
+    def test_tail_matches_direct_formula(self, p):
+        g, op = circle_operator(64)
+        rep = hilbert_schmidt_test(op.eigendecomposition(), p)
+        assert rep.verdict == "converging"
+        a, c, k = rep.fitted_exponent, rep.fitted_prefactor, max(rep.k_list)
+        direct = c ** (-2 * p) * k ** (1 - 2 * p * a) / (2 * p * a - 1)
+        assert rep.tail_estimate == pytest.approx(direct, rel=1e-13)
+
+    def test_tail_underflows_to_zero_without_raising(self):
+        # hs.p = 1000 with domain.radius = 10: c^(-2p) overflows a double,
+        # while the tail itself is about e^-3704
+        g = build_grid("circle", 64, radius=10.0)
+        op = assemble_h(g, WeightField.constant(g, 2.0))
+        rep = hilbert_schmidt_test(op.eigendecomposition(), 1000.0)
+        with pytest.raises(OverflowError):
+            rep.fitted_prefactor ** -2000.0
+        assert rep.verdict == "converging"
+        assert rep.tail_estimate == 0.0
 
     def test_hypothesis_violation_reported(self):
         g = build_grid("circle", 16, radius=1.0)
