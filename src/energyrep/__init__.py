@@ -22,10 +22,9 @@ from .hermite import (HermiteLadder, build_ladders, canonical_chain_check,
 from .seminorms import equivalence_probe, seminorm_p, seminorm_prime
 from .gauge import (AlgebraValuedField, ConditionCViolation, CutoffStage,
                     GaugeField, cocycle_residual, cutoff_approximation,
-                    cutoff_sequence, gauge_from_algebra, gauge_from_profiles,
-                    gauge_identity, gauge_inverse, gauge_product,
-                    log_derivative, punctured_plane_demo, regularity_check,
-                    v_action, v_prime)
+                    cutoff_sequence, gauge_from_algebra, gauge_identity,
+                    gauge_inverse, gauge_product, log_derivative,
+                    punctured_plane_demo, regularity_check, v_action, v_prime)
 from .fock import (CoherentVector, TruncatedFockVector, apply_u,
                    coherent_inner, conformal_check, homomorphism_check,
                    kernel_discrepancy)

@@ -143,10 +143,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.rho_profile == "cosine" and cfg.domain_shape not in PERIODIC_SHAPES:
         raise ConfigError(f"rho.profile = cosine needs a periodic domain.shape "
                           f"{PERIODIC_SHAPES}")
-    for name in ("domain_radius", "domain_halfwidth", "potential_value",
-                 "hs_p", "cutoff_step", "cutoff_collar", "punctured_eps0"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
+    # a zero amplitude makes the gauge or conformal checks hold trivially
+    for key in ("domain.radius", "domain.halfwidth", "potential.value", "hs.p",
+                "cutoff.step", "cutoff.collar", "punctured.eps0",
+                "gauge.amplitude", "conformal.rho_amplitude"):
+        if getattr(cfg, _SCHEMA[key][0]) <= 0:
+            raise ConfigError(f"{key} must be positive")
     if cfg.potential_kind not in ("constant", "quadratic"):
         raise ConfigError("potential.kind must be constant or quadratic")
     if cfg.potential_kind == "constant" and cfg.potential_value < 1.0:

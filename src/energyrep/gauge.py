@@ -14,7 +14,7 @@ import numpy as np
 
 from . import su2
 from .grid import Field, GridManifold, GridError, norm
-from .profiles import AnnulusStepProfile, PlateauProfile, Profile, derivative_sup_estimate
+from .profiles import AnnulusStepProfile, PlateauProfile, derivative_sup_estimate
 
 
 class ConditionCViolation(RuntimeError):
@@ -49,12 +49,6 @@ class AlgebraValuedField:
     bounded: bool = True
 
     @classmethod
-    def from_profiles(cls, grid: GridManifold, profiles, bounded: bool = True):
-        vals = np.stack([p.value(grid.nodes) for p in profiles], axis=1)
-        ders = np.stack([p.gradient(grid.nodes) for p in profiles], axis=2)
-        return cls(grid, vals, ders, bounded)
-
-    @classmethod
     def constant(cls, grid: GridManifold, coeff) -> "AlgebraValuedField":
         vals = np.tile(np.asarray(coeff, float), (grid.node_count, 1))
         ders = np.zeros((grid.node_count, grid.dimension, 3))
@@ -77,11 +71,6 @@ def gauge_from_algebra(field: AlgebraValuedField, t: float = 1.0) -> GaugeField:
     aprime = su2.to_matrix(t * field.derivs)          # (n, d, 2, 2)
     du = su2.dexp_batch(np.broadcast_to(a[:, None], aprime.shape), aprime)
     return GaugeField(field.grid, su2.exp_map(t * field.values), du)
-
-
-def gauge_from_profiles(grid: GridManifold, profiles) -> GaugeField:
-    """psi(x) = exp(sum_k b_k(x) X_k) from three analytic profiles."""
-    return gauge_from_algebra(AlgebraValuedField.from_profiles(grid, profiles))
 
 
 def gauge_product(a: GaugeField, b: GaugeField) -> GaugeField:
@@ -263,7 +252,6 @@ def regularity_check(field: AlgebraValuedField, test_set, t_list, p: float,
 @dataclass(frozen=True, eq=False)
 class CutoffStage:
     index: int
-    profile: Profile
     values: np.ndarray        # per node
     grad_values: np.ndarray   # (n, d), exact
     gradient_sup: float       # analytic sup over the collar
@@ -286,7 +274,7 @@ def cutoff_sequence(grid: GridManifold, count: int, step: float,
             1: prof.gradient_sup(),
             2: derivative_sup_estimate(prof, 2, n * step, n * step + collar),
         }
-        stages.append(CutoffStage(n, prof, vals, grads, prof.gradient_sup(),
+        stages.append(CutoffStage(n, vals, grads, prof.gradient_sup(),
                                   bounds))
     return stages
 

@@ -33,7 +33,6 @@ class DiscreteOperator:
     node_weights: np.ndarray  # quadrature weights incl. e^rho
     rho: np.ndarray | None
     rank: int
-    potential: np.ndarray
 
     def apply(self, f: Field) -> Field:
         if f.rank != self.rank:
@@ -144,7 +143,7 @@ def assemble_h(grid: GridManifold, weight: WeightField, rank: int = 0) -> Discre
         raise GridError("potential W must satisfy W >= 1 (condition on the scale)")
     lap = assemble_laplacian(grid)
     mat = lap + np.diag(weight.w)
-    return DiscreteOperator(grid, mat, grid.measure_weights(), None, rank, weight.w)
+    return DiscreteOperator(grid, mat, grid.measure_weights(), None, rank)
 
 
 def conjugated_operator(op: DiscreteOperator,
@@ -154,7 +153,7 @@ def conjugated_operator(op: DiscreteOperator,
     e = np.exp(rho / 2.0)
     mat = (op.matrix * e[None, :]) / e[:, None]
     weights = op.node_weights * np.exp(rho)
-    return DiscreteOperator(op.grid, mat, weights, rho, op.rank, op.potential)
+    return DiscreteOperator(op.grid, mat, weights, rho, op.rank)
 
 
 def conjugation_residuals(h_rho: DiscreteOperator,

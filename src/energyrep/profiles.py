@@ -1,8 +1,11 @@
 """Analytic scalar profiles with exact first derivatives.
 
-Gauge fields, algebra-valued fields and cutoff sequences are built from these
-so that logarithmic derivatives are exact at the nodes and cocycle identities
-can be tested at machine precision.
+Random test fields, gauge fields and algebra-valued fields are built from the
+array families below, so that logarithmic derivatives are exact at the nodes
+and cocycle identities can be tested at machine precision.  Each family
+evaluates P profiles at once from one evaluation of their phases and returns
+values (P, n) and exact gradients (P, n, d).  The plateau and annulus cutoffs
+serve the cutoff sequences.
 """
 from __future__ import annotations
 
@@ -11,90 +14,64 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class Profile:
-    """Scalar function of the grid coordinates with an exact gradient."""
+def fourier_series(nodes: np.ndarray, period: float, cos_amps: np.ndarray,
+                   sin_amps: np.ndarray):
+    """sum_k ca_k cos(2 pi k s / period) + sa_k sin(...) on a periodic axis.
 
-    def value(self, nodes: np.ndarray) -> np.ndarray:  # (n, d) -> (n,)
-        raise NotImplementedError
-
-    def gradient(self, nodes: np.ndarray) -> np.ndarray:  # (n, d) -> (n, d)
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FourierProfile(Profile):
-    """sum_k ca_k cos(2 pi k s / period) + sa_k sin(...) on a periodic axis."""
-
-    period: float
-    cos_amps: tuple
-    sin_amps: tuple
-
-    def value(self, nodes):
-        s = nodes[:, 0]
-        out = np.zeros_like(s)
-        for k, (ca, sa) in enumerate(zip(self.cos_amps, self.sin_amps), start=1):
-            w = 2.0 * np.pi * k / self.period
-            out += ca * np.cos(w * s) + sa * np.sin(w * s)
-        return out
-
-    def gradient(self, nodes):
-        s = nodes[:, 0]
-        out = np.zeros_like(s)
-        for k, (ca, sa) in enumerate(zip(self.cos_amps, self.sin_amps), start=1):
-            w = 2.0 * np.pi * k / self.period
-            out += -ca * w * np.sin(w * s) + sa * w * np.cos(w * s)
-        g = np.zeros_like(nodes)
-        g[:, 0] = out
-        return g
+    cos_amps and sin_amps hold one row of amplitudes k = 1..K per profile.
+    """
+    s = nodes[:, 0]
+    w = 2.0 * np.pi * np.arange(1, cos_amps.shape[1] + 1) / period
+    arg = w[:, None] * s
+    cos, sin = np.cos(arg), np.sin(arg)
+    val = np.zeros((cos_amps.shape[0], s.size))
+    grad = np.zeros_like(val)
+    for k in range(w.size):
+        ca, sa = cos_amps[:, k, None], sin_amps[:, k, None]
+        val += ca * cos[k] + sa * sin[k]
+        grad += -ca * w[k] * sin[k] + sa * w[k] * cos[k]
+    return val, grad[:, :, None]
 
 
-@dataclass(frozen=True)
-class TorusWaveProfile(Profile):
-    """sum of plane waves amp * cos(2 pi (kx x / Px + ky y / Py) + phase)."""
+def plane_waves(nodes: np.ndarray, periods, terms: np.ndarray):
+    """sum of plane waves amp * cos(2 pi (kx x / Px + ky y / Py) + phase).
 
-    periods: tuple
-    terms: tuple  # of (amp, kx, ky, phase)
-
-    def _phases(self, nodes):
-        px, py = self.periods
-        return [(a, 2 * np.pi * (kx * nodes[:, 0] / px + ky * nodes[:, 1] / py) + ph,
-                 2 * np.pi * kx / px, 2 * np.pi * ky / py)
-                for (a, kx, ky, ph) in self.terms]
-
-    def value(self, nodes):
-        out = np.zeros(nodes.shape[0])
-        for a, arg, _, _ in self._phases(nodes):
-            out += a * np.cos(arg)
-        return out
-
-    def gradient(self, nodes):
-        g = np.zeros_like(nodes)
-        for a, arg, wx, wy in self._phases(nodes):
-            s = -a * np.sin(arg)
-            g[:, 0] += s * wx
-            g[:, 1] += s * wy
-        return g
+    terms holds one row of (amp, kx, ky, phase) per wave, shape (P, M, 4).
+    """
+    px, py = periods
+    amp, kx, ky, ph = (terms[:, :, i, None] for i in range(4))
+    arg = 2 * np.pi * (kx * nodes[:, 0] / px + ky * nodes[:, 1] / py) + ph
+    wx, wy = 2 * np.pi * kx / px, 2 * np.pi * ky / py
+    cos, sin = np.cos(arg), np.sin(arg)
+    val = np.zeros((terms.shape[0], nodes.shape[0]))
+    grad = np.zeros(val.shape + (2,))
+    for m in range(terms.shape[1]):
+        val += amp[:, m] * cos[:, m]
+        s = -amp[:, m] * sin[:, m]
+        grad[:, :, 0] += s * wx[:, m]
+        grad[:, :, 1] += s * wy[:, m]
+    return val, grad
 
 
-@dataclass(frozen=True)
-class GaussianProfile(Profile):
-    center: tuple
-    sigma: float
-    amplitude: float
+def bumps(nodes: np.ndarray, centers, widths, amplitudes):
+    """Compactly supported bumps amp * exp(1 - 1/(1 - r^2)), r = |x - c|/width.
 
-    def _r2(self, nodes):
-        c = np.asarray(self.center)
-        diff = nodes - c
-        return diff, np.sum(diff ** 2, axis=1)
-
-    def value(self, nodes):
-        _, r2 = self._r2(nodes)
-        return self.amplitude * np.exp(-r2 / (2.0 * self.sigma ** 2))
-
-    def gradient(self, nodes):
-        diff, r2 = self._r2(nodes)
-        v = self.amplitude * np.exp(-r2 / (2.0 * self.sigma ** 2))
-        return -v[:, None] * diff / self.sigma ** 2
+    centers has shape (P, d); widths and amplitudes have shape (P,).
+    """
+    centers, widths = np.asarray(centers, float), np.asarray(widths, float)
+    diff = (nodes - centers[:, None, :]) / widths[:, None, None]
+    r2 = np.sum(diff ** 2, axis=2)
+    inside = r2 < 1.0 - 1e-12
+    denom = np.where(inside, 1.0 - r2, 1.0)
+    val = np.zeros(r2.shape)
+    amp = np.broadcast_to(np.asarray(amplitudes, float)[:, None], r2.shape)
+    val[inside] = amp[inside] * np.exp(1.0 - 1.0 / denom[inside])
+    # d/dx_i of -1/(1-r^2) is -2 (x_i - c_i)/width^2 / (1-r^2)^2.  width^2 is
+    # the scalar power, which rounds differently from squaring in an array.
+    w2 = np.broadcast_to(np.array([w ** 2 for w in widths])[:, None], r2.shape)
+    factor = np.zeros(r2.shape)
+    factor[inside] = -2.0 / (w2[inside] * denom[inside] ** 2)
+    return val, (val * factor)[:, :, None] * diff * widths[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +112,7 @@ SMOOTHSTEP_PRIME_SUP = 2.0  # sup |S'|, attained at the midpoint
 
 
 @dataclass(frozen=True)
-class PlateauProfile(Profile):
+class PlateauProfile:
     """Radial cutoff: 1 for |x| <= inner, 0 for |x| >= inner + collar.
 
     The transition is a smoothstep over a collar of fixed width, so the
@@ -165,7 +142,7 @@ class PlateauProfile(Profile):
 
 
 @dataclass(frozen=True)
-class AnnulusStepProfile(Profile):
+class AnnulusStepProfile:
     """Punctured-plane cutoff: 0 on the eps-disk, 1 outside 2*eps."""
 
     eps: float
@@ -174,21 +151,14 @@ class AnnulusStepProfile(Profile):
         r = np.linalg.norm(nodes, axis=1)
         return smoothstep((r - self.eps) / self.eps)
 
-    def gradient(self, nodes):
-        r = np.linalg.norm(nodes, axis=1)
-        dv = smoothstep_prime((r - self.eps) / self.eps) / self.eps
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[:, None] > 0, nodes / np.maximum(r, 1e-300)[:, None], 0.0)
-        return dv[:, None] * unit
-
     def gradient_sup_dense(self, samples: int = 4001) -> float:
         """Sup of |grad| over a dense radial sample of the transition annulus."""
         r = np.linspace(self.eps, 2.0 * self.eps, samples)
         return float(np.max(smoothstep_prime((r - self.eps) / self.eps) / self.eps))
 
 
-def derivative_sup_estimate(profile: Profile, order: int, lo: float, hi: float,
-                            samples: int = 4001) -> float:
+def derivative_sup_estimate(profile: PlateauProfile, order: int, lo: float,
+                            hi: float, samples: int = 4001) -> float:
     """Numerical sup of the order-th radial derivative on [lo, hi].
 
     Order 1 uses the exact gradient; higher orders use repeated central
@@ -202,37 +172,3 @@ def derivative_sup_estimate(profile: Profile, order: int, lo: float, hi: float,
     for _ in range(order - 1):
         d = np.gradient(d, step)
     return float(np.max(np.abs(d)))
-
-
-@dataclass(frozen=True)
-class BumpProfile(Profile):
-    """Compactly supported bump amp * exp(1 - 1/(1 - r^2)), r = |x - c|/width."""
-
-    center: tuple
-    width: float
-    amplitude: float
-
-    def _inside(self, nodes):
-        c = np.asarray(self.center)
-        diff = (nodes - c) / self.width
-        r2 = np.sum(diff ** 2, axis=1)
-        inside = r2 < 1.0 - 1e-12
-        return diff, r2, inside
-
-    def value(self, nodes):
-        _, r2, inside = self._inside(nodes)
-        out = np.zeros(nodes.shape[0])
-        denom = np.where(inside, 1.0 - r2, 1.0)
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / denom[inside])
-        return out
-
-    def gradient(self, nodes):
-        diff, r2, inside = self._inside(nodes)
-        g = np.zeros_like(nodes)
-        denom = np.where(inside, 1.0 - r2, 1.0)
-        v = np.zeros(nodes.shape[0])
-        v[inside] = self.amplitude * np.exp(1.0 - 1.0 / denom[inside])
-        # d/dx_i of -1/(1-r^2) is -2 (x_i - c_i)/width^2 / (1-r^2)^2
-        factor = np.zeros(nodes.shape[0])
-        factor[inside] = -2.0 / (self.width ** 2 * denom[inside] ** 2)
-        return (v * factor)[:, None] * diff * self.width

@@ -9,41 +9,48 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gauge import AlgebraValuedField, GaugeField, gauge_from_profiles
+from .gauge import AlgebraValuedField, GaugeField, gauge_from_algebra
 from .grid import Field, GridManifold
-from .profiles import (BumpProfile, FourierProfile, GaussianProfile,
-                       TorusWaveProfile)
+from .profiles import bumps, fourier_series, plane_waves
 
 
 def suite_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def _scalar_profile(grid: GridManifold, rng: np.random.Generator, modes: int,
-                    amplitude: float):
-    """A random smooth profile adapted to the topology, with exact gradient."""
+def _random_profiles(grid: GridManifold, rng: np.random.Generator, count: int,
+                     modes: int, amplitude: float):
+    """Values (count, n) and exact gradients (count, n, d) of random smooth
+    profiles adapted to the topology.
+
+    The draws come profile after profile, each in the order of its own
+    terms, as drawing one profile at a time would make them.
+    """
+    nodes = grid.nodes
     if grid.topology == "periodic" and grid.dimension == 1:
         period = grid.spacing[0] * grid.axis_sizes[0]
         scale = amplitude / max(modes, 1)
-        cos_amps = tuple(rng.uniform(-scale, scale) / k for k in range(1, modes + 1))
-        sin_amps = tuple(rng.uniform(-scale, scale) / k for k in range(1, modes + 1))
-        return FourierProfile(period, cos_amps, sin_amps)
+        amps = (rng.uniform(-scale, scale, size=(count, 2, modes))
+                / np.arange(1, modes + 1))
+        return fourier_series(nodes, period, amps[:, 0], amps[:, 1])
     if grid.topology == "periodic":
         periods = tuple(grid.spacing[j] * grid.axis_sizes[j] for j in range(2))
-        terms = []
-        for _ in range(modes):
+        terms = np.zeros((count, modes, 4))
+        for term in terms.reshape(-1, 4):
             kx, ky = int(rng.integers(0, 3)), int(rng.integers(0, 3))
             if kx == 0 and ky == 0:
                 kx = 1
-            terms.append((rng.uniform(-amplitude, amplitude) / max(kx + ky, 1),
-                          kx, ky, rng.uniform(0, 2 * np.pi)))
-        return TorusWaveProfile(periods, tuple(terms))
-    # truncated box: random interior bumps, compactly supported
-    extent = np.max(np.abs(grid.nodes))
-    center = tuple(rng.uniform(-extent / 2, extent / 2)
-                   for _ in range(grid.dimension))
-    width = rng.uniform(extent / 3, 2 * extent / 3)
-    return BumpProfile(center, width, rng.uniform(-amplitude, amplitude))
+            term[:] = (rng.uniform(-amplitude, amplitude) / max(kx + ky, 1),
+                       kx, ky, rng.uniform(0, 2 * np.pi))
+        return plane_waves(nodes, periods, terms)
+    # truncated box: random interior bumps, compactly supported; each row
+    # draws the center, then the width, then the amplitude
+    extent = np.max(np.abs(nodes))
+    d = grid.dimension
+    rows = rng.uniform([-extent / 2] * d + [extent / 3, -amplitude],
+                       [extent / 2] * d + [2 * extent / 3, amplitude],
+                       size=(count, d + 2))
+    return bumps(nodes, rows[:, :d], rows[:, d], rows[:, d + 1])
 
 
 def random_one_form(grid: GridManifold, rng: np.random.Generator,
@@ -51,12 +58,10 @@ def random_one_form(grid: GridManifold, rng: np.random.Generator,
                     normalized: bool = False) -> Field:
     """Random smooth g_C-valued one-form from analytic profiles."""
     n, d = grid.node_count, grid.dimension
-    vals = np.zeros((n, d, 3), dtype=complex)
-    for j in range(d):
-        for a in range(3):
-            real = _scalar_profile(grid, rng, modes, amplitude)
-            imag = _scalar_profile(grid, rng, modes, amplitude)
-            vals[:, j, a] = real.value(grid.nodes) + 1j * imag.value(grid.nodes)
+    parts = _random_profiles(grid, rng, 6 * d, modes, amplitude)[0]
+    parts = parts.reshape(d, 3, 2, n)  # axis j, algebra index a, real/imag
+    vals = np.ascontiguousarray(
+        (parts[:, :, 0] + 1j * parts[:, :, 1]).transpose(2, 0, 1))
     f = Field(grid, 1, vals, algebra=True)
     if normalized:
         from .grid import norm
@@ -69,27 +74,26 @@ def random_one_form(grid: GridManifold, rng: np.random.Generator,
 def random_covector_testset(grid: GridManifold, rng: np.random.Generator,
                             count: int, modes: int = 3) -> list:
     """Smooth plain covector fields for the seminorm probe."""
-    out = []
-    for _ in range(count):
-        vals = np.zeros((grid.node_count, grid.dimension), dtype=complex)
-        for j in range(grid.dimension):
-            prof = _scalar_profile(grid, rng, modes, 1.0)
-            vals[:, j] = prof.value(grid.nodes)
-        out.append(Field.covector(grid, vals))
-    return out
+    n, d = grid.node_count, grid.dimension
+    vals = _random_profiles(grid, rng, count * d, modes, 1.0)[0]
+    vals = np.ascontiguousarray(vals.reshape(count, d, n).transpose(0, 2, 1),
+                                dtype=complex)
+    return [Field.covector(grid, v) for v in vals]
 
 
 def random_gauge_field(grid: GridManifold, rng: np.random.Generator,
                        modes: int = 3, amplitude: float = 1.0) -> GaugeField:
-    profiles = [_scalar_profile(grid, rng, modes, amplitude) for _ in range(3)]
-    return gauge_from_profiles(grid, profiles)
+    """psi(x) = exp(sum_k b_k(x) X_k) from three random analytic profiles."""
+    return gauge_from_algebra(random_algebra_field(grid, rng, modes, amplitude))
 
 
 def random_algebra_field(grid: GridManifold, rng: np.random.Generator,
                          modes: int = 3, amplitude: float = 1.0,
                          bounded: bool = True) -> AlgebraValuedField:
-    profiles = [_scalar_profile(grid, rng, modes, amplitude) for _ in range(3)]
-    return AlgebraValuedField.from_profiles(grid, profiles, bounded)
+    vals, grads = _random_profiles(grid, rng, 3, modes, amplitude)
+    return AlgebraValuedField(grid, np.ascontiguousarray(vals.T),
+                              np.ascontiguousarray(grads.transpose(1, 2, 0)),
+                              bounded)
 
 
 # the profile names rho_field accepts; "cosine" needs a periodic domain
@@ -115,13 +119,11 @@ def rho_field(grid: GridManifold, profile: str, amplitude: float,
         return amplitude * (np.cos(2 * np.pi * mode * nodes[:, 0] / px)
                             + np.sin(2 * np.pi * mode * nodes[:, 1] / py))
     if profile == "bump":
-        extent = float(np.max(np.abs(nodes)))
-        prof = GaussianProfile((0.0,) * grid.dimension, extent / 3.0, amplitude)
-        return prof.value(nodes)
+        sigma = float(np.max(np.abs(nodes))) / 3.0
+        return amplitude * np.exp(-np.sum(nodes ** 2, axis=1) / (2.0 * sigma ** 2))
     if profile == "random":
         if rng is None:
             raise ValueError("random rho profile needs a generator")
-        prof = _scalar_profile(grid, rng, 2, amplitude)
-        return prof.value(nodes)
+        return _random_profiles(grid, rng, 1, 2, amplitude)[0][0]
     raise ValueError(f"unknown rho profile {profile!r}")
 

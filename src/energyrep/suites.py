@@ -17,6 +17,7 @@ import numpy as np
 from . import fock, gauge, hermite, operators, seminorms
 from .config import ExperimentConfig
 from .grid import Field, WeightField, build_grid, field_to_csv, norm
+from .profiles import bumps
 from .report import (Report, check, digest_of, refusal, write_csv,
                      write_json)
 from .sampling import (random_algebra_field, random_covector_testset,
@@ -225,25 +226,23 @@ def suite_ladders(cfg: ExperimentConfig, rng, rep: Report, dig,
 # ---------------------------------------------------------------------------
 
 def _probe_data(domain: str, cfg: ExperimentConfig, seed_stream):
-    from .profiles import BumpProfile
-
     data = []
     for n_size in cfg.seminorms_nodes:
         rng = suite_rng(cfg.seed, seed_stream)  # same functions per N
         if domain == "circle":
             grid = build_grid("circle", n_size, radius=1.0)
             weight = WeightField.constant(grid, 2.0)
-            bump = BumpProfile((np.pi,), 2.5, 1.0)
+            center, width = np.pi, 2.5
         else:
             grid = build_grid("interval", n_size,
                               halfwidth=cfg.seminorms_interval_halfwidth)
             weight = WeightField.quadratic(grid, 1.0)
-            bump = BumpProfile((0.0,), cfg.seminorms_interval_halfwidth / 2, 1.0)
+            center, width = 0.0, cfg.seminorms_interval_halfwidth / 2
         dec = operators.assemble_h(grid, weight).eigendecomposition()
         fields = random_covector_testset(grid, rng, cfg.seminorms_functions)
         # fixed bump and low eigenvectors round out the random members
         bvals = np.zeros((grid.node_count, 1), dtype=complex)
-        bvals[:, 0] = bump.value(grid.nodes)
+        bvals[:, 0] = bumps(grid.nodes, [[center]], [width], [1.0])[0][0]
         fields.append(Field.covector(grid, bvals))
         fields.extend(seminorms.eigenvector_covector(dec, k) for k in range(3))
         data.append((n_size, weight, dec, fields))
@@ -392,9 +391,8 @@ def _cutoff_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> Non
     gauss = np.zeros((n, 1, 3), dtype=complex)
     gauss[:, 0, 0] = np.exp(-grid.nodes[:, 0] ** 2 / 4.0)
     gauss[:, 0, 1] = 0.5 * np.exp(-grid.nodes[:, 0] ** 2 / 4.5)
-    from .profiles import BumpProfile
     bump = np.zeros((n, 1, 3), dtype=complex)
-    bump[:, 0, 1] = BumpProfile((0.0,), 2.0, 1.0).value(grid.nodes)
+    bump[:, 0, 1] = bumps(grid.nodes, [[0.0]], [2.0], [1.0])[0][0]
     f_set = [Field(grid, 1, gauss, algebra=True),
              Field(grid, 1, bump, algebra=True)]
 

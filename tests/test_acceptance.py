@@ -240,12 +240,12 @@ def test_criterion_9_cutoff_decay():
     dec = operators.assemble_h(grid, weight).eigendecomposition()
     psi = gauge.AlgebraValuedField.constant(grid, (0.8, -0.5, 0.3))
     stages = gauge.cutoff_sequence(grid, 8, 1.0, 1.0)
-    from energyrep.profiles import BumpProfile
+    from energyrep.profiles import bumps
     n = grid.node_count
     gauss = np.zeros((n, 1, 3), dtype=complex)
     gauss[:, 0, 0] = np.exp(-grid.nodes[:, 0] ** 2 / 4.0)
     bump = np.zeros((n, 1, 3), dtype=complex)
-    bump[:, 0, 1] = BumpProfile((0.0,), 2.0, 1.0).value(grid.nodes)
+    bump[:, 0, 1] = bumps(grid.nodes, [[0.0]], [2.0], [1.0])[0][0]
     f_set = [Field(grid, 1, gauss, algebra=True),
              Field(grid, 1, bump, algebra=True)]
     rep = gauge.cutoff_approximation(psi, stages, f_set, 1.0, dec)

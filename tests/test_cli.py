@@ -161,6 +161,15 @@ class TestConfigParsing:
             load_config(small_config(tmp_path, **{"spectrum.circle_nodes": 7}))
         assert load_config(small_config(tmp_path, **{"spectrum.circle_nodes": 8}))
 
+    @pytest.mark.parametrize("key", ["gauge.amplitude",
+                                     "conformal.rho_amplitude"])
+    @pytest.mark.parametrize("value", [0, -0.5])
+    def test_zero_amplitude_rejected(self, tmp_path, key, value):
+        # identity gauge fields or rescalings would pass the checks trivially
+        with pytest.raises(ConfigError, match=f"{key} must be positive"):
+            load_config(small_config(tmp_path, **{key: value}))
+        assert load_config(small_config(tmp_path, **{key: 0.1}))
+
     def test_ladder_cutoff_below_four_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ladders.cutoff"):
             load_config(small_config(tmp_path, **{"ladders.cutoff": 3}))
@@ -250,6 +259,8 @@ class TestExitCodes:
         ("seminorms", {"seminorms.m_list": 3}, ()),
         ("spectrum", {"spectrum.circle_nodes": 7}, ()),
         ("fock", {"gauge.modes": 0}, ()),
+        ("gauge", {"gauge.amplitude": 0}, ()),
+        ("conformal", {"conformal.rho_amplitude": 0}, ()),
     ])
     def test_bad_domain_exits_2_before_output(self, tmp_path, suite,
                                               overrides, argv):

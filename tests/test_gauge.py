@@ -5,7 +5,7 @@ import pytest
 from energyrep import gauge, su2
 from energyrep.grid import Field, WeightField, build_grid, norm
 from energyrep.operators import assemble_h, conjugated_operator
-from energyrep.profiles import BumpProfile, FourierProfile
+from energyrep.profiles import bumps, fourier_series
 from energyrep.sampling import (random_algebra_field, random_gauge_field,
                                 random_one_form, rho_field)
 from energyrep.seminorms import (seminorm_p, seminorm_p_batch,
@@ -35,11 +35,13 @@ class TestLogDerivative:
 
     def test_single_direction_commuting_profile(self, circle32):
         # psi = exp(b(x) X_1) gives beta = b'(x) dx tensor X_1 exactly
-        prof = FourierProfile(2 * np.pi, (0.8, 0.3), (0.0, -0.5))
-        zero = FourierProfile(2 * np.pi, (0.0,), (0.0,))
-        psi = gauge.gauge_from_profiles(circle32, [prof, zero, zero])
+        vals, grads = fourier_series(circle32.nodes, 2 * np.pi,
+                                     np.array([[0.8, 0.3], [0, 0], [0, 0]]),
+                                     np.array([[0.0, -0.5], [0, 0], [0, 0]]))
+        psi = gauge.gauge_from_algebra(gauge.AlgebraValuedField(
+            circle32, vals.T, grads.transpose(1, 2, 0)))
         beta = gauge.log_derivative(psi)
-        expected = prof.gradient(circle32.nodes)[:, 0]
+        expected = grads[0, :, 0]
         assert np.max(np.abs(beta.values[:, 0, 0] - expected)) <= 1e-12
         assert np.max(np.abs(beta.values[:, 0, 1:])) <= 1e-13
 
@@ -283,7 +285,7 @@ class TestCutoffs:
         psi = gauge.AlgebraValuedField.constant(g, (1.0, 0.0, 0.0))
         stages = gauge.cutoff_sequence(g, 6, 1.0, 1.0)
         bump = np.zeros((g.node_count, 1, 3), dtype=complex)
-        bump[:, 0, 1] = BumpProfile((0.0,), 2.0, 1.0).value(g.nodes)
+        bump[:, 0, 1] = bumps(g.nodes, [[0.0]], [2.0], [1.0])[0][0]
         f = Field(g, 1, bump, algebra=True)
         rep = gauge.cutoff_approximation(psi, stages, [f], 1.0, dec)
         covered = rep.covered_from[0]

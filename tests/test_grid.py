@@ -155,14 +155,14 @@ class TestCovariantDerivative:
     def test_second_order_on_truncated_domain(self):
         # the bump's third derivative peaks sharply, so the asymptotic
         # error-quartering needs the finer pair of grids
-        from energyrep.profiles import BumpProfile
-        prof = BumpProfile((0.0,), 2.5, 1.0)
+        from energyrep.profiles import bumps
         errs = []
         for n in (256, 512):
             g = build_grid("interval", n, halfwidth=3.0)
-            f = Field.scalar(g, prof.value(g.nodes))
+            vals, grads = bumps(g.nodes, [[0.0]], [2.5], [1.0])
+            f = Field.scalar(g, vals[0])
             err = np.max(np.abs(covariant_derivative(f).values[:, 0]
-                                - prof.gradient(g.nodes)[:, 0]))
+                                - grads[0, :, 0]))
             errs.append(err)
         assert 3.6 <= errs[0] / errs[1] <= 4.4
 
