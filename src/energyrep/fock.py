@@ -92,12 +92,6 @@ def homomorphism_check(psi: GaugeField, phi: GaugeField, f_set,
 # Conformal invariance of the matrix elements
 # ---------------------------------------------------------------------------
 
-def matrix_element(psi: GaugeField, f: Field, g: Field,
-                   rho: np.ndarray | None = None) -> complex:
-    """<exp f, U(psi) exp g> through the coherent kernel."""
-    return coherent_inner(CoherentVector(1.0, f), apply_u(psi, CoherentVector(1.0, g), rho), rho)
-
-
 def matrix_element_scaled(psi: GaugeField, f: Field, g: Field, scale: float,
                           rho: np.ndarray | None = None) -> complex:
     """Matrix element with every one-particle inner product multiplied by scale.
@@ -141,11 +135,15 @@ def conformal_check(psi: GaugeField, rho_conf: np.ndarray, f_set, g_set,
     rho_c = np.asarray(rho_conf, float)
     constant = bool(np.all(rho_c == rho_c[0]))
     scale = float(np.exp((d / 2.0 - 1.0) * rho_c[0])) if constant else None
+    u_g = [apply_u(psi, CoherentVector(1.0, g), rho_weight) for g in g_set]
+    u_g2 = [apply_u(psi2, CoherentVector(1.0, rebind(g, new_grid)), rho_weight)
+            for g in g_set]
     for f in f_set:
-        for g in g_set:
-            before = matrix_element(psi, f, g, rho_weight)
-            f2, g2 = rebind(f, new_grid), rebind(g, new_grid)
-            after = matrix_element(psi2, f2, g2, rho_weight)
+        exp_f = CoherentVector(1.0, f)
+        exp_f2 = CoherentVector(1.0, rebind(f, new_grid))
+        for g, ug, ug2 in zip(g_set, u_g, u_g2):
+            before = coherent_inner(exp_f, ug, rho_weight)
+            after = coherent_inner(exp_f2, ug2, rho_weight)
             worst = max(worst, abs(after - before) / abs(before))
             if constant:
                 pred = matrix_element_scaled(psi, f, g, scale, rho_weight)

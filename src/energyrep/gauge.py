@@ -36,23 +36,17 @@ class GaugeField:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraValuedField:
-    """su(2)-valued function with exact derivatives and a boundedness tag.
-
-    bounded=True marks the C_b case (all derivative sups finite, e.g. constant
-    functions); compactly supported fields are the special case where the
-    support mask is interior.
-    """
+    """su(2)-valued function with exact derivatives."""
 
     grid: GridManifold
     values: np.ndarray  # (n, 3) real
     derivs: np.ndarray  # (n, d, 3) real
-    bounded: bool = True
 
     @classmethod
     def constant(cls, grid: GridManifold, coeff) -> "AlgebraValuedField":
         vals = np.tile(np.asarray(coeff, float), (grid.node_count, 1))
         ders = np.zeros((grid.node_count, grid.dimension, 3))
-        return cls(grid, vals, ders, bounded=True)
+        return cls(grid, vals, ders)
 
 
 def gauge_identity(grid: GridManifold) -> GaugeField:
@@ -253,7 +247,6 @@ def regularity_check(field: AlgebraValuedField, test_set, t_list, p: float,
 class CutoffStage:
     index: int
     values: np.ndarray        # per node
-    grad_values: np.ndarray   # (n, d), exact
     gradient_sup: float       # analytic sup over the collar
     derivative_bounds: dict   # order -> sup estimate, n-independent by design
 
@@ -269,13 +262,11 @@ def cutoff_sequence(grid: GridManifold, count: int, step: float,
     for n in range(1, count + 1):
         prof = PlateauProfile(inner=n * step, collar=collar)
         vals = prof.value(grid.nodes)
-        grads = prof.gradient(grid.nodes)
         bounds = {
             1: prof.gradient_sup(),
             2: derivative_sup_estimate(prof, 2, n * step, n * step + collar),
         }
-        stages.append(CutoffStage(n, vals, grads, prof.gradient_sup(),
-                                  bounds))
+        stages.append(CutoffStage(n, vals, prof.gradient_sup(), bounds))
     return stages
 
 
@@ -300,10 +291,8 @@ def cutoff_approximation(field: AlgebraValuedField, stages, f_set, p: float,
         raise ConditionCViolation(
             "domain violates condition (c); no uniformly bounded cutoff "
             "sequence exists (see punctured_plane_demo)")
-    if not field.bounded:
-        raise ValueError("cutoff approximation needs a uniformly bounded field")
     diffs = [AlgebraValuedField(grid, (1.0 - s.values)[:, None] * field.values,
-                                np.zeros_like(field.derivs), field.bounded)
+                                np.zeros_like(field.derivs))
              for s in stages]
     images = [v_prime(diff, f) for f in f_set for diff in diffs]
     values = (seminorm_p_batch(images, (p,), decomposition)[0] if images

@@ -26,8 +26,7 @@ class HermiteLadder:
     states: tuple               # degree tuples, sorted by (total, tuple)
     lowering: tuple              # A_j matrices
     raising: tuple               # A_j† matrices
-    number_ops: tuple            # N_j = A_j† A_j
-    number_total: np.ndarray     # N = sum_j N_j
+    number_total: np.ndarray     # N = sum_j A_j† A_j
     _degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -57,10 +56,9 @@ class HermiteLadder:
         v[self.states.index(tuple(degrees))] = 1.0
         return v
 
-    def bound_operator(self, power: float) -> np.ndarray:
-        """(2N + d + 1)^power, diagonal on the retained basis."""
-        diag = (2.0 * self.degrees() + self.dimension + 1.0) ** power
-        return np.diag(diag)
+    def bound_weights(self, power: float) -> np.ndarray:
+        """The diagonal of (2N + d + 1)^power on the retained basis."""
+        return (2.0 * self.degrees() + self.dimension + 1.0) ** power
 
 
 MIN_CUTOFF = 4
@@ -91,10 +89,8 @@ def build_ladders(d: int, n_cut: int) -> HermiteLadder:
                 a[index[tuple(t)], i] = np.sqrt(s[j])
         lowering.append(a)
     raising = tuple(a.T.copy() for a in lowering)
-    number_ops = tuple(raising[j] @ lowering[j] for j in range(d))
-    total = sum(number_ops)
-    return HermiteLadder(d, n_cut, states, tuple(lowering), raising,
-                         number_ops, total)
+    total = sum(raising[j] @ lowering[j] for j in range(d))
+    return HermiteLadder(d, n_cut, states, tuple(lowering), raising, total)
 
 
 # ---------------------------------------------------------------------------
@@ -183,36 +179,46 @@ def expansion_matrix(ladder: HermiteLadder, expansion) -> np.ndarray:
 # Bound checks
 # ---------------------------------------------------------------------------
 
+def column_norms(states: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column, one 1-D np.linalg.norm per column.
+
+    A 1-D norm is what a single state gets, so batched and per-state norms
+    agree bit for bit; np.linalg.norm(..., axis=0) sums in another order.
+    """
+    return np.array([np.linalg.norm(col) for col in states.T])
+
+
 @dataclass(frozen=True)
 class WordBoundResult:
     word: tuple
-    lhs: float
-    rhs: float
-    ratio: float
+    lhs: np.ndarray      # |word f|_0 per state
+    rhs: np.ndarray      # C |(2N+d+1)^{m/2} f|_0 per state
+    ratio: np.ndarray    # lhs / rhs, 0 where rhs is 0
     constant: float
 
 
 def commutation_bound_check(ladder: HermiteLadder, word, f: np.ndarray,
                             constant: float | None = None) -> WordBoundResult:
-    """Evaluate |word f|_0 against C |(2N+d+1)^{m/2} f|_0.
+    """Evaluate |word f|_0 against C |(2N+d+1)^{m/2} f|_0 for every column of f.
 
-    Rejects vectors touching the truncation boundary, where the commutator
-    algebra would be corrupted.
+    The states are the columns of f (a 1-D f is one state). Rejects input
+    touching the truncation boundary, where the commutator algebra would be
+    corrupted.
     """
     word = tuple(word)
     m = len(word)
-    f = np.asarray(f, float)
+    f = np.asarray(f, float).reshape(ladder.size, -1)
     support = np.abs(f) > 0
-    if np.any(~ladder.guard_mask(m) & support):
+    if np.any(~ladder.guard_mask(m)[:, None] & support):
         raise ValueError(
             f"input touches the truncation guard (need degree <= "
             f"{ladder.n_cut - m} for a word of length {m})")
     if constant is None:
         constant = word_bound_constant(word, ladder.dimension)
-    lhs = float(np.linalg.norm(word_apply(ladder, word, f)))
-    half_power = ladder.bound_operator(m / 2.0)
-    rhs = constant * float(np.linalg.norm(half_power @ f))
-    ratio = lhs / rhs if rhs > 0 else 0.0
+    lhs = column_norms(word_apply(ladder, word, f))
+    weighted = ladder.bound_weights(m / 2.0)[:, None] * f
+    rhs = constant * column_norms(weighted)
+    ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0)
     return WordBoundResult(word, lhs, rhs, ratio, float(constant))
 
 
@@ -221,7 +227,7 @@ CANONICAL_WORD = ((0, False), (0, True), (1, False), (1, False))
 
 
 def canonical_chain_check(ladder: HermiteLadder, f: np.ndarray) -> WordBoundResult:
-    """The worked four-letter chain with C = 1 on the d = 2 ladder."""
+    """The worked four-letter chain with C = 1 on the d = 2 ladder, per column."""
     if ladder.dimension != 2:
         raise ValueError("the worked chain lives in d = 2")
     return commutation_bound_check(ladder, CANONICAL_WORD, f, constant=1.0)

@@ -88,12 +88,11 @@ def random_gauge_field(grid: GridManifold, rng: np.random.Generator,
 
 
 def random_algebra_field(grid: GridManifold, rng: np.random.Generator,
-                         modes: int = 3, amplitude: float = 1.0,
-                         bounded: bool = True) -> AlgebraValuedField:
+                         modes: int = 3, amplitude: float = 1.0
+                         ) -> AlgebraValuedField:
     vals, grads = _random_profiles(grid, rng, 3, modes, amplitude)
     return AlgebraValuedField(grid, np.ascontiguousarray(vals.T),
-                              np.ascontiguousarray(grads.transpose(1, 2, 0)),
-                              bounded)
+                              np.ascontiguousarray(grads.transpose(1, 2, 0)))
 
 
 # the profile names rho_field accepts; "cosine" needs a periodic domain

@@ -160,12 +160,18 @@ LADDER_WORDS = (
 )
 
 
-def _guarded_sample(ladder, rng, margin: int) -> np.ndarray:
+def _guarded_sample(ladder, rng, margin: int, count: int) -> np.ndarray:
+    """count random unit states below the guard, as the columns of one array.
+
+    One (count, k) block holds the draws that count one-state draws of k
+    values would make, in the same order.
+    """
     mask = ladder.guard_mask(margin)
-    v = np.zeros(ladder.size)
-    v[mask] = rng.standard_normal(int(np.sum(mask)))
-    nrm = np.linalg.norm(v)
-    return v / nrm if nrm > 0 else v
+    v = np.zeros((count, ladder.size))
+    v[:, mask] = rng.standard_normal((count, int(np.sum(mask))))
+    nrm = hermite.column_norms(v.T)
+    v /= np.where(nrm > 0, nrm, 1.0)[:, None]
+    return v.T
 
 
 def suite_ladders(cfg: ExperimentConfig, rng, rep: Report, dig,
@@ -180,14 +186,10 @@ def suite_ladders(cfg: ExperimentConfig, rng, rep: Report, dig,
     rep.add(check("vacuum_annihilated", dig("vac"),
                   float(np.linalg.norm(lowered)), 0.0))
 
-    violations = 0
-    worst_ratio = 0.0
-    for _ in range(cfg.ladders_samples):
-        f = _guarded_sample(ladder, rng, 4)
-        res = hermite.canonical_chain_check(ladder, f)
-        worst_ratio = max(worst_ratio, res.ratio)
-        if res.lhs > res.rhs * (1.0 + 1e-13):
-            violations += 1
+    res = hermite.canonical_chain_check(
+        ladder, _guarded_sample(ladder, rng, 4, cfg.ladders_samples))
+    violations = int(np.sum(res.lhs > res.rhs * (1.0 + 1e-13)))
+    worst_ratio = float(np.max(res.ratio))
     rep.add(check("worked_chain_violations", dig("chain"), float(violations),
                   0.0, detail=f"max ratio {worst_ratio:.6f} over "
                               f"{cfg.ladders_samples} samples"))
@@ -198,11 +200,9 @@ def suite_ladders(cfg: ExperimentConfig, rng, rep: Report, dig,
     for word in LADDER_WORDS:
         m = len(word)
         c = hermite.word_bound_constant(word, 2)
-        word_max = 0.0
-        for _ in range(50):
-            f = _guarded_sample(ladder, rng, m)
-            res = hermite.commutation_bound_check(ladder, word, f)
-            word_max = max(word_max, res.ratio)
+        res = hermite.commutation_bound_check(
+            ladder, word, _guarded_sample(ladder, rng, m, 50), constant=c)
+        word_max = float(np.max(res.ratio))
         worst_word = max(worst_word, word_max)
         rows.append(["".join(("R" if r else "L") + str(j) for j, r in word),
                      m, c, word_max])
@@ -252,8 +252,9 @@ def _probe_data(domain: str, cfg: ExperimentConfig, seed_stream):
 def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
                     outdir: Path) -> None:
     rows = []
+    probes = {}
     for domain, stream in (("circle", 21), ("interval", 22)):
-        data = _probe_data(domain, cfg, stream)
+        data = probes[domain] = _probe_data(domain, cfg, stream)
         report = seminorms.equivalence_probe(domain, data, cfg.seminorms_m_list,
                                              cfg.seminorms_p_grid)
         rep.extras[f"probe_{domain}"] = report.to_dict()
@@ -270,11 +271,9 @@ def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
               ["domain", "m", "p", "N", "C_prime_to_spec", "C_spec_to_prime"],
               rows)
 
-    # spectral-seminorm structure on the largest circle grid
-    n_size = max(cfg.seminorms_nodes)
-    grid = build_grid("circle", n_size, radius=1.0)
-    weight = WeightField.constant(grid, 2.0)
-    dec = operators.assemble_h(grid, weight).eigendecomposition()
+    # spectral-seminorm structure on the largest circle grid, as probed
+    _, weight, dec, _ = max(probes["circle"], key=lambda entry: entry[0])
+    grid = weight.grid
     fs = [random_one_form(grid, rng, modes=3) for _ in range(10)]
     mono_defect = 0.0
     for v0, v1, v2 in seminorms.seminorm_p_batch(fs, (0.0, 0.5, 1.5), dec).T:

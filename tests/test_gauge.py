@@ -306,7 +306,7 @@ class TestCutoffs:
             for stage in stages:
                 diff = gauge.AlgebraValuedField(
                     g, (1.0 - stage.values)[:, None] * psi.values,
-                    np.zeros_like(psi.derivs), psi.bounded)
+                    np.zeros_like(psi.derivs))
                 row.append(seminorm_p(gauge.v_prime(diff, f), 1.0, dec))
             rows.append(row)
         assert np.array_equal(rep.values, rows)
@@ -316,14 +316,6 @@ class TestCutoffs:
         psi = gauge.AlgebraValuedField.constant(g, (1.0, 0.0, 0.0))
         with pytest.raises(gauge.ConditionCViolation):
             gauge.cutoff_approximation(psi, [], [], 1.0, None)
-
-    def test_unbounded_field_rejected(self, interval_setup):
-        g, dec = interval_setup
-        psi = gauge.AlgebraValuedField(
-            g, np.ones((g.node_count, 3)),
-            np.zeros((g.node_count, 1, 3)), bounded=False)
-        with pytest.raises(ValueError, match="bounded"):
-            gauge.cutoff_approximation(psi, [], [], 1.0, dec)
 
 
 class TestPuncturedPlane:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from energyrep import hermite
-from energyrep.suites import LADDER_WORDS
+from energyrep.suites import LADDER_WORDS, _guarded_sample
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +21,16 @@ def guarded_random(ladder, rng, margin):
     v = np.zeros(ladder.size)
     v[mask] = rng.standard_normal(int(np.sum(mask)))
     return v / np.linalg.norm(v)
+
+
+def ref_bound_check(ladder, word, f, constant):
+    """One state at a time, with the dense (2N + d + 1)^{m/2}: the reference."""
+    m = len(word)
+    lhs = float(np.linalg.norm(hermite.word_apply(ladder, word, f)))
+    half_power = np.diag(
+        (2.0 * ladder.degrees() + ladder.dimension + 1.0) ** (m / 2.0))
+    rhs = constant * float(np.linalg.norm(half_power @ f))
+    return lhs, rhs, lhs / rhs if rhs > 0 else 0.0
 
 
 class TestStructure:
@@ -51,7 +61,7 @@ class TestStructure:
         # (2N + d + 1) |n> = (2n + d + 1) |n>
         for deg in [(0, 0), (3, 2), (7, 1)]:
             v = ladder2.state(deg)
-            out = ladder2.bound_operator(1.0) @ v
+            out = ladder2.bound_weights(1.0) * v
             assert np.allclose(out, (2 * sum(deg) + 3) * v)
 
     def test_vacuum_annihilated(self, ladder2):
@@ -161,9 +171,49 @@ class TestBoundChecks:
         with pytest.raises(ValueError):
             hermite.commutation_bound_check(ladder2, hermite.CANONICAL_WORD, v)
 
+    def test_guard_rejects_one_boundary_column(self, ladder2):
+        rng = np.random.default_rng(15)
+        f = np.stack([guarded_random(ladder2, rng, 4) for _ in range(5)],
+                     axis=1)
+        f[:, 3] += ladder2.state((ladder2.n_cut - 1, 0))
+        with pytest.raises(ValueError, match="truncation guard"):
+            hermite.commutation_bound_check(ladder2, hermite.CANONICAL_WORD, f)
+
     def test_dimension_guard(self, ladder1):
         with pytest.raises(ValueError):
             hermite.canonical_chain_check(ladder1, ladder1.vacuum())
+
+
+class TestBatchedAgainstPerState:
+    @pytest.mark.parametrize("word", (hermite.CANONICAL_WORD,) + LADDER_WORDS)
+    def test_columns_match_per_state_check(self, ladder2, word):
+        rng = np.random.default_rng(14)
+        states = [guarded_random(ladder2, rng, len(word)) for _ in range(40)]
+        c = hermite.word_bound_constant(word, 2)
+        res = hermite.commutation_bound_check(ladder2, word,
+                                              np.stack(states, axis=1), c)
+        want = np.array([ref_bound_check(ladder2, word, f, c) for f in states])
+        assert np.array_equal(res.lhs, want[:, 0])
+        assert np.array_equal(res.rhs, want[:, 1])
+        assert np.array_equal(res.ratio, want[:, 2])
+        assert res.constant == c
+
+    def test_one_state_is_one_column(self, ladder2):
+        f = guarded_random(ladder2, np.random.default_rng(16), 4)
+        res = hermite.canonical_chain_check(ladder2, f)
+        assert res.lhs.shape == res.rhs.shape == res.ratio.shape == (1,)
+        want = ref_bound_check(ladder2, hermite.CANONICAL_WORD, f, 1.0)
+        assert (res.lhs[0], res.rhs[0], res.ratio[0]) == want
+
+    @pytest.mark.parametrize("margin", [1, 4, 8])
+    def test_guarded_sample_matches_per_sample_draws(self, ladder2, margin):
+        rng_new, rng_ref = (np.random.default_rng(17) for _ in range(2))
+        got = _guarded_sample(ladder2, rng_new, margin, 30)
+        want = np.stack([guarded_random(ladder2, rng_ref, margin)
+                         for _ in range(30)], axis=1)
+        assert got.shape == (ladder2.size, 30)
+        assert np.array_equal(got, want)
+        assert rng_new.standard_normal() == rng_ref.standard_normal()
 
 
 def test_build_rejects_bad_dimensions():
