@@ -26,7 +26,7 @@ class GaugeField:
     """A map into SU(2) with exact differentials at the nodes.
 
     u has shape (n, 2, 2); du has shape (n, d, 2, 2) and holds the exact
-    coordinate derivatives of u.
+    coordinate derivatives of u; a sample set puts a sample axis first.
     """
 
     grid: GridManifold
@@ -47,6 +47,15 @@ class AlgebraValuedField:
         vals = np.tile(np.asarray(coeff, float), (grid.node_count, 1))
         ders = np.zeros((grid.node_count, grid.dimension, 3))
         return cls(grid, vals, ders)
+
+
+def stack_gauge_fields(fields) -> GaugeField:
+    """Gauge fields on one grid as one with a leading sample axis."""
+    grid = fields[0].grid
+    if not all(f.grid.compatible_with(grid) for f in fields):
+        raise GridError("gauge fields live on different grids")
+    return GaugeField(grid, np.stack([f.u for f in fields]),
+                      np.stack([f.du for f in fields]))
 
 
 def gauge_identity(grid: GridManifold) -> GaugeField:
@@ -72,14 +81,14 @@ def gauge_product(a: GaugeField, b: GaugeField) -> GaugeField:
     if not a.grid.compatible_with(b.grid):
         raise GridError("gauge fields live on different grids")
     u = a.u @ b.u
-    du = (np.einsum("xjab,xbc->xjac", a.du, b.u)
-          + np.einsum("xab,xjbc->xjac", a.u, b.du))
+    du = (np.einsum("...xjab,...xbc->...xjac", a.du, b.u)
+          + np.einsum("...xab,...xjbc->...xjac", a.u, b.du))
     return GaugeField(a.grid, u, du)
 
 
 def gauge_inverse(a: GaugeField) -> GaugeField:
     ui = np.conj(np.swapaxes(a.u, -1, -2))
-    du = -np.einsum("xab,xjbc,xcd->xjad", ui, a.du, ui)
+    du = -np.einsum("...xab,...xjbc,...xcd->...xjad", ui, a.du, ui)
     return GaugeField(a.grid, ui, du)
 
 
@@ -94,22 +103,22 @@ def log_derivative(psi: GaugeField) -> Field:
     above 1e-10 indicates inconsistent derivative data and raises.
     """
     ui = np.conj(np.swapaxes(psi.u, -1, -2))
-    m = np.einsum("xjab,xbc->xjac", psi.du, ui)
+    m = np.einsum("...xjab,...xbc->...xjac", psi.du, ui)
     resid = su2.basis_projection_residual(m)
     if resid > 1e-10:
         raise ValueError(
             f"derivative data inconsistent with a group-valued map "
             f"(projection residual {resid:.3e})")
-    coeffs = su2.from_matrix(m)  # (n, d, 3), complex with tiny imaginary part
+    coeffs = su2.from_matrix(m)  # (..., n, d, 3), complex, tiny imaginary part
     return Field(psi.grid, 1, coeffs, algebra=True)
 
 
 def _rotate(r: np.ndarray, f: Field) -> Field:
-    """Apply per-node rotations r, shape (n, 3, 3), to the algebra leg of f."""
+    """Rotate the algebra leg of f by per-node r, shape (..., n, 3, 3)."""
     if f.rank == 0:
-        vals = np.einsum("xab,xb->xa", r, f.values)
+        vals = np.einsum("...xab,...xb->...xa", r, f.values)
     else:
-        vals = np.einsum("xab,xjb->xja", r, f.values)
+        vals = np.einsum("...xab,...xjb->...xja", r, f.values)
     return f.copy_with(vals)
 
 
@@ -136,8 +145,8 @@ def v_prime(field: AlgebraValuedField, f: Field) -> Field:
 
 
 def cocycle_residual(psi: GaugeField, phi: GaugeField,
-                     rho: np.ndarray | None = None) -> float:
-    """|beta(psi phi) - V(psi) beta(phi) - beta(psi)|_{rho,0}."""
+                     rho: np.ndarray | None = None) -> float | np.ndarray:
+    """|beta(psi phi) - V(psi) beta(phi) - beta(psi)|_{rho,0}, per sample."""
     lhs = log_derivative(gauge_product(psi, phi))
     rhs = v_action(psi, log_derivative(phi)) + log_derivative(psi)
     return norm(lhs - rhs, rho)

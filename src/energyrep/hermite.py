@@ -47,9 +47,7 @@ class HermiteLadder:
         return self.degrees() <= self.n_cut - margin
 
     def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.size)
-        v[self.states.index((0,) * self.dimension)] = 1.0
-        return v
+        return self.state((0,) * self.dimension)
 
     def state(self, degrees) -> np.ndarray:
         v = np.zeros(self.size)

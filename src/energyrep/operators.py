@@ -207,7 +207,9 @@ def _eigenpair_map_residual(h_rho: DiscreteOperator,
 # Hilbert-Schmidt probe for condition (a)
 # ---------------------------------------------------------------------------
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+def saturating_exp(x: float) -> float:
+    """e^x of a log-space value: inf where it would overflow, never raising."""
+    return math.exp(x) if x < math.log(sys.float_info.max) else math.inf
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,7 @@ def hilbert_schmidt_test(dec: SpectralDecomposition, p: float,
         log_tail = (-2.0 * p * logc
                     + (1.0 - 2.0 * p * alpha) * math.log(max(k_list))
                     - math.log(2.0 * p * alpha - 1.0))
-        tail = math.exp(log_tail) if log_tail < _LOG_FLOAT_MAX else math.inf
+        tail = saturating_exp(log_tail)
     else:
         tail = None  # no finite remainder to estimate
     return HilbertSchmidtReport(p, tuple(int(k) for k in k_list), sums, alpha,

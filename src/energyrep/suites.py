@@ -16,7 +16,8 @@ import numpy as np
 
 from . import fock, gauge, hermite, operators, seminorms
 from .config import ExperimentConfig
-from .grid import Field, WeightField, build_grid, field_to_csv, norm
+from .grid import (Field, WeightField, build_grid, field_to_csv, norm,
+                   stack_fields)
 from .profiles import bumps
 from .report import (Report, check, digest_of, refusal, write_csv,
                      write_json)
@@ -321,31 +322,27 @@ def suite_gauge(cfg: ExperimentConfig, rng, rep: Report, dig,
     grid = build_grid("circle", cfg.gauge_nodes, radius=1.0)
     rho = rho_field(grid, "cosine", cfg.rho_amplitude, cfg.rho_mode)
 
-    worst_cocycle = 0.0
-    worst_real = 0.0
-    worst_iso = 0.0
-    worst_homo = 0.0
-    beta_sample = None
-    for _ in range(cfg.gauge_pairs):
-        psi = random_gauge_field(grid, rng, cfg.gauge_modes, cfg.gauge_amplitude)
-        phi = random_gauge_field(grid, rng, cfg.gauge_modes, cfg.gauge_amplitude)
-        worst_cocycle = max(worst_cocycle, gauge.cocycle_residual(psi, phi, rho))
-        beta = gauge.log_derivative(psi)
-        if beta_sample is None:
-            beta_sample = beta
-        worst_real = max(worst_real, gauge.reality_defect(beta))
-        f = random_one_form(grid, rng, modes=3, normalized=True)
-        nf = norm(f, rho)
-        worst_iso = max(worst_iso,
-                        abs(norm(gauge.v_action(psi, f), rho) - nf) / nf)
-        both = gauge.v_action(gauge.gauge_product(psi, phi), f)
-        nested = gauge.v_action(psi, gauge.v_action(phi, f))
-        worst_homo = max(worst_homo, norm(both - nested, rho))
-    rep.add(check("cocycle_identity", dig("cocycle"), worst_cocycle, 1e-10))
-    rep.add(check("cocycle_real_valued", dig("real"), worst_real, 1e-10))
-    rep.add(check("v_isometry", dig("iso"), worst_iso, 1e-12))
-    rep.add(check("v_homomorphism", dig("homo"), worst_homo, 1e-12))
-    field_to_csv(beta_sample, outdir, "gauge_beta_sample")
+    # drawn one sample at a time, in the order of a per-sample loop
+    psi, phi, f = zip(*[
+        (random_gauge_field(grid, rng, cfg.gauge_modes, cfg.gauge_amplitude),
+         random_gauge_field(grid, rng, cfg.gauge_modes, cfg.gauge_amplitude),
+         random_one_form(grid, rng, modes=3, normalized=True))
+        for _ in range(cfg.gauge_pairs)])
+    psi, phi = gauge.stack_gauge_fields(psi), gauge.stack_gauge_fields(phi)
+    f = stack_fields(f)
+    beta = gauge.log_derivative(psi)
+    nf = norm(f, rho)
+    iso = np.abs(norm(gauge.v_action(psi, f), rho) - nf) / nf
+    both = gauge.v_action(gauge.gauge_product(psi, phi), f)
+    nested = gauge.v_action(psi, gauge.v_action(phi, f))
+    rep.add(check("cocycle_identity", dig("cocycle"),
+                  np.max(gauge.cocycle_residual(psi, phi, rho)), 1e-10))
+    rep.add(check("cocycle_real_valued", dig("real"),
+                  gauge.reality_defect(beta), 1e-10))
+    rep.add(check("v_isometry", dig("iso"), np.max(iso), 1e-12))
+    rep.add(check("v_homomorphism", dig("homo"),
+                  np.max(norm(both - nested, rho)), 1e-12))
+    field_to_csv(beta.copy_with(beta.values[0]), outdir, "gauge_beta_sample")
 
     psi_field = random_algebra_field(grid, rng, cfg.gauge_modes, 1.0)
     f = random_one_form(grid, rng, modes=3, normalized=True)
@@ -445,28 +442,30 @@ def suite_fock(cfg: ExperimentConfig, rng, rep: Report, dig,
                outdir: Path) -> None:
     grid = build_grid("circle", cfg.fock_nodes, radius=1.0)
 
-    worst_unitary = 0.0
-    for _ in range(cfg.fock_tuples):
-        rho = rho_field(grid, "random", 0.4, rng=rng)
-        psi = random_gauge_field(grid, rng, cfg.gauge_modes, 1.0)
-        f = random_one_form(grid, rng, modes=3, normalized=True)
-        g = random_one_form(grid, rng, modes=3, normalized=True)
-        worst_unitary = max(worst_unitary,
-                            fock.kernel_discrepancy(psi, f, g, rho))
-    rep.add(check("u_unitary_kernel", dig("uni"), worst_unitary, 1e-10))
+    rho, psi, f, g = zip(*[
+        (rho_field(grid, "random", 0.4, rng=rng),
+         random_gauge_field(grid, rng, cfg.gauge_modes, 1.0),
+         random_one_form(grid, rng, modes=3, normalized=True),
+         random_one_form(grid, rng, modes=3, normalized=True))
+        for _ in range(cfg.fock_tuples)])
+    unitary = fock.kernel_discrepancy(gauge.stack_gauge_fields(psi),
+                                      stack_fields(f), stack_fields(g),
+                                      np.stack(rho))
+    rep.add(check("u_unitary_kernel", dig("uni"), np.max(unitary), 1e-10))
 
-    worst_coeff = 0.0
-    worst_param = 0.0
-    for _ in range(cfg.fock_pairs):
-        rho = rho_field(grid, "random", 0.4, rng=rng)
-        psi = random_gauge_field(grid, rng, cfg.gauge_modes, 1.0)
-        phi = random_gauge_field(grid, rng, cfg.gauge_modes, 1.0)
-        f_set = [random_one_form(grid, rng, modes=3, normalized=True)]
-        res = fock.homomorphism_check(psi, phi, f_set, rho)
-        worst_coeff = max(worst_coeff, abs(res.coeff_ratio - 1.0))
-        worst_param = max(worst_param, res.param_residual)
-    rep.add(check("u_homomorphism_coefficient", dig("coeff"), worst_coeff, 1e-9))
-    rep.add(check("u_homomorphism_parameter", dig("param"), worst_param, 1e-10))
+    rho, psi, phi, f_set = zip(*[
+        (rho_field(grid, "random", 0.4, rng=rng),
+         random_gauge_field(grid, rng, cfg.gauge_modes, 1.0),
+         random_gauge_field(grid, rng, cfg.gauge_modes, 1.0),
+         random_one_form(grid, rng, modes=3, normalized=True))
+        for _ in range(cfg.fock_pairs)])
+    res = fock.homomorphism_check(gauge.stack_gauge_fields(psi),
+                                  gauge.stack_gauge_fields(phi), f_set,
+                                  np.stack(rho))
+    rep.add(check("u_homomorphism_coefficient", dig("coeff"),
+                  abs(res.coeff_ratio - 1.0), 1e-9))
+    rep.add(check("u_homomorphism_parameter", dig("param"),
+                  res.param_residual, 1e-10))
 
     vac = fock.CoherentVector(1.0, Field.zero(grid, 1, algebra=True))
     rep.add(check("vacuum_kernel", dig("vac"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from energyrep import fock, gauge
-from energyrep.grid import Field, build_grid, inner_product, norm
+from energyrep.grid import Field, build_grid, inner_product, norm, stack_fields
 from energyrep.sampling import random_gauge_field, random_one_form, rho_field
 
 
@@ -202,3 +202,56 @@ class TestConformal:
         before = inner_product(f, f).real
         after = inner_product(rebind(f, g2), rebind(f, g2)).real
         assert after == pytest.approx(before * np.exp(-0.5), rel=1e-12)
+
+
+class TestStackedSamples:
+    """Coherent vectors with a sample axis against the per-sample loop."""
+
+    @pytest.fixture
+    def samples(self, circle):
+        local = np.random.default_rng(41)
+        psis = [random_gauge_field(circle, local) for _ in range(5)]
+        phis = [random_gauge_field(circle, local) for _ in range(5)]
+        fs = [random_one_form(circle, local, normalized=True)
+              for _ in range(5)]
+        gs = [random_one_form(circle, local, normalized=True)
+              for _ in range(5)]
+        rhos = [rho_field(circle, "random", 0.4, rng=local) for _ in range(5)]
+        coeffs = local.normal(size=5) + 1j * local.normal(size=5)
+        return psis, phis, fs, gs, rhos, coeffs
+
+    def test_apply_u(self, samples):
+        psis, _, fs, _, rhos, coeffs = samples
+        got = fock.apply_u(gauge.stack_gauge_fields(psis),
+                           fock.CoherentVector(coeffs, stack_fields(fs)),
+                           np.stack(rhos))
+        loop = [fock.apply_u(p, fock.CoherentVector(complex(c), f), r)
+                for p, f, r, c in zip(psis, fs, rhos, coeffs)]
+        assert np.array_equal(got.coeff, [v.coeff for v in loop])
+        assert np.array_equal(got.param.values, [v.param.values for v in loop])
+
+    def test_kernel_discrepancy(self, samples):
+        psis, _, fs, gs, rhos, _ = samples
+        got = fock.kernel_discrepancy(gauge.stack_gauge_fields(psis),
+                                      stack_fields(fs), stack_fields(gs),
+                                      np.stack(rhos))
+        assert np.array_equal(got, [fock.kernel_discrepancy(p, f, g, r)
+                                    for p, f, g, r in zip(psis, fs, gs, rhos)])
+
+    def test_homomorphism_check(self, samples):
+        psis, phis, fs, _, rhos, _ = samples
+        got = fock.homomorphism_check(gauge.stack_gauge_fields(psis),
+                                      gauge.stack_gauge_fields(phis), fs,
+                                      np.stack(rhos))
+        loop = [fock.homomorphism_check(p, q, [f], r)
+                for p, q, f, r in zip(psis, phis, fs, rhos)]
+        worst = max(loop, key=lambda res: abs(res.coeff_ratio - 1.0))
+        assert got.coeff_ratio == worst.coeff_ratio
+        assert got.param_residual == max(res.param_residual for res in loop)
+
+    def test_modulus_rounds_like_python_abs(self):
+        local = np.random.default_rng(7)
+        z = local.normal(size=4000) * 10.0 ** local.integers(-5, 5, 4000) \
+            + 1j * local.normal(size=4000)
+        assert np.array_equal(fock.modulus(z), [abs(complex(x)) for x in z])
+        assert fock.modulus(3.0 - 4.0j) == 5.0

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from energyrep import gauge, su2
-from energyrep.grid import Field, WeightField, build_grid, norm
+from energyrep.grid import (Field, GridError, WeightField, build_grid, norm,
+                            stack_fields)
 from energyrep.operators import assemble_h, conjugated_operator
 from energyrep.profiles import bumps, fourier_series
 from energyrep.sampling import (random_algebra_field, random_gauge_field,
@@ -108,6 +109,66 @@ class TestVAction:
         lhs = gauge.v_action(gauge.gauge_product(psi, phi), f)
         rhs = gauge.v_action(psi, gauge.v_action(phi, f))
         assert norm(lhs - rhs) <= 1e-12 * norm(f)
+
+
+class TestStackedSamples:
+    """A sample axis on gauge fields and forms against the per-sample loop."""
+
+    @pytest.fixture(params=["circle", "torus"])
+    def samples(self, request):
+        grid = (build_grid("circle", 32, radius=1.0)
+                if request.param == "circle"
+                else build_grid("torus", 8, radius=1.0))
+        local = np.random.default_rng(31)
+        psis = [random_gauge_field(grid, local, modes=2) for _ in range(4)]
+        phis = [random_gauge_field(grid, local, modes=2) for _ in range(4)]
+        fs = [random_one_form(grid, local, modes=2) for _ in range(4)]
+        rhos = [rho_field(grid, "random", 0.4, rng=local) for _ in range(4)]
+        return grid, psis, phis, fs, rhos
+
+    def test_log_derivative(self, samples):
+        _, psis, *_ = samples
+        got = gauge.log_derivative(gauge.stack_gauge_fields(psis))
+        want = [gauge.log_derivative(p).values for p in psis]
+        assert got.sample_axes == 1
+        assert np.array_equal(got.values, want)
+
+    def test_gauge_product_and_inverse(self, samples):
+        _, psis, phis, *_ = samples
+        psi = gauge.stack_gauge_fields(psis)
+        phi = gauge.stack_gauge_fields(phis)
+        prod = gauge.gauge_product(psi, phi)
+        loop = [gauge.gauge_product(p, q) for p, q in zip(psis, phis)]
+        assert np.array_equal(prod.u, [g.u for g in loop])
+        assert np.array_equal(prod.du, [g.du for g in loop])
+        inv = gauge.gauge_inverse(psi)
+        loop = [gauge.gauge_inverse(p) for p in psis]
+        assert np.array_equal(inv.u, [g.u for g in loop])
+        assert np.array_equal(inv.du, [g.du for g in loop])
+
+    def test_v_action(self, samples):
+        _, psis, _, fs, _ = samples
+        psi, f = gauge.stack_gauge_fields(psis), stack_fields(fs)
+        assert np.array_equal(gauge.v_action(psi, f).values,
+                              [gauge.v_action(p, g).values
+                               for p, g in zip(psis, fs)])
+        # one gauge field acting on a stacked set broadcasts
+        assert np.array_equal(gauge.v_action(psis[0], f).values,
+                              [gauge.v_action(psis[0], g).values for g in fs])
+
+    def test_cocycle_residual(self, samples):
+        _, psis, phis, _, rhos = samples
+        got = gauge.cocycle_residual(gauge.stack_gauge_fields(psis),
+                                     gauge.stack_gauge_fields(phis),
+                                     np.stack(rhos))
+        assert np.array_equal(got, [gauge.cocycle_residual(p, q, r)
+                                    for p, q, r in zip(psis, phis, rhos)])
+
+    def test_stacking_rejects_mixed_grids(self, samples):
+        grid, psis, *_ = samples
+        other = build_grid("circle", 12, radius=1.0)
+        with pytest.raises(GridError):
+            gauge.stack_gauge_fields([psis[0], gauge.gauge_identity(other)])
 
 
 class TestVPrime:
