@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .grid import Field, GridManifold, GridError, norm
+from .grid import Field, GridManifold, GridError, norm, stack_fields
 from .profiles import AnnulusStepProfile, PlateauProfile, derivative_sup_estimate
 
 
@@ -183,11 +183,12 @@ def v_prime_bound_constant(field: AlgebraValuedField, test_set, m: int,
     """
     from .seminorms import seminorm_prime_batch
 
-    iterates = []  # f, V'f, ..., V'^iterations f for each f in turn
-    for f in test_set:
-        iterates.append(f)
-        for _ in range(iterations):
-            iterates.append(v_prime(field, iterates[-1]))
+    chain = [stack_fields(test_set)]  # the test set, then its V' iterates
+    for _ in range(iterations):
+        chain.append(v_prime(field, chain[-1]))
+    # f, V'f, ..., V'^iterations f for each f in turn
+    iterates = [g.copy_with(g.values[s]) for s in range(len(test_set))
+                for g in chain]
     values = seminorm_prime_batch(iterates, (m,), weight)[0]
     best = 0.0
     for row in values.reshape(len(test_set), iterations + 1):

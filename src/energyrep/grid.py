@@ -68,6 +68,12 @@ class GridManifold:
         return mesh.reshape(mesh.shape[:lead] + (self.node_count,)
                             + mesh.shape[lead + self.dimension:])
 
+    def axis_coordinates(self, axis: int) -> np.ndarray:
+        """Coordinates of the nodes along one grid axis, in axis order."""
+        line = [0] * self.dimension
+        line[axis] = slice(None)
+        return self.to_mesh(self.nodes[:, axis])[tuple(line)]
+
     def compatible_with(self, other: "GridManifold") -> bool:
         return (
             self.shape_name == other.shape_name
@@ -199,11 +205,17 @@ class Field:
 
 @dataclass(frozen=True, eq=False)
 class WeightField:
-    """The potential W (>= 1 everywhere) together with a weight exponent rho."""
+    """The potential W (>= 1 everywhere) together with a weight exponent rho.
+
+    `parts`, when known, splits W by axis: W(x) = sum_j parts[j][x_j] up to
+    rounding, one array per grid axis.  A part alone may be below 1.  W built
+    from a raw array has no parts.
+    """
 
     grid: GridManifold
     w: np.ndarray
     rho: np.ndarray
+    parts: tuple | None = None
 
     def __post_init__(self):
         if self.w.shape != (self.grid.node_count,):
@@ -212,19 +224,29 @@ class WeightField:
             raise GridError("rho must be a per-node scalar array")
         if np.min(self.w) < 1.0:
             raise GridError("potential W must satisfy W >= 1 everywhere")
+        if self.parts is not None and (
+                tuple(np.shape(p) for p in self.parts)
+                != tuple((n,) for n in self.grid.axis_sizes)):
+            raise GridError("W needs one part per grid axis, one value per "
+                            "node of that axis")
 
     @classmethod
     def constant(cls, grid: GridManifold, value: float = 2.0,
                  rho: np.ndarray | None = None) -> "WeightField":
         r = np.zeros(grid.node_count) if rho is None else np.asarray(rho, float)
-        return cls(grid, np.full(grid.node_count, float(value)), r)
+        parts = tuple(np.full(n, float(value) / grid.dimension)
+                      for n in grid.axis_sizes)
+        return cls(grid, np.full(grid.node_count, float(value)), r, parts)
 
     @classmethod
     def quadratic(cls, grid: GridManifold, offset: float = 1.0,
                   rho: np.ndarray | None = None) -> "WeightField":
+        """W = |x|^2 + offset, with parts x_j^2 + offset/d."""
         w = np.sum(grid.nodes ** 2, axis=1) + float(offset)
         r = np.zeros(grid.node_count) if rho is None else np.asarray(rho, float)
-        return cls(grid, w, r)
+        parts = tuple(grid.axis_coordinates(j) ** 2 + float(offset) / grid.dimension
+                      for j in range(grid.dimension))
+        return cls(grid, w, r, parts)
 
 
 def _check_pair(f: Field, g: Field) -> None:

@@ -5,6 +5,12 @@ adjoints, so it is symmetric by construction and its periodic eigenvalues obey
 the classical dispersion (2/h^2)(1 - cos kh) + W exactly.  The weighted
 conjugate H_rho = E^{-1} H E (E = multiplication by e^{rho/2}) shares the
 spectrum of H with eigenvectors e^{-rho/2} e_n.
+
+On a d = 2 tensor grid with a potential that splits by axis, H is the
+Kronecker sum F_0 (x) I + I (x) F_1 of 1-D operators, and its spectrum comes
+from one symmetric solve per axis (Lynch, Rice & Thomas, "Direct solution of
+partial difference equations by tensor product methods", Numer. Math. 6
+(1964)); the dense matrix is still assembled, for the residual gates.
 """
 from __future__ import annotations
 
@@ -24,15 +30,62 @@ def _node_columns(f: Field, n: int) -> np.ndarray:
     return f.values.reshape(f.values.shape[:f.sample_axes] + (n, -1))
 
 
+def _symmetrized(matrix: np.ndarray, weights: np.ndarray) -> tuple:
+    """sqrt(w) and diag(sqrt w) M diag(sqrt w)^{-1}, symmetric for H."""
+    sqw = np.sqrt(weights)
+    return sqw, (sqw[:, None] * matrix) / sqw[None, :]
+
+
+def _signed(vecs: np.ndarray) -> np.ndarray:
+    """Deterministic sign, in place: in every column the first component
+    exceeding a relative floor is made positive."""
+    mag = np.abs(vecs)
+    first = np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0)
+    flip = vecs[first, np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] = -vecs[:, flip]
+    return vecs
+
+
+def symmetric_solve(matrix: np.ndarray, weights: np.ndarray) -> tuple:
+    """Dense symmetric solve of M under the weights w: ascending eigenvalues
+    and w-orthonormal eigenvectors (columns) under the sign rule."""
+    sqw, sym = _symmetrized(matrix, weights)
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    return eigvals, _signed(eigvecs / sqw[:, None])
+
+
+def kronecker_sum_solve(factors: tuple, weights: np.ndarray) -> tuple:
+    """Solve of F_0 (x) I + I (x) F_1 from one symmetric solve per axis.
+
+    The eigenvalues are the sums a_i + b_j in stable ascending order; column
+    k is kron(u_i, v_j) for the k-th pair, made w-orthonormal (the weights
+    are uniform on every grid that has factors) and put under the sign rule
+    again, since the rule does not survive the product.
+    """
+    (a, u), (b, v) = (symmetric_solve(f, np.ones(f.shape[0])) for f in factors)
+    summed = (a[:, None] + b[None, :]).ravel()
+    order = np.argsort(summed, kind="stable")
+    i, j = np.divmod(order, b.size)
+    # node x * ny + y of column k is u[x, i_k] v[y, j_k], as np.kron has it
+    vecs = (u[:, None, i] * v[None, :, j]).reshape(summed.size, summed.size)
+    vecs /= np.sqrt(weights)[:, None]
+    return summed[order], _signed(vecs)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Square operator on per-node coefficients, symmetric under its weights."""
+    """Square operator on per-node coefficients, symmetric under its weights.
+
+    `factors` holds the 1-D operators whose Kronecker sum the matrix is,
+    when it is one; the eigendecomposition then solves per axis.
+    """
 
     grid: GridManifold
     matrix: np.ndarray        # (n, n)
     node_weights: np.ndarray  # quadrature weights incl. e^rho
     rho: np.ndarray | None
     rank: int
+    factors: tuple | None = None
 
     def apply(self, f: Field) -> Field:
         if f.rank != self.rank:
@@ -43,28 +96,28 @@ class DiscreteOperator:
     def symmetry_residual(self) -> float:
         """Max asymmetry of diag(w) M, scaled by its own magnitude."""
         s = self.node_weights[:, None] * self.matrix
-        return float(np.max(np.abs(s - s.T)) / np.max(np.abs(s)))
+        scale = np.max(np.abs(s))
+        # one n x n temporary at a time: this sets the peak memory of a
+        # large d = 2 spectrum run
+        asym = s - s.T
+        return float(np.max(np.abs(asym, out=asym)) / scale)
 
     def _symmetrized(self) -> tuple:
-        """sqrt(w) and diag(sqrt w) M diag(sqrt w)^{-1}, symmetric for H."""
-        sqw = np.sqrt(self.node_weights)
-        return sqw, (sqw[:, None] * self.matrix) / sqw[None, :]
+        return _symmetrized(self.matrix, self.node_weights)
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the same symmetric solve, no vectors."""
+        """Ascending eigenvalues of the dense symmetric solve, no vectors;
+        independent of the per-axis solve."""
         return np.linalg.eigvalsh(self._symmetrized()[1])
 
     def eigendecomposition(self) -> "SpectralDecomposition":
-        """Dense symmetric solve; ascending eigenvalues, weight-orthonormal
-        eigenvectors, first significant component made positive."""
-        sqw, sym = self._symmetrized()
-        eigvals, eigvecs = np.linalg.eigh(sym)
-        vecs = eigvecs / sqw[:, None]
-        # deterministic sign: first component exceeding a relative floor is > 0
-        mag = np.abs(vecs)
-        first = np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0)
-        flip = vecs[first, np.arange(vecs.shape[1])] < 0
-        vecs[:, flip] = -vecs[:, flip]
+        """Ascending eigenvalues, weight-orthonormal eigenvectors, first
+        significant component made positive: one solve per axis when the
+        operator has factors, one dense solve otherwise."""
+        if self.factors is None:
+            eigvals, vecs = symmetric_solve(self.matrix, self.node_weights)
+        else:
+            eigvals, vecs = kronecker_sum_solve(self.factors, self.node_weights)
         return SpectralDecomposition(self.grid, eigvals, vecs,
                                      self.node_weights, self.rho)
 
@@ -122,28 +175,35 @@ def _laplacian_1d(n: int, h: float, periodic: bool) -> np.ndarray:
     return g.T @ g
 
 
-def assemble_laplacian(grid: GridManifold) -> np.ndarray:
-    """grad†grad on scalars via one-sided links and exact adjoints."""
-    if not grid.has_unit_scale():
-        raise GridError("operator assembly requires the unrescaled flat metric")
-    periodic = grid.topology == "periodic"
-    mats = [_laplacian_1d(nn, grid.spacing[j], periodic)
-            for j, nn in enumerate(grid.axis_sizes)]
-    if grid.dimension == 1:
-        return mats[0]
-    nx, ny = grid.axis_sizes
-    return np.kron(mats[0], np.eye(ny)) + np.kron(np.eye(nx), mats[1])
-
-
 def assemble_h(grid: GridManifold, weight: WeightField, rank: int = 0) -> DiscreteOperator:
-    """H = grad†grad + W, acting channelwise on rank-0 or rank-1 fields."""
+    """H = grad†grad + W, acting channelwise on rank-0 or rank-1 fields.
+
+    grad†grad is assembled from one-sided links and exact adjoints, per axis.
+    On a d = 2 grid where W splits by axis, the operator also keeps its 1-D
+    factors: the axis Laplacian plus that axis' part of W.
+    """
     if rank not in (0, 1):
         raise GridError("H acts on rank-0 or rank-1 fields")
     if np.min(weight.w) < 1.0:
         raise GridError("potential W must satisfy W >= 1 (condition on the scale)")
-    lap = assemble_laplacian(grid)
+    if not grid.has_unit_scale():
+        raise GridError("operator assembly requires the unrescaled flat metric")
+    periodic = grid.topology == "periodic"
+    axes = [_laplacian_1d(nn, grid.spacing[j], periodic)
+            for j, nn in enumerate(grid.axis_sizes)]
+    factors = None
+    if grid.dimension == 1:
+        lap = axes[0]
+    else:
+        nx, ny = grid.axis_sizes
+        lap = np.kron(axes[0], np.eye(ny)) + np.kron(np.eye(nx), axes[1])
+        if weight.parts is not None:
+            # a part alone may be below 1: plain matrices, no WeightField
+            factors = tuple(a + np.diag(part)
+                            for a, part in zip(axes, weight.parts))
     mat = lap + np.diag(weight.w)
-    return DiscreteOperator(grid, mat, grid.measure_weights(), None, rank)
+    return DiscreteOperator(grid, mat, grid.measure_weights(), None, rank,
+                            factors)
 
 
 def conjugated_operator(op: DiscreteOperator,

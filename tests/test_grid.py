@@ -225,6 +225,18 @@ class TestWeightField:
         w = WeightField.quadratic(g, 1.0)
         assert np.allclose(w.w, g.nodes[:, 0] ** 2 + 1.0)
 
+    @pytest.mark.parametrize("shape,kw", [("torus", {"radius": 1.0}),
+                                          ("square", {"halfwidth": 3.0})])
+    def test_parts_split_w_by_axis(self, shape, kw):
+        g = build_grid(shape, 7, **kw)
+        for w in (WeightField.constant(g, 2.0), WeightField.quadratic(g, 1.0)):
+            px, py = w.parts
+            summed = (px[:, None] + py[None, :]).ravel()
+            assert np.max(np.abs(summed - w.w)) <= 1e-14 * np.max(w.w)
+        assert WeightField(g, np.full(49, 2.0), np.zeros(49)).parts is None
+        with pytest.raises(GridError):
+            WeightField(g, np.full(49, 2.0), np.zeros(49), (np.ones(7),))
+
 
 class TestSampleAxis:
     """A stacked test set gives per sample exactly what each field gives."""

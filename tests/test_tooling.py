@@ -24,6 +24,28 @@ def test_every_traced_function_has_a_binding(monkeypatch):
         assert _lookup(mod, path) is original, f"{mod}.{path}"
 
 
+def test_factored_eigendecomposition_is_one_traced_solve(monkeypatch):
+    # the per-axis solves must not reach the traced method, and the span is
+    # sized from the assembled matrix: --trace 1 call counts and n3 rely on it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layertrace
+    from energyrep.grid import WeightField, build_grid
+    from energyrep.operators import assemble_h
+
+    g = build_grid("torus", 8, radius=1.0)
+    op = assemble_h(g, WeightField.constant(g, 2.0))
+    assert op.factors is not None
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        op.eigendecomposition()
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s[0] == "operators.eigendecomposition"]
+    assert len(spans) == 1
+    assert spans[0][4] == 64
+
+
 def _lookup(modname, path):
     owner = sys.modules[modname]
     *owners, attr = path.split(".")
