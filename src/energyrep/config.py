@@ -135,7 +135,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     from .fock import MAX_CUTOFF
     from .grid import MIN_NODES, PERIODIC_SHAPES, SUPPORTED_SHAPES
     from .sampling import RHO_PROFILES
-    from .suites import LADDER_WORDS
+    from .suites import EIGENVECTOR_MODES, LADDER_WORDS, OSCILLATOR_LEVELS
     if cfg.domain_shape not in SUPPORTED_SHAPES:
         raise ConfigError(f"domain.shape must be one of {SUPPORTED_SHAPES}")
     if cfg.rho_profile not in RHO_PROFILES:
@@ -166,11 +166,22 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.spectrum_circle_nodes < 8:
         raise ConfigError("spectrum.circle_nodes must be at least 8, so the "
                           "continuum check has a mode |k| <= N/8")
+    if cfg.domain_shape in ("circle", "interval") and cfg.domain_nodes < 8:
+        raise ConfigError("domain.nodes must be at least 8 on a 1-D domain, so "
+                          "the Hilbert-Schmidt fit window n/4..n/2 holds two "
+                          "distinct eigenvalues")
+    if cfg.spectrum_oscillator_nodes < OSCILLATOR_LEVELS:
+        raise ConfigError(f"spectrum.oscillator_nodes must be at least "
+                          f"{OSCILLATOR_LEVELS}, the oscillator levels checked")
     if any(n < MIN_NODES for n in cfg.seminorms_nodes):
         raise ConfigError(f"seminorms.nodes entries must be at least {MIN_NODES}")
     if len(set(cfg.seminorms_nodes)) < 2:
         raise ConfigError("seminorms.nodes needs at least two distinct sizes "
                           "for the refinement-stability ratio")
+    if max(cfg.seminorms_nodes) <= max(EIGENVECTOR_MODES):
+        raise ConfigError(f"seminorms.nodes needs an entry of at least "
+                          f"{max(EIGENVECTOR_MODES) + 1}, for the eigenvectors "
+                          f"{EIGENVECTOR_MODES} on its largest circle")
     if any(m < 0 for m in cfg.seminorms_m_list):
         raise ConfigError("seminorms.m_list entries must be at least 0")
     if all(m > 2 for m in cfg.seminorms_m_list):

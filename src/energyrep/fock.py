@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import GaugeField, gauge_product, log_derivative, v_action
-from .grid import (Field, conformal_rescale, inner_product, norm, rebind,
-                   stack_fields)
+from .grid import Field, conformal_rescale, inner_product, norm, rebind
 from .operators import saturating_exp
 
 
@@ -81,11 +80,11 @@ class HomomorphismResult:
     param_residual: float
 
 
-def homomorphism_check(psi: GaugeField, phi: GaugeField, f_set,
+def homomorphism_check(psi: GaugeField, phi: GaugeField, f_set: Field,
                        rho: np.ndarray | None = None) -> HomomorphismResult:
     """Compare U(psi phi) exp(f) with U(psi) U(phi) exp(f) componentwise;
     worst case over f_set, whose sample axis psi, phi and rho may share."""
-    v = CoherentVector(1.0, stack_fields(f_set))
+    v = CoherentVector(1.0, f_set)
     lhs = apply_u(gauge_product(psi, phi), v, rho)
     rhs = apply_u(psi, apply_u(phi, v, rho), rho)
     ratio = lhs.coeff / rhs.coeff
@@ -110,16 +109,17 @@ def conformal_check(psi: GaugeField, rho_conf: np.ndarray, f_set, g_set,
                     rho_weight: np.ndarray | None = None) -> ConformalReport:
     """Recompute U-matrix elements after rescaling the metric by e^rho_conf.
 
-    One element per pair (f, g).  In dimension 2 they are invariant; otherwise
-    the deviation is reported, and for constant rho_conf it is compared with
-    the exact factor e^{(d/2-1)rho} on every one-particle inner product.
+    One element per pair (f, g) from the two test sets.  In dimension 2 they
+    are invariant; otherwise the deviation is reported, and for constant
+    rho_conf it is compared with the exact factor e^{(d/2-1)rho} on every
+    one-particle inner product.
     """
     d = psi.grid.dimension
     new_grid, _combined = conformal_rescale(psi.grid, rho_conf)
     psi2 = GaugeField(new_grid, psi.u, psi.du)
 
-    f = stack_fields([x for x in f_set for _ in g_set])
-    g = stack_fields(list(g_set) * len(f_set))
+    f = f_set.copy_with(np.repeat(f_set.values, len(g_set.values), axis=0))
+    g = g_set.copy_with(np.concatenate([g_set.values] * len(f_set.values)))
     before = coherent_inner(CoherentVector(1.0, f),
                             apply_u(psi, CoherentVector(1.0, g), rho_weight),
                             rho_weight)

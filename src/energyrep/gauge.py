@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .grid import Field, GridManifold, GridError, norm, stack_fields
+from .grid import Field, GridManifold, GridError, norm
 from .profiles import AnnulusStepProfile, PlateauProfile, derivative_sup_estimate
 
 
@@ -36,7 +36,8 @@ class GaugeField:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraValuedField:
-    """su(2)-valued function with exact derivatives."""
+    """su(2)-valued function with exact derivatives; a sample set puts a
+    sample axis first."""
 
     grid: GridManifold
     values: np.ndarray  # (n, 3) real
@@ -49,15 +50,6 @@ class AlgebraValuedField:
         return cls(grid, vals, ders)
 
 
-def stack_gauge_fields(fields) -> GaugeField:
-    """Gauge fields on one grid as one with a leading sample axis."""
-    grid = fields[0].grid
-    if not all(f.grid.compatible_with(grid) for f in fields):
-        raise GridError("gauge fields live on different grids")
-    return GaugeField(grid, np.stack([f.u for f in fields]),
-                      np.stack([f.du for f in fields]))
-
-
 def gauge_identity(grid: GridManifold) -> GaugeField:
     n, d = grid.node_count, grid.dimension
     u = np.tile(su2.IDENTITY2, (n, 1, 1))
@@ -68,11 +60,11 @@ def gauge_identity(grid: GridManifold) -> GaugeField:
 def gauge_from_algebra(field: AlgebraValuedField, t: float = 1.0) -> GaugeField:
     """Pointwise exp(t Psi), with derivatives from the closed-form dexp.
 
-    One `su2.dexp_batch` call covers every node and every axis.
+    One `su2.dexp_batch` call covers every sample, node and axis.
     """
-    a = su2.to_matrix(t * field.values)               # (n, 2, 2)
-    aprime = su2.to_matrix(t * field.derivs)          # (n, d, 2, 2)
-    du = su2.dexp_batch(np.broadcast_to(a[:, None], aprime.shape), aprime)
+    a = su2.to_matrix(t * field.values)[..., None, :, :]  # (..., n, 1, 2, 2)
+    aprime = su2.to_matrix(t * field.derivs)               # (..., n, d, 2, 2)
+    du = su2.dexp_batch(np.broadcast_to(a, aprime.shape), aprime)
     return GaugeField(field.grid, su2.exp_map(t * field.values), du)
 
 
@@ -174,28 +166,26 @@ def exp_series_action(field: AlgebraValuedField, t: float, f: Field,
 # Derived-action bound and the regularity check
 # ---------------------------------------------------------------------------
 
-def v_prime_bound_constant(field: AlgebraValuedField, test_set, m: int,
+def v_prime_bound_constant(field: AlgebraValuedField, test_set: Field, m: int,
                            weight, iterations: int = 4) -> float:
     """Empirical constant C with |V'(Psi) f|'_m <= C |f|'_m over the test set.
 
-    The max runs over the given fields and a few V' iterates of each, so the
+    The max runs over the set and a few V' iterates of each member, so the
     constant also controls the series terms used by the regularity bound.
     """
     from .seminorms import seminorm_prime_batch
 
-    chain = [stack_fields(test_set)]  # the test set, then its V' iterates
+    chain = [test_set]  # the test set, then its V' iterates
     for _ in range(iterations):
         chain.append(v_prime(field, chain[-1]))
-    # f, V'f, ..., V'^iterations f for each f in turn
-    iterates = [g.copy_with(g.values[s]) for s in range(len(test_set))
-                for g in chain]
-    values = seminorm_prime_batch(iterates, (m,), weight)[0]
-    best = 0.0
-    for row in values.reshape(len(test_set), iterations + 1):
-        for den, num in zip(row[:-1], row[1:]):
-            if den > 0:
-                best = max(best, num / den)
-    return float(best)
+    values = seminorm_prime_batch(test_set.copy_with(np.concatenate(
+        [g.values for g in chain])), (m,), weight)[0].reshape(len(chain), -1)
+    return _sup_ratio(values[1:], values[:-1])
+
+
+def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """max(0, num / den) over the entries with den > 0."""
+    return max(0.0, float(np.max(num / np.where(den > 0, den, np.inf))))
 
 
 @dataclass(frozen=True)
@@ -221,25 +211,16 @@ def regularity_check(field: AlgebraValuedField, test_set, t_list, p: float,
     c_hat = v_prime_bound_constant(field, test_set, m, weight)
     den = seminorm_p_batch(test_set, (q,), decomposition)[0]
     den_m = seminorm_prime_batch(test_set, (m,), weight)[0]
-    drift = [v_prime(field, f) for f in test_set]
+    drift = v_prime(field, test_set)
     errors = []
     margins = []
     for t in t_list:
-        # V(exp(t Psi)) depends on t alone: one rotation serves every f
-        r = su2.rotation_of(su2.exp_map(t * field.values))
-        quotients = [(_rotate(r, f) - f) * (1.0 / t) - vf
-                     for f, vf in zip(test_set, drift)]
+        quotients = ((v_action_of_exp(field, t, test_set) - test_set)
+                     * (1.0 / t) - drift)
         err = seminorm_p_batch(quotients, (p,), decomposition)[0]
         err_m = seminorm_prime_batch(quotients, (m,), weight)[0]
-        worst = 0.0
-        worst_m = 0.0
-        for e, d, e_m, d_m in zip(err, den, err_m, den_m):
-            if d > 0:
-                worst = max(worst, e / d)
-            if d_m > 0:
-                worst_m = max(worst_m, e_m / (t * np.exp(c_hat) * d_m))
-        errors.append(float(worst))
-        margins.append(float(worst_m))
+        errors.append(_sup_ratio(err, den))
+        margins.append(_sup_ratio(err_m, t * np.exp(c_hat) * den_m))
     if min(errors) > 0.0:
         slope = float(np.polyfit(np.log(np.asarray(t_list)),
                                  np.log(np.asarray(errors)), 1)[0])
@@ -280,15 +261,15 @@ def cutoff_sequence(grid: GridManifold, count: int, step: float,
     return stages
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutoffDecayReport:
     n_list: tuple
-    values: tuple            # per f: tuple over n of |V'(Psi - Psi_n) f|_{rho,p}
-    covered_from: tuple      # per f: first stage with psi_n == 1 on supp f (or -1)
+    values: np.ndarray        # (f, n): |V'(Psi - Psi_n) f|_{rho,p}
+    covered_from: np.ndarray  # per f: first stage with psi_n == 1 on supp f (or -1)
 
 
-def cutoff_approximation(field: AlgebraValuedField, stages, f_set, p: float,
-                         decomposition) -> CutoffDecayReport:
+def cutoff_approximation(field: AlgebraValuedField, stages, f_set: Field,
+                         p: float, decomposition) -> CutoffDecayReport:
     """Decay of |V'(Psi - Psi_n) f|_{rho,p} along the cutoff family.
 
     Psi_n := psi_n Psi.  Refuses on domains flagged as violating condition (c)
@@ -301,20 +282,17 @@ def cutoff_approximation(field: AlgebraValuedField, stages, f_set, p: float,
         raise ConditionCViolation(
             "domain violates condition (c); no uniformly bounded cutoff "
             "sequence exists (see punctured_plane_demo)")
-    diffs = [AlgebraValuedField(grid, (1.0 - s.values)[:, None] * field.values,
-                                np.zeros_like(field.derivs))
-             for s in stages]
-    images = [v_prime(diff, f) for f in f_set for diff in diffs]
-    values = (seminorm_p_batch(images, (p,), decomposition)[0] if images
-              else np.zeros(0)).reshape(len(f_set), len(stages))
-    rows = tuple(tuple(float(v) for v in row) for row in values)
-    covered = []
-    for f in f_set:
-        supp = np.max(np.abs(f.values.reshape(grid.node_count, -1)), axis=1) > 0
-        covered.append(next((s.index for s in stages
-                             if np.all(s.values[supp] == 1.0)), -1))
-    return CutoffDecayReport(tuple(s.index for s in stages), rows,
-                             tuple(covered))
+    count, n_list = len(f_set.values), tuple(s.index for s in stages)
+    images = np.concatenate([v_prime(AlgebraValuedField(
+        grid, (1.0 - s.values)[:, None] * field.values,
+        np.zeros_like(field.derivs)), f_set).values for s in stages])
+    values = seminorm_p_batch(f_set.copy_with(images), (p,), decomposition)[0]
+    # the first stage with psi_n == 1 on each support; -1 if none has
+    supp = np.any(f_set.values.reshape(count, grid.node_count, -1) != 0, axis=2)
+    covers = [np.all((s.values == 1.0) | ~supp, axis=1) for s in stages]
+    first = np.argmax(covers + [np.ones(count, bool)], axis=0)
+    return CutoffDecayReport(n_list, values.reshape(len(stages), count).T,
+                             np.array(n_list + (-1,))[first])
 
 
 @dataclass(frozen=True)

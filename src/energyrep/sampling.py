@@ -2,15 +2,20 @@
 
 Everything is driven by an explicit numpy Generator so that fixed seeds give
 byte-identical reports.  Smooth test functions are fixed continuum profiles
-(low Fourier modes, Gaussians, bumps) evaluated per grid, so values converge
+(low Fourier modes, plane waves, bumps) evaluated per grid, so values converge
 under refinement and probe constants stabilize.
+A sampler makes one sample, or with a `count` a set on a leading sample
+axis: it draws parameter rows in one-at-a-time order, then evaluates the
+set with one call of the grid's profile family.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .gauge import AlgebraValuedField, GaugeField, gauge_from_algebra
-from .grid import Field, GridManifold
+from .grid import Field, GridManifold, norm
 from .profiles import bumps, fourier_series, plane_waves
 
 
@@ -18,23 +23,17 @@ def suite_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def _random_profiles(grid: GridManifold, rng: np.random.Generator, count: int,
-                     modes: int, amplitude: float):
-    """Values (count, n) and exact gradients (count, n, d) of random smooth
-    profiles adapted to the topology.
-
-    The draws come profile after profile, each in the order of its own
-    terms, as drawing one profile at a time would make them.
-    """
-    nodes = grid.nodes
+def _draw_rows(grid: GridManifold, rng: np.random.Generator, count: int,
+               modes: int, amplitude: float) -> np.ndarray:
+    """Parameter rows of `count` random smooth profiles adapted to the
+    topology, drawn profile after profile, each in the order of its terms."""
     if grid.topology == "periodic" and grid.dimension == 1:
-        period = grid.spacing[0] * grid.axis_sizes[0]
+        # cosine, then sine amplitudes of the modes 1..modes
         scale = amplitude / max(modes, 1)
-        amps = (rng.uniform(-scale, scale, size=(count, 2, modes))
+        return (rng.uniform(-scale, scale, size=(count, 2, modes))
                 / np.arange(1, modes + 1))
-        return fourier_series(nodes, period, amps[:, 0], amps[:, 1])
     if grid.topology == "periodic":
-        periods = tuple(grid.spacing[j] * grid.axis_sizes[j] for j in range(2))
+        # one (amplitude, kx, ky, phase) row per plane wave
         terms = np.zeros((count, modes, 4))
         for term in terms.reshape(-1, 4):
             kx, ky = int(rng.integers(0, 3)), int(rng.integers(0, 3))
@@ -42,57 +41,99 @@ def _random_profiles(grid: GridManifold, rng: np.random.Generator, count: int,
                 kx = 1
             term[:] = (rng.uniform(-amplitude, amplitude) / max(kx + ky, 1),
                        kx, ky, rng.uniform(0, 2 * np.pi))
-        return plane_waves(nodes, periods, terms)
+        return terms
     # truncated box: random interior bumps, compactly supported; each row
     # draws the center, then the width, then the amplitude
-    extent = np.max(np.abs(nodes))
+    extent = np.max(np.abs(grid.nodes))
     d = grid.dimension
-    rows = rng.uniform([-extent / 2] * d + [extent / 3, -amplitude],
+    return rng.uniform([-extent / 2] * d + [extent / 3, -amplitude],
                        [extent / 2] * d + [2 * extent / 3, amplitude],
                        size=(count, d + 2))
-    return bumps(nodes, rows[:, :d], rows[:, d], rows[:, d + 1])
+
+
+def _profiles(grid: GridManifold, rows: np.ndarray):
+    """Values (P, n) and exact gradients (P, n, d) of the profiles with the
+    given parameter rows, from one call of the grid's family."""
+    nodes = grid.nodes
+    if grid.topology == "periodic" and grid.dimension == 1:
+        period = grid.spacing[0] * grid.axis_sizes[0]
+        return fourier_series(nodes, period, rows[:, 0], rows[:, 1])
+    if grid.topology == "periodic":
+        periods = tuple(grid.spacing[j] * grid.axis_sizes[j] for j in range(2))
+        return plane_waves(nodes, periods, rows)
+    return bumps(nodes, rows[:, :-2], rows[:, -2], rows[:, -1])
+
+
+def _build(grid: GridManifold, kind: str, lead: tuple, vals, grads):
+    """One sample (lead ()) or a set (lead (count,)) of a kind from the
+    values and gradients of its profiles, sample after sample."""
+    n, d = grid.node_count, grid.dimension
+    if kind == "rho":
+        return vals.reshape(lead + (n,))
+    if kind == "covector":
+        return Field.covector(grid, np.ascontiguousarray(
+            np.swapaxes(vals.reshape(lead + (d, n)), -1, -2), dtype=complex))
+    if kind in ("algebra", "gauge"):
+        field = AlgebraValuedField(grid, np.ascontiguousarray(
+            np.swapaxes(vals.reshape(lead + (3, n)), -1, -2)),
+            np.ascontiguousarray(np.moveaxis(grads.reshape(lead + (3, n, d)),
+                                             -3, -1)))
+        return gauge_from_algebra(field) if kind == "gauge" else field
+    # one_form, unit_one_form: axis j, algebra index a, real/imaginary part
+    parts = vals.reshape(lead + (d, 3, 2, n))
+    f = Field(grid, 1, np.ascontiguousarray(np.moveaxis(
+        parts[..., 0, :] + 1j * parts[..., 1, :], -1, -3)), algebra=True)
+    if kind == "unit_one_form":
+        nv = norm(f)
+        inv = 1.0 / np.where(nv > 0, nv, 1.0)
+        f = f.copy_with(f.values * np.reshape(inv, np.shape(nv) + (1, 1, 1)))
+    return f
+
+
+def random_tuples(grid: GridManifold, rng: np.random.Generator,
+                  count: int | None, *kinds) -> tuple:
+    """One set of `count` samples per kind (name, modes, amplitude), or one
+    sample per kind for count None, drawn as a loop would draw them that
+    makes one sample of each kind in turn; each kind is evaluated once.
+    The names: rho, covector, algebra, gauge, one_form, unit_one_form."""
+    if count is not None and count < 1:
+        raise ValueError("a sampled set needs at least one sample")
+    lead = () if count is None else (count,)
+    # profiles per sample; a one-form takes six per axis
+    per = {"rho": 1, "algebra": 3, "gauge": 3, "covector": grid.dimension}
+    rows = [[_draw_rows(grid, rng, per.get(kind, 6 * grid.dimension), modes,
+                        amplitude) for kind, modes, amplitude in kinds]
+            for _ in range(math.prod(lead))]
+    return tuple(_build(grid, kind, lead,
+                        *_profiles(grid, np.concatenate(per_kind)))
+                 for (kind, *_), per_kind in zip(kinds, zip(*rows)))
 
 
 def random_one_form(grid: GridManifold, rng: np.random.Generator,
                     modes: int = 3, amplitude: float = 1.0,
-                    normalized: bool = False) -> Field:
-    """Random smooth g_C-valued one-form from analytic profiles."""
-    n, d = grid.node_count, grid.dimension
-    parts = _random_profiles(grid, rng, 6 * d, modes, amplitude)[0]
-    parts = parts.reshape(d, 3, 2, n)  # axis j, algebra index a, real/imag
-    vals = np.ascontiguousarray(
-        (parts[:, :, 0] + 1j * parts[:, :, 1]).transpose(2, 0, 1))
-    f = Field(grid, 1, vals, algebra=True)
-    if normalized:
-        from .grid import norm
-        nv = norm(f)
-        if nv > 0:
-            f = f * (1.0 / nv)
-    return f
+                    normalized: bool = False, count: int | None = None) -> Field:
+    """Random smooth g_C-valued one-form from analytic profiles, or a set."""
+    kind = "unit_one_form" if normalized else "one_form"
+    return random_tuples(grid, rng, count, (kind, modes, amplitude))[0]
 
 
 def random_covector_testset(grid: GridManifold, rng: np.random.Generator,
-                            count: int, modes: int = 3) -> list:
-    """Smooth plain covector fields for the seminorm probe."""
-    n, d = grid.node_count, grid.dimension
-    vals = _random_profiles(grid, rng, count * d, modes, 1.0)[0]
-    vals = np.ascontiguousarray(vals.reshape(count, d, n).transpose(0, 2, 1),
-                                dtype=complex)
-    return [Field.covector(grid, v) for v in vals]
+                            count: int, modes: int = 3) -> Field:
+    """A set of smooth plain covector fields for the seminorm probe."""
+    return random_tuples(grid, rng, count, ("covector", modes, 1.0))[0]
 
 
 def random_gauge_field(grid: GridManifold, rng: np.random.Generator,
-                       modes: int = 3, amplitude: float = 1.0) -> GaugeField:
+                       modes: int = 3, amplitude: float = 1.0,
+                       count: int | None = None) -> GaugeField:
     """psi(x) = exp(sum_k b_k(x) X_k) from three random analytic profiles."""
-    return gauge_from_algebra(random_algebra_field(grid, rng, modes, amplitude))
+    return random_tuples(grid, rng, count, ("gauge", modes, amplitude))[0]
 
 
 def random_algebra_field(grid: GridManifold, rng: np.random.Generator,
-                         modes: int = 3, amplitude: float = 1.0
-                         ) -> AlgebraValuedField:
-    vals, grads = _random_profiles(grid, rng, 3, modes, amplitude)
-    return AlgebraValuedField(grid, np.ascontiguousarray(vals.T),
-                              np.ascontiguousarray(grads.transpose(1, 2, 0)))
+                         modes: int = 3, amplitude: float = 1.0,
+                         count: int | None = None) -> AlgebraValuedField:
+    return random_tuples(grid, rng, count, ("algebra", modes, amplitude))[0]
 
 
 # the profile names rho_field accepts; "cosine" needs a periodic domain
@@ -123,6 +164,5 @@ def rho_field(grid: GridManifold, profile: str, amplitude: float,
     if profile == "random":
         if rng is None:
             raise ValueError("random rho profile needs a generator")
-        return _random_profiles(grid, rng, 1, 2, amplitude)[0][0]
+        return random_tuples(grid, rng, None, ("rho", 2, amplitude))[0]
     raise ValueError(f"unknown rho profile {profile!r}")
-

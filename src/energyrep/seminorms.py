@@ -13,8 +13,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (ALGEBRA_METRIC_FACTOR, Field, WeightField, covariant_derivative,
-                   norm, stack_fields)
+from .grid import (ALGEBRA_METRIC_FACTOR, Field, GridError, WeightField,
+                   covariant_derivative, norm, stack_fields)
 from .operators import SpectralDecomposition
 
 
@@ -26,22 +26,24 @@ _SLICE_VALUES = 1 << 12
 
 
 def _slices(fields):
-    """Yield (columns, stacked slice) over a test set checked once as a whole."""
-    batch = stack_fields(fields)
-    step = max(1, _SLICE_VALUES * len(fields) // batch.values.size)
-    for start in range(0, len(fields), step):
+    """Yield (columns, slice) over a test set with a leading sample axis."""
+    count = len(fields.values)
+    if fields.sample_axes != 1 or not count:
+        raise GridError("a test set needs a sample axis and a field")
+    step = max(1, _SLICE_VALUES * count // fields.values.size)
+    for start in range(0, count, step):
         cols = slice(start, start + step)
-        yield cols, batch.copy_with(batch.values[cols])
+        yield cols, fields.copy_with(fields.values[cols])
 
 
 def seminorm_p_batch(fields, p_values, dec: SpectralDecomposition) -> np.ndarray:
-    """|f|_{rho,p} for every field and p, shape (len(p_values), len(fields)).
+    """|f|_{rho,p} for every field of a set and p, shape (len(p_values), S).
 
     sqrt(sum lambda^{2p} |c|^2) with one eigen-expansion per field, shared
     by every p.  The decomposition fixes rho through its weights; p = 0
     reproduces the base norm.
     """
-    out = np.empty((len(p_values), len(fields)))
+    out = np.empty((len(p_values), len(fields.values)))
     for cols, part in _slices(fields):
         power = np.abs(dec.expand(part)) ** 2  # (samples, modes, channels)
         for i, p in enumerate(p_values):
@@ -55,13 +57,15 @@ def seminorm_p_batch(fields, p_values, dec: SpectralDecomposition) -> np.ndarray
 
 def seminorm_p(f: Field, p: float, dec: SpectralDecomposition) -> float:
     """|f|_{rho,p} of one field."""
-    return float(seminorm_p_batch([f], (p,), dec)[0, 0])
+    return float(seminorm_p_batch(stack_fields([f]), (p,), dec)[0, 0])
 
 
-def eigenvector_covector(dec: SpectralDecomposition, k: int) -> Field:
-    """The k-th eigenvector of dec as a covector along the first axis."""
-    vals = np.zeros((dec.grid.node_count, dec.grid.dimension), dtype=complex)
-    vals[:, 0] = dec.eigenvectors[:, k]
+def eigenvector_covector(dec: SpectralDecomposition, k) -> Field:
+    """The k-th eigenvector of dec as a covector along the first axis; for a
+    sequence of k, the test set of those eigenvectors."""
+    cols = dec.eigenvectors[:, k].T  # (n,), or (len(k), n)
+    vals = np.zeros(cols.shape + (dec.grid.dimension,), dtype=complex)
+    vals[..., 0] = cols
     return Field.covector(dec.grid, vals)
 
 
@@ -78,7 +82,7 @@ def twisted_chain(f: Field, rho: np.ndarray, order: int):
 
 def seminorm_prime_batch(fields, m_list, weight: WeightField) -> np.ndarray:
     """|f|'_{rho,m} = sum_{n=0}^m |W^m grad_rho^n f|_{rho,0} for every field
-    and m, shape (len(m_list), len(fields)).
+    of a set and m, shape (len(m_list), S).
 
     One derivative chain, up to max(m_list), serves every m; each m sums
     its terms in the order n = 0, 1, ..., m.
@@ -88,7 +92,7 @@ def seminorm_prime_batch(fields, m_list, weight: WeightField) -> np.ndarray:
     rho = weight.rho
     order = max(m_list, default=0)
     wm = [weight.w ** m for m in m_list]
-    out = np.zeros((len(m_list), len(fields)))
+    out = np.zeros((len(m_list), len(fields.values)))
     for cols, part in _slices(fields):
         for n, g in enumerate(twisted_chain(part, rho, order)):
             for i, m in enumerate(m_list):
@@ -99,11 +103,13 @@ def seminorm_prime_batch(fields, m_list, weight: WeightField) -> np.ndarray:
 
 def seminorm_prime(f: Field, m: int, weight: WeightField) -> float:
     """|f|'_{rho,m} of one field."""
-    return float(seminorm_prime_batch([f], (m,), weight)[0, 0])
+    return float(seminorm_prime_batch(stack_fields([f]), (m,), weight)[0, 0])
 
 
-def weighted_chain_residual(f: Field, m: int, n: int, weight: WeightField) -> float:
-    """Relative residual of |W^m grad_rho^n f|_{rho,0} = |W^m grad^n (e^{rho/2} f)|_0."""
+def weighted_chain_residual(f: Field, m: int, n: int,
+                            weight: WeightField) -> float | np.ndarray:
+    """Relative residual of |W^m grad_rho^n f|_{rho,0} = |W^m grad^n (e^{rho/2} f)|_0,
+    per sample of a test set."""
     rho = weight.rho
     wm = weight.w ** m
     lhs = norm(list(twisted_chain(f, rho, n))[-1].scale_by_nodes(wm), rho)
@@ -111,7 +117,7 @@ def weighted_chain_residual(f: Field, m: int, n: int, weight: WeightField) -> fl
     for _ in range(n):
         g = covariant_derivative(g)
     rhs = norm(g.scale_by_nodes(wm), None)
-    return abs(lhs - rhs) / max(lhs, rhs, 1.0)
+    return np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
 
 
 # ---------------------------------------------------------------------------

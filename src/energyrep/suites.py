@@ -16,14 +16,13 @@ import numpy as np
 
 from . import fock, gauge, hermite, operators, seminorms
 from .config import ExperimentConfig
-from .grid import (Field, WeightField, build_grid, field_to_csv, norm,
-                   stack_fields)
+from .grid import Field, WeightField, build_grid, field_to_csv, norm
 from .profiles import bumps
 from .report import (Report, check, digest_of, refusal, write_csv,
                      write_json)
 from .sampling import (random_algebra_field, random_covector_testset,
-                       random_gauge_field, random_one_form, rho_field,
-                       suite_rng)
+                       random_gauge_field, random_one_form, random_tuples,
+                       rho_field, suite_rng)
 
 SUITE_STREAMS = {
     "spectrum": 1,
@@ -56,6 +55,11 @@ def _domain_rho(cfg: ExperimentConfig, grid, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
+
+# the lowest levels 2k + 2 of the discretized oscillator that the spectrum
+# suite compares (config.py derives its load rule from this)
+OSCILLATOR_LEVELS = 11
+
 
 def _circle_modes(n: int) -> np.ndarray:
     """Fourier mode multiplicities on n nodes: 0, +-1, ..., (+-n/2 if even)."""
@@ -106,8 +110,8 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
     osc_grid = build_grid("interval", n_osc,
                           halfwidth=cfg.spectrum_oscillator_halfwidth)
     h_osc = operators.assemble_h(osc_grid, WeightField.quadratic(osc_grid, 1.0))
-    lam_osc = h_osc.eigenvalues()[:11]
-    target = 2.0 * np.arange(11) + 2.0
+    lam_osc = h_osc.eigenvalues()[:OSCILLATOR_LEVELS]
+    target = 2.0 * np.arange(OSCILLATOR_LEVELS) + 2.0
     rep.add(check("oscillator_spectrum", dig("osc"),
                   float(np.max(np.abs(lam_osc - target) / target)), 5e-3))
     write_csv(outdir, "spectrum_oscillator", ["index", "eigenvalue", "target"],
@@ -136,13 +140,10 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
 
     # multiplicative chain for the twisted derivative norms, m <= 3
     wfield = _domain_weight(cfg, grid, rho)
-    worst_chain = 0.0
-    for _ in range(5):
-        f = random_one_form(grid, rng, modes=3, amplitude=1.0)
-        for m in range(4):
-            for n in range(m + 1):
-                worst_chain = max(worst_chain,
-                                  seminorms.weighted_chain_residual(f, m, n, wfield))
+    fs = random_one_form(grid, rng, modes=3, amplitude=1.0, count=5)
+    worst_chain = max(
+        float(np.max(seminorms.weighted_chain_residual(fs, m, n, wfield)))
+        for m in range(4) for n in range(m + 1))
     rep.add(check("twisted_chain_identity", dig("chain"), worst_chain, 1e-12))
 
 
@@ -242,12 +243,16 @@ def _probe_data(domain: str, cfg: ExperimentConfig, seed_stream):
         dec = operators.assemble_h(grid, weight).eigendecomposition()
         fields = random_covector_testset(grid, rng, cfg.seminorms_functions)
         # fixed bump and low eigenvectors round out the random members
-        bvals = np.zeros((grid.node_count, 1), dtype=complex)
-        bvals[:, 0] = bumps(grid.nodes, [[center]], [width], [1.0])[0][0]
-        fields.append(Field.covector(grid, bvals))
-        fields.extend(seminorms.eigenvector_covector(dec, k) for k in range(3))
-        data.append((n_size, weight, dec, fields))
+        bump = bumps(grid.nodes, [[center]], [width], [1.0])[0][:, :, None]
+        eig = seminorms.eigenvector_covector(dec, range(3)).values
+        data.append((n_size, weight, dec, fields.copy_with(
+            np.concatenate([fields.values, bump, eig]))))
     return data
+
+
+# the eigenvectors whose spectral seminorm the seminorms suite checks on the
+# largest circle grid (config.py derives its load rule from this)
+EIGENVECTOR_MODES = (0, 3, 7)
 
 
 def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
@@ -275,17 +280,13 @@ def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
     # spectral-seminorm structure on the largest circle grid, as probed
     _, weight, dec, _ = max(probes["circle"], key=lambda entry: entry[0])
     grid = weight.grid
-    fs = [random_one_form(grid, rng, modes=3) for _ in range(10)]
-    mono_defect = 0.0
-    for v0, v1, v2 in seminorms.seminorm_p_batch(fs, (0.0, 0.5, 1.5), dec).T:
-        mono_defect = max(mono_defect, float(v0 - v1), float(v1 - v2))
-    modes = (0, 3, 7)
+    fs = random_one_form(grid, rng, modes=3, count=10)
+    vals = seminorms.seminorm_p_batch(fs, (0.0, 0.5, 1.5), dec)
+    mono_defect = max(0.0, float(np.max(vals[:-1] - vals[1:])))
     got = seminorms.seminorm_p_batch(
-        [seminorms.eigenvector_covector(dec, k) for k in modes], (1.25,), dec)[0]
-    eig_defect = 0.0
-    for k, g in zip(modes, got):
-        want = float(dec.eigenvalues[k] ** 1.25)
-        eig_defect = max(eig_defect, abs(float(g) - want) / want)
+        seminorms.eigenvector_covector(dec, EIGENVECTOR_MODES), (1.25,), dec)[0]
+    want = np.array([dec.eigenvalues[k] ** 1.25 for k in EIGENVECTOR_MODES])
+    eig_defect = max(0.0, float(np.max(np.abs(got - want) / want)))
     rep.add(check("p_scale_monotone", dig("mono"), mono_defect, 1e-12))
     rep.add(check("eigenvector_p_norm", dig("eig"), eig_defect, 1e-10))
 
@@ -294,14 +295,12 @@ def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
     h_rho = operators.conjugated_operator(
         operators.assemble_h(grid, weight), rho)
     dec_rho = h_rho.eigendecomposition()
-    fs = [random_one_form(grid, rng, modes=3) for _ in range(5)]
-    half = np.exp(rho / 2.0)
+    fs = random_one_form(grid, rng, modes=3, count=5)
     lhs = seminorms.seminorm_p_batch(fs, (1.0,), dec_rho)[0]
-    rhs = seminorms.seminorm_p_batch([f.scale_by_nodes(half) for f in fs],
+    rhs = seminorms.seminorm_p_batch(fs.scale_by_nodes(np.exp(rho / 2.0)),
                                      (1.0,), dec)[0]
-    intertwine = 0.0
-    for a, b in zip(lhs, rhs):
-        intertwine = max(intertwine, float(abs(a - b) / max(a, b)))
+    intertwine = max(0.0, float(np.max(np.abs(lhs - rhs)
+                                       / np.maximum(lhs, rhs))))
     rep.add(check("weighted_scale_intertwines", dig("twine"), intertwine, 1e-10))
 
 
@@ -322,14 +321,9 @@ def suite_gauge(cfg: ExperimentConfig, rng, rep: Report, dig,
     grid = build_grid("circle", cfg.gauge_nodes, radius=1.0)
     rho = rho_field(grid, "cosine", cfg.rho_amplitude, cfg.rho_mode)
 
-    # drawn one sample at a time, in the order of a per-sample loop
-    psi, phi, f = zip(*[
-        (random_gauge_field(grid, rng, cfg.gauge_modes, cfg.gauge_amplitude),
-         random_gauge_field(grid, rng, cfg.gauge_modes, cfg.gauge_amplitude),
-         random_one_form(grid, rng, modes=3, normalized=True))
-        for _ in range(cfg.gauge_pairs)])
-    psi, phi = gauge.stack_gauge_fields(psi), gauge.stack_gauge_fields(phi)
-    f = stack_fields(f)
+    gauge_kind = ("gauge", cfg.gauge_modes, cfg.gauge_amplitude)
+    psi, phi, f = random_tuples(grid, rng, cfg.gauge_pairs, gauge_kind,
+                                gauge_kind, ("unit_one_form", 3, 1.0))
     beta = gauge.log_derivative(psi)
     nf = norm(f, rho)
     iso = np.abs(norm(gauge.v_action(psi, f), rho) - nf) / nf
@@ -354,8 +348,8 @@ def suite_gauge(cfg: ExperimentConfig, rng, rep: Report, dig,
     weight = WeightField.constant(grid, 2.0, rho)
     dec = operators.conjugated_operator(
         operators.assemble_h(grid, weight), rho).eigendecomposition()
-    test_set = [random_one_form(grid, rng, modes=3, normalized=True)
-                for _ in range(cfg.regularity_functions)]
+    test_set = random_one_form(grid, rng, modes=3, normalized=True,
+                               count=cfg.regularity_functions)
     reg = gauge.regularity_check(psi_field, test_set, cfg.regularity_t_list,
                                  cfg.regularity_p, cfg.regularity_q,
                                  cfg.regularity_m, weight, dec)
@@ -383,31 +377,24 @@ def _cutoff_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> Non
     stages = gauge.cutoff_sequence(grid, cfg.cutoff_count, cfg.cutoff_step,
                                    cfg.cutoff_collar)
 
-    n = grid.node_count
-    gauss = np.zeros((n, 1, 3), dtype=complex)
-    gauss[:, 0, 0] = np.exp(-grid.nodes[:, 0] ** 2 / 4.0)
-    gauss[:, 0, 1] = 0.5 * np.exp(-grid.nodes[:, 0] ** 2 / 4.5)
-    bump = np.zeros((n, 1, 3), dtype=complex)
-    bump[:, 0, 1] = bumps(grid.nodes, [[0.0]], [2.0], [1.0])[0][0]
-    f_set = [Field(grid, 1, gauss, algebra=True),
-             Field(grid, 1, bump, algebra=True)]
+    vals = np.zeros((2, grid.node_count, 1, 3), dtype=complex)
+    vals[0, :, 0, 0] = np.exp(-grid.nodes[:, 0] ** 2 / 4.0)
+    vals[0, :, 0, 1] = 0.5 * np.exp(-grid.nodes[:, 0] ** 2 / 4.5)
+    vals[1, :, 0, 1] = bumps(grid.nodes, [[0.0]], [2.0], [1.0])[0][0]
+    f_set = Field(grid, 1, vals, algebra=True)
 
     try:
         decay = gauge.cutoff_approximation(psi, stages, f_set, cfg.cutoff_p, dec)
     except gauge.ConditionCViolation as exc:
         rep.add(refusal("cutoff_decay", dig("cut"), str(exc)))
         return
-    worst_tail = 0.0
-    worst_monotone = 0.0
-    worst_covered = 0.0
-    for row, covered in zip(decay.values, decay.covered_from):
-        first = row[0]
-        worst_tail = max(worst_tail, row[-1] / first)
-        for a, b in zip(row, row[1:]):
-            worst_monotone = max(worst_monotone, (b - a) / max(first, 1e-300))
-        if covered > 0:
-            idx = decay.n_list.index(covered)
-            worst_covered = max(worst_covered, max(row[idx:]))
+    rows, covered = decay.values, decay.covered_from[:, None]
+    worst_tail = max(0.0, float(np.max(rows[:, -1] / rows[:, 0])))
+    worst_monotone = max(0.0, float(np.max(
+        np.diff(rows) / np.maximum(rows[:, :1], 1e-300))))
+    # every stage from the first that covers the support (-1: none does)
+    worst_covered = float(np.max(rows, initial=0.0, where=(covered > 0)
+                                 & (np.array(decay.n_list) >= covered)))
     rep.add(check("cutoff_decay_tail", dig("tail"), worst_tail, 1e-3))
     rep.add(check("cutoff_decay_monotone", dig("monotone"), worst_monotone,
                   1e-12))
@@ -415,9 +402,8 @@ def _cutoff_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> Non
                   0.0))
     rep.extras["cutoff_sup_gradients"] = [s.gradient_sup for s in stages]
     write_csv(outdir, "gauge_cutoff_decay",
-              ["n"] + [f"f{i}" for i in range(len(decay.values))],
-              [(nn,) + tuple(decay.values[i][j] for i in range(len(decay.values)))
-               for j, nn in enumerate(decay.n_list)])
+              ["n"] + [f"f{i}" for i in range(len(rows))],
+              [(nn, *col) for nn, col in zip(decay.n_list, rows.T.tolist())])
 
 
 def _punctured_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> None:
@@ -442,26 +428,16 @@ def suite_fock(cfg: ExperimentConfig, rng, rep: Report, dig,
                outdir: Path) -> None:
     grid = build_grid("circle", cfg.fock_nodes, radius=1.0)
 
-    rho, psi, f, g = zip(*[
-        (rho_field(grid, "random", 0.4, rng=rng),
-         random_gauge_field(grid, rng, cfg.gauge_modes, 1.0),
-         random_one_form(grid, rng, modes=3, normalized=True),
-         random_one_form(grid, rng, modes=3, normalized=True))
-        for _ in range(cfg.fock_tuples)])
-    unitary = fock.kernel_discrepancy(gauge.stack_gauge_fields(psi),
-                                      stack_fields(f), stack_fields(g),
-                                      np.stack(rho))
+    rho_kind, gauge_kind = ("rho", 2, 0.4), ("gauge", cfg.gauge_modes, 1.0)
+    unit_form = ("unit_one_form", 3, 1.0)
+    rho, psi, f, g = random_tuples(grid, rng, cfg.fock_tuples, rho_kind,
+                                   gauge_kind, unit_form, unit_form)
+    unitary = fock.kernel_discrepancy(psi, f, g, rho)
     rep.add(check("u_unitary_kernel", dig("uni"), np.max(unitary), 1e-10))
 
-    rho, psi, phi, f_set = zip(*[
-        (rho_field(grid, "random", 0.4, rng=rng),
-         random_gauge_field(grid, rng, cfg.gauge_modes, 1.0),
-         random_gauge_field(grid, rng, cfg.gauge_modes, 1.0),
-         random_one_form(grid, rng, modes=3, normalized=True))
-        for _ in range(cfg.fock_pairs)])
-    res = fock.homomorphism_check(gauge.stack_gauge_fields(psi),
-                                  gauge.stack_gauge_fields(phi), f_set,
-                                  np.stack(rho))
+    rho, psi, phi, f_set = random_tuples(grid, rng, cfg.fock_pairs, rho_kind,
+                                         gauge_kind, gauge_kind, unit_form)
+    res = fock.homomorphism_check(psi, phi, f_set, rho)
     rep.add(check("u_homomorphism_coefficient", dig("coeff"),
                   abs(res.coeff_ratio - 1.0), 1e-9))
     rep.add(check("u_homomorphism_parameter", dig("param"),
@@ -476,11 +452,11 @@ def suite_fock(cfg: ExperimentConfig, rng, rep: Report, dig,
                   abs(moved.norm() - 1.0), 1e-12))
 
     worst_trunc = 0.0
-    for _ in range(10):
-        base = random_one_form(grid, rng, modes=3, normalized=True)
-        other = random_one_form(grid, rng, modes=3, normalized=True)
-        f = base * 0.9
-        g = base * 0.6 + other * 0.4  # sizable overlap, so the tail binds
+    bases, others = random_tuples(grid, rng, 10, unit_form, unit_form)
+    for base, other in zip(bases.values, others.values):
+        f = Field(grid, 1, base * 0.9, algebra=True)
+        # sizable overlap, so the tail binds
+        g = Field(grid, 1, base * 0.6 + other * 0.4, algebra=True)
         coords = fock.orthonormal_coordinates([f, g])
         tf = fock.TruncatedFockVector.from_coherent(coords[0], 1.0, cfg.fock_cutoff)
         tg = fock.TruncatedFockVector.from_coherent(coords[1], 1.0, cfg.fock_cutoff)
@@ -501,26 +477,27 @@ def suite_conformal(cfg: ExperimentConfig, rng, rep: Report, dig,
                     outdir: Path) -> None:
     torus = build_grid("torus", cfg.conformal_torus_nodes, radius=1.0)
     psi2 = random_gauge_field(torus, rng, 2, 0.8)
-    f_set = [random_one_form(torus, rng, modes=2, normalized=True)
-             for _ in range(cfg.conformal_elements)]
-    g_set = [random_one_form(torus, rng, modes=2, normalized=True)
-             for _ in range(cfg.conformal_elements)]
+    f_set = random_one_form(torus, rng, modes=2, normalized=True,
+                            count=cfg.conformal_elements)
+    g_set = random_one_form(torus, rng, modes=2, normalized=True,
+                            count=cfg.conformal_elements)
     rho2 = rho_field(torus, "random", cfg.conformal_rho_amplitude, rng=rng)
     res2 = fock.conformal_check(psi2, rho2, f_set, g_set)
     rep.add(check("dimension2_invariance", dig("d2"),
                   res2.max_relative_change, 1e-10))
 
-    zero = fock.conformal_check(psi2, np.zeros(torus.node_count), f_set[:2],
-                                g_set[:2])
+    zero = fock.conformal_check(psi2, np.zeros(torus.node_count),
+                                f_set.copy_with(f_set.values[:2]),
+                                g_set.copy_with(g_set.values[:2]))
     rep.add(check("zero_rescale_identity", dig("zero"),
                   zero.max_relative_change, 0.0))
 
     circle = build_grid("circle", cfg.conformal_circle_nodes, radius=1.0)
     psi1 = random_gauge_field(circle, rng, 2, 0.8)
-    f1 = [random_one_form(circle, rng, modes=2, normalized=True)
-          for _ in range(cfg.conformal_elements)]
-    g1 = [random_one_form(circle, rng, modes=2, normalized=True)
-          for _ in range(cfg.conformal_elements)]
+    f1 = random_one_form(circle, rng, modes=2, normalized=True,
+                         count=cfg.conformal_elements)
+    g1 = random_one_form(circle, rng, modes=2, normalized=True,
+                         count=cfg.conformal_elements)
     rho1 = np.full(circle.node_count, 1.0)
     res1 = fock.conformal_check(psi1, rho1, f1, g1)
     rep.add(check("dimension1_matches_factor", dig("d1"),

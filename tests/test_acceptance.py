@@ -19,7 +19,7 @@ import numpy as np
 
 from energyrep import fock, gauge, hermite, operators, seminorms
 from energyrep.config import ExperimentConfig
-from energyrep.grid import Field, WeightField, build_grid
+from energyrep.grid import Field, WeightField, build_grid, stack_fields
 from energyrep.sampling import (random_algebra_field, random_gauge_field,
                                 random_one_form, rho_field)
 from energyrep.suites import _probe_data
@@ -82,7 +82,7 @@ def test_criterion_3_non_projective_homomorphism():
         rho = rho_field(grid, "random", 0.4, rng=rng)
         psi = random_gauge_field(grid, rng, 3, 1.0)
         phi = random_gauge_field(grid, rng, 3, 1.0)
-        fs = [random_one_form(grid, rng, modes=3, normalized=True)]
+        fs = random_one_form(grid, rng, modes=3, normalized=True, count=1)
         res = fock.homomorphism_check(psi, phi, fs, rho)
         worst_coeff = max(worst_coeff, abs(res.coeff_ratio - 1.0))
         worst_param = max(worst_param, res.param_residual)
@@ -97,19 +97,15 @@ def test_criterion_4_conformal_invariance():
     rng = np.random.default_rng(SEED + 4)
     torus = build_grid("torus", 10, radius=1.0)
     psi = random_gauge_field(torus, rng, 2, 0.8)
-    fs = [random_one_form(torus, rng, modes=2, normalized=True)
-          for _ in range(3)]
-    gs = [random_one_form(torus, rng, modes=2, normalized=True)
-          for _ in range(3)]
+    fs = random_one_form(torus, rng, modes=2, normalized=True, count=3)
+    gs = random_one_form(torus, rng, modes=2, normalized=True, count=3)
     rho = rho_field(torus, "random", 0.5, rng=rng)
     d2 = fock.conformal_check(psi, rho, fs, gs)
 
     circle = build_grid("circle", 24, radius=1.0)
     psi1 = random_gauge_field(circle, rng, 2, 0.8)
-    f1 = [random_one_form(circle, rng, modes=2, normalized=True)
-          for _ in range(3)]
-    g1 = [random_one_form(circle, rng, modes=2, normalized=True)
-          for _ in range(3)]
+    f1 = random_one_form(circle, rng, modes=2, normalized=True, count=3)
+    g1 = random_one_form(circle, rng, modes=2, normalized=True, count=3)
     d1 = fock.conformal_check(psi1, np.full(circle.node_count, 0.7), f1, g1)
     gate("criterion 4: d=2 invariant to 1e-10; d=1 matches e^{(d/2-1)rho} to 1e-8",
          d2.max_relative_change <= 1e-10 and d1.max_prediction_residual <= 1e-8,
@@ -222,8 +218,7 @@ def test_criterion_8_regularity_rate():
         operators.assemble_h(grid, WeightField.constant(grid, 2.0)),
         rho).eigendecomposition()
     psi = random_algebra_field(grid, rng, 3, 1.0)
-    fs = [random_one_form(grid, rng, modes=3, normalized=True)
-          for _ in range(20)]
+    fs = random_one_form(grid, rng, modes=3, normalized=True, count=20)
     rep = gauge.regularity_check(psi, fs, (1e-1, 1e-2, 1e-3, 1e-4),
                                  1.0, 1.0, 1, weight, dec)
     gate("criterion 8: log-log slope 1.0 +- 0.05; error <= t e^C |f|'_m",
@@ -246,8 +241,8 @@ def test_criterion_9_cutoff_decay():
     gauss[:, 0, 0] = np.exp(-grid.nodes[:, 0] ** 2 / 4.0)
     bump = np.zeros((n, 1, 3), dtype=complex)
     bump[:, 0, 1] = bumps(grid.nodes, [[0.0]], [2.0], [1.0])[0][0]
-    f_set = [Field(grid, 1, gauss, algebra=True),
-             Field(grid, 1, bump, algebra=True)]
+    f_set = stack_fields([Field(grid, 1, gauss, algebra=True),
+                          Field(grid, 1, bump, algebra=True)])
     rep = gauge.cutoff_approximation(psi, stages, f_set, 1.0, dec)
     ok = True
     details = []

@@ -170,6 +170,37 @@ class TestConfigParsing:
             load_config(small_config(tmp_path, **{key: value}))
         assert load_config(small_config(tmp_path, **{key: 0.1}))
 
+    @pytest.mark.parametrize("sizes", ["4 5", "7 4"])
+    def test_seminorm_sizes_below_checked_eigenvector_rejected(self, tmp_path,
+                                                               sizes):
+        # eigenvector_p_norm reads eigenvectors up to index 7 on the largest
+        # circle, so that circle needs at least 8 nodes
+        with pytest.raises(ConfigError, match="seminorms.nodes"):
+            load_config(small_config(tmp_path, **{"seminorms.nodes": sizes}))
+        assert load_config(small_config(tmp_path, **{"seminorms.nodes": "4 8"}))
+
+    def test_oscillator_nodes_below_checked_levels_rejected(self, tmp_path):
+        from energyrep.suites import OSCILLATOR_LEVELS
+        with pytest.raises(ConfigError, match="spectrum.oscillator_nodes"):
+            load_config(small_config(tmp_path, **{
+                "spectrum.oscillator_nodes": OSCILLATOR_LEVELS - 1}))
+        assert load_config(small_config(tmp_path, **{
+            "spectrum.oscillator_nodes": OSCILLATOR_LEVELS}))
+
+    @pytest.mark.parametrize("shape", ["circle", "interval"])
+    @pytest.mark.parametrize("nodes", [4, 6])
+    def test_one_dimensional_domain_below_eight_nodes_rejected(
+            self, tmp_path, shape, nodes):
+        # the Hilbert-Schmidt fit window n/4..n/2 needs two distinct
+        # eigenvalues; at 4 and 5 it holds one, at 6 and 7 the pair k = +-1
+        keys = {"domain.shape": shape, "rho.profile": "zero"}
+        with pytest.raises(ConfigError, match="domain.nodes"):
+            load_config(small_config(tmp_path, **keys, **{"domain.nodes": nodes}))
+        assert load_config(small_config(tmp_path, **keys, **{"domain.nodes": 8}))
+        # a 2-D domain has n = N^2 eigenvalues in its window
+        assert load_config(small_config(tmp_path, **{"domain.shape": "torus",
+                                                     "domain.nodes": nodes}))
+
     def test_ladder_cutoff_below_four_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ladders.cutoff"):
             load_config(small_config(tmp_path, **{"ladders.cutoff": 3}))
@@ -215,11 +246,12 @@ class TestConfigParsing:
             load_config(small_config(tmp_path), seed=-1)
 
 
-def run_cli(*argv) -> subprocess.CompletedProcess:
+def run_cli(*argv, python_flags=()) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, so a traceback would reach stderr."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "energyrep.cli", *argv],
+    return subprocess.run([sys.executable, *python_flags, "-m",
+                           "energyrep.cli", *argv],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
 
@@ -261,6 +293,11 @@ class TestExitCodes:
         ("fock", {"gauge.modes": 0}, ()),
         ("gauge", {"gauge.amplitude": 0}, ()),
         ("conformal", {"conformal.rho_amplitude": 0}, ()),
+        ("seminorms", {"seminorms.nodes": "4 5"}, ()),
+        ("seminorms", {"seminorms.nodes": "7 4"}, ()),
+        ("spectrum", {"spectrum.oscillator_nodes": 10}, ()),
+        ("spectrum", {"domain.nodes": 4}, ()),
+        ("spectrum", {"domain.nodes": 6}, ()),
     ])
     def test_bad_domain_exits_2_before_output(self, tmp_path, suite,
                                               overrides, argv):
@@ -285,6 +322,15 @@ class TestExitCodes:
         assert trunc["verdict"] == "fail"
         assert trunc["measured"] == "inf"
         assert trunc["tolerance"] == 1.0
+
+    def test_all_suites_run_warning_free(self, tmp_path):
+        # warnings are errors here: a RankWarning from a fit or a
+        # RuntimeWarning from any suite's arithmetic fails the run
+        out = tmp_path / "out"
+        proc = run_cli("all", "--config", str(small_config(tmp_path)),
+                       "--out", str(out), python_flags=("-W", "error"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_cli_import_leaves_scipy_linalg_out(self):
         code = ("import sys, energyrep.cli; "

@@ -6,7 +6,8 @@ import pytest
 
 from energyrep import fock, gauge
 from energyrep.grid import Field, build_grid, inner_product, norm, stack_fields
-from energyrep.sampling import random_gauge_field, random_one_form, rho_field
+from energyrep.sampling import (random_gauge_field, random_one_form,
+                                random_tuples, rho_field)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +143,7 @@ class TestEnergyRepresentation:
 
     def test_homomorphism_identity_right_factor(self, circle, rng):
         psi = random_gauge_field(circle, rng)
-        fs = [random_one_form(circle, rng, normalized=True)]
+        fs = random_one_form(circle, rng, normalized=True, count=1)
         res = fock.homomorphism_check(psi, gauge.gauge_identity(circle), fs)
         assert abs(res.coeff_ratio - 1.0) <= 1e-13
         assert res.param_residual <= 1e-13
@@ -152,7 +153,7 @@ class TestEnergyRepresentation:
             rho = rho_field(circle, "random", 0.4, rng=rng)
             psi = random_gauge_field(circle, rng)
             phi = random_gauge_field(circle, rng)
-            fs = [random_one_form(circle, rng, normalized=True)]
+            fs = random_one_form(circle, rng, normalized=True, count=1)
             res = fock.homomorphism_check(psi, phi, fs, rho)
             assert abs(res.coeff_ratio - 1.0) <= 1e-9
             assert res.param_residual <= 1e-10
@@ -171,25 +172,23 @@ class TestConformal:
     def test_dimension2_invariant(self, rng):
         torus = build_grid("torus", 8, radius=1.0)
         psi = random_gauge_field(torus, rng, modes=2, amplitude=0.8)
-        fs = [random_one_form(torus, rng, modes=2, normalized=True)
-              for _ in range(2)]
-        gs = [random_one_form(torus, rng, modes=2, normalized=True)
-              for _ in range(2)]
+        fs = random_one_form(torus, rng, modes=2, normalized=True, count=2)
+        gs = random_one_form(torus, rng, modes=2, normalized=True, count=2)
         rho = rho_field(torus, "random", 0.5, rng=rng)
         rep = fock.conformal_check(psi, rho, fs, gs)
         assert rep.max_relative_change <= 1e-10
 
     def test_zero_rho_exactly_invariant(self, circle, rng):
         psi = random_gauge_field(circle, rng)
-        fs = [random_one_form(circle, rng, normalized=True)]
+        fs = random_one_form(circle, rng, normalized=True, count=1)
         rep = fock.conformal_check(psi, np.zeros(circle.node_count), fs, fs)
         assert rep.max_relative_change == 0.0
 
     def test_dimension1_constant_rho_factor(self, circle, rng):
         # one-particle products scale by e^{(1/2-1) rho}; matrix elements follow
         psi = random_gauge_field(circle, rng)
-        fs = [random_one_form(circle, rng, normalized=True) for _ in range(2)]
-        gs = [random_one_form(circle, rng, normalized=True) for _ in range(2)]
+        fs = random_one_form(circle, rng, normalized=True, count=2)
+        gs = random_one_form(circle, rng, normalized=True, count=2)
         rep = fock.conformal_check(psi, np.full(circle.node_count, 1.0), fs, gs)
         assert rep.one_particle_scale == pytest.approx(np.exp(-0.5), rel=1e-14)
         assert rep.max_prediction_residual <= 1e-8
@@ -204,47 +203,50 @@ class TestConformal:
         assert after == pytest.approx(before * np.exp(-0.5), rel=1e-12)
 
 
+def members(sample_set):
+    """The members of a sampled set of gauge fields or forms, one by one."""
+    if isinstance(sample_set, gauge.GaugeField):
+        return [gauge.GaugeField(sample_set.grid, u, du)
+                for u, du in zip(sample_set.u, sample_set.du)]
+    return [sample_set.copy_with(v) for v in sample_set.values]
+
+
 class TestStackedSamples:
     """Coherent vectors with a sample axis against the per-sample loop."""
 
     @pytest.fixture
     def samples(self, circle):
         local = np.random.default_rng(41)
-        psis = [random_gauge_field(circle, local) for _ in range(5)]
-        phis = [random_gauge_field(circle, local) for _ in range(5)]
-        fs = [random_one_form(circle, local, normalized=True)
-              for _ in range(5)]
-        gs = [random_one_form(circle, local, normalized=True)
-              for _ in range(5)]
-        rhos = [rho_field(circle, "random", 0.4, rng=local) for _ in range(5)]
+        psi = random_gauge_field(circle, local, count=5)
+        phi = random_gauge_field(circle, local, count=5)
+        f = random_one_form(circle, local, normalized=True, count=5)
+        g = random_one_form(circle, local, normalized=True, count=5)
+        (rho,) = random_tuples(circle, local, 5, ("rho", 2, 0.4))
         coeffs = local.normal(size=5) + 1j * local.normal(size=5)
-        return psis, phis, fs, gs, rhos, coeffs
+        return psi, phi, f, g, rho, coeffs
 
     def test_apply_u(self, samples):
-        psis, _, fs, _, rhos, coeffs = samples
-        got = fock.apply_u(gauge.stack_gauge_fields(psis),
-                           fock.CoherentVector(coeffs, stack_fields(fs)),
-                           np.stack(rhos))
-        loop = [fock.apply_u(p, fock.CoherentVector(complex(c), f), r)
-                for p, f, r, c in zip(psis, fs, rhos, coeffs)]
+        psi, _, f, _, rho, coeffs = samples
+        got = fock.apply_u(psi, fock.CoherentVector(coeffs, f), rho)
+        loop = [fock.apply_u(p, fock.CoherentVector(complex(c), h), r)
+                for p, h, r, c in zip(members(psi), members(f), rho, coeffs)]
         assert np.array_equal(got.coeff, [v.coeff for v in loop])
         assert np.array_equal(got.param.values, [v.param.values for v in loop])
 
     def test_kernel_discrepancy(self, samples):
-        psis, _, fs, gs, rhos, _ = samples
-        got = fock.kernel_discrepancy(gauge.stack_gauge_fields(psis),
-                                      stack_fields(fs), stack_fields(gs),
-                                      np.stack(rhos))
-        assert np.array_equal(got, [fock.kernel_discrepancy(p, f, g, r)
-                                    for p, f, g, r in zip(psis, fs, gs, rhos)])
+        psi, _, f, g, rho, _ = samples
+        got = fock.kernel_discrepancy(psi, f, g, rho)
+        assert np.array_equal(got, [fock.kernel_discrepancy(p, a, b, r)
+                                    for p, a, b, r in zip(members(psi),
+                                                          members(f),
+                                                          members(g), rho)])
 
     def test_homomorphism_check(self, samples):
-        psis, phis, fs, _, rhos, _ = samples
-        got = fock.homomorphism_check(gauge.stack_gauge_fields(psis),
-                                      gauge.stack_gauge_fields(phis), fs,
-                                      np.stack(rhos))
-        loop = [fock.homomorphism_check(p, q, [f], r)
-                for p, q, f, r in zip(psis, phis, fs, rhos)]
+        psi, phi, f, _, rho, _ = samples
+        got = fock.homomorphism_check(psi, phi, f, rho)
+        loop = [fock.homomorphism_check(p, q, stack_fields([h]), r)
+                for p, q, h, r in zip(members(psi), members(phi), members(f),
+                                      rho)]
         worst = max(loop, key=lambda res: abs(res.coeff_ratio - 1.0))
         assert got.coeff_ratio == worst.coeff_ratio
         assert got.param_residual == max(res.param_residual for res in loop)

@@ -8,7 +8,7 @@ from energyrep.grid import (Field, GridError, WeightField, build_grid, norm,
 from energyrep.operators import assemble_h, conjugated_operator
 from energyrep.profiles import bumps, fourier_series
 from energyrep.sampling import (random_algebra_field, random_gauge_field,
-                                random_one_form, rho_field)
+                                random_one_form, random_tuples, rho_field)
 from energyrep.seminorms import (seminorm_p, seminorm_p_batch,
                                  seminorm_prime_batch)
 
@@ -111,6 +111,14 @@ class TestVAction:
         assert norm(lhs - rhs) <= 1e-12 * norm(f)
 
 
+def members(sample_set):
+    """The members of a sampled set of gauge fields or forms, one by one."""
+    if isinstance(sample_set, gauge.GaugeField):
+        return [gauge.GaugeField(sample_set.grid, u, du)
+                for u, du in zip(sample_set.u, sample_set.du)]
+    return [sample_set.copy_with(v) for v in sample_set.values]
+
+
 class TestStackedSamples:
     """A sample axis on gauge fields and forms against the per-sample loop."""
 
@@ -120,23 +128,22 @@ class TestStackedSamples:
                 if request.param == "circle"
                 else build_grid("torus", 8, radius=1.0))
         local = np.random.default_rng(31)
-        psis = [random_gauge_field(grid, local, modes=2) for _ in range(4)]
-        phis = [random_gauge_field(grid, local, modes=2) for _ in range(4)]
-        fs = [random_one_form(grid, local, modes=2) for _ in range(4)]
-        rhos = [rho_field(grid, "random", 0.4, rng=local) for _ in range(4)]
-        return grid, psis, phis, fs, rhos
+        psi = random_gauge_field(grid, local, modes=2, count=4)
+        phi = random_gauge_field(grid, local, modes=2, count=4)
+        f = random_one_form(grid, local, modes=2, count=4)
+        (rho,) = random_tuples(grid, local, 4, ("rho", 2, 0.4))
+        return grid, psi, phi, f, rho
 
     def test_log_derivative(self, samples):
-        _, psis, *_ = samples
-        got = gauge.log_derivative(gauge.stack_gauge_fields(psis))
-        want = [gauge.log_derivative(p).values for p in psis]
+        _, psi, *_ = samples
+        got = gauge.log_derivative(psi)
+        want = [gauge.log_derivative(p).values for p in members(psi)]
         assert got.sample_axes == 1
         assert np.array_equal(got.values, want)
 
     def test_gauge_product_and_inverse(self, samples):
-        _, psis, phis, *_ = samples
-        psi = gauge.stack_gauge_fields(psis)
-        phi = gauge.stack_gauge_fields(phis)
+        _, psi, phi, *_ = samples
+        psis, phis = members(psi), members(phi)
         prod = gauge.gauge_product(psi, phi)
         loop = [gauge.gauge_product(p, q) for p, q in zip(psis, phis)]
         assert np.array_equal(prod.u, [g.u for g in loop])
@@ -147,8 +154,8 @@ class TestStackedSamples:
         assert np.array_equal(inv.du, [g.du for g in loop])
 
     def test_v_action(self, samples):
-        _, psis, _, fs, _ = samples
-        psi, f = gauge.stack_gauge_fields(psis), stack_fields(fs)
+        _, psi, _, f, _ = samples
+        psis, fs = members(psi), members(f)
         assert np.array_equal(gauge.v_action(psi, f).values,
                               [gauge.v_action(p, g).values
                                for p, g in zip(psis, fs)])
@@ -157,18 +164,17 @@ class TestStackedSamples:
                               [gauge.v_action(psis[0], g).values for g in fs])
 
     def test_cocycle_residual(self, samples):
-        _, psis, phis, _, rhos = samples
-        got = gauge.cocycle_residual(gauge.stack_gauge_fields(psis),
-                                     gauge.stack_gauge_fields(phis),
-                                     np.stack(rhos))
+        _, psi, phi, _, rho = samples
+        got = gauge.cocycle_residual(psi, phi, rho)
         assert np.array_equal(got, [gauge.cocycle_residual(p, q, r)
-                                    for p, q, r in zip(psis, phis, rhos)])
+                                    for p, q, r in zip(members(psi),
+                                                       members(phi), rho)])
 
-    def test_stacking_rejects_mixed_grids(self, samples):
-        grid, psis, *_ = samples
+    def test_sets_on_mixed_grids_rejected(self, samples):
+        grid, psi, *_ = samples
         other = build_grid("circle", 12, radius=1.0)
         with pytest.raises(GridError):
-            gauge.stack_gauge_fields([psis[0], gauge.gauge_identity(other)])
+            gauge.gauge_product(psi, gauge.gauge_identity(other))
 
 
 class TestVPrime:
@@ -201,7 +207,7 @@ class TestVPrime:
             w = WeightField.constant(g, 2.0)
             local = np.random.default_rng(6)
             psi = random_algebra_field(g, local, amplitude=1.0)
-            fs = [random_one_form(g, local, normalized=True) for _ in range(30)]
+            fs = random_one_form(g, local, normalized=True, count=30)
             consts.append(gauge.v_prime_bound_constant(psi, fs, 2, w,
                                                        iterations=1))
         assert max(consts) / min(consts) <= 2.0
@@ -217,7 +223,7 @@ def setup():
         .eigendecomposition()
     rng = np.random.default_rng(77)
     psi = random_algebra_field(g, rng, amplitude=1.0)
-    fs = [random_one_form(g, rng, normalized=True) for _ in range(15)]
+    fs = random_one_form(g, rng, normalized=True, count=15)
     return g, w, dec, psi, fs
 
 
@@ -245,8 +251,7 @@ class TestRegularity:
             rho).eigendecomposition()
         rng = np.random.default_rng(13)
         psi = random_algebra_field(torus, rng, 2, 0.8)
-        fs = [random_one_form(torus, rng, modes=2, normalized=True)
-              for _ in range(8)]
+        fs = random_one_form(torus, rng, modes=2, normalized=True, count=8)
         rep = gauge.regularity_check(psi, fs, (1e-1, 1e-2, 1e-3),
                                      1.0, 1.0, 1, w, dec)
         assert abs(rep.slope - 1.0) <= 0.05
@@ -266,11 +271,12 @@ def loop_regularity(field, fs, t_list, p, q, m, weight, dec, c_hat):
     """Errors and margins with V(exp(t Psi)) rebuilt for every field and t."""
     den = seminorm_p_batch(fs, (q,), dec)[0]
     den_m = seminorm_prime_batch(fs, (m,), weight)[0]
-    drift = [gauge.v_prime(field, f) for f in fs]
+    drift = [gauge.v_prime(field, f) for f in members(fs)]
     errors, margins = [], []
     for t in t_list:
-        quotients = [(gauge.v_action_of_exp(field, t, f) - f) * (1.0 / t) - vf
-                     for f, vf in zip(fs, drift)]
+        quotients = stack_fields(
+            [(gauge.v_action_of_exp(field, t, f) - f) * (1.0 / t) - vf
+             for f, vf in zip(members(fs), drift)])
         err = seminorm_p_batch(quotients, (p,), dec)[0]
         err_m = seminorm_prime_batch(quotients, (m,), weight)[0]
         worst = 0.0
@@ -319,7 +325,8 @@ class TestCutoffs:
         gauss = np.zeros((g.node_count, 1, 3), dtype=complex)
         gauss[:, 0, 0] = np.exp(-g.nodes[:, 0] ** 2 / 4.0)
         f = Field(g, 1, gauss, algebra=True)
-        rep = gauge.cutoff_approximation(psi, stages, [f], 1.0, dec)
+        rep = gauge.cutoff_approximation(psi, stages, stack_fields([f]), 1.0,
+                                         dec)
         row = rep.values[0]
         assert row[-1] <= 1e-3 * row[0]
         assert np.all(np.diff(row) <= 1e-12 * row[0])
@@ -336,7 +343,8 @@ class TestCutoffs:
         gauss = np.zeros((g.node_count, 1, 3), dtype=complex)
         gauss[:, 0, 0] = np.exp(-g.nodes[:, 0] ** 2 / 4.0)
         f = Field(g, 1, gauss, algebra=True)
-        rep = gauge.cutoff_approximation(psi, stages, [f], 1.0, dec)
+        rep = gauge.cutoff_approximation(psi, stages, stack_fields([f]), 1.0,
+                                         dec)
         row = rep.values[0]
         assert row[-1] == 0.0
         assert all(b <= a + 1e-12 * row[0] for a, b in zip(row, row[1:]))
@@ -348,7 +356,8 @@ class TestCutoffs:
         bump = np.zeros((g.node_count, 1, 3), dtype=complex)
         bump[:, 0, 1] = bumps(g.nodes, [[0.0]], [2.0], [1.0])[0][0]
         f = Field(g, 1, bump, algebra=True)
-        rep = gauge.cutoff_approximation(psi, stages, [f], 1.0, dec)
+        rep = gauge.cutoff_approximation(psi, stages, stack_fields([f]), 1.0,
+                                         dec)
         covered = rep.covered_from[0]
         assert covered == 2
         idx = rep.n_list.index(covered)
@@ -359,10 +368,10 @@ class TestCutoffs:
         psi = gauge.AlgebraValuedField.constant(g, (0.8, -0.5, 0.3))
         stages = gauge.cutoff_sequence(g, 8, 1.0, 1.0)
         rng = np.random.default_rng(41)
-        fs = [random_one_form(g, rng, modes=3) for _ in range(3)]
+        fs = random_one_form(g, rng, modes=3, count=3)
         rep = gauge.cutoff_approximation(psi, stages, fs, 1.0, dec)
         rows = []
-        for f in fs:
+        for f in members(fs):
             row = []
             for stage in stages:
                 diff = gauge.AlgebraValuedField(

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
-                            centered_stencil, covariant_derivative)
+                            centered_stencil, covariant_derivative, stack_fields)
 from energyrep.operators import (SpectralDecomposition,
                                  _adjoint_identity_residual, assemble_h,
                                  conjugated_operator, conjugation_residuals,
@@ -300,9 +300,10 @@ class TestSeparableAgainstDense:
         assert _signs_hold(dec.eigenvectors)
         dense = SpectralDecomposition(g, lam, vecs, op.node_weights, None)
         rng = np.random.default_rng(n)
-        fields = [Field.covector(g, rng.standard_normal((g.node_count, 2))
-                                 + 1j * rng.standard_normal((g.node_count, 2)))
-                  for _ in range(6)]
+        fields = stack_fields([
+            Field.covector(g, rng.standard_normal((g.node_count, 2))
+                           + 1j * rng.standard_normal((g.node_count, 2)))
+            for _ in range(6)])
         ps = (0.5, 1.0, 2.0)
         got = seminorm_p_batch(fields, ps, dec)
         want = seminorm_p_batch(fields, ps, dense)

@@ -292,11 +292,11 @@ class TestSamplers:
             grid, 12,
             lambda r: sampling.random_covector_testset(grid, r, count),
             lambda r: ref_random_covector_testset(grid, r, count))
-        assert len(new) == len(ref) == count
-        for a, b in zip(new, ref):
-            assert (a.rank, a.algebra) == (b.rank, b.algebra)
-            assert a.values.flags.c_contiguous
-            assert_same(a.values, b.values)
+        assert new.sample_axes == 1 and len(new.values) == len(ref) == count
+        assert new.values.flags.c_contiguous
+        for a, b in zip(new.values, ref):
+            assert (new.rank, new.algebra) == (b.rank, b.algebra)
+            assert_same(a, b.values)
 
     # every sampled field is bounded (C_b)
     @pytest.mark.parametrize("bounded", [True])
@@ -324,3 +324,94 @@ class TestSamplers:
             lambda r: sampling.rho_field(grid, profile, 0.4, rng=r),
             lambda r: ref_rho_field(grid, profile, 0.4, rng=r))
         assert_same(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# sets against a loop of single draws
+# ---------------------------------------------------------------------------
+
+def arrays(sample):
+    """The arrays that make up one sample or a set of any sampled kind."""
+    if isinstance(sample, gauge.GaugeField):
+        return sample.u, sample.du
+    if isinstance(sample, gauge.AlgebraValuedField):
+        return sample.values, sample.derivs
+    if isinstance(sample, Field):
+        return (sample.values,)
+    return (sample,)
+
+
+def assert_set_is_loop(got, loop):
+    for whole, *parts in zip(arrays(got), *(arrays(x) for x in loop)):
+        assert whole.flags.c_contiguous
+        assert_same(whole, np.stack(parts))
+
+
+SINGLES = {
+    "one_form": lambda g, r, modes, amp: sampling.random_one_form(
+        g, r, modes, amp),
+    "unit_one_form": lambda g, r, modes, amp: sampling.random_one_form(
+        g, r, modes, amp, normalized=True),
+    "covector": lambda g, r, modes, amp: Field.covector(
+        g, sampling.random_covector_testset(g, r, 1, modes).values[0]),
+    "algebra": lambda g, r, modes, amp: sampling.random_algebra_field(
+        g, r, modes, amp),
+    "gauge": lambda g, r, modes, amp: sampling.random_gauge_field(
+        g, r, modes, amp),
+    "rho": lambda g, r, modes, amp: sampling.rho_field(g, "random", amp, rng=r),
+}
+
+
+class TestSampledSets:
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("kind,sampler", [
+        ("one_form", lambda g, r, c: sampling.random_one_form(
+            g, r, 2, 0.8, count=c)),
+        ("unit_one_form", lambda g, r, c: sampling.random_one_form(
+            g, r, 2, 0.8, normalized=True, count=c)),
+        ("algebra", lambda g, r, c: sampling.random_algebra_field(
+            g, r, 2, 0.8, count=c)),
+        ("gauge", lambda g, r, c: sampling.random_gauge_field(
+            g, r, 2, 0.8, count=c)),
+        ("covector", lambda g, r, c: sampling.random_covector_testset(
+            g, r, c, 2)),
+    ])
+    def test_set_matches_single_draws(self, grid, count, kind, sampler):
+        got, loop = draw_both(
+            grid, 16, lambda r: sampler(grid, r, count),
+            lambda r: [SINGLES[kind](grid, r, 2, 0.8) for _ in range(count)])
+        assert_set_is_loop(got, loop)
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_interleaved_tuples_match_single_draws(self, grid, count):
+        kinds = (("rho", 2, 0.4), ("gauge", 3, 1.0), ("unit_one_form", 3, 1.0),
+                 ("gauge", 2, 0.8), ("one_form", 2, 1.0), ("covector", 3, 1.0),
+                 ("algebra", 1, 0.5))
+
+        def loop(rng):
+            draws = [[SINGLES[kind](grid, rng, modes, amp)
+                      for kind, modes, amp in kinds] for _ in range(count)]
+            return list(zip(*draws))
+
+        got, want = draw_both(
+            grid, 17, lambda r: sampling.random_tuples(grid, r, count, *kinds),
+            loop)
+        assert len(got) == len(kinds)
+        for whole, singles in zip(got, want):
+            assert_set_is_loop(whole, singles)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_set_rejected(self, grid, count):
+        with pytest.raises(ValueError, match="at least one sample"):
+            sampling.random_one_form(grid, np.random.default_rng(0), count=count)
+
+    def test_set_is_one_family_evaluation(self, grid, monkeypatch):
+        calls = []
+        family = sampling._profiles
+        monkeypatch.setattr(sampling, "_profiles",
+                            lambda *a: calls.append(1) or family(*a))
+        rng = np.random.default_rng(3)
+        sampling.random_gauge_field(grid, rng, count=6)
+        sampling.random_tuples(grid, rng, 6, ("gauge", 3, 1.0),
+                               ("unit_one_form", 3, 1.0))
+        assert len(calls) == 3

@@ -167,8 +167,10 @@ class TestEquivalenceProbe:
         g = build_grid("circle", 16, radius=1.0)
         w = WeightField.constant(g, 2.0)
         dec = assemble_h(g, w).eigendecomposition()
+        one = random_one_form(g, np.random.default_rng(0), count=1)
+        empty = one.copy_with(one.values[:0])
         with pytest.raises(ValueError):
-            equivalence_probe("circle", [(16, w, dec, [])], (1,), (1.0,))
+            equivalence_probe("circle", [(16, w, dec, empty)], (1,), (1.0,))
 
     def test_report_serializable(self):
         import json
@@ -207,9 +209,15 @@ def loop_seminorm_prime(f, m, weight):
     return total
 
 
-def assert_batch_equals_loop(fields, m_list, p_list, weight, dec):
-    prime = seminorm_prime_batch(fields, m_list, weight)
-    spec = seminorm_p_batch(fields, p_list, dec)
+def members(fields):
+    """The members of a test set, one by one."""
+    return [fields.copy_with(v) for v in fields.values]
+
+
+def assert_batch_equals_loop(field_set, m_list, p_list, weight, dec):
+    prime = seminorm_prime_batch(field_set, m_list, weight)
+    spec = seminorm_p_batch(field_set, p_list, dec)
+    fields = members(field_set)
     assert prime.shape == (len(m_list), len(fields))
     assert spec.shape == (len(p_list), len(fields))
     assert np.array_equal(prime, [[loop_seminorm_prime(f, m, weight)
@@ -234,10 +242,8 @@ class TestBatchedAgainstLoop:
         dec = conjugated_operator(assemble_h(g, make(g, value)),
                                   rho).eigendecomposition()
         rng = np.random.default_rng(31)
-        fields = random_covector_testset(g, rng, 12)
-        fields += [random_one_form(g, rng, modes=3) for _ in range(3)]
-        covectors = [f for f in fields if not f.algebra]
-        algebra = [f for f in fields if f.algebra]
+        covectors = random_covector_testset(g, rng, 12)
+        algebra = random_one_form(g, rng, modes=3, count=3)
         for subset in (covectors, algebra):
             assert_batch_equals_loop(subset, M_LIST, P_LIST, weight, dec)
 
@@ -248,8 +254,8 @@ class TestBatchedAgainstLoop:
         dec = conjugated_operator(assemble_h(torus, WeightField.constant(torus, 2.0)),
                                   rho).eigendecomposition()
         rng = np.random.default_rng(17)
-        fields = [random_one_form(torus, rng, modes=2) for _ in range(6)]
-        chain = list(twisted_chain(stack_fields(fields), rho, 3))
+        fields = random_one_form(torus, rng, modes=2, count=6)
+        chain = list(twisted_chain(fields, rho, 3))
         # a test set of rank-1 algebra fields climbs to rank 4 at n = 3
         assert [g.values.shape for g in chain] == [
             (6, 64) + (2,) * (k + 1) + (3,) for k in range(4)]
@@ -258,30 +264,32 @@ class TestBatchedAgainstLoop:
     def test_single_field_is_the_one_field_batch(self, circle_setup):
         g, w, dec = circle_setup
         rng = np.random.default_rng(9)
-        fields = [random_one_form(g, rng, modes=3) for _ in range(5)]
+        fields = random_one_form(g, rng, modes=3, count=5)
         prime = seminorm_prime_batch(fields, (0, 2), w)
         spec = seminorm_p_batch(fields, (0.5, 1.5), dec)
-        for k, f in enumerate(fields):
+        for k, f in enumerate(members(fields)):
             for i, m in enumerate((0, 2)):
-                one = seminorm_prime_batch([f], (m,), w)
+                one = seminorm_prime_batch(stack_fields([f]), (m,), w)
                 assert one.shape == (1, 1)
                 assert seminorm_prime(f, m, w) == one[0, 0] == prime[i, k]
             for i, p in enumerate((0.5, 1.5)):
-                one = seminorm_p_batch([f], (p,), dec)
+                one = seminorm_p_batch(stack_fields([f]), (p,), dec)
                 assert seminorm_p(f, p, dec) == one[0, 0] == spec[i, k]
 
     def test_empty_set_rejected(self, circle_setup):
         g, w, dec = circle_setup
+        one = random_one_form(g, np.random.default_rng(1), count=1)
+        empty = one.copy_with(one.values[:0])
         with pytest.raises(ValueError):
-            seminorm_p_batch([], (1.0,), dec)
+            seminorm_p_batch(empty, (1.0,), dec)
         with pytest.raises(ValueError):
-            seminorm_prime_batch([], (1,), w)
+            seminorm_prime_batch(empty, (1,), w)
 
     def test_negative_order_rejected(self, circle_setup):
         g, w, dec = circle_setup
         f = random_one_form(g, np.random.default_rng(2))
         with pytest.raises(ValueError, match="nonnegative"):
-            seminorm_prime_batch([f], (1, -1), w)
+            seminorm_prime_batch(stack_fields([f]), (1, -1), w)
 
     def test_conformally_rescaled_fields_rejected(self, circle_setup):
         g, w, dec = circle_setup
@@ -292,9 +300,9 @@ class TestBatchedAgainstLoop:
         with pytest.raises(GridError):
             seminorm_prime(moved, 1, w)
         with pytest.raises(GridError):
-            seminorm_prime_batch([moved], (1,), w)
+            seminorm_prime_batch(stack_fields([moved]), (1,), w)
         # one set, two metric scales
         with pytest.raises(GridError, match="rescaling"):
-            seminorm_prime_batch([f, moved], (0,), w)
+            seminorm_prime_batch(stack_fields([f, moved]), (0,), w)
         with pytest.raises(GridError, match="rescaling"):
-            seminorm_p_batch([f, moved], (1.0,), dec)
+            seminorm_p_batch(stack_fields([f, moved]), (1.0,), dec)
