@@ -10,7 +10,14 @@ On a d = 2 tensor grid with a potential that splits by axis, H is the
 Kronecker sum F_0 (x) I + I (x) F_1 of 1-D operators, and its spectrum comes
 from one symmetric solve per axis (Lynch, Rice & Thomas, "Direct solution of
 partial difference equations by tensor product methods", Numer. Math. 6
-(1964)); the dense matrix is still assembled, for the residual gates.
+(1964)).
+
+An operator keeps its stencil beside the dense matrix: the diagonal of H and
+the off-diagonal bands of each axis' 1-D Laplacian, and a conjugate its rho.
+The matrix is written from the stencil.  The residual gates evaluate through
+the stencil and through the per-axis factors of a decomposition; the dense
+matrix is read by the dense solves, the independent `eigenvalues` solve, the
+symmetry gate (on the stencil's pattern) and the eigenpair map of H_rho.
 """
 from __future__ import annotations
 
@@ -33,7 +40,9 @@ def _node_columns(f: Field, n: int) -> np.ndarray:
 def _symmetrized(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     """sqrt(w) and diag(sqrt w) M diag(sqrt w)^{-1}, symmetric for H."""
     sqw = np.sqrt(weights)
-    return sqw, (sqw[:, None] * matrix) / sqw[None, :]
+    sym = sqw[:, None] * matrix
+    sym /= sqw[None, :]
+    return sqw, sym
 
 
 def _signed(vecs: np.ndarray) -> np.ndarray:
@@ -60,7 +69,8 @@ def kronecker_sum_solve(factors: tuple, weights: np.ndarray) -> tuple:
     The eigenvalues are the sums a_i + b_j in stable ascending order; column
     k is kron(u_i, v_j) for the k-th pair, made w-orthonormal (the weights
     are uniform on every grid that has factors) and put under the sign rule
-    again, since the rule does not survive the product.
+    again, since the rule does not survive the product.  Also returns the
+    per-axis columns (u, v) and the index map (i, j) of the pairs.
     """
     (a, u), (b, v) = (symmetric_solve(f, np.ones(f.shape[0])) for f in factors)
     summed = (a[:, None] + b[None, :]).ravel()
@@ -69,15 +79,79 @@ def kronecker_sum_solve(factors: tuple, weights: np.ndarray) -> tuple:
     # node x * ny + y of column k is u[x, i_k] v[y, j_k], as np.kron has it
     vecs = (u[:, None, i] * v[None, :, j]).reshape(summed.size, summed.size)
     vecs /= np.sqrt(weights)[:, None]
-    return summed[order], _signed(vecs)
+    return summed[order], _signed(vecs), (u, v), (i, j)
+
+
+# modes per block in the residual gates: their temporaries stay n x _BLOCK
+# instead of n x n
+_BLOCK = 64
+
+
+def _stencil(grid: GridManifold, laplacians: tuple,
+             potential: np.ndarray) -> tuple:
+    """H as its diagonal and the off-diagonal bands of the axis Laplacians.
+
+    The diagonal is sum_j L_j[x_j, x_j] + W, added in the order that the
+    Kronecker sum and np.diag add them.  A band (axis, rows, cols, values)
+    is diagonal k != 0 of that axis' 1-D Laplacian L_j: values[t] couples
+    position rows[t] to cols[t] = rows[t] + k along the axis (slices), on
+    every grid line along the axis.
+    """
+    sizes = grid.axis_sizes
+    diag = np.zeros(sizes)
+    bands = []
+    for axis, lap in enumerate(laplacians):
+        line = [1] * grid.dimension
+        line[axis] = -1
+        diag = diag + np.diagonal(lap).reshape(line)
+        n = sizes[axis]
+        a, b = np.nonzero(lap)
+        # set, not np.unique: np.unique imports numpy.ma, which costs every
+        # run 0.5 MiB of module code
+        for k in sorted(set((b - a)[b != a].tolist())):
+            bands.append((axis, slice(max(0, -k), n - max(0, k)),
+                          slice(max(0, k), n - max(0, -k)),
+                          np.diagonal(lap, k).copy()))
+    return diag.ravel() + potential, bands
+
+
+def _entries(grid: GridManifold, stencil: tuple,
+             rho: np.ndarray | None) -> tuple:
+    """The stencil's entries as flat (rows, cols, values), node indices;
+    with rho those of E^{-1} H E, each entry m taken to (m e_c) / e_r."""
+    diag, bands = stencil
+    idx = np.arange(grid.node_count).reshape(grid.axis_sizes)
+    rows, cols, values = [idx.ravel()], [idx.ravel()], [diag]
+    for axis, r, c, band in bands:
+        lines = np.moveaxis(idx, axis, 0)
+        rows.append(lines[r].ravel())
+        cols.append(lines[c].ravel())
+        values.append(np.repeat(band, lines[r][0].size))
+    rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
+    if rho is not None:
+        e = np.exp(rho / 2.0)
+        values = (values * e[cols]) / e[rows]
+    return rows, cols, values
+
+
+def _assembled(grid: GridManifold, stencil: tuple,
+               rho: np.ndarray | None) -> np.ndarray:
+    """The dense matrix of the stencil's entries (see `_entries`), written
+    into one zeroed n x n array."""
+    rows, cols, values = _entries(grid, stencil, rho)
+    mat = np.zeros((grid.node_count, grid.node_count))
+    mat[rows, cols] = values
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Square operator on per-node coefficients, symmetric under its weights.
 
-    `factors` holds the 1-D operators whose Kronecker sum the matrix is,
-    when it is one; the eigendecomposition then solves per axis.
+    `stencil` is H's diagonal and the bands of its axis Laplacians (see
+    `_stencil`); `matrix` is assembled from it and, for a conjugate, from
+    `rho`.  `factors` holds the 1-D operators whose Kronecker sum the matrix
+    is, when it is one; the eigendecomposition then solves per axis.
     """
 
     grid: GridManifold
@@ -85,6 +159,7 @@ class DiscreteOperator:
     node_weights: np.ndarray  # quadrature weights incl. e^rho
     rho: np.ndarray | None
     rank: int
+    stencil: tuple
     factors: tuple | None = None
 
     def apply(self, f: Field) -> Field:
@@ -94,13 +169,14 @@ class DiscreteOperator:
         return f.copy_with(out.reshape(f.values.shape))
 
     def symmetry_residual(self) -> float:
-        """Max asymmetry of diag(w) M, scaled by its own magnitude."""
-        s = self.node_weights[:, None] * self.matrix
-        scale = np.max(np.abs(s))
-        # one n x n temporary at a time: this sets the peak memory of a
-        # large d = 2 spectrum run
-        asym = s - s.T
-        return float(np.max(np.abs(asym, out=asym)) / scale)
+        """Max asymmetry of diag(w) M, scaled by its own magnitude, on the
+        stencil's nonzero pattern and its transpose: every other entry of
+        diag(w) M and of its asymmetry is 0."""
+        rows, cols, _ = _entries(self.grid, self.stencil, None)
+        w, m = self.node_weights, self.matrix
+        s = w[rows] * m[rows, cols]
+        asym = s - w[cols] * m[cols, rows]
+        return float(np.max(np.abs(asym)) / np.max(np.abs(s)))
 
     def _symmetrized(self) -> tuple:
         return _symmetrized(self.matrix, self.node_weights)
@@ -116,21 +192,30 @@ class DiscreteOperator:
         operator has factors, one dense solve otherwise."""
         if self.factors is None:
             eigvals, vecs = symmetric_solve(self.matrix, self.node_weights)
+            axis_vectors = pairs = None
         else:
-            eigvals, vecs = kronecker_sum_solve(self.factors, self.node_weights)
+            eigvals, vecs, axis_vectors, pairs = kronecker_sum_solve(
+                self.factors, self.node_weights)
         return SpectralDecomposition(self.grid, eigvals, vecs,
-                                     self.node_weights, self.rho)
+                                     self.node_weights, self.rho,
+                                     axis_vectors, pairs)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues with eigenvectors orthonormal under the weights."""
+    """Ascending eigenvalues with eigenvectors orthonormal under the weights.
+
+    A per-axis decomposition also keeps the axis columns (u, v) and the index
+    map (i, j): column k was formed as kron(u[:, i_k], v[:, j_k]).
+    """
 
     grid: GridManifold
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns
     node_weights: np.ndarray
     rho: np.ndarray | None
+    axis_vectors: tuple | None = None
+    pairs: tuple | None = None
 
     def expand(self, f: Field) -> np.ndarray:
         """Coefficients <e_n, f>_w per channel; shape (modes, channels),
@@ -139,13 +224,59 @@ class SpectralDecomposition:
         return self.eigenvectors.T @ (self.node_weights[:, None] * flat)
 
     def gram_residual(self) -> float:
-        g = self.eigenvectors.T @ (self.node_weights[:, None] * self.eigenvectors)
-        return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+        """Largest entry of |E^T diag(w) E - I| over the eigenvectors E.
+
+        Per axis, column k is kron(u_{i_k}, v_{j_k}) up to sign and the
+        uniform weight, so the off-diagonal entries are products of entries
+        of the axis grams u^T u and v^T v, provided (i, j) visits every pair
+        once; a pair visited twice puts |u_i|^2 |v_j|^2 off the diagonal.
+        The diagonal comes from the formed columns' weighted norms.
+        """
+        vecs, w = self.eigenvectors, self.node_weights
+        if self.axis_vectors is None:
+            g = vecs.T @ (w[:, None] * vecs)
+            g[np.diag_indices_from(g)] -= 1.0
+            return float(np.max(np.abs(g, out=g)))
+        gu, gv = (f.T @ f for f in self.axis_vectors)
+        du, dv = np.diagonal(gu), np.diagonal(gv)
+        off_u = np.max(np.abs(gu - np.diag(du)))
+        off_v = np.max(np.abs(gv - np.diag(dv)))
+        off = max(off_u * np.max(np.abs(gv)), np.max(np.abs(du)) * off_v)
+        i, j = self.pairs
+        twice = np.flatnonzero(np.bincount(i * dv.size + j) > 1)
+        if twice.size:
+            ti, tj = np.divmod(twice, dv.size)
+            off = max(off, np.max(np.abs(du[ti] * dv[tj])))
+        norms = np.concatenate([w @ np.square(vecs[:, c:c + _BLOCK])
+                                for c in range(0, w.size, _BLOCK)])
+        return float(max(off, np.max(np.abs(norms - 1.0))))
 
     def eigen_residual(self, op: DiscreteOperator) -> float:
-        r = op.matrix @ self.eigenvectors - self.eigenvectors * self.eigenvalues
-        return float(np.max(np.linalg.norm(r, axis=0)
-                            / np.maximum(np.abs(self.eigenvalues), 1.0)))
+        """Largest ||H e_n - lambda_n e_n|| / max(|lambda_n|, 1), with the
+        operator's stencil applied to the formed eigenvectors: each axis'
+        1-D Laplacian band by band, plus W, between e^{+-rho/2} for a
+        conjugate.  O(nnz) work per mode, in blocks of modes; the dense
+        matrix is not read."""
+        lam = self.eigenvalues
+        diag, bands = op.stencil
+        e = None if op.rho is None else np.exp(op.rho / 2.0)[:, None]
+        mesh = op.grid.axis_sizes + (-1,)
+        norms = np.empty(lam.size)
+        for c in range(0, lam.size, _BLOCK):
+            v = np.ascontiguousarray(self.eigenvectors[:, c:c + _BLOCK])
+            x = v if e is None else e * v
+            hx = diag[:, None] * x
+            xm, hm = x.reshape(mesh), hx.reshape(mesh)
+            for axis, rows, cols, band in bands:
+                line = [1] * xm.ndim
+                line[axis] = -1
+                lead = (slice(None),) * axis
+                hm[lead + (rows,)] += band.reshape(line) * xm[lead + (cols,)]
+            if e is not None:
+                hx /= e
+            hx -= v * lam[c:c + _BLOCK]
+            norms[c:c + _BLOCK] = np.linalg.norm(hx, axis=0)
+        return float(np.max(norms / np.maximum(np.abs(lam), 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +309,11 @@ def _laplacian_1d(n: int, h: float, periodic: bool) -> np.ndarray:
 def assemble_h(grid: GridManifold, weight: WeightField, rank: int = 0) -> DiscreteOperator:
     """H = grad†grad + W, acting channelwise on rank-0 or rank-1 fields.
 
-    grad†grad is assembled from one-sided links and exact adjoints, per axis.
-    On a d = 2 grid where W splits by axis, the operator also keeps its 1-D
-    factors: the axis Laplacian plus that axis' part of W.
+    grad†grad is assembled from one-sided links and exact adjoints, per axis:
+    the matrix is the Kronecker sum of the axis Laplacians plus diag(W),
+    written entry by entry from the stencil.  On a d = 2 grid where W splits
+    by axis, the operator also keeps its 1-D factors: the axis Laplacian plus
+    that axis' part of W.
     """
     if rank not in (0, 1):
         raise GridError("H acts on rank-0 or rank-1 fields")
@@ -189,31 +322,31 @@ def assemble_h(grid: GridManifold, weight: WeightField, rank: int = 0) -> Discre
     if not grid.has_unit_scale():
         raise GridError("operator assembly requires the unrescaled flat metric")
     periodic = grid.topology == "periodic"
-    axes = [_laplacian_1d(nn, grid.spacing[j], periodic)
-            for j, nn in enumerate(grid.axis_sizes)]
+    laps = tuple(_laplacian_1d(nn, grid.spacing[j], periodic)
+                 for j, nn in enumerate(grid.axis_sizes))
     factors = None
-    if grid.dimension == 1:
-        lap = axes[0]
-    else:
-        nx, ny = grid.axis_sizes
-        lap = np.kron(axes[0], np.eye(ny)) + np.kron(np.eye(nx), axes[1])
-        if weight.parts is not None:
-            # a part alone may be below 1: plain matrices, no WeightField
-            factors = tuple(a + np.diag(part)
-                            for a, part in zip(axes, weight.parts))
-    mat = lap + np.diag(weight.w)
-    return DiscreteOperator(grid, mat, grid.measure_weights(), None, rank,
+    if grid.dimension == 2 and weight.parts is not None:
+        # a part alone may be below 1: plain matrices, no WeightField
+        factors = tuple(a + np.diag(part) for a, part in zip(laps, weight.parts))
+    stencil = _stencil(grid, laps, weight.w)
+    # drop the axis Laplacians before the n x n allocation: alive beside it
+    # they leave the allocator holding pages past this call (+0.9 MiB peak
+    # RSS, measured on a circle seminorms run up to N = 256)
+    del laps
+    return DiscreteOperator(grid, _assembled(grid, stencil, None),
+                            grid.measure_weights(), None, rank, stencil,
                             factors)
 
 
 def conjugated_operator(op: DiscreteOperator,
                         rho: np.ndarray) -> DiscreteOperator:
     """H_rho = E^{-1} H E with E = diag(e^{rho/2}); same spectrum as H."""
+    if op.rho is not None:
+        raise GridError("conjugate H itself, not a conjugate")
     rho = np.asarray(rho, float)
-    e = np.exp(rho / 2.0)
-    mat = (op.matrix * e[None, :]) / e[:, None]
+    mat = _assembled(op.grid, op.stencil, rho)
     weights = op.node_weights * np.exp(rho)
-    return DiscreteOperator(op.grid, mat, weights, rho, op.rank)
+    return DiscreteOperator(op.grid, mat, weights, rho, op.rank, op.stencil)
 
 
 def conjugation_residuals(h_rho: DiscreteOperator,
@@ -253,14 +386,14 @@ def _adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
 
 def _eigenpair_map_residual(h_rho: DiscreteOperator,
                             dec: "SpectralDecomposition") -> float:
-    e = np.exp(h_rho.rho / 2.0)
-    worst = 0.0
-    for k in range(min(dec.eigenvalues.size, 32)):
-        v = dec.eigenvectors[:, k] / e
-        r = h_rho.matrix @ v - dec.eigenvalues[k] * v
-        worst = max(worst, float(np.linalg.norm(r) /
-                                 max(np.linalg.norm(v) * abs(dec.eigenvalues[k]), 1e-300)))
-    return worst
+    """Largest ||H_rho v - lambda v|| / (||v|| |lambda|) over v = e^{-rho/2} e_n
+    for the lowest 32 modes, one product of the assembled H_rho."""
+    k = min(dec.eigenvalues.size, 32)
+    lam = dec.eigenvalues[:k]
+    v = dec.eigenvectors[:, :k] / np.exp(h_rho.rho / 2.0)[:, None]
+    r = h_rho.matrix @ v - v * lam
+    return float(np.max(np.linalg.norm(r, axis=0) / np.maximum(
+        np.linalg.norm(v, axis=0) * np.abs(lam), 1e-300)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Schrodinger operator assembly, spectra, conjugation, Hilbert-Schmidt probe."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
                             centered_stencil, covariant_derivative, stack_fields)
 from energyrep.operators import (SpectralDecomposition,
-                                 _adjoint_identity_residual, assemble_h,
-                                 conjugated_operator, conjugation_residuals,
-                                 hilbert_schmidt_test, symmetric_solve)
+                                 _adjoint_identity_residual, _laplacian_1d,
+                                 assemble_h, conjugated_operator,
+                                 conjugation_residuals, hilbert_schmidt_test,
+                                 symmetric_solve)
 from energyrep.seminorms import seminorm_p_batch
 
 
@@ -335,6 +338,182 @@ class TestSeparableAgainstDense:
             lam, vecs = symmetric_solve(op.matrix, op.node_weights)
             assert np.array_equal(dec.eigenvalues, lam)
             assert np.array_equal(dec.eigenvectors, vecs)
+
+
+# The dense formulas the gates used before they went through the stencil and
+# the per-axis factors; kept here as the reference.
+
+def _kron_assembly(grid, w):
+    """Oracle: H as the Kronecker sum of the axis Laplacians plus diag(W)."""
+    periodic = grid.topology == "periodic"
+    axes = [_laplacian_1d(nn, grid.spacing[j], periodic)
+            for j, nn in enumerate(grid.axis_sizes)]
+    if grid.dimension == 1:
+        lap = axes[0]
+    else:
+        nx, ny = grid.axis_sizes
+        lap = np.kron(axes[0], np.eye(ny)) + np.kron(np.eye(nx), axes[1])
+    return lap + np.diag(w)
+
+
+def _dense_conjugate(matrix, rho):
+    e = np.exp(rho / 2.0)
+    return (matrix * e[None, :]) / e[:, None]
+
+
+def _dense_symmetrized(matrix, weights):
+    sqw = np.sqrt(weights)
+    return (sqw[:, None] * matrix) / sqw[None, :]
+
+
+def _dense_symmetry_residual(op):
+    s = op.node_weights[:, None] * op.matrix
+    return float(np.max(np.abs(s - s.T)) / np.max(np.abs(s)))
+
+
+def _dense_eigen_residual(dec, op):
+    r = op.matrix @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+    return float(np.max(np.linalg.norm(r, axis=0)
+                        / np.maximum(np.abs(dec.eigenvalues), 1.0)))
+
+
+def _dense_gram_residual(dec):
+    g = dec.eigenvectors.T @ (dec.node_weights[:, None] * dec.eigenvectors)
+    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+
+
+def _loop_eigenpair_map_residual(h_rho, dec):
+    e = np.exp(h_rho.rho / 2.0)
+    worst = 0.0
+    for k in range(min(dec.eigenvalues.size, 32)):
+        v = dec.eigenvectors[:, k] / e
+        r = h_rho.matrix @ v - dec.eigenvalues[k] * v
+        worst = max(worst, float(np.linalg.norm(r) / max(
+            np.linalg.norm(v) * abs(dec.eigenvalues[k]), 1e-300)))
+    return worst
+
+
+def _bits(a):
+    """The array's bit patterns: equal bits, not only equal values (a -0.0
+    where the reference has +0.0 would differ)."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+ALL_GRIDS = [("circle", {"radius": 1.0}, WeightField.constant, 2.0),
+             ("interval", {"halfwidth": 5.0}, WeightField.quadratic, 1.0)
+             ] + TENSOR_GRIDS
+
+
+def _rho(g):
+    return 0.4 * np.cos(g.nodes[:, 0]) + 0.2 * np.sin(g.nodes[:, -1])
+
+
+class TestStencilGatesAgainstDense:
+    """Assembly, conjugation and the residual gates through the stencil and
+    the per-axis factors, against the dense formulas above."""
+
+    @pytest.mark.parametrize("n", [4, 7, 16])
+    @pytest.mark.parametrize("shape,kw,make,value", ALL_GRIDS)
+    def test_assembly_and_conjugate_are_bit_identical(self, shape, kw, make,
+                                                      value, n):
+        g = build_grid(shape, n, **kw)
+        weight = make(g, value)
+        op = assemble_h(g, weight)
+        assert np.array_equal(_bits(op.matrix),
+                              _bits(_kron_assembly(g, weight.w)))
+        h_rho = conjugated_operator(op, _rho(g))
+        assert np.array_equal(_bits(h_rho.matrix),
+                              _bits(_dense_conjugate(op.matrix, _rho(g))))
+        for h in (op, h_rho):
+            assert h.symmetry_residual() == _dense_symmetry_residual(h)
+            assert np.array_equal(
+                _bits(h._symmetrized()[1]),
+                _bits(_dense_symmetrized(h.matrix, h.node_weights)))
+
+    @pytest.mark.parametrize("n", [4, 7, 16])
+    @pytest.mark.parametrize("shape,kw,make,value", ALL_GRIDS)
+    def test_residuals_match_dense_formulas(self, shape, kw, make, value, n):
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        h_rho = conjugated_operator(op, _rho(g))
+        dec = op.eigendecomposition()
+        dec_rho = h_rho.eigendecomposition()
+        assert (dec.axis_vectors is not None) == (g.dimension == 2)
+        for d, h in ((dec, op), (dec_rho, h_rho)):
+            assert abs(d.eigen_residual(h) - _dense_eigen_residual(d, h)) <= 1e-14
+            assert abs(d.gram_residual() - _dense_gram_residual(d)) <= 1e-14
+            if d.axis_vectors is None:  # the dense gram, bit for bit
+                assert d.gram_residual() == _dense_gram_residual(d)
+        rep = conjugation_residuals(h_rho, dec)
+        assert abs(rep["eigenpair_residual"]
+                   - _loop_eigenpair_map_residual(h_rho, dec)) <= 1e-14
+
+    def test_conjugate_of_a_conjugate_rejected(self):
+        g = build_grid("circle", 8, radius=1.0)
+        h_rho = conjugated_operator(assemble_h(g, WeightField.constant(g, 2.0)),
+                                    _rho(g))
+        with pytest.raises(GridError):
+            conjugated_operator(h_rho, _rho(g))
+
+
+HONESTY_GRIDS = [("circle", {"radius": 1.0}, WeightField.constant, 2.0),
+                 ("torus", {"radius": 1.0}, WeightField.constant, 2.0),
+                 ("square", {"halfwidth": 3.0}, WeightField.quadratic, 1.0)]
+
+
+class TestGatesStayHonest:
+    """The gates read what they claim to check, and fail on broken inputs."""
+
+    @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
+    def test_eigen_residual_takes_no_dense_product(self, shape, kw, make,
+                                                   value):
+        g = build_grid(shape, 7, **kw)
+        op = assemble_h(g, make(g, value))
+        for h in (op, conjugated_operator(op, _rho(g))):
+            dec = h.eigendecomposition()
+            blind = dataclasses.replace(
+                h, matrix=np.full_like(h.matrix, np.nan))
+            assert dec.eigen_residual(blind) == dec.eigen_residual(h)
+
+    @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
+    def test_wrong_stencil_coefficient_fails_eigen_gate(self, shape, kw, make,
+                                                        value):
+        g = build_grid(shape, 7, **kw)
+        op = assemble_h(g, make(g, value))
+        dec = op.eigendecomposition()
+        assert dec.eigen_residual(op) <= 1e-12
+        diag, bands = op.stencil
+        for t, (axis, rows, cols, values) in enumerate(bands):
+            wrong_band = (axis, rows, cols, values.copy())
+            wrong_band[3][0] *= 1.01
+            wrong = dataclasses.replace(op, stencil=(
+                diag, bands[:t] + [wrong_band] + bands[t + 1:]))
+            assert dec.eigen_residual(wrong) > 1e-8
+        wrong_diag = diag.copy()
+        wrong_diag[5] *= 1.01
+        wrong = dataclasses.replace(op, stencil=(wrong_diag, bands))
+        assert dec.eigen_residual(wrong) > 1e-8
+
+    @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
+    def test_scaled_column_fails_gram_gate(self, shape, kw, make, value):
+        g = build_grid(shape, 7, **kw)
+        dec = assemble_h(g, make(g, value)).eigendecomposition()
+        assert dec.gram_residual() <= 1e-13
+        for k in (0, 5, g.node_count - 1):
+            vecs = dec.eigenvectors.copy()
+            vecs[:, k] *= 1.01
+            scaled = dataclasses.replace(dec, eigenvectors=vecs)
+            assert scaled.gram_residual() > 1e-10
+
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS)
+    def test_repeated_pair_fails_gram_gate(self, shape, kw, make, value):
+        g = build_grid(shape, 7, **kw)
+        dec = assemble_h(g, make(g, value)).eigendecomposition()
+        i, j = (x.copy() for x in dec.pairs)
+        assert np.array_equal(np.sort(i * 7 + j), np.arange(49))
+        i[1], j[1] = i[0], j[0]
+        repeated = dataclasses.replace(dec, pairs=(i, j))
+        assert repeated.gram_residual() > 1e-10
 
 
 class TestHilbertSchmidt:
