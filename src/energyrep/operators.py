@@ -12,12 +12,11 @@ from one symmetric solve per axis (Lynch, Rice & Thomas, "Direct solution of
 partial difference equations by tensor product methods", Numer. Math. 6
 (1964)).
 
-An operator keeps its stencil beside the dense matrix: the diagonal of H and
-the off-diagonal bands of each axis' 1-D Laplacian, and a conjugate its rho.
-The matrix is written from the stencil.  The residual gates evaluate through
-the stencil and through the per-axis factors of a decomposition; the dense
-matrix is read by the dense solves, the independent `eigenvalues` solve, the
-symmetry gate (on the stencil's pattern) and the eigenpair map of H_rho.
+An operator is stored once, as its stencil: the diagonal of H and the
+off-diagonal bands of each axis' 1-D Laplacian, and a conjugate its rho.
+`apply` and the residual gates evaluate through the stencil and through the
+per-axis factors of a decomposition.  The dense matrix is written from the
+stencil only for the dense solves and the independent `eigenvalues` solve.
 """
 from __future__ import annotations
 
@@ -29,12 +28,6 @@ import numpy as np
 
 from .grid import (Field, GridManifold, GridError, WeightField,
                    centered_stencil)
-
-
-def _node_columns(f: Field, n: int) -> np.ndarray:
-    """Values as an (n, channels) matrix, one per sample of a test set, so a
-    matmul does for each sample what it does for a single field."""
-    return f.values.reshape(f.values.shape[:f.sample_axes] + (n, -1))
 
 
 def _symmetrized(matrix: np.ndarray, weights: np.ndarray) -> tuple:
@@ -149,33 +142,62 @@ class DiscreteOperator:
     """Square operator on per-node coefficients, symmetric under its weights.
 
     `stencil` is H's diagonal and the bands of its axis Laplacians (see
-    `_stencil`); `matrix` is assembled from it and, for a conjugate, from
-    `rho`.  `factors` holds the 1-D operators whose Kronecker sum the matrix
-    is, when it is one; the eigendecomposition then solves per axis.
+    `_stencil`), the one stored form of the operator; a conjugate adds `rho`.
+    `factors` holds the 1-D operators whose Kronecker sum H is, when it is
+    one; the eigendecomposition then solves per axis.
     """
 
     grid: GridManifold
-    matrix: np.ndarray        # (n, n)
     node_weights: np.ndarray  # quadrature weights incl. e^rho
     rho: np.ndarray | None
-    rank: int
     stencil: tuple
     factors: tuple | None = None
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (n, n) matrix, written afresh from the stencil on every
+        access: only the dense solves need it."""
+        return _assembled(self.grid, self.stencil, self.rho)
+
+    def _applied(self, x: np.ndarray) -> np.ndarray:
+        """The operator applied to the columns of an (n, k) array: each
+        axis' 1-D Laplacian band by band, plus W, between e^{+-rho/2} for a
+        conjugate.  O(nnz) work per column."""
+        diag, bands = self.stencil
+        e = None if self.rho is None else np.exp(self.rho / 2.0)[:, None]
+        x = x if e is None else e * x
+        hx = diag[:, None] * x
+        mesh = self.grid.axis_sizes + (-1,)
+        xm, hm = x.reshape(mesh), hx.reshape(mesh)
+        for axis, rows, cols, band in bands:
+            line = [1] * xm.ndim
+            line[axis] = -1
+            lead = (slice(None),) * axis
+            hm[lead + (rows,)] += band.reshape(line) * xm[lead + (cols,)]
+        if e is not None:
+            hx /= e
+        return hx
+
     def apply(self, f: Field) -> Field:
-        if f.rank != self.rank:
-            raise GridError(f"operator assembled for rank {self.rank}")
-        out = self.matrix @ _node_columns(f, self.grid.node_count)
-        return f.copy_with(out.reshape(f.values.shape))
+        """H on a field or a test set, channelwise on the trailing axes."""
+        nodes = np.moveaxis(f.values, f.sample_axes, 0)
+        out = self._applied(nodes.reshape(nodes.shape[0], -1))
+        return f.copy_with(np.moveaxis(out.reshape(nodes.shape), 0,
+                                       f.sample_axes))
 
     def symmetry_residual(self) -> float:
-        """Max asymmetry of diag(w) M, scaled by its own magnitude, on the
-        stencil's nonzero pattern and its transpose: every other entry of
-        diag(w) M and of its asymmetry is 0."""
-        rows, cols, _ = _entries(self.grid, self.stencil, None)
-        w, m = self.node_weights, self.matrix
-        s = w[rows] * m[rows, cols]
-        asym = s - w[cols] * m[cols, rows]
+        """Max asymmetry of diag(w) M, scaled by its own magnitude, over the
+        stencil's entries (every other entry of diag(w) M is 0).  An entry's
+        transpose is found among the sorted entries; where the pattern lacks
+        it, it reads 0, as in M."""
+        rows, cols, values = _entries(self.grid, self.stencil, self.rho)
+        n, w = self.grid.node_count, self.node_weights
+        keys, transpose = rows * n + cols, cols * n + rows
+        order = np.argsort(keys)
+        at = order[np.minimum(np.searchsorted(keys[order], transpose),
+                              keys.size - 1)]
+        s = w[rows] * values
+        asym = s - w[cols] * np.where(keys[at] == transpose, values[at], 0.0)
         return float(np.max(np.abs(asym)) / np.max(np.abs(s)))
 
     def _symmetrized(self) -> tuple:
@@ -220,7 +242,9 @@ class SpectralDecomposition:
     def expand(self, f: Field) -> np.ndarray:
         """Coefficients <e_n, f>_w per channel; shape (modes, channels),
         after the sample axis of a test set."""
-        flat = _node_columns(f, self.grid.node_count)
+        # (n, channels) per sample, so the matmul acts on each sample
+        flat = f.values.reshape(f.values.shape[:f.sample_axes]
+                                + (self.grid.node_count, -1))
         return self.eigenvectors.T @ (self.node_weights[:, None] * flat)
 
     def gram_residual(self) -> float:
@@ -253,28 +277,13 @@ class SpectralDecomposition:
 
     def eigen_residual(self, op: DiscreteOperator) -> float:
         """Largest ||H e_n - lambda_n e_n|| / max(|lambda_n|, 1), with the
-        operator's stencil applied to the formed eigenvectors: each axis'
-        1-D Laplacian band by band, plus W, between e^{+-rho/2} for a
-        conjugate.  O(nnz) work per mode, in blocks of modes; the dense
-        matrix is not read."""
+        operator's stencil applied to the formed eigenvectors in blocks of
+        modes."""
         lam = self.eigenvalues
-        diag, bands = op.stencil
-        e = None if op.rho is None else np.exp(op.rho / 2.0)[:, None]
-        mesh = op.grid.axis_sizes + (-1,)
         norms = np.empty(lam.size)
         for c in range(0, lam.size, _BLOCK):
-            v = np.ascontiguousarray(self.eigenvectors[:, c:c + _BLOCK])
-            x = v if e is None else e * v
-            hx = diag[:, None] * x
-            xm, hm = x.reshape(mesh), hx.reshape(mesh)
-            for axis, rows, cols, band in bands:
-                line = [1] * xm.ndim
-                line[axis] = -1
-                lead = (slice(None),) * axis
-                hm[lead + (rows,)] += band.reshape(line) * xm[lead + (cols,)]
-            if e is not None:
-                hx /= e
-            hx -= v * lam[c:c + _BLOCK]
+            v = self.eigenvectors[:, c:c + _BLOCK]
+            hx = op._applied(v) - v * lam[c:c + _BLOCK]
             norms[c:c + _BLOCK] = np.linalg.norm(hx, axis=0)
         return float(np.max(norms / np.maximum(np.abs(lam), 1.0)))
 
@@ -306,17 +315,14 @@ def _laplacian_1d(n: int, h: float, periodic: bool) -> np.ndarray:
     return g.T @ g
 
 
-def assemble_h(grid: GridManifold, weight: WeightField, rank: int = 0) -> DiscreteOperator:
-    """H = grad†grad + W, acting channelwise on rank-0 or rank-1 fields.
+def assemble_h(grid: GridManifold, weight: WeightField) -> DiscreteOperator:
+    """H = grad†grad + W, acting channelwise on fields of any rank.
 
     grad†grad is assembled from one-sided links and exact adjoints, per axis:
-    the matrix is the Kronecker sum of the axis Laplacians plus diag(W),
-    written entry by entry from the stencil.  On a d = 2 grid where W splits
-    by axis, the operator also keeps its 1-D factors: the axis Laplacian plus
-    that axis' part of W.
+    H is the Kronecker sum of the axis Laplacians plus diag(W), kept as its
+    stencil.  On a d = 2 grid where W splits by axis, the operator also keeps
+    its 1-D factors: the axis Laplacian plus that axis' part of W.
     """
-    if rank not in (0, 1):
-        raise GridError("H acts on rank-0 or rank-1 fields")
     if np.min(weight.w) < 1.0:
         raise GridError("potential W must satisfy W >= 1 (condition on the scale)")
     if not grid.has_unit_scale():
@@ -328,14 +334,8 @@ def assemble_h(grid: GridManifold, weight: WeightField, rank: int = 0) -> Discre
     if grid.dimension == 2 and weight.parts is not None:
         # a part alone may be below 1: plain matrices, no WeightField
         factors = tuple(a + np.diag(part) for a, part in zip(laps, weight.parts))
-    stencil = _stencil(grid, laps, weight.w)
-    # drop the axis Laplacians before the n x n allocation: alive beside it
-    # they leave the allocator holding pages past this call (+0.9 MiB peak
-    # RSS, measured on a circle seminorms run up to N = 256)
-    del laps
-    return DiscreteOperator(grid, _assembled(grid, stencil, None),
-                            grid.measure_weights(), None, rank, stencil,
-                            factors)
+    return DiscreteOperator(grid, grid.measure_weights(), None,
+                            _stencil(grid, laps, weight.w), factors)
 
 
 def conjugated_operator(op: DiscreteOperator,
@@ -344,9 +344,8 @@ def conjugated_operator(op: DiscreteOperator,
     if op.rho is not None:
         raise GridError("conjugate H itself, not a conjugate")
     rho = np.asarray(rho, float)
-    mat = _assembled(op.grid, op.stencil, rho)
-    weights = op.node_weights * np.exp(rho)
-    return DiscreteOperator(op.grid, mat, weights, rho, op.rank, op.stencil)
+    return DiscreteOperator(op.grid, op.node_weights * np.exp(rho), rho,
+                            op.stencil)
 
 
 def conjugation_residuals(h_rho: DiscreteOperator,
@@ -387,11 +386,11 @@ def _adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
 def _eigenpair_map_residual(h_rho: DiscreteOperator,
                             dec: "SpectralDecomposition") -> float:
     """Largest ||H_rho v - lambda v|| / (||v|| |lambda|) over v = e^{-rho/2} e_n
-    for the lowest 32 modes, one product of the assembled H_rho."""
+    for the lowest 32 modes, H_rho applied through its stencil."""
     k = min(dec.eigenvalues.size, 32)
     lam = dec.eigenvalues[:k]
     v = dec.eigenvectors[:, :k] / np.exp(h_rho.rho / 2.0)[:, None]
-    r = h_rho.matrix @ v - v * lam
+    r = h_rho._applied(v) - v * lam
     return float(np.max(np.linalg.norm(r, axis=0) / np.maximum(
         np.linalg.norm(v, axis=0) * np.abs(lam), 1e-300)))
 

@@ -269,7 +269,7 @@ class TestSampleAxis:
 
     def test_expand_and_apply_match_per_field(self):
         g = build_grid("torus", 6, radius=1.0)
-        op = assemble_h(g, WeightField.constant(g, 2.0), rank=1)
+        op = assemble_h(g, WeightField.constant(g, 2.0))
         dec = op.eigendecomposition()
         rng = np.random.default_rng(43)
         fields = [random_field(g, rng, 1, True) for _ in range(3)]

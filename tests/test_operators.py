@@ -1,9 +1,11 @@
 """Schrodinger operator assembly, spectra, conjugation, Hilbert-Schmidt probe."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from energyrep import operators
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
                             centered_stencil, covariant_derivative, stack_fields)
 from energyrep.operators import (SpectralDecomposition,
@@ -48,8 +50,7 @@ class TestAssembly:
         assert np.max(np.abs(out.values - 2.0 * c.values)) == 0.0
 
     def test_rank1_action_is_channelwise(self):
-        g, op1 = circle_operator(16)
-        op = assemble_h(g, WeightField.constant(g, 2.0), rank=1)
+        g, op = circle_operator(16)
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((16, 1)) + 0j
         f = Field.covector(g, vals)
@@ -424,11 +425,17 @@ class TestStencilGatesAgainstDense:
         h_rho = conjugated_operator(op, _rho(g))
         assert np.array_equal(_bits(h_rho.matrix),
                               _bits(_dense_conjugate(op.matrix, _rho(g))))
+        diag, bands = op.stencil
         for h in (op, h_rho):
             assert h.symmetry_residual() == _dense_symmetry_residual(h)
             assert np.array_equal(
                 _bits(h._symmetrized()[1]),
                 _bits(_dense_symmetrized(h.matrix, h.node_weights)))
+            # the first band without its mirror: its transposes read 0
+            one_sided = dataclasses.replace(h, stencil=(diag, bands[1:]))
+            assert (one_sided.symmetry_residual()
+                    == _dense_symmetry_residual(one_sided))
+            assert one_sided.symmetry_residual() > 1e-12
 
     @pytest.mark.parametrize("n", [4, 7, 16])
     @pytest.mark.parametrize("shape,kw,make,value", ALL_GRIDS)
@@ -447,6 +454,17 @@ class TestStencilGatesAgainstDense:
         rep = conjugation_residuals(h_rho, dec)
         assert abs(rep["eigenpair_residual"]
                    - _loop_eigenpair_map_residual(h_rho, dec)) <= 1e-14
+        rng = np.random.default_rng(n)
+        n_nodes, d = g.node_count, g.dimension
+        scalars = Field(g, 0, rng.standard_normal((3, n_nodes)))
+        covectors = Field(g, 1, rng.standard_normal((3, n_nodes, d))
+                          + 1j * rng.standard_normal((3, n_nodes, d)))
+        for h in (op, h_rho):
+            m = h.matrix
+            for f, want in ((scalars, scalars.values @ m.T),
+                            (covectors, m @ covectors.values)):
+                got = h.apply(f).values
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_conjugate_of_a_conjugate_rejected(self):
         g = build_grid("circle", 8, radius=1.0)
@@ -465,15 +483,54 @@ class TestGatesStayHonest:
     """The gates read what they claim to check, and fail on broken inputs."""
 
     @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
-    def test_eigen_residual_takes_no_dense_product(self, shape, kw, make,
-                                                   value):
+    def test_stencil_paths_never_write_the_matrix(self, shape, kw, make,
+                                                  value, monkeypatch):
         g = build_grid(shape, 7, **kw)
+        base = assemble_h(g, make(g, value))
+        decs = (base.eigendecomposition(),
+                conjugated_operator(base, _rho(g)).eigendecomposition())
+
+        def refuse(*args):
+            raise AssertionError("dense matrix written")
+
+        monkeypatch.setattr(operators, "_assembled", refuse)
         op = assemble_h(g, make(g, value))
-        for h in (op, conjugated_operator(op, _rho(g))):
-            dec = h.eigendecomposition()
-            blind = dataclasses.replace(
-                h, matrix=np.full_like(h.matrix, np.nan))
-            assert dec.eigen_residual(blind) == dec.eigen_residual(h)
+        h_rho = conjugated_operator(op, _rho(g))
+        with pytest.raises(AssertionError):
+            op.matrix
+        rng = np.random.default_rng(7)
+        fields = Field(g, 1, rng.standard_normal((2, g.node_count,
+                                                  g.dimension)))
+        for h, dec in zip((op, h_rho), decs):
+            assert h.symmetry_residual() <= 1e-12
+            assert np.all(np.isfinite(h.apply(fields).values))
+            assert dec.eigen_residual(h) <= 1e-11
+        assert conjugation_residuals(h_rho, decs[0])["eigenpair_residual"] \
+            <= 1e-12
+        if g.dimension == 2:
+            assert op.factors is not None
+            assert op.eigendecomposition().eigen_residual(op) <= 1e-12
+
+    def test_torus_at_128_holds_no_dense_array(self):
+        # n = 16384: a dense H would take 2 GiB
+        g = build_grid("torus", 128, radius=1.0)
+        n = g.node_count
+        tracemalloc.start()
+        try:
+            op = assemble_h(g, WeightField.constant(g, 2.0))
+            h_rho = conjugated_operator(op, _rho(g))
+            residuals = [h.symmetry_residual() for h in (op, h_rho)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(residuals) <= 1e-12
+        assert peak <= 256 * 8 * n  # 32 MiB: O(n), where H alone is n^2
+        diag, bands = op.stencil
+        held = [op.node_weights, h_rho.node_weights, h_rho.rho, diag,
+                *(band[3] for band in bands)]
+        assert all(a.size <= n for a in held)
+        # the one exception: the N x N factors of the per-axis solve
+        assert [f.shape for f in op.factors] == [(128, 128)] * 2
 
     @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
     def test_wrong_stencil_coefficient_fails_eigen_gate(self, shape, kw, make,

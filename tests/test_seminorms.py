@@ -45,7 +45,7 @@ class TestSpectralSeminorm:
         # independent route: |f|_1 must equal the norm of the assembled H
         # applied channelwise, and |f|_2 that of H applied twice
         g, w, dec = circle_setup
-        op = assemble_h(g, WeightField.constant(g, 2.0), rank=1)
+        op = assemble_h(g, WeightField.constant(g, 2.0))
         rng = np.random.default_rng(23)
         f = random_one_form(g, rng, modes=3)
         hf = op.apply(f)
