@@ -16,7 +16,17 @@ An operator is stored once, as its stencil: the diagonal of H and the
 off-diagonal bands of each axis' 1-D Laplacian, and a conjugate its rho.
 `apply` and the residual gates evaluate through the stencil and through the
 per-axis factors of a decomposition.  The dense matrix is written from the
-stencil only for the dense solves and the independent `eigenvalues` solve.
+stencil only for the dense solves: the d = 1 and conjugate decompositions,
+and `eigenvalues` on at most DENSE_CAP nodes.
+
+`spectrum_match` checks an operator's spectrum against a reference by an
+independent solve.  At most DENSE_CAP nodes it compares the whole dense
+spectrum.  Above, it compares the lowest KRYLOV_MODES eigenvalues, found by
+shift-invert Lanczos on the sparse symmetrized stencil (Lehoucq, Sorensen &
+Yang, "ARPACK Users' Guide", SIAM (1998)), and the two trace moments
+tr S = sum lambda and tr S^2 = sum lambda^2, which see the whole spectrum.
+That check is partial: a defect that moves neither the bottom of the
+spectrum nor the two moments passes it.
 """
 from __future__ import annotations
 
@@ -38,13 +48,21 @@ def _symmetrized(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     return sqw, sym
 
 
+# columns per block in the sign rule and the residual gates: their
+# temporaries stay n x _BLOCK instead of n x n
+_BLOCK = 64
+
+
 def _signed(vecs: np.ndarray) -> np.ndarray:
     """Deterministic sign, in place: in every column the first component
-    exceeding a relative floor is made positive."""
-    mag = np.abs(vecs)
-    first = np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0)
-    flip = vecs[first, np.arange(vecs.shape[1])] < 0
-    vecs[:, flip] = -vecs[:, flip]
+    exceeding a relative floor is made positive.  Runs in blocks of columns,
+    so its temporaries stay n x _BLOCK."""
+    for c in range(0, vecs.shape[1], _BLOCK):
+        block = vecs[:, c:c + _BLOCK]  # a view: flips write into vecs
+        mag = np.abs(block)
+        first = np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0)
+        flip = block[first, np.arange(block.shape[1])] < 0
+        block[:, flip] = -block[:, flip]
     return vecs
 
 
@@ -73,11 +91,6 @@ def kronecker_sum_solve(factors: tuple, weights: np.ndarray) -> tuple:
     vecs = (u[:, None, i] * v[None, :, j]).reshape(summed.size, summed.size)
     vecs /= np.sqrt(weights)[:, None]
     return summed[order], _signed(vecs), (u, v), (i, j)
-
-
-# modes per block in the residual gates: their temporaries stay n x _BLOCK
-# instead of n x n
-_BLOCK = 64
 
 
 def _stencil(grid: GridManifold, laplacians: tuple,
@@ -125,6 +138,17 @@ def _entries(grid: GridManifold, stencil: tuple,
         e = np.exp(rho / 2.0)
         values = (values * e[cols]) / e[rows]
     return rows, cols, values
+
+
+def _transposed(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                n: int) -> np.ndarray:
+    """The value at each entry's transpose (c, r), found among the sorted
+    entries; 0 where the pattern lacks it, as in the dense matrix."""
+    keys, transpose = rows * n + cols, cols * n + rows
+    order = np.argsort(keys)
+    at = order[np.minimum(np.searchsorted(keys[order], transpose),
+                          keys.size - 1)]
+    return np.where(keys[at] == transpose, values[at], 0.0)
 
 
 def _assembled(grid: GridManifold, stencil: tuple,
@@ -187,26 +211,61 @@ class DiscreteOperator:
 
     def symmetry_residual(self) -> float:
         """Max asymmetry of diag(w) M, scaled by its own magnitude, over the
-        stencil's entries (every other entry of diag(w) M is 0).  An entry's
-        transpose is found among the sorted entries; where the pattern lacks
-        it, it reads 0, as in M."""
+        stencil's entries (every other entry of diag(w) M is 0); a transpose
+        the pattern lacks reads 0, as in M."""
         rows, cols, values = _entries(self.grid, self.stencil, self.rho)
-        n, w = self.grid.node_count, self.node_weights
-        keys, transpose = rows * n + cols, cols * n + rows
-        order = np.argsort(keys)
-        at = order[np.minimum(np.searchsorted(keys[order], transpose),
-                              keys.size - 1)]
+        w = self.node_weights
         s = w[rows] * values
-        asym = s - w[cols] * np.where(keys[at] == transpose, values[at], 0.0)
+        asym = s - w[cols] * _transposed(rows, cols, values,
+                                         self.grid.node_count)
         return float(np.max(np.abs(asym)) / np.max(np.abs(s)))
 
     def _symmetrized(self) -> tuple:
         return _symmetrized(self.matrix, self.node_weights)
 
+    def _symmetrized_entries(self) -> tuple:
+        """(rows, cols, values) of diag(sqrt w) M diag(sqrt w)^{-1}, entry for
+        entry the dense `_symmetrized` matrix; not symmetrized again, so an
+        asymmetric entry formula stays visible."""
+        rows, cols, values = _entries(self.grid, self.stencil, self.rho)
+        sqw = np.sqrt(self.node_weights)
+        return rows, cols, (sqw[rows] * values) / sqw[cols]
+
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the dense symmetric solve, no vectors;
-        independent of the per-axis solve."""
+        """Ascending eigenvalues of the dense symmetric solve of the whole
+        n x n matrix, no vectors; independent of the per-axis solve.  It
+        writes the dense matrix, so `spectrum_match` calls it only up to
+        DENSE_CAP nodes."""
         return np.linalg.eigvalsh(self._symmetrized()[1])
+
+    def lowest_eigenvalues(self, k: int) -> np.ndarray:
+        """The k lowest eigenvalues, ascending, by shift-invert Lanczos
+        (ARPACK) on the sparse symmetrized stencil; no dense matrix.
+
+        The shift 0 lies strictly below min(W) >= 1 (`assemble_h` requires
+        W >= 1), which bounds the spectrum from below since grad†grad >= 0,
+        so the factorization of S - 0 I never meets a singular matrix.  The
+        fixed start vector makes runs repeatable; it is not an eigenvector
+        (the constant vector is one on the torus).
+        """
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import eigsh
+
+        rows, cols, values = self._symmetrized_entries()
+        n = self.grid.node_count
+        s = csr_array((values, (rows, cols)), shape=(n, n))
+        lam = eigsh(s, k=k, sigma=0.0, v0=np.linspace(1.0, 2.0, n),
+                    return_eigenvectors=False)
+        return np.sort(lam)
+
+    def trace_moments(self) -> tuple:
+        """tr S and tr S^2 = sum_{r,c} S[r,c] S[c,r] of the symmetrized
+        operator S, from its entries: sum lambda and sum lambda^2 of the
+        whole spectrum."""
+        rows, cols, values = self._symmetrized_entries()
+        on_diag = rows == cols
+        square = values * _transposed(rows, cols, values, self.grid.node_count)
+        return float(np.sum(values[on_diag])), float(np.sum(square))
 
     def eigendecomposition(self) -> "SpectralDecomposition":
         """Ascending eigenvalues, weight-orthonormal eigenvectors, first
@@ -393,6 +452,52 @@ def _eigenpair_map_residual(h_rho: DiscreteOperator,
     r = h_rho._applied(v) - v * lam
     return float(np.max(np.linalg.norm(r, axis=0) / np.maximum(
         np.linalg.norm(v, axis=0) * np.abs(lam), 1e-300)))
+
+
+# ---------------------------------------------------------------------------
+# Independent spectrum check
+# ---------------------------------------------------------------------------
+
+# up to DENSE_CAP nodes the whole dense spectrum is compared; above, the
+# lowest KRYLOV_MODES eigenvalues and the two trace moments
+DENSE_CAP = 1024
+KRYLOV_MODES = 32
+# relative tolerance of the trace moments, above n u (u = 2^-53) for
+# n <= 2^16 nodes
+MOMENT_RTOL = 1e-10
+
+
+def spectrum_match(op: DiscreteOperator, reference: np.ndarray,
+                   tol: float) -> tuple:
+    """(measured, tolerance, detail) of op's spectrum against the ascending
+    reference eigenvalues, from a solve independent of the reference.
+
+    At most DENSE_CAP nodes: max|lambda - reference| over the whole dense
+    spectrum, against tol, with no detail.  Above: `krylov_match`.
+    """
+    if op.grid.node_count <= DENSE_CAP:
+        return float(np.max(np.abs(op.eigenvalues() - reference))), tol, ""
+    return krylov_match(op, reference, tol)
+
+
+def krylov_match(op: DiscreteOperator, reference: np.ndarray,
+                 tol: float) -> tuple:
+    """The partial check above DENSE_CAP, as (measured, 1.0, detail).
+
+    measured is the larger of two ratios: max|lambda_k - reference_k| over
+    the lowest KRYLOV_MODES eigenvalues, divided by tol; and the larger
+    relative deviation of tr S and tr S^2 from sum reference and
+    sum reference^2, divided by MOMENT_RTOL.  So it fails exactly when
+    either part fails, and a NaN in either part fails it.
+    """
+    lam = op.lowest_eigenvalues(KRYLOV_MODES)
+    low = float(np.max(np.abs(lam - reference[:lam.size])))
+    targets = np.array([np.sum(reference), np.sum(np.square(reference))])
+    moment = float(np.max(np.abs(np.subtract(op.trace_moments(), targets))
+                          / np.abs(targets)))
+    detail = (f"krylov path, k = {lam.size}: max|dlambda| = {low:.3e}, "
+              f"trace moment relative deviation = {moment:.3e}")
+    return float(np.max([low / tol, moment / MOMENT_RTOL])), 1.0, detail
 
 
 # ---------------------------------------------------------------------------

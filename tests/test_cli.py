@@ -332,16 +332,39 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_cli_import_leaves_scipy_linalg_out(self):
+    def test_cli_import_leaves_scipy_linalg_out(self, tmp_path):
+        # the import pulls in neither; a run at n <= DENSE_CAP never takes
+        # the Krylov spectrum check, the one importer of scipy.sparse.linalg
+        argv = ["all", "--config", str(small_config(tmp_path)),
+                "--out", str(tmp_path / "out")]
         code = ("import sys, energyrep.cli; "
-                "print('scipy.linalg' in sys.modules)")
+                "print('scipy.linalg' in sys.modules); "
+                f"exit_code = energyrep.cli.main({argv!r}); "
+                "print(exit_code, 'scipy.sparse.linalg' in sys.modules)")
         path = os.pathsep.join(filter(None, [str(REPO / "src"),
                                              os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        lines = proc.stdout.strip().splitlines()
+        assert lines[0] == "False"
+        assert lines[-1] == "0 False"
+
+    def test_krylov_spectrum_check_runs_warning_free(self, tmp_path):
+        # a torus above the dense cap: n = 33^2 = 1089 > 1024
+        out = tmp_path / "out"
+        cfg = small_config(tmp_path, **{"domain.shape": "torus",
+                                        "domain.nodes": 33})
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out),
+                       python_flags=("-W", "error"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        checks = {c["name"]: c for c in json.loads(
+            (out / "spectrum.json").read_text())["checks"]}
+        match = checks["conjugated_spectrum_match"]
+        assert match["detail"].startswith("krylov path, k = 32:")
+        assert match["tolerance"] == 1.0 and match["verdict"] == "pass"
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -479,6 +479,12 @@ HONESTY_GRIDS = [("circle", {"radius": 1.0}, WeightField.constant, 2.0),
                  ("square", {"halfwidth": 3.0}, WeightField.quadratic, 1.0)]
 
 
+def _refuse_dense(*args):
+    """Stands in for `operators._assembled` where no dense matrix may be
+    written."""
+    raise AssertionError("dense matrix written")
+
+
 class TestGatesStayHonest:
     """The gates read what they claim to check, and fail on broken inputs."""
 
@@ -490,10 +496,7 @@ class TestGatesStayHonest:
         decs = (base.eigendecomposition(),
                 conjugated_operator(base, _rho(g)).eigendecomposition())
 
-        def refuse(*args):
-            raise AssertionError("dense matrix written")
-
-        monkeypatch.setattr(operators, "_assembled", refuse)
+        monkeypatch.setattr(operators, "_assembled", _refuse_dense)
         op = assemble_h(g, make(g, value))
         h_rho = conjugated_operator(op, _rho(g))
         with pytest.raises(AssertionError):
@@ -510,6 +513,21 @@ class TestGatesStayHonest:
         if g.dimension == 2:
             assert op.factors is not None
             assert op.eigendecomposition().eigen_residual(op) <= 1e-12
+
+    def test_krylov_spectrum_check_never_writes_the_matrix(self,
+                                                           monkeypatch):
+        # n = 4096, above the dense cap
+        g = build_grid("torus", 64, radius=1.0)
+        assert g.node_count > operators.DENSE_CAP
+        h_rho = conjugated_operator(
+            assemble_h(g, WeightField.constant(g, 2.0)), _rho(g))
+        monkeypatch.setattr(operators, "_assembled", _refuse_dense)
+        with pytest.raises(AssertionError):
+            h_rho.matrix
+        measured, tol, detail = operators.spectrum_match(
+            h_rho, _torus_dispersion(64, 2.0), 1e-8)
+        assert tol == 1.0 and measured <= tol
+        assert detail.startswith("krylov path, k = 32:")
 
     def test_torus_at_128_holds_no_dense_array(self):
         # n = 16384: a dense H would take 2 GiB
@@ -571,6 +589,123 @@ class TestGatesStayHonest:
         i[1], j[1] = i[0], j[0]
         repeated = dataclasses.replace(dec, pairs=(i, j))
         assert repeated.gram_residual() > 1e-10
+
+
+def _torus_dispersion(n, w0):
+    """Oracle: the sorted sums of the two axes' periodic dispersions, each
+    axis carrying half of the constant W."""
+    a = periodic_dispersion(n, w0 / 2.0)
+    return np.sort((a[:, None] + a[None, :]).ravel())
+
+
+def _dense_signed(vecs):
+    """Oracle: the sign rule on the whole array at once, as before it ran in
+    column blocks."""
+    mag = np.abs(vecs)
+    first = np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0)
+    flip = vecs[first, np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] = -vecs[:, flip]
+    return vecs
+
+
+class TestBlockedSignRule:
+    @pytest.mark.parametrize("n", [7, 16, 48])
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
+    def test_blocks_equal_the_whole_array_rule(self, shape, kw, make, value,
+                                               n):
+        g = build_grid(shape, n, **kw)
+        vecs = assemble_h(g, make(g, value)).eigendecomposition().eigenvectors
+        # formed columns, every third one negated: signs to restore
+        flipped = vecs * np.where(np.arange(g.node_count) % 3 == 0, -1.0, 1.0)
+        blocked = operators._signed(flipped.copy())
+        assert np.array_equal(blocked, _dense_signed(flipped.copy()))
+        assert np.array_equal(blocked, vecs)
+        # a last block that is partial, and first entries below the floor
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((g.node_count, 2 * operators._BLOCK + 7))
+        x[:3] *= 1e-10
+        assert np.array_equal(operators._signed(x.copy()),
+                              _dense_signed(x.copy()))
+
+
+class TestKrylovSpectrumMatch:
+    """The partial spectrum check above DENSE_CAP (the lowest eigenvalues by
+    shift-invert Lanczos and two trace moments) against the dense check."""
+
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
+    def test_krylov_path_agrees_with_dense(self, shape, kw, make, value):
+        # the largest size that takes the dense path
+        g = build_grid(shape, 32, **kw)
+        assert g.node_count == operators.DENSE_CAP
+        op = assemble_h(g, make(g, value))
+        h_rho = conjugated_operator(op, _rho(g))
+        dense = h_rho.eigenvalues()
+        low = h_rho.lowest_eigenvalues(operators.KRYLOV_MODES)
+        assert low.size == operators.KRYLOV_MODES
+        assert np.max(np.abs(low - dense[:low.size])) <= 1e-12
+        for moment, want in zip(h_rho.trace_moments(),
+                                (np.sum(dense), np.sum(dense ** 2))):
+            assert abs(moment - want) <= 1e-12 * want
+        ref = op.eigendecomposition().eigenvalues
+        assert operators.spectrum_match(h_rho, ref, 1e-8)[1:] == (1e-8, "")
+        assert operators.spectrum_match(h_rho, ref, 1e-8)[0] <= 1e-10
+        measured, tol, detail = operators.krylov_match(h_rho, ref, 1e-8)
+        assert tol == 1.0 and measured <= 1e-3
+        assert detail.startswith("krylov path, k = 32:")
+
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
+    def test_moments_are_the_dense_traces(self, shape, kw, make, value):
+        g = build_grid(shape, 7, **kw)
+        op = assemble_h(g, make(g, value))
+        diag, bands = op.stencil
+        # one band dropped, its mirror kept: an asymmetric stencil
+        for h in (op, conjugated_operator(op, _rho(g)),
+                  dataclasses.replace(op, stencil=(diag, bands[1:]))):
+            s = _dense_symmetrized(h.matrix, h.node_weights)
+            tr1, tr2 = h.trace_moments()
+            assert tr1 == np.sum(np.diagonal(s))
+            assert abs(tr2 - np.sum(s * s.T)) <= 1e-14 * abs(tr2)
+
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
+    def test_dropped_conjugation_factor_fails_both_paths(self, shape, kw, make,
+                                                         value, monkeypatch):
+        g = build_grid(shape, 32, **kw)
+        op = assemble_h(g, make(g, value))
+        ref = op.eigendecomposition().eigenvalues
+        h_rho = conjugated_operator(op, _rho(g))
+        entries = operators._entries
+
+        def without_e_c(grid, stencil, rho):
+            # E^{-1} H: each entry m taken to m / e_r, the e_c factor dropped
+            rows, cols, values = entries(grid, stencil, None)
+            if rho is not None:
+                values = values / np.exp(rho / 2.0)[rows]
+            return rows, cols, values
+
+        monkeypatch.setattr(operators, "_entries", without_e_c)
+        for match in (operators.spectrum_match, operators.krylov_match):
+            measured, tol, _ = match(h_rho, ref, 1e-8)
+            assert measured > tol
+
+    def test_moment_only_defect_fails(self):
+        g = build_grid("torus", 32, radius=1.0)
+        h_rho = conjugated_operator(assemble_h(g, WeightField.constant(g, 2.0)),
+                                    _rho(g))
+        ref = _torus_dispersion(32, 2.0)
+        assert operators.krylov_match(h_rho, ref, 1e-8)[0] <= 1e-3
+        # the top of the spectrum, far above the lowest 32 eigenvalues
+        ref[-1] *= 1.0 + 1e-6
+        low = h_rho.lowest_eigenvalues(operators.KRYLOV_MODES)
+        assert np.max(np.abs(low - ref[:low.size])) <= 1e-12
+        measured, tol, _ = operators.krylov_match(h_rho, ref, 1e-8)
+        assert measured > tol
+
+    def test_nan_in_the_reference_fails(self):
+        g = build_grid("torus", 8, radius=1.0)
+        op = assemble_h(g, WeightField.constant(g, 2.0))
+        ref = _torus_dispersion(8, 2.0)
+        ref[-1] = np.nan
+        assert not operators.krylov_match(op, ref, 1e-8)[0] <= 1.0
 
 
 class TestHilbertSchmidt:
