@@ -10,7 +10,11 @@ On a d = 2 tensor grid with a potential that splits by axis, H is the
 Kronecker sum F_0 (x) I + I (x) F_1 of 1-D operators, and its spectrum comes
 from one symmetric solve per axis (Lynch, Rice & Thomas, "Direct solution of
 partial difference equations by tensor product methods", Numer. Math. 6
-(1964)).
+(1964)).  That decomposition is kept as its factors: the N x N axis
+columns, the index map of the summed pairs and one sign per mode.
+`SpectralDecomposition.modes` forms a block of eigenvectors on demand, bit
+for bit the columns a formed solve would store, and `expand` works on the
+N x N mesh (U^T F V), so no n x n array lies on the d = 2 spectrum path.
 
 An operator is stored once, as its stencil: the diagonal of H and the
 off-diagonal bands of each axis' 1-D Laplacian, and a conjugate its rho.
@@ -48,17 +52,23 @@ def _symmetrized(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     return sqw, sym
 
 
-# columns per block in the sign rule and the residual gates: their
-# temporaries stay n x _BLOCK instead of n x n
+# columns per block in the sign rules, in forming modes and in the residual
+# gates: their temporaries stay n x _BLOCK (N x _BLOCK for the per-axis sign
+# rule) instead of n x n
 _BLOCK = 64
+
+
+def _blocks(size: int):
+    """Slices of _BLOCK consecutive columns covering range(size)."""
+    return (slice(c, c + _BLOCK) for c in range(0, size, _BLOCK))
 
 
 def _signed(vecs: np.ndarray) -> np.ndarray:
     """Deterministic sign, in place: in every column the first component
     exceeding a relative floor is made positive.  Runs in blocks of columns,
     so its temporaries stay n x _BLOCK."""
-    for c in range(0, vecs.shape[1], _BLOCK):
-        block = vecs[:, c:c + _BLOCK]  # a view: flips write into vecs
+    for cols in _blocks(vecs.shape[1]):
+        block = vecs[:, cols]  # a view: flips write into vecs
         mag = np.abs(block)
         first = np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0)
         flip = block[first, np.arange(block.shape[1])] < 0
@@ -75,22 +85,48 @@ def symmetric_solve(matrix: np.ndarray, weights: np.ndarray) -> tuple:
 
 
 def kronecker_sum_solve(factors: tuple, weights: np.ndarray) -> tuple:
-    """Solve of F_0 (x) I + I (x) F_1 from one symmetric solve per axis.
+    """Solve of F_0 (x) I + I (x) F_1 from one symmetric solve per axis,
+    with no n x n array.
 
-    The eigenvalues are the sums a_i + b_j in stable ascending order; column
-    k is kron(u_i, v_j) for the k-th pair, made w-orthonormal (the weights
-    are uniform on every grid that has factors) and put under the sign rule
-    again, since the rule does not survive the product.  Also returns the
-    per-axis columns (u, v) and the index map (i, j) of the pairs.
+    The eigenvalues are the sums a_i + b_j in stable ascending order.  Mode k
+    is sign_k kron(u_i, v_j) / sqrt(w) for the k-th pair (i, j), made
+    w-orthonormal by the weights, which are the same at every node of a grid
+    that has factors (`assemble_h` requires the unrescaled metric).  Returns
+    the eigenvalues, the per-axis columns (u, v), the index map (i, j) and
+    the signs (see `_kronecker_signs`).
     """
     (a, u), (b, v) = (symmetric_solve(f, np.ones(f.shape[0])) for f in factors)
     summed = (a[:, None] + b[None, :]).ravel()
     order = np.argsort(summed, kind="stable")
     i, j = np.divmod(order, b.size)
-    # node x * ny + y of column k is u[x, i_k] v[y, j_k], as np.kron has it
-    vecs = (u[:, None, i] * v[None, :, j]).reshape(summed.size, summed.size)
-    vecs /= np.sqrt(weights)[:, None]
-    return summed[order], _signed(vecs), (u, v), (i, j)
+    signs = _kronecker_signs(u, v, i, j, np.sqrt(weights[0]))
+    return summed[order], (u, v), (i, j), signs
+
+
+def _kronecker_signs(u: np.ndarray, v: np.ndarray, i: np.ndarray,
+                     j: np.ndarray, sqw: float) -> np.ndarray:
+    """The sign rule of `_signed` on the columns kron(u_i, v_j) / sqw, from
+    the axis columns alone: +1.0 or -1.0 per mode.
+
+    Entry (x, y) of a column is |u_i[x] v_j[y]| / sqw in magnitude.  Rounding
+    is monotone, so the column's largest entry is max|u_i| max|v_j| / sqw,
+    row x's is |u_i[x]| max|v_j| / sqw, and the first entry above the floor
+    lies in the first row whose largest entry is above it, at the first y
+    above it there.  These are the products and quotients of the formed
+    column, so the result is `_signed`'s bit for bit.  Runs in blocks of
+    modes, so its temporaries stay N x _BLOCK.
+    """
+    mag_u, mag_v = np.abs(u), np.abs(v)
+    top_u, top_v = np.max(mag_u, axis=0), np.max(mag_v, axis=0)
+    signs = np.empty(i.size)
+    for cols in _blocks(i.size):
+        bi, bj = i[cols], j[cols]
+        floor = 1e-8 * ((top_u[bi] * top_v[bj]) / sqw)
+        x = np.argmax((mag_u[:, bi] * top_v[bj]) / sqw > floor, axis=0)
+        ux = u[x, bi]
+        y = np.argmax((np.abs(ux) * mag_v[:, bj]) / sqw > floor, axis=0)
+        signs[cols] = np.where(ux * v[y, bj] < 0, -1.0, 1.0)
+    return signs
 
 
 def _stencil(grid: GridManifold, laplacians: tuple,
@@ -270,41 +306,78 @@ class DiscreteOperator:
     def eigendecomposition(self) -> "SpectralDecomposition":
         """Ascending eigenvalues, weight-orthonormal eigenvectors, first
         significant component made positive: one solve per axis when the
-        operator has factors, one dense solve otherwise."""
+        operator has factors, kept as the axis factors; one dense solve
+        otherwise, kept as its formed columns."""
         if self.factors is None:
             eigvals, vecs = symmetric_solve(self.matrix, self.node_weights)
-            axis_vectors = pairs = None
-        else:
-            eigvals, vecs, axis_vectors, pairs = kronecker_sum_solve(
-                self.factors, self.node_weights)
-        return SpectralDecomposition(self.grid, eigvals, vecs,
+            return SpectralDecomposition(self.grid, eigvals, vecs,
+                                         self.node_weights, self.rho)
+        eigvals, axis_vectors, pairs, signs = kronecker_sum_solve(
+            self.factors, self.node_weights)
+        return SpectralDecomposition(self.grid, eigvals, None,
                                      self.node_weights, self.rho,
-                                     axis_vectors, pairs)
+                                     axis_vectors, pairs, signs)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues with eigenvectors orthonormal under the weights.
+    """Ascending eigenvalues with eigenvectors orthonormal under the weights,
+    read through `modes`.
 
-    A per-axis decomposition also keeps the axis columns (u, v) and the index
-    map (i, j): column k was formed as kron(u[:, i_k], v[:, j_k]).
+    A dense decomposition keeps its formed columns in `vectors`.  A per-axis
+    one keeps no n x n array: the axis columns (u, v), the index map (i, j)
+    and one sign per mode, mode k being signs[k] kron(u[:, i_k], v[:, j_k])
+    / sqrt(w).
     """
 
     grid: GridManifold
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns
+    vectors: np.ndarray | None  # formed columns of a dense solve
     node_weights: np.ndarray
     rho: np.ndarray | None
     axis_vectors: tuple | None = None
     pairs: tuple | None = None
+    signs: np.ndarray | None = None
+
+    def modes(self, cols) -> np.ndarray:
+        """The eigenvectors that cols (an int, a slice or an index array)
+        picks, as columns, like `vectors[:, cols]`.  Per axis they are formed
+        on the call, a block in one pass: signs[k] kron(u_i, v_j) / sqrt(w),
+        the same values as a dense array of all columns would hold."""
+        if self.vectors is not None:
+            return self.vectors[:, cols]
+        k = np.arange(self.eigenvalues.size)[cols]
+        if np.ndim(k) == 0:
+            return self.modes(np.array([k]))[:, 0]
+        u, v = self.axis_vectors
+        i, j = self.pairs[0][k], self.pairs[1][k]
+        # node x * ny + y of column k is u[x, i_k] v[y, j_k], as np.kron has
+        # it; the sign goes on u's entries, which is exact: rounding commutes
+        # with negation
+        signed_u = u[:, i] * self.signs[k]
+        block = (signed_u[:, None, :] * v[None, :, j]).reshape(-1, k.size)
+        block /= np.sqrt(self.node_weights)[:, None]
+        return block
 
     def expand(self, f: Field) -> np.ndarray:
         """Coefficients <e_n, f>_w per channel; shape (modes, channels),
-        after the sample axis of a test set."""
+        after the sample axis of a test set.
+
+        Per axis, <e_k, f>_w = sign_k u_{i_k}^T G v_{j_k} with G the values
+        of sqrt(w) f on the N x N mesh: U^T G V per channel, O(N^3), and
+        the (i_k, j_k) entries of it.
+        """
         # (n, channels) per sample, so the matmul acts on each sample
         flat = f.values.reshape(f.values.shape[:f.sample_axes]
                                 + (self.grid.node_count, -1))
-        return self.eigenvectors.T @ (self.node_weights[:, None] * flat)
+        if self.vectors is not None:
+            return self.vectors.T @ (self.node_weights[:, None] * flat)
+        u, v = self.axis_vectors
+        g = np.sqrt(self.node_weights)[:, None] * flat
+        mesh = np.swapaxes(g, -1, -2).reshape(
+            g.shape[:-2] + (g.shape[-1], u.shape[0], v.shape[0]))
+        coeffs = (u.T @ mesh @ v)[..., self.pairs[0], self.pairs[1]]
+        return np.swapaxes(coeffs, -1, -2) * self.signs[:, None]
 
     def gram_residual(self) -> float:
         """Largest entry of |E^T diag(w) E - I| over the eigenvectors E.
@@ -313,11 +386,12 @@ class SpectralDecomposition:
         uniform weight, so the off-diagonal entries are products of entries
         of the axis grams u^T u and v^T v, provided (i, j) visits every pair
         once; a pair visited twice puts |u_i|^2 |v_j|^2 off the diagonal.
-        The diagonal comes from the formed columns' weighted norms.
+        The diagonal comes from the formed columns' weighted norms, a block
+        of modes at a time.
         """
-        vecs, w = self.eigenvectors, self.node_weights
+        w = self.node_weights
         if self.axis_vectors is None:
-            g = vecs.T @ (w[:, None] * vecs)
+            g = self.vectors.T @ (w[:, None] * self.vectors)
             g[np.diag_indices_from(g)] -= 1.0
             return float(np.max(np.abs(g, out=g)))
         gu, gv = (f.T @ f for f in self.axis_vectors)
@@ -330,8 +404,9 @@ class SpectralDecomposition:
         if twice.size:
             ti, tj = np.divmod(twice, dv.size)
             off = max(off, np.max(np.abs(du[ti] * dv[tj])))
-        norms = np.concatenate([w @ np.square(vecs[:, c:c + _BLOCK])
-                                for c in range(0, w.size, _BLOCK)])
+        norms = np.concatenate([
+            w @ np.square(block, out=block)
+            for block in map(self.modes, _blocks(w.size))])
         return float(max(off, np.max(np.abs(norms - 1.0))))
 
     def eigen_residual(self, op: DiscreteOperator) -> float:
@@ -340,10 +415,10 @@ class SpectralDecomposition:
         modes."""
         lam = self.eigenvalues
         norms = np.empty(lam.size)
-        for c in range(0, lam.size, _BLOCK):
-            v = self.eigenvectors[:, c:c + _BLOCK]
-            hx = op._applied(v) - v * lam[c:c + _BLOCK]
-            norms[c:c + _BLOCK] = np.linalg.norm(hx, axis=0)
+        for cols in _blocks(lam.size):
+            v = self.modes(cols)
+            hx = op._applied(v) - v * lam[cols]
+            norms[cols] = np.linalg.norm(hx, axis=0)
         return float(np.max(norms / np.maximum(np.abs(lam), 1.0)))
 
 
@@ -448,7 +523,7 @@ def _eigenpair_map_residual(h_rho: DiscreteOperator,
     for the lowest 32 modes, H_rho applied through its stencil."""
     k = min(dec.eigenvalues.size, 32)
     lam = dec.eigenvalues[:k]
-    v = dec.eigenvectors[:, :k] / np.exp(h_rho.rho / 2.0)[:, None]
+    v = dec.modes(slice(0, k)) / np.exp(h_rho.rho / 2.0)[:, None]
     r = h_rho._applied(v) - v * lam
     return float(np.max(np.linalg.norm(r, axis=0) / np.maximum(
         np.linalg.norm(v, axis=0) * np.abs(lam), 1e-300)))

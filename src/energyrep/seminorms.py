@@ -63,21 +63,22 @@ def seminorm_p(f: Field, p: float, dec: SpectralDecomposition) -> float:
 def eigenvector_covector(dec: SpectralDecomposition, k) -> Field:
     """The k-th eigenvector of dec as a covector along the first axis; for a
     sequence of k, the test set of those eigenvectors."""
-    cols = dec.eigenvectors[:, k].T  # (n,), or (len(k), n)
+    cols = dec.modes(np.asarray(k)).T  # (n,), or (len(k), n)
     vals = np.zeros(cols.shape + (dec.grid.dimension,), dtype=complex)
     vals[..., 0] = cols
     return Field.covector(dec.grid, vals)
 
 
 def twisted_chain(f: Field, rho: np.ndarray, order: int):
-    """Yield grad_rho^n f for n = 0..order from one derivative chain:
-    grad_rho^n f = e^{-rho/2} grad^n (e^{rho/2} f), exact as a chain."""
+    """Yield (grad^n (e^{rho/2} f), grad_rho^n f) for n = 0..order from one
+    derivative chain: grad_rho^n f = e^{-rho/2} grad^n (e^{rho/2} f), exact
+    as a chain."""
     half = np.exp(np.asarray(rho, float) / 2.0)
     out = f.scale_by_nodes(half)
     for n in range(order + 1):
         if n:
             out = covariant_derivative(out)
-        yield out.scale_by_nodes(1.0 / half)
+        yield out, out.scale_by_nodes(1.0 / half)
 
 
 def seminorm_prime_batch(fields, m_list, weight: WeightField) -> np.ndarray:
@@ -94,7 +95,7 @@ def seminorm_prime_batch(fields, m_list, weight: WeightField) -> np.ndarray:
     wm = [weight.w ** m for m in m_list]
     out = np.zeros((len(m_list), len(fields.values)))
     for cols, part in _slices(fields):
-        for n, g in enumerate(twisted_chain(part, rho, order)):
+        for n, (_, g) in enumerate(twisted_chain(part, rho, order)):
             for i, m in enumerate(m_list):
                 if n <= m:
                     out[i, cols] += norm(g.scale_by_nodes(wm[i]), rho)
@@ -106,18 +107,28 @@ def seminorm_prime(f: Field, m: int, weight: WeightField) -> float:
     return float(seminorm_prime_batch(stack_fields([f]), (m,), weight)[0, 0])
 
 
-def weighted_chain_residual(f: Field, m: int, n: int,
-                            weight: WeightField) -> float | np.ndarray:
-    """Relative residual of |W^m grad_rho^n f|_{rho,0} = |W^m grad^n (e^{rho/2} f)|_0,
-    per sample of a test set."""
+def chain_identity_residual(fields, order: int,
+                            weight: WeightField) -> np.ndarray:
+    """Largest relative residual of |W^m grad_rho^n f|_{rho,0} =
+    |W^m grad^n (e^{rho/2} f)|_0 over n <= m <= order, for every field of a
+    set, shape (S,).
+
+    One derivative chain serves every (m, n): its untwisted iterate
+    grad^n (e^{rho/2} f) is the right-hand side itself.  The set runs in
+    slices, one order of the chain at a time, so the temporaries stay those
+    of one slice at one order.
+    """
     rho = weight.rho
-    wm = weight.w ** m
-    lhs = norm(list(twisted_chain(f, rho, n))[-1].scale_by_nodes(wm), rho)
-    g = f.scale_by_nodes(np.exp(rho / 2.0))
-    for _ in range(n):
-        g = covariant_derivative(g)
-    rhs = norm(g.scale_by_nodes(wm), None)
-    return np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
+    wm = [weight.w ** m for m in range(order + 1)]
+    out = np.zeros(len(fields.values))
+    for cols, part in _slices(fields):
+        for n, (g, twisted) in enumerate(twisted_chain(part, rho, order)):
+            for m in range(n, order + 1):
+                lhs = norm(twisted.scale_by_nodes(wm[m]), rho)
+                rhs = norm(g.scale_by_nodes(wm[m]), None)
+                rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
+                out[cols] = np.maximum(out[cols], rel)
+    return out
 
 
 # ---------------------------------------------------------------------------

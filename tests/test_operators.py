@@ -13,7 +13,7 @@ from energyrep.operators import (SpectralDecomposition,
                                  assemble_h, conjugated_operator,
                                  conjugation_residuals, hilbert_schmidt_test,
                                  symmetric_solve)
-from energyrep.seminorms import seminorm_p_batch
+from energyrep.seminorms import eigenvector_covector, seminorm_p_batch
 
 
 def circle_operator(n=64, w0=2.0):
@@ -119,7 +119,7 @@ class TestDecomposition:
 
     def test_sign_convention(self):
         g, op = circle_operator(32)
-        vecs = op.eigendecomposition().eigenvectors
+        vecs = op.eigendecomposition().modes(slice(None))
         for k in range(vecs.shape[1]):
             col = vecs[:, k]
             idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
@@ -162,7 +162,7 @@ class TestConjugation:
         dec = op.eigendecomposition()
         e = np.exp(rho / 2.0)
         for k in (0, 5, 11):
-            v = dec.eigenvectors[:, k] / e
+            v = dec.modes(k) / e
             resid = np.linalg.norm(h_rho.matrix @ v - dec.eigenvalues[k] * v)
             assert resid <= 1e-9 * abs(dec.eigenvalues[k]) * np.linalg.norm(v)
 
@@ -254,7 +254,7 @@ class TestFastPathsAgainstDense:
         op = assemble_h(g, WeightField(g, np.full(64, 2.0), np.zeros(64)))
         dec = op.eigendecomposition()
         assert np.min(np.diff(dec.eigenvalues)) <= 1e-10  # degenerate
-        vecs = dec.eigenvectors
+        vecs = dec.modes(slice(None))
         for k in range(vecs.shape[1]):
             col = vecs[:, k]
             idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
@@ -280,6 +280,14 @@ def _signs_hold(vecs):
     return True
 
 
+def _test_fields(g, count, seed):
+    rng = np.random.default_rng(seed)
+    return stack_fields([
+        Field.covector(g, rng.standard_normal((g.node_count, 2))
+                       + 1j * rng.standard_normal((g.node_count, 2)))
+        for _ in range(count)])
+
+
 TENSOR_GRIDS = [("torus", {"radius": 1.0}, WeightField.constant, 2.0),
                 ("square", {"halfwidth": 3.0}, WeightField.quadratic, 1.0),
                 ("punctured_square", {"halfwidth": 4.0}, WeightField.quadratic,
@@ -301,13 +309,9 @@ class TestSeparableAgainstDense:
         assert np.max(np.abs(dec.eigenvalues - lam)) <= 1e-12
         assert dec.eigen_residual(op) <= 1e-12
         assert dec.gram_residual() <= 1e-13
-        assert _signs_hold(dec.eigenvectors)
+        assert _signs_hold(dec.modes(slice(None)))
         dense = SpectralDecomposition(g, lam, vecs, op.node_weights, None)
-        rng = np.random.default_rng(n)
-        fields = stack_fields([
-            Field.covector(g, rng.standard_normal((g.node_count, 2))
-                           + 1j * rng.standard_normal((g.node_count, 2)))
-            for _ in range(6)])
+        fields = _test_fields(g, 6, n)
         ps = (0.5, 1.0, 2.0)
         got = seminorm_p_batch(fields, ps, dec)
         want = seminorm_p_batch(fields, ps, dense)
@@ -323,8 +327,8 @@ class TestSeparableAgainstDense:
         dec = op.eigendecomposition()
         lam, vecs = symmetric_solve(op.matrix, op.node_weights)
         assert np.array_equal(dec.eigenvalues, lam)
-        assert np.array_equal(dec.eigenvectors, vecs)
-        assert np.array_equal(dec.eigenvectors, _loop_signed(op))
+        assert np.array_equal(dec.modes(slice(None)), vecs)
+        assert np.array_equal(dec.modes(slice(None)), _loop_signed(op))
 
     def test_raw_weight_and_conjugate_take_the_dense_solve(self):
         g = build_grid("square", 7, halfwidth=3.0)
@@ -338,7 +342,7 @@ class TestSeparableAgainstDense:
             dec = op.eigendecomposition()
             lam, vecs = symmetric_solve(op.matrix, op.node_weights)
             assert np.array_equal(dec.eigenvalues, lam)
-            assert np.array_equal(dec.eigenvectors, vecs)
+            assert np.array_equal(dec.modes(slice(None)), vecs)
 
 
 # The dense formulas the gates used before they went through the stencil and
@@ -373,13 +377,15 @@ def _dense_symmetry_residual(op):
 
 
 def _dense_eigen_residual(dec, op):
-    r = op.matrix @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+    vecs = dec.modes(slice(None))
+    r = op.matrix @ vecs - vecs * dec.eigenvalues
     return float(np.max(np.linalg.norm(r, axis=0)
                         / np.maximum(np.abs(dec.eigenvalues), 1.0)))
 
 
 def _dense_gram_residual(dec):
-    g = dec.eigenvectors.T @ (dec.node_weights[:, None] * dec.eigenvectors)
+    vecs = dec.modes(slice(None))
+    g = vecs.T @ (dec.node_weights[:, None] * vecs)
     return float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 
@@ -387,7 +393,7 @@ def _loop_eigenpair_map_residual(h_rho, dec):
     e = np.exp(h_rho.rho / 2.0)
     worst = 0.0
     for k in range(min(dec.eigenvalues.size, 32)):
-        v = dec.eigenvectors[:, k] / e
+        v = dec.modes(k) / e
         r = h_rho.matrix @ v - dec.eigenvalues[k] * v
         worst = max(worst, float(np.linalg.norm(r) / max(
             np.linalg.norm(v) * abs(dec.eigenvalues[k]), 1e-300)))
@@ -550,6 +556,23 @@ class TestGatesStayHonest:
         # the one exception: the N x N factors of the per-axis solve
         assert [f.shape for f in op.factors] == [(128, 128)] * 2
 
+    def test_torus_at_96_holds_no_formed_eigenvectors(self):
+        # n = 9216: the formed eigenvectors alone would take 648 MiB
+        g = build_grid("torus", 96, radius=1.0)
+        tracemalloc.start()
+        try:
+            op = assemble_h(g, WeightField.constant(g, 2.0))
+            dec = op.eigendecomposition()
+            gates = (dec.eigen_residual(op), dec.gram_residual(),
+                     conjugation_residuals(conjugated_operator(op, _rho(g)),
+                                           dec)["eigenpair_residual"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.vectors is None
+        assert max(gates) <= 1e-10
+        assert peak <= 64 * 2 ** 20
+
     @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
     def test_wrong_stencil_coefficient_fails_eigen_gate(self, shape, kw, make,
                                                         value):
@@ -575,9 +598,14 @@ class TestGatesStayHonest:
         dec = assemble_h(g, make(g, value)).eigendecomposition()
         assert dec.gram_residual() <= 1e-13
         for k in (0, 5, g.node_count - 1):
-            vecs = dec.eigenvectors.copy()
-            vecs[:, k] *= 1.01
-            scaled = dataclasses.replace(dec, eigenvectors=vecs)
+            if dec.vectors is None:  # per axis, mode k scales with signs[k]
+                signs = dec.signs.copy()
+                signs[k] *= 1.01
+                scaled = dataclasses.replace(dec, signs=signs)
+            else:
+                vecs = dec.vectors.copy()
+                vecs[:, k] *= 1.01
+                scaled = dataclasses.replace(dec, vectors=vecs)
             assert scaled.gram_residual() > 1e-10
 
     @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS)
@@ -614,7 +642,8 @@ class TestBlockedSignRule:
     def test_blocks_equal_the_whole_array_rule(self, shape, kw, make, value,
                                                n):
         g = build_grid(shape, n, **kw)
-        vecs = assemble_h(g, make(g, value)).eigendecomposition().eigenvectors
+        dec = assemble_h(g, make(g, value)).eigendecomposition()
+        vecs = dec.modes(slice(None))
         # formed columns, every third one negated: signs to restore
         flipped = vecs * np.where(np.arange(g.node_count) % 3 == 0, -1.0, 1.0)
         blocked = operators._signed(flipped.copy())
@@ -626,6 +655,123 @@ class TestBlockedSignRule:
         x[:3] *= 1e-10
         assert np.array_equal(operators._signed(x.copy()),
                               _dense_signed(x.copy()))
+
+
+def _formed_kronecker_solve(factors, weights):
+    """Oracle: the per-axis solve with every column formed as
+    kron(u_i, v_j) / sqrt(w) and put under `_signed`, as it was stored before
+    the decomposition kept only its factors."""
+    (a, u), (b, v) = (symmetric_solve(f, np.ones(f.shape[0])) for f in factors)
+    summed = (a[:, None] + b[None, :]).ravel()
+    order = np.argsort(summed, kind="stable")
+    i, j = np.divmod(order, b.size)
+    vecs = (u[:, None, i] * v[None, :, j]).reshape(summed.size, summed.size)
+    vecs /= np.sqrt(weights)[:, None]
+    return summed[order], operators._signed(vecs)
+
+
+def _shells(lam):
+    """The runs of equal eigenvalues (to 1e-8 of the largest), as index
+    arrays: the degenerate shells, and single modes."""
+    cuts = np.flatnonzero(np.diff(lam) > 1e-8 * np.max(np.abs(lam))) + 1
+    return np.split(np.arange(lam.size), cuts)
+
+
+def _shell_gram_defect(dec):
+    """Largest |E^T diag(w) E - I| over the formed columns E of each shell."""
+    worst = 0.0
+    for shell in _shells(dec.eigenvalues):
+        e = dec.modes(shell)
+        g = e.T @ (dec.node_weights[:, None] * e)
+        worst = max(worst, float(np.max(np.abs(g - np.eye(shell.size)))))
+    return worst
+
+
+def _relative(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# a square wide enough that its axis modes fall below the sign rule's floor
+# at the edges: there the rule flips some product columns (none on the
+# torus or the square of halfwidth 3)
+FLIPPING_GRID = ("square", {"halfwidth": 8.0}, WeightField.quadratic, 1.0)
+
+
+class TestFactorModes:
+    """The factor-only decomposition against the formed columns it no longer
+    stores."""
+
+    @pytest.mark.parametrize("n", [5, 7, 8, 16, 33, 48, 64])
+    @pytest.mark.parametrize("shape,kw,make,value",
+                             TENSOR_GRIDS[:2] + [FLIPPING_GRID])
+    def test_modes_are_the_formed_columns(self, shape, kw, make, value, n):
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        dec = op.eigendecomposition()
+        assert dec.vectors is None
+        lam, vecs = _formed_kronecker_solve(op.factors, op.node_weights)
+        assert np.array_equal(_bits(dec.eigenvalues), _bits(lam))
+        # the sign rule from the factors is `_signed` on the formed columns
+        assert np.array_equal(_bits(dec.modes(slice(None))), _bits(vecs))
+        picks = np.array([g.node_count - 1, 0, 3])
+        assert np.array_equal(_bits(dec.modes(picks)), _bits(vecs[:, picks]))
+        assert np.array_equal(_bits(dec.modes(3)), _bits(vecs[:, 3]))
+
+    def test_sign_rule_flips_products(self):
+        shape, kw, make, value = FLIPPING_GRID
+        g = build_grid(shape, 33, **kw)
+        dec = assemble_h(g, make(g, value)).eigendecomposition()
+        assert np.sum(dec.signs == -1.0) > 10
+        assert np.all(np.abs(dec.signs) == 1.0)
+
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
+    def test_every_shell_has_full_rank(self, shape, kw, make, value,
+                                       monkeypatch):
+        g = build_grid(shape, 16, **kw)
+        op = assemble_h(g, make(g, value))
+        dec = op.eigendecomposition()
+        shells = _shells(dec.eigenvalues)
+        assert max(s.size for s in shells) >= 2  # 4 and 8 on the torus
+        assert _shell_gram_defect(dec) <= 1e-12
+        # column k formed from pair k - 1 inside a shell: a mode repeated,
+        # which the eigen and gram gates cannot see
+        first = np.concatenate([np.full(s.size, s[0]) for s in shells])
+        formed = SpectralDecomposition.modes
+
+        def repeated(self, cols):
+            k = np.arange(self.eigenvalues.size)[cols]
+            return formed(self, np.where(k > first[k], k - 1, k))
+
+        monkeypatch.setattr(SpectralDecomposition, "modes", repeated)
+        assert dec.eigen_residual(op) <= 1e-12
+        assert dec.gram_residual() <= 1e-13
+        assert _shell_gram_defect(dec) > 0.5
+
+    @pytest.mark.parametrize("n", [7, 16, 64])
+    @pytest.mark.parametrize("shape,kw,make,value",
+                             TENSOR_GRIDS[:2] + [FLIPPING_GRID])
+    def test_expand_matches_the_formed_path(self, shape, kw, make, value, n):
+        g = build_grid(shape, n, **kw)
+        dec = assemble_h(g, make(g, value)).eigendecomposition()
+        # the formed path: modes(slice(None)).T @ (w F)
+        formed = SpectralDecomposition(g, dec.eigenvalues,
+                                       dec.modes(slice(None)),
+                                       dec.node_weights, None)
+        fields = _test_fields(g, 5, n)
+        assert _relative(dec.expand(fields), formed.expand(fields)) <= 1e-13
+        one = fields.copy_with(fields.values[0])
+        assert _relative(dec.expand(one), formed.expand(one)) <= 1e-13
+        ps = (0.0, 0.5, 1.0, 2.0)
+        got = seminorm_p_batch(fields, ps, dec)
+        want = seminorm_p_batch(fields, ps, formed)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        modes = [1, 2, g.node_count - 1]
+        cov = eigenvector_covector(dec, modes).values
+        assert _relative(cov, eigenvector_covector(formed, modes).values) \
+            <= 1e-13
+        # i and j swapped: the expansion no longer matches
+        swapped = dataclasses.replace(dec, pairs=dec.pairs[::-1])
+        assert _relative(swapped.expand(fields), formed.expand(fields)) > 1e-3
 
 
 class TestKrylovSpectrumMatch:

@@ -1,4 +1,6 @@
 """Spectral and weighted-derivative seminorm families and their probe."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,9 @@ from energyrep.grid import (ALGEBRA_METRIC_FACTOR, Field, GridError,
 from energyrep.operators import assemble_h, conjugated_operator
 from energyrep.sampling import (random_covector_testset, random_one_form,
                                 rho_field)
-from energyrep.seminorms import (equivalence_probe, seminorm_p,
-                                 seminorm_p_batch, seminorm_prime,
-                                 seminorm_prime_batch, twisted_chain,
-                                 weighted_chain_residual)
+from energyrep.seminorms import (chain_identity_residual, equivalence_probe,
+                                 seminorm_p, seminorm_p_batch, seminorm_prime,
+                                 seminorm_prime_batch, twisted_chain)
 from energyrep.suites import _probe_data
 
 
@@ -36,7 +37,7 @@ class TestSpectralSeminorm:
         g, w, dec = circle_setup
         for k, p in [(0, 0.5), (4, 1.0), (9, 2.0)]:
             vals = np.zeros((g.node_count, 1), dtype=complex)
-            vals[:, 0] = dec.eigenvectors[:, k]
+            vals[:, 0] = dec.modes(k)
             f = Field.covector(g, vals)
             assert seminorm_p(f, p, dec) == pytest.approx(
                 float(dec.eigenvalues[k] ** p), rel=1e-10)
@@ -125,6 +126,46 @@ class TestPrimeSeminorm:
                     worst = max(worst, weighted_chain_residual(f, m, n, w))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("shape,kw,wkind", [
+        ("circle", {"radius": 1.0}, "constant"),
+        ("interval", {"halfwidth": 6.0}, "quadratic"),
+        ("torus", {"radius": 1.0}, "constant"),
+    ])
+    def test_one_chain_is_the_per_pair_maximum(self, shape, kw, wkind):
+        # the gate value of twisted_chain_identity, bit for bit: one chain
+        # against a fresh pair of chains for every (m, n)
+        g = build_grid(shape, 12 if shape == "torus" else 40, **kw)
+        rho = rho_field(g, "bump" if shape == "interval" else "cosine", 0.4)
+        w = (WeightField.constant(g, 2.0, rho) if wkind == "constant"
+             else WeightField.quadratic(g, 1.0, rho))
+        fs = random_one_form(g, np.random.default_rng(5), modes=3,
+                             amplitude=1.0, count=5)
+        per_pair = max(float(np.max(weighted_chain_residual(fs, m, n, w)))
+                       for m in range(4) for n in range(m + 1))
+        one_chain = chain_identity_residual(fs, 3, w)
+        assert one_chain.shape == (5,)
+        assert float(np.max(one_chain)) == per_pair
+
+    def test_one_chain_holds_one_slice_at_a_time(self):
+        g = build_grid("torus", 24, radius=1.0)
+        rho = rho_field(g, "cosine", 0.3, 1)
+        w = WeightField.constant(g, 2.0, rho)
+        fs = random_one_form(g, np.random.default_rng(6), modes=3,
+                             amplitude=1.0, count=5)
+        top = fs
+        for _ in range(3):
+            top = covariant_derivative(top)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            chain_identity_residual(fs, 3, w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # below one copy of the whole set's third derivative: the set is
+        # never held at the top order, let alone both sides of the identity
+        assert peak < top.values.nbytes
+
 
 class TestWeightedIntertwine:
     def test_conjugated_scale_equals_premultiplied(self):
@@ -209,6 +250,23 @@ def loop_seminorm_prime(f, m, weight):
     return total
 
 
+def weighted_chain_residual(f, m, n, weight):
+    """Oracle: the relative residual of |W^m grad_rho^n f|_{rho,0} =
+    |W^m grad^n (e^{rho/2} f)|_0 for one (m, n), per sample, from a fresh
+    derivative chain on each side."""
+    half = np.exp(weight.rho / 2.0)
+    wm = weight.w ** m
+    g = f.scale_by_nodes(half)
+    for _ in range(n):
+        g = covariant_derivative(g)
+    lhs = norm(g.scale_by_nodes(1.0 / half).scale_by_nodes(wm), weight.rho)
+    g = f.scale_by_nodes(np.exp(weight.rho / 2.0))
+    for _ in range(n):
+        g = covariant_derivative(g)
+    rhs = norm(g.scale_by_nodes(wm), None)
+    return np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
+
+
 def members(fields):
     """The members of a test set, one by one."""
     return [fields.copy_with(v) for v in fields.values]
@@ -257,8 +315,8 @@ class TestBatchedAgainstLoop:
         fields = random_one_form(torus, rng, modes=2, count=6)
         chain = list(twisted_chain(fields, rho, 3))
         # a test set of rank-1 algebra fields climbs to rank 4 at n = 3
-        assert [g.values.shape for g in chain] == [
-            (6, 64) + (2,) * (k + 1) + (3,) for k in range(4)]
+        assert [g.values.shape for pair in chain for g in pair] == [
+            (6, 64) + (2,) * (k + 1) + (3,) for k in range(4) for _ in "ut"]
         assert_batch_equals_loop(fields, M_LIST, P_LIST, weight, dec)
 
     def test_single_field_is_the_one_field_batch(self, circle_setup):
