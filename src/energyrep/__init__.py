@@ -8,11 +8,9 @@ representation U(psi) exp(f) as a quantitative residual check.
 __version__ = "0.1.0"
 
 from .grid import (Field, GridManifold, GridError, WeightField, build_grid,
-                   conformal_rescale, covariant_derivative,
-                   covariant_derivative_adjoint, field_to_csv, inner_product,
-                   norm)
-from .su2 import (adjoint, algebra_inner, bracket, dexp, exp_map, killing_form,
-                  killing_matrix, rotation_of)
+                   conformal_rescale, covariant_derivative, field_to_csv,
+                   inner_product, norm)
+from .su2 import exp_map, rotation_of
 from .operators import (DiscreteOperator, SpectralDecomposition, assemble_h,
                         conjugated_operator, conjugation_residuals,
                         hilbert_schmidt_test)
@@ -22,9 +20,9 @@ from .hermite import (HermiteLadder, build_ladders, canonical_chain_check,
 from .seminorms import equivalence_probe, seminorm_p, seminorm_prime
 from .gauge import (AlgebraValuedField, ConditionCViolation, CutoffStage,
                     GaugeField, cocycle_residual, cutoff_approximation,
-                    cutoff_sequence, gauge_from_algebra, gauge_identity,
-                    gauge_inverse, gauge_product, log_derivative,
-                    punctured_plane_demo, regularity_check, v_action, v_prime)
+                    cutoff_sequence, gauge_from_algebra, gauge_product,
+                    log_derivative, punctured_plane_demo, regularity_check,
+                    v_action, v_prime)
 from .fock import (CoherentVector, TruncatedFockVector, apply_u,
                    coherent_inner, conformal_check, homomorphism_check,
                    kernel_discrepancy)

@@ -99,48 +99,44 @@ def homomorphism_check(psi: GaugeField, phi: GaugeField, f_set: Field,
 
 @dataclass(frozen=True)
 class ConformalReport:
-    dimension: int
     max_relative_change: float       # after metric rescaling
     max_prediction_residual: float   # vs the analytic factor (constant rho only)
     one_particle_scale: float | None
 
 
-def conformal_check(psi: GaugeField, rho_conf: np.ndarray, f_set, g_set,
-                    rho_weight: np.ndarray | None = None) -> ConformalReport:
+def conformal_check(psi: GaugeField, rho_conf: np.ndarray, f_set,
+                    g_set) -> ConformalReport:
     """Recompute U-matrix elements after rescaling the metric by e^rho_conf.
 
     One element per pair (f, g) from the two test sets.  In dimension 2 they
     are invariant; otherwise the deviation is reported, and for constant
     rho_conf it is compared with the exact factor e^{(d/2-1)rho} on every
-    one-particle inner product.
+    one-particle inner product.  The inner products carry no weight
+    exponent.
     """
-    d = psi.grid.dimension
-    new_grid, _combined = conformal_rescale(psi.grid, rho_conf)
+    new_grid = conformal_rescale(psi.grid, rho_conf)
     psi2 = GaugeField(new_grid, psi.u, psi.du)
 
     f = f_set.copy_with(np.repeat(f_set.values, len(g_set.values), axis=0))
     g = g_set.copy_with(np.concatenate([g_set.values] * len(f_set.values)))
     before = coherent_inner(CoherentVector(1.0, f),
-                            apply_u(psi, CoherentVector(1.0, g), rho_weight),
-                            rho_weight)
-    after = coherent_inner(
-        CoherentVector(1.0, rebind(f, new_grid)),
-        apply_u(psi2, CoherentVector(1.0, rebind(g, new_grid)), rho_weight),
-        rho_weight)
+                            apply_u(psi, CoherentVector(1.0, g)))
+    after = coherent_inner(CoherentVector(1.0, rebind(f, new_grid)),
+                           apply_u(psi2, CoherentVector(1.0, rebind(g, new_grid))))
     change = np.max(modulus(after - before) / modulus(before))
 
     rho_c = np.asarray(rho_conf, float)
     if not np.all(rho_c == rho_c[0]):
-        return ConformalReport(d, float(change), 0.0, None)
+        return ConformalReport(float(change), 0.0, None)
     # the apply_u exponent and the kernel exponent, each product scaled
-    scale = float(np.exp((d / 2.0 - 1.0) * rho_c[0]))
+    scale = float(np.exp((psi.grid.dimension / 2.0 - 1.0) * rho_c[0]))
     beta = log_derivative(psi)
     vg = v_action(psi, g)
-    pred = _times(np.exp(-0.5 * scale * inner_product(beta, beta, rho_weight)
-                         - scale * inner_product(beta, vg, rho_weight)),
-                  np.exp(scale * inner_product(f, vg + beta, rho_weight)))
+    pred = _times(np.exp(-0.5 * scale * inner_product(beta, beta)
+                         - scale * inner_product(beta, vg)),
+                  np.exp(scale * inner_product(f, vg + beta)))
     residual = np.max(modulus(after - pred) / modulus(pred))
-    return ConformalReport(d, float(change), float(residual), scale)
+    return ConformalReport(float(change), float(residual), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +198,11 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def orthonormal_coordinates(fields, rho: np.ndarray | None = None) -> list:
+def orthonormal_coordinates(fields) -> list:
     """Coordinates of the fields in an orthonormal basis of their span.
 
-    Modified Gram-Schmidt under <.,.>_{rho,0}; the returned vectors satisfy
-    coords_i† coords_j = <f_i, f_j>_{rho,0} up to rounding.
+    Modified Gram-Schmidt under <.,.>_0; the returned vectors satisfy
+    coords_i† coords_j = <f_i, f_j>_0 up to rounding.
     """
     basis = []         # orthonormal Fields
     coords = [np.zeros(0, dtype=complex) for _ in fields]
@@ -214,10 +210,10 @@ def orthonormal_coordinates(fields, rho: np.ndarray | None = None) -> list:
         resid = f
         comp = []
         for e in basis:
-            c = inner_product(e, resid, rho)
+            c = inner_product(e, resid)
             comp.append(c)
             resid = resid - e * c
-        r = norm(resid, rho)
+        r = norm(resid)
         if r > 1e-13:
             basis.append(resid * (1.0 / r))
             comp.append(r)

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import su2
 from .grid import Field, GridManifold, GridError, norm
-from .profiles import AnnulusStepProfile, PlateauProfile, derivative_sup_estimate
+from .profiles import AnnulusStepProfile, PlateauProfile
+from .seminorms import seminorm_p_batch, seminorm_prime_batch
 
 
 class ConditionCViolation(RuntimeError):
@@ -50,13 +51,6 @@ class AlgebraValuedField:
         return cls(grid, vals, ders)
 
 
-def gauge_identity(grid: GridManifold) -> GaugeField:
-    n, d = grid.node_count, grid.dimension
-    u = np.tile(su2.IDENTITY2, (n, 1, 1))
-    du = np.zeros((n, d, 2, 2), dtype=complex)
-    return GaugeField(grid, u, du)
-
-
 def gauge_from_algebra(field: AlgebraValuedField, t: float = 1.0) -> GaugeField:
     """Pointwise exp(t Psi), with derivatives from the closed-form dexp.
 
@@ -76,12 +70,6 @@ def gauge_product(a: GaugeField, b: GaugeField) -> GaugeField:
     du = (np.einsum("...xjab,...xbc->...xjac", a.du, b.u)
           + np.einsum("...xab,...xjbc->...xjac", a.u, b.du))
     return GaugeField(a.grid, u, du)
-
-
-def gauge_inverse(a: GaugeField) -> GaugeField:
-    ui = np.conj(np.swapaxes(a.u, -1, -2))
-    du = -np.einsum("...xab,...xjbc,...xcd->...xjad", ui, a.du, ui)
-    return GaugeField(a.grid, ui, du)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +137,20 @@ def reality_defect(beta: Field) -> float:
     return float(np.max(np.abs(beta.values.imag))) if beta.values.size else 0.0
 
 
-def exp_series_action(field: AlgebraValuedField, t: float, f: Field,
-                      tol: float = 1e-16, max_terms: int = 60) -> Field:
+# the series of exp_series_action stops at the first term below SERIES_TOL
+# in every component, or after SERIES_TERMS terms
+SERIES_TOL = 1e-16
+SERIES_TERMS = 60
+
+
+def exp_series_action(field: AlgebraValuedField, t: float, f: Field) -> Field:
     """sum_k (t V'(Psi))^k f / k!, the series form of V(exp(t Psi)) f."""
     acc = f
     term = f
-    for k in range(1, max_terms):
+    for k in range(1, SERIES_TERMS):
         term = v_prime(field, term) * (t / k)
         acc = acc + term
-        if np.max(np.abs(term.values)) < tol:
+        if np.max(np.abs(term.values)) < SERIES_TOL:
             break
     return acc
 
@@ -166,17 +159,20 @@ def exp_series_action(field: AlgebraValuedField, t: float, f: Field,
 # Derived-action bound and the regularity check
 # ---------------------------------------------------------------------------
 
+# V' iterates of each test field over which v_prime_bound_constant maximizes
+BOUND_ITERATES = 4
+
+
 def v_prime_bound_constant(field: AlgebraValuedField, test_set: Field, m: int,
-                           weight, iterations: int = 4) -> float:
+                           weight) -> float:
     """Empirical constant C with |V'(Psi) f|'_m <= C |f|'_m over the test set.
 
-    The max runs over the set and a few V' iterates of each member, so the
-    constant also controls the series terms used by the regularity bound.
+    The max runs over the set and BOUND_ITERATES V' iterates of each member,
+    so the constant also controls the series terms used by the regularity
+    bound.
     """
-    from .seminorms import seminorm_prime_batch
-
     chain = [test_set]  # the test set, then its V' iterates
-    for _ in range(iterations):
+    for _ in range(BOUND_ITERATES):
         chain.append(v_prime(field, chain[-1]))
     values = seminorm_prime_batch(test_set.copy_with(np.concatenate(
         [g.values for g in chain])), (m,), weight)[0].reshape(len(chain), -1)
@@ -206,8 +202,6 @@ def regularity_check(field: AlgebraValuedField, test_set, t_list, p: float,
     that sup error per t with a log-log slope fit, plus the series bound
     margin in the weighted-derivative seminorm.
     """
-    from .seminorms import seminorm_p_batch, seminorm_prime_batch
-
     c_hat = v_prime_bound_constant(field, test_set, m, weight)
     den = seminorm_p_batch(test_set, (q,), decomposition)[0]
     den_m = seminorm_prime_batch(test_set, (m,), weight)[0]
@@ -238,8 +232,7 @@ def regularity_check(field: AlgebraValuedField, test_set, t_list, p: float,
 class CutoffStage:
     index: int
     values: np.ndarray        # per node
-    gradient_sup: float       # analytic sup over the collar
-    derivative_bounds: dict   # order -> sup estimate, n-independent by design
+    gradient_sup: float       # analytic sup over the collar, n-independent
 
 
 def cutoff_sequence(grid: GridManifold, count: int, step: float,
@@ -252,12 +245,8 @@ def cutoff_sequence(grid: GridManifold, count: int, step: float,
     stages = []
     for n in range(1, count + 1):
         prof = PlateauProfile(inner=n * step, collar=collar)
-        vals = prof.value(grid.nodes)
-        bounds = {
-            1: prof.gradient_sup(),
-            2: derivative_sup_estimate(prof, 2, n * step, n * step + collar),
-        }
-        stages.append(CutoffStage(n, vals, prof.gradient_sup(), bounds))
+        stages.append(CutoffStage(n, prof.value(grid.nodes),
+                                  prof.gradient_sup()))
     return stages
 
 
@@ -275,8 +264,6 @@ def cutoff_approximation(field: AlgebraValuedField, stages, f_set: Field,
     Psi_n := psi_n Psi.  Refuses on domains flagged as violating condition (c)
     (see punctured_plane_demo for why such domains admit no usable family).
     """
-    from .seminorms import seminorm_p_batch
-
     grid = field.grid
     if not grid.condition_c_ok:
         raise ConditionCViolation(

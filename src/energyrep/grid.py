@@ -141,9 +141,9 @@ class Field:
 
     values has shape (n,) + (d,)*rank, with a trailing (3,) axis when the
     field carries complexified su(2) coefficients (algebra=True).  A test set
-    (see stack_fields) carries one more, leading, sample axis; scaling,
-    arithmetic, the covariant derivative, inner products and spectral
-    expansion then act on every sample at once.
+    carries one more, leading, sample axis; scaling, arithmetic, the
+    covariant derivative, inner products and spectral expansion then act on
+    every sample at once.
     """
 
     grid: GridManifold
@@ -165,13 +165,8 @@ class Field:
         return self.values.ndim - 1 - self.rank - int(self.algebra)
 
     @classmethod
-    def scalar(cls, grid: GridManifold, values: np.ndarray) -> "Field":
-        return cls(grid, 0, np.asarray(values))
-
-    @classmethod
-    def covector(cls, grid: GridManifold, values: np.ndarray,
-                 algebra: bool = False) -> "Field":
-        return cls(grid, 1, np.asarray(values), algebra)
+    def covector(cls, grid: GridManifold, values: np.ndarray) -> "Field":
+        return cls(grid, 1, np.asarray(values))
 
     @classmethod
     def zero(cls, grid: GridManifold, rank: int = 0, algebra: bool = False) -> "Field":
@@ -263,24 +258,6 @@ def _check_scales(f: Field, g: Field) -> None:
         raise GridError("fields live on different conformal rescalings")
 
 
-def stack_fields(fields) -> Field:
-    """A test set of single fields as one field with a leading sample axis.
-
-    The members must share one grid (up to an identical copy), one metric
-    scale, one rank and one algebra structure; the checks run here, once for
-    the whole set.
-    """
-    if not fields:
-        raise GridError("a test set needs at least one field")
-    first = fields[0]
-    for f in fields:
-        if f.sample_axes:
-            raise GridError("a test set is stacked from single fields")
-        _check_pair(first, f)
-        _check_scales(first, f)
-    return first.copy_with(np.stack([f.values for f in fields]))
-
-
 # ---------------------------------------------------------------------------
 # Quadrature inner products
 # ---------------------------------------------------------------------------
@@ -315,18 +292,13 @@ def norm(f: Field, rho: np.ndarray | None = None) -> float | np.ndarray:
     return val if f.sample_axes else float(val)
 
 
-def conformal_rescale(grid: GridManifold, rho: np.ndarray):
-    """Rescale the metric by e^rho per the conformal transformation rules.
-
-    Returns (new grid, combined per-node factor on <f,g>_0 for covector
-    fields), the factor being e^{(d/2 - 1) rho}.
-    """
+def conformal_rescale(grid: GridManifold, rho: np.ndarray) -> GridManifold:
+    """The grid with its metric rescaled by e^rho; on covector fields this
+    scales <f, g>_0 by e^{(d/2 - 1) rho} per node."""
     rho = np.asarray(rho, float)
     if rho.shape != (grid.node_count,):
         raise GridError("rho must be a per-node scalar array")
-    new_grid = dataclasses.replace(grid, metric_scale=grid.metric_scale * np.exp(rho))
-    combined = np.exp((grid.dimension / 2.0 - 1.0) * rho)
-    return new_grid, combined
+    return dataclasses.replace(grid, metric_scale=grid.metric_scale * np.exp(rho))
 
 
 def rebind(field: Field, grid: GridManifold) -> Field:
@@ -337,7 +309,7 @@ def rebind(field: Field, grid: GridManifold) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Covariant derivative (centered, second order) and its exact adjoint
+# Covariant derivative (centered, second order)
 # ---------------------------------------------------------------------------
 
 def _shifted(mesh: np.ndarray, axis: int, step: int, topology: str) -> np.ndarray:
@@ -394,23 +366,6 @@ def covariant_derivative(f: Field) -> Field:
              for j in range(grid.dimension)]
     values = np.stack(parts, axis=lead + 1)
     return Field(grid, f.rank + 1, values, f.algebra)
-
-
-def covariant_derivative_adjoint(f: Field) -> Field:
-    """Exact adjoint of covariant_derivative under the quadrature inner product."""
-    grid = f.grid
-    c = grid.constant_scale()
-    if f.rank < 1:
-        raise GridError("adjoint derivative needs rank >= 1")
-    lead = f.sample_axes
-    acc = None
-    for j in range(grid.dimension):
-        term = _axis_derivative(grid, np.take(f.values, j, axis=lead + 1), j,
-                                lead)
-        acc = term if acc is None else acc + term
-    # centered differences are skew under uniform weights; the constant scale
-    # contributes one inverse-metric factor on the removed index
-    return Field(grid, f.rank - 1, -acc / c, f.algebra)
 
 
 # ---------------------------------------------------------------------------

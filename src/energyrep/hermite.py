@@ -188,7 +188,6 @@ def column_norms(states: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WordBoundResult:
-    word: tuple
     lhs: np.ndarray      # |word f|_0 per state
     rhs: np.ndarray      # C |(2N+d+1)^{m/2} f|_0 per state
     ratio: np.ndarray    # lhs / rhs, 0 where rhs is 0
@@ -217,7 +216,7 @@ def commutation_bound_check(ladder: HermiteLadder, word, f: np.ndarray,
     weighted = ladder.bound_weights(m / 2.0)[:, None] * f
     rhs = constant * column_norms(weighted)
     ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0)
-    return WordBoundResult(word, lhs, rhs, ratio, float(constant))
+    return WordBoundResult(lhs, rhs, ratio, float(constant))
 
 
 CANONICAL_WORD = ((0, False), (0, True), (1, False), (1, False))

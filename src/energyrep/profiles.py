@@ -37,17 +37,18 @@ def plane_waves(nodes: np.ndarray, periods, terms: np.ndarray):
     """sum of plane waves amp * cos(2 pi (kx x / Px + ky y / Py) + phase).
 
     terms holds one row of (amp, kx, ky, phase) per wave, shape (P, M, 4).
+    The waves are evaluated one at a time, so the temporaries stay (P, n).
     """
     px, py = periods
     amp, kx, ky, ph = (terms[:, :, i, None] for i in range(4))
-    arg = 2 * np.pi * (kx * nodes[:, 0] / px + ky * nodes[:, 1] / py) + ph
     wx, wy = 2 * np.pi * kx / px, 2 * np.pi * ky / py
-    cos, sin = np.cos(arg), np.sin(arg)
     val = np.zeros((terms.shape[0], nodes.shape[0]))
     grad = np.zeros(val.shape + (2,))
     for m in range(terms.shape[1]):
-        val += amp[:, m] * cos[:, m]
-        s = -amp[:, m] * sin[:, m]
+        arg = (2 * np.pi * (kx[:, m] * nodes[:, 0] / px
+                            + ky[:, m] * nodes[:, 1] / py) + ph[:, m])
+        val += amp[:, m] * np.cos(arg)
+        s = -amp[:, m] * np.sin(arg)
         grad[:, :, 0] += s * wx[:, m]
         grad[:, :, 1] += s * wy[:, m]
     return val, grad
@@ -122,23 +123,16 @@ class PlateauProfile:
     inner: float
     collar: float
 
-    def _radius(self, nodes):
-        return np.linalg.norm(nodes, axis=1)
-
     def value(self, nodes):
-        r = self._radius(nodes)
+        r = np.linalg.norm(nodes, axis=1)
         return smoothstep((self.inner + self.collar - r) / self.collar)
-
-    def gradient(self, nodes):
-        r = self._radius(nodes)
-        t = (self.inner + self.collar - r) / self.collar
-        dv = -smoothstep_prime(t) / self.collar
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[:, None] > 0, nodes / np.maximum(r, 1e-300)[:, None], 0.0)
-        return dv[:, None] * unit
 
     def gradient_sup(self) -> float:
         return SMOOTHSTEP_PRIME_SUP / self.collar
+
+
+# radii at which AnnulusStepProfile samples its transition annulus
+ANNULUS_SAMPLES = 4001
 
 
 @dataclass(frozen=True)
@@ -151,24 +145,8 @@ class AnnulusStepProfile:
         r = np.linalg.norm(nodes, axis=1)
         return smoothstep((r - self.eps) / self.eps)
 
-    def gradient_sup_dense(self, samples: int = 4001) -> float:
+    def gradient_sup_dense(self) -> float:
         """Sup of |grad| over a dense radial sample of the transition annulus."""
-        r = np.linspace(self.eps, 2.0 * self.eps, samples)
+        r = np.linspace(self.eps, 2.0 * self.eps, ANNULUS_SAMPLES)
         return float(np.max(smoothstep_prime((r - self.eps) / self.eps) / self.eps))
 
-
-def derivative_sup_estimate(profile: PlateauProfile, order: int, lo: float,
-                            hi: float, samples: int = 4001) -> float:
-    """Numerical sup of the order-th radial derivative on [lo, hi].
-
-    Order 1 uses the exact gradient; higher orders use repeated central
-    differences of the exact first derivative on a dense sample.
-    """
-    r = np.linspace(lo, hi, samples)
-    nodes = np.zeros((samples, 1))
-    nodes[:, 0] = r
-    d = profile.gradient(nodes)[:, 0]
-    step = r[1] - r[0]
-    for _ in range(order - 1):
-        d = np.gradient(d, step)
-    return float(np.max(np.abs(d)))

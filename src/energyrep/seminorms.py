@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (ALGEBRA_METRIC_FACTOR, Field, GridError, WeightField,
-                   covariant_derivative, norm, stack_fields)
+                   covariant_derivative, norm)
 from .operators import SpectralDecomposition
 
 
@@ -57,7 +57,7 @@ def seminorm_p_batch(fields, p_values, dec: SpectralDecomposition) -> np.ndarray
 
 def seminorm_p(f: Field, p: float, dec: SpectralDecomposition) -> float:
     """|f|_{rho,p} of one field."""
-    return float(seminorm_p_batch(stack_fields([f]), (p,), dec)[0, 0])
+    return float(seminorm_p_batch(f.copy_with(f.values[None]), (p,), dec)[0, 0])
 
 
 def eigenvector_covector(dec: SpectralDecomposition, k) -> Field:
@@ -104,7 +104,8 @@ def seminorm_prime_batch(fields, m_list, weight: WeightField) -> np.ndarray:
 
 def seminorm_prime(f: Field, m: int, weight: WeightField) -> float:
     """|f|'_{rho,m} of one field."""
-    return float(seminorm_prime_batch(stack_fields([f]), (m,), weight)[0, 0])
+    return float(seminorm_prime_batch(f.copy_with(f.values[None]), (m,),
+                                      weight)[0, 0])
 
 
 def chain_identity_residual(fields, order: int,

@@ -1,8 +1,10 @@
-"""SU(2) and su(2): Killing form, adjoint actions and exact exponential differentials.
+"""SU(2) and su(2): the basis, the adjoint action and the exponential with
+its exact differential.
 
 Basis convention: X_k = -(i/2) sigma_k, anti-Hermitian and traceless, with
 [X_a, X_b] = eps_abc X_c, so the bracket in coefficients is the cross product.
-The Killing form on this basis is B = -2 * identity.
+The Killing form on this basis is B = -2 * identity
+(`grid.ALGEBRA_METRIC_FACTOR`).
 """
 from __future__ import annotations
 
@@ -38,48 +40,8 @@ def basis_projection_residual(m: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brackets, Killing form, adjoint actions
+# The adjoint action
 # ---------------------------------------------------------------------------
-
-def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[X, Y] in coefficients: the cross product for this basis."""
-    return np.cross(np.asarray(x), np.asarray(y))
-
-
-def ad_matrix(x: np.ndarray) -> np.ndarray:
-    """3x3 matrix of ad(X) acting on coefficients."""
-    x = np.asarray(x)
-    z = np.zeros(x.shape[:-1])
-    return np.stack([
-        np.stack([z, -x[..., 2], x[..., 1]], axis=-1),
-        np.stack([x[..., 2], z, -x[..., 0]], axis=-1),
-        np.stack([-x[..., 1], x[..., 0], z], axis=-1),
-    ], axis=-2)
-
-
-def killing_form(x: np.ndarray, y: np.ndarray) -> float:
-    """B(X, Y) = trace(ad X ad Y) on the 3-dimensional adjoint realization."""
-    prod = ad_matrix(x) @ ad_matrix(y)
-    return float(np.trace(prod, axis1=-2, axis2=-1).real)
-
-
-def killing_matrix() -> np.ndarray:
-    """The Killing form as a 3x3 array on the basis; -B is positive definite."""
-    return np.array([[killing_form(np.eye(3)[a], np.eye(3)[b])
-                      for b in range(3)] for a in range(3)])
-
-
-def algebra_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """<X, Y> := -B(X, Y), the invariant inner product (positive definite)."""
-    return -killing_form(x, y)
-
-
-def adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Ad(g) X in coefficients, computed as g x g^{-1} in the 2x2 realization."""
-    m = to_matrix(x)
-    gi = np.conj(np.swapaxes(np.asarray(g), -1, -2))
-    return from_matrix(np.asarray(g) @ m @ gi)
-
 
 def rotation_of(g: np.ndarray) -> np.ndarray:
     """Ad(g) as a real 3x3 matrix on coefficients: R_ab = tr(sigma_a g sigma_b g†)/2."""
@@ -140,15 +102,3 @@ def dexp_batch(a: np.ndarray, aprime: np.ndarray) -> np.ndarray:
     return ((-0.5 * sinc * delta)[..., None, None] * IDENTITY2
             + (mid * delta)[..., None, None] * a
             + sinc[..., None, None] * b)
-
-
-dexp = dexp_batch  # one 2x2 block is the case with no leading axes
-
-
-def group_defect(g: np.ndarray) -> float:
-    """Max deviation from u†u = I and det u = 1 over a batch."""
-    g = np.asarray(g)
-    gd = np.conj(np.swapaxes(g, -1, -2))
-    uni = np.max(np.abs(gd @ g - IDENTITY2))
-    det = np.max(np.abs(np.linalg.det(g) - 1.0))
-    return float(max(uni, det))

@@ -19,10 +19,11 @@ import numpy as np
 
 from energyrep import fock, gauge, hermite, operators, seminorms
 from energyrep.config import ExperimentConfig
-from energyrep.grid import Field, WeightField, build_grid, stack_fields
+from energyrep.grid import Field, WeightField, build_grid
 from energyrep.sampling import (random_algebra_field, random_gauge_field,
                                 random_one_form, rho_field)
 from energyrep.suites import _probe_data
+from helpers import stack
 
 SEED = 20260809
 
@@ -173,7 +174,7 @@ def test_criterion_6_weight_conjugation():
     spec_dev = float(np.max(np.abs(lam - lam_rho)))
 
     weight = WeightField.constant(grid, 2.0, rho)
-    fs = stack_fields([random_one_form(grid, rng, modes=3) for _ in range(10)])
+    fs = stack([random_one_form(grid, rng, modes=3) for _ in range(10)])
     # every (m, n) with n <= m <= 3, from one derivative chain
     worst_chain = float(np.max(seminorms.chain_identity_residual(fs, 3,
                                                                  weight)))
@@ -237,7 +238,7 @@ def test_criterion_9_cutoff_decay():
     gauss[:, 0, 0] = np.exp(-grid.nodes[:, 0] ** 2 / 4.0)
     bump = np.zeros((n, 1, 3), dtype=complex)
     bump[:, 0, 1] = bumps(grid.nodes, [[0.0]], [2.0], [1.0])[0][0]
-    f_set = stack_fields([Field(grid, 1, gauss, algebra=True),
+    f_set = stack([Field(grid, 1, gauss, algebra=True),
                           Field(grid, 1, bump, algebra=True)])
     rep = gauge.cutoff_approximation(psi, stages, f_set, 1.0, dec)
     ok = True

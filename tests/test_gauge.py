@@ -2,15 +2,15 @@
 import numpy as np
 import pytest
 
-from energyrep import gauge, su2
-from energyrep.grid import (Field, GridError, WeightField, build_grid, norm,
-                            stack_fields)
+from energyrep import gauge
+from energyrep.grid import Field, GridError, WeightField, build_grid, norm
 from energyrep.operators import assemble_h, conjugated_operator
 from energyrep.profiles import bumps, fourier_series
 from energyrep.sampling import (random_algebra_field, random_gauge_field,
                                 random_one_form, random_tuples, rho_field)
 from energyrep.seminorms import (seminorm_p, seminorm_p_batch,
                                  seminorm_prime_batch)
+from helpers import gauge_identity, gauge_inverse, group_defect, stack
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def rng():
 
 class TestLogDerivative:
     def test_identity_field(self, circle32):
-        beta = gauge.log_derivative(gauge.gauge_identity(circle32))
+        beta = gauge.log_derivative(gauge_identity(circle32))
         assert np.all(beta.values == 0)
 
     def test_constant_field(self, circle32):
@@ -61,12 +61,12 @@ class TestLogDerivative:
 class TestCocycle:
     def test_identity_right_factor(self, circle32, rng):
         psi = random_gauge_field(circle32, rng)
-        assert gauge.cocycle_residual(psi, gauge.gauge_identity(circle32)) \
+        assert gauge.cocycle_residual(psi, gauge_identity(circle32)) \
             <= 1e-12
 
     def test_inverse_pair(self, circle32, rng):
         psi = random_gauge_field(circle32, rng)
-        assert gauge.cocycle_residual(psi, gauge.gauge_inverse(psi)) <= 1e-10
+        assert gauge.cocycle_residual(psi, gauge_inverse(psi)) <= 1e-10
 
     def test_random_noncommuting_pairs(self, circle32, rng):
         rho = rho_field(circle32, "cosine", 0.3, 1)
@@ -85,13 +85,13 @@ class TestCocycle:
     def test_product_unitary(self, circle32, rng):
         psi = random_gauge_field(circle32, rng)
         phi = random_gauge_field(circle32, rng)
-        assert su2.group_defect(gauge.gauge_product(psi, phi).u) <= 1e-12
+        assert group_defect(gauge.gauge_product(psi, phi).u) <= 1e-12
 
 
 class TestVAction:
     def test_identity_acts_trivially(self, circle32, rng):
         f = random_one_form(circle32, rng)
-        out = gauge.v_action(gauge.gauge_identity(circle32), f)
+        out = gauge.v_action(gauge_identity(circle32), f)
         assert np.max(np.abs(out.values - f.values)) == 0.0
 
     def test_isometry(self, circle32, rng):
@@ -141,17 +141,13 @@ class TestStackedSamples:
         assert got.sample_axes == 1
         assert np.array_equal(got.values, want)
 
-    def test_gauge_product_and_inverse(self, samples):
+    def test_gauge_product(self, samples):
         _, psi, phi, *_ = samples
         psis, phis = members(psi), members(phi)
         prod = gauge.gauge_product(psi, phi)
         loop = [gauge.gauge_product(p, q) for p, q in zip(psis, phis)]
         assert np.array_equal(prod.u, [g.u for g in loop])
         assert np.array_equal(prod.du, [g.du for g in loop])
-        inv = gauge.gauge_inverse(psi)
-        loop = [gauge.gauge_inverse(p) for p in psis]
-        assert np.array_equal(inv.u, [g.u for g in loop])
-        assert np.array_equal(inv.du, [g.du for g in loop])
 
     def test_v_action(self, samples):
         _, psi, _, f, _ = samples
@@ -174,7 +170,7 @@ class TestStackedSamples:
         grid, psi, *_ = samples
         other = build_grid("circle", 12, radius=1.0)
         with pytest.raises(GridError):
-            gauge.gauge_product(psi, gauge.gauge_identity(other))
+            gauge.gauge_product(psi, gauge_identity(other))
 
 
 class TestVPrime:
@@ -208,8 +204,7 @@ class TestVPrime:
             local = np.random.default_rng(6)
             psi = random_algebra_field(g, local, amplitude=1.0)
             fs = random_one_form(g, local, normalized=True, count=30)
-            consts.append(gauge.v_prime_bound_constant(psi, fs, 2, w,
-                                                       iterations=1))
+            consts.append(gauge.v_prime_bound_constant(psi, fs, 2, w))
         assert max(consts) / min(consts) <= 2.0
 
 
@@ -274,7 +269,7 @@ def loop_regularity(field, fs, t_list, p, q, m, weight, dec, c_hat):
     drift = [gauge.v_prime(field, f) for f in members(fs)]
     errors, margins = [], []
     for t in t_list:
-        quotients = stack_fields(
+        quotients = stack(
             [(gauge.v_action_of_exp(field, t, f) - f) * (1.0 / t) - vf
              for f, vf in zip(members(fs), drift)])
         err = seminorm_p_batch(quotients, (p,), dec)[0]
@@ -305,10 +300,6 @@ class TestCutoffs:
         stages = gauge.cutoff_sequence(g, 6, 1.0, 1.0)
         sups = {s.gradient_sup for s in stages}
         assert sups == {2.0}
-        for s in stages:
-            # the order-2 sup is a sampled estimate; identical up to sampling noise
-            assert s.derivative_bounds[2] == pytest.approx(
-                stages[0].derivative_bounds[2], rel=1e-6)
 
     def test_pointwise_convergence_to_one(self, interval_setup):
         g, _ = interval_setup
@@ -325,7 +316,7 @@ class TestCutoffs:
         gauss = np.zeros((g.node_count, 1, 3), dtype=complex)
         gauss[:, 0, 0] = np.exp(-g.nodes[:, 0] ** 2 / 4.0)
         f = Field(g, 1, gauss, algebra=True)
-        rep = gauge.cutoff_approximation(psi, stages, stack_fields([f]), 1.0,
+        rep = gauge.cutoff_approximation(psi, stages, stack([f]), 1.0,
                                          dec)
         row = rep.values[0]
         assert row[-1] <= 1e-3 * row[0]
@@ -343,7 +334,7 @@ class TestCutoffs:
         gauss = np.zeros((g.node_count, 1, 3), dtype=complex)
         gauss[:, 0, 0] = np.exp(-g.nodes[:, 0] ** 2 / 4.0)
         f = Field(g, 1, gauss, algebra=True)
-        rep = gauge.cutoff_approximation(psi, stages, stack_fields([f]), 1.0,
+        rep = gauge.cutoff_approximation(psi, stages, stack([f]), 1.0,
                                          dec)
         row = rep.values[0]
         assert row[-1] == 0.0
@@ -356,7 +347,7 @@ class TestCutoffs:
         bump = np.zeros((g.node_count, 1, 3), dtype=complex)
         bump[:, 0, 1] = bumps(g.nodes, [[0.0]], [2.0], [1.0])[0][0]
         f = Field(g, 1, bump, algebra=True)
-        rep = gauge.cutoff_approximation(psi, stages, stack_fields([f]), 1.0,
+        rep = gauge.cutoff_approximation(psi, stages, stack([f]), 1.0,
                                          dec)
         covered = rep.covered_from[0]
         assert covered == 2

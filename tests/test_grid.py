@@ -6,9 +6,9 @@ import hypothesis.strategies as st
 
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
                             conformal_rescale, covariant_derivative,
-                            covariant_derivative_adjoint, field_to_csv,
-                            inner_product, norm, rebind, stack_fields)
+                            field_to_csv, inner_product, norm, rebind)
 from energyrep.operators import assemble_h
+from helpers import stack
 
 
 def random_field(grid, rng, rank=1, algebra=False):
@@ -17,6 +17,19 @@ def random_field(grid, rng, rank=1, algebra=False):
         shape = shape + (3,)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return Field(grid, rank, vals, algebra)
+
+
+def covariant_derivative_adjoint(t):
+    """-sum_j D_j t_j / c, D_j the centered difference along axis j and c
+    the constant metric scale: centered differences are skew under uniform
+    weights, and the removed index carries one inverse-metric factor."""
+    lead, acc = t.sample_axes, 0.0
+    for j in range(t.grid.dimension):
+        part = Field(t.grid, t.rank - 1, np.take(t.values, j, axis=lead + 1),
+                     t.algebra)
+        acc = acc + np.take(covariant_derivative(part).values, j,
+                            axis=lead + 1)
+    return Field(t.grid, t.rank - 1, -acc / t.grid.constant_scale(), t.algebra)
 
 
 class TestBuildGrid:
@@ -102,7 +115,7 @@ class TestInnerProduct:
         g2 = build_grid("circle", 16, radius=1.0)
         f1 = Field.covector(g1, np.ones((8, 1), dtype=complex))
         f2 = Field.covector(g2, np.ones((16, 1), dtype=complex))
-        s1 = Field.scalar(g1, np.ones(8, dtype=complex))
+        s1 = Field(g1, 0, np.ones(8, dtype=complex))
         with pytest.raises(GridError):
             inner_product(f1, f2)
         with pytest.raises(GridError):
@@ -112,14 +125,14 @@ class TestInnerProduct:
 class TestCovariantDerivative:
     def test_constant_field_has_zero_gradient(self):
         g = build_grid("circle", 16, radius=1.0)
-        f = Field.scalar(g, np.full(16, 2.5))
+        f = Field(g, 0, np.full(16, 2.5))
         assert np.all(covariant_derivative(f).values == 0.0)
 
     def test_sine_on_circle(self):
         # oracle: centered-difference Taylor remainder <= h^2 (|f'''| <= 1)
         g = build_grid("circle", 64, radius=1.0)
         theta = g.nodes[:, 0]
-        f = Field.scalar(g, np.sin(theta))
+        f = Field(g, 0, np.sin(theta))
         df = covariant_derivative(f)
         err = np.max(np.abs(df.values[:, 0] - np.cos(theta)))
         assert err <= (2 * np.pi / 64) ** 2
@@ -145,7 +158,7 @@ class TestCovariantDerivative:
         for n in (32, 64):
             g = build_grid("circle", n, radius=1.0)
             theta = g.nodes[:, 0]
-            f = Field.scalar(g, np.sin(theta))
+            f = Field(g, 0, np.sin(theta))
             err = np.max(np.abs(covariant_derivative(f).values[:, 0]
                                 - np.cos(theta)))
             errs.append(err)
@@ -160,7 +173,7 @@ class TestCovariantDerivative:
         for n in (256, 512):
             g = build_grid("interval", n, halfwidth=3.0)
             vals, grads = bumps(g.nodes, [[0.0]], [2.5], [1.0])
-            f = Field.scalar(g, vals[0])
+            f = Field(g, 0, vals[0])
             err = np.max(np.abs(covariant_derivative(f).values[:, 0]
                                 - grads[0, :, 0]))
             errs.append(err)
@@ -168,15 +181,15 @@ class TestCovariantDerivative:
 
     def test_requires_constant_scale(self):
         g = build_grid("circle", 8, radius=1.0)
-        g2, _ = conformal_rescale(g, np.linspace(0, 1, 8))
-        f = Field.scalar(g2, np.ones(8))
+        g2 = conformal_rescale(g, np.linspace(0, 1, 8))
+        f = Field(g2, 0, np.ones(8))
         with pytest.raises(GridError):
             covariant_derivative(f)
 
     def test_adjoint_exact_under_constant_rescale(self):
         # constant conformal factor: connection still flat, adjoint picks up 1/c
-        g, _ = conformal_rescale(build_grid("circle", 12, radius=1.0),
-                                 np.full(12, 0.8))
+        g = conformal_rescale(build_grid("circle", 12, radius=1.0),
+                              np.full(12, 0.8))
         rng = np.random.default_rng(17)
         f = random_field(g, rng, rank=0)
         t = random_field(g, rng, rank=1)
@@ -190,8 +203,7 @@ class TestConformalRescale:
         g = build_grid("torus", 6, radius=1.0)
         rng = np.random.default_rng(1)
         rho = rng.uniform(-1, 1, g.node_count)
-        g2, factor = conformal_rescale(g, rho)
-        assert np.allclose(factor, 1.0)
+        g2 = conformal_rescale(g, rho)
         f, h = random_field(g, rng), random_field(g, rng)
         before = inner_product(f, h)
         after = inner_product(rebind(f, g2), rebind(h, g2))
@@ -199,16 +211,15 @@ class TestConformalRescale:
 
     def test_zero_rho_is_identity(self):
         g = build_grid("circle", 8, radius=1.0)
-        g2, factor = conformal_rescale(g, np.zeros(8))
+        g2 = conformal_rescale(g, np.zeros(8))
         assert np.all(g2.metric_scale == g.metric_scale)
-        assert np.all(factor == 1.0)
 
     def test_d1_constant_rho_scales_by_analytic_factor(self):
-        # oracle: combined factor e^{(1/2 - 1) * 2} = e^{-1}
+        # oracle: the factor e^{(d/2 - 1) rho} = e^{(1/2 - 1) * 2} = e^{-1}
         g = build_grid("circle", 8, radius=1.0)
         rng = np.random.default_rng(2)
         f = random_field(g, rng)
-        g2, _ = conformal_rescale(g, np.full(8, 2.0))
+        g2 = conformal_rescale(g, np.full(8, 2.0))
         before = inner_product(f, f).real
         after = inner_product(rebind(f, g2), rebind(f, g2)).real
         assert after == pytest.approx(before * np.exp(-1.0), rel=1e-12)
@@ -252,7 +263,7 @@ class TestSampleAxis:
         rng = np.random.default_rng(41)
         fields = [random_field(g, rng, rank, algebra) for _ in range(4)]
         others = [random_field(g, rng, rank, algebra) for _ in range(4)]
-        batch, other = stack_fields(fields), stack_fields(others)
+        batch, other = stack(fields), stack(others)
         assert (batch.sample_axes, fields[0].sample_axes) == (1, 0)
         rho = rng.uniform(-0.5, 0.5, g.node_count)
         assert np.array_equal(inner_product(batch, other, rho),
@@ -260,8 +271,7 @@ class TestSampleAxis:
                                for f, h in zip(fields, others)])
         assert np.array_equal(norm(batch, rho), [norm(f, rho) for f in fields])
         scale = rng.uniform(1.0, 2.0, g.node_count)
-        for op in (covariant_derivative, covariant_derivative_adjoint,
-                   lambda f: f.scale_by_nodes(scale)):
+        for op in (covariant_derivative, lambda f: f.scale_by_nodes(scale)):
             out = op(batch)
             assert np.array_equal(out.values,
                                   np.stack([op(f).values for f in fields]))
@@ -273,36 +283,34 @@ class TestSampleAxis:
         dec = op.eigendecomposition()
         rng = np.random.default_rng(43)
         fields = [random_field(g, rng, 1, True) for _ in range(3)]
-        batch = stack_fields(fields)
+        batch = stack(fields)
         assert np.array_equal(dec.expand(batch),
                               np.stack([dec.expand(f) for f in fields]))
-        assert np.array_equal(op.apply(batch).values,
-                              np.stack([op.apply(f).values for f in fields]))
+        # apply takes node-major columns: every channel of every sample
+        n = g.node_count
+        together = op.apply(np.moveaxis(batch.values, 0, 1).reshape(n, -1))
+        apart = [op.apply(f.values.reshape(n, -1)) for f in fields]
+        assert np.array_equal(together, np.hstack(apart))
 
-    def test_stack_checks(self, tmp_path):
+    def test_csv_refuses_a_set(self, tmp_path):
         g = build_grid("circle", 8, radius=1.0)
-        rng = np.random.default_rng(44)
-        f = random_field(g, rng)
+        f = random_field(g, np.random.default_rng(44))
         with pytest.raises(GridError):
-            stack_fields([])
-        with pytest.raises(GridError):
-            stack_fields([f, random_field(g, rng, rank=2)])
-        with pytest.raises(GridError):
-            stack_fields([f, random_field(build_grid("circle", 16), rng)])
-        with pytest.raises(GridError):
-            stack_fields([stack_fields([f])])
-        rescaled, _ = conformal_rescale(g, np.linspace(0.0, 1.0, 8))
-        with pytest.raises(GridError, match="rescaling"):
-            stack_fields([f, rebind(f, rescaled)])
-        with pytest.raises(GridError):
-            field_to_csv(stack_fields([f]), tmp_path, "set")
+            field_to_csv(stack([f, f]), tmp_path, "set")
         assert not (tmp_path / "set.csv").exists()
+
+    def test_inner_product_refuses_two_metric_scales(self):
+        g = build_grid("circle", 8, radius=1.0)
+        f = random_field(g, np.random.default_rng(46))
+        rescaled = conformal_rescale(g, np.linspace(0.0, 1.0, 8))
+        with pytest.raises(GridError, match="rescaling"):
+            inner_product(f, rebind(f, rescaled))
 
     def test_same_grid_shortcut_is_bit_identical(self):
         # one grid object skips the metric-scale comparison; an identical
         # copy still runs it, and both give the same bits
         g = build_grid("torus", 8, radius=1.0)
-        copy, _ = conformal_rescale(g, np.zeros(g.node_count))
+        copy = conformal_rescale(g, np.zeros(g.node_count))
         assert copy is not g
         rng = np.random.default_rng(45)
         f = random_field(g, rng, algebra=True)

@@ -6,6 +6,7 @@ that draw and evaluate one profile at a time.  The families must reproduce
 it bit for bit, and every sampler must draw the same numbers in the same
 order, leaving the generator in the same state.
 """
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +234,19 @@ class TestFamilies:
                 (a, int(kx), int(ky), ph) for a, kx, ky, ph in terms[i].tolist()))
             assert_same(vals[i], prof.value(g.nodes))
             assert_same(grads[i], prof.gradient(g.nodes))
+
+    def test_plane_waves_one_wave_at_a_time(self):
+        # 5 one-forms on the torus at N = 128 take 7.5 MiB; evaluating every
+        # wave's phases at once peaked at 105 MiB, one wave at a time at 52.5
+        g = build_grid("torus", 128, radius=1.0)
+        tracemalloc.start()
+        try:
+            sampling.random_one_form(g, np.random.default_rng(0), modes=3,
+                                     count=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2 ** 20
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_bumps_match_per_profile(self, name):

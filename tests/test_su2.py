@@ -1,4 +1,9 @@
-"""SU(2)/su(2) structure: Killing form, adjoint actions, exact differentials."""
+"""SU(2)/su(2) structure: Killing form, adjoint actions, exact differentials.
+
+The Killing form, the bracket, ad and Ad by conjugation are written here
+from their definitions, as the oracles of `su2.rotation_of` and of the
+factor `grid.ALGEBRA_METRIC_FACTOR` that every algebra inner product uses.
+"""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,8 +11,43 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from energyrep import su2
+from energyrep.grid import ALGEBRA_METRIC_FACTOR
+from helpers import group_defect
 
 coeffs = st.tuples(*[st.floats(-2.0, 2.0) for _ in range(3)]).map(np.array)
+
+
+def bracket(x, y):
+    """[X, Y] in coefficients: the cross product for this basis."""
+    return np.cross(x, y)
+
+
+def ad_matrix(x):
+    """3x3 matrix of ad(X) acting on coefficients."""
+    return np.array([[0.0, -x[2], x[1]], [x[2], 0.0, -x[0]],
+                     [-x[1], x[0], 0.0]])
+
+
+def killing_form(x, y):
+    """B(X, Y) = trace(ad X ad Y) on the 3-dimensional adjoint realization."""
+    return float(np.trace(ad_matrix(x) @ ad_matrix(y)))
+
+
+def killing_matrix():
+    """The Killing form as a 3x3 array on the basis."""
+    e = np.eye(3)
+    return np.array([[killing_form(e[a], e[b]) for b in range(3)]
+                     for a in range(3)])
+
+
+def algebra_inner(x, y):
+    """<X, Y> := -B(X, Y), the invariant inner product."""
+    return -killing_form(x, y)
+
+
+def adjoint(g, x):
+    """Ad(g) X in coefficients, as g x g^{-1} in the 2x2 realization."""
+    return su2.from_matrix(g @ su2.to_matrix(x) @ np.conj(g.T))
 
 
 class TestGroupAxioms:
@@ -15,7 +55,7 @@ class TestGroupAxioms:
     @given(coeffs, coeffs)
     def test_closure_and_inverse(self, x, y):
         g, h = su2.exp_map(x), su2.exp_map(y)
-        assert su2.group_defect(g @ h) <= 1e-12
+        assert group_defect(g @ h) <= 1e-12
         inv = np.conj(g.T)
         assert np.max(np.abs(g @ inv - np.eye(2))) <= 1e-12
 
@@ -42,21 +82,23 @@ class TestKillingForm:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal(3)
-            assert -su2.killing_form(x, x) > 0
+            assert -killing_form(x, x) > 0
 
     def test_equals_four_times_fundamental_trace(self):
         # brute force over all 3x3 basis pairs: tr(ad X_a ad X_b) vs 4 tr(x_a x_b)
         for a in range(3):
             for b in range(3):
                 ea, eb = np.eye(3)[a], np.eye(3)[b]
-                lhs = su2.killing_form(ea, eb)
+                lhs = killing_form(ea, eb)
                 rhs = 4.0 * np.trace(su2.to_matrix(ea) @ su2.to_matrix(eb)).real
                 assert lhs == pytest.approx(rhs, abs=1e-13)
 
     def test_matrix_form(self):
-        b = su2.killing_matrix()
+        b = killing_matrix()
         assert np.allclose(b, b.T)
         assert np.all(np.linalg.eigvalsh(-b) > 0)
+        # every algebra inner product of the lab contracts with this factor
+        assert np.array_equal(-b, ALGEBRA_METRIC_FACTOR * np.eye(3))
         # ad-invariance of the matrix: R^T (-B) R = -B for rotations R
         r = su2.rotation_of(su2.exp_map(np.array([0.2, 1.4, -0.6])))
         assert np.allclose(r.T @ (-b) @ r, -b, atol=1e-12)
@@ -66,16 +108,16 @@ class TestKillingForm:
         for _ in range(20):
             g = su2.exp_map(rng.standard_normal(3))
             x, y = rng.standard_normal(3), rng.standard_normal(3)
-            lhs = su2.killing_form(su2.adjoint(g, x).real, su2.adjoint(g, y).real)
-            assert lhs == pytest.approx(su2.killing_form(x, y), abs=1e-12)
+            lhs = killing_form(adjoint(g, x).real, adjoint(g, y).real)
+            assert lhs == pytest.approx(killing_form(x, y), abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(coeffs, coeffs)
     def test_rotation_orthogonal_under_inner(self, x, y):
         g = su2.exp_map(np.array([0.3, -0.7, 1.1]))
         r = su2.rotation_of(g)
-        assert su2.algebra_inner(r @ x, r @ y) == pytest.approx(
-            su2.algebra_inner(x, y), abs=1e-10)
+        assert algebra_inner(r @ x, r @ y) == pytest.approx(
+            algebra_inner(x, y), abs=1e-10)
 
 
 class TestAdjointActions:
@@ -91,7 +133,7 @@ class TestAdjointActions:
                         - su2.to_matrix(np.eye(3)[b]) @ su2.to_matrix(np.eye(3)[a]))
                 got = su2.from_matrix(comm).real
                 assert np.allclose(got, eps[a, b], atol=1e-13)
-                assert np.allclose(su2.bracket(np.eye(3)[a], np.eye(3)[b]),
+                assert np.allclose(bracket(np.eye(3)[a], np.eye(3)[b]),
                                    eps[a, b])
 
     def test_ad_of_exp_equals_exp_of_ad(self):
@@ -99,14 +141,14 @@ class TestAdjointActions:
         for _ in range(10):
             x = rng.standard_normal(3)
             r1 = su2.rotation_of(su2.exp_map(x))
-            r2 = scipy.linalg.expm(su2.ad_matrix(x))
+            r2 = scipy.linalg.expm(ad_matrix(x))
             assert np.max(np.abs(r1 - r2)) <= 1e-10
 
     def test_adjoint_matches_rotation(self):
         rng = np.random.default_rng(3)
         g = su2.exp_map(rng.standard_normal(3))
         y = rng.standard_normal(3)
-        assert np.allclose(su2.adjoint(g, y).real, su2.rotation_of(g) @ y,
+        assert np.allclose(adjoint(g, y).real, su2.rotation_of(g) @ y,
                            atol=1e-12)
 
 
@@ -117,18 +159,18 @@ class TestDexp:
         a = su2.to_matrix(x)
         ap = su2.to_matrix(2.5 * x)
         expected = su2.exp_map(x) @ ap
-        assert np.max(np.abs(su2.dexp(a, ap) - expected)) <= 1e-13
+        assert np.max(np.abs(su2.dexp_batch(a, ap) - expected)) <= 1e-13
 
     def test_zero_base_point(self):
         ap = su2.to_matrix(np.array([1.0, 2.0, -0.5]))
-        assert np.max(np.abs(su2.dexp(np.zeros((2, 2)), ap) - ap)) <= 1e-14
+        assert np.max(np.abs(su2.dexp_batch(np.zeros((2, 2)), ap) - ap)) <= 1e-14
 
     def test_against_finite_differences(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             a = su2.to_matrix(rng.standard_normal(3))
             ap = su2.to_matrix(rng.standard_normal(3))
-            got = su2.dexp(a, ap)
+            got = su2.dexp_batch(a, ap)
             eps = 1e-5
             fd = (scipy.linalg.expm(a + eps * ap)
                   - scipy.linalg.expm(a - eps * ap)) / (2 * eps)
@@ -149,10 +191,10 @@ class TestDexp:
                 return (value(h) - value(-h)) / (2 * h)
 
             fd = (4.0 * central(5e-4) - central(1e-3)) / 3.0
-            got = (su2.dexp(su2.to_matrix(ca), su2.to_matrix(da))
+            got = (su2.dexp_batch(su2.to_matrix(ca), su2.to_matrix(da))
                    @ scipy.linalg.expm(su2.to_matrix(cb))
                    + scipy.linalg.expm(su2.to_matrix(ca))
-                   @ su2.dexp(su2.to_matrix(cb), su2.to_matrix(db)))
+                   @ su2.dexp_batch(su2.to_matrix(cb), su2.to_matrix(db)))
             assert np.max(np.abs(got - fd)) <= 1e-10
 
 
@@ -176,7 +218,7 @@ class TestDexpClosedFormAgainstBlock:
     def assert_matches_block(self, coeffs, derivs):
         for c, dc in zip(coeffs, derivs):
             a, ap = su2.to_matrix(c), su2.to_matrix(dc)
-            assert np.max(np.abs(su2.dexp(a, ap) - block_dexp(a, ap))) <= 1e-14
+            assert np.max(np.abs(su2.dexp_batch(a, ap) - block_dexp(a, ap))) <= 1e-14
 
     def test_random_coefficients(self):
         rng = np.random.default_rng(6)
@@ -212,7 +254,7 @@ class TestDexpClosedFormAgainstBlock:
 
     def test_real_zero_input(self):
         zero = np.zeros((2, 2))
-        got = su2.dexp(zero, zero)
+        got = su2.dexp_batch(zero, zero)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - block_dexp(zero, zero))) <= 1e-14
 
@@ -227,6 +269,6 @@ class TestDexpClosedFormAgainstBlock:
         assert batch.shape == (n, d, 2, 2)
         for i in range(n):
             for j in range(d):
-                assert np.array_equal(batch[i, j], su2.dexp(a[i], ap[i, j]))
+                assert np.array_equal(batch[i, j], su2.dexp_batch(a[i], ap[i, j]))
                 assert (np.max(np.abs(batch[i, j] - block_dexp(a[i], ap[i, j])))
                         <= 1e-14)
