@@ -58,11 +58,16 @@ def coherent_inner(a: CoherentVector, b: CoherentVector,
 def apply_u(psi: GaugeField, v: CoherentVector,
             rho: np.ndarray | None = None) -> CoherentVector:
     """The energy representation on a coherent vector, or on each sample."""
-    beta = log_derivative(psi)
-    vf = v_action(psi, v.param)
+    return _u_on(log_derivative(psi), v_action(psi, v.param), v.coeff, rho)
+
+
+def _u_on(beta: Field, vf: Field, coeff,
+          rho: np.ndarray | None = None) -> CoherentVector:
+    """U(psi) on coeff * exp(f), from beta = log_derivative(psi) and
+    vf = V(psi) f."""
     exponent = (-0.5 * inner_product(beta, beta, rho)
                 - inner_product(beta, vf, rho))
-    return CoherentVector(_times(v.coeff, np.exp(exponent)), vf + beta)
+    return CoherentVector(_times(coeff, np.exp(exponent)), vf + beta)
 
 
 def kernel_discrepancy(psi: GaugeField, f: Field, g: Field,
@@ -119,8 +124,9 @@ def conformal_check(psi: GaugeField, rho_conf: np.ndarray, f_set,
 
     f = f_set.copy_with(np.repeat(f_set.values, len(g_set.values), axis=0))
     g = g_set.copy_with(np.concatenate([g_set.values] * len(f_set.values)))
-    before = coherent_inner(CoherentVector(1.0, f),
-                            apply_u(psi, CoherentVector(1.0, g)))
+    beta, vg = log_derivative(psi), v_action(psi, g)
+    image = _u_on(beta, vg, 1.0)  # U(psi) exp(g), read again by pred
+    before = coherent_inner(CoherentVector(1.0, f), image)
     after = coherent_inner(CoherentVector(1.0, rebind(f, new_grid)),
                            apply_u(psi2, CoherentVector(1.0, rebind(g, new_grid))))
     change = np.max(modulus(after - before) / modulus(before))
@@ -130,11 +136,9 @@ def conformal_check(psi: GaugeField, rho_conf: np.ndarray, f_set,
         return ConformalReport(float(change), 0.0, None)
     # the apply_u exponent and the kernel exponent, each product scaled
     scale = float(np.exp((psi.grid.dimension / 2.0 - 1.0) * rho_c[0]))
-    beta = log_derivative(psi)
-    vg = v_action(psi, g)
     pred = _times(np.exp(-0.5 * scale * inner_product(beta, beta)
                          - scale * inner_product(beta, vg)),
-                  np.exp(scale * inner_product(f, vg + beta)))
+                  np.exp(scale * inner_product(f, image.param)))
     residual = np.max(modulus(after - pred) / modulus(pred))
     return ConformalReport(float(change), float(residual), scale)
 

@@ -11,10 +11,10 @@ Kronecker sum F_0 (x) I + I (x) F_1 of 1-D operators, and its spectrum comes
 from one symmetric solve per axis (Lynch, Rice & Thomas, "Direct solution of
 partial difference equations by tensor product methods", Numer. Math. 6
 (1964)).  That decomposition is kept as its factors: the N x N axis
-columns, the index map of the summed pairs and one sign per mode.
-`SpectralDecomposition.modes` forms a block of eigenvectors on demand, bit
-for bit the columns a formed solve would store, and `expand` works on the
-N x N mesh (U^T F V), so no n x n array lies on the d = 2 spectrum path.
+columns and the index map of the summed pairs.  `SpectralDecomposition.modes`
+forms a block of eigenvectors on demand, bit for bit the columns a formed
+solve would store, and `expand` works on the N x N mesh (U^T F V), so no
+n x n array lies on the d = 2 spectrum path.
 
 An operator is stored once, as its stencil: the diagonal of H and the
 off-diagonal bands of each axis' 1-D Laplacian, and a conjugate its rho.
@@ -52,9 +52,8 @@ def _symmetrized(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     return sqw, sym
 
 
-# columns per block in the sign rules, in forming modes and in the residual
-# gates: their temporaries stay n x _BLOCK (N x _BLOCK for the per-axis sign
-# rule) instead of n x n
+# columns per block in forming modes and in the residual gates: their
+# temporaries stay n x _BLOCK instead of n x n
 _BLOCK = 64
 
 
@@ -63,70 +62,28 @@ def _blocks(size: int):
     return (slice(c, c + _BLOCK) for c in range(0, size, _BLOCK))
 
 
-def _signed(vecs: np.ndarray) -> np.ndarray:
-    """Deterministic sign, in place: in every column the first component
-    exceeding a relative floor is made positive.  Runs in blocks of columns,
-    so its temporaries stay n x _BLOCK."""
-    for cols in _blocks(vecs.shape[1]):
-        block = vecs[:, cols]  # a view: flips write into vecs
-        mag = np.abs(block)
-        first = np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0)
-        flip = block[first, np.arange(block.shape[1])] < 0
-        block[:, flip] = -block[:, flip]
-    return vecs
-
-
 def symmetric_solve(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     """Dense symmetric solve of M under the weights w: ascending eigenvalues
-    and w-orthonormal eigenvectors (columns) under the sign rule."""
+    and w-orthonormal eigenvectors (columns)."""
     sqw, sym = _symmetrized(matrix, weights)
     eigvals, eigvecs = np.linalg.eigh(sym)
-    return eigvals, _signed(eigvecs / sqw[:, None])
+    return eigvals, eigvecs / sqw[:, None]
 
 
-def kronecker_sum_solve(factors: tuple, weights: np.ndarray) -> tuple:
+def kronecker_sum_solve(factors: tuple) -> tuple:
     """Solve of F_0 (x) I + I (x) F_1 from one symmetric solve per axis,
     with no n x n array.
 
     The eigenvalues are the sums a_i + b_j in stable ascending order.  Mode k
-    is sign_k kron(u_i, v_j) / sqrt(w) for the k-th pair (i, j), made
-    w-orthonormal by the weights, which are the same at every node of a grid
-    that has factors (`assemble_h` requires the unrescaled metric).  Returns
-    the eigenvalues, the per-axis columns (u, v), the index map (i, j) and
-    the signs (see `_kronecker_signs`).
+    is kron(u_i, v_j) / sqrt(w) for the k-th pair (i, j), w-orthonormal
+    because the weights are the same at every node of a grid that has
+    factors (`assemble_h` requires the unrescaled metric).  Returns the
+    eigenvalues, the per-axis columns (u, v) and the index map (i, j).
     """
-    (a, u), (b, v) = (symmetric_solve(f, np.ones(f.shape[0])) for f in factors)
+    (a, u), (b, v) = (np.linalg.eigh(f) for f in factors)
     summed = (a[:, None] + b[None, :]).ravel()
     order = np.argsort(summed, kind="stable")
-    i, j = np.divmod(order, b.size)
-    signs = _kronecker_signs(u, v, i, j, np.sqrt(weights[0]))
-    return summed[order], (u, v), (i, j), signs
-
-
-def _kronecker_signs(u: np.ndarray, v: np.ndarray, i: np.ndarray,
-                     j: np.ndarray, sqw: float) -> np.ndarray:
-    """The sign rule of `_signed` on the columns kron(u_i, v_j) / sqw, from
-    the axis columns alone: +1.0 or -1.0 per mode.
-
-    Entry (x, y) of a column is |u_i[x] v_j[y]| / sqw in magnitude.  Rounding
-    is monotone, so the column's largest entry is max|u_i| max|v_j| / sqw,
-    row x's is |u_i[x]| max|v_j| / sqw, and the first entry above the floor
-    lies in the first row whose largest entry is above it, at the first y
-    above it there.  These are the products and quotients of the formed
-    column, so the result is `_signed`'s bit for bit.  Runs in blocks of
-    modes, so its temporaries stay N x _BLOCK.
-    """
-    mag_u, mag_v = np.abs(u), np.abs(v)
-    top_u, top_v = np.max(mag_u, axis=0), np.max(mag_v, axis=0)
-    signs = np.empty(i.size)
-    for cols in _blocks(i.size):
-        bi, bj = i[cols], j[cols]
-        floor = 1e-8 * ((top_u[bi] * top_v[bj]) / sqw)
-        x = np.argmax((mag_u[:, bi] * top_v[bj]) / sqw > floor, axis=0)
-        ux = u[x, bi]
-        y = np.argmax((np.abs(ux) * mag_v[:, bj]) / sqw > floor, axis=0)
-        signs[cols] = np.where(ux * v[y, bj] < 0, -1.0, 1.0)
-    return signs
+    return summed[order], (u, v), np.divmod(order, b.size)
 
 
 def _stencil(grid: GridManifold, laplacians: tuple,
@@ -297,19 +254,16 @@ class DiscreteOperator:
         return float(np.sum(values[on_diag])), float(np.sum(square))
 
     def eigendecomposition(self) -> "SpectralDecomposition":
-        """Ascending eigenvalues, weight-orthonormal eigenvectors, first
-        significant component made positive: one solve per axis when the
-        operator has factors, kept as the axis factors; one dense solve
-        otherwise, kept as its formed columns."""
+        """Ascending eigenvalues and weight-orthonormal eigenvectors: one
+        solve per axis when the operator has factors, kept as the axis
+        factors; one dense solve otherwise, kept as its formed columns."""
         if self.factors is None:
             eigvals, vecs = symmetric_solve(self.matrix, self.node_weights)
             return SpectralDecomposition(self.grid, eigvals, vecs,
                                          self.node_weights)
-        eigvals, axis_vectors, pairs, signs = kronecker_sum_solve(
-            self.factors, self.node_weights)
+        eigvals, axis_vectors, pairs = kronecker_sum_solve(self.factors)
         return SpectralDecomposition(self.grid, eigvals, None,
-                                     self.node_weights, axis_vectors, pairs,
-                                     signs)
+                                     self.node_weights, axis_vectors, pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,9 +272,8 @@ class SpectralDecomposition:
     read through `modes`.
 
     A dense decomposition keeps its formed columns in `vectors`.  A per-axis
-    one keeps no n x n array: the axis columns (u, v), the index map (i, j)
-    and one sign per mode, mode k being signs[k] kron(u[:, i_k], v[:, j_k])
-    / sqrt(w).
+    one keeps no n x n array: the axis columns (u, v) and the index map
+    (i, j), mode k being kron(u[:, i_k], v[:, j_k]) / sqrt(w).
     """
 
     grid: GridManifold
@@ -329,13 +282,12 @@ class SpectralDecomposition:
     node_weights: np.ndarray    # quadrature weights incl. e^rho
     axis_vectors: tuple | None = None
     pairs: tuple | None = None
-    signs: np.ndarray | None = None
 
     def modes(self, cols) -> np.ndarray:
         """The eigenvectors that cols (an int, a slice or an index array)
         picks, as columns, like `vectors[:, cols]`.  Per axis they are formed
-        on the call, a block in one pass: signs[k] kron(u_i, v_j) / sqrt(w),
-        the same values as a dense array of all columns would hold."""
+        on the call, a block in one pass: kron(u_i, v_j) / sqrt(w), the same
+        values as a dense array of all columns would hold."""
         if self.vectors is not None:
             return self.vectors[:, cols]
         k = np.arange(self.eigenvalues.size)[cols]
@@ -343,11 +295,8 @@ class SpectralDecomposition:
             return self.modes(np.array([k]))[:, 0]
         u, v = self.axis_vectors
         i, j = self.pairs[0][k], self.pairs[1][k]
-        # node x * ny + y of column k is u[x, i_k] v[y, j_k], as np.kron has
-        # it; the sign goes on u's entries, which is exact: rounding commutes
-        # with negation
-        signed_u = u[:, i] * self.signs[k]
-        block = (signed_u[:, None, :] * v[None, :, j]).reshape(-1, k.size)
+        # node x * ny + y of column k is u[x, i_k] v[y, j_k], as np.kron has it
+        block = (u[:, None, i] * v[None, :, j]).reshape(-1, k.size)
         block /= np.sqrt(self.node_weights)[:, None]
         return block
 
@@ -355,7 +304,7 @@ class SpectralDecomposition:
         """Coefficients <e_n, f>_w per channel; shape (modes, channels),
         after the sample axis of a test set.
 
-        Per axis, <e_k, f>_w = sign_k u_{i_k}^T G v_{j_k} with G the values
+        Per axis, <e_k, f>_w = u_{i_k}^T G v_{j_k} with G the values
         of sqrt(w) f on the N x N mesh: U^T G V per channel, O(N^3), and
         the (i_k, j_k) entries of it.
         """
@@ -369,13 +318,13 @@ class SpectralDecomposition:
         mesh = np.swapaxes(g, -1, -2).reshape(
             g.shape[:-2] + (g.shape[-1], u.shape[0], v.shape[0]))
         coeffs = (u.T @ mesh @ v)[..., self.pairs[0], self.pairs[1]]
-        return np.swapaxes(coeffs, -1, -2) * self.signs[:, None]
+        return np.swapaxes(coeffs, -1, -2)
 
     def gram_residual(self) -> float:
         """Largest entry of |E^T diag(w) E - I| over the eigenvectors E.
 
-        Per axis, column k is kron(u_{i_k}, v_{j_k}) up to sign and the
-        uniform weight, so the off-diagonal entries are products of entries
+        Per axis, column k is kron(u_{i_k}, v_{j_k}) up to the uniform
+        weight, so the off-diagonal entries are products of entries
         of the axis grams u^T u and v^T v, provided (i, j) visits every pair
         once; a pair visited twice puts |u_i|^2 |v_j|^2 off the diagonal.
         The diagonal comes from the formed columns' weighted norms, a block

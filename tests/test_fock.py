@@ -195,6 +195,24 @@ class TestConformal:
         assert rep.max_prediction_residual <= 1e-8
         assert rep.max_relative_change > 0.01  # genuinely not invariant in d=1
 
+    def test_constant_rho_reads_beta_and_v_once_per_grid(self, circle, rng,
+                                                        monkeypatch):
+        # one log_derivative and one v_action per grid: the prediction reads
+        # the unrescaled grid's values instead of computing them again
+        psi = random_gauge_field(circle, rng)
+        fs = random_one_form(circle, rng, normalized=True, count=2)
+        gs = random_one_form(circle, rng, normalized=True, count=3)
+        calls = {"log_derivative": 0, "v_action": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(fock, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(fock, name, counted)
+        rep = fock.conformal_check(psi, np.full(circle.node_count, 1.0), fs, gs)
+        assert rep.one_particle_scale is not None
+        assert rep.max_prediction_residual <= 1e-8
+        assert calls == {"log_derivative": 2, "v_action": 2}
+
     def test_one_particle_products_scale(self, circle, rng):
         from energyrep.grid import conformal_rescale, rebind
         f = random_one_form(circle, rng, normalized=True)

@@ -13,7 +13,8 @@ from energyrep.operators import (SpectralDecomposition,
                                  assemble_h, conjugated_operator,
                                  conjugation_residuals, hilbert_schmidt_test,
                                  symmetric_solve)
-from energyrep.seminorms import eigenvector_covector, seminorm_p_batch
+from energyrep.seminorms import (eigenvector_covector, seminorm_p_batch,
+                                 seminorm_prime_batch)
 from helpers import stack
 
 
@@ -114,14 +115,6 @@ class TestDecomposition:
         assert dec.gram_residual() <= 1e-10
         assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
 
-    def test_sign_convention(self):
-        g, op = circle_operator(32)
-        vecs = op.eigendecomposition().modes(slice(None))
-        for k in range(vecs.shape[1]):
-            col = vecs[:, k]
-            idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-            assert col[idx] > 0
-
 
 class TestConjugation:
     def test_zero_rho_is_identity(self):
@@ -193,17 +186,10 @@ def _dense_adjoint_identity_residual(grid, rho):
     return worst
 
 
-def _loop_signed(op):
-    """Oracle: the per-column sign normalization on the same eigh output."""
+def _eigh_vectors(op):
+    """Oracle: the eigh columns of the symmetrized matrix over sqrt(w)."""
     sqw, sym = op._symmetrized()
-    _, eigvecs = np.linalg.eigh(sym)
-    vecs = eigvecs / sqw[:, None]
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-        if col[idx] < 0:
-            vecs[:, k] = -col
-    return vecs
+    return np.linalg.eigh(sym)[1] / sqw[:, None]
 
 
 GRIDS = [("circle", {"radius": 1.0}, 4), ("circle", {"radius": 1.0}, 32),
@@ -245,18 +231,13 @@ class TestFastPathsAgainstDense:
             ref = h.eigendecomposition().eigenvalues
             assert np.max(np.abs(lam - ref) / np.abs(ref)) <= 1e-10
 
-    def test_sign_convention_on_degenerate_torus(self):
+    def test_degenerate_torus_is_the_eigh_columns(self):
         g = build_grid("torus", 8, radius=1.0)
         # a raw-array W has no per-axis parts, so this is the dense solve
         op = assemble_h(g, WeightField(g, np.full(64, 2.0), np.zeros(64)))
         dec = op.eigendecomposition()
         assert np.min(np.diff(dec.eigenvalues)) <= 1e-10  # degenerate
-        vecs = dec.modes(slice(None))
-        for k in range(vecs.shape[1]):
-            col = vecs[:, k]
-            idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-            assert col[idx] > 0
-        assert np.array_equal(vecs, _loop_signed(op))
+        assert np.array_equal(dec.modes(slice(None)), _eigh_vectors(op))
 
     def test_conjugation_residuals_on_torus(self):
         g = build_grid("torus", 8, radius=1.0)
@@ -268,20 +249,11 @@ class TestFastPathsAgainstDense:
         assert rep["eigenpair_residual"] <= 1e-8
 
 
-def _signs_hold(vecs):
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-        if not col[idx] > 0:
-            return False
-    return True
-
-
 def _test_fields(g, count, seed):
     rng = np.random.default_rng(seed)
     return stack([
-        Field.covector(g, rng.standard_normal((g.node_count, 2))
-                       + 1j * rng.standard_normal((g.node_count, 2)))
+        Field.covector(g, rng.standard_normal((g.node_count, g.dimension))
+                       + 1j * rng.standard_normal((g.node_count, g.dimension)))
         for _ in range(count)])
 
 
@@ -306,7 +278,6 @@ class TestSeparableAgainstDense:
         assert np.max(np.abs(dec.eigenvalues - lam)) <= 1e-12
         assert dec.eigen_residual(op) <= 1e-12
         assert dec.gram_residual() <= 1e-13
-        assert _signs_hold(dec.modes(slice(None)))
         dense = SpectralDecomposition(g, lam, vecs, op.node_weights)
         fields = _test_fields(g, 6, n)
         ps = (0.5, 1.0, 2.0)
@@ -325,7 +296,7 @@ class TestSeparableAgainstDense:
         lam, vecs = symmetric_solve(op.matrix, op.node_weights)
         assert np.array_equal(dec.eigenvalues, lam)
         assert np.array_equal(dec.modes(slice(None)), vecs)
-        assert np.array_equal(dec.modes(slice(None)), _loop_signed(op))
+        assert np.array_equal(dec.modes(slice(None)), _eigh_vectors(op))
 
     def test_raw_weight_and_conjugate_take_the_dense_solve(self):
         g = build_grid("square", 7, halfwidth=3.0)
@@ -589,15 +560,23 @@ class TestGatesStayHonest:
         assert dec.eigen_residual(wrong) > 1e-8
 
     @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
-    def test_scaled_column_fails_gram_gate(self, shape, kw, make, value):
+    def test_scaled_column_fails_gram_gate(self, shape, kw, make, value,
+                                           monkeypatch):
         g = build_grid(shape, 7, **kw)
         dec = assemble_h(g, make(g, value)).eigendecomposition()
         assert dec.gram_residual() <= 1e-13
+        formed = SpectralDecomposition.modes
         for k in (0, 5, g.node_count - 1):
-            if dec.vectors is None:  # per axis, mode k scales with signs[k]
-                signs = dec.signs.copy()
-                signs[k] *= 1.01
-                scaled = dataclasses.replace(dec, signs=signs)
+            if dec.vectors is None:  # per axis, mode k formed scaled
+                def scaled_modes(self, cols, k=k):
+                    block = formed(self, cols)
+                    picked = np.arange(self.eigenvalues.size)[cols]
+                    block[:, picked == k] *= 1.01
+                    return block
+
+                monkeypatch.setattr(SpectralDecomposition, "modes",
+                                    scaled_modes)
+                scaled = dec
             else:
                 vecs = dec.vectors.copy()
                 vecs[:, k] *= 1.01
@@ -622,48 +601,17 @@ def _torus_dispersion(n, w0):
     return np.sort((a[:, None] + a[None, :]).ravel())
 
 
-def _dense_signed(vecs):
-    """Oracle: the sign rule on the whole array at once, as before it ran in
-    column blocks."""
-    mag = np.abs(vecs)
-    first = np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0)
-    flip = vecs[first, np.arange(vecs.shape[1])] < 0
-    vecs[:, flip] = -vecs[:, flip]
-    return vecs
-
-
-class TestBlockedSignRule:
-    @pytest.mark.parametrize("n", [7, 16, 48])
-    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
-    def test_blocks_equal_the_whole_array_rule(self, shape, kw, make, value,
-                                               n):
-        g = build_grid(shape, n, **kw)
-        dec = assemble_h(g, make(g, value)).eigendecomposition()
-        vecs = dec.modes(slice(None))
-        # formed columns, every third one negated: signs to restore
-        flipped = vecs * np.where(np.arange(g.node_count) % 3 == 0, -1.0, 1.0)
-        blocked = operators._signed(flipped.copy())
-        assert np.array_equal(blocked, _dense_signed(flipped.copy()))
-        assert np.array_equal(blocked, vecs)
-        # a last block that is partial, and first entries below the floor
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal((g.node_count, 2 * operators._BLOCK + 7))
-        x[:3] *= 1e-10
-        assert np.array_equal(operators._signed(x.copy()),
-                              _dense_signed(x.copy()))
-
-
 def _formed_kronecker_solve(factors, weights):
     """Oracle: the per-axis solve with every column formed as
-    kron(u_i, v_j) / sqrt(w) and put under `_signed`, as it was stored before
-    the decomposition kept only its factors."""
+    kron(u_i, v_j) / sqrt(w), as it was stored before the decomposition kept
+    only its factors."""
     (a, u), (b, v) = (symmetric_solve(f, np.ones(f.shape[0])) for f in factors)
     summed = (a[:, None] + b[None, :]).ravel()
     order = np.argsort(summed, kind="stable")
     i, j = np.divmod(order, b.size)
     vecs = (u[:, None, i] * v[None, :, j]).reshape(summed.size, summed.size)
     vecs /= np.sqrt(weights)[:, None]
-    return summed[order], operators._signed(vecs)
+    return summed[order], vecs
 
 
 def _shells(lam):
@@ -687,10 +635,9 @@ def _relative(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-# a square wide enough that its axis modes fall below the sign rule's floor
-# at the edges: there the rule flips some product columns (none on the
-# torus or the square of halfwidth 3)
-FLIPPING_GRID = ("square", {"halfwidth": 8.0}, WeightField.quadratic, 1.0)
+# a square wide enough that its axis modes decay by many orders of magnitude
+# toward the edges
+WIDE_GRID = ("square", {"halfwidth": 8.0}, WeightField.quadratic, 1.0)
 
 
 class TestFactorModes:
@@ -699,7 +646,7 @@ class TestFactorModes:
 
     @pytest.mark.parametrize("n", [5, 7, 8, 16, 33, 48, 64])
     @pytest.mark.parametrize("shape,kw,make,value",
-                             TENSOR_GRIDS[:2] + [FLIPPING_GRID])
+                             TENSOR_GRIDS[:2] + [WIDE_GRID])
     def test_modes_are_the_formed_columns(self, shape, kw, make, value, n):
         g = build_grid(shape, n, **kw)
         op = assemble_h(g, make(g, value))
@@ -707,18 +654,10 @@ class TestFactorModes:
         assert dec.vectors is None
         lam, vecs = _formed_kronecker_solve(op.factors, op.node_weights)
         assert np.array_equal(_bits(dec.eigenvalues), _bits(lam))
-        # the sign rule from the factors is `_signed` on the formed columns
         assert np.array_equal(_bits(dec.modes(slice(None))), _bits(vecs))
         picks = np.array([g.node_count - 1, 0, 3])
         assert np.array_equal(_bits(dec.modes(picks)), _bits(vecs[:, picks]))
         assert np.array_equal(_bits(dec.modes(3)), _bits(vecs[:, 3]))
-
-    def test_sign_rule_flips_products(self):
-        shape, kw, make, value = FLIPPING_GRID
-        g = build_grid(shape, 33, **kw)
-        dec = assemble_h(g, make(g, value)).eigendecomposition()
-        assert np.sum(dec.signs == -1.0) > 10
-        assert np.all(np.abs(dec.signs) == 1.0)
 
     @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
     def test_every_shell_has_full_rank(self, shape, kw, make, value,
@@ -745,7 +684,7 @@ class TestFactorModes:
 
     @pytest.mark.parametrize("n", [7, 16, 64])
     @pytest.mark.parametrize("shape,kw,make,value",
-                             TENSOR_GRIDS[:2] + [FLIPPING_GRID])
+                             TENSOR_GRIDS[:2] + [WIDE_GRID])
     def test_expand_matches_the_formed_path(self, shape, kw, make, value, n):
         g = build_grid(shape, n, **kw)
         dec = assemble_h(g, make(g, value)).eigendecomposition()
@@ -768,6 +707,68 @@ class TestFactorModes:
         # i and j swapped: the expansion no longer matches
         swapped = dataclasses.replace(dec, pairs=dec.pairs[::-1])
         assert _relative(swapped.expand(fields), formed.expand(fields)) > 1e-3
+
+
+def _negated(dec):
+    """dec with a fixed subset of its eigenvector columns negated, and the
+    sign each mode took: columns of `vectors` on a dense decomposition, of
+    both axis factors on a per-axis one."""
+    if dec.vectors is not None:
+        sign = np.where(np.arange(dec.eigenvalues.size) % 3 == 1, -1.0, 1.0)
+        return dataclasses.replace(dec, vectors=dec.vectors * sign), sign
+    u, v = dec.axis_vectors
+    su = np.where(np.arange(u.shape[1]) % 3 == 1, -1.0, 1.0)
+    sv = np.where(np.arange(v.shape[1]) % 2 == 0, -1.0, 1.0)
+    i, j = dec.pairs
+    return (dataclasses.replace(dec, axis_vectors=(u * su, v * sv)),
+            su[i] * sv[j])
+
+
+class TestSignInvariance:
+    """Every reader of a decomposition is bit for bit invariant under
+    negating eigenvector columns, so the eigenvectors need no sign
+    convention; a coefficient <e_n, f> flips exactly with its mode."""
+
+    @pytest.mark.parametrize("shape,kw,n,make,value,conjugate", [
+        ("circle", {"radius": 1.0}, 32, WeightField.constant, 2.0, False),
+        ("interval", {"halfwidth": 5.0}, 24, WeightField.quadratic, 1.0,
+         False),
+        ("circle", {"radius": 1.0}, 32, WeightField.constant, 2.0, True),
+        ("torus", {"radius": 1.0}, 16, WeightField.constant, 2.0, False)])
+    def test_readers_ignore_column_signs(self, shape, kw, n, make, value,
+                                         conjugate):
+        g = build_grid(shape, n, **kw)
+        weight = make(g, value)
+        op = assemble_h(g, weight)
+        h_rho = conjugated_operator(op, _rho(g))
+        h = h_rho if conjugate else op
+        if conjugate:
+            weight = WeightField(g, weight.w, h_rho.rho)
+        dec = h.eigendecomposition()
+        assert (dec.vectors is None) == (g.dimension == 2)
+        flipped, sign = _negated(dec)
+        assert np.sum(sign < 0) >= g.node_count // 4
+        assert flipped.eigen_residual(h) == dec.eigen_residual(h)
+        assert flipped.gram_residual() == dec.gram_residual()
+        fields = _test_fields(g, 4, n)
+        assert np.array_equal(flipped.expand(fields),
+                              sign[:, None] * dec.expand(fields))
+        ps = (0.0, 0.5, 1.0, 2.0)
+        modes = (0, 3, 7)
+        assert np.any(sign[list(modes)] < 0)
+        eig, eig_flipped = (eigenvector_covector(d, modes)
+                            for d in (dec, flipped))
+        for f in (fields, eig):
+            assert np.array_equal(seminorm_p_batch(f, ps, flipped),
+                                  seminorm_p_batch(f, ps, dec))
+        assert np.array_equal(seminorm_p_batch(eig_flipped, ps, flipped),
+                              seminorm_p_batch(eig, ps, dec))
+        assert np.array_equal(seminorm_prime_batch(eig_flipped, (0, 1, 2),
+                                                   weight),
+                              seminorm_prime_batch(eig, (0, 1, 2), weight))
+        if not conjugate:
+            assert (conjugation_residuals(h_rho, flipped)["eigenpair_residual"]
+                    == conjugation_residuals(h_rho, dec)["eigenpair_residual"])
 
 
 class TestKrylovSpectrumMatch:

@@ -58,43 +58,82 @@ def _lookup(modname, path):
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "energyrep"
 # entry points reached from outside the package
-EXEMPT = {("cli.py", "main")}
+ROOTS = {("cli.py", "main")}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _definitions_and_references():
+def _definitions(src):
     """Every function, class and method of the package, as (file, qualified
-    name, name, first line, last line), and every name a module reads, as
-    (file, line, name).  __init__.py only re-exports, so it is not read."""
-    defs, refs = [], []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        stack = [(tree, "")]
-        while stack:
-            node, prefix = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef)):
-                    defs.append((path.name, prefix + child.name, child.name,
-                                 child.lineno, child.end_lineno))
-                    stack.append((child, prefix + child.name + "."))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.append((path.name, node.lineno, node.id))
-            elif isinstance(node, ast.Attribute):
-                refs.append((path.name, node.lineno, node.attr))
-    return defs, refs
+    name, name, index of the enclosing definition or None, names it reads),
+    and the names that module-level code reads.  A definition reads the
+    names inside it that no nested definition holds; __init__.py only
+    re-exports, so it is not read."""
+    defs, top = [], set()
+
+    def walk(node, file, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                defs.append((file, prefix + child.name, child.name, owner,
+                             set()))
+                walk(child, file, len(defs) - 1, prefix + child.name + ".")
+                continue
+            reads = top if owner is None else defs[owner][4]
+            if isinstance(child, ast.Name):
+                reads.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                reads.add(child.attr)
+            walk(child, file, owner, prefix)
+
+    for path in sorted(src.glob("*.py")):
+        if path.name != "__init__.py":
+            walk(ast.parse(path.read_text(encoding="utf-8")), path.name,
+                 None, "")
+    return defs, top
+
+
+def _unreferenced(src):
+    """The definitions that no live code references by name.
+
+    Live are module-level code, the ROOTS, every definition whose name live
+    code reads, and a dunder whose enclosing class is live or that has none
+    (Python calls it).  The set is grown to a fixed point, so a definition
+    read only from dead code is dead too.  Names match bare: a dead
+    definition whose name live code also reads as something else, such as
+    an argument (`scalar`, once both a `Field` method and an argument of
+    `Field.__mul__`), stays uncaught.
+    """
+    defs, read = _definitions(src)
+    live = set()
+    grown = True
+    while grown:
+        grown = False
+        for k, (file, _, name, owner, reads) in enumerate(defs):
+            called = _dunder(name) and (owner is None or owner in live)
+            if k not in live and ((file, name) in ROOTS or name in read
+                                  or called):
+                live.add(k)
+                read |= reads
+                grown = True
+    return [f"{file}:{qualname}"
+            for k, (file, qualname, name, _, _) in enumerate(defs)
+            if k not in live and not _dunder(name)]
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_every_definition_is_referenced_in_the_package():
-    defs, refs = _definitions_and_references()
-    unused = []
-    for file, qualname, name, first, last in defs:
-        if (name.startswith("__") and name.endswith("__")
-                or (file, name) in EXEMPT):
-            continue
-        if not any(ref == name and not (rfile == file and first <= line <= last)
-                   for rfile, line, ref in refs):
-            unused.append(f"{file}:{qualname}")
+    unused = _unreferenced(SRC)
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_a_definition_read_only_from_dead_code_is_dead(tmp_path):
+    # dead and orphan read each other, and nothing live reads either
+    (tmp_path / "mod.py").write_text(
+        "def live():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def dead():\n    return orphan()\n\n\n"
+        "def orphan():\n    return dead()\n\n\n"
+        "VALUE = live()\n", encoding="utf-8")
+    assert _unreferenced(tmp_path) == ["mod.py:dead", "mod.py:orphan"]
