@@ -734,7 +734,11 @@ class TestSignInvariance:
         ("interval", {"halfwidth": 5.0}, 24, WeightField.quadratic, 1.0,
          False),
         ("circle", {"radius": 1.0}, 32, WeightField.constant, 2.0, True),
-        ("torus", {"radius": 1.0}, 16, WeightField.constant, 2.0, False)])
+        ("torus", {"radius": 1.0}, 16, WeightField.constant, 2.0, False),
+        ("square", {"halfwidth": 3.0}, 16, WeightField.quadratic, 1.0,
+         False),
+        # 2304 modes: expand and the residuals run over many column blocks
+        ("torus", {"radius": 1.0}, 48, WeightField.constant, 2.0, False)])
     def test_readers_ignore_column_signs(self, shape, kw, n, make, value,
                                          conjugate):
         g = build_grid(shape, n, **kw)
