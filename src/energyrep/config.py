@@ -134,6 +134,7 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig) -> None:
     from .fock import MAX_CUTOFF
     from .grid import MIN_NODES, PERIODIC_SHAPES, SUPPORTED_SHAPES
+    from .operators import DENSE_SOLVE_NODES
     from .sampling import RHO_PROFILES
     from .suites import EIGENVECTOR_MODES, LADDER_WORDS, OSCILLATOR_LEVELS
     if cfg.domain_shape not in SUPPORTED_SHAPES:
@@ -163,6 +164,17 @@ def _validate(cfg: ExperimentConfig) -> None:
                 "fock.nodes", "conformal.torus_nodes", "conformal.circle_nodes"):
         if getattr(cfg, _SCHEMA[key][0]) < MIN_NODES:
             raise ConfigError(f"{key} must be at least {MIN_NODES}")
+    # the 1-D grids that take a dense n x n solve
+    dense = {"spectrum.circle_nodes": cfg.spectrum_circle_nodes,
+             "spectrum.oscillator_nodes": cfg.spectrum_oscillator_nodes,
+             "seminorms.nodes": max(cfg.seminorms_nodes),
+             "gauge.nodes": cfg.gauge_nodes, "cutoff.nodes": cfg.cutoff_nodes}
+    if cfg.domain_shape in ("circle", "interval"):
+        dense["domain.nodes"] = cfg.domain_nodes
+    for key, nodes in dense.items():
+        if nodes > DENSE_SOLVE_NODES:
+            raise ConfigError(f"{key} must be at most {DENSE_SOLVE_NODES}, "
+                              f"the largest 1-D grid of a dense solve")
     if cfg.spectrum_circle_nodes < 8:
         raise ConfigError("spectrum.circle_nodes must be at least 8, so the "
                           "continuum check has a mode |k| <= N/8")

@@ -23,20 +23,27 @@ per-axis factors of a decomposition.  The dense matrix is written from the
 stencil only for the dense solves: the d = 1 and conjugate decompositions,
 and `eigenvalues` on at most DENSE_CAP nodes.
 
-`spectrum_match` checks an operator's spectrum against a reference by an
-independent solve.  At most DENSE_CAP nodes it compares the whole dense
-spectrum.  Above, it compares the lowest KRYLOV_MODES eigenvalues, found by
-shift-invert Lanczos on the sparse symmetrized stencil (Lehoucq, Sorensen &
-Yang, "ARPACK Users' Guide", SIAM (1998)), and the two trace moments
-tr S = sum lambda and tr S^2 = sum lambda^2, which see the whole spectrum.
-That check is partial: a defect that moves neither the bottom of the
-spectrum nor the two moments passes it.
+On a per-axis decomposition the residual gates form no mode.  H e_k -
+lambda_k e_k splits over the Kronecker sum into axis residuals, so
+`eigen_residual` bounds its norm from inner products of the N x N axis
+columns and their residuals under the factors, plus a structural
+deviation of H's stencil from the factors' Kronecker sum; `gram_residual`
+reads the two axis grams.  Both are O(N^3 + n).
+
+`spectrum_match` checks the spectrum of a conjugate H_rho against a
+reference.  At most DENSE_CAP nodes it compares the whole dense spectrum of
+an independent solve.  Above, it solves nothing: the symmetrized H_rho
+equals the symmetrized H exactly, so Weyl's inequality bounds every
+eigenvalue's move from H to H_rho by the 2-norm of their entries'
+difference (Parlett, "The Symmetric Eigenvalue Problem", SIAM (1998)), and
+the two trace moments tr S = sum lambda and tr S^2 = sum lambda^2 tie the
+whole spectrum to the reference.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,8 +59,8 @@ def _symmetrized(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     return sqw, sym
 
 
-# columns per block in forming modes and in the residual gates: their
-# temporaries stay n x _BLOCK instead of n x n
+# columns per block in the dense eigen residual: its temporaries stay
+# n x _BLOCK instead of n x n
 _BLOCK = 64
 
 
@@ -131,6 +138,32 @@ def _entries(grid: GridManifold, stencil: tuple,
         e = np.exp(rho / 2.0)
         values = (values * e[cols]) / e[rows]
     return rows, cols, values
+
+
+def _kronecker_deviation(op: DiscreteOperator) -> float:
+    """A bound on ||H - A (+) B||_2, from H's stencil and the factors (A, B).
+
+    The diagonal of H is compared with diag A (x) 1 + 1 (x) diag B.  Each
+    factor is compared with the N x N matrix written from its own diagonal
+    and its axis' stencil bands, so a band that differs from the matching
+    diagonal of the factor and an entry outside the pattern both count.  A
+    row of |H - A (+) B| sums to at most the largest diagonal deviation plus
+    the largest row sum of each axis' comparison, and a column likewise, so
+    ||H - A (+) B||_2 <= sqrt(||.||_1 ||.||_inf) is at most the value
+    returned: O(n + N^2) work.
+    """
+    diag, bands = op.stencil
+    da, db = (np.diagonal(f) for f in op.factors)
+    bound = np.max(np.abs(diag - (da[:, None] + db[None, :]).ravel()))
+    for axis, f in enumerate(op.factors):
+        written = np.diag(np.diagonal(f))
+        line = np.arange(f.shape[0])
+        for band_axis, rows, cols, band in bands:
+            if band_axis == axis:
+                written[line[rows], line[cols]] += band
+        dev = np.abs(f - written)
+        bound += max(np.max(np.sum(dev, axis=0)), np.max(np.sum(dev, axis=1)))
+    return float(bound)
 
 
 def _transposed(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -224,26 +257,6 @@ class DiscreteOperator:
         DENSE_CAP nodes."""
         return np.linalg.eigvalsh(self._symmetrized()[1])
 
-    def lowest_eigenvalues(self, k: int) -> np.ndarray:
-        """The k lowest eigenvalues, ascending, by shift-invert Lanczos
-        (ARPACK) on the sparse symmetrized stencil; no dense matrix.
-
-        The shift 0 lies strictly below min(W) >= 1 (`assemble_h` requires
-        W >= 1), which bounds the spectrum from below since grad†grad >= 0,
-        so the factorization of S - 0 I never meets a singular matrix.  The
-        fixed start vector makes runs repeatable; it is not an eigenvector
-        (the constant vector is one on the torus).
-        """
-        from scipy.sparse import csr_array
-        from scipy.sparse.linalg import eigsh
-
-        rows, cols, values = self._symmetrized_entries()
-        n = self.grid.node_count
-        s = csr_array((values, (rows, cols)), shape=(n, n))
-        lam = eigsh(s, k=k, sigma=0.0, v0=np.linspace(1.0, 2.0, n),
-                    return_eigenvectors=False)
-        return np.sort(lam)
-
     def trace_moments(self) -> tuple:
         """tr S and tr S^2 = sum_{r,c} S[r,c] S[c,r] of the symmetrized
         operator S, from its entries: sum lambda and sum lambda^2 of the
@@ -324,11 +337,10 @@ class SpectralDecomposition:
         """Largest entry of |E^T diag(w) E - I| over the eigenvectors E.
 
         Per axis, column k is kron(u_{i_k}, v_{j_k}) up to the uniform
-        weight, so the off-diagonal entries are products of entries
-        of the axis grams u^T u and v^T v, provided (i, j) visits every pair
-        once; a pair visited twice puts |u_i|^2 |v_j|^2 off the diagonal.
-        The diagonal comes from the formed columns' weighted norms, a block
-        of modes at a time.
+        weight, so every entry is a product of entries of the axis grams
+        u^T u and v^T v, provided (i, j) visits every pair once; a pair
+        visited twice puts |u_i|^2 |v_j|^2 off the diagonal.  The diagonal
+        entry of mode k is |u_{i_k}|^2 |v_{j_k}|^2.
         """
         w = self.node_weights
         if self.axis_vectors is None:
@@ -345,22 +357,60 @@ class SpectralDecomposition:
         if twice.size:
             ti, tj = np.divmod(twice, dv.size)
             off = max(off, np.max(np.abs(du[ti] * dv[tj])))
-        norms = np.concatenate([
-            w @ np.square(block, out=block)
-            for block in map(self.modes, _blocks(w.size))])
-        return float(max(off, np.max(np.abs(norms - 1.0))))
+        return float(max(off, np.max(np.abs(du[i] * dv[j] - 1.0))))
 
     def eigen_residual(self, op: DiscreteOperator) -> float:
-        """Largest ||H e_n - lambda_n e_n|| / max(|lambda_n|, 1), with the
-        operator's stencil applied to the formed eigenvectors in blocks of
-        modes."""
+        """Largest ||H e_n - lambda_n e_n|| / max(|lambda_n|, 1).
+
+        A dense decomposition applies the operator's stencil to its formed
+        eigenvectors, a block of modes at a time.  A per-axis one forms no
+        mode: `_factor_residuals` bounds each norm from the axis factors
+        and the stencil.
+        """
         lam = self.eigenvalues
-        norms = np.empty(lam.size)
-        for cols in _blocks(lam.size):
-            v = self.modes(cols)
-            hx = op.apply(v) - v * lam[cols]
-            norms[cols] = np.linalg.norm(hx, axis=0)
+        if self.axis_vectors is not None:
+            norms = self._factor_residuals(op)
+        else:
+            norms = np.empty(lam.size)
+            for cols in _blocks(lam.size):
+                v = self.modes(cols)
+                hx = op.apply(v) - v * lam[cols]
+                norms[cols] = np.linalg.norm(hx, axis=0)
         return float(np.max(norms / np.maximum(np.abs(lam), 1.0)))
+
+    def _factor_residuals(self, op: DiscreteOperator) -> np.ndarray:
+        """Per mode k = (i, j), a bound on ||H e_k - lambda_k e_k|| from the
+        operator's factors (A, B) and its stencil, in O(N^3 + n).
+
+        With the axis residuals r^A_i = A u_i - alpha_i u_i (alpha_i the
+        Rayleigh quotient), r^B_j likewise, and c_k = alpha_i + beta_j -
+        lambda_k, the Kronecker sum gives
+            (A (+) B - lambda_k) kron(u_i, v_j)
+                = r^A_i (x) v_j + u_i (x) r^B_j + c_k u_i (x) v_j,
+        whose squared norm expands into axis inner products.  The weight w
+        is the same at every node, so e_k = kron(u_i, v_j) / sqrt(w).  H
+        differs from A (+) B by at most `_kronecker_deviation` in the
+        2-norm, which adds that times |e_k|.  c_k catches a wrong pair map
+        or a wrong sort.
+        """
+        # per axis, read at each mode's index: the Rayleigh quotient, |x|^2,
+        # |r|^2 and <r, x> of the axis columns x
+        axes = []
+        for f, x, p in zip(op.factors, self.axis_vectors, self.pairs):
+            fx = f @ x
+            xx = np.sum(x * x, axis=0)
+            rq = np.sum(x * fx, axis=0) / xx
+            r = fx - x * rq
+            axes.append([a[p] for a in (rq, xx, np.sum(r * r, axis=0),
+                                        np.sum(r * x, axis=0))])
+        (alpha, uu, rru, rxu), (beta, vv, rrv, rxv) = axes
+        c = alpha + beta - self.eigenvalues
+        w = self.node_weights[0]
+        square = (rru * vv + uu * rrv + c * c * uu * vv + 2.0 * rxu * rxv
+                  + 2.0 * c * rxu * vv + 2.0 * c * uu * rxv) / w
+        # the expanded square can round below 0 where the residual is 0
+        return (np.sqrt(np.maximum(square, 0.0))
+                + _kronecker_deviation(op) * np.sqrt(uu * vv / w))
 
 
 # ---------------------------------------------------------------------------
@@ -471,49 +521,75 @@ def _eigenpair_map_residual(h_rho: DiscreteOperator,
 
 
 # ---------------------------------------------------------------------------
-# Independent spectrum check
+# Spectrum check of a conjugate
 # ---------------------------------------------------------------------------
 
+# the most nodes of a 1-D grid that a config may hand a dense solve: the
+# largest circle of the scaling ladder, where one n x n array is 128 MiB
+DENSE_SOLVE_NODES = 4096
+
 # up to DENSE_CAP nodes the whole dense spectrum is compared; above, the
-# lowest KRYLOV_MODES eigenvalues and the two trace moments
+# Weyl bound of H_rho against H and the two trace moments
 DENSE_CAP = 1024
-KRYLOV_MODES = 32
-# relative tolerance of the trace moments, above n u (u = 2^-53) for
-# n <= 2^16 nodes
+# relative tolerance of the trace moments: above the worst-case relative
+# rounding n u (u = 2^-53) of their sums for n up to 2^19 nodes; numpy's
+# pairwise sums err far less (2.7e-16 on the torus at N = 512, n = 2^18)
 MOMENT_RTOL = 1e-10
 
 
 def spectrum_match(op: DiscreteOperator, reference: np.ndarray,
                    tol: float) -> tuple:
     """(measured, tolerance, detail) of op's spectrum against the ascending
-    reference eigenvalues, from a solve independent of the reference.
+    reference eigenvalues.
 
     At most DENSE_CAP nodes: max|lambda - reference| over the whole dense
-    spectrum, against tol, with no detail.  Above: `krylov_match`.
+    spectrum of a solve independent of the reference, against tol, with no
+    detail.  Above: `weyl_match`, with no solve.
     """
     if op.grid.node_count <= DENSE_CAP:
         return float(np.max(np.abs(op.eigenvalues() - reference))), tol, ""
-    return krylov_match(op, reference, tol)
+    return weyl_match(op, reference, tol)
 
 
-def krylov_match(op: DiscreteOperator, reference: np.ndarray,
-                 tol: float) -> tuple:
-    """The partial check above DENSE_CAP, as (measured, 1.0, detail).
+def weyl_bound(op: DiscreteOperator) -> float:
+    """A bound on how far any eigenvalue of op lies from the same-index
+    eigenvalue of the unconjugated H on op's stencil; 0 for H itself.
 
-    measured is the larger of two ratios: max|lambda_k - reference_k| over
-    the lowest KRYLOV_MODES eigenvalues, divided by tol; and the larger
-    relative deviation of tr S and tr S^2 from sum reference and
-    sum reference^2, divided by MOMENT_RTOL.  So it fails exactly when
-    either part fails, and a NaN in either part fails it.
+    With D0 = diag(sqrt w), w the grid's measure weights, and
+    E = diag(e^{rho/2}), op's symmetrized matrix is
+    S_rho = (D0 E)(E^{-1} H E)(D0 E)^{-1} = D0 H D0^{-1} = S_0, exactly.
+    Both are read from `_entries` on the same stencil, so entry t of one is
+    entry t of the other, and Delta = S_rho - S_0 has
+    ||Delta||_2 <= sqrt(||Delta||_1 ||Delta||_inf), the largest column and
+    row sums of |Delta|.  By Weyl's inequality that bounds the move of
+    every eigenvalue of the symmetric part; `symmetry_residual` gates the
+    rest.
     """
-    lam = op.lowest_eigenvalues(KRYLOV_MODES)
-    low = float(np.max(np.abs(lam - reference[:lam.size])))
+    rows, cols, s_rho = op._symmetrized_entries()
+    base = replace(op, rho=None, node_weights=op.grid.measure_weights())
+    delta = np.abs(s_rho - base._symmetrized_entries()[2])
+    n = op.grid.node_count
+    col_sums, row_sums = (np.bincount(x, delta, n) for x in (cols, rows))
+    return float(np.sqrt(np.max(col_sums) * np.max(row_sums)))
+
+
+def weyl_match(op: DiscreteOperator, reference: np.ndarray,
+               tol: float) -> tuple:
+    """The check above DENSE_CAP, as (measured, 1.0, detail).
+
+    measured is the larger of two ratios: `weyl_bound`, the largest move of
+    an eigenvalue from H to op, divided by tol; and the larger relative
+    deviation of tr S and tr S^2 from sum reference and sum reference^2,
+    divided by MOMENT_RTOL.  So it fails exactly when either part fails,
+    and a NaN in either part fails it.
+    """
+    bound = weyl_bound(op)
     targets = np.array([np.sum(reference), np.sum(np.square(reference))])
     moment = float(np.max(np.abs(np.subtract(op.trace_moments(), targets))
                           / np.abs(targets)))
-    detail = (f"krylov path, k = {lam.size}: max|dlambda| = {low:.3e}, "
+    detail = (f"weyl path: |S_rho - S_0|_2 <= {bound:.3e}, "
               f"trace moment relative deviation = {moment:.3e}")
-    return float(np.max([low / tol, moment / MOMENT_RTOL])), 1.0, detail
+    return float(np.max([bound / tol, moment / MOMENT_RTOL])), 1.0, detail
 
 
 # ---------------------------------------------------------------------------

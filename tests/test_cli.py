@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from energyrep import config
+from energyrep import config, operators
 from energyrep.cli import main
 from energyrep.config import ConfigError, load_config
 from energyrep.report import Report, check, refusal, write_sidecar_meta
@@ -201,6 +201,37 @@ class TestConfigParsing:
         assert load_config(small_config(tmp_path, **{"domain.shape": "torus",
                                                      "domain.nodes": nodes}))
 
+    @pytest.mark.parametrize("key,shape", [
+        ("domain.nodes", "circle"), ("domain.nodes", "interval"),
+        ("spectrum.circle_nodes", "torus"),
+        ("spectrum.oscillator_nodes", "torus"), ("seminorms.nodes", "torus"),
+        ("gauge.nodes", "torus"), ("cutoff.nodes", "torus")])
+    def test_dense_solve_above_the_cap_rejected(self, tmp_path, capsys, key,
+                                                shape):
+        # each key sizes a 1-D grid whose solve writes an n x n matrix
+        cap = operators.DENSE_SOLVE_NODES
+        keys = {"domain.shape": shape, "rho.profile": "zero"}
+
+        def sized(nodes):
+            value = f"16 {nodes}" if key == "seminorms.nodes" else nodes
+            return small_config(tmp_path, **keys, **{key: value})
+
+        with pytest.raises(ConfigError, match=f"{key} must be at most {cap}"):
+            load_config(sized(cap + 1))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(sized(cap + 1)),
+                     "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+        assert load_config(sized(cap))
+
+    def test_two_dimensional_domain_is_not_capped(self, tmp_path):
+        # the per-axis solve takes N x N factors, and above DENSE_CAP nodes
+        # the spectrum check solves nothing
+        assert load_config(small_config(tmp_path, **{
+            "domain.shape": "torus",
+            "domain.nodes": operators.DENSE_SOLVE_NODES + 1}))
+
     def test_ladder_cutoff_below_four_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ladders.cutoff"):
             load_config(small_config(tmp_path, **{"ladders.cutoff": 3}))
@@ -333,14 +364,22 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_cli_import_leaves_scipy_linalg_out(self, tmp_path):
-        # the import pulls in neither; a run at n <= DENSE_CAP never takes
-        # the Krylov spectrum check, the one importer of scipy.sparse.linalg
-        argv = ["all", "--config", str(small_config(tmp_path)),
-                "--out", str(tmp_path / "out")]
+        # the package imports only top-level scipy, for the version stamp:
+        # neither the import, nor `all`, nor the spectrum of a torus above
+        # DENSE_CAP (n = 33^2 = 1089) loads a scipy submodule
+        (tmp_path / "torus").mkdir()
+        torus = small_config(tmp_path / "torus", **{"domain.shape": "torus",
+                                                    "domain.nodes": 33})
+        runs = [["all", "--config", str(small_config(tmp_path)),
+                 "--out", str(tmp_path / "all")],
+                ["spectrum", "--config", str(torus),
+                 "--out", str(tmp_path / "torus" / "out")]]
+        loaded = ("[m for m in ('scipy.linalg', 'scipy.sparse', "
+                  "'scipy.sparse.linalg') if m in sys.modules]")
         code = ("import sys, energyrep.cli; "
-                "print('scipy.linalg' in sys.modules); "
-                f"exit_code = energyrep.cli.main({argv!r}); "
-                "print(exit_code, 'scipy.sparse.linalg' in sys.modules)")
+                f"print({loaded}); "
+                f"codes = [energyrep.cli.main(argv) for argv in {runs!r}]; "
+                f"print(codes, {loaded})")
         path = os.pathsep.join(filter(None, [str(REPO / "src"),
                                              os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -348,10 +387,10 @@ class TestExitCodes:
                               env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().splitlines()
-        assert lines[0] == "False"
-        assert lines[-1] == "0 False"
+        assert lines[0] == "[]"
+        assert lines[-1] == "[0, 0] []"
 
-    def test_krylov_spectrum_check_runs_warning_free(self, tmp_path):
+    def test_weyl_spectrum_check_runs_warning_free(self, tmp_path):
         # a torus above the dense cap: n = 33^2 = 1089 > 1024
         out = tmp_path / "out"
         cfg = small_config(tmp_path, **{"domain.shape": "torus",
@@ -363,7 +402,7 @@ class TestExitCodes:
         checks = {c["name"]: c for c in json.loads(
             (out / "spectrum.json").read_text())["checks"]}
         match = checks["conjugated_spectrum_match"]
-        assert match["detail"].startswith("krylov path, k = 32:")
+        assert match["detail"].startswith("weyl path:")
         assert match["tolerance"] == 1.0 and match["verdict"] == "pass"
 
     def test_unknown_subcommand_usage_error(self):

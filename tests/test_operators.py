@@ -9,7 +9,8 @@ from energyrep import operators
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
                             centered_stencil, covariant_derivative)
 from energyrep.operators import (SpectralDecomposition,
-                                 _adjoint_identity_residual, _laplacian_1d,
+                                 _adjoint_identity_residual, _blocks,
+                                 _kronecker_deviation, _laplacian_1d,
                                  assemble_h, conjugated_operator,
                                  conjugation_residuals, hilbert_schmidt_test,
                                  symmetric_solve)
@@ -261,6 +262,9 @@ TENSOR_GRIDS = [("torus", {"radius": 1.0}, WeightField.constant, 2.0),
                 ("square", {"halfwidth": 3.0}, WeightField.quadratic, 1.0),
                 ("punctured_square", {"halfwidth": 4.0}, WeightField.quadratic,
                  1.0)]
+# a square wide enough that its axis modes decay by many orders of magnitude
+# toward the edges
+WIDE_GRID = ("square", {"halfwidth": 8.0}, WeightField.quadratic, 1.0)
 
 
 class TestSeparableAgainstDense:
@@ -487,8 +491,7 @@ class TestGatesStayHonest:
             assert op.factors is not None
             assert op.eigendecomposition().eigen_residual(op) <= 1e-12
 
-    def test_krylov_spectrum_check_never_writes_the_matrix(self,
-                                                           monkeypatch):
+    def test_weyl_spectrum_check_never_writes_the_matrix(self, monkeypatch):
         # n = 4096, above the dense cap
         g = build_grid("torus", 64, radius=1.0)
         assert g.node_count > operators.DENSE_CAP
@@ -500,7 +503,30 @@ class TestGatesStayHonest:
         measured, tol, detail = operators.spectrum_match(
             h_rho, _torus_dispersion(64, 2.0), 1e-8)
         assert tol == 1.0 and measured <= tol
-        assert detail.startswith("krylov path, k = 32:")
+        assert detail.startswith("weyl path:")
+
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS + [WIDE_GRID])
+    def test_factor_gates_never_form_a_mode(self, shape, kw, make, value,
+                                            monkeypatch):
+        # n = 1089, above the dense cap: the eigen, gram and spectrum gates
+        # of `energyrep spectrum` on a per-axis decomposition
+        g = build_grid(shape, 33, **kw)
+        op = assemble_h(g, make(g, value))
+        dec = op.eigendecomposition()
+        h_rho = conjugated_operator(op, _rho(g))
+
+        def no_modes(self, cols):
+            raise AssertionError("mode formed")
+
+        monkeypatch.setattr(SpectralDecomposition, "modes", no_modes)
+        monkeypatch.setattr(operators, "_assembled", _refuse_dense)
+        with pytest.raises(AssertionError):
+            dec.modes(0)
+        assert dec.eigen_residual(op) <= 1e-12
+        assert dec.gram_residual() <= 1e-13
+        measured, tol, detail = operators.spectrum_match(h_rho,
+                                                         dec.eigenvalues, 1e-8)
+        assert measured <= tol and detail.startswith("weyl path:")
 
     def test_torus_at_128_holds_no_dense_array(self):
         # n = 16384: a dense H would take 2 GiB
@@ -560,23 +586,16 @@ class TestGatesStayHonest:
         assert dec.eigen_residual(wrong) > 1e-8
 
     @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
-    def test_scaled_column_fails_gram_gate(self, shape, kw, make, value,
-                                           monkeypatch):
+    def test_scaled_column_fails_gram_gate(self, shape, kw, make, value):
         g = build_grid(shape, 7, **kw)
         dec = assemble_h(g, make(g, value)).eigendecomposition()
         assert dec.gram_residual() <= 1e-13
-        formed = SpectralDecomposition.modes
         for k in (0, 5, g.node_count - 1):
-            if dec.vectors is None:  # per axis, mode k formed scaled
-                def scaled_modes(self, cols, k=k):
-                    block = formed(self, cols)
-                    picked = np.arange(self.eigenvalues.size)[cols]
-                    block[:, picked == k] *= 1.01
-                    return block
-
-                monkeypatch.setattr(SpectralDecomposition, "modes",
-                                    scaled_modes)
-                scaled = dec
+            if dec.vectors is None:  # per axis, mode k's first-axis column
+                u, v = dec.axis_vectors
+                u = u.copy()
+                u[:, dec.pairs[0][k]] *= 1.01
+                scaled = dataclasses.replace(dec, axis_vectors=(u, v))
             else:
                 vecs = dec.vectors.copy()
                 vecs[:, k] *= 1.01
@@ -592,6 +611,56 @@ class TestGatesStayHonest:
         i[1], j[1] = i[0], j[0]
         repeated = dataclasses.replace(dec, pairs=(i, j))
         assert repeated.gram_residual() > 1e-10
+
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS)
+    def test_broken_factors_fail_eigen_gate(self, shape, kw, make, value):
+        g = build_grid(shape, 7, **kw)
+        op = assemble_h(g, make(g, value))
+        dec = op.eigendecomposition()
+        assert dec.eigen_residual(op) <= 1e-12
+        u, v = dec.axis_vectors
+        # a factor column that is no eigenvector
+        bent = v.copy()
+        bent[:, 2] += 1e-6 * v[:, 3]
+        assert dataclasses.replace(dec, axis_vectors=(u, bent)).eigen_residual(
+            op) > 1e-8
+        # two modes of different eigenvalues that trade pairs
+        i, j = (x.copy() for x in dec.pairs)
+        k = np.flatnonzero(np.diff(dec.eigenvalues) > 1e-3)[0]
+        i[[k, k + 1]], j[[k, k + 1]] = i[[k + 1, k]], j[[k + 1, k]]
+        assert dataclasses.replace(dec, pairs=(i, j)).eigen_residual(op) > 1e-8
+        # a factor entry outside H's stencil, solved consistently: the axis
+        # residuals stay at rounding, so only the structural deviation sees it
+        a, b = op.factors
+        a = a.copy()
+        a[0, 3] += 1e-3
+        a[3, 0] += 1e-3
+        off = dataclasses.replace(op, factors=(a, b))
+        assert off.eigendecomposition().eigen_residual(off) > 1e-5
+
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS)
+    def test_kronecker_deviation_bounds_the_dense_difference(self, shape, kw,
+                                                             make, value):
+        g = build_grid(shape, 7, **kw)
+        op = assemble_h(g, make(g, value))
+        a, b = op.factors
+        diag, bands = op.stencil
+        wrong_diag = diag.copy()
+        wrong_diag[5] += 1e-3
+        wrong_band = list(bands[0][:3]) + [bands[0][3] * 1.01]
+        a_off = a.copy()
+        a_off[0, 3] += 1e-3
+        for h in (op, dataclasses.replace(op, stencil=(wrong_diag, bands)),
+                  dataclasses.replace(op, stencil=(diag, [tuple(wrong_band)]
+                                                   + bands[1:])),
+                  dataclasses.replace(op, factors=(a_off, b))):
+            fa, fb = h.factors
+            kron_sum = (np.kron(fa, np.eye(fb.shape[0]))
+                        + np.kron(np.eye(fa.shape[0]), fb))
+            dense = np.linalg.norm(h.matrix - kron_sum, 2)
+            bound = _kronecker_deviation(h)
+            # clean, both are the diagonal's rounding: 0, or equal
+            assert dense <= bound * (1.0 + 1e-12) <= 4.0 * dense + 1e-13
 
 
 def _torus_dispersion(n, w0):
@@ -635,14 +704,43 @@ def _relative(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-# a square wide enough that its axis modes decay by many orders of magnitude
-# toward the edges
-WIDE_GRID = ("square", {"halfwidth": 8.0}, WeightField.quadratic, 1.0)
+def _formed_eigen_residual(dec, op):
+    """Oracle: the stencil applied to every formed mode, a block of modes at
+    a time, as the eigen gate ran before it read the axis factors."""
+    lam = dec.eigenvalues
+    norms = np.empty(lam.size)
+    for cols in _blocks(lam.size):
+        v = dec.modes(cols)
+        norms[cols] = np.linalg.norm(op.apply(v) - v * lam[cols], axis=0)
+    return float(np.max(norms / np.maximum(np.abs(lam), 1.0)))
+
+
+def _formed_gram_diagonal(dec):
+    """Oracle: the weighted norms of the formed modes, a block at a time."""
+    w = dec.node_weights
+    return np.concatenate([w @ np.square(block)
+                           for block in map(dec.modes, _blocks(w.size))])
 
 
 class TestFactorModes:
     """The factor-only decomposition against the formed columns it no longer
     stores."""
+
+    @pytest.mark.parametrize("n", [16, 33, 64])
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS + [WIDE_GRID])
+    def test_factor_gates_match_the_formed_gates(self, shape, kw, make, value,
+                                                 n):
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        dec = op.eigendecomposition()
+        # both at rounding level, far below the 1e-8 gate
+        assert abs(dec.eigen_residual(op)
+                   - _formed_eigen_residual(dec, op)) <= 1e-13
+        u, v = dec.axis_vectors
+        i, j = dec.pairs
+        diagonal = np.sum(u * u, axis=0)[i] * np.sum(v * v, axis=0)[j]
+        assert np.max(np.abs(diagonal - _formed_gram_diagonal(dec))) <= 1e-14
+        assert dec.gram_residual() <= 1e-13
 
     @pytest.mark.parametrize("n", [5, 7, 8, 16, 33, 48, 64])
     @pytest.mark.parametrize("shape,kw,make,value",
@@ -775,30 +873,63 @@ class TestSignInvariance:
                     == conjugation_residuals(h_rho, dec)["eigenpair_residual"])
 
 
-class TestKrylovSpectrumMatch:
-    """The partial spectrum check above DENSE_CAP (the lowest eigenvalues by
-    shift-invert Lanczos and two trace moments) against the dense check."""
+def _conjugate_entries(change):
+    """Stands in for `operators._entries`: a conjugate's entries with
+    change(rows, cols, values, rho) applied; H's own are left as they are."""
+    entries = operators._entries
 
+    def changed(grid, stencil, rho):
+        rows, cols, values = entries(grid, stencil, rho)
+        if rho is None:
+            return rows, cols, values
+        return rows, cols, change(rows, cols, values, rho)
+
+    return changed
+
+
+def _without_e_c(rows, cols, values, rho):
+    # E^{-1} H: each entry m taken to m / e_r, the e_c factor dropped
+    return values / np.exp(rho / 2.0)[cols]
+
+
+def _bent(rows, cols, values, rho):
+    # each entry moved by a relative 1e-6, symmetric in (r, c)
+    return values * (1.0 + 1e-6 * np.cos(rows + cols))
+
+
+class TestWeylSpectrumMatch:
+    """The spectrum check above DENSE_CAP: the Weyl bound of the symmetrized
+    H_rho against the symmetrized H, and two trace moments."""
+
+    @pytest.mark.parametrize("change", [None, _bent, _without_e_c])
     @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
-    def test_krylov_path_agrees_with_dense(self, shape, kw, make, value):
+    def test_bound_covers_the_dense_spectra(self, shape, kw, make, value,
+                                            change, monkeypatch):
         # the largest size that takes the dense path
         g = build_grid(shape, 32, **kw)
         assert g.node_count == operators.DENSE_CAP
         op = assemble_h(g, make(g, value))
         h_rho = conjugated_operator(op, _rho(g))
-        dense = h_rho.eigenvalues()
-        low = h_rho.lowest_eigenvalues(operators.KRYLOV_MODES)
-        assert low.size == operators.KRYLOV_MODES
-        assert np.max(np.abs(low - dense[:low.size])) <= 1e-12
-        for moment, want in zip(h_rho.trace_moments(),
-                                (np.sum(dense), np.sum(dense ** 2))):
-            assert abs(moment - want) <= 1e-12 * want
+        if change is not None:
+            monkeypatch.setattr(operators, "_entries",
+                                _conjugate_entries(change))
+        moved = np.max(np.abs(h_rho.eigenvalues() - op.eigenvalues()))
+        bound = operators.weyl_bound(h_rho)
+        # each dense solve errs by up to about n u |S|_2 (LAPACK's bound);
+        # clean, that is far above the bound of the exact eigenvalues
+        solver = 2 * g.node_count * np.finfo(float).eps * np.max(
+            op.eigenvalues())
+        assert moved <= bound + solver
         ref = op.eigendecomposition().eigenvalues
-        assert operators.spectrum_match(h_rho, ref, 1e-8)[1:] == (1e-8, "")
-        assert operators.spectrum_match(h_rho, ref, 1e-8)[0] <= 1e-10
-        measured, tol, detail = operators.krylov_match(h_rho, ref, 1e-8)
-        assert tol == 1.0 and measured <= 1e-3
-        assert detail.startswith("krylov path, k = 32:")
+        measured, tol, detail = operators.weyl_match(h_rho, ref, 1e-8)
+        assert tol == 1.0 and detail.startswith("weyl path:")
+        if change is None:
+            assert bound <= 1e-12 and measured <= 1e-3
+            assert operators.spectrum_match(h_rho, ref, 1e-8)[1:] == (1e-8,
+                                                                      "")
+            assert operators.spectrum_match(h_rho, ref, 1e-8)[0] <= 1e-10
+        else:
+            assert moved > 1e3 * solver and measured > tol
 
     @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
     def test_moments_are_the_dense_traces(self, shape, kw, make, value):
@@ -820,31 +951,47 @@ class TestKrylovSpectrumMatch:
         op = assemble_h(g, make(g, value))
         ref = op.eigendecomposition().eigenvalues
         h_rho = conjugated_operator(op, _rho(g))
-        entries = operators._entries
-
-        def without_e_c(grid, stencil, rho):
-            # E^{-1} H: each entry m taken to m / e_r, the e_c factor dropped
-            rows, cols, values = entries(grid, stencil, None)
-            if rho is not None:
-                values = values / np.exp(rho / 2.0)[rows]
-            return rows, cols, values
-
-        monkeypatch.setattr(operators, "_entries", without_e_c)
-        for match in (operators.spectrum_match, operators.krylov_match):
+        monkeypatch.setattr(operators, "_entries",
+                            _conjugate_entries(_without_e_c))
+        for match in (operators.spectrum_match, operators.weyl_match):
             measured, tol, _ = match(h_rho, ref, 1e-8)
             assert measured > tol
+
+    def test_diagonal_swap_fails(self, monkeypatch):
+        # two diagonal entries of the conjugate trade places: tr S and tr S^2
+        # keep their values, so the moments alone cannot see it
+        g = build_grid("square", 33, halfwidth=8.0)
+        assert g.node_count > operators.DENSE_CAP
+        op = assemble_h(g, WeightField.quadratic(g, 1.0))
+        ref = op.eigendecomposition().eigenvalues
+        h_rho = conjugated_operator(op, _rho(g))
+        clean = h_rho.trace_moments()
+        assert operators.spectrum_match(h_rho, ref, 1e-8)[0] <= 1e-3
+        nodes = [0, 16]  # (0, 0) and (0, 16), diagonal 138.4 and 78.2
+        assert np.ptp(op.stencil[0][nodes]) > 60.0
+
+        def swapped(rows, cols, values, rho):
+            values = values.copy()
+            values[nodes] = values[nodes[::-1]]  # the diagonal comes first
+            return values
+
+        monkeypatch.setattr(operators, "_entries", _conjugate_entries(swapped))
+        moments = h_rho.trace_moments()
+        assert all(abs(m - c) <= 1e-12 * c for m, c in zip(moments, clean))
+        assert operators.weyl_bound(h_rho) > 60.0
+        measured, tol, _ = operators.spectrum_match(h_rho, ref, 1e-8)
+        assert measured > tol
 
     def test_moment_only_defect_fails(self):
         g = build_grid("torus", 32, radius=1.0)
         h_rho = conjugated_operator(assemble_h(g, WeightField.constant(g, 2.0)),
                                     _rho(g))
         ref = _torus_dispersion(32, 2.0)
-        assert operators.krylov_match(h_rho, ref, 1e-8)[0] <= 1e-3
-        # the top of the spectrum, far above the lowest 32 eigenvalues
+        assert operators.weyl_match(h_rho, ref, 1e-8)[0] <= 1e-3
+        # the top of the spectrum: H_rho still matches H, not the reference
         ref[-1] *= 1.0 + 1e-6
-        low = h_rho.lowest_eigenvalues(operators.KRYLOV_MODES)
-        assert np.max(np.abs(low - ref[:low.size])) <= 1e-12
-        measured, tol, _ = operators.krylov_match(h_rho, ref, 1e-8)
+        assert operators.weyl_bound(h_rho) <= 1e-12
+        measured, tol, _ = operators.weyl_match(h_rho, ref, 1e-8)
         assert measured > tol
 
     def test_nan_in_the_reference_fails(self):
@@ -852,7 +999,7 @@ class TestKrylovSpectrumMatch:
         op = assemble_h(g, WeightField.constant(g, 2.0))
         ref = _torus_dispersion(8, 2.0)
         ref[-1] = np.nan
-        assert not operators.krylov_match(op, ref, 1e-8)[0] <= 1.0
+        assert not operators.weyl_match(op, ref, 1e-8)[0] <= 1.0
 
 
 class TestHilbertSchmidt:
