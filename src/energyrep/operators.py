@@ -21,7 +21,7 @@ off-diagonal bands of each axis' 1-D Laplacian, and a conjugate its rho.
 `apply` and the residual gates evaluate through the stencil and through the
 per-axis factors of a decomposition.  The dense matrix is written from the
 stencil only for the dense solves: the d = 1 and conjugate decompositions,
-and `eigenvalues` on at most DENSE_CAP nodes.
+and `eigenvalues`.
 
 On a per-axis decomposition the residual gates form no mode.  H e_k -
 lambda_k e_k splits over the Kronecker sum into axis residuals, so
@@ -31,13 +31,12 @@ deviation of H's stencil from the factors' Kronecker sum; `gram_residual`
 reads the two axis grams.  Both are O(N^3 + n).
 
 `spectrum_match` checks the spectrum of a conjugate H_rho against a
-reference.  At most DENSE_CAP nodes it compares the whole dense spectrum of
-an independent solve.  Above, it solves nothing: the symmetrized H_rho
-equals the symmetrized H exactly, so Weyl's inequality bounds every
-eigenvalue's move from H to H_rho by the 2-norm of their entries'
-difference (Parlett, "The Symmetric Eigenvalue Problem", SIAM (1998)), and
-the two trace moments tr S = sum lambda and tr S^2 = sum lambda^2 tie the
-whole spectrum to the reference.
+reference, at every size, and solves nothing: the symmetrized H_rho equals
+the symmetrized H exactly, so Weyl's inequality bounds every eigenvalue's
+move from H to H_rho by the 2-norm of their entries' difference (Parlett,
+"The Symmetric Eigenvalue Problem", SIAM (1998)), and the two trace moments
+tr S = sum lambda and tr S^2 = sum lambda^2 tie the whole spectrum to the
+reference.
 """
 from __future__ import annotations
 
@@ -239,9 +238,6 @@ class DiscreteOperator:
                                          self.grid.node_count)
         return float(np.max(np.abs(asym)) / np.max(np.abs(s)))
 
-    def _symmetrized(self) -> tuple:
-        return _symmetrized(self.matrix, self.node_weights)
-
     def _symmetrized_entries(self) -> tuple:
         """(rows, cols, values) of diag(sqrt w) M diag(sqrt w)^{-1}, entry for
         entry the dense `_symmetrized` matrix; not symmetrized again, so an
@@ -253,9 +249,9 @@ class DiscreteOperator:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the dense symmetric solve of the whole
         n x n matrix, no vectors; independent of the per-axis solve.  It
-        writes the dense matrix, so `spectrum_match` calls it only up to
-        DENSE_CAP nodes."""
-        return np.linalg.eigvalsh(self._symmetrized()[1])
+        writes the dense matrix: the 1-D references call it."""
+        return np.linalg.eigvalsh(_symmetrized(self.matrix,
+                                               self.node_weights)[1])
 
     def trace_moments(self) -> tuple:
         """tr S and tr S^2 = sum_{r,c} S[r,c] S[c,r] of the symmetrized
@@ -528,27 +524,10 @@ def _eigenpair_map_residual(h_rho: DiscreteOperator,
 # largest circle of the scaling ladder, where one n x n array is 128 MiB
 DENSE_SOLVE_NODES = 4096
 
-# up to DENSE_CAP nodes the whole dense spectrum is compared; above, the
-# Weyl bound of H_rho against H and the two trace moments
-DENSE_CAP = 1024
 # relative tolerance of the trace moments: above the worst-case relative
 # rounding n u (u = 2^-53) of their sums for n up to 2^19 nodes; numpy's
 # pairwise sums err far less (2.7e-16 on the torus at N = 512, n = 2^18)
 MOMENT_RTOL = 1e-10
-
-
-def spectrum_match(op: DiscreteOperator, reference: np.ndarray,
-                   tol: float) -> tuple:
-    """(measured, tolerance, detail) of op's spectrum against the ascending
-    reference eigenvalues.
-
-    At most DENSE_CAP nodes: max|lambda - reference| over the whole dense
-    spectrum of a solve independent of the reference, against tol, with no
-    detail.  Above: `weyl_match`, with no solve.
-    """
-    if op.grid.node_count <= DENSE_CAP:
-        return float(np.max(np.abs(op.eigenvalues() - reference))), tol, ""
-    return weyl_match(op, reference, tol)
 
 
 def weyl_bound(op: DiscreteOperator) -> float:
@@ -573,9 +552,10 @@ def weyl_bound(op: DiscreteOperator) -> float:
     return float(np.sqrt(np.max(col_sums) * np.max(row_sums)))
 
 
-def weyl_match(op: DiscreteOperator, reference: np.ndarray,
-               tol: float) -> tuple:
-    """The check above DENSE_CAP, as (measured, 1.0, detail).
+def spectrum_match(op: DiscreteOperator, reference: np.ndarray,
+                   tol: float) -> tuple:
+    """(measured, 1.0, detail) of op's spectrum against the ascending
+    reference eigenvalues, with no solve.
 
     measured is the larger of two ratios: `weyl_bound`, the largest move of
     an eigenvalue from H to op, divided by tol; and the larger relative

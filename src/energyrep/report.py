@@ -136,8 +136,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def write_sidecar_meta(outdir: Path, note: str = "") -> Path:
     """Wall-clock stamp and BLAS thread setup, isolated from the reports.
 
-    Report bytes depend on the BLAS thread count (last digits of dense
-    solves), so the thread variables are recorded here, "unset" if absent.
+    The shipped configs' reports do not depend on the BLAS thread count,
+    but larger dense solves do in their last digits (the seminorm probe at
+    N = 256), so the thread variables are recorded here, "unset" if absent.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -131,9 +131,8 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
                   conj["adjoint_identity_residual"], 1e-12))
     rep.add(check("conjugated_symmetry", dig("rsym"),
                   h_rho.symmetry_residual(), 1e-12))
-    # not derived from dec: the whole spectrum of an independent dense solve
-    # of H_rho, or above operators.DENSE_CAP nodes the Weyl bound of H_rho
-    # against H and two moments against dec, with no solve
+    # not derived from dec: the Weyl bound of H_rho against H and two trace
+    # moments of H_rho against dec, with no solve
     measured, tolerance, detail = operators.spectrum_match(
         h_rho, dec.eigenvalues, 1e-8)
     rep.add(check("conjugated_spectrum_match", dig("spec"), measured,

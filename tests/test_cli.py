@@ -17,6 +17,7 @@ from energyrep.report import Report, check, refusal, write_sidecar_meta
 REPO = Path(__file__).resolve().parents[1]
 CIRCLE_CFG = REPO / "configs" / "circle.cfg"
 PUNCTURED_CFG = REPO / "configs" / "punctured.cfg"
+TORUS_CFG = REPO / "configs" / "torus.cfg"
 # Every key load_config accepts, written out here rather than read from
 # config.py; the four list keys parse to tuples of the given item type.
 ACCEPTED_KEYS = [
@@ -226,8 +227,8 @@ class TestConfigParsing:
         assert load_config(sized(cap))
 
     def test_two_dimensional_domain_is_not_capped(self, tmp_path):
-        # the per-axis solve takes N x N factors, and above DENSE_CAP nodes
-        # the spectrum check solves nothing
+        # the per-axis solve takes N x N factors, and the spectrum check
+        # solves nothing
         assert load_config(small_config(tmp_path, **{
             "domain.shape": "torus",
             "domain.nodes": operators.DENSE_SOLVE_NODES + 1}))
@@ -277,14 +278,15 @@ class TestConfigParsing:
             load_config(small_config(tmp_path), seed=-1)
 
 
-def run_cli(*argv, python_flags=()) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+def run_cli(*argv, python_flags=(), env=None) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so a traceback would reach stderr;
+    env adds to the inherited environment."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"),
                                          os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *python_flags, "-m",
                            "energyrep.cli", *argv],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path, **(env or {})))
 
 
 class TestExitCodes:
@@ -365,15 +367,12 @@ class TestExitCodes:
 
     def test_cli_import_leaves_scipy_linalg_out(self, tmp_path):
         # the package imports only top-level scipy, for the version stamp:
-        # neither the import, nor `all`, nor the spectrum of a torus above
-        # DENSE_CAP (n = 33^2 = 1089) loads a scipy submodule
-        (tmp_path / "torus").mkdir()
-        torus = small_config(tmp_path / "torus", **{"domain.shape": "torus",
-                                                    "domain.nodes": 33})
+        # neither the import, nor `all`, nor the spectrum of a torus loads a
+        # scipy submodule
         runs = [["all", "--config", str(small_config(tmp_path)),
                  "--out", str(tmp_path / "all")],
-                ["spectrum", "--config", str(torus),
-                 "--out", str(tmp_path / "torus" / "out")]]
+                ["spectrum", "--config", str(TORUS_CFG),
+                 "--out", str(tmp_path / "torus")]]
         loaded = ("[m for m in ('scipy.linalg', 'scipy.sparse', "
                   "'scipy.sparse.linalg') if m in sys.modules]")
         code = ("import sys, energyrep.cli; "
@@ -391,12 +390,9 @@ class TestExitCodes:
         assert lines[-1] == "[0, 0] []"
 
     def test_weyl_spectrum_check_runs_warning_free(self, tmp_path):
-        # a torus above the dense cap: n = 33^2 = 1089 > 1024
         out = tmp_path / "out"
-        cfg = small_config(tmp_path, **{"domain.shape": "torus",
-                                        "domain.nodes": 33})
-        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out),
-                       python_flags=("-W", "error"))
+        proc = run_cli("spectrum", "--config", str(TORUS_CFG), "--out",
+                       str(out), python_flags=("-W", "error"))
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         checks = {c["name"]: c for c in json.loads(
@@ -404,6 +400,23 @@ class TestExitCodes:
         match = checks["conjugated_spectrum_match"]
         assert match["detail"].startswith("weyl path:")
         assert match["tolerance"] == 1.0 and match["verdict"] == "pass"
+
+    @pytest.mark.parametrize("cfg", [TORUS_CFG, PUNCTURED_CFG])
+    def test_two_dimensional_spectrum_writes_no_matrix_of_its_grid(
+            self, tmp_path, cfg, monkeypatch):
+        # only the 1-D references (spectrum.circle_nodes = 64 and
+        # spectrum.oscillator_nodes = 400) are written as dense matrices
+        written = []
+        assembled = operators._assembled
+
+        def spy(grid, stencil, rho):
+            written.append(grid.node_count)
+            return assembled(grid, stencil, rho)
+
+        monkeypatch.setattr(operators, "_assembled", spy)
+        assert main(["spectrum", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert written == [64, 400]
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -518,6 +531,20 @@ class TestDeterminism:
                                shallow=False), f"{name}.json differs"
         for csv_file in out1.glob("*.csv"):
             assert filecmp.cmp(csv_file, out2 / csv_file.name, shallow=False)
+
+    @pytest.mark.parametrize("cfg", [TORUS_CFG, PUNCTURED_CFG])
+    def test_reports_independent_of_blas_threads(self, tmp_path, cfg):
+        # run_meta.txt records the thread setup, so it alone may differ
+        outs = [tmp_path / "threads1", tmp_path / "threads2"]
+        for threads, out in zip("12", outs):
+            proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out),
+                           env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+        names = [sorted(f.name for f in out.iterdir()
+                        if f.name != "run_meta.txt") for out in outs]
+        assert names[0] == names[1]
+        _, mismatch, errors = filecmp.cmpfiles(*outs, names[0], shallow=False)
+        assert (mismatch, errors) == ([], [])
 
     def test_all_equals_individual_runs(self, tmp_path):
         cfg = small_config(tmp_path)

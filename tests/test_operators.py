@@ -189,7 +189,7 @@ def _dense_adjoint_identity_residual(grid, rho):
 
 def _eigh_vectors(op):
     """Oracle: the eigh columns of the symmetrized matrix over sqrt(w)."""
-    sqw, sym = op._symmetrized()
+    sqw, sym = operators._symmetrized(op.matrix, op.node_weights)
     return np.linalg.eigh(sym)[1] / sqw[:, None]
 
 
@@ -407,7 +407,7 @@ class TestStencilGatesAgainstDense:
         for h in (op, h_rho):
             assert h.symmetry_residual() == _dense_symmetry_residual(h)
             assert np.array_equal(
-                _bits(h._symmetrized()[1]),
+                _bits(operators._symmetrized(h.matrix, h.node_weights)[1]),
                 _bits(_dense_symmetrized(h.matrix, h.node_weights)))
             # the first band without its mirror: its transposes read 0
             one_sided = dataclasses.replace(h, stencil=(diag, bands[1:]))
@@ -492,9 +492,7 @@ class TestGatesStayHonest:
             assert op.eigendecomposition().eigen_residual(op) <= 1e-12
 
     def test_weyl_spectrum_check_never_writes_the_matrix(self, monkeypatch):
-        # n = 4096, above the dense cap
         g = build_grid("torus", 64, radius=1.0)
-        assert g.node_count > operators.DENSE_CAP
         h_rho = conjugated_operator(
             assemble_h(g, WeightField.constant(g, 2.0)), _rho(g))
         monkeypatch.setattr(operators, "_assembled", _refuse_dense)
@@ -508,8 +506,8 @@ class TestGatesStayHonest:
     @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS + [WIDE_GRID])
     def test_factor_gates_never_form_a_mode(self, shape, kw, make, value,
                                             monkeypatch):
-        # n = 1089, above the dense cap: the eigen, gram and spectrum gates
-        # of `energyrep spectrum` on a per-axis decomposition
+        # the eigen, gram and spectrum gates of `energyrep spectrum` on a
+        # per-axis decomposition
         g = build_grid(shape, 33, **kw)
         op = assemble_h(g, make(g, value))
         dec = op.eigendecomposition()
@@ -897,17 +895,36 @@ def _bent(rows, cols, values, rho):
     return values * (1.0 + 1e-6 * np.cos(rows + cols))
 
 
+# the circle and the |x|^2 + 1 interval at their shipped sizes; against the
+# dense oracle the torus and the square at n = 1024 join them, against a
+# reference spectrum the torus alone
+SHIPPED_1D_GRIDS = [
+    ("circle", {"radius": 1.0}, WeightField.constant, 2.0, 64),
+    ("interval", {"halfwidth": 8.0}, WeightField.quadratic, 1.0, 400)]
+DENSE_ORACLE_GRIDS = SHIPPED_1D_GRIDS + [grid + (32,)
+                                         for grid in TENSOR_GRIDS[:2]]
+REFERENCE_GRIDS = SHIPPED_1D_GRIDS + [TENSOR_GRIDS[0] + (32,)]
+
+
+def _exact_spectrum(g, op, value):
+    """Oracle: the periodic dispersion of W = value on the circle and the
+    torus, the dense solve on the interval."""
+    if g.shape_name == "circle":
+        return periodic_dispersion(g.axis_sizes[0], value)
+    if g.shape_name == "torus":
+        return _torus_dispersion(g.axis_sizes[0], value)
+    return op.eigenvalues()
+
+
 class TestWeylSpectrumMatch:
-    """The spectrum check above DENSE_CAP: the Weyl bound of the symmetrized
+    """The spectrum check of a conjugate: the Weyl bound of the symmetrized
     H_rho against the symmetrized H, and two trace moments."""
 
     @pytest.mark.parametrize("change", [None, _bent, _without_e_c])
-    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
-    def test_bound_covers_the_dense_spectra(self, shape, kw, make, value,
+    @pytest.mark.parametrize("shape,kw,make,value,n", DENSE_ORACLE_GRIDS)
+    def test_bound_covers_the_dense_spectra(self, shape, kw, make, value, n,
                                             change, monkeypatch):
-        # the largest size that takes the dense path
-        g = build_grid(shape, 32, **kw)
-        assert g.node_count == operators.DENSE_CAP
+        g = build_grid(shape, n, **kw)
         op = assemble_h(g, make(g, value))
         h_rho = conjugated_operator(op, _rho(g))
         if change is not None:
@@ -921,13 +938,10 @@ class TestWeylSpectrumMatch:
             op.eigenvalues())
         assert moved <= bound + solver
         ref = op.eigendecomposition().eigenvalues
-        measured, tol, detail = operators.weyl_match(h_rho, ref, 1e-8)
+        measured, tol, detail = operators.spectrum_match(h_rho, ref, 1e-8)
         assert tol == 1.0 and detail.startswith("weyl path:")
         if change is None:
             assert bound <= 1e-12 and measured <= 1e-3
-            assert operators.spectrum_match(h_rho, ref, 1e-8)[1:] == (1e-8,
-                                                                      "")
-            assert operators.spectrum_match(h_rho, ref, 1e-8)[0] <= 1e-10
         else:
             assert moved > 1e3 * solver and measured > tol
 
@@ -945,23 +959,21 @@ class TestWeylSpectrumMatch:
             assert abs(tr2 - np.sum(s * s.T)) <= 1e-14 * abs(tr2)
 
     @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
-    def test_dropped_conjugation_factor_fails_both_paths(self, shape, kw, make,
-                                                         value, monkeypatch):
+    def test_dropped_conjugation_factor_fails(self, shape, kw, make, value,
+                                              monkeypatch):
         g = build_grid(shape, 32, **kw)
         op = assemble_h(g, make(g, value))
         ref = op.eigendecomposition().eigenvalues
         h_rho = conjugated_operator(op, _rho(g))
         monkeypatch.setattr(operators, "_entries",
                             _conjugate_entries(_without_e_c))
-        for match in (operators.spectrum_match, operators.weyl_match):
-            measured, tol, _ = match(h_rho, ref, 1e-8)
-            assert measured > tol
+        measured, tol, _ = operators.spectrum_match(h_rho, ref, 1e-8)
+        assert measured > tol
 
     def test_diagonal_swap_fails(self, monkeypatch):
         # two diagonal entries of the conjugate trade places: tr S and tr S^2
         # keep their values, so the moments alone cannot see it
         g = build_grid("square", 33, halfwidth=8.0)
-        assert g.node_count > operators.DENSE_CAP
         op = assemble_h(g, WeightField.quadratic(g, 1.0))
         ref = op.eigendecomposition().eigenvalues
         h_rho = conjugated_operator(op, _rho(g))
@@ -982,24 +994,26 @@ class TestWeylSpectrumMatch:
         measured, tol, _ = operators.spectrum_match(h_rho, ref, 1e-8)
         assert measured > tol
 
-    def test_moment_only_defect_fails(self):
-        g = build_grid("torus", 32, radius=1.0)
-        h_rho = conjugated_operator(assemble_h(g, WeightField.constant(g, 2.0)),
-                                    _rho(g))
-        ref = _torus_dispersion(32, 2.0)
-        assert operators.weyl_match(h_rho, ref, 1e-8)[0] <= 1e-3
+    @pytest.mark.parametrize("shape,kw,make,value,n", REFERENCE_GRIDS)
+    def test_moment_only_defect_fails(self, shape, kw, make, value, n):
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        h_rho = conjugated_operator(op, _rho(g))
+        ref = _exact_spectrum(g, op, value)
+        assert operators.spectrum_match(h_rho, ref, 1e-8)[0] <= 1e-3
         # the top of the spectrum: H_rho still matches H, not the reference
         ref[-1] *= 1.0 + 1e-6
         assert operators.weyl_bound(h_rho) <= 1e-12
-        measured, tol, _ = operators.weyl_match(h_rho, ref, 1e-8)
+        measured, tol, _ = operators.spectrum_match(h_rho, ref, 1e-8)
         assert measured > tol
 
-    def test_nan_in_the_reference_fails(self):
-        g = build_grid("torus", 8, radius=1.0)
-        op = assemble_h(g, WeightField.constant(g, 2.0))
-        ref = _torus_dispersion(8, 2.0)
+    @pytest.mark.parametrize("shape,kw,make,value,n", REFERENCE_GRIDS)
+    def test_nan_in_the_reference_fails(self, shape, kw, make, value, n):
+        g = build_grid(shape, n // 4, **kw)
+        op = assemble_h(g, make(g, value))
+        ref = _exact_spectrum(g, op, value)
         ref[-1] = np.nan
-        assert not operators.weyl_match(op, ref, 1e-8)[0] <= 1.0
+        assert not operators.spectrum_match(op, ref, 1e-8)[0] <= 1.0
 
 
 class TestHilbertSchmidt:
