@@ -66,10 +66,9 @@ def gauge_product(a: GaugeField, b: GaugeField) -> GaugeField:
     """Pointwise product with exact product-rule derivatives."""
     if not a.grid.compatible_with(b.grid):
         raise GridError("gauge fields live on different grids")
-    u = a.u @ b.u
-    du = (np.einsum("...xjab,...xbc->...xjac", a.du, b.u)
-          + np.einsum("...xab,...xjbc->...xjac", a.u, b.du))
-    return GaugeField(a.grid, u, du)
+    du = (su2.product(a.du, b.u[..., None, :, :])
+          + su2.product(a.u[..., None, :, :], b.du))
+    return GaugeField(a.grid, su2.product(a.u, b.u), du)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ def log_derivative(psi: GaugeField) -> Field:
     above 1e-10 indicates inconsistent derivative data and raises.
     """
     ui = np.conj(np.swapaxes(psi.u, -1, -2))
-    m = np.einsum("...xjab,...xbc->...xjac", psi.du, ui)
+    m = su2.product(psi.du, ui[..., None, :, :])
     resid = su2.basis_projection_residual(m)
     if resid > 1e-10:
         raise ValueError(
@@ -94,12 +93,14 @@ def log_derivative(psi: GaugeField) -> Field:
 
 
 def _rotate(r: np.ndarray, f: Field) -> Field:
-    """Rotate the algebra leg of f by per-node r, shape (..., n, 3, 3)."""
-    if f.rank == 0:
-        vals = np.einsum("...xab,...xb->...xa", r, f.values)
-    else:
-        vals = np.einsum("...xab,...xjb->...xja", r, f.values)
-    return f.copy_with(vals)
+    """Rotate the algebra leg of f by per-node r, shape (..., n, 3, 3):
+    (r v)_a = r_a0 v_0 + r_a1 v_1 + r_a2 v_2, written out per entry."""
+    v = f.values
+    if f.rank:
+        r = r[..., None, :, :]  # the same rotation on every axis j
+    return f.copy_with(r[..., 0] * v[..., 0, None]
+                       + r[..., 1] * v[..., 1, None]
+                       + r[..., 2] * v[..., 2, None])
 
 
 def v_action(psi: GaugeField, f: Field) -> Field:

@@ -21,18 +21,41 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class HermiteLadder:
+    """The retained states and one index-shift table per ladder letter.
+
+    shifts[(j, raising)] = (src, coef): the letter takes a state v to
+    coef * v[src], entry by entry.  At a target state n, coef is sqrt(n_j)
+    for A_j† and sqrt(n_j + 1) for A_j, and 0 where the source state is not
+    retained.  The dense matrices A_j, A_j† and N that the structure checks
+    read are written from these tables.
+    """
+
     dimension: int
     n_cut: int
     states: tuple               # degree tuples, sorted by (total, tuple)
-    lowering: tuple              # A_j matrices
-    raising: tuple               # A_j† matrices
-    number_total: np.ndarray     # N = sum_j A_j† A_j
+    shifts: dict                # letter (mode, is_raising) -> (src, coef)
+    lowering: tuple = field(init=False, repr=False)     # A_j matrices
+    raising: tuple = field(init=False, repr=False)      # A_j† matrices
+    number_total: np.ndarray = field(init=False, repr=False)  # sum A_j† A_j
     _degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         degrees = np.array([sum(s) for s in self.states])
         degrees.flags.writeable = False  # shared by every caller
         object.__setattr__(self, "_degrees", degrees)
+        lowering = tuple(self._dense((j, False)) for j in range(self.dimension))
+        raising = tuple(self._dense((j, True)) for j in range(self.dimension))
+        object.__setattr__(self, "lowering", lowering)
+        object.__setattr__(self, "raising", raising)
+        object.__setattr__(self, "number_total", sum(
+            r @ a for r, a in zip(raising, lowering)))
+
+    def _dense(self, letter) -> np.ndarray:
+        """The matrix of one letter, written from its shift table."""
+        src, coef = self.shifts[letter]
+        m = np.zeros((self.size, self.size))
+        m[np.arange(self.size), src] = coef
+        return m
 
     @property
     def size(self) -> int:
@@ -74,21 +97,23 @@ def build_ladders(d: int, n_cut: int) -> HermiteLadder:
                   for i in range(total + 1) for j in [total - i]]
         states.sort(key=lambda s: (sum(s), s))
     states = tuple(states)
-    index = {s: i for i, s in enumerate(states)}
-    dim = len(states)
-
-    lowering = []
+    degrees = np.array(states)  # (dim, d)
+    # the index of each retained degree tuple, -1 elsewhere; a degree of -1
+    # reads the last slot, n_cut + 1, which is never retained
+    lookup = np.full((n_cut + 2,) * d, -1)
+    lookup[tuple(degrees.T)] = np.arange(len(states))
+    shifts = {}
     for j in range(d):
-        a = np.zeros((dim, dim))
-        for s, i in index.items():
-            if s[j] > 0:
-                t = list(s)
-                t[j] -= 1
-                a[index[tuple(t)], i] = np.sqrt(s[j])
-        lowering.append(a)
-    raising = tuple(a.T.copy() for a in lowering)
-    total = sum(raising[j] @ lowering[j] for j in range(d))
-    return HermiteLadder(d, n_cut, states, tuple(lowering), raising, total)
+        for raising, step in ((False, 1), (True, -1)):
+            # the letter maps the state s + step e_j, when retained, to s
+            source = degrees.copy()
+            source[:, j] += step
+            src = lookup[tuple(source.T)]
+            kept = src >= 0
+            coef = np.where(kept, np.sqrt(np.maximum(degrees[:, j],
+                                                     source[:, j])), 0.0)
+            shifts[(j, raising)] = (np.where(kept, src, 0), coef)
+    return HermiteLadder(d, n_cut, states, shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +127,15 @@ def word_dagger(word) -> tuple:
 
 
 def word_apply(ladder: HermiteLadder, word, vec: np.ndarray) -> np.ndarray:
-    """The operator product of word applied to vec, rightmost letter first."""
-    out = np.asarray(vec, float)
-    for (j, raising) in reversed(word):
-        m = ladder.raising[j] if raising else ladder.lowering[j]
-        out = m @ out
-    return out
+    """The operator product of word applied to vec (a state or a matrix of
+    state columns), rightmost letter first: each letter gathers rows through
+    its shift table."""
+    vec = np.asarray(vec, float)
+    out = vec.reshape(ladder.size, -1)
+    for letter in reversed(word):
+        src, coef = ladder.shifts[letter]
+        out = coef[:, None] * out[src]
+    return out.reshape(vec.shape)
 
 
 def word_matrix(ladder: HermiteLadder, word) -> np.ndarray:

@@ -10,25 +10,47 @@ from __future__ import annotations
 
 import numpy as np
 
-PAULI = np.array([
-    [[0.0, 1.0], [1.0, 0.0]],
-    [[0.0, -1.0j], [1.0j, 0.0]],
-    [[1.0, 0.0], [0.0, -1.0]],
-], dtype=complex)
-
-BASIS = -0.5j * PAULI  # X_1, X_2, X_3
-
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
 def to_matrix(coeff: np.ndarray) -> np.ndarray:
-    """Coefficients (..., 3) -> 2x2 realization sum_k c_k X_k."""
-    return np.einsum("...k,kij->...ij", np.asarray(coeff), BASIS)
+    """Coefficients (..., 3) -> 2x2 realization sum_k c_k X_k,
+
+        [[-i c_3, -i c_1 - c_2], [-i c_1 + c_2, i c_3]] / 2.
+    """
+    c = np.asarray(coeff)
+    c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2]
+    m = np.empty(c.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, 0] = -0.5j * c3
+    m[..., 0, 1] = -0.5 * c2 - 0.5j * c1
+    m[..., 1, 0] = 0.5 * c2 - 0.5j * c1
+    m[..., 1, 1] = 0.5j * c3
+    return m
 
 
 def from_matrix(m: np.ndarray) -> np.ndarray:
-    """Inverse of to_matrix; m_k = i tr(sigma_k m) for m in the basis span."""
-    return 1.0j * np.einsum("kij,...ji->...k", PAULI, np.asarray(m))
+    """Inverse of to_matrix; m_k = i tr(sigma_k m) for m in the basis span,
+
+        (i (m_01 + m_10), m_10 - m_01, i (m_00 - m_11)).
+    """
+    m = np.asarray(m)
+    out = np.empty(m.shape[:-2] + (3,), dtype=complex)
+    out[..., 0] = 1.0j * (m[..., 1, 0] + m[..., 0, 1])
+    out[..., 1] = m[..., 1, 0] - m[..., 0, 1]
+    out[..., 2] = 1.0j * (m[..., 0, 0] - m[..., 1, 1])
+    return out
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast stacks of 2x2 blocks, written out per entry."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                   dtype=np.result_type(a, b))
+    for i in range(2):
+        for k in range(2):
+            out[..., i, k] = (a[..., i, 0] * b[..., 0, k]
+                              + a[..., i, 1] * b[..., 1, k])
+    return out
 
 
 def basis_projection_residual(m: np.ndarray) -> float:
@@ -44,11 +66,30 @@ def basis_projection_residual(m: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def rotation_of(g: np.ndarray) -> np.ndarray:
-    """Ad(g) as a real 3x3 matrix on coefficients: R_ab = tr(sigma_a g sigma_b g†)/2."""
+    """Ad(g) as a real 3x3 matrix on coefficients, R_ab = tr(sigma_a g sigma_b g†)/2.
+
+    g in SU(2) is w I - i (x sigma_1 + y sigma_2 + z sigma_3) with
+    w^2 + |v|^2 = 1, v = (x, y, z); (w, v) is read off the first column of
+    g, and the rotation R = I + 2w [v]x + 2 [v]x^2 of that unit quaternion
+    is written out per entry.
+    """
     g = np.asarray(g)
-    gd = np.conj(np.swapaxes(g, -1, -2))
-    r = 0.5 * np.einsum("aij,...jk,bkl,...li->...ab", PAULI, g, PAULI, gd)
-    return r.real
+    w, z = g[..., 0, 0].real, -g[..., 0, 0].imag
+    y, x = g[..., 1, 0].real, -g[..., 1, 0].imag
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    r = np.empty(g.shape[:-2] + (3, 3))
+    r[..., 0, 0] = 1.0 - 2.0 * (yy + zz)
+    r[..., 0, 1] = 2.0 * (xy - wz)
+    r[..., 0, 2] = 2.0 * (xz + wy)
+    r[..., 1, 0] = 2.0 * (xy + wz)
+    r[..., 1, 1] = 1.0 - 2.0 * (xx + zz)
+    r[..., 1, 2] = 2.0 * (yz - wx)
+    r[..., 2, 0] = 2.0 * (xz - wy)
+    r[..., 2, 1] = 2.0 * (yz + wx)
+    r[..., 2, 2] = 1.0 - 2.0 * (xx + yy)
+    return r
 
 
 # ---------------------------------------------------------------------------

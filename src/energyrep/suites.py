@@ -185,7 +185,7 @@ def suite_ladders(cfg: ExperimentConfig, rng, rep: Report, dig,
     rep.add(check("oscillator_identity", dig("osc-id"),
                   hermite.oscillator_identity_residual(ladder), 1e-13))
     vac = ladder.vacuum()
-    lowered = ladder.lowering[0] @ vac
+    lowered = hermite.word_apply(ladder, ((0, False),), vac)
     rep.add(check("vacuum_annihilated", dig("vac"),
                   float(np.linalg.norm(lowered)), 0.0))
 

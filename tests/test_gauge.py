@@ -10,7 +10,9 @@ from energyrep.sampling import (random_algebra_field, random_gauge_field,
                                 random_one_form, random_tuples, rho_field)
 from energyrep.seminorms import (seminorm_p, seminorm_p_batch,
                                  seminorm_prime_batch)
-from helpers import gauge_identity, gauge_inverse, group_defect, stack
+from helpers import (from_matrix_oracle, gauge_identity, gauge_inverse,
+                     group_defect, product_oracle, rotate_oracle,
+                     rotation_oracle, stack)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,47 @@ class TestStackedSamples:
         other = build_grid("circle", 12, radius=1.0)
         with pytest.raises(GridError):
             gauge.gauge_product(psi, gauge_identity(other))
+
+
+class TestAgainstContractions:
+    """The written-out 2x2 and 3x3 kernels of the gauge layer against their
+    contraction forms (`helpers`), on stacked samples in d = 1 and d = 2."""
+
+    @pytest.fixture(params=["circle", "torus"])
+    def samples(self, request):
+        grid = (build_grid("circle", 32, radius=1.0)
+                if request.param == "circle"
+                else build_grid("torus", 8, radius=1.0))
+        local = np.random.default_rng(32)
+        psi = random_gauge_field(grid, local, modes=2, count=3)
+        phi = random_gauge_field(grid, local, modes=2, count=3)
+        f = random_one_form(grid, local, modes=2, count=3)
+        return psi, phi, f
+
+    def test_gauge_product(self, samples):
+        psi, phi, _ = samples
+        got = gauge.gauge_product(psi, phi)
+        du = (product_oracle(psi.du, phi.u[..., None, :, :])
+              + product_oracle(psi.u[..., None, :, :], phi.du))
+        assert np.max(np.abs(got.u - psi.u @ phi.u)) <= 1e-15
+        assert np.max(np.abs(got.du - du)) <= 1e-14 * np.max(np.abs(du))
+
+    def test_log_derivative(self, samples):
+        psi, _, _ = samples
+        ui = np.conj(np.swapaxes(psi.u, -1, -2))
+        want = from_matrix_oracle(product_oracle(psi.du, ui[..., None, :, :]))
+        got = gauge.log_derivative(psi).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_v_action_on_both_ranks(self, samples):
+        psi, _, f = samples
+        r = rotation_oracle(psi.u)
+        scalar = Field(f.grid, 0, f.values[..., 0, :], algebra=True)
+        for field in (f, scalar):
+            want = rotate_oracle(r, field)
+            got = gauge.v_action(psi, field).values
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestVPrime:

@@ -1,9 +1,14 @@
 """Ladder-operator algebra on the truncated Hermite basis."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from energyrep import hermite
-from energyrep.suites import LADDER_WORDS, _guarded_sample
+from energyrep.config import load_config
+from energyrep.suites import LADDER_WORDS, _guarded_sample, run_suite
+
+CIRCLE_CFG = Path(__file__).resolve().parents[1] / "configs" / "circle.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +80,80 @@ class TestStructure:
 
     def test_oscillator_identity(self, ladder2):
         assert hermite.oscillator_identity_residual(ladder2) <= 1e-13
+
+
+def dense_word_apply(ladder, word, vec):
+    """The reference: the dense letter matrices multiplied in, rightmost
+    letter first."""
+    out = np.asarray(vec, float)
+    for (j, raising) in reversed(word):
+        out = (ladder.raising[j] if raising else ladder.lowering[j]) @ out
+    return out
+
+
+class TestShiftTables:
+    """`word_apply` gathers rows through each letter's shift table; the
+    dense matrices it replaces are the oracle."""
+
+    @pytest.mark.parametrize("d,n_cut", [(1, 12), (2, 16)])
+    def test_every_letter_equals_the_dense_product(self, d, n_cut):
+        ladder = hermite.build_ladders(d, n_cut)
+        rng = np.random.default_rng(18)
+        columns = np.stack([guarded_random(ladder, rng, 1)
+                            for _ in range(30)], axis=1)
+        assert sorted(ladder.shifts) == [(j, r) for j in range(d)
+                                         for r in (False, True)]
+        for letter in ladder.shifts:
+            for vec in (np.eye(ladder.size), columns, columns[:, 0]):
+                got = hermite.word_apply(ladder, (letter,), vec)
+                assert got.shape == vec.shape
+                assert np.array_equal(got, dense_word_apply(
+                    ladder, (letter,), vec))
+
+    @pytest.mark.parametrize("d,n_cut", [(1, 12), (2, 16)])
+    def test_words_equal_the_dense_product_loop(self, d, n_cut):
+        ladder = hermite.build_ladders(d, n_cut)
+        rng = np.random.default_rng(19)
+        for word in (hermite.CANONICAL_WORD,) + LADDER_WORDS:
+            word = tuple((j % d, r) for j, r in word)  # one mode when d = 1
+            full = hermite.word_dagger(word) + word
+            columns = np.stack([guarded_random(ladder, rng, len(full))
+                                for _ in range(30)], axis=1)
+            for w in (word, full):
+                for vec in (np.eye(ladder.size), columns):
+                    assert np.array_equal(hermite.word_apply(ladder, w, vec),
+                                          dense_word_apply(ladder, w, vec))
+
+    def test_dense_matrices_are_written_from_the_tables(self, ladder2):
+        for (j, raising), (src, coef) in ladder2.shifts.items():
+            m = ladder2.raising[j] if raising else ladder2.lowering[j]
+            rows = np.arange(ladder2.size)
+            assert np.array_equal(m[rows, src], coef)
+            assert np.count_nonzero(m) == np.count_nonzero(coef)
+
+    @staticmethod
+    def corrupted(ladder):
+        """ladder with one coefficient of A_1 (vacuum <- |1, 0>) off by 1e-9."""
+        shifts = dict(ladder.shifts)
+        src, coef = shifts[(0, False)]
+        coef = coef.copy()
+        coef[ladder.states.index((0,) * ladder.dimension)] += 1e-9
+        shifts[(0, False)] = (src, coef)
+        return hermite.HermiteLadder(ladder.dimension, ladder.n_cut,
+                                     ladder.states, shifts)
+
+    def test_corrupted_coefficient_breaks_the_ccr(self, ladder2):
+        assert hermite.ccr_residual(ladder2) <= 1e-14
+        assert hermite.ccr_residual(self.corrupted(ladder2)) > 1e-14
+
+    def test_corrupted_coefficient_fails_ccr_below_guard(self, tmp_path,
+                                                         monkeypatch):
+        build = hermite.build_ladders
+        monkeypatch.setattr(hermite, "build_ladders",
+                            lambda d, n_cut: self.corrupted(build(d, n_cut)))
+        (rep,) = run_suite("ladders", load_config(CIRCLE_CFG), tmp_path)
+        verdicts = {c.name: c.verdict for c in rep.checks}
+        assert verdicts["ccr_below_guard"] == "fail"
 
 
 class TestNormalOrdering:

@@ -994,6 +994,32 @@ class TestWeylSpectrumMatch:
         measured, tol, _ = operators.spectrum_match(h_rho, ref, 1e-8)
         assert measured > tol
 
+    def test_weyl_only_defect_fails(self, monkeypatch):
+        # one symmetric off-diagonal pair of the conjugate negated on a ring
+        # of odd length: tr S and tr S^2 keep their values, and the ring is
+        # not bipartite, so no +-1 similarity undoes the flip and the
+        # spectrum moves; only the Weyl term can see it
+        g = build_grid("circle", 33, radius=1.0)
+        op = assemble_h(g, WeightField.constant(g, 2.0))
+        h_rho = conjugated_operator(op, _rho(g))
+        ref = op.eigendecomposition().eigenvalues
+        clean = h_rho.trace_moments()
+        assert operators.spectrum_match(h_rho, ref, 1e-8)[0] <= 1e-3
+
+        def flipped(rows, cols, values, rho):
+            pair = ((rows == 0) & (cols == 1)) | ((rows == 1) & (cols == 0))
+            assert np.count_nonzero(pair) == 2
+            return np.where(pair, -values, values)
+
+        monkeypatch.setattr(operators, "_entries", _conjugate_entries(flipped))
+        moved = np.max(np.abs(h_rho.eigenvalues() - op.eigenvalues()))
+        assert moved > 1.0
+        moments = h_rho.trace_moments()
+        assert all(abs(m - c) <= 1e-12 * c for m, c in zip(moments, clean))
+        assert operators.weyl_bound(h_rho) >= moved
+        measured, tol, _ = operators.spectrum_match(h_rho, ref, 1e-8)
+        assert measured > tol
+
     @pytest.mark.parametrize("shape,kw,make,value,n", REFERENCE_GRIDS)
     def test_moment_only_defect_fails(self, shape, kw, make, value, n):
         g = build_grid(shape, n, **kw)

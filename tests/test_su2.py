@@ -3,6 +3,8 @@
 The Killing form, the bracket, ad and Ad by conjugation are written here
 from their definitions, as the oracles of `su2.rotation_of` and of the
 factor `grid.ALGEBRA_METRIC_FACTOR` that every algebra inner product uses.
+The contraction and trace forms of the written-out kernels are in
+`helpers`.
 """
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ import hypothesis.strategies as st
 
 from energyrep import su2
 from energyrep.grid import ALGEBRA_METRIC_FACTOR
-from helpers import group_defect
+from helpers import (from_matrix_oracle, group_defect, product_oracle,
+                     rotation_oracle, to_matrix_oracle)
 
 coeffs = st.tuples(*[st.floats(-2.0, 2.0) for _ in range(3)]).map(np.array)
 
@@ -272,3 +275,99 @@ class TestDexpClosedFormAgainstBlock:
                 assert np.array_equal(batch[i, j], su2.dexp_batch(a[i], ap[i, j]))
                 assert (np.max(np.abs(batch[i, j] - block_dexp(a[i], ap[i, j])))
                         <= 1e-14)
+
+
+def unit_rows(rng, count, length):
+    """count coefficient vectors of the given length in random directions."""
+    c = rng.standard_normal((count, 3))
+    return c * (length / np.linalg.norm(c, axis=1, keepdims=True))
+
+
+def assert_rotation(r):
+    """R^T R = I and det R = 1 on every 3x3 block."""
+    eye = np.eye(3)
+    assert np.max(np.abs(np.swapaxes(r, -1, -2) @ r - eye)) <= 1e-14
+    assert np.max(np.abs(np.linalg.det(r) - 1.0)) <= 1e-14
+
+
+class TestClosedFormsAgainstContractions:
+    """The written-out kernels against their contraction and trace
+    definitions (`helpers`), on batches and at the edges of the group."""
+
+    def test_rotation_on_a_random_batch(self):
+        rng = np.random.default_rng(40)
+        g = su2.exp_map(3.0 * rng.standard_normal((4, 50, 3)))
+        r = su2.rotation_of(g)
+        assert r.shape == (4, 50, 3, 3) and r.dtype == float
+        assert np.max(np.abs(r - rotation_oracle(g))) <= 2e-15
+        assert_rotation(r)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rotation_at_plus_minus_identity(self, sign):
+        g = sign * np.eye(2, dtype=complex)
+        assert np.array_equal(su2.rotation_of(g), np.eye(3))
+        assert np.array_equal(rotation_oracle(g), np.eye(3))
+
+    @pytest.mark.parametrize("length", [1e-12, 1e-8, 1e-5, 1e-3])
+    def test_rotation_near_zero_angle(self, length):
+        # R = I + ad(c) + O(|c|^2), and the oracle agrees to rounding
+        c = unit_rows(np.random.default_rng(41), 20, length)
+        g = su2.exp_map(c)
+        r = su2.rotation_of(g)
+        assert np.max(np.abs(r - rotation_oracle(g))) <= 1e-15
+        first_order = np.eye(3) + np.array([ad_matrix(x) for x in c])
+        assert np.max(np.abs(r - first_order)) <= length ** 2 + 2e-16
+        assert_rotation(r)
+
+    @pytest.mark.parametrize("offset", [-1e-3, -1e-8, 0.0, 1e-8, 1e-3])
+    def test_rotation_near_a_full_turn(self, offset):
+        # |c| near 2 pi: g near -I, R near I, both sides of the turn
+        c = unit_rows(np.random.default_rng(42), 20, 2 * np.pi + offset)
+        g = su2.exp_map(c)
+        r = su2.rotation_of(g)
+        assert np.max(np.abs(g + np.eye(2))) <= abs(offset) + 1e-15
+        assert np.max(np.abs(r - rotation_oracle(g))) <= 2e-15
+        assert np.max(np.abs(r[0] - scipy.linalg.expm(ad_matrix(c[0])))) <= 1e-12
+        assert_rotation(r)
+
+    def test_rotation_stack_equals_single_calls(self):
+        rng = np.random.default_rng(43)
+        g = su2.exp_map(rng.standard_normal((3, 7, 3)))
+        r = su2.rotation_of(g)
+        for i in range(3):
+            for k in range(7):
+                assert np.array_equal(r[i, k], su2.rotation_of(g[i, k]))
+
+    def test_matrix_maps_equal_the_contractions(self):
+        rng = np.random.default_rng(44)
+        c = rng.standard_normal((4, 9, 3))
+        assert np.array_equal(su2.to_matrix(c), to_matrix_oracle(c))
+        # from_matrix on general complex blocks, not only the basis span
+        m = (rng.standard_normal((4, 9, 2, 2))
+             + 1j * rng.standard_normal((4, 9, 2, 2)))
+        assert np.array_equal(su2.from_matrix(m), from_matrix_oracle(m))
+        assert np.array_equal(su2.from_matrix(su2.to_matrix(c)).real, c)
+
+    def test_matrix_maps_stack_equals_single_calls(self):
+        rng = np.random.default_rng(45)
+        c = rng.standard_normal((6, 3))
+        m = su2.to_matrix(c)
+        for i in range(6):
+            assert np.array_equal(m[i], su2.to_matrix(c[i]))
+            assert np.array_equal(su2.from_matrix(m)[i],
+                                  su2.from_matrix(m[i]))
+
+    def test_product_against_the_contraction(self):
+        rng = np.random.default_rng(46)
+        a = (rng.standard_normal((4, 9, 2, 2, 2))
+             + 1j * rng.standard_normal((4, 9, 2, 2, 2)))
+        b = su2.exp_map(rng.standard_normal((4, 9, 3)))[..., None, :, :]
+        got = su2.product(a, b)
+        assert got.shape == a.shape
+        assert np.max(np.abs(got - product_oracle(a, b))) <= 2e-15
+        for i in range(4):
+            assert np.array_equal(got[i], su2.product(a[i], b[i]))
+        # real blocks stay real
+        x, y = rng.standard_normal((2, 5, 2, 2))
+        assert su2.product(x, y).dtype == float
+        assert np.max(np.abs(su2.product(x, y) - x @ y)) <= 1e-15

@@ -1,5 +1,6 @@
-"""The benchmark's layer trace binds every function it names, and the
-package defines nothing that it never uses."""
+"""The benchmark's layer trace binds every function it names, the package
+defines nothing that it never uses, and it contracts no three arrays in
+one einsum."""
 import ast
 import sys
 from pathlib import Path
@@ -137,3 +138,41 @@ def test_a_definition_read_only_from_dead_code_is_dead(tmp_path):
         "def orphan():\n    return dead()\n\n\n"
         "VALUE = live()\n", encoding="utf-8")
     assert _unreferenced(tmp_path) == ["mod.py:dead", "mod.py:orphan"]
+
+
+def _wide_einsums(src):
+    """Every einsum call of the package with three or more array operands,
+    as file:line.  Without `optimize` numpy runs such a call as one nested
+    loop over all of its indices; the kernels write their contractions out.
+    The contraction oracles under tests/ are not scanned."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            operands = [a for a in node.args
+                        if not (isinstance(a, ast.Constant)
+                                and isinstance(a.value, str))]
+            if name == "einsum" and len(operands) >= 3:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_einsum_of_three_or_more_operands_in_the_package():
+    wide = _wide_einsums(SRC)
+    assert not wide, f"einsum over three or more operands: {wide}"
+
+
+def test_wide_einsum_scan_sees_both_spellings(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\nfrom numpy import einsum\n\n\n"
+        "def two(a, b):\n    return np.einsum('ij,jk->ik', a, b)\n\n\n"
+        "def three(a, b, c):\n"
+        "    return np.einsum('ij,jk,kl->il', a, b, c)\n\n\n"
+        "def bare(a, b, c, d):\n"
+        "    return einsum('ij,jk,kl,lm->im', a, b, c, d)\n",
+        encoding="utf-8")
+    assert _wide_einsums(tmp_path) == ["mod.py:10", "mod.py:14"]
