@@ -11,8 +11,9 @@ from .grid import (Field, GridManifold, GridError, WeightField, build_grid,
                    conformal_rescale, covariant_derivative, field_to_csv,
                    inner_product, norm)
 from .su2 import exp_map, rotation_of
-from .operators import (DiscreteOperator, SpectralDecomposition, assemble_h,
-                        conjugated_operator, conjugation_residuals,
+from .operators import (DiscreteOperator, SpectralDecomposition,
+                        adjoint_identity_residual, assemble_h,
+                        conjugated_operator, eigenpair_map_residual,
                         hilbert_schmidt_test)
 from .hermite import (HermiteLadder, build_ladders, canonical_chain_check,
                       commutation_bound_check, normal_order,

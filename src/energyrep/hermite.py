@@ -26,36 +26,20 @@ class HermiteLadder:
     shifts[(j, raising)] = (src, coef): the letter takes a state v to
     coef * v[src], entry by entry.  At a target state n, coef is sqrt(n_j)
     for A_j† and sqrt(n_j + 1) for A_j, and 0 where the source state is not
-    retained.  The dense matrices A_j, A_j† and N that the structure checks
-    read are written from these tables.
+    retained.  The tables are the letters' only form: words, and the
+    structure checks, gather through them (`word_apply`).
     """
 
     dimension: int
     n_cut: int
     states: tuple               # degree tuples, sorted by (total, tuple)
     shifts: dict                # letter (mode, is_raising) -> (src, coef)
-    lowering: tuple = field(init=False, repr=False)     # A_j matrices
-    raising: tuple = field(init=False, repr=False)      # A_j† matrices
-    number_total: np.ndarray = field(init=False, repr=False)  # sum A_j† A_j
     _degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         degrees = np.array([sum(s) for s in self.states])
         degrees.flags.writeable = False  # shared by every caller
         object.__setattr__(self, "_degrees", degrees)
-        lowering = tuple(self._dense((j, False)) for j in range(self.dimension))
-        raising = tuple(self._dense((j, True)) for j in range(self.dimension))
-        object.__setattr__(self, "lowering", lowering)
-        object.__setattr__(self, "raising", raising)
-        object.__setattr__(self, "number_total", sum(
-            r @ a for r, a in zip(raising, lowering)))
-
-    def _dense(self, letter) -> np.ndarray:
-        """The matrix of one letter, written from its shift table."""
-        src, coef = self.shifts[letter]
-        m = np.zeros((self.size, self.size))
-        m[np.arange(self.size), src] = coef
-        return m
 
     @property
     def size(self) -> int:
@@ -261,17 +245,26 @@ def canonical_chain_check(ladder: HermiteLadder, f: np.ndarray) -> WordBoundResu
 def oscillator_identity_residual(ladder: HermiteLadder) -> float:
     """Residual of -Laplacian + |x|^2 + 1 = 2N + d + 1 below the guard.
 
-    Both sides built from ladder combinations: x_j = (A_j + A_j†)/sqrt(2),
-    d/dx_j = (A_j - A_j†)/sqrt(2); compared on guarded input states.
+    Both sides from ladder words: x_j = (A_j + A_j†)/sqrt(2) and
+    d/dx_j = (A_j - A_j†)/sqrt(2) applied through the shift tables, and
+    N = sum_j A_j† A_j; compared on guarded input states.
     """
-    d = ladder.dimension
-    lhs = np.zeros((ladder.size, ladder.size))
+    d, size = ladder.dimension, ladder.size
+    eye = np.eye(size)
+    lhs = np.zeros((size, size))
+    number = np.zeros((size, size))
     for j in range(d):
-        x = (ladder.lowering[j] + ladder.raising[j]) / np.sqrt(2.0)
-        dx = (ladder.lowering[j] - ladder.raising[j]) / np.sqrt(2.0)
-        lhs += -(dx @ dx) + x @ x
-    lhs += np.eye(ladder.size)
-    rhs = 2.0 * ladder.number_total + (d + 1.0) * np.eye(ladder.size)
+        lower, upper = ((j, False),), ((j, True),)
+        a, r = word_apply(ladder, lower, eye), word_apply(ladder, upper, eye)
+        x, dx = (a + r) / np.sqrt(2.0), (a - r) / np.sqrt(2.0)
+        xx = (word_apply(ladder, lower, x)
+              + word_apply(ladder, upper, x)) / np.sqrt(2.0)
+        dxdx = (word_apply(ladder, lower, dx)
+                - word_apply(ladder, upper, dx)) / np.sqrt(2.0)
+        lhs += -dxdx + xx
+        number += word_apply(ladder, upper, a)  # A_j† A_j
+    lhs += eye
+    rhs = 2.0 * number + (d + 1.0) * eye
     mask = ladder.guard_mask(2)
     return float(np.max(np.abs((lhs - rhs)[:, mask])))
 
@@ -282,8 +275,8 @@ def ccr_residual(ladder: HermiteLadder) -> float:
     worst = 0.0
     for j in range(ladder.dimension):
         for k in range(ladder.dimension):
-            comm = (ladder.lowering[j] @ ladder.raising[k]
-                    - ladder.raising[k] @ ladder.lowering[j])
+            comm = (word_matrix(ladder, ((j, False), (k, True)))
+                    - word_matrix(ladder, ((k, True), (j, False))))
             if j == k:
                 comm = comm - np.eye(ladder.size)
             worst = max(worst, float(np.max(np.abs(comm[:, mask]))))

@@ -2,9 +2,11 @@
 
 H is assembled from one-sided difference links and their exact quadrature
 adjoints, so it is symmetric by construction and its periodic eigenvalues obey
-the classical dispersion (2/h^2)(1 - cos kh) + W exactly.  The weighted
-conjugate H_rho = E^{-1} H E (E = multiplication by e^{rho/2}) shares the
-spectrum of H with eigenvectors e^{-rho/2} e_n.
+the classical dispersion (2/h^2)(1 - cos kh) + W exactly.  The link
+Laplacian G^T G is written per axis in closed form, as its diagonal and
+bands; no link matrix is formed.  The weighted conjugate H_rho = E^{-1} H E
+(E = multiplication by e^{rho/2}) shares the spectrum of H with
+eigenvectors e^{-rho/2} e_n.
 
 On a d = 2 tensor grid with a potential that splits by axis, H is the
 Kronecker sum F_0 (x) I + I (x) F_1 of 1-D operators, and its spectrum comes
@@ -92,32 +94,57 @@ def kronecker_sum_solve(factors: tuple) -> tuple:
     return summed[order], (u, v), np.divmod(order, b.size)
 
 
-def _stencil(grid: GridManifold, laplacians: tuple,
-             potential: np.ndarray) -> tuple:
+def _axis_bands(n: int, h: float, periodic: bool) -> tuple:
+    """The 1-D link Laplacian G^T G of one axis, in closed form.
+
+    G takes the node values to their one-sided links, differences of
+    neighbours over h: around a periodic axis, and against the zero
+    extension at both ends of a truncated one.
+    Every node has two links, so with c = (1/h)(1/h) the diagonal is 2c
+    and each neighbour couples with -c, on offsets -1 and 1 and, across the
+    wrap of a periodic axis, -(n-1) and n-1.  Each entry of G^T G is one
+    product +-(1/h)(1/h) or the exact sum of two equal ones, so these are
+    its entries bit for bit.  Returns the diagonal and the (offset, values)
+    bands in ascending offset.
+    """
+    c = (1.0 / h) * (1.0 / h)
+    offsets = (-(n - 1), -1, 1, n - 1) if periodic else (-1, 1)
+    return np.full(n, 2.0 * c), tuple((k, np.full(n - abs(k), -c))
+                                      for k in offsets)
+
+
+def _stencil(grid: GridManifold, axes: tuple, potential: np.ndarray) -> tuple:
     """H as its diagonal and the off-diagonal bands of the axis Laplacians.
 
-    The diagonal is sum_j L_j[x_j, x_j] + W, added in the order that the
-    Kronecker sum and np.diag add them.  A band (axis, rows, cols, values)
-    is diagonal k != 0 of that axis' 1-D Laplacian L_j: values[t] couples
-    position rows[t] to cols[t] = rows[t] + k along the axis (slices), on
-    every grid line along the axis.
+    axes holds each axis' `_axis_bands`.  The diagonal is sum_j L_j[x_j, x_j]
+    + W, added in axis order.  A band (axis, rows, cols, values) is diagonal
+    k != 0 of that axis' 1-D Laplacian L_j: values[t] couples position
+    rows[t] to cols[t] = rows[t] + k along the axis (slices), on every grid
+    line along the axis.
     """
     sizes = grid.axis_sizes
     diag = np.zeros(sizes)
     bands = []
-    for axis, lap in enumerate(laplacians):
+    for axis, (axis_diag, axis_bands) in enumerate(axes):
         line = [1] * grid.dimension
         line[axis] = -1
-        diag = diag + np.diagonal(lap).reshape(line)
+        diag = diag + axis_diag.reshape(line)
         n = sizes[axis]
-        a, b = np.nonzero(lap)
-        # set, not np.unique: np.unique imports numpy.ma, which costs every
-        # run 0.5 MiB of module code
-        for k in sorted(set((b - a)[b != a].tolist())):
+        for k, values in axis_bands:
             bands.append((axis, slice(max(0, -k), n - max(0, k)),
-                          slice(max(0, k), n - max(0, -k)),
-                          np.diagonal(lap, k).copy()))
+                          slice(max(0, k), n - max(0, -k)), values))
     return diag.ravel() + potential, bands
+
+
+def _axis_matrix(diagonal: np.ndarray, bands: list, axis: int) -> np.ndarray:
+    """The N x N matrix of one axis: the diagonal, and the stencil bands
+    that run along that axis."""
+    mat = np.diag(diagonal)
+    line = np.arange(diagonal.size)
+    for band_axis, rows, cols, band in bands:
+        if band_axis == axis:
+            mat[line[rows], line[cols]] += band
+    return mat
 
 
 def _entries(grid: GridManifold, stencil: tuple,
@@ -155,12 +182,7 @@ def _kronecker_deviation(op: DiscreteOperator) -> float:
     da, db = (np.diagonal(f) for f in op.factors)
     bound = np.max(np.abs(diag - (da[:, None] + db[None, :]).ravel()))
     for axis, f in enumerate(op.factors):
-        written = np.diag(np.diagonal(f))
-        line = np.arange(f.shape[0])
-        for band_axis, rows, cols, band in bands:
-            if band_axis == axis:
-                written[line[rows], line[cols]] += band
-        dev = np.abs(f - written)
+        dev = np.abs(f - _axis_matrix(np.diagonal(f), bands, axis))
         bound += max(np.max(np.sum(dev, axis=0)), np.max(np.sum(dev, axis=1)))
     return float(bound)
 
@@ -413,50 +435,31 @@ class SpectralDecomposition:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _forward_links_1d(n: int, h: float, periodic: bool) -> np.ndarray:
-    """One-sided difference matrix, link values per node interval.
-
-    Periodic: n x n circulant.  Truncated: (n+1) x n including the two
-    boundary links against the zero extension.
-    """
-    if periodic:
-        g = np.eye(n, k=1) - np.eye(n)
-        g[n - 1, 0] += 1.0
-        return g / h
-    # link i holds (f_i - f_{i-1})/h with ghost values f_{-1} = f_n = 0
-    g = np.zeros((n + 1, n))
-    for i in range(n):
-        g[i, i] += 1.0
-        g[i + 1, i] -= 1.0
-    return g / h
-
-
-def _laplacian_1d(n: int, h: float, periodic: bool) -> np.ndarray:
-    g = _forward_links_1d(n, h, periodic)
-    return g.T @ g
-
-
 def assemble_h(grid: GridManifold, weight: WeightField) -> DiscreteOperator:
     """H = grad†grad + W, acting channelwise on fields of any rank.
 
-    grad†grad is assembled from one-sided links and exact adjoints, per axis:
-    H is the Kronecker sum of the axis Laplacians plus diag(W), kept as its
-    stencil.  On a d = 2 grid where W splits by axis, the operator also keeps
-    its 1-D factors: the axis Laplacian plus that axis' part of W.
+    grad†grad is the link Laplacian G^T G of one-sided links and their exact
+    adjoints, per axis (`_axis_bands`): H is the Kronecker sum of the axis
+    Laplacians plus diag(W), kept as its stencil.  On a d = 2 grid where W
+    splits by axis, the operator also keeps its 1-D factors: the axis
+    Laplacian plus that axis' part of W.
     """
     if np.min(weight.w) < 1.0:
         raise GridError("potential W must satisfy W >= 1 (condition on the scale)")
     if not grid.has_unit_scale():
         raise GridError("operator assembly requires the unrescaled flat metric")
     periodic = grid.topology == "periodic"
-    laps = tuple(_laplacian_1d(nn, grid.spacing[j], periodic)
+    axes = tuple(_axis_bands(nn, grid.spacing[j], periodic)
                  for j, nn in enumerate(grid.axis_sizes))
+    stencil = _stencil(grid, axes, weight.w)
     factors = None
     if grid.dimension == 2 and weight.parts is not None:
         # a part alone may be below 1: plain matrices, no WeightField
-        factors = tuple(a + np.diag(part) for a, part in zip(laps, weight.parts))
-    return DiscreteOperator(grid, grid.measure_weights(), None,
-                            _stencil(grid, laps, weight.w), factors)
+        factors = tuple(_axis_matrix(diag + part, stencil[1], axis)
+                        for axis, ((diag, _), part)
+                        in enumerate(zip(axes, weight.parts)))
+    return DiscreteOperator(grid, grid.measure_weights(), None, stencil,
+                            factors)
 
 
 def conjugated_operator(op: DiscreteOperator,
@@ -469,21 +472,7 @@ def conjugated_operator(op: DiscreteOperator,
                             op.stencil)
 
 
-def conjugation_residuals(h_rho: DiscreteOperator,
-                          dec: "SpectralDecomposition") -> dict:
-    """Residuals of the conjugation H_rho against the base decomposition dec.
-
-    The adjoint-identity residual of the conjugated centered gradient, and the
-    eigenpair mapping residual of e^{-rho/2} e_n for the lowest 32 modes.
-    """
-    return {
-        "adjoint_identity_residual": _adjoint_identity_residual(h_rho.grid,
-                                                                h_rho.rho),
-        "eigenpair_residual": _eigenpair_map_residual(h_rho, dec),
-    }
-
-
-def _adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
+def adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
     """Residual of adj_rho(E^{-1} D E) = E^{-1} adj_0(D) E per axis.
 
     adj_w(A) = diag(w)^{-1} A^T diag(w); with uniform base weights adj_0 is
@@ -504,8 +493,8 @@ def _adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
     return worst
 
 
-def _eigenpair_map_residual(h_rho: DiscreteOperator,
-                            dec: "SpectralDecomposition") -> float:
+def eigenpair_map_residual(h_rho: DiscreteOperator,
+                           dec: "SpectralDecomposition") -> float:
     """Largest ||H_rho v - lambda v|| / (||v|| |lambda|) over v = e^{-rho/2} e_n
     for the lowest 32 modes, H_rho applied through its stencil."""
     k = min(dec.eigenvalues.size, 32)

@@ -154,8 +154,12 @@ class SeminormReport:
     prime_values: dict = dc_field(default_factory=dict)
     spec_values: dict = dc_field(default_factory=dict)
     selected: dict = dc_field(default_factory=dict)
-    stable: dict = dc_field(default_factory=dict)
     sanity_rows: list = dc_field(default_factory=list)
+
+    @property
+    def stable(self) -> dict:
+        """Per m, whether some p of the grid is stable within a factor 2."""
+        return {m: p is not None for m, p in self.selected.items()}
 
     def stability_ratio(self, m: int, p: float) -> float:
         fwd = [self.constants[(m, p, n)][0] for n in self.n_list]
@@ -177,7 +181,8 @@ class SeminormReport:
             "spec_values": {f"p={p},N={n}": v for (p, n), v
                             in sorted(self.spec_values.items())},
             "selected_p": {str(m): self.selected[m] for m in self.selected},
-            "stable_within_factor_2": {str(m): self.stable[m] for m in self.stable},
+            "stable_within_factor_2": {str(m): s for m, s
+                                       in self.stable.items()},
             "sanity_rows": self.sanity_rows,
         }
 
@@ -217,5 +222,4 @@ def equivalence_probe(domain: str, grids_and_data, m_list, p_grid) -> SeminormRe
                 chosen = p
                 break
         report.selected[m] = chosen
-        report.stable[m] = chosen is not None
     return report

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: hand-made test sets, the gauge
-fields that the package itself never builds, and the contraction and trace
+fields that the package itself never builds, the contraction and trace
 definitions of the su(2) kernels that the package writes out entry by
-entry."""
+entry, and the dense matrices of the operators that the package keeps only
+in sparse form (the link Laplacian, the ladder letters)."""
 import numpy as np
 
 from energyrep import su2
@@ -71,3 +72,34 @@ def group_defect(g):
     """Max deviation from u†u = I and det u = 1 over a batch of 2x2 blocks."""
     uni = np.max(np.abs(np.conj(np.swapaxes(g, -1, -2)) @ g - np.eye(2)))
     return float(max(uni, np.max(np.abs(np.linalg.det(g) - 1.0))))
+
+
+def link_laplacian(n, h, periodic):
+    """The 1-D link Laplacian as the product G^T G of the one-sided
+    difference matrix G, link values per node interval.
+
+    Periodic: G is the n x n circulant.  Truncated: G is (n+1) x n and
+    includes the two boundary links against the zero extension.
+    """
+    if periodic:
+        g = np.eye(n, k=1) - np.eye(n)
+        g[n - 1, 0] += 1.0
+    else:
+        # link i holds (f_i - f_{i-1})/h with ghost values f_{-1} = f_n = 0
+        g = np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)
+    g = g / h
+    return g.T @ g
+
+
+def dense_letter(ladder, j, raising):
+    """The matrix of A_j (or A_j† when raising) on the retained states,
+    from the Hermite definition: A_j |n> = sqrt(n_j) |n - e_j> and
+    A_j† |n> = sqrt(n_j + 1) |n + e_j>, where the target is retained."""
+    index = {s: i for i, s in enumerate(ladder.states)}
+    step = 1 if raising else -1
+    m = np.zeros((ladder.size, ladder.size))
+    for col, state in enumerate(ladder.states):
+        target = state[:j] + (state[j] + step,) + state[j + 1:]
+        if target in index:
+            m[index[target], col] = np.sqrt(state[j] + max(step, 0))
+    return m

@@ -7,6 +7,7 @@ import pytest
 from energyrep import hermite
 from energyrep.config import load_config
 from energyrep.suites import LADDER_WORDS, _guarded_sample, run_suite
+from helpers import dense_letter
 
 CIRCLE_CFG = Path(__file__).resolve().parents[1] / "configs" / "circle.cfg"
 
@@ -43,12 +44,13 @@ class TestStructure:
         assert hermite.ccr_residual(ladder2) <= 1e-14
 
     def test_lowering_commute(self, ladder2):
-        a1, a2 = ladder2.lowering
+        a1, a2 = (dense_letter(ladder2, j, False) for j in range(2))
         assert np.max(np.abs(a1 @ a2 - a2 @ a1)) == 0.0
 
     def test_raising_is_adjoint(self, ladder2):
-        for a, ad in zip(ladder2.lowering, ladder2.raising):
-            assert np.array_equal(ad, a.T)
+        for j in range(2):
+            assert np.array_equal(dense_letter(ladder2, j, True),
+                                  dense_letter(ladder2, j, False).T)
 
     def test_degrees_computed_once(self, ladder2):
         degrees = ladder2.degrees()
@@ -59,8 +61,13 @@ class TestStructure:
             degrees[0] = 1
 
     def test_number_diagonal(self, ladder2):
-        n_tot = ladder2.number_total
-        assert np.allclose(n_tot, np.diag(ladder2.degrees()), atol=1e-13)
+        # the dense letters, and the words that the oscillator check forms
+        n_dense = sum(dense_letter(ladder2, j, True)
+                      @ dense_letter(ladder2, j, False) for j in range(2))
+        n_words = sum(hermite.word_matrix(ladder2, ((j, True), (j, False)))
+                      for j in range(2))
+        for n_tot in (n_dense, n_words):
+            assert np.allclose(n_tot, np.diag(ladder2.degrees()), atol=1e-13)
 
     def test_bound_operator_on_state(self, ladder2):
         # (2N + d + 1) |n> = (2n + d + 1) |n>
@@ -70,12 +77,13 @@ class TestStructure:
             assert np.allclose(out, (2 * sum(deg) + 3) * v)
 
     def test_vacuum_annihilated(self, ladder2):
-        for a in ladder2.lowering:
+        for j in range(2):
+            a = dense_letter(ladder2, j, False)
             assert np.linalg.norm(a @ ladder2.vacuum()) == 0.0
 
     def test_raising_factors(self, ladder1):
         v = ladder1.state((4,))
-        out = ladder1.raising[0] @ v
+        out = dense_letter(ladder1, 0, True) @ v
         assert out[ladder1.states.index((5,))] == pytest.approx(np.sqrt(5.0))
 
     def test_oscillator_identity(self, ladder2):
@@ -87,13 +95,13 @@ def dense_word_apply(ladder, word, vec):
     letter first."""
     out = np.asarray(vec, float)
     for (j, raising) in reversed(word):
-        out = (ladder.raising[j] if raising else ladder.lowering[j]) @ out
+        out = dense_letter(ladder, j, raising) @ out
     return out
 
 
 class TestShiftTables:
     """`word_apply` gathers rows through each letter's shift table; the
-    dense matrices it replaces are the oracle."""
+    dense letter matrices of the Hermite definition are the oracle."""
 
     @pytest.mark.parametrize("d,n_cut", [(1, 12), (2, 16)])
     def test_every_letter_equals_the_dense_product(self, d, n_cut):
@@ -124,9 +132,9 @@ class TestShiftTables:
                     assert np.array_equal(hermite.word_apply(ladder, w, vec),
                                           dense_word_apply(ladder, w, vec))
 
-    def test_dense_matrices_are_written_from_the_tables(self, ladder2):
+    def test_tables_match_the_hermite_definition(self, ladder2):
         for (j, raising), (src, coef) in ladder2.shifts.items():
-            m = ladder2.raising[j] if raising else ladder2.lowering[j]
+            m = dense_letter(ladder2, j, raising)
             rows = np.arange(ladder2.size)
             assert np.array_equal(m[rows, src], coef)
             assert np.count_nonzero(m) == np.count_nonzero(coef)
@@ -154,6 +162,64 @@ class TestShiftTables:
         (rep,) = run_suite("ladders", load_config(CIRCLE_CFG), tmp_path)
         verdicts = {c.name: c.verdict for c in rep.checks}
         assert verdicts["ccr_below_guard"] == "fail"
+
+
+def dense_ccr_residual(ladder):
+    """The reference: [A_j, A_k†] - delta_jk from the dense letters."""
+    mask = ladder.guard_mask(2)
+    worst = 0.0
+    for j in range(ladder.dimension):
+        for k in range(ladder.dimension):
+            a, ad = dense_letter(ladder, j, False), dense_letter(ladder, k, True)
+            comm = a @ ad - ad @ a
+            if j == k:
+                comm = comm - np.eye(ladder.size)
+            worst = max(worst, float(np.max(np.abs(comm[:, mask]))))
+    return worst
+
+
+def dense_oscillator_residual(ladder):
+    """The reference: -Laplacian + |x|^2 + 1 - (2N + d + 1) from the dense
+    letters, x_j and d/dx_j applied as (A_j +- A_j†)/sqrt(2)."""
+    d, eye = ladder.dimension, np.eye(ladder.size)
+    lhs = np.zeros_like(eye)
+    number = np.zeros_like(eye)
+    for j in range(d):
+        a, ad = dense_letter(ladder, j, False), dense_letter(ladder, j, True)
+
+        def quadrature(sign, m):
+            return (a @ m + sign * (ad @ m)) / np.sqrt(2.0)
+
+        lhs += (-quadrature(-1.0, quadrature(-1.0, eye))
+                + quadrature(1.0, quadrature(1.0, eye)))
+        number += ad @ a
+    lhs += eye
+    rhs = 2.0 * number + (d + 1.0) * eye
+    return float(np.max(np.abs((lhs - rhs)[:, ladder.guard_mask(2)])))
+
+
+class TestStructureChecksAgainstDense:
+    """The structure checks gather through the shift tables; every letter
+    has at most one entry per row, so the dense products give the same
+    values bit for bit."""
+
+    @pytest.mark.parametrize("d,n_cut", [(1, 12), (2, 16)])
+    def test_ccr_residual_is_the_dense_form(self, d, n_cut):
+        ladder = hermite.build_ladders(d, n_cut)
+        assert hermite.ccr_residual(ladder) == dense_ccr_residual(ladder)
+
+    @pytest.mark.parametrize("d,n_cut", [(1, 12), (2, 16)])
+    def test_oscillator_residual_is_the_dense_form(self, d, n_cut):
+        ladder = hermite.build_ladders(d, n_cut)
+        assert (hermite.oscillator_identity_residual(ladder)
+                == dense_oscillator_residual(ladder))
+
+    def test_corrupted_coefficient_breaks_the_oscillator_identity(self,
+                                                                  ladder2):
+        # the reference reads the Hermite definition, not the tables
+        wrong = TestShiftTables.corrupted(ladder2)
+        assert dense_oscillator_residual(wrong) <= 1e-13
+        assert hermite.oscillator_identity_residual(wrong) > 1e-13
 
 
 class TestNormalOrdering:
@@ -194,10 +260,10 @@ class TestNormalOrdering:
                 term = np.eye(ladder.size)
                 for j in range(d):
                     for _ in range(lowers[j]):
-                        term = ladder.lowering[j] @ term
+                        term = dense_letter(ladder, j, False) @ term
                 for j in range(d):
                     for _ in range(raises[j]):
-                        term = ladder.raising[j] @ term
+                        term = dense_letter(ladder, j, True) @ term
                 want += coeff * term
             assert np.array_equal(hermite.expansion_matrix(ladder, expansion),
                                   want)

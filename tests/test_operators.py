@@ -8,15 +8,14 @@ import pytest
 from energyrep import operators
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
                             centered_stencil, covariant_derivative)
-from energyrep.operators import (SpectralDecomposition,
-                                 _adjoint_identity_residual, _blocks,
-                                 _kronecker_deviation, _laplacian_1d,
-                                 assemble_h, conjugated_operator,
-                                 conjugation_residuals, hilbert_schmidt_test,
-                                 symmetric_solve)
+from energyrep.operators import (SpectralDecomposition, _blocks,
+                                 _kronecker_deviation,
+                                 adjoint_identity_residual, assemble_h,
+                                 conjugated_operator, eigenpair_map_residual,
+                                 hilbert_schmidt_test, symmetric_solve)
 from energyrep.seminorms import (eigenvector_covector, seminorm_p_batch,
                                  seminorm_prime_batch)
-from helpers import stack
+from helpers import link_laplacian, stack
 
 
 def circle_operator(n=64, w0=2.0):
@@ -121,9 +120,8 @@ class TestConjugation:
     def test_zero_rho_is_identity(self):
         g, op = circle_operator(32)
         h_rho = conjugated_operator(op, np.zeros(32))
-        rep = conjugation_residuals(h_rho, op.eigendecomposition())
         assert np.array_equal(h_rho.matrix, op.matrix)
-        assert rep["adjoint_identity_residual"] <= 1e-12
+        assert adjoint_identity_residual(g, h_rho.rho) <= 1e-12
 
     @pytest.mark.parametrize("shape,kw,n", [
         ("circle", {"radius": 1.0}, 48),
@@ -138,12 +136,12 @@ class TestConjugation:
         x = g.nodes[:, 0]
         rho = 0.5 * np.cos(2 * np.pi * x / (x.max() - x.min() + g.spacing[0]))
         h_rho = conjugated_operator(op, rho)
-        rep = conjugation_residuals(h_rho, op.eigendecomposition())
-        lam = np.sort(op.eigendecomposition().eigenvalues)
+        dec = op.eigendecomposition()
+        lam = np.sort(dec.eigenvalues)
         lam_rho = np.sort(h_rho.eigendecomposition().eigenvalues)
         assert np.max(np.abs(lam - lam_rho)) <= 1e-8
-        assert rep["adjoint_identity_residual"] <= 1e-12
-        assert rep["eigenpair_residual"] <= 1e-8
+        assert adjoint_identity_residual(g, h_rho.rho) <= 1e-12
+        assert eigenpair_map_residual(h_rho, dec) <= 1e-8
         assert h_rho.symmetry_residual() <= 1e-12
 
     def test_conjugate_eigenvectors(self):
@@ -204,7 +202,7 @@ class TestFastPathsAgainstDense:
         rng = np.random.default_rng(n)
         for rho in (np.zeros(g.node_count),
                     0.6 * rng.standard_normal(g.node_count)):
-            assert (_adjoint_identity_residual(g, rho)
+            assert (adjoint_identity_residual(g, rho)
                     == _dense_adjoint_identity_residual(g, rho))
 
     @pytest.mark.parametrize("shape,kw,n", GRIDS + [("square",
@@ -244,10 +242,9 @@ class TestFastPathsAgainstDense:
         g = build_grid("torus", 8, radius=1.0)
         op = assemble_h(g, WeightField.constant(g, 2.0))
         rho = 0.3 * np.cos(g.nodes[:, 0]) * np.sin(g.nodes[:, 1])
-        rep = conjugation_residuals(conjugated_operator(op, rho),
-                                    op.eigendecomposition())
-        assert rep["adjoint_identity_residual"] <= 1e-12
-        assert rep["eigenpair_residual"] <= 1e-8
+        h_rho = conjugated_operator(op, rho)
+        assert adjoint_identity_residual(g, h_rho.rho) <= 1e-12
+        assert eigenpair_map_residual(h_rho, op.eigendecomposition()) <= 1e-8
 
 
 def _test_fields(g, count, seed):
@@ -323,7 +320,7 @@ class TestSeparableAgainstDense:
 def _kron_assembly(grid, w):
     """Oracle: H as the Kronecker sum of the axis Laplacians plus diag(W)."""
     periodic = grid.topology == "periodic"
-    axes = [_laplacian_1d(nn, grid.spacing[j], periodic)
+    axes = [link_laplacian(nn, grid.spacing[j], periodic)
             for j, nn in enumerate(grid.axis_sizes)]
     if grid.dimension == 1:
         lap = axes[0]
@@ -429,8 +426,7 @@ class TestStencilGatesAgainstDense:
             assert abs(d.gram_residual() - _dense_gram_residual(d)) <= 1e-14
             if d.axis_vectors is None:  # the dense gram, bit for bit
                 assert d.gram_residual() == _dense_gram_residual(d)
-        rep = conjugation_residuals(h_rho, dec)
-        assert abs(rep["eigenpair_residual"]
+        assert abs(eigenpair_map_residual(h_rho, dec)
                    - _loop_eigenpair_map_residual(h_rho, dec)) <= 1e-14
         rng = np.random.default_rng(n)
         n_nodes, d = g.node_count, g.dimension
@@ -455,6 +451,48 @@ class TestStencilGatesAgainstDense:
 HONESTY_GRIDS = [("circle", {"radius": 1.0}, WeightField.constant, 2.0),
                  ("torus", {"radius": 1.0}, WeightField.constant, 2.0),
                  ("square", {"halfwidth": 3.0}, WeightField.quadratic, 1.0)]
+
+
+class TestClosedFormBands:
+    """H's stencil and its d = 2 factors, written from the closed-form axis
+    bands, against the link product G^T G, bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 5, 64, 200, 400])
+    @pytest.mark.parametrize("shape,kw,make,value", ALL_GRIDS[:2])
+    def test_stencil_bands_are_the_link_product(self, shape, kw, make,
+                                                value, n):
+        g = build_grid(shape, n, **kw)
+        weight = make(g, value)
+        diag, bands = assemble_h(g, weight).stencil
+        lap = link_laplacian(n, g.spacing[0], g.topology == "periodic")
+        rows, cols = np.nonzero(lap)
+        offsets = sorted(set((cols - rows)[cols != rows].tolist()))
+        # ascending offsets, as apply and the trace moments add them
+        assert [c.start - r.start for _, r, c, _ in bands] == offsets
+        assert all(axis == 0 for axis, *_ in bands)
+        for (_, r, c, band), k in zip(bands, offsets):
+            assert (r.stop - r.start, c.stop - c.start) == (n - abs(k),) * 2
+            assert np.array_equal(_bits(band), _bits(np.diagonal(lap, k)))
+        assert np.array_equal(_bits(diag),
+                              _bits(np.diagonal(lap) + weight.w))
+        assert np.array_equal(
+            _bits(operators._axis_matrix(np.diagonal(lap), bands, 0)),
+            _bits(lap))
+
+    @pytest.mark.parametrize("n", [4, 5, 64, 200, 400])
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
+    def test_axis_factors_are_the_link_product(self, shape, kw, make, value,
+                                               n):
+        g = build_grid(shape, n, **kw)
+        weight = make(g, value)
+        op = assemble_h(g, weight)
+        periodic = g.topology == "periodic"
+        laps = [link_laplacian(n, h, periodic) for h in g.spacing]
+        for f, lap, part in zip(op.factors, laps, weight.parts):
+            assert np.array_equal(_bits(f), _bits(lap + np.diag(part)))
+        diag = np.diagonal(laps[0])[:, None] + np.diagonal(laps[1])[None, :]
+        assert np.array_equal(_bits(op.stencil[0]),
+                              _bits(diag.ravel() + weight.w))
 
 
 def _refuse_dense(*args):
@@ -485,8 +523,7 @@ class TestGatesStayHonest:
             assert h.symmetry_residual() <= 1e-12
             assert np.all(np.isfinite(h.apply(columns)))
             assert dec.eigen_residual(h) <= 1e-11
-        assert conjugation_residuals(h_rho, decs[0])["eigenpair_residual"] \
-            <= 1e-12
+        assert eigenpair_map_residual(h_rho, decs[0]) <= 1e-12
         if g.dimension == 2:
             assert op.factors is not None
             assert op.eigendecomposition().eigen_residual(op) <= 1e-12
@@ -555,8 +592,8 @@ class TestGatesStayHonest:
             op = assemble_h(g, WeightField.constant(g, 2.0))
             dec = op.eigendecomposition()
             gates = (dec.eigen_residual(op), dec.gram_residual(),
-                     conjugation_residuals(conjugated_operator(op, _rho(g)),
-                                           dec)["eigenpair_residual"])
+                     eigenpair_map_residual(conjugated_operator(op, _rho(g)),
+                                            dec))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -867,8 +904,8 @@ class TestSignInvariance:
                                                    weight),
                               seminorm_prime_batch(eig, (0, 1, 2), weight))
         if not conjugate:
-            assert (conjugation_residuals(h_rho, flipped)["eigenpair_residual"]
-                    == conjugation_residuals(h_rho, dec)["eigenpair_residual"])
+            assert (eigenpair_map_residual(h_rho, flipped)
+                    == eigenpair_map_residual(h_rho, dec))
 
 
 def _conjugate_entries(change):

@@ -1,8 +1,12 @@
 """The benchmark's layer trace binds every function it names, the package
-defines nothing that it never uses, and it contracts no three arrays in
-one einsum."""
+defines nothing that it never uses, it contracts no three arrays in one
+einsum, the ladder calculus multiplies no matrices, assembly writes no
+dense link matrix, and the spectrum convergence script runs."""
 import ast
+import os
+import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import energyrep.cli  # noqa: F401  (the trace wraps what the CLI imports)
@@ -176,3 +180,76 @@ def test_wide_einsum_scan_sees_both_spellings(tmp_path):
         "    return einsum('ij,jk,kl,lm->im', a, b, c, d)\n",
         encoding="utf-8")
     assert _wide_einsums(tmp_path) == ["mod.py:10", "mod.py:14"]
+
+
+MATRIX_PRODUCTS = ("dot", "matmul")
+
+
+def _matrix_products(path):
+    """Every matrix product in one file, as file:line: the @ operator (also
+    @=), and calls of dot or matmul in either spelling."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            hit = (func.attr if isinstance(func, ast.Attribute)
+                   else getattr(func, "id", None)) in MATRIX_PRODUCTS
+        else:
+            continue
+        if hit:
+            lines.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_no_matrix_product_in_the_ladder_calculus():
+    # a ladder letter has at most one entry per row: words gather through
+    # the shift tables
+    found = _matrix_products(SRC / "hermite.py")
+    assert not found, f"matrix product in the ladder calculus: {found}"
+
+
+def test_matrix_product_scan_sees_every_spelling(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\nfrom numpy import dot\n\n\n"
+        "def sums(a, b):\n    return np.add(a, b) + a * b\n\n\n"
+        "def products(a, b):\n"
+        "    c = a @ b\n"
+        "    c @= b\n"
+        "    return np.dot(a, b) + np.matmul(a, b) + dot(a, b) + a.dot(b)\n",
+        encoding="utf-8")
+    assert _matrix_products(tmp_path / "mod.py") == [
+        "mod.py:10", "mod.py:11", "mod.py:12"]
+
+
+def test_assembly_writes_no_dense_link_matrix():
+    # one N x N float array at N = 1024 is 8 MiB; the stencil is O(N)
+    from energyrep.grid import WeightField, build_grid
+    from energyrep.operators import assemble_h
+
+    g = build_grid("circle", 1024, radius=1.0)
+    weight = WeightField.constant(g, 2.0)
+    tracemalloc.start()
+    try:
+        assemble_h(g, weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"assemble_h peaked at {peak} bytes"
+
+
+def test_spectrum_convergence_script_runs():
+    script = SRC.parents[1] / "scripts" / "spectrum_convergence.py"
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    rows = [r for r in map(str.split, proc.stdout.splitlines())
+            if r and r[0].isdigit()]
+    assert [int(r[0]) for r in rows] == [32, 64, 128, 256]
+    # column 2 is the formula dev: the eigenvalues against the exact
+    # discrete dispersion
+    assert all(float(r[1]) <= 1e-9 for r in rows), proc.stdout
