@@ -247,12 +247,13 @@ def oscillator_identity_residual(ladder: HermiteLadder) -> float:
 
     Both sides from ladder words: x_j = (A_j + A_j†)/sqrt(2) and
     d/dx_j = (A_j - A_j†)/sqrt(2) applied through the shift tables, and
-    N = sum_j A_j† A_j; compared on guarded input states.
+    N = sum_j A_j† A_j; applied to the guarded input states only, as
+    columns: a letter acts row by row, so no other column reaches them.
     """
-    d, size = ladder.dimension, ladder.size
-    eye = np.eye(size)
-    lhs = np.zeros((size, size))
-    number = np.zeros((size, size))
+    d = ladder.dimension
+    eye = np.eye(ladder.size)[:, ladder.guard_mask(2)]  # guarded inputs
+    lhs = np.zeros(eye.shape)
+    number = np.zeros(eye.shape)
     for j in range(d):
         lower, upper = ((j, False),), ((j, True),)
         a, r = word_apply(ladder, lower, eye), word_apply(ladder, upper, eye)
@@ -265,19 +266,18 @@ def oscillator_identity_residual(ladder: HermiteLadder) -> float:
         number += word_apply(ladder, upper, a)  # A_j† A_j
     lhs += eye
     rhs = 2.0 * number + (d + 1.0) * eye
-    mask = ladder.guard_mask(2)
-    return float(np.max(np.abs((lhs - rhs)[:, mask])))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def ccr_residual(ladder: HermiteLadder) -> float:
     """Max residual of [A_j, A_k†] = delta_jk on guarded input states."""
-    mask = ladder.guard_mask(2)
+    eye = np.eye(ladder.size)[:, ladder.guard_mask(2)]
     worst = 0.0
     for j in range(ladder.dimension):
         for k in range(ladder.dimension):
-            comm = (word_matrix(ladder, ((j, False), (k, True)))
-                    - word_matrix(ladder, ((k, True), (j, False))))
+            comm = (word_apply(ladder, ((j, False), (k, True)), eye)
+                    - word_apply(ladder, ((k, True), (j, False)), eye))
             if j == k:
-                comm = comm - np.eye(ladder.size)
-            worst = max(worst, float(np.max(np.abs(comm[:, mask]))))
+                comm = comm - eye
+            worst = max(worst, float(np.max(np.abs(comm))))
     return worst

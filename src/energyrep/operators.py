@@ -6,9 +6,10 @@ the classical dispersion (2/h^2)(1 - cos kh) + W exactly.  The link
 Laplacian G^T G is written per axis in closed form, as its diagonal and
 bands; no link matrix is formed.  The weighted conjugate H_rho = E^{-1} H E
 (E = multiplication by e^{rho/2}) shares the spectrum of H with
-eigenvectors e^{-rho/2} e_n.
+eigenvectors e^{-rho/2} e_n, orthonormal under w e^rho: its decomposition
+is H's, and no conjugate is diagonalized.
 
-On a d = 2 tensor grid with a potential that splits by axis, H is the
+On a d = 2 tensor grid the potential splits by axis: H is the
 Kronecker sum F_0 (x) I + I (x) F_1 of 1-D operators, and its spectrum comes
 from one symmetric solve per axis (Lynch, Rice & Thomas, "Direct solution of
 partial difference equations by tensor product methods", Numer. Math. 6
@@ -22,10 +23,10 @@ An operator is stored once, as its stencil: the diagonal of H and the
 off-diagonal bands of each axis' 1-D Laplacian, and a conjugate its rho.
 `apply` and the residual gates evaluate through the stencil and through the
 per-axis factors of a decomposition.  The dense matrix is written from the
-stencil only for the dense solves: the d = 1 and conjugate decompositions,
-and `eigenvalues`.
+stencil only for the dense solves of a 1-D H, symmetric as assembled:
+`eigendecomposition` and `eigenvalues`.
 
-On a per-axis decomposition the residual gates form no mode.  H e_k -
+On a per-axis decomposition of H the residual gates form no mode.  H e_k -
 lambda_k e_k splits over the Kronecker sum into axis residuals, so
 `eigen_residual` bounds its norm from inner products of the N x N axis
 columns and their residuals under the factors, plus a structural
@@ -52,14 +53,6 @@ from .grid import (Field, GridManifold, GridError, WeightField,
                    centered_stencil)
 
 
-def _symmetrized(matrix: np.ndarray, weights: np.ndarray) -> tuple:
-    """sqrt(w) and diag(sqrt w) M diag(sqrt w)^{-1}, symmetric for H."""
-    sqw = np.sqrt(weights)
-    sym = sqw[:, None] * matrix
-    sym /= sqw[None, :]
-    return sqw, sym
-
-
 # columns per block in the dense eigen residual: its temporaries stay
 # n x _BLOCK instead of n x n
 _BLOCK = 64
@@ -68,30 +61,6 @@ _BLOCK = 64
 def _blocks(size: int):
     """Slices of _BLOCK consecutive columns covering range(size)."""
     return (slice(c, c + _BLOCK) for c in range(0, size, _BLOCK))
-
-
-def symmetric_solve(matrix: np.ndarray, weights: np.ndarray) -> tuple:
-    """Dense symmetric solve of M under the weights w: ascending eigenvalues
-    and w-orthonormal eigenvectors (columns)."""
-    sqw, sym = _symmetrized(matrix, weights)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    return eigvals, eigvecs / sqw[:, None]
-
-
-def kronecker_sum_solve(factors: tuple) -> tuple:
-    """Solve of F_0 (x) I + I (x) F_1 from one symmetric solve per axis,
-    with no n x n array.
-
-    The eigenvalues are the sums a_i + b_j in stable ascending order.  Mode k
-    is kron(u_i, v_j) / sqrt(w) for the k-th pair (i, j), w-orthonormal
-    because the weights are the same at every node of a grid that has
-    factors (`assemble_h` requires the unrescaled metric).  Returns the
-    eigenvalues, the per-axis columns (u, v) and the index map (i, j).
-    """
-    (a, u), (b, v) = (np.linalg.eigh(f) for f in factors)
-    summed = (a[:, None] + b[None, :]).ravel()
-    order = np.argsort(summed, kind="stable")
-    return summed[order], (u, v), np.divmod(order, b.size)
 
 
 def _axis_bands(n: int, h: float, periodic: bool) -> tuple:
@@ -214,8 +183,8 @@ class DiscreteOperator:
 
     `stencil` is H's diagonal and the bands of its axis Laplacians (see
     `_stencil`), the one stored form of the operator; a conjugate adds `rho`.
-    `factors` holds the 1-D operators whose Kronecker sum H is, when it is
-    one; the eigendecomposition then solves per axis.
+    `factors` holds the 1-D operators whose Kronecker sum H is, on a d = 2
+    grid (a conjugate keeps H's); the eigendecomposition then solves per axis.
     """
 
     grid: GridManifold
@@ -229,6 +198,12 @@ class DiscreteOperator:
         """The dense (n, n) matrix, written afresh from the stencil on every
         access: only the dense solves need it."""
         return _assembled(self.grid, self.stencil, self.rho)
+
+    @property
+    def base(self) -> "DiscreteOperator":
+        """The H this operator is, or was conjugated from."""
+        return self if self.rho is None else replace(
+            self, rho=None, node_weights=self.grid.measure_weights())
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator applied to the columns of a node-major (n, k) array:
@@ -261,19 +236,18 @@ class DiscreteOperator:
         return float(np.max(np.abs(asym)) / np.max(np.abs(s)))
 
     def _symmetrized_entries(self) -> tuple:
-        """(rows, cols, values) of diag(sqrt w) M diag(sqrt w)^{-1}, entry for
-        entry the dense `_symmetrized` matrix; not symmetrized again, so an
-        asymmetric entry formula stays visible."""
+        """(rows, cols, values) of diag(sqrt w) M diag(sqrt w)^{-1}, one per
+        stencil entry; not symmetrized again, so an asymmetric entry formula
+        stays visible."""
         rows, cols, values = _entries(self.grid, self.stencil, self.rho)
         sqw = np.sqrt(self.node_weights)
         return rows, cols, (sqw[rows] * values) / sqw[cols]
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the dense symmetric solve of the whole
-        n x n matrix, no vectors; independent of the per-axis solve.  It
-        writes the dense matrix: the 1-D references call it."""
-        return np.linalg.eigvalsh(_symmetrized(self.matrix,
-                                               self.node_weights)[1])
+        """Ascending eigenvalues of the dense solve of H's whole n x n
+        matrix (a conjugate's too), no vectors; independent of the per-axis
+        solve.  It writes the dense matrix: the 1-D references call it."""
+        return np.linalg.eigvalsh(self.base.matrix)
 
     def trace_moments(self) -> tuple:
         """tr S and tr S^2 = sum_{r,c} S[r,c] S[c,r] of the symmetrized
@@ -285,16 +259,31 @@ class DiscreteOperator:
         return float(np.sum(values[on_diag])), float(np.sum(square))
 
     def eigendecomposition(self) -> "SpectralDecomposition":
-        """Ascending eigenvalues and weight-orthonormal eigenvectors: one
-        solve per axis when the operator has factors, kept as the axis
-        factors; one dense solve otherwise, kept as its formed columns."""
-        if self.factors is None:
-            eigvals, vecs = symmetric_solve(self.matrix, self.node_weights)
-            return SpectralDecomposition(self.grid, eigvals, vecs,
-                                         self.node_weights)
-        eigvals, axis_vectors, pairs = kronecker_sum_solve(self.factors)
-        return SpectralDecomposition(self.grid, eigvals, None,
-                                     self.node_weights, axis_vectors, pairs)
+        """Ascending eigenvalues and eigenvectors orthonormal under the
+        weights w, from one solve of H.
+
+        With factors, one symmetric solve per axis and no n x n array: the
+        eigenvalues are the sums a_i + b_j in stable ascending order, kept
+        with the axis columns (u, v) and the index map (i, j) of the pairs;
+        mode k is kron(u_i, v_j) / sqrt(w).  In 1-D, one dense solve, kept
+        as its columns over sqrt(w).  A conjugate is not diagonalized: its
+        modes are e^{-rho/2} e_n under w e^rho, so per axis only the weights
+        change, and dense columns are also divided by e^{rho/2}.
+        """
+        if self.factors is not None:
+            (a, u), (b, v) = (np.linalg.eigh(f) for f in self.factors)
+            summed = (a[:, None] + b[None, :]).ravel()
+            order = np.argsort(summed, kind="stable")
+            return SpectralDecomposition(self.grid, summed[order], None,
+                                         self.node_weights, (u, v),
+                                         np.divmod(order, b.size))
+        base = self.base
+        eigvals, vecs = np.linalg.eigh(base.matrix)
+        vecs /= np.sqrt(base.node_weights)[:, None]
+        if self.rho is not None:
+            vecs /= np.exp(self.rho / 2.0)[:, None]
+        return SpectralDecomposition(self.grid, eigvals, vecs,
+                                     self.node_weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +293,8 @@ class SpectralDecomposition:
 
     A dense decomposition keeps its formed columns in `vectors`.  A per-axis
     one keeps no n x n array: the axis columns (u, v) and the index map
-    (i, j), mode k being kron(u[:, i_k], v[:, j_k]) / sqrt(w).
+    (i, j), mode k being kron(u[:, i_k], v[:, j_k]) / sqrt(w), with w the
+    weights (H's times e^rho for a conjugate).
     """
 
     grid: GridManifold
@@ -354,9 +344,9 @@ class SpectralDecomposition:
     def gram_residual(self) -> float:
         """Largest entry of |E^T diag(w) E - I| over the eigenvectors E.
 
-        Per axis, column k is kron(u_{i_k}, v_{j_k}) up to the uniform
-        weight, so every entry is a product of entries of the axis grams
-        u^T u and v^T v, provided (i, j) visits every pair once; a pair
+        Per axis, column k is kron(u_{i_k}, v_{j_k}) over sqrt(w), which the
+        Gram's w cancels, so every entry is a product of entries of the axis
+        grams u^T u and v^T v, provided (i, j) visits every pair once; a pair
         visited twice puts |u_i|^2 |v_j|^2 off the diagonal.  The diagonal
         entry of mode k is |u_{i_k}|^2 |v_{j_k}|^2.
         """
@@ -380,13 +370,14 @@ class SpectralDecomposition:
     def eigen_residual(self, op: DiscreteOperator) -> float:
         """Largest ||H e_n - lambda_n e_n|| / max(|lambda_n|, 1).
 
-        A dense decomposition applies the operator's stencil to its formed
-        eigenvectors, a block of modes at a time.  A per-axis one forms no
-        mode: `_factor_residuals` bounds each norm from the axis factors
-        and the stencil.
+        The stencil is applied to the formed eigenvectors, a block of modes
+        at a time.  A per-axis decomposition of H forms no mode:
+        `_factor_residuals` bounds each norm from the axis factors and the
+        stencil, for H under uniform weights only, so not for a conjugate.
         """
-        lam = self.eigenvalues
-        if self.axis_vectors is not None:
+        lam, w = self.eigenvalues, self.node_weights
+        if (self.axis_vectors is not None and op.rho is None
+                and np.all(w == w[0])):
             norms = self._factor_residuals(op)
         else:
             norms = np.empty(lam.size)
@@ -440,9 +431,9 @@ def assemble_h(grid: GridManifold, weight: WeightField) -> DiscreteOperator:
 
     grad†grad is the link Laplacian G^T G of one-sided links and their exact
     adjoints, per axis (`_axis_bands`): H is the Kronecker sum of the axis
-    Laplacians plus diag(W), kept as its stencil.  On a d = 2 grid where W
-    splits by axis, the operator also keeps its 1-D factors: the axis
-    Laplacian plus that axis' part of W.
+    Laplacians plus diag(W), kept as its stencil.  On a d = 2 grid W must
+    split by axis (`WeightField.parts`), and the operator also keeps its 1-D
+    factors: the axis Laplacian plus that axis' part of W.
     """
     if np.min(weight.w) < 1.0:
         raise GridError("potential W must satisfy W >= 1 (condition on the scale)")
@@ -453,7 +444,9 @@ def assemble_h(grid: GridManifold, weight: WeightField) -> DiscreteOperator:
                  for j, nn in enumerate(grid.axis_sizes))
     stencil = _stencil(grid, axes, weight.w)
     factors = None
-    if grid.dimension == 2 and weight.parts is not None:
+    if grid.dimension == 2:
+        if weight.parts is None:
+            raise GridError("a d = 2 potential needs its per-axis parts")
         # a part alone may be below 1: plain matrices, no WeightField
         factors = tuple(_axis_matrix(diag + part, stencil[1], axis)
                         for axis, ((diag, _), part)
@@ -464,12 +457,11 @@ def assemble_h(grid: GridManifold, weight: WeightField) -> DiscreteOperator:
 
 def conjugated_operator(op: DiscreteOperator,
                         rho: np.ndarray) -> DiscreteOperator:
-    """H_rho = E^{-1} H E with E = diag(e^{rho/2}); same spectrum as H."""
+    """H_rho = E^{-1} H E with E = diag(e^{rho/2}); H's spectrum and factors."""
     if op.rho is not None:
         raise GridError("conjugate H itself, not a conjugate")
     rho = np.asarray(rho, float)
-    return DiscreteOperator(op.grid, op.node_weights * np.exp(rho), rho,
-                            op.stencil)
+    return replace(op, node_weights=op.node_weights * np.exp(rho), rho=rho)
 
 
 def adjoint_identity_residual(grid: GridManifold, rho: np.ndarray) -> float:
@@ -534,8 +526,7 @@ def weyl_bound(op: DiscreteOperator) -> float:
     rest.
     """
     rows, cols, s_rho = op._symmetrized_entries()
-    base = replace(op, rho=None, node_weights=op.grid.measure_weights())
-    delta = np.abs(s_rho - base._symmetrized_entries()[2])
+    delta = np.abs(s_rho - op.base._symmetrized_entries()[2])
     n = op.grid.node_count
     col_sums, row_sums = (np.bincount(x, delta, n) for x in (cols, rows))
     return float(np.sqrt(np.max(col_sums) * np.max(row_sums)))

@@ -2,7 +2,8 @@
 fields that the package itself never builds, the contraction and trace
 definitions of the su(2) kernels that the package writes out entry by
 entry, and the dense matrices of the operators that the package keeps only
-in sparse form (the link Laplacian, the ladder letters)."""
+in sparse form (the link Laplacian, the ladder letters), and their dense
+solves, a conjugate's too, which the package never makes."""
 import numpy as np
 
 from energyrep import su2
@@ -103,3 +104,23 @@ def dense_letter(ladder, j, raising):
         if target in index:
             m[index[target], col] = np.sqrt(state[j] + max(step, 0))
     return m
+
+
+def symmetrized(op):
+    """The dense matrix of op symmetrized by its weights w (w e^rho for a
+    conjugate): diag(sqrt w) M diag(sqrt w)^{-1}."""
+    sqw = np.sqrt(op.node_weights)
+    return (sqw[:, None] * op.matrix) / sqw[None, :]
+
+
+def dense_solve(op):
+    """The eigh solve of op's own symmetrized matrix, a conjugate's too:
+    ascending eigenvalues, and the columns over sqrt(w), orthonormal under
+    the weights."""
+    lam, vecs = np.linalg.eigh(symmetrized(op))
+    return lam, vecs / np.sqrt(op.node_weights)[:, None]
+
+
+def dense_eigenvalues(op):
+    """The eigvalsh solve of op's own symmetrized matrix."""
+    return np.linalg.eigvalsh(symmetrized(op))

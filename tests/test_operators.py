@@ -7,15 +7,16 @@ import pytest
 
 from energyrep import operators
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
-                            centered_stencil, covariant_derivative)
+                            centered_stencil, covariant_derivative, norm)
 from energyrep.operators import (SpectralDecomposition, _blocks,
                                  _kronecker_deviation,
                                  adjoint_identity_residual, assemble_h,
                                  conjugated_operator, eigenpair_map_residual,
-                                 hilbert_schmidt_test, symmetric_solve)
+                                 hilbert_schmidt_test)
 from energyrep.seminorms import (eigenvector_covector, seminorm_p_batch,
                                  seminorm_prime_batch)
-from helpers import link_laplacian, stack
+from helpers import (dense_eigenvalues, dense_solve, link_laplacian, stack,
+                     symmetrized)
 
 
 def circle_operator(n=64, w0=2.0):
@@ -138,7 +139,7 @@ class TestConjugation:
         h_rho = conjugated_operator(op, rho)
         dec = op.eigendecomposition()
         lam = np.sort(dec.eigenvalues)
-        lam_rho = np.sort(h_rho.eigendecomposition().eigenvalues)
+        lam_rho = dense_eigenvalues(h_rho)
         assert np.max(np.abs(lam - lam_rho)) <= 1e-8
         assert adjoint_identity_residual(g, h_rho.rho) <= 1e-12
         assert eigenpair_map_residual(h_rho, dec) <= 1e-8
@@ -185,12 +186,6 @@ def _dense_adjoint_identity_residual(grid, rho):
     return worst
 
 
-def _eigh_vectors(op):
-    """Oracle: the eigh columns of the symmetrized matrix over sqrt(w)."""
-    sqw, sym = operators._symmetrized(op.matrix, op.node_weights)
-    return np.linalg.eigh(sym)[1] / sqw[:, None]
-
-
 GRIDS = [("circle", {"radius": 1.0}, 4), ("circle", {"radius": 1.0}, 32),
          ("interval", {"halfwidth": 5.0}, 20), ("torus", {"radius": 1.0}, 8)]
 
@@ -226,17 +221,24 @@ class TestFastPathsAgainstDense:
                         else WeightField.quadratic(g, 1.0))
         rho = 0.4 * np.cos(g.nodes[:, 0])
         for h in (op, conjugated_operator(op, rho)):
-            lam = h.eigenvalues()
-            ref = h.eigendecomposition().eigenvalues
-            assert np.max(np.abs(lam - ref) / np.abs(ref)) <= 1e-10
+            ref = dense_eigenvalues(h)
+            for lam in (h.eigenvalues(), h.eigendecomposition().eigenvalues):
+                assert np.max(np.abs(lam - ref) / np.abs(ref)) <= 1e-10
 
-    def test_degenerate_torus_is_the_eigh_columns(self):
-        g = build_grid("torus", 8, radius=1.0)
-        # a raw-array W has no per-axis parts, so this is the dense solve
-        op = assemble_h(g, WeightField(g, np.full(64, 2.0), np.zeros(64)))
+    def test_degenerate_circle_is_the_eigh_columns(self):
+        # the shells +-k: H's columns are eigh's of its matrix as assembled,
+        # over sqrt(w), and a conjugate's are those over e^{rho/2}
+        g, op = circle_operator(16)
         dec = op.eigendecomposition()
         assert np.min(np.diff(dec.eigenvalues)) <= 1e-10  # degenerate
-        assert np.array_equal(dec.modes(slice(None)), _eigh_vectors(op))
+        sqw = np.sqrt(op.node_weights)[:, None]
+        assert np.array_equal(dec.modes(slice(None)),
+                              np.linalg.eigh(op.matrix)[1] / sqw)
+        rho = _rho(g)
+        conj = conjugated_operator(op, rho).eigendecomposition()
+        assert np.array_equal(conj.modes(slice(None)),
+                              dec.modes(slice(None))
+                              / np.exp(rho / 2.0)[:, None])
 
     def test_conjugation_residuals_on_torus(self):
         g = build_grid("torus", 8, radius=1.0)
@@ -275,7 +277,7 @@ class TestSeparableAgainstDense:
         op = assemble_h(g, make(g, value))
         assert op.factors is not None
         dec = op.eigendecomposition()
-        lam, vecs = symmetric_solve(op.matrix, op.node_weights)
+        lam, vecs = dense_solve(op)
         assert np.max(np.abs(dec.eigenvalues - lam)) <= 1e-12
         assert dec.eigen_residual(op) <= 1e-12
         assert dec.gram_residual() <= 1e-13
@@ -286,32 +288,59 @@ class TestSeparableAgainstDense:
         want = seminorm_p_batch(fields, ps, dense)
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
+    @pytest.mark.parametrize("n", [8, 24, 64])
     @pytest.mark.parametrize("shape,kw,make,value", [
         ("circle", {"radius": 1.0}, WeightField.constant, 2.0),
         ("interval", {"halfwidth": 5.0}, WeightField.quadratic, 1.0)])
-    def test_one_dimension_is_the_dense_solve(self, shape, kw, make, value):
-        g = build_grid(shape, 24, **kw)
+    def test_one_dimension_is_the_dense_solve(self, shape, kw, make, value,
+                                              n):
+        g = build_grid(shape, n, **kw)
         op = assemble_h(g, make(g, value))
         assert op.factors is None
-        dec = op.eigendecomposition()
-        lam, vecs = symmetric_solve(op.matrix, op.node_weights)
-        assert np.array_equal(dec.eigenvalues, lam)
-        assert np.array_equal(dec.modes(slice(None)), vecs)
-        assert np.array_equal(dec.modes(slice(None)), _eigh_vectors(op))
+        _assert_derived_conjugate(g, op)
 
-    def test_raw_weight_and_conjugate_take_the_dense_solve(self):
-        g = build_grid("square", 7, halfwidth=3.0)
-        raw = assemble_h(g, WeightField(g, WeightField.quadratic(g, 1.0).w,
-                                        np.zeros(49)))
-        rho = 0.3 * np.cos(g.nodes[:, 0])
-        conj = conjugated_operator(assemble_h(g, WeightField.quadratic(g, 1.0)),
-                                   rho)
-        for op in (raw, conj):
-            assert op.factors is None
-            dec = op.eigendecomposition()
-            lam, vecs = symmetric_solve(op.matrix, op.node_weights)
-            assert np.array_equal(dec.eigenvalues, lam)
-            assert np.array_equal(dec.modes(slice(None)), vecs)
+    @pytest.mark.parametrize("n", [4, 7, 16])
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS[:2])
+    def test_conjugate_takes_the_factors(self, shape, kw, make, value, n):
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        h_rho = conjugated_operator(op, _rho(g))
+        assert h_rho.factors is op.factors is not None
+        _assert_derived_conjugate(g, op)
+
+    @pytest.mark.parametrize("shape,kw", [("torus", {"radius": 1.0}),
+                                          ("square", {"halfwidth": 3.0})])
+    def test_raw_potential_on_a_d2_grid_rejected(self, shape, kw):
+        # a W without per-axis parts has no factors to solve
+        g = build_grid(shape, 7, **kw)
+        raw = WeightField(g, WeightField.quadratic(g, 1.0).w, np.zeros(49))
+        assert raw.parts is None
+        with pytest.raises(GridError):
+            assemble_h(g, raw)
+
+
+def _assert_derived_conjugate(g, op):
+    """A conjugate's decomposition is H's read through e^{rho/2}: its
+    eigenvalues, seminorms and gram against the dense solve of H_rho, its
+    modes e^{-rho/2} times H's."""
+    rho = _rho(g)
+    h_rho = conjugated_operator(op, rho)
+    dec, dec_rho = op.eigendecomposition(), h_rho.eigendecomposition()
+    lam, vecs = dense_solve(h_rho)
+    dense = SpectralDecomposition(g, lam, vecs, h_rho.node_weights)
+    assert np.max(np.abs(dec_rho.eigenvalues - lam) / lam) <= 1e-12
+    fields = _test_fields(g, 6, g.node_count)
+    ps = (0.0, 0.5, 1.0, 2.0)
+    got = seminorm_p_batch(fields, ps, dec_rho)
+    want = seminorm_p_batch(fields, ps, dense)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    assert dec_rho.gram_residual() <= 1e-13
+    assert np.array_equal(dec_rho.eigenvalues, dec.eigenvalues)
+    derived = dec.modes(slice(None)) / np.exp(rho / 2.0)[:, None]
+    if dec_rho.vectors is not None:  # the stored columns, bit for bit
+        assert np.array_equal(dec_rho.modes(slice(None)), derived)
+    else:  # over sqrt(w e^rho) in one division, not sqrt(w) then e^{rho/2}
+        assert _relative(dec_rho.modes(slice(None)), derived) <= 1e-15
 
 
 # The dense formulas the gates used before they went through the stencil and
@@ -333,11 +362,6 @@ def _kron_assembly(grid, w):
 def _dense_conjugate(matrix, rho):
     e = np.exp(rho / 2.0)
     return (matrix * e[None, :]) / e[:, None]
-
-
-def _dense_symmetrized(matrix, weights):
-    sqw = np.sqrt(weights)
-    return (sqw[:, None] * matrix) / sqw[None, :]
 
 
 def _dense_symmetry_residual(op):
@@ -403,9 +427,11 @@ class TestStencilGatesAgainstDense:
         diag, bands = op.stencil
         for h in (op, h_rho):
             assert h.symmetry_residual() == _dense_symmetry_residual(h)
-            assert np.array_equal(
-                _bits(operators._symmetrized(h.matrix, h.node_weights)[1]),
-                _bits(_dense_symmetrized(h.matrix, h.node_weights)))
+            # the symmetrized entries, written densely, are the oracle's
+            rows, cols, values = h._symmetrized_entries()
+            entries = np.zeros((g.node_count, g.node_count))
+            entries[rows, cols] = values
+            assert np.array_equal(_bits(entries), _bits(symmetrized(h)))
             # the first band without its mirror: its transposes read 0
             one_sided = dataclasses.replace(h, stencil=(diag, bands[1:]))
             assert (one_sided.symmetry_residual()
@@ -601,6 +627,25 @@ class TestGatesStayHonest:
         assert max(gates) <= 1e-10
         assert peak <= 64 * 2 ** 20
 
+    def test_torus_at_128_conjugate_solves_per_axis(self):
+        # n = 16384: a dense solve of H_rho would hold two 2 GiB arrays
+        g = build_grid("torus", 128, radius=1.0)
+        rho = _rho(g)
+        fields = _test_fields(g, 4, 128)
+        tracemalloc.start()
+        try:
+            h_rho = conjugated_operator(
+                assemble_h(g, WeightField.constant(g, 2.0)), rho)
+            dec = h_rho.eigendecomposition()
+            vals = seminorm_p_batch(fields, (0.0, 1.0), dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.vectors is None
+        assert peak <= 64 * 2 ** 20
+        # p = 0 is the rho-weighted norm: the modes span the whole space
+        assert _relative(vals[0], norm(fields, rho)) <= 1e-12
+
     @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
     def test_wrong_stencil_coefficient_fails_eigen_gate(self, shape, kw, make,
                                                         value):
@@ -709,7 +754,7 @@ def _formed_kronecker_solve(factors, weights):
     """Oracle: the per-axis solve with every column formed as
     kron(u_i, v_j) / sqrt(w), as it was stored before the decomposition kept
     only its factors."""
-    (a, u), (b, v) = (symmetric_solve(f, np.ones(f.shape[0])) for f in factors)
+    (a, u), (b, v) = (np.linalg.eigh(f) for f in factors)
     summed = (a[:, None] + b[None, :]).ravel()
     order = np.argsort(summed, kind="stable")
     i, j = np.divmod(order, b.size)
@@ -776,6 +821,28 @@ class TestFactorModes:
         diagonal = np.sum(u * u, axis=0)[i] * np.sum(v * v, axis=0)[j]
         assert np.max(np.abs(diagonal - _formed_gram_diagonal(dec))) <= 1e-14
         assert dec.gram_residual() <= 1e-13
+
+    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS)
+    def test_conjugate_eigen_gate_forms_its_modes(self, shape, kw, make,
+                                                  value, monkeypatch):
+        # _factor_residuals models H under uniform weights: it must not
+        # run for a conjugate's weights or a conjugate's stencil
+        g = build_grid(shape, 16, **kw)
+        op = assemble_h(g, make(g, value))
+        h_rho = conjugated_operator(op, _rho(g))
+        dec, dec_rho = op.eigendecomposition(), h_rho.eigendecomposition()
+        assert dec_rho.axis_vectors is not None
+        want = _formed_eigen_residual(dec_rho, h_rho)
+
+        def refused(self, op):
+            raise AssertionError("factor residuals off their model")
+
+        monkeypatch.setattr(SpectralDecomposition, "_factor_residuals",
+                            refused)
+        assert dec_rho.eigen_residual(h_rho) == want <= 1e-12
+        # the modes of one against the other operator are no eigenpairs
+        assert dec_rho.eigen_residual(op) > 1e-3
+        assert dec.eigen_residual(h_rho) > 1e-3
 
     @pytest.mark.parametrize("n", [5, 7, 8, 16, 33, 48, 64])
     @pytest.mark.parametrize("shape,kw,make,value",
@@ -967,7 +1034,7 @@ class TestWeylSpectrumMatch:
         if change is not None:
             monkeypatch.setattr(operators, "_entries",
                                 _conjugate_entries(change))
-        moved = np.max(np.abs(h_rho.eigenvalues() - op.eigenvalues()))
+        moved = np.max(np.abs(dense_eigenvalues(h_rho) - op.eigenvalues()))
         bound = operators.weyl_bound(h_rho)
         # each dense solve errs by up to about n u |S|_2 (LAPACK's bound);
         # clean, that is far above the bound of the exact eigenvalues
@@ -990,7 +1057,7 @@ class TestWeylSpectrumMatch:
         # one band dropped, its mirror kept: an asymmetric stencil
         for h in (op, conjugated_operator(op, _rho(g)),
                   dataclasses.replace(op, stencil=(diag, bands[1:]))):
-            s = _dense_symmetrized(h.matrix, h.node_weights)
+            s = symmetrized(h)
             tr1, tr2 = h.trace_moments()
             assert tr1 == np.sum(np.diagonal(s))
             assert abs(tr2 - np.sum(s * s.T)) <= 1e-14 * abs(tr2)
@@ -1049,7 +1116,7 @@ class TestWeylSpectrumMatch:
             return np.where(pair, -values, values)
 
         monkeypatch.setattr(operators, "_entries", _conjugate_entries(flipped))
-        moved = np.max(np.abs(h_rho.eigenvalues() - op.eigenvalues()))
+        moved = np.max(np.abs(dense_eigenvalues(h_rho) - op.eigenvalues()))
         assert moved > 1.0
         moments = h_rho.trace_moments()
         assert all(abs(m - c) <= 1e-12 * c for m, c in zip(moments, clean))

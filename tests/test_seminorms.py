@@ -1,23 +1,26 @@
 """Spectral and weighted-derivative seminorm families and their probe."""
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from energyrep.config import ExperimentConfig
+from energyrep import operators
+from energyrep.config import ExperimentConfig, load_config
 from energyrep.grid import (ALGEBRA_METRIC_FACTOR, Field, GridError,
                             WeightField, build_grid, conformal_rescale,
                             covariant_derivative, norm, rebind)
-from energyrep.operators import assemble_h, conjugated_operator
+from energyrep.operators import (SpectralDecomposition, assemble_h,
+                                 conjugated_operator)
 from energyrep.sampling import (random_covector_testset, random_one_form,
                                 rho_field)
 from energyrep.seminorms import (chain_identity_residual, equivalence_probe,
                                  seminorm_p, seminorm_p_batch, seminorm_prime,
                                  seminorm_prime_batch, twisted_chain)
-from energyrep.suites import _probe_data
-from helpers import stack
+from energyrep.suites import _probe_data, run_suite
+from helpers import dense_solve, stack
 
 
 @pytest.fixture(scope="module")
@@ -315,15 +318,19 @@ class TestBatchedAgainstLoop:
         torus = build_grid("torus", 8, radius=1.0)
         rho = rho_field(torus, "cosine", 0.3, 1)
         weight = WeightField.constant(torus, 2.0, rho)
-        dec = conjugated_operator(assemble_h(torus, WeightField.constant(torus, 2.0)),
-                                  rho).eigendecomposition()
+        h_rho = conjugated_operator(
+            assemble_h(torus, WeightField.constant(torus, 2.0)), rho)
+        dense = SpectralDecomposition(torus, *dense_solve(h_rho),
+                                      h_rho.node_weights)
         rng = np.random.default_rng(17)
         fields = random_one_form(torus, rng, modes=2, count=6)
         chain = list(twisted_chain(fields, rho, 3))
         # a test set of rank-1 algebra fields climbs to rank 4 at n = 3
         assert [g.values.shape for pair in chain for g in pair] == [
             (6, 64) + (2,) * (k + 1) + (3,) for k in range(4) for _ in "ut"]
-        assert_batch_equals_loop(fields, M_LIST, P_LIST, weight, dec)
+        # the dense solve of H_rho: a per-axis expansion sums in another
+        # order than this loop, so it would agree only to rounding
+        assert_batch_equals_loop(fields, M_LIST, P_LIST, weight, dense)
 
     def test_single_field_is_the_one_field_batch(self, circle_setup):
         g, w, dec = circle_setup
@@ -365,3 +372,50 @@ class TestBatchedAgainstLoop:
             seminorm_prime(moved, 1, w)
         with pytest.raises(GridError):
             seminorm_prime_batch(stack([moved]), (1,), w)
+
+
+# ---------------------------------------------------------------------------
+# The intertwining gate of the seminorms suite
+# ---------------------------------------------------------------------------
+
+CIRCLE_CFG = Path(__file__).resolve().parents[1] / "configs" / "circle.cfg"
+
+
+def _without_inverse(apply):
+    """DiscreteOperator.apply with E^{-1} dropped from a conjugate: H E."""
+    def changed(self, x):
+        if self.rho is None:
+            return apply(self, x)
+        return apply(self.base, np.exp(self.rho / 2.0)[:, None] * x)
+    return changed
+
+
+def _doubled_rho(conjugate):
+    """conjugated_operator with twice the rho it is given."""
+    return lambda op, rho: conjugate(op, 2.0 * np.asarray(rho))
+
+
+class TestIntertwiningGate:
+    """weighted_scale_intertwines applies H_rho through its stencil and reads
+    H's spectrum, so it can see a wrong conjugation."""
+
+    @staticmethod
+    def intertwine(tmp_path):
+        (rep,) = run_suite("seminorms", load_config(CIRCLE_CFG), tmp_path)
+        return {c.name: c for c in rep.checks}["weighted_scale_intertwines"]
+
+    def test_passes_as_shipped(self, tmp_path):
+        gate = self.intertwine(tmp_path)
+        assert gate.verdict == "pass" and gate.measured <= 1e-13
+
+    def test_dropped_conjugation_factor_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(operators.DiscreteOperator, "apply",
+                            _without_inverse(operators.DiscreteOperator.apply))
+        gate = self.intertwine(tmp_path)
+        assert gate.verdict == "fail" and gate.measured > 1e-3
+
+    def test_wrong_rho_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(operators, "conjugated_operator",
+                            _doubled_rho(operators.conjugated_operator))
+        gate = self.intertwine(tmp_path)
+        assert gate.verdict == "fail" and gate.measured > 1e-3

@@ -1,7 +1,9 @@
 """The benchmark's layer trace binds every function it names, the package
 defines nothing that it never uses, it contracts no three arrays in one
 einsum, the ladder calculus multiplies no matrices, assembly writes no
-dense link matrix, and the spectrum convergence script runs."""
+dense link matrix, every eigensolve is handed a symmetric matrix, a
+conjugate solves only what H solves, and the spectrum convergence script
+runs."""
 import ast
 import os
 import subprocess
@@ -9,9 +11,17 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import energyrep.cli  # noqa: F401  (the trace wraps what the CLI imports)
+import numpy as np
+import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+import energyrep.cli  # noqa: F401  (the trace wraps what the CLI imports)
+from energyrep.config import load_config
+from energyrep.grid import WeightField, build_grid
+from energyrep.operators import assemble_h, conjugated_operator
+from energyrep.suites import run_suite
+
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO / "perfbench"
 
 
 def test_every_traced_function_has_a_binding(monkeypatch):
@@ -51,6 +61,44 @@ def test_factored_eigendecomposition_is_one_traced_solve(monkeypatch):
     spans = [s for s in tracer.spans if s[0] == "operators.eigendecomposition"]
     assert len(spans) == 1
     assert spans[0][4] == 64
+
+
+def _recorded_solves(monkeypatch):
+    """Wrap np.linalg.eigh and eigvalsh; the list collects a copy of every
+    matrix they are handed."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        def recorded(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            seen.append(np.array(a))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["circle", "torus"])
+def test_every_solve_is_of_a_symmetric_matrix(name, monkeypatch, tmp_path):
+    # no matrix is symmetrized before a solve: each is H's, or a factor of
+    # it, symmetric as assembled
+    seen = _recorded_solves(monkeypatch)
+    run_suite("all", load_config(REPO / "configs" / f"{name}.cfg"), tmp_path)
+    assert seen
+    assert all(np.array_equal(m, m.T) for m in seen)
+
+
+@pytest.mark.parametrize("shape", ["circle", "torus"])
+def test_a_conjugate_solves_only_what_h_solves(shape, monkeypatch):
+    g = build_grid(shape, 16, radius=1.0)
+    op = assemble_h(g, WeightField.constant(g, 2.0))
+    h_rho = conjugated_operator(op, 0.3 * np.cos(g.nodes[:, 0]))
+    seen = _recorded_solves(monkeypatch)
+    op.eigendecomposition()
+    h_solves = len(seen)
+    h_rho.eigendecomposition()
+    assert 0 < len(seen) - h_solves <= h_solves
+    # the very matrices H's solve is handed
+    assert all(np.array_equal(m, seen[k])
+               for k, m in enumerate(seen[h_solves:]))
 
 
 def _lookup(modname, path):
