@@ -1,12 +1,13 @@
 """Machine-readable check reports: JSON verdicts plus CSV tables.
 
-Reports carry no wall-clock fields, so a fixed config and seed reproduce the
-bytes exactly; run timestamps go to a sidecar meta file instead.
+A report holds what the config, seed and code determine, and nothing of the
+machine: a fixed config and seed reproduce its bytes exactly.  The run's
+timestamp, versions, platform and BLAS thread setup go to a sidecar meta
+file instead.
 """
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -17,29 +18,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
-
-
-def environment_stamp() -> dict:
-    from . import __version__
-    return {
-        "package": f"energyrep {__version__}",
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "platform": platform.platform(),
-    }
-
-
-def digest_of(*parts) -> str:
-    text = "|".join(str(p) for p in parts)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    inputs_digest: str
     measured: float
     tolerance: float
     comparator: str  # "<=" or ">="
@@ -50,7 +33,6 @@ class CheckResult:
         refused = self.verdict == "refused"
         return {
             "name": self.name,
-            "inputs_digest": self.inputs_digest,
             "measured": "refused" if refused else self.measured,
             "tolerance": "refused" if refused else self.tolerance,
             "comparator": self.comparator,
@@ -59,17 +41,17 @@ class CheckResult:
         }
 
 
-def check(name: str, inputs_digest: str, measured: float, tolerance: float,
+def check(name: str, measured: float, tolerance: float,
           comparator: str = "<=", detail: str = "") -> CheckResult:
     measured = float(measured)
     ok = measured <= tolerance if comparator == "<=" else measured >= tolerance
-    return CheckResult(name, inputs_digest, measured, float(tolerance),
-                       comparator, "pass" if ok else "fail", detail)
+    return CheckResult(name, measured, float(tolerance), comparator,
+                       "pass" if ok else "fail", detail)
 
 
-def refusal(name: str, inputs_digest: str, detail: str) -> CheckResult:
-    return CheckResult(name, inputs_digest, float("nan"), float("nan"), "<=",
-                       "refused", detail)
+def refusal(name: str, detail: str) -> CheckResult:
+    return CheckResult(name, float("nan"), float("nan"), "<=", "refused",
+                       detail)
 
 
 @dataclass
@@ -77,7 +59,6 @@ class Report:
     suite: str
     seed: int
     config_digest: str
-    environment: dict = field(default_factory=environment_stamp)
     checks: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
@@ -94,7 +75,6 @@ class Report:
             "suite": self.suite,
             "seed": self.seed,
             "config_digest": self.config_digest,
-            "environment": self.environment,
             "checks": [c.to_dict() for c in self.checks],
             "extras": self.extras,
             "passed": self.passed,
@@ -134,19 +114,27 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def write_sidecar_meta(outdir: Path, note: str = "") -> Path:
-    """Wall-clock stamp and BLAS thread setup, isolated from the reports.
+    """Wall-clock stamp, versions, platform and BLAS thread setup, isolated
+    from the reports.
 
     The shipped configs' reports do not depend on the BLAS thread count,
     but larger dense solves do in their last digits (the seminorm probe at
     N = 256), so the thread variables are recorded here, "unset" if absent.
     """
+    from . import __version__
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "run_meta.txt"
-    stamp = datetime.now(timezone.utc).isoformat()
-    threads = "".join(f"{var}={os.environ.get(var, 'unset')}\n"
-                      for var in BLAS_THREAD_VARS)
-    path.write_text(f"timestamp_utc={stamp}\n{threads}{note}\n", encoding="utf-8")
+    stamp = {
+        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        "package": f"energyrep {__version__}",
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
+    }
+    lines = "".join(f"{key}={value}\n" for key, value in stamp.items())
+    path.write_text(f"{lines}{note}\n", encoding="utf-8")
     return path
 
 

@@ -18,6 +18,10 @@ from .grid import (ALGEBRA_METRIC_FACTOR, Field, GridError, WeightField,
 from .operators import SpectralDecomposition
 
 
+# The probe's stability band: a p is stable for m when the comparability
+# constants of every grid stay within this factor of each other.
+STABILITY_FACTOR = 2.0
+
 # A test set is evaluated in slices of about this many field values, so the
 # batch temporaries stay near 64 kB each whatever the size of the set, and
 # peak memory stays that of the per-field loop.  Every sample is computed on
@@ -45,7 +49,9 @@ def seminorm_p_batch(fields, p_values, dec: SpectralDecomposition) -> np.ndarray
     """
     out = np.empty((len(p_values), len(fields.values)))
     for cols, part in _slices(fields):
-        power = np.abs(dec.expand(part)) ** 2  # (samples, modes, channels)
+        # (samples, modes, channels), contiguous: summed over a per-axis
+        # expansion's strided view, a sample would depend on its neighbours
+        power = np.abs(np.ascontiguousarray(dec.expand(part))) ** 2
         for i, p in enumerate(p_values):
             weights = dec.eigenvalues[:, None] ** (2.0 * p)
             total = np.sum(weights * power, axis=(1, 2))
@@ -143,7 +149,8 @@ class SeminormReport:
     prime_values[(m, N)] and spec_values[(p, N)] hold the per-test-function
     seminorm values; constants[(m, p, N)] = (C_m_to_p, C_p_to_m), each the
     max ratio over the test set at grid size N.  selected[m] is the smallest
-    grid p whose constants stay within a factor-2 band across refinements.
+    grid p whose constants stay within the STABILITY_FACTOR band across
+    refinements.
     """
 
     domain: str
@@ -158,7 +165,7 @@ class SeminormReport:
 
     @property
     def stable(self) -> dict:
-        """Per m, whether some p of the grid is stable within a factor 2."""
+        """Per m, whether some p of the grid is stable within STABILITY_FACTOR."""
         return {m: p is not None for m, p in self.selected.items()}
 
     def stability_ratio(self, m: int, p: float) -> float:
@@ -218,7 +225,7 @@ def equivalence_probe(domain: str, grids_and_data, m_list, p_grid) -> SeminormRe
     for m in m_list:
         chosen = None
         for p in p_grid:
-            if report.stability_ratio(m, p) <= 2.0:
+            if report.stability_ratio(m, p) <= STABILITY_FACTOR:
                 chosen = p
                 break
         report.selected[m] = chosen

@@ -2,13 +2,14 @@
 
 Each suite builds its inputs from the experiment config and a dedicated
 seeded stream, adds its checks to a Report and writes CSV tables; run_suite
-supplies the report, stream and digest, and writes the report's JSON.
+supplies the report and stream, and writes the report's JSON.  A check is
+named by its gate alone: the report header carries the suite, seed and
+config digest it was computed from.
 `all` is literally the concatenation of the individual suites; per-suite
 streams make the reports independent of execution order.
 """
 from __future__ import annotations
 
-import functools
 import math
 from pathlib import Path
 
@@ -18,8 +19,7 @@ from . import fock, gauge, hermite, operators, seminorms
 from .config import ExperimentConfig
 from .grid import Field, WeightField, build_grid, field_to_csv, norm
 from .profiles import bumps
-from .report import (Report, check, digest_of, refusal, write_csv,
-                     write_json)
+from .report import Report, check, refusal, write_csv, write_json
 from .sampling import (random_algebra_field, random_covector_testset,
                        random_gauge_field, random_one_form, random_tuples,
                        rho_field, suite_rng)
@@ -69,18 +69,18 @@ def _circle_modes(n: int) -> np.ndarray:
     return np.concatenate([[0], np.repeat(np.arange(1, (n + 1) // 2), 2)])
 
 
-def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
+def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report,
                    outdir: Path) -> None:
     grid = _domain_grid(cfg)
     rho = _domain_rho(cfg, grid, rng)
     weight = _domain_weight(cfg, grid)
     h_op = operators.assemble_h(grid, weight)
-    rep.add(check("h_symmetry", dig("sym"), h_op.symmetry_residual(), 1e-12))
+    rep.add(check("h_symmetry", h_op.symmetry_residual(), 1e-12))
 
     dec = h_op.eigendecomposition()
-    rep.add(check("eigen_residual", dig("eig"), dec.eigen_residual(h_op), 1e-8))
-    rep.add(check("gram_identity", dig("gram"), dec.gram_residual(), 1e-10))
-    rep.add(check("lambda1_exceeds_1", dig("hyp"),
+    rep.add(check("eigen_residual", dec.eigen_residual(h_op), 1e-8))
+    rep.add(check("gram_identity", dec.gram_residual(), 1e-10))
+    rep.add(check("lambda1_exceeds_1",
                   float(dec.eigenvalues[0]) - 1.0, 1e-9, comparator=">="))
     write_csv(outdir, "spectrum_domain",
               ["index", "eigenvalue"],
@@ -94,7 +94,7 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
     h = 2.0 * np.pi / nc
     ks = _circle_modes(nc)
     formula = np.sort((2.0 / h ** 2) * (1.0 - np.cos(ks * h)) + 2.0)
-    rep.add(check("circle_dispersion_formula", dig("disp"),
+    rep.add(check("circle_dispersion_formula",
                   float(np.max(np.abs(lam - formula))), 1e-9))
     # second-order stencil: continuum deficit is k^4 h^2 / 12 + O(h^4)
     kmax = nc // 8
@@ -103,7 +103,7 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
         lam_k = (2.0 / h ** 2) * (1.0 - np.cos(k * h)) + 2.0
         taylor = k ** 4 * h ** 2 / 12.0
         worst = max(worst, abs(lam_k - (k ** 2 + 2.0)) / taylor)
-    rep.add(check("circle_continuum_taylor_bound", dig("taylor"), worst, 1.05,
+    rep.add(check("circle_continuum_taylor_bound", worst, 1.05,
                   detail="deficit vs k^2+2 within the k^4 h^2/12 envelope"))
 
     n_osc = cfg.spectrum_oscillator_nodes
@@ -112,7 +112,7 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
     h_osc = operators.assemble_h(osc_grid, WeightField.quadratic(osc_grid, 1.0))
     lam_osc = h_osc.eigenvalues()[:OSCILLATOR_LEVELS]
     target = 2.0 * np.arange(OSCILLATOR_LEVELS) + 2.0
-    rep.add(check("oscillator_spectrum", dig("osc"),
+    rep.add(check("oscillator_spectrum",
                   float(np.max(np.abs(lam_osc - target) / target)), 5e-3))
     write_csv(outdir, "spectrum_oscillator", ["index", "eigenvalue", "target"],
               [(i, float(v), float(t)) for i, (v, t) in
@@ -121,23 +121,21 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
     hs = operators.hilbert_schmidt_test(dec, cfg.hs_p)
     rep.extras["hilbert_schmidt"] = hs.to_dict()
     write_json(outdir, "hilbert_schmidt", rep.extras["hilbert_schmidt"])
-    rep.add(check("hs_verdict_converging", dig("hs"),
+    rep.add(check("hs_verdict_converging",
                   1.0 if hs.verdict == "converging" else 0.0, 1.0,
                   comparator=">=", detail=f"verdict={hs.verdict}"))
 
     h_rho = operators.conjugated_operator(h_op, rho)
-    rep.add(check("conjugated_adjoint_identity", dig("eq-adj"),
-                  operators.adjoint_identity_residual(grid, h_rho.rho),
-                  1e-12))
-    rep.add(check("conjugated_symmetry", dig("rsym"),
-                  h_rho.symmetry_residual(), 1e-12))
+    rep.add(check("conjugated_adjoint_identity",
+                  operators.adjoint_identity_residual(grid, h_rho.rho), 1e-12))
+    rep.add(check("conjugated_symmetry", h_rho.symmetry_residual(), 1e-12))
     # not derived from dec: the Weyl bound of H_rho against H and two trace
     # moments of H_rho against dec, with no solve
     measured, tolerance, detail = operators.spectrum_match(
         h_rho, dec.eigenvalues, 1e-8)
-    rep.add(check("conjugated_spectrum_match", dig("spec"), measured,
-                  tolerance, detail=detail))
-    rep.add(check("conjugated_eigenpair_map", dig("map"),
+    rep.add(check("conjugated_spectrum_match", measured, tolerance,
+                  detail=detail))
+    rep.add(check("conjugated_eigenpair_map",
                   operators.eigenpair_map_residual(h_rho, dec), 1e-8))
 
     # multiplicative chain for the twisted derivative norms, m <= 3
@@ -145,7 +143,7 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report, dig,
     fs = random_one_form(grid, rng, modes=3, amplitude=1.0, count=5)
     worst_chain = float(np.max(seminorms.chain_identity_residual(fs, 3,
                                                                  wfield)))
-    rep.add(check("twisted_chain_identity", dig("chain"), worst_chain, 1e-12))
+    rep.add(check("twisted_chain_identity", worst_chain, 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +175,21 @@ def _guarded_sample(ladder, rng, margin: int, count: int) -> np.ndarray:
     return v.T
 
 
-def suite_ladders(cfg: ExperimentConfig, rng, rep: Report, dig,
+def suite_ladders(cfg: ExperimentConfig, rng, rep: Report,
                   outdir: Path) -> None:
     ladder = hermite.build_ladders(2, cfg.ladders_cutoff)
-    rep.add(check("ccr_below_guard", dig("ccr"), hermite.ccr_residual(ladder),
-                  1e-14))
-    rep.add(check("oscillator_identity", dig("osc-id"),
+    rep.add(check("ccr_below_guard", hermite.ccr_residual(ladder), 1e-14))
+    rep.add(check("oscillator_identity",
                   hermite.oscillator_identity_residual(ladder), 1e-13))
     vac = ladder.vacuum()
     lowered = hermite.word_apply(ladder, ((0, False),), vac)
-    rep.add(check("vacuum_annihilated", dig("vac"),
-                  float(np.linalg.norm(lowered)), 0.0))
+    rep.add(check("vacuum_annihilated", float(np.linalg.norm(lowered)), 0.0))
 
     res = hermite.canonical_chain_check(
         ladder, _guarded_sample(ladder, rng, 4, cfg.ladders_samples))
     violations = int(np.sum(res.lhs > res.rhs * (1.0 + 1e-13)))
     worst_ratio = float(np.max(res.ratio))
-    rep.add(check("worked_chain_violations", dig("chain"), float(violations),
+    rep.add(check("worked_chain_violations", float(violations),
                   0.0, detail=f"max ratio {worst_ratio:.6f} over "
                               f"{cfg.ladders_samples} samples"))
 
@@ -217,9 +213,8 @@ def suite_ladders(cfg: ExperimentConfig, rng, rep: Report, dig,
         scale = max(float(np.max(np.abs(brute))), 1.0)
         expansion_resid = max(expansion_resid, float(
             np.max(np.abs((brute - ordered)[:, mask]))) / scale)
-    rep.add(check("word_bounds_hold", dig("words"), worst_word, 1.0))
-    rep.add(check("normal_order_vs_brute_force", dig("no"), expansion_resid,
-                  1e-12))
+    rep.add(check("word_bounds_hold", worst_word, 1.0))
+    rep.add(check("normal_order_vs_brute_force", expansion_resid, 1e-12))
     write_csv(outdir, "ladder_words", ["word", "m", "constant", "last_ratio"],
               rows)
 
@@ -256,7 +251,7 @@ def _probe_data(domain: str, cfg: ExperimentConfig, seed_stream):
 EIGENVECTOR_MODES = (0, 3, 7)
 
 
-def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
+def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report,
                     outdir: Path) -> None:
     rows = []
     probes = {}
@@ -269,8 +264,8 @@ def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
             if m > 2:
                 continue
             best = min(report.stability_ratio(m, p) for p in cfg.seminorms_p_grid)
-            rep.add(check(f"{domain}_constants_stable_m{m}",
-                          dig(domain, m), best, 2.0,
+            rep.add(check(f"{domain}_constants_stable_m{m}", best,
+                          seminorms.STABILITY_FACTOR,
                           detail=f"selected p={report.selected[m]}"))
         for (m, p, n_size), (fwd, bwd) in sorted(report.constants.items()):
             rows.append([domain, m, p, n_size, fwd, bwd])
@@ -288,8 +283,8 @@ def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
         seminorms.eigenvector_covector(dec, EIGENVECTOR_MODES), (1.25,), dec)[0]
     want = np.array([dec.eigenvalues[k] ** 1.25 for k in EIGENVECTOR_MODES])
     eig_defect = max(0.0, float(np.max(np.abs(got - want) / want)))
-    rep.add(check("p_scale_monotone", dig("mono"), mono_defect, 1e-12))
-    rep.add(check("eigenvector_p_norm", dig("eig"), eig_defect, 1e-10))
+    rep.add(check("p_scale_monotone", mono_defect, 1e-12))
+    rep.add(check("eigenvector_p_norm", eig_defect, 1e-10))
 
     # |f|_{rho,1} = |H_rho f|_{rho,0}, H_rho through its stencil, against
     # the spectral |e^{rho/2} f|_1 of H
@@ -304,21 +299,21 @@ def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report, dig,
                                      (1.0,), dec)[0]
     intertwine = max(0.0, float(np.max(np.abs(lhs - rhs)
                                        / np.maximum(lhs, rhs))))
-    rep.add(check("weighted_scale_intertwines", dig("twine"), intertwine, 1e-10))
+    rep.add(check("weighted_scale_intertwines", intertwine, 1e-10))
 
 
 # ---------------------------------------------------------------------------
 # gauge
 # ---------------------------------------------------------------------------
 
-def suite_gauge(cfg: ExperimentConfig, rng, rep: Report, dig,
+def suite_gauge(cfg: ExperimentConfig, rng, rep: Report,
                 outdir: Path) -> None:
     domain = _domain_grid(cfg)
     if not domain.condition_c_ok:
-        rep.add(refusal("suite_refused_condition_c", dig("refuse"),
+        rep.add(refusal("suite_refused_condition_c",
                         "domain violates condition (c); cutoff machinery is "
                         "unavailable, see the punctured growth table"))
-        _punctured_checks(cfg, rep, dig, outdir)
+        _punctured_checks(cfg, rep, outdir)
         return
 
     grid = build_grid("circle", cfg.gauge_nodes, radius=1.0)
@@ -332,20 +327,18 @@ def suite_gauge(cfg: ExperimentConfig, rng, rep: Report, dig,
     iso = np.abs(norm(gauge.v_action(psi, f), rho) - nf) / nf
     both = gauge.v_action(gauge.gauge_product(psi, phi), f)
     nested = gauge.v_action(psi, gauge.v_action(phi, f))
-    rep.add(check("cocycle_identity", dig("cocycle"),
+    rep.add(check("cocycle_identity",
                   np.max(gauge.cocycle_residual(psi, phi, rho)), 1e-10))
-    rep.add(check("cocycle_real_valued", dig("real"),
-                  gauge.reality_defect(beta), 1e-10))
-    rep.add(check("v_isometry", dig("iso"), np.max(iso), 1e-12))
-    rep.add(check("v_homomorphism", dig("homo"),
-                  np.max(norm(both - nested, rho)), 1e-12))
+    rep.add(check("cocycle_real_valued", gauge.reality_defect(beta), 1e-10))
+    rep.add(check("v_isometry", np.max(iso), 1e-12))
+    rep.add(check("v_homomorphism", np.max(norm(both - nested, rho)), 1e-12))
     field_to_csv(beta.copy_with(beta.values[0]), outdir, "gauge_beta_sample")
 
     psi_field = random_algebra_field(grid, rng, cfg.gauge_modes, 1.0)
     f = random_one_form(grid, rng, modes=3, normalized=True)
     series = gauge.exp_series_action(psi_field, 1.0, f)
     direct = gauge.v_action_of_exp(psi_field, 1.0, f)
-    rep.add(check("exp_series_matches_action", dig("series"),
+    rep.add(check("exp_series_matches_action",
                   norm(series - direct, rho), 1e-10))
 
     weight = WeightField.constant(grid, 2.0, rho)
@@ -361,18 +354,18 @@ def suite_gauge(cfg: ExperimentConfig, rng, rep: Report, dig,
         "slope": reg.slope, "constant": reg.bound_constant,
         "bound_margins": list(reg.bound_margins),
     }
-    rep.add(check("regularity_slope", dig("slope"), abs(reg.slope - 1.0), 0.05,
+    rep.add(check("regularity_slope", abs(reg.slope - 1.0), 0.05,
                   detail=f"slope={reg.slope:.4f}"))
-    rep.add(check("regularity_series_bound", dig("bound"),
+    rep.add(check("regularity_series_bound",
                   float(max(reg.bound_margins)), 1.0))
     write_csv(outdir, "gauge_regularity", ["t", "sup_error"],
               list(zip(reg.t_list, reg.errors)))
 
-    _cutoff_checks(cfg, rep, dig, outdir)
-    _punctured_checks(cfg, rep, dig, outdir)
+    _cutoff_checks(cfg, rep, outdir)
+    _punctured_checks(cfg, rep, outdir)
 
 
-def _cutoff_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> None:
+def _cutoff_checks(cfg: ExperimentConfig, rep: Report, outdir: Path) -> None:
     grid = build_grid("interval", cfg.cutoff_nodes, halfwidth=cfg.cutoff_halfwidth)
     weight = WeightField.quadratic(grid, 1.0)
     dec = operators.assemble_h(grid, weight).eigendecomposition()
@@ -389,7 +382,7 @@ def _cutoff_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> Non
     try:
         decay = gauge.cutoff_approximation(psi, stages, f_set, cfg.cutoff_p, dec)
     except gauge.ConditionCViolation as exc:
-        rep.add(refusal("cutoff_decay", dig("cut"), str(exc)))
+        rep.add(refusal("cutoff_decay", str(exc)))
         return
     rows, covered = decay.values, decay.covered_from[:, None]
     worst_tail = max(0.0, float(np.max(rows[:, -1] / rows[:, 0])))
@@ -398,25 +391,23 @@ def _cutoff_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> Non
     # every stage from the first that covers the support (-1: none does)
     worst_covered = float(np.max(rows, initial=0.0, where=(covered > 0)
                                  & (np.array(decay.n_list) >= covered)))
-    rep.add(check("cutoff_decay_tail", dig("tail"), worst_tail, 1e-3))
-    rep.add(check("cutoff_decay_monotone", dig("monotone"), worst_monotone,
-                  1e-12))
-    rep.add(check("cutoff_exact_zero_when_covered", dig("zero"), worst_covered,
-                  0.0))
+    rep.add(check("cutoff_decay_tail", worst_tail, 1e-3))
+    rep.add(check("cutoff_decay_monotone", worst_monotone, 1e-12))
+    rep.add(check("cutoff_exact_zero_when_covered", worst_covered, 0.0))
     rep.extras["cutoff_sup_gradients"] = [s.gradient_sup for s in stages]
     write_csv(outdir, "gauge_cutoff_decay",
               ["n"] + [f"f{i}" for i in range(len(rows))],
               [(nn, *col) for nn, col in zip(decay.n_list, rows.T.tolist())])
 
 
-def _punctured_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> None:
+def _punctured_checks(cfg: ExperimentConfig, rep: Report, outdir: Path) -> None:
     eps_list = [cfg.punctured_eps0 * 0.5 ** i
                 for i in range(cfg.punctured_halvings + 1)]
     growth = gauge.punctured_plane_demo(eps_list)
-    rep.add(check("punctured_gradient_growth", dig("grow"),
+    rep.add(check("punctured_gradient_growth",
                   float(min(growth.ratios)), 1.9, comparator=">=",
                   detail=f"sup at eps0: {growth.gradient_sups[0]:.6f}"))
-    rep.add(check("punctured_profile_plateaus", dig("plateau"),
+    rep.add(check("punctured_profile_plateaus",
                   0.0 if (growth.inner_zero_ok and growth.outer_one_ok) else 1.0,
                   0.0))
     write_csv(outdir, "gauge_punctured_growth", ["eps", "sup_gradient"],
@@ -427,7 +418,7 @@ def _punctured_checks(cfg: ExperimentConfig, rep: Report, dig, outdir: Path) -> 
 # fock
 # ---------------------------------------------------------------------------
 
-def suite_fock(cfg: ExperimentConfig, rng, rep: Report, dig,
+def suite_fock(cfg: ExperimentConfig, rng, rep: Report,
                outdir: Path) -> None:
     grid = build_grid("circle", cfg.fock_nodes, radius=1.0)
 
@@ -436,23 +427,21 @@ def suite_fock(cfg: ExperimentConfig, rng, rep: Report, dig,
     rho, psi, f, g = random_tuples(grid, rng, cfg.fock_tuples, rho_kind,
                                    gauge_kind, unit_form, unit_form)
     unitary = fock.kernel_discrepancy(psi, f, g, rho)
-    rep.add(check("u_unitary_kernel", dig("uni"), np.max(unitary), 1e-10))
+    rep.add(check("u_unitary_kernel", np.max(unitary), 1e-10))
 
     rho, psi, phi, f_set = random_tuples(grid, rng, cfg.fock_pairs, rho_kind,
                                          gauge_kind, gauge_kind, unit_form)
     res = fock.homomorphism_check(psi, phi, f_set, rho)
-    rep.add(check("u_homomorphism_coefficient", dig("coeff"),
+    rep.add(check("u_homomorphism_coefficient",
                   abs(res.coeff_ratio - 1.0), 1e-9))
-    rep.add(check("u_homomorphism_parameter", dig("param"),
-                  res.param_residual, 1e-10))
+    rep.add(check("u_homomorphism_parameter", res.param_residual, 1e-10))
 
     vac = fock.CoherentVector(1.0, Field.zero(grid, 1, algebra=True))
-    rep.add(check("vacuum_kernel", dig("vac"),
+    rep.add(check("vacuum_kernel",
                   abs(fock.coherent_inner(vac, vac) - 1.0), 0.0))
     psi = random_gauge_field(grid, rng, cfg.gauge_modes, 1.0)
     moved = fock.apply_u(psi, vac, None)
-    rep.add(check("translated_vacuum_norm", dig("tvac"),
-                  abs(moved.norm() - 1.0), 1e-12))
+    rep.add(check("translated_vacuum_norm", abs(moved.norm() - 1.0), 1e-12))
 
     worst_trunc = 0.0
     bases, others = random_tuples(grid, rng, 10, unit_form, unit_form)
@@ -468,15 +457,15 @@ def suite_fock(cfg: ExperimentConfig, rng, rep: Report, dig,
         bound = fock.truncation_tail_bound(norm(f), norm(g), cfg.fock_cutoff)
         ratio = abs(exact - tf.inner(tg)) / bound if bound > 0.0 else math.inf
         worst_trunc = max(worst_trunc, ratio)
-    rep.add(check("kernel_vs_truncated_expansion", dig("trunc"), worst_trunc,
-                  1.0, detail="difference over the factorial tail bound"))
+    rep.add(check("kernel_vs_truncated_expansion", worst_trunc, 1.0,
+                  detail="difference over the factorial tail bound"))
 
 
 # ---------------------------------------------------------------------------
 # conformal
 # ---------------------------------------------------------------------------
 
-def suite_conformal(cfg: ExperimentConfig, rng, rep: Report, dig,
+def suite_conformal(cfg: ExperimentConfig, rng, rep: Report,
                     outdir: Path) -> None:
     torus = build_grid("torus", cfg.conformal_torus_nodes, radius=1.0)
     psi2 = random_gauge_field(torus, rng, 2, 0.8)
@@ -486,14 +475,12 @@ def suite_conformal(cfg: ExperimentConfig, rng, rep: Report, dig,
                             count=cfg.conformal_elements)
     rho2 = rho_field(torus, "random", cfg.conformal_rho_amplitude, rng=rng)
     res2 = fock.conformal_check(psi2, rho2, f_set, g_set)
-    rep.add(check("dimension2_invariance", dig("d2"),
-                  res2.max_relative_change, 1e-10))
+    rep.add(check("dimension2_invariance", res2.max_relative_change, 1e-10))
 
     zero = fock.conformal_check(psi2, np.zeros(torus.node_count),
                                 f_set.copy_with(f_set.values[:2]),
                                 g_set.copy_with(g_set.values[:2]))
-    rep.add(check("zero_rescale_identity", dig("zero"),
-                  zero.max_relative_change, 0.0))
+    rep.add(check("zero_rescale_identity", zero.max_relative_change, 0.0))
 
     circle = build_grid("circle", cfg.conformal_circle_nodes, radius=1.0)
     psi1 = random_gauge_field(circle, rng, 2, 0.8)
@@ -503,7 +490,7 @@ def suite_conformal(cfg: ExperimentConfig, rng, rep: Report, dig,
                          count=cfg.conformal_elements)
     rho1 = np.full(circle.node_count, 1.0)
     res1 = fock.conformal_check(psi1, rho1, f1, g1)
-    rep.add(check("dimension1_matches_factor", dig("d1"),
+    rep.add(check("dimension1_matches_factor",
                   res1.max_prediction_residual, 1e-8,
                   detail=f"one-particle scale {res1.one_particle_scale:.6f}"))
     rep.extras["dimension1_max_change"] = res1.max_relative_change
@@ -522,15 +509,14 @@ SUITES = {
 def run_suite(name: str, cfg: ExperimentConfig, outdir: Path) -> list:
     """Run one suite, or each in turn for "all", and write `<suite>.json`.
 
-    Every suite gets a fresh report, its own seeded stream and an inputs
-    digest salted with its name; the suite function only adds checks.
+    Every suite gets a fresh report and its own seeded stream; the suite
+    function only adds checks.
     """
     reports = []
     for suite in (tuple(SUITES) if name == "all" else (name,)):
         rep = Report(suite, cfg.seed, cfg.digest())
         rng = suite_rng(cfg.seed, SUITE_STREAMS[suite])
-        dig = functools.partial(digest_of, suite, cfg.seed, cfg.digest())
-        SUITES[suite](cfg, rng, rep, dig, outdir)
+        SUITES[suite](cfg, rng, rep, outdir)
         rep.write_json(outdir)
         reports.append(rep)
     return reports

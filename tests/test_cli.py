@@ -3,10 +3,12 @@ import filecmp
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from energyrep import config, operators
@@ -365,16 +367,15 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_cli_import_leaves_scipy_linalg_out(self, tmp_path):
-        # the package imports only top-level scipy, for the version stamp:
-        # neither the import, nor `all`, nor the spectrum of a torus loads a
-        # scipy submodule
+    def test_cli_import_leaves_scipy_out(self, tmp_path):
+        # scipy is a test dependency only: neither the import, nor `all`,
+        # nor the spectrum of a torus loads scipy or any of its submodules
         runs = [["all", "--config", str(small_config(tmp_path)),
                  "--out", str(tmp_path / "all")],
                 ["spectrum", "--config", str(TORUS_CFG),
                  "--out", str(tmp_path / "torus")]]
-        loaded = ("[m for m in ('scipy.linalg', 'scipy.sparse', "
-                  "'scipy.sparse.linalg') if m in sys.modules]")
+        loaded = ("[m for m in sys.modules "
+                  "if m == 'scipy' or m.startswith('scipy.')]")
         code = ("import sys, energyrep.cli; "
                 f"print({loaded}); "
                 f"codes = [energyrep.cli.main(argv) for argv in {runs!r}]; "
@@ -453,15 +454,34 @@ class TestReports:
         assert main(["fock", "--config", str(cfg), "--out", str(out)]) == 0
         data = json.loads((out / "fock.json").read_text())
         assert data["passed"] is True
-        assert {"name", "inputs_digest", "measured", "tolerance", "comparator",
-                "verdict", "detail"} <= set(data["checks"][0])
-        assert "environment" in data and "python" in data["environment"]
+        for c in data["checks"]:
+            assert set(c) == {"name", "measured", "tolerance", "comparator",
+                              "verdict", "detail"}
+        assert "environment" not in data
+        # the machine goes to the sidecar
+        meta = (out / "run_meta.txt").read_text().splitlines()
+        assert f"python={sys.version.split()[0]}" in meta
+        assert f"numpy={np.__version__}" in meta
+
+    def test_suite_json_independent_of_platform(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for name, out in zip(("machine-a", "machine-b"), outs):
+            monkeypatch.setattr(platform, "platform", lambda name=name: name)
+            assert main(["ladders", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        a, b = ((out / "ladders.json").read_bytes() for out in outs)
+        assert a == b
+        metas = [(out / "run_meta.txt").read_text().splitlines()
+                 for out in outs]
+        assert "platform=machine-a" in metas[0]
+        assert "platform=machine-b" in metas[1]
 
     def test_non_finite_failure_is_not_a_refusal(self, tmp_path):
         rep = Report("mixed", 1, "digest")
-        rep.add(check("nan_measurement", "d1", float("nan"), 1.0))
-        rep.add(check("inf_measurement", "d2", float("inf"), 1.0))
-        rep.add(refusal("declined", "d3", "not applicable"))
+        rep.add(check("nan_measurement", float("nan"), 1.0))
+        rep.add(check("inf_measurement", float("inf"), 1.0))
+        rep.add(refusal("declined", "not applicable"))
         rep.extras.update(nan=float("nan"), inf=float("inf"),
                           neg=[float("-inf"), 2.5])
         data = json.loads(rep.write_json(tmp_path).read_text())
@@ -482,8 +502,8 @@ class TestReports:
         monkeypatch.setenv("MKL_NUM_THREADS", "1")
         lines = write_sidecar_meta(tmp_path, note="n").read_text().splitlines()
         assert lines[0].startswith("timestamp_utc=")
-        assert lines[1:] == ["OPENBLAS_NUM_THREADS=3", "OMP_NUM_THREADS=unset",
-                             "MKL_NUM_THREADS=1", "n"]
+        assert lines[-4:] == ["OPENBLAS_NUM_THREADS=3", "OMP_NUM_THREADS=unset",
+                              "MKL_NUM_THREADS=1", "n"]
 
     def test_spectrum_csv_tables(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -328,9 +328,24 @@ class TestBatchedAgainstLoop:
         # a test set of rank-1 algebra fields climbs to rank 4 at n = 3
         assert [g.values.shape for pair in chain for g in pair] == [
             (6, 64) + (2,) * (k + 1) + (3,) for k in range(4) for _ in "ut"]
-        # the dense solve of H_rho: a per-axis expansion sums in another
-        # order than this loop, so it would agree only to rounding
+        # the dense solve of H_rho, the path a per-axis solve replaces
         assert_batch_equals_loop(fields, M_LIST, P_LIST, weight, dense)
+
+    def test_torus_per_axis_decomposition(self):
+        # a per-axis expansion is a strided view: every field still sums
+        # in one order, whatever the other fields of its set
+        torus = build_grid("torus", 8, radius=1.0)
+        rho = rho_field(torus, "cosine", 0.3, 1)
+        weight = WeightField.constant(torus, 2.0, rho)
+        dec = conjugated_operator(
+            assemble_h(torus, WeightField.constant(torus, 2.0)),
+            rho).eigendecomposition()
+        assert dec.vectors is None
+        rng = np.random.default_rng(17)
+        algebra = random_one_form(torus, rng, modes=2, count=6)
+        covectors = random_covector_testset(torus, rng, 6)
+        for subset in (algebra, covectors):
+            assert_batch_equals_loop(subset, M_LIST, P_LIST, weight, dec)
 
     def test_single_field_is_the_one_field_batch(self, circle_setup):
         g, w, dec = circle_setup
