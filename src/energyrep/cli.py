@@ -2,20 +2,62 @@
 
 Exit codes: 0 all checks pass, 1 at least one check failed or was refused,
 2 configuration or usage error.  ENERGYREP_OUT overrides the default output
-directory; an explicit --out beats the environment.
+directory; an explicit --out beats the environment.  The CLI runs BLAS on one
+thread (`pin_blas_threads`); importing the package leaves BLAS as it is.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import ConfigError, load_config
 from .report import write_sidecar_meta
 from .suites import SUITES, run_suite
 
 SUBCOMMANDS = tuple(SUITES) + ("all",)
+# Thread-count setters of OpenBLAS as numpy bundles it, of a plain OpenBLAS,
+# and of MKL (whose C header makes `mkl_set_num_threads` a macro for this
+# entry point).
+BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                "openblas_set_num_threads", "MKL_Set_Num_Threads")
+
+
+def _blas_libraries() -> list[str | None]:
+    """numpy's bundled BLAS (`numpy.libs` in Linux and Windows wheels,
+    `numpy/.dylibs` in macOS ones), then the process's global symbols."""
+    package = Path(np.__file__).parent
+    bundled = [*package.parent.glob("numpy.libs/libscipy_openblas*"),
+               *package.glob(".dylibs/libscipy_openblas*")]
+    return [str(path) for path in sorted(bundled)] + [None]
+
+
+def pin_blas_threads() -> str:
+    """Run BLAS on one thread; return the setter's name, or "unpinned" when
+    none is found.  Never raises.
+
+    Every dense solve of the lab is small (at most 400 rows on the shipped
+    configs), where a second thread burns CPU for no wall time, can stall a
+    process's first solve, and moves the last digits of a report with the
+    thread count.  Called in-process, so it beats OPENBLAS_NUM_THREADS.
+    """
+    for path in _blas_libraries():
+        try:
+            library = ctypes.CDLL(path)
+        except (OSError, TypeError):
+            continue
+        for name in BLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return name
+    return "unpinned"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    blas_pin = pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -49,7 +92,8 @@ def main(argv=None) -> int:
         return 2
 
     reports = run_suite(args.suite, cfg, outdir)
-    write_sidecar_meta(outdir, note=f"suite={args.suite} config={args.config}")
+    write_sidecar_meta(outdir, note=f"suite={args.suite} config={args.config}",
+                       blas_pin=blas_pin)
 
     failed = 0
     for rep in reports:

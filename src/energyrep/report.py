@@ -113,13 +113,27 @@ def _json_safe(obj):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def write_sidecar_meta(outdir: Path, note: str = "") -> Path:
+def machine_stamp() -> str:
+    """`platform.platform()`, built on Linux without the `uname -p`
+    subprocess that unpacking `platform.uname()` spawns."""
+    system = platform.system()
+    if system != "Linux":
+        return platform.platform()
+    libc, version = platform.libc_ver()
+    return "-".join(filter(None, (system, platform.release(),
+                                  platform.machine(), "with", libc + version)))
+
+
+def write_sidecar_meta(outdir: Path, note: str = "",
+                       blas_pin: str = "unpinned") -> Path:
     """Wall-clock stamp, versions, platform and BLAS thread setup, isolated
     from the reports.
 
-    The shipped configs' reports do not depend on the BLAS thread count,
-    but larger dense solves do in their last digits (the seminorm probe at
-    N = 256), so the thread variables are recorded here, "unset" if absent.
+    The CLI runs BLAS on one thread whatever OPENBLAS_NUM_THREADS says, and
+    passes the setter it called, or "unpinned", as `blas_pin`.  Unpinned,
+    the last digits of a dense solve can follow the thread count (the
+    interval's `gram_identity` does), so the thread variables are recorded
+    too, "unset" if absent.
     """
     from . import __version__
     outdir = Path(outdir)
@@ -130,7 +144,8 @@ def write_sidecar_meta(outdir: Path, note: str = "") -> Path:
         "package": f"energyrep {__version__}",
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "platform": machine_stamp(),
+        "blas_pin": blas_pin,
         **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
     }
     lines = "".join(f"{key}={value}\n" for key, value in stamp.items())

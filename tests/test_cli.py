@@ -11,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from energyrep import config, operators
+from energyrep import cli, config, operators, report
 from energyrep.cli import main
 from energyrep.config import ConfigError, load_config
 from energyrep.report import Report, check, refusal, write_sidecar_meta
 
 REPO = Path(__file__).resolve().parents[1]
 CIRCLE_CFG = REPO / "configs" / "circle.cfg"
+INTERVAL_CFG = REPO / "configs" / "interval.cfg"
 PUNCTURED_CFG = REPO / "configs" / "punctured.cfg"
 TORUS_CFG = REPO / "configs" / "torus.cfg"
 # Every key load_config accepts, written out here rather than read from
@@ -280,15 +281,19 @@ class TestConfigParsing:
             load_config(small_config(tmp_path), seed=-1)
 
 
-def run_cli(*argv, python_flags=(), env=None) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, so a traceback would reach stderr;
-    env adds to the inherited environment."""
+def run_python(*args, env=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package on its path, so a traceback
+    would reach stderr; env adds to the inherited environment."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *python_flags, "-m",
-                           "energyrep.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path, **(env or {})))
+
+
+def run_cli(*argv, python_flags=(), env=None) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter."""
+    return run_python(*python_flags, "-m", "energyrep.cli", *argv, env=env)
 
 
 class TestExitCodes:
@@ -380,11 +385,7 @@ class TestExitCodes:
                 f"print({loaded}); "
                 f"codes = [energyrep.cli.main(argv) for argv in {runs!r}]; "
                 f"print(codes, {loaded})")
-        path = os.pathsep.join(filter(None, [str(REPO / "src"),
-                                             os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=path))
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().splitlines()
         assert lines[0] == "[]"
@@ -467,7 +468,8 @@ class TestReports:
         cfg = small_config(tmp_path)
         outs = [tmp_path / "a", tmp_path / "b"]
         for name, out in zip(("machine-a", "machine-b"), outs):
-            monkeypatch.setattr(platform, "platform", lambda name=name: name)
+            monkeypatch.setattr(report, "machine_stamp",
+                                lambda name=name: name)
             assert main(["ladders", "--config", str(cfg),
                          "--out", str(out)]) == 0
         a, b = ((out / "ladders.json").read_bytes() for out in outs)
@@ -476,6 +478,19 @@ class TestReports:
                  for out in outs]
         assert "platform=machine-a" in metas[0]
         assert "platform=machine-b" in metas[1]
+
+    def test_machine_stamp_is_platform_platform(self):
+        assert report.machine_stamp() == platform.platform()
+
+    def test_sidecar_spawns_no_subprocess(self, tmp_path):
+        # platform.platform() would run `uname -p` through subprocess
+        code = ("import sys; from energyrep.report import write_sidecar_meta; "
+                "before = 'subprocess' in sys.modules; "
+                f"write_sidecar_meta({str(tmp_path)!r}); "
+                "print(before, 'subprocess' in sys.modules)")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False False"
 
     def test_non_finite_failure_is_not_a_refusal(self, tmp_path):
         rep = Report("mixed", 1, "digest")
@@ -552,12 +567,19 @@ class TestDeterminism:
         for csv_file in out1.glob("*.csv"):
             assert filecmp.cmp(csv_file, out2 / csv_file.name, shallow=False)
 
-    @pytest.mark.parametrize("cfg", [TORUS_CFG, PUNCTURED_CFG])
+    @pytest.mark.parametrize("cfg", [
+        ("spectrum", TORUS_CFG), ("spectrum", PUNCTURED_CFG),
+        ("spectrum", INTERVAL_CFG),
+        # the seminorm probe up to N = 256, as in perfbench's probe-refine
+        ("seminorms", {"seminorms.nodes": "32 64 128 256"})])
     def test_reports_independent_of_blas_threads(self, tmp_path, cfg):
         # run_meta.txt records the thread setup, so it alone may differ
+        suite, cfg = cfg
+        if isinstance(cfg, dict):
+            cfg = small_config(tmp_path, **cfg)
         outs = [tmp_path / "threads1", tmp_path / "threads2"]
         for threads, out in zip("12", outs):
-            proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out),
+            proc = run_cli(suite, "--config", str(cfg), "--out", str(out),
                            env={"OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
         names = [sorted(f.name for f in out.iterdir()
@@ -573,6 +595,37 @@ class TestDeterminism:
         main(["gauge", "--config", str(cfg), "--out", str(out_one)])
         assert filecmp.cmp(out_all / "gauge.json", out_one / "gauge.json",
                            shallow=False)
+
+
+class TestBlasPin:
+    def test_unpinned_when_no_setter_is_found(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_blas_libraries",
+                            lambda: ["no-such-blas-library.so"])
+        assert cli.pin_blas_threads() == "unpinned"
+        out = tmp_path / "out"
+        assert main(["ladders", "--config", str(small_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        meta = (out / "run_meta.txt").read_text().splitlines()
+        assert "blas_pin=unpinned" in meta
+
+    def test_main_runs_bundled_openblas_on_one_thread(self, tmp_path):
+        # a fresh interpreter that was told to use two threads
+        bundled = cli._blas_libraries()[0]
+        if bundled is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        argv = ["ladders", "--config", str(small_config(tmp_path)),
+                "--out", str(tmp_path / "out")]
+        code = ("import ctypes, energyrep.cli as cli; "
+                f"lib = ctypes.CDLL({bundled!r}); "
+                "get = lib.scipy_openblas_get_num_threads64_; "
+                "get.argtypes, get.restype = [], ctypes.c_int; "
+                f"print(cli.main({argv!r}), get())")
+        proc = run_python("-c", code, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 1"
+        meta = (tmp_path / "out" / "run_meta.txt").read_text().splitlines()
+        assert "blas_pin=scipy_openblas_set_num_threads64_" in meta
+        assert "OPENBLAS_NUM_THREADS=2" in meta
 
 
 def test_layer_trace_binds_every_traced_name():
