@@ -264,26 +264,29 @@ def _check_scales(f: Field, g: Field) -> None:
 
 def inner_product(f: Field, g: Field,
                   rho: np.ndarray | None = None) -> complex | np.ndarray:
-    """<f, g>_{rho,0}: quadrature sum of the pointwise inner product.
-
-    Antilinear in the left argument.  Covector indices contract with the
-    inverse metric (scale^-rank), algebra indices with -B (2 * identity).
-    With a sample axis on either field the result is an array, one value per
-    sample.
+    """<f, g>_{rho,0}: the pointwise inner product summed against
+    node_weights.  Antilinear in the left argument; with a sample axis on
+    either field, an array with one value per sample.
     """
     _check_pair(f, g)
     _check_scales(f, g)
-    grid = f.grid
     product = np.conj(f.values) * g.values
     lead = max(f.sample_axes, g.sample_axes)
     pointwise = np.sum(product, axis=tuple(range(lead + 1, product.ndim)))
-    if f.algebra:
-        pointwise = pointwise * ALGEBRA_METRIC_FACTOR
+    total = np.sum(pointwise * node_weights(f, rho), axis=-1)
+    return total if lead else complex(total)
+
+
+def node_weights(f: Field, rho: np.ndarray | None = None) -> np.ndarray:
+    """Per-node weight of <f, f>_{rho,0}: the measure, times scale^-rank for
+    the covector indices, -B = 2 * identity for algebra indices, and e^rho."""
+    grid = f.grid
     weight = grid.measure_weights() * grid.metric_scale ** (-f.rank)
+    if f.algebra:
+        weight = weight * ALGEBRA_METRIC_FACTOR  # a power of 2: exact
     if rho is not None:
         weight = weight * np.exp(np.asarray(rho, float))
-    total = np.sum(pointwise * weight, axis=-1)
-    return total if lead else complex(total)
+    return weight
 
 
 def norm(f: Field, rho: np.ndarray | None = None) -> float | np.ndarray:
@@ -331,7 +334,7 @@ def _shifted(mesh: np.ndarray, axis: int, step: int, topology: str) -> np.ndarra
 
 def centered_stencil(grid: GridManifold, axis: int) -> tuple:
     """(rows, cols, values) of the nonzero entries of the centered-difference
-    matrix (f_{i+1} - f_{i-1}) / 2h along one axis, the one _axis_derivative
+    matrix (f_{i+1} - f_{i-1}) / 2h along one axis, the one covariant_derivative
     applies; its neighbour pairs come from _shifted on 1-based node indices."""
     idx = np.arange(1, grid.node_count + 1).reshape(grid.axis_sizes)
     hi = _shifted(idx, axis, +1, grid.topology).ravel()
@@ -342,30 +345,26 @@ def centered_stencil(grid: GridManifold, axis: int) -> tuple:
             np.repeat([c, -c], lo.size))
 
 
-def _axis_derivative(grid: GridManifold, values: np.ndarray, axis: int,
-                     lead: int = 0) -> np.ndarray:
-    """Centered difference along one grid axis; the node axis follows `lead`
-    sample axes."""
-    mesh = grid.to_mesh(values, lead)
-    h = grid.spacing[axis]
-    dmesh = (_shifted(mesh, lead + axis, +1, grid.topology)
-             - _shifted(mesh, lead + axis, -1, grid.topology)) / (2.0 * h)
-    return grid.from_mesh(dmesh, lead)
-
-
 def covariant_derivative(f: Field) -> Field:
     """Centered-difference covariant derivative, rank k -> k+1.
 
-    The new covector index sits right after the node axis.  Requires a
-    constant metric scale (flat connection); O(h^2) on smooth fields.
+    (f_{i+1} - f_{i-1}) / 2h per axis, written straight into its slot of
+    the new covector index, which sits right after the node axis.  Requires
+    a constant metric scale (flat connection); O(h^2) on smooth fields.
     """
     grid = f.grid
     grid.constant_scale()
     lead = f.sample_axes
-    parts = [_axis_derivative(grid, f.values, j, lead)
-             for j in range(grid.dimension)]
-    values = np.stack(parts, axis=lead + 1)
-    return Field(grid, f.rank + 1, values, f.algebra)
+    mesh = grid.to_mesh(f.values, lead)
+    split = lead + grid.dimension
+    out = np.empty(mesh.shape[:split] + (grid.dimension,) + mesh.shape[split:],
+                   np.result_type(mesh, grid.spacing))
+    for j in range(grid.dimension):
+        slot = out[(slice(None),) * split + (j,)]
+        np.subtract(_shifted(mesh, lead + j, +1, grid.topology),
+                    _shifted(mesh, lead + j, -1, grid.topology), out=slot)
+        slot /= 2.0 * grid.spacing[j]
+    return Field(grid, f.rank + 1, grid.from_mesh(out, lead), f.algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Random test fields, gauge fields and algebra-valued fields are built from the
 array families below, so that logarithmic derivatives are exact at the nodes
 and cocycle identities can be tested at machine precision.  Each family
-evaluates P profiles at once from one evaluation of their phases and returns
-values (P, n) and exact gradients (P, n, d).  The plateau and annulus cutoffs
-serve the cutoff sequences.
+evaluates P profiles at once, each on its own, and returns values (P, n) and
+exact gradients (P, n, d); plane waves take their trig per axis.  The plateau
+and annulus cutoffs serve the cutoff sequences.
 """
 from __future__ import annotations
 
@@ -33,25 +33,30 @@ def fourier_series(nodes: np.ndarray, period: float, cos_amps: np.ndarray,
     return val, grad[:, :, None]
 
 
-def plane_waves(nodes: np.ndarray, periods, terms: np.ndarray):
-    """sum of plane waves amp * cos(2 pi (kx x / Px + ky y / Py) + phase).
-
-    terms holds one row of (amp, kx, ky, phase) per wave, shape (P, M, 4).
-    The waves are evaluated one at a time, so the temporaries stay (P, n).
-    """
-    px, py = periods
-    amp, kx, ky, ph = (terms[:, :, i, None] for i in range(4))
-    wx, wy = 2 * np.pi * kx / px, 2 * np.pi * ky / py
-    val = np.zeros((terms.shape[0], nodes.shape[0]))
-    grad = np.zeros(val.shape + (2,))
-    for m in range(terms.shape[1]):
-        arg = (2 * np.pi * (kx[:, m] * nodes[:, 0] / px
-                            + ky[:, m] * nodes[:, 1] / py) + ph[:, m])
-        val += amp[:, m] * np.cos(arg)
-        s = -amp[:, m] * np.sin(arg)
-        grad[:, :, 0] += s * wx[:, m]
-        grad[:, :, 1] += s * wy[:, m]
-    return val, grad
+def plane_waves(axes, periods, terms: np.ndarray):
+    """sum of waves amp cos(a + b), a = 2 pi kx x / Px, b = 2 pi ky y / Py
+    + phase, one row (amp, kx, ky, phase) of terms (P, M, 4) each, on the
+    grid of the axes (x, y).  By cos(a + b) = cos a cos b - sin a sin b and
+    its sine analogue, trig runs on (P, N) tables only, and one matrix
+    product per profile sums the waves (one more, the gradients)."""
+    (x, y), (count, waves) = axes, terms.shape[:2]
+    amp, ph = terms[:, :, 0, None], terms[:, :, 3, None]
+    w = 2 * np.pi * terms[:, :, 1:3] / periods  # wave vectors, (P, M, 2)
+    # amp (cos a, sin a) against (cos b, -sin b), and -w (sin b, cos b)
+    left = np.empty((count, x.size, waves, 2))
+    right = np.empty((count, waves, 2, y.size))
+    dright = np.empty((count, waves, 2, y.size, 2))
+    for m in range(waves):
+        a, b = w[:, m, :1] * x, w[:, m, 1:] * y + ph[:, m]
+        left[:, :, m, 0], left[:, :, m, 1] = (amp[:, m] * t(a)
+                                              for t in (np.cos, np.sin))
+        cb, sb = np.cos(b), np.sin(b)
+        right[:, m, 0], right[:, m, 1] = cb, -sb
+        dright[:, m, 0], dright[:, m, 1] = (-t[:, :, None] * w[:, m, None]
+                                            for t in (sb, cb))
+    left = left.reshape(count, x.size, -1)
+    return ((left @ right.reshape(count, -1, y.size)).reshape(count, -1),
+            (left @ dright.reshape(count, -1, 2 * y.size)).reshape(count, -1, 2))
 
 
 def bumps(nodes: np.ndarray, centers, widths, amplitudes):

@@ -154,22 +154,14 @@ def write_sidecar_meta(outdir: Path, note: str = "",
 
 
 def write_csv(outdir: Path, name: str, header, rows) -> Path:
+    """`<name>.csv`; the csv module writes a float as its repr, so only
+    numpy scalars are converted, to the Python number they hold."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{name}.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([v.item() if isinstance(v, np.generic) else v
+                          for v in row] for row in rows)
     return path
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v

@@ -60,7 +60,8 @@ def _profiles(grid: GridManifold, rows: np.ndarray):
         return fourier_series(nodes, period, rows[:, 0], rows[:, 1])
     if grid.topology == "periodic":
         periods = tuple(grid.spacing[j] * grid.axis_sizes[j] for j in range(2))
-        return plane_waves(nodes, periods, rows)
+        return plane_waves([grid.axis_coordinates(j) for j in (0, 1)], periods,
+                           rows)
     return bumps(nodes, rows[:, :-2], rows[:, -2], rows[:, -1])
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (ALGEBRA_METRIC_FACTOR, Field, GridError, WeightField,
-                   covariant_derivative, norm)
+                   covariant_derivative, node_weights, norm)
 from .operators import SpectralDecomposition
 
 
@@ -114,28 +114,35 @@ def seminorm_prime(f: Field, m: int, weight: WeightField) -> float:
                                       weight)[0, 0])
 
 
-def chain_identity_residual(fields, order: int,
-                            weight: WeightField) -> np.ndarray:
-    """Largest relative residual of |W^m grad_rho^n f|_{rho,0} =
-    |W^m grad^n (e^{rho/2} f)|_0 over n <= m <= order, for every field of a
-    set, shape (S,).
-
-    One derivative chain serves every (m, n): its untwisted iterate
-    grad^n (e^{rho/2} f) is the right-hand side itself.  The set runs in
-    slices, one order of the chain at a time, so the temporaries stay those
-    of one slice at one order.
-    """
+def chain_sides(fields, order: int, weight: WeightField):
+    """Yield (cols, m, n, lhs, rhs), n <= m <= order: |W^m grad_rho^n f|_{rho,0}
+    and |W^m grad^n (e^{rho/2} f)|_0 for the samples cols of a set, from one
+    chain; per order each side's weighted |.|^2 is formed once, then summed
+    against W^{2m} for every m."""
     rho = weight.rho
-    wm = [weight.w ** m for m in range(order + 1)]
-    out = np.zeros(len(fields.values))
+    w2m = [weight.w ** (2 * m) for m in range(order + 1)]
     for cols, part in _slices(fields):
         for n, (g, twisted) in enumerate(twisted_chain(part, rho, order)):
+            squares = [_weighted_square(twisted, rho), _weighted_square(g, None)]
             for m in range(n, order + 1):
-                lhs = norm(twisted.scale_by_nodes(wm[m]), rho)
-                rhs = norm(g.scale_by_nodes(wm[m]), None)
-                rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
-                out[cols] = np.maximum(out[cols], rel)
+                yield (cols, m, n, *(np.sqrt(np.maximum(
+                    np.sum(sq * w2m[m], axis=-1), 0.0)) for sq in squares))
+
+
+def chain_identity_residual(fields, order: int,
+                            weight: WeightField) -> np.ndarray:
+    """Per field of a set, the largest relative residual of chain_sides."""
+    out = np.zeros(len(fields.values))
+    for cols, _, _, lhs, rhs in chain_sides(fields, order, weight):
+        rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
+        out[cols] = np.maximum(out[cols], rel)
     return out
+
+
+def _weighted_square(f: Field, rho) -> np.ndarray:
+    """Summands of |f|^2_{rho,0}, shape (samples, nodes)."""
+    v = f.values.reshape(f.values.shape[:2] + (-1,)).view(float)
+    return np.einsum("ijk,ijk->ij", v, v) * node_weights(f, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,38 @@ class TestCovariantDerivative:
         with pytest.raises(GridError):
             covariant_derivative(f)
 
+    @pytest.mark.parametrize("shape,kw", [
+        ("circle", {"radius": 1.0}), ("interval", {"halfwidth": 3.0}),
+        ("torus", {"radius": 1.0}), ("square", {"halfwidth": 2.0}),
+    ])
+    @pytest.mark.parametrize("rank,algebra,count", [
+        (0, False, None), (1, True, None), (2, False, 3), (1, True, 2)])
+    def test_written_in_place_is_the_stacked_difference(self, shape, kw, rank,
+                                                        algebra, count):
+        # each axis' (f_{i+1} - f_{i-1}) / 2h written into its slot, bit for
+        # bit the per-axis differences stacked after the node axis
+        g = build_grid(shape, 7, **kw)
+        rng = np.random.default_rng(23)
+        fields = [random_field(g, rng, rank, algebra) for _ in range(count or 1)]
+        f = stack(fields) if count else fields[0]
+        lead = f.sample_axes
+        mesh = g.to_mesh(f.values, lead)
+        parts = []
+        for j in range(g.dimension):
+            ax = lead + j
+            if g.topology == "periodic":
+                up, down = np.roll(mesh, -1, ax), np.roll(mesh, 1, ax)
+            else:
+                pad = [(0, 0)] * mesh.ndim
+                pad[ax] = (1, 1)
+                wide = np.pad(mesh, pad)
+                up = np.take(wide, range(2, mesh.shape[ax] + 2), axis=ax)
+                down = np.take(wide, range(mesh.shape[ax]), axis=ax)
+            parts.append(g.from_mesh((up - down) / (2.0 * g.spacing[j]), lead))
+        got = covariant_derivative(f).values
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.stack(parts, axis=lead + 1))
+
     def test_adjoint_exact_under_constant_rescale(self):
         # constant conformal factor: connection still flat, adjoint picks up 1/c
         g = conformal_rescale(build_grid("circle", 12, radius=1.0),

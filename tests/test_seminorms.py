@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from energyrep import operators
+from energyrep import grid as grid_module, operators, seminorms
 from energyrep.config import ExperimentConfig, load_config
 from energyrep.grid import (ALGEBRA_METRIC_FACTOR, Field, GridError,
                             WeightField, build_grid, conformal_rescale,
@@ -16,7 +16,8 @@ from energyrep.operators import (SpectralDecomposition, assemble_h,
                                  conjugated_operator)
 from energyrep.sampling import (random_covector_testset, random_one_form,
                                 rho_field)
-from energyrep.seminorms import (chain_identity_residual, equivalence_probe,
+from energyrep.seminorms import (chain_identity_residual, chain_sides,
+                                 equivalence_probe,
                                  seminorm_p, seminorm_p_batch, seminorm_prime,
                                  seminorm_prime_batch, twisted_chain)
 from energyrep.suites import _probe_data, run_suite
@@ -141,19 +142,31 @@ class TestPrimeSeminorm:
         ("torus", {"radius": 1.0}, "constant"),
     ])
     def test_one_chain_is_the_per_pair_maximum(self, shape, kw, wkind):
-        # the gate value of twisted_chain_identity, bit for bit: one chain
-        # against a fresh pair of chains for every (m, n)
+        # each (m, n) side of twisted_chain_identity against a fresh pair of
+        # chains for that (m, n), and the gate value against their maximum
         g = build_grid(shape, 12 if shape == "torus" else 40, **kw)
         rho = rho_field(g, "bump" if shape == "interval" else "cosine", 0.4)
         w = (WeightField.constant(g, 2.0, rho) if wkind == "constant"
              else WeightField.quadratic(g, 1.0, rho))
         fs = random_one_form(g, np.random.default_rng(5), modes=3,
                              amplitude=1.0, count=5)
+        seen = set()
+        for cols, m, n, lhs, rhs in chain_sides(fs, 3, w):
+            part = fs.copy_with(fs.values[cols])
+            ref = chain_sides_oracle(part, m, n, w)
+            bound = chain_rounding_bound(part, n)
+            for got, want in zip((lhs, rhs), ref):
+                assert np.all(np.abs(got - want) <= bound * want)
+            seen.add((m, n))
+        assert seen == {(m, n) for m in range(4) for n in range(m + 1)}
         per_pair = max(float(np.max(weighted_chain_residual(fs, m, n, w)))
                        for m in range(4) for n in range(m + 1))
         one_chain = chain_identity_residual(fs, 3, w)
         assert one_chain.shape == (5,)
-        assert float(np.max(one_chain)) == per_pair
+        # each residual moves by at most the sides' bound, twice, plus its
+        # denominator's share
+        assert (abs(float(np.max(one_chain)) - per_pair)
+                <= 3 * chain_rounding_bound(fs, 3))
 
     def test_one_chain_holds_one_slice_at_a_time(self):
         g = build_grid("torus", 24, radius=1.0)
@@ -259,10 +272,9 @@ def loop_seminorm_prime(f, m, weight):
     return total
 
 
-def weighted_chain_residual(f, m, n, weight):
-    """Oracle: the relative residual of |W^m grad_rho^n f|_{rho,0} =
-    |W^m grad^n (e^{rho/2} f)|_0 for one (m, n), per sample, from a fresh
-    derivative chain on each side."""
+def chain_sides_oracle(f, m, n, weight):
+    """Oracle: |W^m grad_rho^n f|_{rho,0} and |W^m grad^n (e^{rho/2} f)|_0
+    for one (m, n), per sample, from a fresh derivative chain on each side."""
     half = np.exp(weight.rho / 2.0)
     wm = weight.w ** m
     g = f.scale_by_nodes(half)
@@ -272,8 +284,28 @@ def weighted_chain_residual(f, m, n, weight):
     g = f.scale_by_nodes(np.exp(weight.rho / 2.0))
     for _ in range(n):
         g = covariant_derivative(g)
-    rhs = norm(g.scale_by_nodes(wm), None)
+    return lhs, norm(g.scale_by_nodes(wm), None)
+
+
+def weighted_chain_residual(f, m, n, weight):
+    """Oracle: the relative residual of chain_sides_oracle's two sides."""
+    lhs, rhs = chain_sides_oracle(f, m, n, weight)
     return np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
+
+
+def chain_rounding_bound(f, n):
+    """Relative bound between two evaluations of one side of the chain
+    identity that differ only in the order of their roundings.
+
+    Both sum, per sample, K = nodes x (values per node of grad^n f) positive
+    terms, each a product of at most 8 rounded factors (|v|^2, W^{2m} or
+    W^m squared, the node weight, e^rho), from the same chain iterate.  For
+    positive terms any summation order stays within (K + 8) u relative
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2), the square root halves that, and the two evaluations
+    differ by at most the sum of their errors: (K + 8) u."""
+    per_node = f.values[0].size // f.grid.node_count * f.grid.dimension ** n
+    return (f.grid.node_count * per_node + 8) * np.finfo(float).eps / 2
 
 
 def members(fields):
@@ -434,3 +466,65 @@ class TestIntertwiningGate:
                             _doubled_rho(operators.conjugated_operator))
         gate = self.intertwine(tmp_path)
         assert gate.verdict == "fail" and gate.measured > 1e-3
+
+
+def _mutated_chain(twist, untwist):
+    """seminorms.twisted_chain with e^{twist rho} in place of e^{rho/2} and
+    e^{untwist rho} in place of e^{-rho/2}."""
+    def chain(f, rho, order):
+        out = f.scale_by_nodes(np.exp(twist * rho))
+        for n in range(order + 1):
+            if n:
+                out = covariant_derivative(out)
+            yield out, out.scale_by_nodes(np.exp(untwist * rho))
+    return chain
+
+
+class TestTwistedChainGate:
+    """twisted_chain_identity compares the twisted and untwisted sides of
+    one chain, so a wrong twist of the chain fails it."""
+
+    @staticmethod
+    def chain_gate(name, tmp_path):
+        cfg = load_config(CIRCLE_CFG.parent / f"{name}.cfg")
+        (rep,) = run_suite("spectrum", cfg, tmp_path)
+        return {c.name: c for c in rep.checks}["twisted_chain_identity"]
+
+    @pytest.mark.parametrize("name", ["circle", "torus"])
+    @pytest.mark.parametrize("twist,untwist,verdict", [
+        (0.5, -0.5, "pass"),   # the shipped chain, through the same builder
+        (0.5, 0.5, "fail"),    # untwisted by e^{+rho/2}
+        (1.0, -1.0, "fail"),   # twisted by e^{rho}
+    ])
+    def test_twist_mutations_fail(self, name, twist, untwist, verdict,
+                                  tmp_path, monkeypatch):
+        monkeypatch.setattr(seminorms, "twisted_chain",
+                            _mutated_chain(twist, untwist))
+        gate = self.chain_gate(name, tmp_path)
+        assert gate.verdict == verdict
+        if verdict == "fail":
+            assert gate.measured > 1e-2
+
+
+def test_chain_gate_work_is_linear_in_the_order(monkeypatch):
+    # per slice: one twist and one untwist per order, no norm per (m, n)
+    g = build_grid("torus", 24, radius=1.0)
+    w = WeightField.constant(g, 2.0, rho_field(g, "cosine", 0.3, 1))
+    fs = random_one_form(g, np.random.default_rng(6), modes=3, count=5)
+    calls = {"scale": 0, "norm": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Field, "scale_by_nodes",
+                        counted("scale", Field.scale_by_nodes))
+    monkeypatch.setattr(grid_module, "norm", counted("norm", grid_module.norm))
+    monkeypatch.setattr(seminorms, "norm", counted("norm", seminorms.norm))
+    order, slices = 3, len(list(seminorms._slices(fs)))
+    assert slices > 1
+    chain_identity_residual(fs, order, w)
+    assert calls["scale"] <= (order + 2) * slices
+    assert calls["norm"] == 0

@@ -2,9 +2,12 @@
 defines nothing that it never uses, it contracts no three arrays in one
 einsum, the ladder calculus multiplies no matrices, assembly writes no
 dense link matrix, every eigensolve is handed a symmetric matrix, a
-conjugate solves only what H solves, and the spectrum convergence script
+conjugate solves only what H solves, every CSV of the shipped configs has
+the bytes of the per-value formatter, and the spectrum convergence script
 runs."""
 import ast
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import energyrep.cli  # noqa: F401  (the trace wraps what the CLI imports)
+from energyrep import grid as grid_module, report, suites
 from energyrep.config import load_config
 from energyrep.grid import WeightField, build_grid
 from energyrep.operators import assemble_h, conjugated_operator
@@ -84,6 +88,40 @@ def test_every_solve_is_of_a_symmetric_matrix(name, monkeypatch, tmp_path):
     run_suite("all", load_config(REPO / "configs" / f"{name}.cfg"), tmp_path)
     assert seen
     assert all(np.array_equal(m, m.T) for m in seen)
+
+
+def _fmt(v):
+    """The per-value formatter write_csv once applied to every value."""
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, (np.floating,)):
+        return repr(float(v))
+    if isinstance(v, (np.integer,)):
+        return int(v)
+    return v
+
+
+@pytest.mark.parametrize("name", ["circle", "interval", "torus", "punctured"])
+def test_bulk_csv_rows_keep_the_formatter_bytes(name, monkeypatch, tmp_path):
+    written = []
+
+    def checked(outdir, csv_name, header, rows, _write=report.write_csv):
+        rows = list(rows)
+        path = _write(outdir, csv_name, header, rows)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        assert path.read_bytes() == buf.getvalue().encode("utf-8"), csv_name
+        written.append(csv_name)
+        return path
+
+    for module in (report, grid_module, suites):
+        monkeypatch.setattr(module, "write_csv", checked)
+    run_suite("all", load_config(REPO / "configs" / f"{name}.cfg"), tmp_path)
+    assert "spectrum_domain" in written
+    assert {p.stem for p in tmp_path.glob("*.csv")} == set(written)
 
 
 @pytest.mark.parametrize("shape", ["circle", "torus"])
