@@ -90,6 +90,11 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    try:  # before any suite runs, not when its first report is written
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output directory error: {exc}", file=sys.stderr)
+        return 2
 
     reports = run_suite(args.suite, cfg, outdir)
     write_sidecar_meta(outdir, note=f"suite={args.suite} config={args.config}",

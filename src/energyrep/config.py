@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import typing
 from dataclasses import dataclass
 
@@ -71,13 +72,20 @@ class ExperimentConfig:
         return self.source_digest
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parser(annotation):
-    """The field's own type, or for `tuple[T, ...]` a list of T separated by
-    blanks or commas."""
-    if typing.get_origin(annotation) is not tuple:
-        return annotation
-    item = typing.get_args(annotation)[0]
-    return lambda text: tuple(item(x) for x in text.replace(",", " ").split())
+    """The field's own type, a finite float for `float`, or for
+    `tuple[T, ...]` a list of T separated by blanks or commas."""
+    if typing.get_origin(annotation) is tuple:
+        item = _parser(typing.get_args(annotation)[0])
+        return lambda text: tuple(item(x) for x in text.replace(",", " ").split())
+    return _finite_float if annotation is float else annotation
 
 
 # key -> (attribute, parser); the key `section.rest` names the field

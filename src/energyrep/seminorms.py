@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (ALGEBRA_METRIC_FACTOR, Field, GridError, WeightField,
-                   covariant_derivative, node_weights, norm)
+                   covariant_derivative, node_weights)
 from .operators import SpectralDecomposition
 
 
@@ -87,24 +87,39 @@ def twisted_chain(f: Field, rho: np.ndarray, order: int):
         yield out, out.scale_by_nodes(1.0 / half)
 
 
+def weighted_norms(f: Field, rho, w2m) -> list:
+    """|W^m f|_{rho,0} per sample of f, one array for each W^{2m} of w2m.
+
+    The weighted pointwise |f|^2 (node_weights, with e^rho unless rho is
+    None) is formed once and summed against every W^{2m}.  Both |.|'_m and
+    the twisted-chain gate read the iterates of twisted_chain through here.
+    """
+    v = f.values.reshape(f.values.shape[:2] + (-1,)).view(float)
+    square = np.einsum("ijk,ijk->ij", v, v) * node_weights(f, rho)
+    return [np.sqrt(np.maximum(np.sum(square * w, axis=-1), 0.0))
+            for w in w2m]
+
+
 def seminorm_prime_batch(fields, m_list, weight: WeightField) -> np.ndarray:
     """|f|'_{rho,m} = sum_{n=0}^m |W^m grad_rho^n f|_{rho,0} for every field
     of a set and m, shape (len(m_list), S).
 
-    One derivative chain, up to max(m_list), serves every m; each m sums
+    One derivative chain, up to max(m_list), serves every m, and each
+    iterate's weighted |.|^2 is formed once for every m >= n; each m sums
     its terms in the order n = 0, 1, ..., m.
     """
     if any(m < 0 for m in m_list):
         raise ValueError("order m must be nonnegative")
     rho = weight.rho
     order = max(m_list, default=0)
-    wm = [weight.w ** m for m in m_list]
+    w2m = [weight.w ** (2 * m) for m in range(order + 1)]
     out = np.zeros((len(m_list), len(fields.values)))
     for cols, part in _slices(fields):
         for n, (_, g) in enumerate(twisted_chain(part, rho, order)):
+            terms = weighted_norms(g, rho, w2m[n:])
             for i, m in enumerate(m_list):
                 if n <= m:
-                    out[i, cols] += norm(g.scale_by_nodes(wm[i]), rho)
+                    out[i, cols] += terms[m - n]
     return out
 
 
@@ -114,35 +129,21 @@ def seminorm_prime(f: Field, m: int, weight: WeightField) -> float:
                                       weight)[0, 0])
 
 
-def chain_sides(fields, order: int, weight: WeightField):
-    """Yield (cols, m, n, lhs, rhs), n <= m <= order: |W^m grad_rho^n f|_{rho,0}
-    and |W^m grad^n (e^{rho/2} f)|_0 for the samples cols of a set, from one
-    chain; per order each side's weighted |.|^2 is formed once, then summed
-    against W^{2m} for every m."""
-    rho = weight.rho
-    w2m = [weight.w ** (2 * m) for m in range(order + 1)]
-    for cols, part in _slices(fields):
-        for n, (g, twisted) in enumerate(twisted_chain(part, rho, order)):
-            squares = [_weighted_square(twisted, rho), _weighted_square(g, None)]
-            for m in range(n, order + 1):
-                yield (cols, m, n, *(np.sqrt(np.maximum(
-                    np.sum(sq * w2m[m], axis=-1), 0.0)) for sq in squares))
-
-
 def chain_identity_residual(fields, order: int,
                             weight: WeightField) -> np.ndarray:
-    """Per field of a set, the largest relative residual of chain_sides."""
+    """Per field of a set, the largest relative residual over n <= m <= order
+    between |W^m grad_rho^n f|_{rho,0} and |W^m grad^n (e^{rho/2} f)|_0,
+    both read from one derivative chain."""
+    rho = weight.rho
+    w2m = [weight.w ** (2 * m) for m in range(order + 1)]
     out = np.zeros(len(fields.values))
-    for cols, _, _, lhs, rhs in chain_sides(fields, order, weight):
-        rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
-        out[cols] = np.maximum(out[cols], rel)
+    for cols, part in _slices(fields):
+        for n, (g, twisted) in enumerate(twisted_chain(part, rho, order)):
+            for lhs, rhs in zip(weighted_norms(twisted, rho, w2m[n:]),
+                                weighted_norms(g, None, w2m[n:])):
+                rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
+                out[cols] = np.maximum(out[cols], rel)
     return out
-
-
-def _weighted_square(f: Field, rho) -> np.ndarray:
-    """Summands of |f|^2_{rho,0}, shape (samples, nodes)."""
-    v = f.values.reshape(f.values.shape[:2] + (-1,)).view(float)
-    return np.einsum("ijk,ijk->ij", v, v) * node_weights(f, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,8 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report,
                    outdir: Path) -> None:
     grid = _domain_grid(cfg)
     rho = _domain_rho(cfg, grid, rng)
-    weight = _domain_weight(cfg, grid)
+    # assemble_h reads W alone; the chain gate below reads its rho
+    weight = _domain_weight(cfg, grid, rho)
     h_op = operators.assemble_h(grid, weight)
     rep.add(check("h_symmetry", h_op.symmetry_residual(), 1e-12))
 
@@ -139,10 +140,9 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report,
                   operators.eigenpair_map_residual(h_rho, dec), 1e-8))
 
     # multiplicative chain for the twisted derivative norms, m <= 3
-    wfield = _domain_weight(cfg, grid, rho)
     fs = random_one_form(grid, rng, modes=3, amplitude=1.0, count=5)
     worst_chain = float(np.max(seminorms.chain_identity_residual(fs, 3,
-                                                                 wfield)))
+                                                                 weight)))
     rep.add(check("twisted_chain_identity", worst_chain, 1e-12))
 
 

@@ -40,6 +40,14 @@ ACCEPTED_KEYS = [
 ]
 LIST_KEYS = {"seminorms.nodes": int, "seminorms.m_list": int,
              "seminorms.p_grid": float, "regularity.t_list": float}
+# Every key that parses to a float, or to a tuple of floats.
+FLOAT_KEYS = [
+    "domain.radius", "domain.halfwidth", "potential.value", "rho.amplitude",
+    "hs.p", "spectrum.oscillator_halfwidth", "seminorms.p_grid",
+    "seminorms.interval_halfwidth", "gauge.amplitude", "regularity.t_list",
+    "regularity.p", "regularity.q", "cutoff.step", "cutoff.collar",
+    "cutoff.p", "cutoff.halfwidth", "punctured.eps0", "conformal.rho_amplitude",
+]
 NODE_KEYS = ["spectrum.circle_nodes", "spectrum.oscillator_nodes", "gauge.nodes",
              "cutoff.nodes", "fock.nodes", "conformal.torus_nodes",
              "conformal.circle_nodes"]
@@ -126,6 +134,18 @@ class TestConfigParsing:
             value = getattr(cfg, key.replace(".", "_"))
             assert type(value) is tuple and value
             assert all(type(x) is item for x in value), key
+        values = {k: getattr(cfg, k.replace(".", "_", 1)) for k in ACCEPTED_KEYS}
+        assert sorted(FLOAT_KEYS) == sorted(
+            k for k, v in values.items()
+            if type(v[0] if type(v) is tuple else v) is float)
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, tmp_path, key, text):
+        # a list key with one bad item among finite ones
+        value = f"1.0 {text}" if key in LIST_KEYS else text
+        with pytest.raises(ConfigError, match=f"bad value for {key}: "):
+            load_config(small_config(tmp_path, **{key: value}))
 
     @pytest.mark.parametrize("key", [
         "gauge.pairs", "fock.tuples", "fock.pairs", "conformal.elements",
@@ -338,6 +358,8 @@ class TestExitCodes:
         ("spectrum", {"spectrum.oscillator_nodes": 10}, ()),
         ("spectrum", {"domain.nodes": 4}, ()),
         ("spectrum", {"domain.nodes": 6}, ()),
+        ("gauge", {"gauge.amplitude": "nan"}, ()),
+        ("seminorms", {"seminorms.p_grid": "0.0 nan"}, ()),
     ])
     def test_bad_domain_exits_2_before_output(self, tmp_path, suite,
                                               overrides, argv):
@@ -348,6 +370,20 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "configuration error" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unusable_out_exits_2_before_any_suite(self, tmp_path, under):
+        # --out names an existing file, or a path below one
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "out" if under else blocker
+        proc = run_cli("ladders", "--config", str(small_config(tmp_path)),
+                       "--out", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "output directory error" in proc.stderr
+        assert proc.stdout == ""
+        assert blocker.read_text() == "keep\n"
 
     def test_fock_cutoff_170_fails_without_traceback(self, tmp_path):
         # the tail bound underflows to 0 there; the gate fails with inf
