@@ -3,7 +3,9 @@
 Exit codes: 0 all checks pass, 1 at least one check failed or was refused,
 2 configuration or usage error.  ENERGYREP_OUT overrides the default output
 directory; an explicit --out beats the environment.  The CLI runs BLAS on one
-thread (`pin_blas_threads`); importing the package leaves BLAS as it is.
+thread: it loads numpy with OPENBLAS_NUM_THREADS=1 when no one has loaded it
+yet, and `main` pins the count (`pin_blas_threads`).  `import energyrep`
+loads nothing.
 """
 from __future__ import annotations
 
@@ -13,6 +15,18 @@ import os
 import sys
 from pathlib import Path
 
+# OpenBLAS sizes its thread pool as numpy loads it, and a new worker spins
+# before it sleeps; child processes and the sidecar see the caller's value.
+if "numpy" not in sys.modules:
+    _caller_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if _caller_threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = _caller_threads
 import numpy as np
 
 from .config import ConfigError, load_config
@@ -43,7 +57,9 @@ def pin_blas_threads() -> str:
     Every dense solve of the lab is small (at most 400 rows on the shipped
     configs), where a second thread burns CPU for no wall time, can stall a
     process's first solve, and moves the last digits of a report with the
-    thread count.  Called in-process, so it beats OPENBLAS_NUM_THREADS.
+    thread count.  This module starts OpenBLAS on one thread when it loads
+    numpy; the call covers a process that loaded numpy first (a test runner,
+    a library caller) and MKL, which reads its variables lazily.
     """
     for path in _blas_libraries():
         try:

@@ -81,10 +81,12 @@ def _finite_float(text: str) -> float:
 
 def _parser(annotation):
     """The field's own type, a finite float for `float`, or for
-    `tuple[T, ...]` a list of T separated by blanks or commas."""
+    `tuple[T, ...]` a list of T separated by blanks or commas (separators
+    alone parse as one empty item, which T refuses)."""
     if typing.get_origin(annotation) is tuple:
         item = _parser(typing.get_args(annotation)[0])
-        return lambda text: tuple(item(x) for x in text.replace(",", " ").split())
+        return lambda text: tuple(map(item,
+                                      text.replace(",", " ").split() or [""]))
     return _finite_float if annotation is float else annotation
 
 
@@ -154,10 +156,17 @@ def _validate(cfg: ExperimentConfig) -> None:
                           f"{PERIODIC_SHAPES}")
     # a zero amplitude makes the gauge or conformal checks hold trivially
     for key in ("domain.radius", "domain.halfwidth", "potential.value", "hs.p",
-                "cutoff.step", "cutoff.collar", "punctured.eps0",
-                "gauge.amplitude", "conformal.rho_amplitude"):
+                "spectrum.oscillator_halfwidth", "seminorms.interval_halfwidth",
+                "cutoff.step", "cutoff.collar", "cutoff.halfwidth",
+                "punctured.eps0", "gauge.amplitude", "conformal.rho_amplitude"):
         if getattr(cfg, _SCHEMA[key][0]) <= 0:
             raise ConfigError(f"{key} must be positive")
+    # each halfwidth bounds a grid that may carry the weight |x|^2 + 1
+    for key in ("domain.halfwidth", "spectrum.oscillator_halfwidth",
+                "seminorms.interval_halfwidth", "cutoff.halfwidth"):
+        halfwidth = getattr(cfg, _SCHEMA[key][0])
+        if not math.isfinite(halfwidth * halfwidth):
+            raise ConfigError(f"{key} must keep the weight |x|^2 + 1 finite")
     if cfg.potential_kind not in ("constant", "quadratic"):
         raise ConfigError("potential.kind must be constant or quadratic")
     if cfg.potential_kind == "constant" and cfg.potential_value < 1.0:
@@ -167,34 +176,48 @@ def _validate(cfg: ExperimentConfig) -> None:
     if len(set(cfg.regularity_t_list)) < 2:
         raise ConfigError("regularity.t_list needs at least two distinct "
                           "values for the slope fit")
-    for key in ("domain.nodes", "spectrum.circle_nodes",
-                "spectrum.oscillator_nodes", "gauge.nodes", "cutoff.nodes",
-                "fock.nodes", "conformal.torus_nodes", "conformal.circle_nodes"):
-        if getattr(cfg, _SCHEMA[key][0]) < MIN_NODES:
-            raise ConfigError(f"{key} must be at least {MIN_NODES}")
-    # the 1-D grids that take a dense n x n solve
-    dense = {"spectrum.circle_nodes": cfg.spectrum_circle_nodes,
-             "spectrum.oscillator_nodes": cfg.spectrum_oscillator_nodes,
-             "seminorms.nodes": max(cfg.seminorms_nodes),
-             "gauge.nodes": cfg.gauge_nodes, "cutoff.nodes": cfg.cutoff_nodes}
-    if cfg.domain_shape in ("circle", "interval"):
-        dense["domain.nodes"] = cfg.domain_nodes
-    for key, nodes in dense.items():
-        if nodes > DENSE_SOLVE_NODES:
-            raise ConfigError(f"{key} must be at most {DENSE_SOLVE_NODES}, "
-                              f"the largest 1-D grid of a dense solve")
+    # inclusive ranges of the integer keys and of each entry of a list key.
+    # The 1-D grids stop at the largest dense solve (a d = 2 solve is per
+    # axis); every other upper end keeps one key from exhausting memory or
+    # time: at each, with the other keys at test sizes, a suite ends in
+    # seconds under 0.5 GiB.
+    one_d = cfg.domain_shape in ("circle", "interval")
+    grid = (MIN_NODES, DENSE_SOLVE_NODES)
+    ranges = {
+        "seed": (0, math.inf),
+        "domain.nodes": grid if one_d else (MIN_NODES, math.inf),
+        "spectrum.circle_nodes": grid, "spectrum.oscillator_nodes": grid,
+        "seminorms.nodes": grid, "gauge.nodes": grid, "cutoff.nodes": grid,
+        "fock.nodes": grid, "conformal.circle_nodes": grid,
+        "conformal.torus_nodes": (MIN_NODES, 256),
+        "seminorms.m_list": (0, 16), "regularity.m": (0, 16),
+        # twice the longest ladder word, so word†word stays below the guard
+        "ladders.cutoff": (2 * max(len(word) for word in LADDER_WORDS), 64),
+        # the truncation oracle needs n! as a finite double
+        "fock.cutoff": (0, MAX_CUTOFF),
+        "ladders.samples": (1, 100_000), "seminorms.functions": (1, 10_000),
+        "gauge.pairs": (1, 10_000), "gauge.modes": (1, 1000),
+        "regularity.functions": (1, 10_000), "cutoff.count": (1, 1000),
+        "punctured.halvings": (1, 100), "fock.tuples": (1, 10_000),
+        "fock.pairs": (1, 10_000), "conformal.elements": (1, 100),
+    }
+    for key, (low, high) in ranges.items():
+        value = getattr(cfg, _SCHEMA[key][0])
+        for entry in value if type(value) is tuple else (value,):
+            if entry < low:
+                raise ConfigError(f"{key} must be at least {low}")
+            if entry > high:
+                raise ConfigError(f"{key} must be at most {high}")
     if cfg.spectrum_circle_nodes < 8:
         raise ConfigError("spectrum.circle_nodes must be at least 8, so the "
                           "continuum check has a mode |k| <= N/8")
-    if cfg.domain_shape in ("circle", "interval") and cfg.domain_nodes < 8:
+    if one_d and cfg.domain_nodes < 8:
         raise ConfigError("domain.nodes must be at least 8 on a 1-D domain, so "
                           "the Hilbert-Schmidt fit window n/4..n/2 holds two "
                           "distinct eigenvalues")
     if cfg.spectrum_oscillator_nodes < OSCILLATOR_LEVELS:
         raise ConfigError(f"spectrum.oscillator_nodes must be at least "
                           f"{OSCILLATOR_LEVELS}, the oscillator levels checked")
-    if any(n < MIN_NODES for n in cfg.seminorms_nodes):
-        raise ConfigError(f"seminorms.nodes entries must be at least {MIN_NODES}")
     if len(set(cfg.seminorms_nodes)) < 2:
         raise ConfigError("seminorms.nodes needs at least two distinct sizes "
                           "for the refinement-stability ratio")
@@ -202,25 +225,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"seminorms.nodes needs an entry of at least "
                           f"{max(EIGENVECTOR_MODES) + 1}, for the eigenvectors "
                           f"{EIGENVECTOR_MODES} on its largest circle")
-    if any(m < 0 for m in cfg.seminorms_m_list):
-        raise ConfigError("seminorms.m_list entries must be at least 0")
     if all(m > 2 for m in cfg.seminorms_m_list):
         raise ConfigError("seminorms.m_list needs an entry in 0..2, the orders "
                           "the equivalence gates cover")
-    if cfg.regularity_m < 0:
-        raise ConfigError("regularity.m must be at least 0")
-    min_cutoff = 2 * max(len(word) for word in LADDER_WORDS)
-    if cfg.ladders_cutoff < min_cutoff:
-        raise ConfigError(f"ladders.cutoff must be at least {min_cutoff}, "
-                          f"twice the longest ladder word")
-    if not 0 <= cfg.fock_cutoff <= MAX_CUTOFF:
-        raise ConfigError(f"fock.cutoff must be in 0..{MAX_CUTOFF}; the "
-                          f"truncation oracle needs n! as a finite double")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    for key in ("gauge.pairs", "fock.tuples", "fock.pairs",
-                "conformal.elements", "ladders.samples", "seminorms.functions",
-                "regularity.functions", "cutoff.count", "gauge.modes",
-                "punctured.halvings"):
-        if getattr(cfg, _SCHEMA[key][0]) < 1:
-            raise ConfigError(f"{key} must be at least 1")

@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from energyrep import cli, config, operators, report
 from energyrep.cli import main
@@ -48,6 +50,26 @@ FLOAT_KEYS = [
     "regularity.p", "regularity.q", "cutoff.step", "cutoff.collar",
     "cutoff.p", "cutoff.halfwidth", "punctured.eps0", "conformal.rho_amplitude",
 ]
+STRING_KEYS = ["domain.shape", "potential.kind", "rho.profile"]
+# Edge values by the type a key (or a list key's item) parses to: zero,
+# negative, huge, nan, empty and the wrong type.
+EDGE_VALUES = {
+    "int": ("0", "-1", "1000000000000", "nan", "", "1.5"),
+    "float": ("0", "-1.0", "1e300", "nan", "", "abc"),
+    "str": ("0", "-1", "x" * 10000, "nan", "", "1.5"),
+}
+# The largest accepted value of each integer key that has no other upper
+# bound; a list key holds each entry to it.
+UPPER_LIMITS = {
+    "ladders.cutoff": 64, "ladders.samples": 100_000,
+    "seminorms.functions": 10_000, "seminorms.m_list": 16, "gauge.pairs": 10_000,
+    "gauge.modes": 1000, "regularity.functions": 10_000, "regularity.m": 16,
+    "cutoff.count": 1000, "punctured.halvings": 100, "fock.tuples": 10_000,
+    "fock.pairs": 10_000, "fock.nodes": 4096, "conformal.torus_nodes": 256,
+    "conformal.circle_nodes": 4096, "conformal.elements": 100,
+}
+HALFWIDTH_KEYS = ["domain.halfwidth", "spectrum.oscillator_halfwidth",
+                  "seminorms.interval_halfwidth", "cutoff.halfwidth"]
 NODE_KEYS = ["spectrum.circle_nodes", "spectrum.oscillator_nodes", "gauge.nodes",
              "cutoff.nodes", "fock.nodes", "conformal.torus_nodes",
              "conformal.circle_nodes"]
@@ -138,6 +160,8 @@ class TestConfigParsing:
         assert sorted(FLOAT_KEYS) == sorted(
             k for k, v in values.items()
             if type(v[0] if type(v) is tuple else v) is float)
+        assert sorted(STRING_KEYS) == sorted(
+            k for k, v in values.items() if type(v) is str)
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
@@ -154,6 +178,29 @@ class TestConfigParsing:
     def test_count_below_one_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match=key):
             load_config(small_config(tmp_path, **{key: 0}))
+
+    @pytest.mark.parametrize("key,limit", UPPER_LIMITS.items())
+    def test_size_above_its_limit_rejected(self, tmp_path, key, limit):
+        # m_list keeps a gated order beside the edited entry
+        sized = (lambda n: f"0 {n}") if key == "seminorms.m_list" else str
+        with pytest.raises(ConfigError, match=f"{key} must be at most {limit}"):
+            load_config(small_config(tmp_path, **{key: sized(limit + 1)}))
+        assert load_config(small_config(tmp_path, **{key: sized(limit)}))
+
+    @pytest.mark.parametrize("key", HALFWIDTH_KEYS)
+    def test_halfwidth_rejected(self, tmp_path, key):
+        # a halfwidth bounds a grid that may carry the weight |x|^2 + 1
+        for value in (0, -1.0):
+            with pytest.raises(ConfigError, match=f"{key} must be positive"):
+                load_config(small_config(tmp_path, **{key: value}))
+        with pytest.raises(ConfigError, match=f"{key} must keep the weight"):
+            load_config(small_config(tmp_path, **{key: 1e300}))
+        assert load_config(small_config(tmp_path, **{key: 1e150}))
+
+    @pytest.mark.parametrize("key", LIST_KEYS)
+    def test_list_of_separators_only_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"bad value for {key}: "):
+            load_config(small_config(tmp_path, **{key: ", ,"}))
 
     @pytest.mark.parametrize("key,value", [(k, 3) for k in NODE_KEYS]
                              + [("seminorms.nodes", "3 16")])
@@ -484,6 +531,25 @@ class TestExitCodes:
         assert "condition (c)" in line and "nan" not in line
 
 
+class TestConfigEdits:
+    # a huge float overflows inside the run it is allowed to fail
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(key=st.sampled_from(ACCEPTED_KEYS), edge=st.integers(0, 5))
+    def test_single_key_edge_value_exits_cleanly(self, tmp_path_factory, key,
+                                                  edge):
+        # any edit of one key either runs or exits 2 before any output
+        kind = ("str" if key in STRING_KEYS else
+                "float" if key in FLOAT_KEYS else "int")
+        tmp = tmp_path_factory.mktemp("edit")
+        config_path = small_config(tmp, **{key: EDGE_VALUES[kind][edge]})
+        out = tmp / "out"
+        code = main(["all", "--config", str(config_path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()
+
+
 class TestReports:
     def test_fock_suite_artifacts(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -645,23 +711,78 @@ class TestBlasPin:
         assert "blas_pin=unpinned" in meta
 
     def test_main_runs_bundled_openblas_on_one_thread(self, tmp_path):
-        # a fresh interpreter that was told to use two threads
+        # a fresh interpreter that loaded numpy on two threads before the CLI
         bundled = cli._blas_libraries()[0]
         if bundled is None:
             pytest.skip("numpy bundles no scipy-openblas here")
         argv = ["ladders", "--config", str(small_config(tmp_path)),
                 "--out", str(tmp_path / "out")]
-        code = ("import ctypes, energyrep.cli as cli; "
+        code = ("import ctypes, numpy; "
                 f"lib = ctypes.CDLL({bundled!r}); "
                 "get = lib.scipy_openblas_get_num_threads64_; "
                 "get.argtypes, get.restype = [], ctypes.c_int; "
-                f"print(cli.main({argv!r}), get())")
+                "import energyrep.cli as cli; before = get(); "
+                f"print(before, cli.main({argv!r}), get())")
         proc = run_python("-c", code, env={"OPENBLAS_NUM_THREADS": "2"})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 1"
+        assert proc.stdout.splitlines()[-1] == "2 0 1"
         meta = (tmp_path / "out" / "run_meta.txt").read_text().splitlines()
         assert "blas_pin=scipy_openblas_set_num_threads64_" in meta
         assert "OPENBLAS_NUM_THREADS=2" in meta
+
+
+class TestStartup:
+    """What a fresh interpreter holds after an import, before any `main`."""
+
+    def test_importing_the_package_loads_nothing(self):
+        proc = run_python("-c", "import sys, energyrep; print(sorted(m for m "
+                          "in sys.modules if m.split('.')[0] == 'numpy' "
+                          "or m.startswith('energyrep.')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("caller", ["2", None])
+    def test_cli_loads_openblas_on_one_thread(self, caller):
+        # the caller's value, or its absence, is what the environment keeps
+        unset = "os.environ.pop('OPENBLAS_NUM_THREADS'); " if caller is None else ""
+        code = ("import json, os, sys; " + unset + "import energyrep.cli as cli; "
+                "path = cli._blas_libraries()[0]; "
+                "get = path and cli.ctypes.CDLL(path)"
+                ".scipy_openblas_get_num_threads64_; "
+                "tasks = ('/proc/self/task' if sys.platform.startswith('linux') "
+                "else None); "
+                "print(json.dumps([get and get(), "
+                "tasks and len(os.listdir(tasks)), "
+                "os.environ.get('OPENBLAS_NUM_THREADS', 'unset')]))")
+        proc = run_python("-c", code, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert proc.returncode == 0, proc.stderr
+        blas_threads, tasks, environ = json.loads(proc.stdout.splitlines()[-1])
+        assert environ == (caller or "unset")
+        if blas_threads is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        assert blas_threads == 1
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert tasks == 1
+
+    @pytest.mark.parametrize("numpy_first", [True, False])
+    def test_numpy_loaded_first_leaves_the_environment_alone(self, numpy_first):
+        # every write to the process environment goes through os.putenv or
+        # os.unsetenv; record them while energyrep.cli loads (numpy's own
+        # import sets and clears a variable of its own)
+        code = ("import os; " + ("import numpy; " if numpy_first else "")
+                + "calls = []; "
+                "os.putenv = lambda *a: calls.append(list(map(os.fsdecode, a))); "
+                "os.unsetenv = lambda *a: calls.append(list(map(os.fsdecode, a))); "
+                "import json, energyrep.cli; print(json.dumps(calls))")
+        proc = run_python("-c", code, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads(proc.stdout.strip())
+        if numpy_first:
+            assert calls == []
+        else:
+            assert [c for c in calls if c[0] == "OPENBLAS_NUM_THREADS"] == [
+                ["OPENBLAS_NUM_THREADS", "1"], ["OPENBLAS_NUM_THREADS", "2"]]
 
 
 def test_layer_trace_binds_every_traced_name():
