@@ -15,6 +15,7 @@ small orthonormalized one-particle space) cross-validates the kernel.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -193,13 +194,11 @@ class TruncatedFockVector:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of nonnegative ints of length parts summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """All tuples of nonnegative ints of length parts summing to total, in
+    lexicographic order: the gaps between parts - 1 bars among total stars."""
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
 def orthonormal_coordinates(fields) -> list:

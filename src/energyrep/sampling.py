@@ -5,12 +5,10 @@ byte-identical reports.  Smooth test functions are fixed continuum profiles
 (low Fourier modes, plane waves, bumps) evaluated per grid, so values converge
 under refinement and probe constants stabilize.
 A sampler makes one sample, or with a `count` a set on a leading sample
-axis: it draws parameter rows in one-at-a-time order, then evaluates the
-set with one call of the grid's profile family.
+axis: one generator call draws its parameter rows in one-at-a-time order
+(the torus draws term by term), one call of the grid's family evaluates them.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,43 +21,53 @@ def suite_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def _draw_rows(grid: GridManifold, rng: np.random.Generator, count: int,
-               modes: int, amplitude: float) -> np.ndarray:
-    """Parameter rows of `count` random smooth profiles adapted to the
-    topology, drawn profile after profile, each in the order of its terms."""
-    if grid.topology == "periodic" and grid.dimension == 1:
-        # cosine, then sine amplitudes of the modes 1..modes
-        scale = amplitude / max(modes, 1)
-        return (rng.uniform(-scale, scale, size=(count, 2, modes))
-                / np.arange(1, modes + 1))
-    if grid.topology == "periodic":
-        # one (amplitude, kx, ky, phase) row per plane wave
-        terms = np.zeros((count, modes, 4))
-        for term in terms.reshape(-1, 4):
-            kx, ky = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-            if kx == 0 and ky == 0:
-                kx = 1
-            term[:] = (rng.uniform(-amplitude, amplitude) / max(kx + ky, 1),
-                       kx, ky, rng.uniform(0, 2 * np.pi))
-        return terms
-    # truncated box: random interior bumps, compactly supported; each row
-    # draws the center, then the width, then the amplitude
-    extent = np.max(np.abs(grid.nodes))
+def _draw_rows(grid: GridManifold, rng: np.random.Generator, samples: int,
+               kinds) -> list:
+    """Parameter rows per kind (name, modes, amplitude) of profiles adapted
+    to the topology, as a loop making one sample of each kind in turn draws
+    them: in one generator call per set, or term by term on the torus, whose
+    plane waves interleave integer and uniform draws."""
     d = grid.dimension
-    return rng.uniform([-extent / 2] * d + [extent / 3, -amplitude],
-                       [extent / 2] * d + [2 * extent / 3, amplitude],
-                       size=(count, d + 2))
+    # profiles per sample; a one-form takes six per axis
+    per = {"rho": 1, "algebra": 3, "gauge": 3, "covector": d}
+    specs = [(per.get(kind, 6 * d), modes, a) for kind, modes, a in kinds]
+    if grid.topology == "periodic" and d > 1:
+        # one (amplitude, kx, ky, phase) row per plane wave
+        sets = [np.zeros((samples, c, m, 4)) for c, m, _ in specs]
+        for s in range(samples):
+            for terms, (*_, a) in zip(sets, specs):
+                for term in terms[s].reshape(-1, 4):
+                    kx, ky = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+                    kx = 1 if kx == ky == 0 else kx
+                    term[:] = (rng.uniform(-a, a) / max(kx + ky, 1), kx, ky,
+                               rng.uniform(0, 2 * np.pi))
+        return [np.concatenate(terms) for terms in sets]
+    if grid.topology == "periodic":
+        # cosine, then sine amplitudes of the modes 1..modes, the k-th over k
+        parts = [(np.tile([[-a / max(m, 1)], [a / max(m, 1)]], c * 2 * m),
+                  (2, m), np.arange(1, m + 1)) for c, m, a in specs]
+    else:
+        # truncated box: interior bumps, each row a center, width, amplitude
+        extent = np.max(np.abs(grid.nodes))
+        parts = [(np.tile([[-extent / 2] * d + [extent / 3, -a],
+                           [extent / 2] * d + [2 * extent / 3, a]], c),
+                  (d + 2,), 1) for c, _, a in specs]
+    # one sample's bounds; uniform reads one double per element in C order
+    bounds, shapes, over = zip(*parts)
+    low, high = np.concatenate(bounds, axis=1)
+    draws = np.split(rng.uniform(low, high, size=(samples, low.size)),
+                     np.cumsum([b.shape[1] for b in bounds])[:-1], axis=1)
+    return [rows.reshape((samples * c,) + shape) / k
+            for rows, (c, *_), shape, k in zip(draws, specs, shapes, over)]
 
 
 def _profiles(grid: GridManifold, rows: np.ndarray):
     """Values (P, n) and exact gradients (P, n, d) of the profiles with the
     given parameter rows, from one call of the grid's family."""
-    nodes = grid.nodes
+    nodes, periods = grid.nodes, grid.spacing * grid.axis_sizes
     if grid.topology == "periodic" and grid.dimension == 1:
-        period = grid.spacing[0] * grid.axis_sizes[0]
-        return fourier_series(nodes, period, rows[:, 0], rows[:, 1])
+        return fourier_series(nodes, periods[0], rows[:, 0], rows[:, 1])
     if grid.topology == "periodic":
-        periods = tuple(grid.spacing[j] * grid.axis_sizes[j] for j in range(2))
         return plane_waves([grid.axis_coordinates(j) for j in (0, 1)], periods,
                            rows)
     return bumps(nodes, rows[:, :-2], rows[:, -2], rows[:, -1])
@@ -94,20 +102,15 @@ def _build(grid: GridManifold, kind: str, lead: tuple, vals, grads):
 def random_tuples(grid: GridManifold, rng: np.random.Generator,
                   count: int | None, *kinds) -> tuple:
     """One set of `count` samples per kind (name, modes, amplitude), or one
-    sample per kind for count None, drawn as a loop would draw them that
-    makes one sample of each kind in turn; each kind is evaluated once.
-    The names: rho, covector, algebra, gauge, one_form, unit_one_form."""
+    sample per kind for count None, as a loop making one sample of each kind
+    in turn draws them, in one generator call off the torus; each kind is
+    evaluated once.  Names: rho, covector, algebra, gauge, (unit_)one_form."""
     if count is not None and count < 1:
         raise ValueError("a sampled set needs at least one sample")
     lead = () if count is None else (count,)
-    # profiles per sample; a one-form takes six per axis
-    per = {"rho": 1, "algebra": 3, "gauge": 3, "covector": grid.dimension}
-    rows = [[_draw_rows(grid, rng, per.get(kind, 6 * grid.dimension), modes,
-                        amplitude) for kind, modes, amplitude in kinds]
-            for _ in range(math.prod(lead))]
-    return tuple(_build(grid, kind, lead,
-                        *_profiles(grid, np.concatenate(per_kind)))
-                 for (kind, *_), per_kind in zip(kinds, zip(*rows)))
+    rows = _draw_rows(grid, rng, count or 1, kinds)
+    return tuple(_build(grid, kind, lead, *_profiles(grid, r))
+                 for (kind, *_), r in zip(kinds, rows))
 
 
 def random_one_form(grid: GridManifold, rng: np.random.Generator,
@@ -152,13 +155,10 @@ def rho_field(grid: GridManifold, profile: str, amplitude: float,
     if profile == "cosine":
         if grid.topology != "periodic":
             raise ValueError("cosine rho profile needs a periodic domain")
+        phases = 2 * np.pi * mode * nodes / (grid.spacing * grid.axis_sizes)
         if grid.dimension == 1:
-            period = grid.spacing[0] * grid.axis_sizes[0]
-            return amplitude * np.cos(2 * np.pi * mode * nodes[:, 0] / period)
-        px = grid.spacing[0] * grid.axis_sizes[0]
-        py = grid.spacing[1] * grid.axis_sizes[1]
-        return amplitude * (np.cos(2 * np.pi * mode * nodes[:, 0] / px)
-                            + np.sin(2 * np.pi * mode * nodes[:, 1] / py))
+            return amplitude * np.cos(phases[:, 0])
+        return amplitude * (np.cos(phases[:, 0]) + np.sin(phases[:, 1]))
     if profile == "bump":
         sigma = float(np.max(np.abs(nodes))) / 3.0
         return amplitude * np.exp(-np.sum(nodes ** 2, axis=1) / (2.0 * sigma ** 2))

@@ -206,7 +206,7 @@ def equivalence_probe(domain: str, grids_and_data, m_list, p_grid) -> SeminormRe
     """Probe |f|'_m <= C |f|_p and conversely over a fixed test set.
 
     grids_and_data: list of (N, weight, decomposition, test_fields) built by
-    the caller with the same continuum test functions per grid size.
+    the caller from the same draws per N (box bumps scale with the extent).
     """
     report = SeminormReport(domain, tuple(m_list), tuple(p_grid),
                             tuple(n for n, *_ in grids_and_data))

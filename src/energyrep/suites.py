@@ -226,7 +226,8 @@ def suite_ladders(cfg: ExperimentConfig, rng, rep: Report,
 def _probe_data(domain: str, cfg: ExperimentConfig, seed_stream):
     data = []
     for n_size in cfg.seminorms_nodes:
-        rng = suite_rng(cfg.seed, seed_stream)  # same functions per N
+        # same draws per N; interval bumps scale with the outermost node
+        rng = suite_rng(cfg.seed, seed_stream)
         if domain == "circle":
             grid = build_grid("circle", n_size, radius=1.0)
             weight = WeightField.constant(grid, 2.0)

@@ -42,6 +42,17 @@ class TestCoherentKernel:
                                                                rel=1e-14)
 
 
+def recursive_compositions(total, parts):
+    """The recursive form of `fock._compositions`: each head in increasing
+    order, then the compositions of the rest."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
 class TestTruncatedExpansion:
     def test_matches_kernel_within_tail_bound(self, circle, rng):
         # make the overlap sizable so the factorial tail is the binding term
@@ -80,6 +91,19 @@ class TestTruncatedExpansion:
                 want = inner_product(fields[i], fields[j])
                 got = np.vdot(coords[i], coords[j])
                 assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("parts", range(1, 7))
+    def test_compositions_match_recursive_form(self, parts):
+        for total in range(9):
+            got = list(fock._compositions(total, parts))
+            assert got == list(recursive_compositions(total, parts))
+            assert all(type(n) is int for occ in got for n in occ)
+
+    def test_compositions_of_a_large_dimension(self):
+        # the recursive form raises RecursionError here
+        got = list(fock._compositions(1, 3000))
+        assert len(got) == len(set(got)) == 3000 and got == sorted(got)
+        assert all(sum(occ) == 1 and len(occ) == 3000 for occ in got)
 
     def test_occupation_normalization(self):
         # single mode: exp(z) has amplitude z^n / sqrt(n!) on |n>

@@ -431,6 +431,21 @@ SINGLES = {
 }
 
 
+class CountingGenerator:
+    """A seeded Generator that records the name of every method called."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
 class TestSampledSets:
     @pytest.mark.parametrize("count", [1, 5])
     @pytest.mark.parametrize("kind,sampler", [
@@ -484,3 +499,24 @@ class TestSampledSets:
         sampling.random_tuples(grid, rng, 6, ("gauge", 3, 1.0),
                                ("unit_one_form", 3, 1.0))
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("name", ["circle", "interval", "square"])
+    def test_set_is_one_generator_call(self, name):
+        grid = GRIDS[name]()
+        kinds = (("rho", 2, 0.4), ("gauge", 3, 1.0), ("unit_one_form", 3, 1.0),
+                 ("covector", 2, 1.0), ("algebra", 1, 0.5))
+        for draw in (lambda r: sampling.random_covector_testset(grid, r, 6),
+                     lambda r: sampling.random_gauge_field(grid, r, count=5),
+                     lambda r: sampling.random_tuples(grid, r, 4, *kinds),
+                     lambda r: sampling.random_tuples(grid, r, None, *kinds)):
+            rng = CountingGenerator(18)
+            draw(rng)
+            assert rng.calls == ["uniform"]
+
+    def test_torus_draws_term_by_term(self):
+        # plane waves interleave two integer and two uniform draws per term
+        grid = GRIDS["torus"]()
+        rng = CountingGenerator(18)
+        sampling.random_tuples(grid, rng, 3, ("rho", 2, 0.4), ("gauge", 3, 1.0))
+        terms = 3 * (1 * 2 + 3 * 3)
+        assert rng.calls == ["integers", "integers", "uniform", "uniform"] * terms
