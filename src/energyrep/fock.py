@@ -8,10 +8,12 @@ parameter); inner products go through the exponential kernel
 
 with beta the logarithmic derivative of psi.  Because beta is real-valued in
 the algebra and V is an isometry, U is unitary and a true (non-projective)
-homomorphism; the checks below measure exactly those statements.
+homomorphism; the checks below measure exactly those statements.  Every
+matrix element <exp f, U(psi) exp g> is a function of one-particle inner
+products, so the conformal check takes all of them from one grid.gram.
 
-An explicit symmetric-tensor truncation (occupation-number coefficients on a
-small orthonormalized one-particle space) cross-validates the kernel.
+An explicit symmetric-tensor truncation (occupation-number coefficients in
+orthonormal coordinates from one QR of the fields) cross-validates the kernel.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import GaugeField, gauge_product, log_derivative, v_action
-from .grid import Field, conformal_rescale, inner_product, norm, rebind
+from .grid import (Field, conformal_rescale, gram, inner_product, node_weights,
+                   norm, rebind)
 from .operators import saturating_exp
 
 
@@ -59,16 +62,16 @@ def coherent_inner(a: CoherentVector, b: CoherentVector,
 def apply_u(psi: GaugeField, v: CoherentVector,
             rho: np.ndarray | None = None) -> CoherentVector:
     """The energy representation on a coherent vector, or on each sample."""
-    return _u_on(log_derivative(psi), v_action(psi, v.param), v.coeff, rho)
+    exponent, image = _u_exponent(psi, v.param, rho)
+    return CoherentVector(_times(v.coeff, np.exp(exponent)), image)
 
 
-def _u_on(beta: Field, vf: Field, coeff,
-          rho: np.ndarray | None = None) -> CoherentVector:
-    """U(psi) on coeff * exp(f), from beta = log_derivative(psi) and
-    vf = V(psi) f."""
-    exponent = (-0.5 * inner_product(beta, beta, rho)
-                - inner_product(beta, vf, rho))
-    return CoherentVector(_times(coeff, np.exp(exponent)), vf + beta)
+def _u_exponent(psi: GaugeField, f: Field, rho: np.ndarray | None = None):
+    """(-|beta|^2/2 - <beta, V f>, V f + beta): the exponent of the
+    coefficient and the parameter of U(psi) exp(f), with V = V(psi)."""
+    beta, vf = log_derivative(psi), v_action(psi, f)
+    return (-0.5 * inner_product(beta, beta, rho)
+            - inner_product(beta, vf, rho)), vf + beta
 
 
 def kernel_discrepancy(psi: GaugeField, f: Field, g: Field,
@@ -116,32 +119,30 @@ def conformal_check(psi: GaugeField, rho_conf: np.ndarray, f_set,
 
     One element per pair (f, g) from the two test sets.  In dimension 2 they
     are invariant; otherwise the deviation is reported, and for constant
-    rho_conf it is compared with the exact factor e^{(d/2-1)rho} on every
-    one-particle inner product.  The inner products carry no weight
-    exponent.
+    rho_conf it is compared with the exact factor e^{(d/2-1)rho} on both
+    exponents of every element.  The inner products carry no weight exponent.
     """
     new_grid = conformal_rescale(psi.grid, rho_conf)
-    psi2 = GaugeField(new_grid, psi.u, psi.du)
-
-    f = f_set.copy_with(np.repeat(f_set.values, len(g_set.values), axis=0))
-    g = g_set.copy_with(np.concatenate([g_set.values] * len(f_set.values)))
-    beta, vg = log_derivative(psi), v_action(psi, g)
-    image = _u_on(beta, vg, 1.0)  # U(psi) exp(g), read again by pred
-    before = coherent_inner(CoherentVector(1.0, f), image)
-    after = coherent_inner(CoherentVector(1.0, rebind(f, new_grid)),
-                           apply_u(psi2, CoherentVector(1.0, rebind(g, new_grid))))
+    a, kernel = _element_exponents(psi, f_set, g_set, psi.grid)
+    a2, kernel2 = _element_exponents(psi, f_set, g_set, new_grid)
+    before = _times(np.exp(a), np.exp(kernel))
+    after = _times(np.exp(a2), np.exp(kernel2))
     change = np.max(modulus(after - before) / modulus(before))
 
     rho_c = np.asarray(rho_conf, float)
     if not np.all(rho_c == rho_c[0]):
         return ConformalReport(float(change), 0.0, None)
-    # the apply_u exponent and the kernel exponent, each product scaled
     scale = float(np.exp((psi.grid.dimension / 2.0 - 1.0) * rho_c[0]))
-    pred = _times(np.exp(-0.5 * scale * inner_product(beta, beta)
-                         - scale * inner_product(beta, vg)),
-                  np.exp(scale * inner_product(f, image.param)))
+    pred = _times(np.exp(scale * a), np.exp(scale * kernel))
     residual = np.max(modulus(after - pred) / modulus(pred))
     return ConformalReport(float(change), float(residual), scale)
+
+
+def _element_exponents(psi: GaugeField, f_set: Field, g_set: Field, grid):
+    """(a, K) with <exp f_i, U(psi) exp g_j> = e^{a_j} e^{K_ij} on grid, a
+    conformal rescaling of psi's: K = gram(f_set, V g + beta), linear work."""
+    a, image = _u_exponent(GaugeField(grid, psi.u, psi.du), rebind(g_set, grid))
+    return a, gram(rebind(f_set, grid), image)
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +203,15 @@ def _compositions(total: int, parts: int):
 
 
 def orthonormal_coordinates(fields) -> list:
-    """Coordinates of the fields in an orthonormal basis of their span.
-
-    Modified Gram-Schmidt under <.,.>_0; the returned vectors satisfy
-    coords_i† coords_j = <f_i, f_j>_0 up to rounding.
+    """Coordinates of the fields in an orthonormal basis, at most one
+    dimension per field: the columns of R from one Householder QR of the
+    values scaled by sqrt(node_weights), since R^H R is the Gram matrix.
+    So coords_i† coords_j = <f_i, f_j>_0 up to rounding, dependent fields
+    included.
     """
-    basis = []         # orthonormal Fields
-    coords = [np.zeros(0, dtype=complex) for _ in fields]
-    for i, f in enumerate(fields):
-        resid = f
-        comp = []
-        for e in basis:
-            c = inner_product(e, resid)
-            comp.append(c)
-            resid = resid - e * c
-        r = norm(resid)
-        if r > 1e-13:
-            basis.append(resid * (1.0 / r))
-            comp.append(r)
-        coords[i] = np.array(comp, dtype=complex)
-    dim = len(basis)
-    return [np.pad(c, (0, dim - c.size)) for c in coords]
+    scaled = [f.scale_by_nodes(np.sqrt(node_weights(f))).values.ravel()
+              for f in fields]
+    return list(np.linalg.qr(np.stack(scaled, axis=1), mode="r").T)
 
 
 def truncation_tail_bound(fa_norm: float, fb_norm: float, cutoff: int) -> float:

@@ -277,6 +277,17 @@ def inner_product(f: Field, g: Field,
     return total if lead else complex(total)
 
 
+def gram(fs: Field, gs: Field, rho: np.ndarray | None = None) -> np.ndarray:
+    """<f_i, g_j>_{rho,0} for every sample i of fs and j of gs (a single
+    field has no sample axis), as one matrix product of node-weighted
+    values.  Of two equal-length sets, inner_product is the diagonal."""
+    _check_pair(fs, gs)
+    _check_scales(fs, gs)
+    left = np.conj(fs.scale_by_nodes(node_weights(fs, rho)).values)
+    return (left.reshape(left.shape[:fs.sample_axes] + (-1,))
+            @ gs.values.reshape(gs.values.shape[:gs.sample_axes] + (-1,)).T)
+
+
 def node_weights(f: Field, rho: np.ndarray | None = None) -> np.ndarray:
     """Per-node weight of <f, f>_{rho,0}: the measure, times scale^-rank for
     the covector indices, -B = 2 * identity for algebra indices, and e^rho."""

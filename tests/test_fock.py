@@ -92,6 +92,22 @@ class TestTruncatedExpansion:
                 got = np.vdot(coords[i], coords[j])
                 assert got == pytest.approx(want, abs=1e-10)
 
+    def test_coordinates_of_a_dependent_set(self, circle, rng):
+        # [f, 2f, g, 0] spans two dimensions; every coordinate still holds
+        # the inner products, and there is at most one dimension per field
+        f = random_one_form(circle, rng, normalized=True)
+        g = random_one_form(circle, rng, normalized=True)
+        fields = [f, f * 2.0, g, f * 0.0]
+        coords = fock.orthonormal_coordinates(fields)
+        assert len(coords) == 4 and coords[0].size <= 4
+        assert all(c.shape == coords[0].shape for c in coords)
+        for a, ca in zip(fields, coords):
+            for b, cb in zip(fields, coords):
+                # relative to |a| |b| + 1, for the zero field: at most
+                # 7.1e-16 over 50 seeds
+                bound = 2e-15 * (norm(a) * norm(b) + 1.0)
+                assert abs(np.vdot(ca, cb) - inner_product(a, b)) <= bound
+
     @pytest.mark.parametrize("parts", range(1, 7))
     def test_compositions_match_recursive_form(self, parts):
         for total in range(9):
@@ -236,6 +252,26 @@ class TestConformal:
         assert rep.one_particle_scale is not None
         assert rep.max_prediction_residual <= 1e-8
         assert calls == {"log_derivative": 2, "v_action": 2}
+
+    @pytest.mark.parametrize("profile", ["random", "constant"])
+    def test_v_action_sees_each_g_once(self, circle, rng, monkeypatch,
+                                       profile):
+        # the work is linear in each set: V(psi) acts on the K_g samples of
+        # g_set, never on K_f * K_g copies of them, one per pair
+        psi = random_gauge_field(circle, rng)
+        fs = random_one_form(circle, rng, normalized=True, count=4)
+        gs = random_one_form(circle, rng, normalized=True, count=3)
+        rho = (rho_field(circle, "random", 0.4, rng=rng) if profile == "random"
+               else np.full(circle.node_count, 1.0))
+        samples = []
+
+        def counted(psi, f, _original=fock.v_action):
+            samples.append(f.values.shape[0] if f.sample_axes else 1)
+            return _original(psi, f)
+
+        monkeypatch.setattr(fock, "v_action", counted)
+        fock.conformal_check(psi, rho, fs, gs)
+        assert samples == [3, 3]
 
     def test_one_particle_products_scale(self, circle, rng):
         from energyrep.grid import conformal_rescale, rebind

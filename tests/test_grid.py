@@ -6,8 +6,9 @@ import hypothesis.strategies as st
 
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
                             conformal_rescale, covariant_derivative,
-                            field_to_csv, inner_product, norm, rebind)
+                            field_to_csv, gram, inner_product, norm, rebind)
 from energyrep.operators import assemble_h
+from energyrep.sampling import random_covector_testset, random_one_form
 from helpers import stack
 
 
@@ -349,6 +350,47 @@ class TestSampleAxis:
         h = random_field(g, rng, algebra=True)
         rho = rng.uniform(-0.5, 0.5, g.node_count)
         assert inner_product(f, h, rho) == inner_product(f, rebind(h, copy), rho)
+
+
+class TestGram:
+    """gram(fs, gs) holds inner_product of every pair (f_i, g_j)."""
+
+    # one matrix product sums the same terms in another order: a few
+    # rounding units of |f_i| |g_j| (at most 5.0e-16 over 30 seeds)
+    BOUND = 1e-15
+
+    @pytest.mark.parametrize("shape", ["circle", "torus"])
+    @pytest.mark.parametrize("algebra", [True, False])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_every_entry_is_the_pair_inner_product(self, shape, algebra,
+                                                   weighted):
+        g = build_grid(shape, 8, radius=1.0)
+        rng = np.random.default_rng(48)
+
+        def draw(count):
+            if algebra:
+                return random_one_form(g, rng, count=count)
+            return random_covector_testset(g, rng, count)
+
+        fs, gs = draw(3), draw(5)
+        rho = rng.uniform(-0.5, 0.5, g.node_count) if weighted else None
+        got = gram(fs, gs, rho)
+        assert got.shape == (3, 5)
+        for i, f in enumerate(fs.values):
+            for j, h in enumerate(gs.values):
+                f_i, g_j = fs.copy_with(f), gs.copy_with(h)
+                want = inner_product(f_i, g_j, rho)
+                bound = self.BOUND * norm(f_i, rho) * norm(g_j, rho)
+                assert abs(got[i, j] - want) <= bound
+                # single fields too: no sample axis on either side
+                assert abs(gram(f_i, g_j, rho) - want) <= bound
+
+    def test_refuses_two_metric_scales(self):
+        g = build_grid("circle", 8, radius=1.0)
+        fs = stack([random_field(g, np.random.default_rng(49))] * 2)
+        rescaled = conformal_rescale(g, np.linspace(0.0, 1.0, 8))
+        with pytest.raises(GridError, match="rescaling"):
+            gram(fs, rebind(fs, rescaled))
 
 
 def test_field_csv_roundtrip(tmp_path):

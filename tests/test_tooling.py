@@ -3,8 +3,8 @@ defines nothing that it never uses, it contracts no three arrays in one
 einsum, the ladder calculus multiplies no matrices, assembly writes no
 dense link matrix, every eigensolve is handed a symmetric matrix, a
 conjugate solves only what H solves, every CSV of the shipped configs has
-the bytes of the per-value formatter, and the spectrum convergence script
-runs."""
+the bytes of the per-value formatter, `energyrep conformal` at its element
+cap stays small, and the spectrum convergence script runs."""
 import ast
 import csv
 import io
@@ -323,6 +323,41 @@ def test_assembly_writes_no_dense_link_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, f"assemble_h peaked at {peak} bytes"
+
+
+# The child's own high-water mark.  Its ru_maxrss would not do: Linux
+# carries the forking process's peak into it at exec, so a child of a
+# large pytest process reads at least that process's peak.
+PEAK_RSS_CHILD = (
+    "import sys\n"
+    "from energyrep.cli import main\n"
+    "code = main(['conformal', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+    "status = open('/proc/self/status', encoding='utf-8').read()\n"
+    "print(status.split('VmHWM:')[1].split()[0])\n"
+    "sys.exit(code)\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="reads the peak from /proc/self/status")
+def test_conformal_at_its_element_cap_stays_small(tmp_path):
+    # the matrix elements come from one gram of the two test sets, so the
+    # memory is linear in conformal.elements: 876 MiB when every (f, g)
+    # pair was a whole field, 46 MiB since
+    text = (REPO / "configs" / "circle.cfg").read_text(encoding="utf-8")
+    edited = text.replace("conformal.elements = 4\n",
+                          "conformal.elements = 100\n")
+    assert edited != text
+    config = tmp_path / "circle.cfg"
+    config.write_text(edited, encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, str(config),
+                           str(tmp_path / "out")], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    peak_mib = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mib < 128, f"energyrep conformal peaked at {peak_mib:.0f} MiB"
 
 
 def test_spectrum_convergence_script_runs():
