@@ -190,12 +190,16 @@ def expansion_matrix(ladder: HermiteLadder, expansion) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def column_norms(states: np.ndarray) -> np.ndarray:
-    """The 2-norm of each column, one 1-D np.linalg.norm per column.
+    """The 2-norm of each column (a 1-D array is one state), one 1-D
+    np.linalg.norm per column.
 
     A 1-D norm is what a single state gets, so batched and per-state norms
     agree bit for bit; np.linalg.norm(..., axis=0) sums in another order.
+    The norm copies a strided column before summing it, so the columns are
+    copied once, together, as the rows of the transpose.
     """
-    return np.array([np.linalg.norm(col) for col in states.T])
+    rows = np.ascontiguousarray(np.reshape(states, (len(states), -1)).T)
+    return np.array([np.linalg.norm(r) for r in rows])
 
 
 @dataclass(frozen=True)

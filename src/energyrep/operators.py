@@ -333,7 +333,12 @@ class SpectralDecomposition:
         flat = f.values.reshape(f.values.shape[:f.sample_axes]
                                 + (self.grid.node_count, -1))
         if self.vectors is not None:
-            return self.vectors.T @ (self.node_weights[:, None] * flat)
+            weighted = self.node_weights[:, None] * flat
+            if not np.iscomplexobj(weighted):
+                return self.vectors.T @ weighted
+            # real times complex would promote the vectors to one complex
+            # product per sample: the real and imaginary columns are real
+            return (self.vectors.T @ weighted.view(float)).view(complex)
         u, v = self.axis_vectors
         g = np.sqrt(self.node_weights)[:, None] * flat
         mesh = np.swapaxes(g, -1, -2).reshape(

@@ -8,13 +8,13 @@ file instead.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import platform
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -85,29 +85,75 @@ class Report:
 
 
 def write_json(outdir: Path, name: str, payload: dict) -> Path:
-    """`<name>.json` with sorted keys; non-finite floats as strings."""
+    """`<name>.json`: the bytes of `json.dumps(payload, indent=2,
+    sort_keys=True)` with every non-finite float written as the string
+    "nan", "inf" or "-inf".
+
+    NaN and inf are not valid JSON.  A refusal's sentinels are already the
+    string "refused" (CheckResult.to_dict), so a non-finite measurement,
+    which is a failure, never reads as a refusal.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{name}.json"
-    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True,
-                      allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(_encode(payload, "\n") + "\n", encoding="utf-8")
     return path
 
 
-def _json_safe(obj):
-    """NaN and inf are not valid JSON: write them as "nan", "inf" or "-inf".
+def _encode(obj, newline: str) -> str:
+    """obj as json.dumps(indent=2, sort_keys=True) writes it, at the depth
+    whose line break and indentation is `newline`, in one recursive pass.
 
-    A refusal's sentinels are already the string "refused" (CheckResult.to_dict),
-    so a non-finite measurement, which is a failure, never reads as a refusal.
+    `json.dumps` takes the pure-Python encoder whenever it indents; here a
+    flat list of finite floats is one join of their reprs.  What json.dumps
+    cannot encode raises TypeError, as there.
     """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _WORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
+        text = float.__repr__(obj)
+        return text if math.isfinite(obj) else f'"{text}"'
+    inner = newline + "  "
     if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        try:
+            text = sep.join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            text = None
+        if text is None or "n" in text:  # "n": a "nan" or an "inf"
+            text = sep.join([_encode(v, inner) for v in obj])
+        return "[" + inner + text + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        text = ("," + inner).join([
+            encode_basestring_ascii(_key(k)) + ": " + _encode(obj[k], inner)
+            for k in sorted(obj)])
+        return "{" + inner + text + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
+_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float) and not math.isfinite(key):
+        raise ValueError(f"Out of range float values are not JSON "
+                         f"compliant: {key!r}")
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

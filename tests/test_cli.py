@@ -594,6 +594,15 @@ class TestReports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False False"
 
+    def test_numpy_non_finite_floats_are_written_as_words(self, tmp_path):
+        # repr of a numpy scalar names its type: "np.float64(nan)"
+        rep = Report("numpy", 1, "digest")
+        rep.extras.update(values=[np.float64("nan"), np.float64(0.25),
+                                  np.float64("-inf")], one=np.float64("inf"))
+        data = json.loads(rep.write_json(tmp_path).read_text())
+        assert data["extras"] == {"values": ["nan", 0.25, "-inf"],
+                                  "one": "inf"}
+
     def test_non_finite_failure_is_not_a_refusal(self, tmp_path):
         rep = Report("mixed", 1, "digest")
         rep.add(check("nan_measurement", float("nan"), 1.0))

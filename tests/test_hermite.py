@@ -361,6 +361,16 @@ class TestBatchedAgainstPerState:
         assert rng_new.standard_normal() == rng_ref.standard_normal()
 
 
+def test_column_norms_are_one_dimensional_norms():
+    rng = np.random.default_rng(31)
+    for scale in 10.0 ** np.arange(-5, 6):
+        states = scale * rng.standard_normal((66, 40))
+        assert np.array_equal(hermite.column_norms(states),
+                              [np.linalg.norm(col) for col in states.T])
+    state = rng.standard_normal(66)
+    assert np.array_equal(hermite.column_norms(state), [np.linalg.norm(state)])
+
+
 def test_build_rejects_bad_dimensions():
     with pytest.raises(ValueError):
         hermite.build_ladders(3, 10)

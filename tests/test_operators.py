@@ -116,6 +116,35 @@ class TestDecomposition:
         assert dec.gram_residual() <= 1e-10
         assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
 
+    @pytest.mark.parametrize("algebra", [False, True])  # 1 and 3 channels
+    def test_expand_of_complex_fields(self, algebra):
+        g, op = circle_operator(48)
+        dec = op.eigendecomposition()
+        assert dec.vectors is not None  # a dense 1-D decomposition
+        rng = np.random.default_rng(23)
+        shape = (5, g.node_count, 1) + ((3,) if algebra else ())
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fields = Field(g, 1, vals, algebra)
+        weighted = dec.node_weights[:, None] * vals.reshape(5, g.node_count, -1)
+        got = dec.expand(fields)
+        want = dec.vectors.T.astype(complex) @ weighted
+        assert got.shape == want.shape == (5, g.node_count, 3 if algebra else 1)
+        # each part of a coefficient is a sum of n real products, summed in
+        # its own order on each side: they differ by at most
+        # 2 n eps sum_j |V_jk| |part of (w f)_j|
+        v_abs = np.abs(dec.vectors.T)
+        for part in (np.real, np.imag):
+            bound = 2 * g.node_count * np.finfo(float).eps * (
+                v_abs @ np.abs(part(weighted)))
+            assert np.all(np.abs(part(got) - part(want)) <= bound)
+        # a set's coefficients are its members' own, bit for bit
+        assert np.array_equal(got, np.stack([dec.expand(fields.copy_with(v))
+                                             for v in vals]))
+        # real values keep the real product
+        real = dec.expand(fields.copy_with(vals.real))
+        assert real.dtype == np.float64
+        assert np.array_equal(real, dec.vectors.T @ weighted.real)
+
 
 class TestConjugation:
     def test_zero_rho_is_identity(self):

@@ -2,12 +2,15 @@
 defines nothing that it never uses, it contracts no three arrays in one
 einsum, the ladder calculus multiplies no matrices, assembly writes no
 dense link matrix, every eigensolve is handed a symmetric matrix, a
-conjugate solves only what H solves, every CSV of the shipped configs has
-the bytes of the per-value formatter, `energyrep conformal` at its element
-cap stays small, and the spectrum convergence script runs."""
+conjugate solves only what H solves, every CSV and JSON file of the
+shipped configs has the bytes of the writer it replaced, only the report
+module writes files, `energyrep conformal` at its element cap stays small,
+and the spectrum convergence script runs."""
 import ast
 import csv
 import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +125,64 @@ def test_bulk_csv_rows_keep_the_formatter_bytes(name, monkeypatch, tmp_path):
     run_suite("all", load_config(REPO / "configs" / f"{name}.cfg"), tmp_path)
     assert "spectrum_domain" in written
     assert {p.stem for p in tmp_path.glob("*.csv")} == set(written)
+
+
+def _json_safe(obj):
+    """The walk write_json once applied before json.dumps: a non-finite
+    float as its repr."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def _json_bytes(payload):
+    """The bytes write_json wrote through json.dumps."""
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ["circle", "interval", "torus", "punctured"])
+def test_report_json_keeps_the_encoder_bytes(name, monkeypatch, tmp_path):
+    written = []
+
+    def checked(outdir, json_name, payload, _write=report.write_json):
+        path = _write(outdir, json_name, payload)
+        assert path.read_bytes() == _json_bytes(payload), json_name
+        written.append(json_name)
+        return path
+
+    for module in (report, suites):
+        monkeypatch.setattr(module, "write_json", checked)
+    run_suite("all", load_config(REPO / "configs" / f"{name}.cfg"), tmp_path)
+    assert "hilbert_schmidt" in written
+    assert {p.stem for p in tmp_path.glob("*.json")} == set(written)
+
+
+def test_report_json_edge_payload_keeps_the_encoder_bytes(tmp_path):
+    payload = {
+        "empty": [{}, []], "nested": [[1.5, [2.0, []]], [{"a": [{}]}]],
+        "tuple": (1, -2.5, "x"), "words": [True, False, None],
+        "negative_zero": -0.0, "tiny": 1e-300, "huge": [-3e300, 10 ** 30],
+        "text": "h\u00e9llo \u2603 \n\t\x01\x1f \"quoted\" back\\slash",
+        "non_finite": [float("nan"), 0.5, float("inf"), float("-inf")],
+        "scalar_nan": float("nan"),
+        "int_keys": {10: 1.0, 2: [], -1: None},
+        "float_keys": {0.5: "half", 2.0: "two"},
+        "word_keys": {False: 0, True: 1},
+    }
+    path = report.write_json(tmp_path, "edge", payload)
+    assert path.read_bytes() == _json_bytes(payload)
+    for bad in (np.int64(3), {1, 2}):
+        for value in (bad, [1.0, bad], {"k": (bad,)}):
+            with pytest.raises(TypeError):
+                _json_bytes({"v": value})
+            with pytest.raises(TypeError):
+                report.write_json(tmp_path, "bad", {"v": value})
 
 
 @pytest.mark.parametrize("shape", ["circle", "torus"])
@@ -307,6 +368,76 @@ def test_matrix_product_scan_sees_every_spelling(tmp_path):
         encoding="utf-8")
     assert _matrix_products(tmp_path / "mod.py") == [
         "mod.py:10", "mod.py:11", "mod.py:12"]
+
+
+REPORT_FORMATS = ("json", "csv")
+FILE_WRITES = ("write_text", "write_bytes", "tofile", "save", "savez",
+               "savez_compressed", "savetxt")
+
+
+def _writes_a_mode(mode):
+    """Whether an open's mode argument may write; a mode that is not a
+    string literal may."""
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set("wax+") & set(mode.value))
+
+
+def _file_writers(src):
+    """Every import of json or csv and every file write of the package
+    outside report.py, as file:line: an open whose mode may write (the
+    mode is open's second argument, Path.open's first), and the calls of
+    FILE_WRITES in either spelling."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                hit = any(a.name.split(".")[0] in REPORT_FORMATS
+                          for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").split(".")[0] in REPORT_FORMATS
+            elif isinstance(node, ast.Call):
+                func = node.func
+                bare = isinstance(func, ast.Name)
+                name = func.id if bare else getattr(func, "attr", None)
+                if name == "open":
+                    modes = node.args[1 if bare else 0:][:1] + [
+                        k.value for k in node.keywords if k.arg == "mode"]
+                    hit = any(_writes_a_mode(m) for m in modes)
+                else:
+                    hit = name in FILE_WRITES
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    return [f"{file}:{line}" for file, line in sorted(set(found))]
+
+
+def test_only_the_report_module_writes_files():
+    # every file goes through the writers of energyrep.report
+    found = _file_writers(SRC)
+    assert not found, f"writes a file outside report.py: {found}"
+
+
+def test_file_writer_scan_sees_every_spelling(tmp_path):
+    (tmp_path / "report.py").write_text("import json\n", encoding="utf-8")
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\nfrom pathlib import Path\n\n\n"
+        "def reads(path):\n"
+        "    with open(path) as a, open(path, 'rb') as b:\n"
+        "        return a.read(), b.read(), Path(path).open('r').read()\n\n\n"
+        "def writes(path, mode, data):\n"
+        "    import csv, os.path\n"
+        "    from json import dumps\n"
+        "    open(path, 'w').write(dumps(data))\n"
+        "    open(path, mode=mode)\n"
+        "    Path(path).open('a+')\n"
+        "    Path(path).write_text('x')\n"
+        "    np.save(path, data)\n",
+        encoding="utf-8")
+    assert _file_writers(tmp_path) == [
+        f"mod.py:{line}" for line in range(11, 18)]
 
 
 def test_assembly_writes_no_dense_link_matrix():
