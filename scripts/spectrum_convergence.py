@@ -13,14 +13,9 @@ import numpy as np
 
 from energyrep.grid import WeightField, build_grid
 from energyrep.operators import assemble_h
+from energyrep.suites import circle_dispersion, circle_modes
 
 WINDOW = 8  # fixed continuum window |k| <= 8, i.e. k <= N/8 at N = 64
-
-
-def dispersion(n: int):
-    h = 2.0 * np.pi / n
-    ks = np.concatenate([[0], np.repeat(np.arange(1, n // 2), 2), [n // 2]])
-    return np.sort((2.0 / h ** 2) * (1.0 - np.cos(ks * h)) + 2.0)
 
 
 def main():
@@ -28,10 +23,11 @@ def main():
           f"{'k=N/8 rel':>10} {'|k|<=8 max':>11} {'order':>6}")
     previous = None
     for n in (32, 64, 128, 256):
-        grid = build_grid("circle", n, radius=1.0)
+        grid = build_grid("circle", n)
         op = assemble_h(grid, WeightField.constant(grid, 2.0))
         lam = np.sort(op.eigendecomposition().eigenvalues)
-        dev = np.max(np.abs(lam - dispersion(n)))
+        formula = np.sort(circle_dispersion(circle_modes(n), n))
+        dev = np.max(np.abs(lam - formula))
 
         def rel(k):
             idx = 0 if k == 0 else 2 * k - 1

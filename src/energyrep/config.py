@@ -143,17 +143,16 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig) -> None:
     from .fock import MAX_CUTOFF
-    from .grid import MIN_NODES, PERIODIC_SHAPES, SUPPORTED_SHAPES
+    from .grid import MIN_NODES, SHAPES, WEIGHT_KINDS
     from .operators import DENSE_SOLVE_NODES
     from .sampling import RHO_PROFILES
     from .suites import EIGENVECTOR_MODES, LADDER_WORDS, OSCILLATOR_LEVELS
-    if cfg.domain_shape not in SUPPORTED_SHAPES:
-        raise ConfigError(f"domain.shape must be one of {SUPPORTED_SHAPES}")
+    if cfg.domain_shape not in SHAPES:
+        raise ConfigError(f"domain.shape must be one of {tuple(SHAPES)}")
     if cfg.rho_profile not in RHO_PROFILES:
         raise ConfigError(f"rho.profile must be one of {RHO_PROFILES}")
-    if cfg.rho_profile == "cosine" and cfg.domain_shape not in PERIODIC_SHAPES:
-        raise ConfigError(f"rho.profile = cosine needs a periodic domain.shape "
-                          f"{PERIODIC_SHAPES}")
+    if cfg.rho_profile == "cosine" and not SHAPES[cfg.domain_shape].periodic:
+        raise ConfigError("rho.profile = cosine needs a periodic domain.shape")
     # a zero amplitude makes the gauge or conformal checks hold trivially
     for key in ("domain.radius", "domain.halfwidth", "potential.value", "hs.p",
                 "spectrum.oscillator_halfwidth", "seminorms.interval_halfwidth",
@@ -167,10 +166,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         halfwidth = getattr(cfg, _SCHEMA[key][0])
         if not math.isfinite(halfwidth * halfwidth):
             raise ConfigError(f"{key} must keep the weight |x|^2 + 1 finite")
-    if cfg.potential_kind not in ("constant", "quadratic"):
-        raise ConfigError("potential.kind must be constant or quadratic")
-    if cfg.potential_kind == "constant" and cfg.potential_value < 1.0:
-        raise ConfigError("constant potential must be >= 1")
+    if cfg.potential_kind not in WEIGHT_KINDS:
+        raise ConfigError(f"potential.kind must be one of {tuple(WEIGHT_KINDS)}")
+    # every kind's W is least at the origin, where it is potential.value
+    if cfg.potential_value < 1.0:
+        raise ConfigError("potential.value must be >= 1, so that W >= 1")
     if any(t <= 0 for t in cfg.regularity_t_list):
         raise ConfigError("regularity.t_list entries must be positive")
     if len(set(cfg.regularity_t_list)) < 2:
@@ -181,7 +181,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     # axis); every other upper end keeps one key from exhausting memory or
     # time: at each, with the other keys at test sizes, a suite ends in
     # seconds under 0.5 GiB.
-    one_d = cfg.domain_shape in ("circle", "interval")
+    one_d = SHAPES[cfg.domain_shape].dimension == 1
     grid = (MIN_NODES, DENSE_SOLVE_NODES)
     ranges = {
         "seed": (0, math.inf),
@@ -197,7 +197,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         "fock.cutoff": (0, MAX_CUTOFF),
         "ladders.samples": (1, 100_000), "seminorms.functions": (1, 10_000),
         "gauge.pairs": (1, 10_000), "gauge.modes": (1, 1000),
-        "regularity.functions": (1, 10_000), "cutoff.count": (1, 1000),
+        "regularity.functions": (1, 10_000),
+        # the decay gates compare a stage with an earlier one
+        "cutoff.count": (2, 1000),
         "punctured.halvings": (1, 100), "fock.tuples": (1, 10_000),
         "fock.pairs": (1, 10_000), "conformal.elements": (1, 100),
     }

@@ -9,14 +9,23 @@ componentwise finite differences.
 from __future__ import annotations
 
 import dataclasses
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .report import write_csv
 
-SUPPORTED_SHAPES = ("circle", "interval", "torus", "square", "punctured_square")
-PERIODIC_SHAPES = ("circle", "torus")
+# Every shape by name: dimension, periodic axes (else truncated to [-L, L])
+# and condition (c); no other module decodes a shape name.
+Shape = namedtuple("Shape", "dimension periodic condition_c")
+SHAPES = {
+    "circle": Shape(1, True, True),
+    "interval": Shape(1, False, True),
+    "torus": Shape(2, True, True),
+    "square": Shape(2, False, True),
+    "punctured_square": Shape(2, False, False),
+}
 MIN_NODES = 4  # per axis
 
 # -B on the su(2) basis used throughout is 2 * identity, so every algebra
@@ -36,6 +45,7 @@ class GridManifold:
     shape_name: str
     topology: str  # "periodic" | "truncated"
     axis_sizes: tuple
+    extent: float             # radius if periodic, else halfwidth
     spacing: np.ndarray       # (d,)
     nodes: np.ndarray         # (n, d)
     metric_scale: np.ndarray  # (n,), metric = scale * identity at each node
@@ -78,7 +88,6 @@ class GridManifold:
         return (
             self.shape_name == other.shape_name
             and self.axis_sizes == other.axis_sizes
-            and self.topology == other.topology
             and np.array_equal(self.spacing, other.spacing)
         )
 
@@ -91,43 +100,39 @@ def build_grid(shape: str, nodes: int, radius: float | None = None,
     (circumference 2*pi*radius per axis), truncated shapes take ``halfwidth``
     (domain [-L, L] per axis, cell centered nodes, zero extension outside).
     """
-    if shape not in SUPPORTED_SHAPES:
-        raise GridError(f"unsupported shape {shape!r}; choose from {SUPPORTED_SHAPES}")
+    facts = SHAPES.get(shape)
+    if facts is None:
+        raise GridError(f"unsupported shape {shape!r}; choose from {tuple(SHAPES)}")
     if nodes < MIN_NODES:
         raise GridError(f"need at least {MIN_NODES} nodes per axis")
 
-    if shape in PERIODIC_SHAPES:
-        r = 1.0 if radius is None else float(radius)
-        if r <= 0:
+    d = facts.dimension
+    if facts.periodic:
+        extent = 1.0 if radius is None else float(radius)
+        if extent <= 0:
             raise GridError("radius must be positive")
-        d = 1 if shape == "circle" else 2
-        h = 2.0 * np.pi * r / nodes
+        h = 2.0 * np.pi * extent / nodes
         axis = h * np.arange(nodes)
-        topology = "periodic"
     else:
         if halfwidth is None or halfwidth <= 0:
             raise GridError("truncated shapes need a positive halfwidth")
-        L = float(halfwidth)
-        d = 1 if shape == "interval" else 2
-        h = 2.0 * L / nodes
-        axis = -L + h * (np.arange(nodes) + 0.5)
-        topology = "truncated"
+        extent = float(halfwidth)
+        h = 2.0 * extent / nodes
+        axis = -extent + h * (np.arange(nodes) + 0.5)
 
-    if d == 1:
-        coords = axis[:, None]
-    else:
-        xg, yg = np.meshgrid(axis, axis, indexing="ij")
-        coords = np.stack([xg.reshape(-1), yg.reshape(-1)], axis=1)
+    coords = np.stack([x.reshape(-1) for x in
+                       np.meshgrid(*(axis,) * d, indexing="ij")], axis=1)
 
     return GridManifold(
         dimension=d,
         shape_name=shape,
-        topology=topology,
+        topology="periodic" if facts.periodic else "truncated",
         axis_sizes=(nodes,) * d,
+        extent=extent,
         spacing=np.full(d, h),
         nodes=coords,
         metric_scale=np.ones(coords.shape[0]),
-        condition_c_ok=(shape != "punctured_square"),
+        condition_c_ok=facts.condition_c,
     )
 
 
@@ -242,6 +247,11 @@ class WeightField:
         parts = tuple(grid.axis_coordinates(j) ** 2 + float(offset) / grid.dimension
                       for j in range(grid.dimension))
         return cls(grid, w, r, parts)
+
+
+# potential.kind -> W from its value, which is W's least value, at the origin
+WEIGHT_KINDS = {"constant": WeightField.constant,
+                "quadratic": WeightField.quadratic}
 
 
 def _check_pair(f: Field, g: Field) -> None:

@@ -11,13 +11,14 @@ streams make the reports independent of execution order.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import fock, gauge, hermite, operators, seminorms
 from .config import ExperimentConfig
-from .grid import Field, WeightField, build_grid, field_to_csv, norm
+from .grid import SHAPES, WEIGHT_KINDS, Field, build_grid, field_to_csv, norm
 from .profiles import bumps
 from .report import Report, check, refusal, write_csv, write_json
 from .sampling import (random_algebra_field, random_covector_testset,
@@ -34,22 +35,19 @@ SUITE_STREAMS = {
 }
 
 
-def _domain_grid(cfg: ExperimentConfig):
-    shape = cfg.domain_shape
-    if shape in ("circle", "torus"):
-        return build_grid(shape, cfg.domain_nodes, radius=cfg.domain_radius)
-    return build_grid(shape, cfg.domain_nodes, halfwidth=cfg.domain_halfwidth)
+# Fixed domains beside the configured one, each probed for seminorm
+# equivalence: W as (kind, value), the probe's bump (center, width) per unit
+# radius or halfwidth, and the probe's stream.  Call sites give the sizes.
+ReferenceDomain = namedtuple("ReferenceDomain", "weight bump stream")
+REFERENCE_DOMAINS = {
+    "circle": ReferenceDomain(("constant", 2.0), (np.pi, 2.5), 21),
+    "interval": ReferenceDomain(("quadratic", 1.0), (0.0, 0.5), 22),
+}
 
 
-def _domain_weight(cfg: ExperimentConfig, grid, rho=None) -> WeightField:
-    if cfg.potential_kind == "constant":
-        return WeightField.constant(grid, cfg.potential_value, rho)
-    return WeightField.quadratic(grid, cfg.potential_value, rho)
-
-
-def _domain_rho(cfg: ExperimentConfig, grid, rng) -> np.ndarray:
-    return rho_field(grid, cfg.rho_profile, cfg.rho_amplitude, cfg.rho_mode,
-                     rng)
+def _reference_weight(grid, rho=None):
+    kind, value = REFERENCE_DOMAINS[grid.shape_name].weight
+    return WEIGHT_KINDS[kind](grid, value, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -61,20 +59,27 @@ def _domain_rho(cfg: ExperimentConfig, grid, rng) -> np.ndarray:
 OSCILLATOR_LEVELS = 11
 
 
-def _circle_modes(n: int) -> np.ndarray:
-    """Fourier mode multiplicities on n nodes: 0, +-1, ..., (+-n/2 if even)."""
-    if n % 2 == 0:
-        return np.concatenate([[0], np.repeat(np.arange(1, n // 2), 2),
-                               [n // 2]])
-    return np.concatenate([[0], np.repeat(np.arange(1, (n + 1) // 2), 2)])
+def circle_modes(n: int) -> np.ndarray:
+    """Fourier mode multiplicities on n nodes: 0, +-1, ..., (n/2 if even)."""
+    return np.concatenate([[0], np.repeat(np.arange(1, (n + 1) // 2), 2),
+                           np.repeat(n // 2, 1 - n % 2)])
+
+
+def circle_dispersion(k, n: int) -> np.ndarray:
+    """(2/h^2)(1 - cos kh) + 2, h = 2 pi / n: the exact eigenvalue of H at
+    Fourier mode k on the reference circle of n nodes (unit radius, W = 2)."""
+    h = 2.0 * np.pi / n
+    return (2.0 / h ** 2) * (1.0 - np.cos(k * h)) + 2.0
 
 
 def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report,
                    outdir: Path) -> None:
-    grid = _domain_grid(cfg)
-    rho = _domain_rho(cfg, grid, rng)
+    grid = build_grid(cfg.domain_shape, cfg.domain_nodes,
+                      radius=cfg.domain_radius, halfwidth=cfg.domain_halfwidth)
+    rho = rho_field(grid, cfg.rho_profile, cfg.rho_amplitude, cfg.rho_mode,
+                    rng)
     # assemble_h reads W alone; the chain gate below reads its rho
-    weight = _domain_weight(cfg, grid, rho)
+    weight = WEIGHT_KINDS[cfg.potential_kind](grid, cfg.potential_value, rho)
     h_op = operators.assemble_h(grid, weight)
     rep.add(check("h_symmetry", h_op.symmetry_residual(), 1e-12))
 
@@ -89,28 +94,21 @@ def suite_spectrum(cfg: ExperimentConfig, rng, rep: Report,
 
     # reference: periodic dispersion is exact for the link-built Laplacian
     nc = cfg.spectrum_circle_nodes
-    circle = build_grid("circle", nc, radius=1.0)
-    h_circle = operators.assemble_h(circle, WeightField.constant(circle, 2.0))
-    lam = h_circle.eigenvalues()
-    h = 2.0 * np.pi / nc
-    ks = _circle_modes(nc)
-    formula = np.sort((2.0 / h ** 2) * (1.0 - np.cos(ks * h)) + 2.0)
+    circle = build_grid("circle", nc)
+    lam = operators.assemble_h(circle, _reference_weight(circle)).eigenvalues()
+    formula = np.sort(circle_dispersion(circle_modes(nc), nc))
     rep.add(check("circle_dispersion_formula",
                   float(np.max(np.abs(lam - formula))), 1e-9))
     # second-order stencil: continuum deficit is k^4 h^2 / 12 + O(h^4)
-    kmax = nc // 8
-    worst = 0.0
-    for k in range(1, kmax + 1):
-        lam_k = (2.0 / h ** 2) * (1.0 - np.cos(k * h)) + 2.0
-        taylor = k ** 4 * h ** 2 / 12.0
-        worst = max(worst, abs(lam_k - (k ** 2 + 2.0)) / taylor)
+    h, ks = 2.0 * np.pi / nc, np.arange(1, nc // 8 + 1)
+    worst = float(np.max(np.abs(circle_dispersion(ks, nc) - (ks ** 2 + 2.0))
+                         / (ks ** 4 * h ** 2 / 12.0)))
     rep.add(check("circle_continuum_taylor_bound", worst, 1.05,
                   detail="deficit vs k^2+2 within the k^4 h^2/12 envelope"))
 
-    n_osc = cfg.spectrum_oscillator_nodes
-    osc_grid = build_grid("interval", n_osc,
+    osc_grid = build_grid("interval", cfg.spectrum_oscillator_nodes,
                           halfwidth=cfg.spectrum_oscillator_halfwidth)
-    h_osc = operators.assemble_h(osc_grid, WeightField.quadratic(osc_grid, 1.0))
+    h_osc = operators.assemble_h(osc_grid, _reference_weight(osc_grid))
     lam_osc = h_osc.eigenvalues()[:OSCILLATOR_LEVELS]
     target = 2.0 * np.arange(OSCILLATOR_LEVELS) + 2.0
     rep.add(check("oscillator_spectrum",
@@ -224,23 +222,19 @@ def suite_ladders(cfg: ExperimentConfig, rng, rep: Report,
 # ---------------------------------------------------------------------------
 
 def _probe_data(domain: str, cfg: ExperimentConfig, seed_stream):
+    center, width = REFERENCE_DOMAINS[domain].bump
     data = []
     for n_size in cfg.seminorms_nodes:
         # same draws per N; interval bumps scale with the outermost node
         rng = suite_rng(cfg.seed, seed_stream)
-        if domain == "circle":
-            grid = build_grid("circle", n_size, radius=1.0)
-            weight = WeightField.constant(grid, 2.0)
-            center, width = np.pi, 2.5
-        else:
-            grid = build_grid("interval", n_size,
-                              halfwidth=cfg.seminorms_interval_halfwidth)
-            weight = WeightField.quadratic(grid, 1.0)
-            center, width = 0.0, cfg.seminorms_interval_halfwidth / 2
+        grid = build_grid(domain, n_size,
+                          halfwidth=cfg.seminorms_interval_halfwidth)
+        weight = _reference_weight(grid)
         dec = operators.assemble_h(grid, weight).eigendecomposition()
         fields = random_covector_testset(grid, rng, cfg.seminorms_functions)
         # fixed bump and low eigenvectors round out the random members
-        bump = bumps(grid.nodes, [[center]], [width], [1.0])[0][:, :, None]
+        bump = bumps(grid.nodes, [[center * grid.extent]],
+                     [width * grid.extent], [1.0])[0][:, :, None]
         eig = seminorms.eigenvector_covector(dec, range(3)).values
         data.append((n_size, weight, dec, fields.copy_with(
             np.concatenate([fields.values, bump, eig]))))
@@ -256,8 +250,8 @@ def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report,
                     outdir: Path) -> None:
     rows = []
     probes = {}
-    for domain, stream in (("circle", 21), ("interval", 22)):
-        data = probes[domain] = _probe_data(domain, cfg, stream)
+    for domain, reference in REFERENCE_DOMAINS.items():
+        data = probes[domain] = _probe_data(domain, cfg, reference.stream)
         report = seminorms.equivalence_probe(domain, data, cfg.seminorms_m_list,
                                              cfg.seminorms_p_grid)
         rep.extras[f"probe_{domain}"] = report.to_dict()
@@ -309,15 +303,14 @@ def suite_seminorms(cfg: ExperimentConfig, rng, rep: Report,
 
 def suite_gauge(cfg: ExperimentConfig, rng, rep: Report,
                 outdir: Path) -> None:
-    domain = _domain_grid(cfg)
-    if not domain.condition_c_ok:
+    if not SHAPES[cfg.domain_shape].condition_c:
         rep.add(refusal("suite_refused_condition_c",
                         "domain violates condition (c); cutoff machinery is "
                         "unavailable, see the punctured growth table"))
         _punctured_checks(cfg, rep, outdir)
         return
 
-    grid = build_grid("circle", cfg.gauge_nodes, radius=1.0)
+    grid = build_grid("circle", cfg.gauge_nodes)
     rho = rho_field(grid, "cosine", cfg.rho_amplitude, cfg.rho_mode)
 
     gauge_kind = ("gauge", cfg.gauge_modes, cfg.gauge_amplitude)
@@ -342,7 +335,7 @@ def suite_gauge(cfg: ExperimentConfig, rng, rep: Report,
     rep.add(check("exp_series_matches_action",
                   norm(series - direct, rho), 1e-10))
 
-    weight = WeightField.constant(grid, 2.0, rho)
+    weight = _reference_weight(grid, rho)
     dec = operators.conjugated_operator(
         operators.assemble_h(grid, weight), rho).eigendecomposition()
     test_set = random_one_form(grid, rng, modes=3, normalized=True,
@@ -368,8 +361,7 @@ def suite_gauge(cfg: ExperimentConfig, rng, rep: Report,
 
 def _cutoff_checks(cfg: ExperimentConfig, rep: Report, outdir: Path) -> None:
     grid = build_grid("interval", cfg.cutoff_nodes, halfwidth=cfg.cutoff_halfwidth)
-    weight = WeightField.quadratic(grid, 1.0)
-    dec = operators.assemble_h(grid, weight).eigendecomposition()
+    dec = operators.assemble_h(grid, _reference_weight(grid)).eigendecomposition()
     psi = gauge.AlgebraValuedField.constant(grid, (0.8, -0.5, 0.3))
     stages = gauge.cutoff_sequence(grid, cfg.cutoff_count, cfg.cutoff_step,
                                    cfg.cutoff_collar)
@@ -380,21 +372,22 @@ def _cutoff_checks(cfg: ExperimentConfig, rep: Report, outdir: Path) -> None:
     vals[1, :, 0, 1] = bumps(grid.nodes, [[0.0]], [2.0], [1.0])[0][0]
     f_set = Field(grid, 1, vals, algebra=True)
 
-    try:
-        decay = gauge.cutoff_approximation(psi, stages, f_set, cfg.cutoff_p, dec)
-    except gauge.ConditionCViolation as exc:
-        rep.add(refusal("cutoff_decay", str(exc)))
-        return
+    # an interval meets condition (c), so cutoff_approximation does not refuse
+    decay = gauge.cutoff_approximation(psi, stages, f_set, cfg.cutoff_p, dec)
     rows, covered = decay.values, decay.covered_from[:, None]
     worst_tail = max(0.0, float(np.max(rows[:, -1] / rows[:, 0])))
     worst_monotone = max(0.0, float(np.max(
         np.diff(rows) / np.maximum(rows[:, :1], 1e-300))))
     # every stage from the first that covers the support (-1: none does)
-    worst_covered = float(np.max(rows, initial=0.0, where=(covered > 0)
-                                 & (np.array(decay.n_list) >= covered)))
+    when_covered = (covered > 0) & (np.array(decay.n_list) >= covered)
     rep.add(check("cutoff_decay_tail", worst_tail, 1e-3))
     rep.add(check("cutoff_decay_monotone", worst_monotone, 1e-12))
-    rep.add(check("cutoff_exact_zero_when_covered", worst_covered, 0.0))
+    if when_covered.any():
+        rep.add(check("cutoff_exact_zero_when_covered", float(np.max(
+            rows, initial=0.0, where=when_covered)), 0.0))
+    else:
+        rep.add(refusal("cutoff_exact_zero_when_covered",
+                        "no stage covers a test field's support"))
     rep.extras["cutoff_sup_gradients"] = [s.gradient_sup for s in stages]
     write_csv(outdir, "gauge_cutoff_decay",
               ["n"] + [f"f{i}" for i in range(len(rows))],
@@ -421,7 +414,7 @@ def _punctured_checks(cfg: ExperimentConfig, rep: Report, outdir: Path) -> None:
 
 def suite_fock(cfg: ExperimentConfig, rng, rep: Report,
                outdir: Path) -> None:
-    grid = build_grid("circle", cfg.fock_nodes, radius=1.0)
+    grid = build_grid("circle", cfg.fock_nodes)
 
     rho_kind, gauge_kind = ("rho", 2, 0.4), ("gauge", cfg.gauge_modes, 1.0)
     unit_form = ("unit_one_form", 3, 1.0)
@@ -468,7 +461,7 @@ def suite_fock(cfg: ExperimentConfig, rng, rep: Report,
 
 def suite_conformal(cfg: ExperimentConfig, rng, rep: Report,
                     outdir: Path) -> None:
-    torus = build_grid("torus", cfg.conformal_torus_nodes, radius=1.0)
+    torus = build_grid("torus", cfg.conformal_torus_nodes)
     psi2 = random_gauge_field(torus, rng, 2, 0.8)
     f_set = random_one_form(torus, rng, modes=2, normalized=True,
                             count=cfg.conformal_elements)
@@ -483,7 +476,7 @@ def suite_conformal(cfg: ExperimentConfig, rng, rep: Report,
                                 g_set.copy_with(g_set.values[:2]))
     rep.add(check("zero_rescale_identity", zero.max_relative_change, 0.0))
 
-    circle = build_grid("circle", cfg.conformal_circle_nodes, radius=1.0)
+    circle = build_grid("circle", cfg.conformal_circle_nodes)
     psi1 = random_gauge_field(circle, rng, 2, 0.8)
     f1 = random_one_form(circle, rng, modes=2, normalized=True,
                          count=cfg.conformal_elements)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from energyrep import cli, config, operators, report
 from energyrep.cli import main
 from energyrep.config import ConfigError, load_config
+from energyrep.grid import SHAPES, WEIGHT_KINDS
 from energyrep.report import Report, check, refusal, write_sidecar_meta
 
 REPO = Path(__file__).resolve().parents[1]
@@ -67,6 +68,20 @@ UPPER_LIMITS = {
     "cutoff.count": 1000, "punctured.halvings": 100, "fock.tuples": 10_000,
     "fock.pairs": 10_000, "fock.nodes": 4096, "conformal.torus_nodes": 256,
     "conformal.circle_nodes": 4096, "conformal.elements": 100,
+}
+# The smallest accepted value of each integer key that has a range (rho.mode
+# has none), on the circle of small_config; a list key holds each entry to
+# it.  A 1-D domain.nodes starts at 8, and cutoff.count at 2, since the
+# cutoff decay gates compare two stages.
+LOWER_LIMITS = {
+    "seed": 0, "domain.nodes": 8, "spectrum.circle_nodes": 8,
+    "spectrum.oscillator_nodes": 11, "ladders.cutoff": 8, "ladders.samples": 1,
+    "seminorms.nodes": 4, "seminorms.m_list": 0, "seminorms.functions": 1,
+    "gauge.nodes": 4, "gauge.pairs": 1, "gauge.modes": 1, "regularity.m": 0,
+    "regularity.functions": 1, "cutoff.count": 2, "cutoff.nodes": 4,
+    "punctured.halvings": 1, "fock.tuples": 1, "fock.pairs": 1,
+    "fock.nodes": 4, "fock.cutoff": 0, "conformal.torus_nodes": 4,
+    "conformal.circle_nodes": 4, "conformal.elements": 1,
 }
 HALFWIDTH_KEYS = ["domain.halfwidth", "spectrum.oscillator_halfwidth",
                   "seminorms.interval_halfwidth", "cutoff.halfwidth"]
@@ -186,6 +201,47 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{key} must be at most {limit}"):
             load_config(small_config(tmp_path, **{key: sized(limit + 1)}))
         assert load_config(small_config(tmp_path, **{key: sized(limit)}))
+
+    @pytest.mark.parametrize("key,low", LOWER_LIMITS.items())
+    def test_size_at_its_low_end_runs(self, tmp_path, key, low):
+        # seminorms.nodes keeps a second, larger size beside the edited entry
+        sized = (lambda n: f"{n} 24") if key == "seminorms.nodes" else str
+        with pytest.raises(ConfigError, match=f"{key} must be at least"):
+            load_config(small_config(tmp_path, **{key: sized(low - 1)}))
+        cfg = small_config(tmp_path, **{key: sized(low)})
+        assert main(["all", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) in (0, 1)
+
+    @pytest.mark.parametrize("shape", [*SHAPES, "klein_bottle", "Circle"])
+    def test_domain_shapes_are_the_shape_table(self, tmp_path, shape):
+        cfg = small_config(tmp_path, **{"domain.shape": shape,
+                                        "rho.profile": "zero"})
+        if shape in SHAPES:
+            assert load_config(cfg).domain_shape == shape
+        else:
+            with pytest.raises(ConfigError, match="domain.shape must be one"):
+                load_config(cfg)
+
+    @pytest.mark.parametrize("kind", [*WEIGHT_KINDS, "linear", "Constant"])
+    def test_potential_kinds_are_the_weight_table(self, tmp_path, kind):
+        cfg = small_config(tmp_path, **{"potential.kind": kind})
+        if kind in WEIGHT_KINDS:
+            assert load_config(cfg).potential_kind == kind
+        else:
+            with pytest.raises(ConfigError, match="potential.kind must be one"):
+                load_config(cfg)
+
+    @pytest.mark.parametrize("kind", WEIGHT_KINDS)
+    def test_potential_value_below_one_rejected(self, tmp_path, kind):
+        # each kind's W equals potential.value at the origin, a circle node
+        for value, ok in ((0.5, False), (0.999, False), (1.0, True)):
+            cfg = small_config(tmp_path, **{"potential.kind": kind,
+                                            "potential.value": value})
+            if ok:
+                assert load_config(cfg).potential_value == value
+            else:
+                with pytest.raises(ConfigError, match="potential.value"):
+                    load_config(cfg)
 
     @pytest.mark.parametrize("key", HALFWIDTH_KEYS)
     def test_halfwidth_rejected(self, tmp_path, key):
@@ -406,6 +462,10 @@ class TestExitCodes:
         ("spectrum", {"domain.nodes": 4}, ()),
         ("spectrum", {"domain.nodes": 6}, ()),
         ("gauge", {"gauge.amplitude": "nan"}, ()),
+        ("gauge", {"cutoff.count": 1}, ()),
+        ("spectrum", {"domain.shape": "interval", "rho.profile": "zero",
+                      "potential.kind": "quadratic", "potential.value": 0.5},
+         ()),
         ("seminorms", {"seminorms.p_grid": "0.0 nan"}, ()),
     ])
     def test_bad_domain_exits_2_before_output(self, tmp_path, suite,
@@ -529,6 +589,17 @@ class TestExitCodes:
         assert line == ("[REFUSED] gauge.suite_refused_condition_c: "
                         + refused["detail"])
         assert "condition (c)" in line and "nan" not in line
+
+    def test_uncovered_cutoff_supports_are_refused(self, tmp_path):
+        # stages of step 0.1 stay inside every test field's support, so no
+        # stage is covered and the exact-zero gate has nothing to read
+        cfg = small_config(tmp_path, **{"cutoff.step": 0.1})
+        out = tmp_path / "out"
+        assert main(["gauge", "--config", str(cfg), "--out", str(out)]) == 1
+        data = json.loads((out / "gauge.json").read_text())
+        checks = {c["name"]: c for c in data["checks"]}
+        assert checks["cutoff_exact_zero_when_covered"]["verdict"] == "refused"
+        assert checks["cutoff_decay_monotone"]["verdict"] == "pass"
 
 
 class TestConfigEdits:

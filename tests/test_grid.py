@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from energyrep.grid import (Field, GridError, WeightField, build_grid,
+from energyrep.grid import (SHAPES, Field, GridError, WeightField, build_grid,
                             conformal_rescale, covariant_derivative,
                             field_to_csv, gram, inner_product, norm, rebind)
 from energyrep.operators import assemble_h
@@ -59,6 +59,33 @@ class TestBuildGrid:
             build_grid("interval", 8, halfwidth=-2.0)
         with pytest.raises(GridError):
             build_grid("circle", 3)
+
+    # (dimension, periodic, condition (c)) of every shape, written out here
+    # rather than read from grid.py
+    SHAPE_FACTS = {
+        "circle": (1, True, True), "interval": (1, False, True),
+        "torus": (2, True, True), "square": (2, False, True),
+        "punctured_square": (2, False, False),
+    }
+
+    def test_shape_table_is_every_shape(self):
+        assert ({name: tuple(facts) for name, facts in SHAPES.items()}
+                == self.SHAPE_FACTS)
+
+    @pytest.mark.parametrize("shape", SHAPE_FACTS)
+    def test_grid_follows_the_shape_table(self, shape):
+        d, periodic, condition_c = self.SHAPE_FACTS[shape]
+        g = build_grid(shape, 8, radius=0.5, halfwidth=3.0)
+        assert (g.dimension, g.condition_c_ok) == (d, condition_c)
+        assert g.topology == ("periodic" if periodic else "truncated")
+        assert g.nodes.shape == (8 ** d, d) and g.axis_sizes == (8,) * d
+        # a periodic axis closes after 2 pi r; a box's nodes fill [-L, L]
+        extent = 0.5 if periodic else 3.0
+        assert g.extent == extent
+        period = 2.0 * np.pi * extent if periodic else 2.0 * extent
+        assert np.allclose(g.spacing * 8, period)
+        lo = 0.0 if periodic else -extent + g.spacing[0] / 2
+        assert np.allclose(g.axis_coordinates(d - 1)[0], lo)
 
     def test_punctured_square_flagged(self):
         g = build_grid("punctured_square", 8, halfwidth=4.0)

@@ -15,6 +15,7 @@ from energyrep.operators import (SpectralDecomposition, _blocks,
                                  hilbert_schmidt_test)
 from energyrep.seminorms import (eigenvector_covector, seminorm_p_batch,
                                  seminorm_prime_batch)
+from energyrep.suites import circle_dispersion, circle_modes
 from helpers import (dense_eigenvalues, dense_solve, link_laplacian, stack,
                      symmetrized)
 
@@ -59,6 +60,19 @@ class TestAssembly:
 
 
 class TestCircleSpectrum:
+    def test_dispersion_helper_matches_the_oracle(self):
+        # the mode k and n - k share |k| on n nodes
+        for n in range(4, 130):
+            assert sorted(circle_modes(n)) == sorted(
+                min(k, n - k) for k in range(n))
+            lam = np.sort(circle_dispersion(circle_modes(n), n))
+            if n % 2 == 0:
+                assert np.array_equal(lam, periodic_dispersion(n, 2.0))
+        for n in (9, 33):
+            g, op = circle_operator(n)
+            assert np.max(np.abs(op.eigenvalues() - np.sort(
+                circle_dispersion(circle_modes(n), n)))) <= 1e-9
+
     def test_matches_dispersion_formula(self):
         g, op = circle_operator(64)
         lam = np.sort(op.eigendecomposition().eigenvalues)

@@ -14,13 +14,15 @@ from energyrep.grid import (ALGEBRA_METRIC_FACTOR, Field, GridError,
                             covariant_derivative, norm, rebind)
 from energyrep.operators import (SpectralDecomposition, assemble_h,
                                  conjugated_operator)
+from energyrep.profiles import bumps
 from energyrep.sampling import (random_covector_testset, random_one_form,
                                 rho_field)
 from energyrep.seminorms import (chain_identity_residual, equivalence_probe,
                                  seminorm_p, seminorm_p_batch, seminorm_prime,
                                  seminorm_prime_batch, twisted_chain,
                                  weighted_norms)
-from energyrep.suites import _probe_data, run_suite
+from energyrep.suites import (REFERENCE_DOMAINS, SUITE_STREAMS, _probe_data,
+                              run_suite)
 from helpers import dense_solve, stack
 
 
@@ -219,6 +221,30 @@ class TestEquivalenceProbe:
         for m in (0, 1, 2):
             assert rep.stable[m], f"no stable p for m={m} on {domain}"
             assert rep.stability_ratio(m, rep.selected[m]) <= 2.0
+
+    def test_reference_domains_are_distinct_streams(self):
+        # a probe stream shared with another probe or a suite would repeat
+        # that stream's draws
+        streams = [ref.stream for ref in REFERENCE_DOMAINS.values()]
+        assert len(set(streams)) == len(streams)
+        assert not set(streams) & set(SUITE_STREAMS.values())
+        for shape, ref in REFERENCE_DOMAINS.items():
+            assert shape in grid_module.SHAPES
+            assert ref.weight[0] in grid_module.WEIGHT_KINDS
+
+    def test_probe_bump_scales_with_the_extent(self):
+        # the interval's bump is centred at 0 with half the halfwidth as its
+        # width; the circle's at pi with width 2.5 on the unit circle
+        cfg = ExperimentConfig(seed=1, domain_shape="circle",
+                               seminorms_functions=2, seminorms_nodes=(16, 24),
+                               seminorms_interval_halfwidth=5.0)
+        for domain, (center, width) in (("circle", (np.pi, 2.5)),
+                                        ("interval", (0.0, 2.5))):
+            for n_size, _, _, fields in _probe_data(domain, cfg, 3):
+                grid = fields.grid
+                want = bumps(grid.nodes, [[center]], [width], [1.0])[0][0]
+                assert np.array_equal(fields.values[2], want[:, None])
+                assert n_size == grid.axis_sizes[0]
 
     def test_interval_m1_finite_constant(self):
         # the position/derivative recombination predicts |f|'_1 <= C |f|_1
