@@ -15,6 +15,7 @@ import numpy as np
 from . import su2
 from .grid import Field, GridManifold, GridError, norm
 from .profiles import AnnulusStepProfile, PlateauProfile
+from .report import loglog_slope
 from .seminorms import seminorm_p_batch, seminorm_prime_batch
 
 
@@ -216,11 +217,8 @@ def regularity_check(field: AlgebraValuedField, test_set, t_list, p: float,
         err_m = seminorm_prime_batch(quotients, (m,), weight)[0]
         errors.append(_sup_ratio(err, den))
         margins.append(_sup_ratio(err_m, t * np.exp(c_hat) * den_m))
-    if min(errors) > 0.0:
-        slope = float(np.polyfit(np.log(np.asarray(t_list)),
-                                 np.log(np.asarray(errors)), 1)[0])
-    else:
-        slope = float("nan")  # identically zero error, e.g. Psi = 0
+    # nan for an identically zero error, e.g. Psi = 0
+    slope = loglog_slope(t_list, errors)[0]
     return RegularityReport(tuple(t_list), tuple(errors), slope, c_hat,
                             tuple(margins))
 

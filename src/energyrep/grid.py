@@ -336,30 +336,32 @@ def rebind(field: Field, grid: GridManifold) -> Field:
 # Covariant derivative (centered, second order)
 # ---------------------------------------------------------------------------
 
-def _shifted(mesh: np.ndarray, axis: int, step: int, topology: str) -> np.ndarray:
-    """Values at x + step*h along one axis; zero extension if truncated."""
-    if topology == "periodic":
-        return np.roll(mesh, -step, axis=axis)
-    out = np.zeros_like(mesh)
-    src = [slice(None)] * mesh.ndim
-    dst = [slice(None)] * mesh.ndim
-    if step > 0:
-        src[axis] = slice(step, None)
-        dst[axis] = slice(None, -step)
-    else:
-        src[axis] = slice(None, step)
-        dst[axis] = slice(-step, None)
-    out[tuple(dst)] = mesh[tuple(src)]
-    return out
+def _neighbours(periodic: bool) -> tuple:
+    """The centered difference's one neighbour rule along an axis, as
+    (nodes, their +1 neighbours, their -1 neighbours) slice triples: the
+    interior, then the two ends.  A periodic axis wraps at its ends; past a
+    truncated axis' end the neighbour is the zero extension, None."""
+    first, second = slice(0, 1), slice(1, 2)
+    last, penultimate = slice(-1, None), slice(-2, -1)
+    return ((slice(1, -1), slice(2, None), slice(None, -2)),
+            (first, second, last if periodic else None),
+            (last, first if periodic else None, penultimate))
+
+
+def _along(a: np.ndarray, axis: int, part: slice) -> np.ndarray:
+    """The view of a's `part` along one axis, whole along the others."""
+    return a[(slice(None),) * axis + (part,)]
 
 
 def centered_stencil(grid: GridManifold, axis: int) -> tuple:
     """(rows, cols, values) of the nonzero entries of the centered-difference
     matrix (f_{i+1} - f_{i-1}) / 2h along one axis, the one covariant_derivative
-    applies; its neighbour pairs come from _shifted on 1-based node indices."""
-    idx = np.arange(1, grid.node_count + 1).reshape(grid.axis_sizes)
-    hi = _shifted(idx, axis, +1, grid.topology).ravel()
-    lo, hi = idx.ravel()[hi > 0] - 1, hi[hi > 0] - 1  # 0 is the zero extension
+    applies: each node and its +1 neighbour by _neighbours."""
+    idx = np.arange(grid.node_count).reshape(grid.axis_sizes)
+    pairs = [(_along(idx, axis, nodes).ravel(), _along(idx, axis, up).ravel())
+             for nodes, up, _ in _neighbours(grid.topology == "periodic")
+             if up is not None]
+    lo, hi = (np.concatenate(side) for side in zip(*pairs))
     c = 1.0 / (2.0 * grid.spacing[axis])
     # D[lo, hi] = c, D[hi, lo] = -c
     return (np.concatenate([lo, hi]), np.concatenate([hi, lo]),
@@ -369,9 +371,10 @@ def centered_stencil(grid: GridManifold, axis: int) -> tuple:
 def covariant_derivative(f: Field) -> Field:
     """Centered-difference covariant derivative, rank k -> k+1.
 
-    (f_{i+1} - f_{i-1}) / 2h per axis, written straight into its slot of
-    the new covector index, which sits right after the node axis.  Requires
-    a constant metric scale (flat connection); O(h^2) on smooth fields.
+    (f_{i+1} - f_{i-1}) / 2h per axis, subtracted from slices of f straight
+    into its slot of the new covector index, which sits right after the
+    node axis; a zero extension enters as the scalar 0.  Requires a
+    constant metric scale (flat connection); O(h^2) on smooth fields.
     """
     grid = f.grid
     grid.constant_scale()
@@ -380,10 +383,12 @@ def covariant_derivative(f: Field) -> Field:
     split = lead + grid.dimension
     out = np.empty(mesh.shape[:split] + (grid.dimension,) + mesh.shape[split:],
                    np.result_type(mesh, grid.spacing))
+    rule = _neighbours(grid.topology == "periodic")
     for j in range(grid.dimension):
-        slot = out[(slice(None),) * split + (j,)]
-        np.subtract(_shifted(mesh, lead + j, +1, grid.topology),
-                    _shifted(mesh, lead + j, -1, grid.topology), out=slot)
+        ax, slot = lead + j, out[(slice(None),) * split + (j,)]
+        for nodes, up, down in rule:
+            np.subtract(*(0.0 if part is None else _along(mesh, ax, part)
+                          for part in (up, down)), out=_along(slot, ax, nodes))
         slot /= 2.0 * grid.spacing[j]
     return Field(grid, f.rank + 1, grid.from_mesh(out, lead), f.algebra)
 

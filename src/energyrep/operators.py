@@ -51,6 +51,7 @@ import numpy as np
 
 from .grid import (Field, GridManifold, GridError, WeightField,
                    centered_stencil)
+from .report import loglog_slope
 
 
 # columns per block in the dense eigen residual: its temporaries stay
@@ -607,8 +608,7 @@ def hilbert_schmidt_test(dec: SpectralDecomposition,
     sums = tuple(float(np.sum(lam[:k] ** (-2.0 * p))) for k in k_list)
     lo, hi = max(1, n_tot // 4), max(2, n_tot // 2)
     idx = np.arange(lo + 1, hi + 1, dtype=float)
-    alpha, logc = np.polyfit(np.log(idx), np.log(lam[lo:hi]), 1)
-    alpha = float(alpha)
+    alpha, logc = loglog_slope(idx, lam[lo:hi])
     prefactor = float(np.exp(logc))
     if lam1 <= 1.0 + 1e-12:  # eigensolver noise floor around an exact 1
         verdict = "hypothesis_violated"

@@ -4,8 +4,10 @@ Random test fields, gauge fields and algebra-valued fields are built from the
 array families below, so that logarithmic derivatives are exact at the nodes
 and cocycle identities can be tested at machine precision.  Each family
 evaluates P profiles at once, each on its own, and returns values (P, n) and
-exact gradients (P, n, d); plane waves take their trig per axis.  The plateau
-and annulus cutoffs serve the cutoff sequences.
+exact gradients (P, n, d), or None in place of the gradients when it is not
+asked for them; the values are the same bits either way.  Plane waves take
+their trig per axis.  The plateau and annulus cutoffs serve the cutoff
+sequences.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 
 def fourier_series(nodes: np.ndarray, period: float, cos_amps: np.ndarray,
-                   sin_amps: np.ndarray):
+                   sin_amps: np.ndarray, gradients: bool = True):
     """sum_k ca_k cos(2 pi k s / period) + sa_k sin(...) on a periodic axis.
 
     cos_amps and sin_amps hold one row of amplitudes k = 1..K per profile.
@@ -25,15 +27,16 @@ def fourier_series(nodes: np.ndarray, period: float, cos_amps: np.ndarray,
     arg = w[:, None] * s
     cos, sin = np.cos(arg), np.sin(arg)
     val = np.zeros((cos_amps.shape[0], s.size))
-    grad = np.zeros_like(val)
+    grad = np.zeros_like(val) if gradients else None
     for k in range(w.size):
         ca, sa = cos_amps[:, k, None], sin_amps[:, k, None]
         val += ca * cos[k] + sa * sin[k]
-        grad += -ca * w[k] * sin[k] + sa * w[k] * cos[k]
-    return val, grad[:, :, None]
+        if gradients:
+            grad += -ca * w[k] * sin[k] + sa * w[k] * cos[k]
+    return val, (grad[:, :, None] if gradients else None)
 
 
-def plane_waves(axes, periods, terms: np.ndarray):
+def plane_waves(axes, periods, terms: np.ndarray, gradients: bool = True):
     """sum of waves amp cos(a + b), a = 2 pi kx x / Px, b = 2 pi ky y / Py
     + phase, one row (amp, kx, ky, phase) of terms (P, M, 4) each, on the
     grid of the axes (x, y).  By cos(a + b) = cos a cos b - sin a sin b and
@@ -45,21 +48,26 @@ def plane_waves(axes, periods, terms: np.ndarray):
     # amp (cos a, sin a) against (cos b, -sin b), and -w (sin b, cos b)
     left = np.empty((count, x.size, waves, 2))
     right = np.empty((count, waves, 2, y.size))
-    dright = np.empty((count, waves, 2, y.size, 2))
+    dright = np.empty((count, waves, 2, y.size, 2)) if gradients else None
     for m in range(waves):
         a, b = w[:, m, :1] * x, w[:, m, 1:] * y + ph[:, m]
         left[:, :, m, 0], left[:, :, m, 1] = (amp[:, m] * t(a)
                                               for t in (np.cos, np.sin))
         cb, sb = np.cos(b), np.sin(b)
         right[:, m, 0], right[:, m, 1] = cb, -sb
-        dright[:, m, 0], dright[:, m, 1] = (-t[:, :, None] * w[:, m, None]
-                                            for t in (sb, cb))
+        if gradients:
+            dright[:, m, 0], dright[:, m, 1] = (-t[:, :, None] * w[:, m, None]
+                                                for t in (sb, cb))
     left = left.reshape(count, x.size, -1)
-    return ((left @ right.reshape(count, -1, y.size)).reshape(count, -1),
-            (left @ dright.reshape(count, -1, 2 * y.size)).reshape(count, -1, 2))
+    val = (left @ right.reshape(count, -1, y.size)).reshape(count, -1)
+    if not gradients:
+        return val, None
+    return val, (left @ dright.reshape(count, -1, 2 * y.size)).reshape(
+        count, -1, 2)
 
 
-def bumps(nodes: np.ndarray, centers, widths, amplitudes):
+def bumps(nodes: np.ndarray, centers, widths, amplitudes,
+          gradients: bool = True):
     """Compactly supported bumps amp * exp(1 - 1/(1 - r^2)), r = |x - c|/width.
 
     centers has shape (P, d); widths and amplitudes have shape (P,).
@@ -72,6 +80,8 @@ def bumps(nodes: np.ndarray, centers, widths, amplitudes):
     val = np.zeros(r2.shape)
     amp = np.broadcast_to(np.asarray(amplitudes, float)[:, None], r2.shape)
     val[inside] = amp[inside] * np.exp(1.0 - 1.0 / denom[inside])
+    if not gradients:
+        return val, None
     # d/dx_i of -1/(1-r^2) is -2 (x_i - c_i)/width^2 / (1-r^2)^2.  width^2 is
     # the scalar power, which rounds differently from squaring in an array.
     w2 = np.broadcast_to(np.array([w ** 2 for w in widths])[:, None], r2.shape)

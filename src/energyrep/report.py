@@ -54,6 +54,17 @@ def refusal(name: str, detail: str) -> CheckResult:
                        detail)
 
 
+def loglog_slope(x, y) -> tuple:
+    """(slope, intercept) of the least-squares line log y = slope log x +
+    intercept, the one fit of every order and exponent gate; (nan, nan)
+    unless every entry of x and y is positive and finite."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    if not all(np.all(np.isfinite(v) & (v > 0.0)) for v in (x, y)):
+        return float("nan"), float("nan")
+    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
+    return float(slope), float(intercept)
+
+
 @dataclass
 class Report:
     suite: str

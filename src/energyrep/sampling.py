@@ -6,7 +6,8 @@ byte-identical reports.  Smooth test functions are fixed continuum profiles
 under refinement and probe constants stabilize.
 A sampler makes one sample, or with a `count` a set on a leading sample
 axis: one generator call draws its parameter rows in one-at-a-time order
-(the torus draws term by term), one call of the grid's family evaluates them.
+(the torus draws term by term), one call of the grid's family evaluates them,
+with exact gradients only for the kinds that read them.
 """
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ import numpy as np
 from .gauge import AlgebraValuedField, GaugeField, gauge_from_algebra
 from .grid import Field, GridManifold, norm
 from .profiles import bumps, fourier_series, plane_waves
+
+
+# the kinds built from their profiles' gradients as well as their values
+GRADIENT_KINDS = ("algebra", "gauge")
 
 
 def suite_rng(seed: int, stream: int) -> np.random.Generator:
@@ -61,28 +66,31 @@ def _draw_rows(grid: GridManifold, rng: np.random.Generator, samples: int,
             for rows, (c, *_), shape, k in zip(draws, specs, shapes, over)]
 
 
-def _profiles(grid: GridManifold, rows: np.ndarray):
-    """Values (P, n) and exact gradients (P, n, d) of the profiles with the
-    given parameter rows, from one call of the grid's family."""
+def _profiles(grid: GridManifold, rows: np.ndarray, gradients: bool):
+    """Values (P, n) of the profiles with the given parameter rows, and their
+    exact gradients (P, n, d) if asked for, else None, from one call of the
+    grid's family; the values do not depend on the ask."""
     nodes, periods = grid.nodes, grid.spacing * grid.axis_sizes
     if grid.topology == "periodic" and grid.dimension == 1:
-        return fourier_series(nodes, periods[0], rows[:, 0], rows[:, 1])
+        return fourier_series(nodes, periods[0], rows[:, 0], rows[:, 1],
+                              gradients)
     if grid.topology == "periodic":
         return plane_waves([grid.axis_coordinates(j) for j in (0, 1)], periods,
-                           rows)
-    return bumps(nodes, rows[:, :-2], rows[:, -2], rows[:, -1])
+                           rows, gradients)
+    return bumps(nodes, rows[:, :-2], rows[:, -2], rows[:, -1], gradients)
 
 
 def _build(grid: GridManifold, kind: str, lead: tuple, vals, grads):
     """One sample (lead ()) or a set (lead (count,)) of a kind from the
-    values and gradients of its profiles, sample after sample."""
+    values of its profiles, sample after sample, and their gradients for
+    the GRADIENT_KINDS (None for the others)."""
     n, d = grid.node_count, grid.dimension
     if kind == "rho":
         return vals.reshape(lead + (n,))
     if kind == "covector":
         return Field.covector(grid, np.ascontiguousarray(
             np.swapaxes(vals.reshape(lead + (d, n)), -1, -2), dtype=complex))
-    if kind in ("algebra", "gauge"):
+    if kind in GRADIENT_KINDS:
         field = AlgebraValuedField(grid, np.ascontiguousarray(
             np.swapaxes(vals.reshape(lead + (3, n)), -1, -2)),
             np.ascontiguousarray(np.moveaxis(grads.reshape(lead + (3, n, d)),
@@ -104,12 +112,14 @@ def random_tuples(grid: GridManifold, rng: np.random.Generator,
     """One set of `count` samples per kind (name, modes, amplitude), or one
     sample per kind for count None, as a loop making one sample of each kind
     in turn draws them, in one generator call off the torus; each kind is
-    evaluated once.  Names: rho, covector, algebra, gauge, (unit_)one_form."""
+    evaluated once, with gradients only for the GRADIENT_KINDS.  Names: rho,
+    covector, algebra, gauge, (unit_)one_form."""
     if count is not None and count < 1:
         raise ValueError("a sampled set needs at least one sample")
     lead = () if count is None else (count,)
     rows = _draw_rows(grid, rng, count or 1, kinds)
-    return tuple(_build(grid, kind, lead, *_profiles(grid, r))
+    return tuple(_build(grid, kind, lead,
+                        *_profiles(grid, r, kind in GRADIENT_KINDS))
                  for (kind, *_), r in zip(kinds, rows))
 
 

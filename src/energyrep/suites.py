@@ -233,8 +233,8 @@ def _probe_data(domain: str, cfg: ExperimentConfig, seed_stream):
         dec = operators.assemble_h(grid, weight).eigendecomposition()
         fields = random_covector_testset(grid, rng, cfg.seminorms_functions)
         # fixed bump and low eigenvectors round out the random members
-        bump = bumps(grid.nodes, [[center * grid.extent]],
-                     [width * grid.extent], [1.0])[0][:, :, None]
+        bump = bumps(grid.nodes, [[center * grid.extent]], [width * grid.extent],
+                     [1.0], gradients=False)[0][:, :, None]
         eig = seminorms.eigenvector_covector(dec, range(3)).values
         data.append((n_size, weight, dec, fields.copy_with(
             np.concatenate([fields.values, bump, eig]))))
@@ -369,18 +369,25 @@ def _cutoff_checks(cfg: ExperimentConfig, rep: Report, outdir: Path) -> None:
     vals = np.zeros((2, grid.node_count, 1, 3), dtype=complex)
     vals[0, :, 0, 0] = np.exp(-grid.nodes[:, 0] ** 2 / 4.0)
     vals[0, :, 0, 1] = 0.5 * np.exp(-grid.nodes[:, 0] ** 2 / 4.5)
-    vals[1, :, 0, 1] = bumps(grid.nodes, [[0.0]], [2.0], [1.0])[0][0]
+    vals[1, :, 0, 1] = bumps(grid.nodes, [[0.0]], [2.0], [1.0],
+                             gradients=False)[0][0]
     f_set = Field(grid, 1, vals, algebra=True)
 
     # an interval meets condition (c), so cutoff_approximation does not refuse
     decay = gauge.cutoff_approximation(psi, stages, f_set, cfg.cutoff_p, dec)
     rows, covered = decay.values, decay.covered_from[:, None]
-    worst_tail = max(0.0, float(np.max(rows[:, -1] / rows[:, 0])))
     worst_monotone = max(0.0, float(np.max(
         np.diff(rows) / np.maximum(rows[:, :1], 1e-300))))
     # every stage from the first that covers the support (-1: none does)
     when_covered = (covered > 0) & (np.array(decay.n_list) >= covered)
-    rep.add(check("cutoff_decay_tail", worst_tail, 1e-3))
+    # a field zero on the grid reads 0 at every stage: it has no decay
+    live = rows[:, 0] > 0
+    if live.any():
+        rep.add(check("cutoff_decay_tail",
+                      float(np.max(rows[live, -1] / rows[live, 0])), 1e-3))
+    else:
+        rep.add(refusal("cutoff_decay_tail",
+                        "every test field is zero on the cutoff grid"))
     rep.add(check("cutoff_decay_monotone", worst_monotone, 1e-12))
     if when_covered.any():
         rep.add(check("cutoff_exact_zero_when_covered", float(np.max(

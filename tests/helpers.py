@@ -1,9 +1,10 @@
 """Helpers shared by the test modules: hand-made test sets, the gauge
 fields that the package itself never builds, the contraction and trace
 definitions of the su(2) kernels that the package writes out entry by
-entry, and the dense matrices of the operators that the package keeps only
-in sparse form (the link Laplacian, the ladder letters), and their dense
-solves, a conjugate's too, which the package never makes."""
+entry, the centered difference as shifted copies, which the package reads
+from slices, and the dense matrices of the operators that the package
+keeps only in sparse form (the link Laplacian, the ladder letters), and
+their dense solves, a conjugate's too, which the package never makes."""
 import numpy as np
 
 from energyrep import su2
@@ -53,6 +54,28 @@ def rotate_oracle(r, f):
 def stack(fields):
     """Single fields of one grid as one test set, on a leading sample axis."""
     return fields[0].copy_with(np.stack([f.values for f in fields]))
+
+
+def centered_difference_oracle(f):
+    """The values of covariant_derivative(f) from whole shifted copies of
+    f: per axis the neighbours as np.roll copies (periodic) or as windows
+    of f padded with zeros (truncated), (up - down) / 2h, the axes stacked
+    after the node axis."""
+    g, lead = f.grid, f.sample_axes
+    mesh = g.to_mesh(f.values, lead)
+    parts = []
+    for j in range(g.dimension):
+        ax = lead + j
+        if g.topology == "periodic":
+            up, down = np.roll(mesh, -1, ax), np.roll(mesh, 1, ax)
+        else:
+            pad = [(0, 0)] * mesh.ndim
+            pad[ax] = (1, 1)
+            wide = np.pad(mesh, pad)
+            up = np.take(wide, range(2, mesh.shape[ax] + 2), axis=ax)
+            down = np.take(wide, range(mesh.shape[ax]), axis=ax)
+        parts.append(g.from_mesh((up - down) / (2.0 * g.spacing[j]), lead))
+    return np.stack(parts, axis=lead + 1)
 
 
 def gauge_identity(grid):

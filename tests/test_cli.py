@@ -1,4 +1,5 @@
 """CLI runner: subcommands, exit codes, determinism, report artifacts."""
+import dataclasses
 import filecmp
 import importlib.util
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from energyrep import cli, config, operators, report
+from energyrep import cli, config, gauge, operators, report
 from energyrep.cli import main
 from energyrep.config import ConfigError, load_config
 from energyrep.grid import SHAPES, WEIGHT_KINDS
@@ -601,6 +602,38 @@ class TestExitCodes:
         assert checks["cutoff_exact_zero_when_covered"]["verdict"] == "refused"
         assert checks["cutoff_decay_monotone"]["verdict"] == "pass"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cutoff_tail_leaves_out_a_field_zero_on_the_grid(self, tmp_path):
+        # at 4 nodes the bump f1 is zero at every node; its 0/0 ratio once
+        # read nan, which max(0.0, nan) turned into a vacuous 0.0
+        cfg = small_config(tmp_path, **{"cutoff.nodes": 4})
+        out = tmp_path / "out"
+        assert main(["gauge", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        data = json.loads((out / "gauge.json").read_text())
+        tail = {c["name"]: c for c in data["checks"]}["cutoff_decay_tail"]
+        # columns n, f0, f1; one row per stage
+        rows = np.loadtxt(out / "gauge_cutoff_decay.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        assert np.all(rows[:, 2] == 0.0) and rows[0, 1] > 0.0
+        assert tail["measured"] == rows[-1, 1] / rows[0, 1]
+
+    def test_cutoff_tail_over_no_nonzero_field_is_refused(self, tmp_path,
+                                                          monkeypatch):
+        decay = gauge.cutoff_approximation
+
+        def zeroed(*args):
+            found = decay(*args)
+            return dataclasses.replace(found, values=0.0 * found.values)
+
+        monkeypatch.setattr(gauge, "cutoff_approximation", zeroed)
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["gauge", "--config", str(cfg), "--out", str(out)]) == 1
+        data = json.loads((out / "gauge.json").read_text())
+        checks = {c["name"]: c for c in data["checks"]}
+        assert checks["cutoff_decay_tail"]["verdict"] == "refused"
+        assert "zero" in checks["cutoff_decay_tail"]["detail"]
+
 
 class TestConfigEdits:
     # a huge float overflows inside the run it is allowed to fail
@@ -692,6 +725,17 @@ class TestReports:
         assert checks["declined"]["tolerance"] == "refused"
         assert data["extras"] == {"nan": "nan", "inf": "inf",
                                   "neg": ["-inf", 2.5]}
+
+    def test_loglog_slope_is_the_fit_of_the_logs(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(1e-3, 10.0, (2, 6))
+        want = np.polyfit(np.log(x), np.log(y), 1)
+        assert report.loglog_slope(x, y) == (want[0], want[1])
+        # one rule for an entry that has no logarithm
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            for pair in ((np.append(x, bad), np.append(y, 1.0)),
+                         (np.append(x, 1.0), np.append(y, bad))):
+                assert np.all(np.isnan(report.loglog_slope(*pair)))
 
     def test_sidecar_records_blas_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")

@@ -271,6 +271,7 @@ class TestRegularity:
         zero = gauge.AlgebraValuedField.constant(g, (0, 0, 0))
         rep = gauge.regularity_check(zero, fs, (1e-1, 1e-3), 1.0, 1.0, 1, w, dec)
         assert max(rep.errors) == 0.0
+        assert np.isnan(rep.slope)  # no rate to fit, so the gate fails
 
     def test_linear_rate(self, setup):
         g, w, dec, psi, fs = setup

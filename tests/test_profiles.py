@@ -322,6 +322,19 @@ class TestFamilies:
             assert_same(vals[i], prof.value(g.nodes))
             assert_same(grads[i], prof.gradient(g.nodes))
 
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_values_alone_are_the_same_bits(self, name):
+        # the grid's family asked for values alone: the values of the full
+        # evaluation bit for bit, and None in place of the gradients
+        g = GRIDS[name]()
+        rows, = sampling._draw_rows(g, np.random.default_rng(7), 4,
+                                    [("one_form", 3, 1.0)])
+        full = sampling._profiles(g, rows, True)
+        vals, grads = sampling._profiles(g, rows, False)
+        assert grads is None and full[1].shape == vals.shape + (g.dimension,)
+        assert vals.dtype == full[0].dtype and vals.shape == full[0].shape
+        assert vals.tobytes() == full[0].tobytes()
+
     def test_bump_width_squared_as_a_scalar_power(self):
         # a width whose scalar square differs from the array square: the
         # gradient must use the former, as the per-profile formula does
@@ -483,6 +496,33 @@ class TestSampledSets:
         assert len(got) == len(kinds)
         for whole, singles in zip(got, want):
             assert_set_is_loop(whole, singles)
+
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_gradients_only_where_read(self, grid, count, monkeypatch):
+        # each kind is evaluated with gradients only if it reads them, and
+        # is bit for bit what it is with every gradient evaluated, from the
+        # same draws, leaving the generator in the same state
+        kinds = tuple((kind, 2, 0.8) for kind in SINGLES)
+        family, asked = sampling._profiles, []
+
+        def spied(g, rows, gradients):
+            asked.append(gradients)
+            return family(g, rows, gradients)
+
+        def run(evaluate):
+            monkeypatch.setattr(sampling, "_profiles", evaluate)
+            rng = np.random.default_rng(19)
+            out = sampling.random_tuples(grid, rng, count, *kinds)
+            return out, rng.bit_generator.state
+
+        got, state = run(spied)
+        want, want_state = run(lambda g, rows, _: family(g, rows, True))
+        assert asked == [kind in ("algebra", "gauge") for kind, *_ in kinds]
+        assert state == want_state
+        for sample, reference in zip(got, want):
+            for a, b in zip(arrays(sample), arrays(reference), strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_empty_set_rejected(self, grid, count):

@@ -195,6 +195,25 @@ class TestPrimeSeminorm:
         assert peak < top.values.nbytes
 
 
+@pytest.mark.parametrize("shape,nodes,count", [
+    ("circle", 64, 300), ("torus", 12, 40), ("torus", 48, 3)])
+def test_slices_are_sized_by_the_largest_iterate(shape, nodes, count):
+    # as many fields per slice as fit in the budget at the top order, in
+    # order and whole; one field when a single one exceeds it (N = 48)
+    g = build_grid(shape, nodes, radius=1.0)
+    fs = random_one_form(g, np.random.default_rng(8), modes=2, count=count)
+    for order in range(4):
+        top = fs.values[0].size * g.dimension ** order
+        parts = list(seminorms._slices(fs, order))
+        fit = max(1, seminorms._SLICE_VALUES // top)
+        assert [len(part.values) for _, part in parts[:-1]] == (
+            [fit] * (len(parts) - 1))
+        assert np.array_equal(np.concatenate([part.values for _, part in parts]),
+                              fs.values)
+        assert [cols.start for cols, _ in parts] == list(
+            range(0, count, fit))
+
+
 class TestWeightedIntertwine:
     def test_conjugated_scale_equals_premultiplied(self):
         g = build_grid("circle", 32, radius=1.0)
@@ -565,7 +584,7 @@ def test_chain_gate_work_is_linear_in_the_order(monkeypatch):
                         counted("scale", Field.scale_by_nodes))
     monkeypatch.setattr(grid_module, "norm", counted("norm", grid_module.norm))
     assert not hasattr(seminorms, "norm")  # no copy that bypasses the count
-    order, slices = 3, len(list(seminorms._slices(fs)))
+    order, slices = 3, len(list(seminorms._slices(fs, 3)))
     assert slices > 1
     for run in (lambda: chain_identity_residual(fs, order, w),
                 lambda: seminorm_prime_batch(fs, tuple(range(order + 1)), w)):

@@ -1,11 +1,11 @@
 """The benchmark's layer trace binds every function it names, the package
 defines nothing that it never uses, it contracts no three arrays in one
-einsum, the ladder calculus multiplies no matrices, assembly writes no
-dense link matrix, every eigensolve is handed a symmetric matrix, a
-conjugate solves only what H solves, every CSV and JSON file of the
-shipped configs has the bytes of the writer it replaced, only the report
-module writes files, `energyrep conformal` at its element cap stays small,
-and the spectrum convergence script runs."""
+einsum, the ladder calculus multiplies no matrices, nothing rolls an
+array, assembly writes no dense link matrix, every eigensolve is handed a
+symmetric matrix, a conjugate solves only what H solves, every CSV and
+JSON file of the shipped configs has the bytes of the writer it replaced,
+only the report module writes files, `energyrep conformal` at its element
+cap stays small, and the spectrum convergence script runs."""
 import ast
 import csv
 import io
@@ -368,6 +368,46 @@ def test_matrix_product_scan_sees_every_spelling(tmp_path):
         encoding="utf-8")
     assert _matrix_products(tmp_path / "mod.py") == [
         "mod.py:10", "mod.py:11", "mod.py:12"]
+
+
+def _rolls(src):
+    """Every roll of the package, as file:line: a call of roll in either
+    spelling, and an import of roll under any name."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                hit = any(a.name == "roll" for a in node.names)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                hit = (func.attr if isinstance(func, ast.Attribute)
+                       else getattr(func, "id", None)) == "roll"
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_roll_in_the_package():
+    # a centered difference reads its neighbours from slices; a roll copies
+    # the whole field for every shift
+    found = _rolls(SRC)
+    assert not found, f"roll in the package: {found}"
+
+
+def test_roll_scan_sees_every_spelling(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\nimport numpy\n\n\n"
+        "def kept(a):\n    return np.rollaxis(a, 1) + a[1:] - a[:-1]\n\n\n"
+        "def rolled(a):\n"
+        "    from numpy import roll\n"
+        "    from numpy import roll as shift\n"
+        "    b = np.roll(a, 1) + numpy.roll(a, -1, axis=0)\n"
+        "    return b + roll(a, 2) + shift(a, 1)\n",
+        encoding="utf-8")
+    assert _rolls(tmp_path) == ["mod.py:10", "mod.py:11", "mod.py:12",
+                                "mod.py:12", "mod.py:13"]
 
 
 REPORT_FORMATS = ("json", "csv")
