@@ -9,29 +9,27 @@ bands; no link matrix is formed.  The weighted conjugate H_rho = E^{-1} H E
 eigenvectors e^{-rho/2} e_n, orthonormal under w e^rho: its decomposition
 is H's, and no conjugate is diagonalized.
 
-On a d = 2 tensor grid the potential splits by axis: H is the
-Kronecker sum F_0 (x) I + I (x) F_1 of 1-D operators, and its spectrum comes
-from one symmetric solve per axis (Lynch, Rice & Thomas, "Direct solution of
-partial difference equations by tensor product methods", Numer. Math. 6
-(1964)).  That decomposition is kept as its factors: the N x N axis
-columns and the index map of the summed pairs.  `SpectralDecomposition.modes`
-forms a block of eigenvectors on demand, bit for bit the columns a formed
-solve would store, and `expand` works on the N x N mesh (U^T F V), so no
-n x n array lies on the d = 2 spectrum path.
+W splits by axis, W(x) = sum_j W_j(x_j), so H is the Kronecker sum of the
+1-D axis operators A_j = L_j + diag(W_j), L_j the axis Laplacian, and its
+spectrum comes from one symmetric solve per axis (Lynch, Rice & Thomas,
+"Direct solution of partial difference equations by tensor product
+methods", Numer. Math. 6 (1964)).  A 1-D H is the one-axis case.
 
-An operator is stored once, as its stencil: the diagonal of H and the
-off-diagonal bands of each axis' 1-D Laplacian, and a conjugate its rho.
-`apply` and the residual gates evaluate through the stencil and through the
-per-axis factors of a decomposition.  The dense matrix is written from the
-stencil only for the dense solves of a 1-D H, symmetric as assembled:
-`eigendecomposition` and `eigenvalues`.
+An operator is stored once, as its stencil: the diagonal of H, the
+off-diagonal bands of each axis Laplacian, and the diagonal of each A_j;
+a conjugate adds its rho.  All of it is O(n) data.  `apply` and the gates
+evaluate through the stencil.  The N x N axis matrices (`factors`) are
+written from it for the solve only, and the dense n x n matrix (`matrix`)
+for the dense references only (`eigenvalues`).
 
-On a per-axis decomposition of H the residual gates form no mode.  H e_k -
-lambda_k e_k splits over the Kronecker sum into axis residuals, so
-`eigen_residual` bounds its norm from inner products of the N x N axis
-columns and their residuals under the factors, plus a structural
-deviation of H's stencil from the factors' Kronecker sum; `gram_residual`
-reads the two axis grams.  Both are O(N^3 + n).
+A decomposition is kept as one column basis per axis and the index map of
+the summed pairs: mode k is the tensor product of one column per axis over
+sqrt(w).  `modes` forms a block of modes on demand, and `expand`
+multiplies each channel's mesh by each axis' columns in turn.  The residual
+gates form no mode: `gram_residual` reads the axis grams, and
+`eigen_residual` bounds H e_k - lambda_k e_k from each axis operator
+applied to its columns through the stencil bands.  No n x n array lies on
+the spectrum path of a d = 2 grid.
 
 `spectrum_match` checks the spectrum of a conjugate H_rho against a
 reference, at every size, and solves nothing: the symmetrized H_rho equals
@@ -46,6 +44,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -54,8 +53,8 @@ from .grid import (Field, GridManifold, GridError, WeightField,
 from .report import loglog_slope
 
 
-# columns per block in the dense eigen residual: its temporaries stay
-# n x _BLOCK instead of n x n
+# columns per block in the eigen residual: its temporaries stay N x _BLOCK
+# instead of N x N
 _BLOCK = 64
 
 
@@ -107,14 +106,25 @@ def _stencil(grid: GridManifold, axes: tuple, potential: np.ndarray) -> tuple:
 
 
 def _axis_matrix(diagonal: np.ndarray, bands: list, axis: int) -> np.ndarray:
-    """The N x N matrix of one axis: the diagonal, and the stencil bands
-    that run along that axis."""
+    """The N x N matrix of one axis operator: the diagonal, and the stencil
+    bands that run along that axis."""
     mat = np.diag(diagonal)
     line = np.arange(diagonal.size)
     for band_axis, rows, cols, band in bands:
         if band_axis == axis:
             mat[line[rows], line[cols]] += band
     return mat
+
+
+def _axis_apply(diagonal: np.ndarray, bands: list, axis: int,
+                x: np.ndarray) -> np.ndarray:
+    """One axis operator applied to the columns of an (N, k) array, band by
+    band, as `_axis_matrix` would multiply them: O(N k) work."""
+    out = diagonal[:, None] * x
+    for band_axis, rows, cols, band in bands:
+        if band_axis == axis:
+            out[rows] += band[:, None] * x[cols]
+    return out
 
 
 def _entries(grid: GridManifold, stencil: tuple,
@@ -137,24 +147,15 @@ def _entries(grid: GridManifold, stencil: tuple,
 
 
 def _kronecker_deviation(op: DiscreteOperator) -> float:
-    """A bound on ||H - A (+) B||_2, from H's stencil and the factors (A, B).
+    """||H - A_0 (+) A_1 (+) ...||_2 for the axis operators A_j of op.
 
-    The diagonal of H is compared with diag A (x) 1 + 1 (x) diag B.  Each
-    factor is compared with the N x N matrix written from its own diagonal
-    and its axis' stencil bands, so a band that differs from the matching
-    diagonal of the factor and an entry outside the pattern both count.  A
-    row of |H - A (+) B| sums to at most the largest diagonal deviation plus
-    the largest row sum of each axis' comparison, and a column likewise, so
-    ||H - A (+) B||_2 <= sqrt(||.||_1 ||.||_inf) is at most the value
-    returned: O(n + N^2) work.
+    Every A_j carries the stencil bands of its axis, so H and their
+    Kronecker sum differ on the diagonal only: W against the sum of its
+    parts, and the order in which the axis diagonals were added.  The
+    2-norm of that diagonal difference is its largest entry.
     """
-    diag, bands = op.stencil
-    da, db = (np.diagonal(f) for f in op.factors)
-    bound = np.max(np.abs(diag - (da[:, None] + db[None, :]).ravel()))
-    for axis, f in enumerate(op.factors):
-        dev = np.abs(f - _axis_matrix(np.diagonal(f), bands, axis))
-        bound += max(np.max(np.sum(dev, axis=0)), np.max(np.sum(dev, axis=1)))
-    return float(bound)
+    summed = reduce(np.add.outer, op.axis_diagonals).ravel()
+    return float(np.max(np.abs(op.stencil[0] - summed)))
 
 
 def _transposed(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -182,23 +183,33 @@ def _assembled(grid: GridManifold, stencil: tuple,
 class DiscreteOperator:
     """Square operator on per-node coefficients, symmetric under its weights.
 
-    `stencil` is H's diagonal and the bands of its axis Laplacians (see
-    `_stencil`), the one stored form of the operator; a conjugate adds `rho`.
-    `factors` holds the 1-D operators whose Kronecker sum H is, on a d = 2
-    grid (a conjugate keeps H's); the eigendecomposition then solves per axis.
+    Stored once, as its stencil: `stencil` is H's diagonal and the bands of
+    its axis Laplacians (see `_stencil`), and `axis_diagonals` the diagonal
+    of each axis operator A_j = L_j + diag(W_j), W_j the part of W along
+    axis j.  H is the Kronecker sum of the A_j up to the rounding of W
+    against the sum of its parts.  A conjugate adds `rho` and keeps H's
+    stencil.  No matrix is stored.
     """
 
     grid: GridManifold
     node_weights: np.ndarray  # quadrature weights incl. e^rho
     rho: np.ndarray | None
     stencil: tuple
-    factors: tuple | None = None
+    axis_diagonals: tuple     # one (N_j,) array per grid axis
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense (n, n) matrix, written afresh from the stencil on every
-        access: only the dense solves need it."""
+        access: only the dense references need it."""
         return _assembled(self.grid, self.stencil, self.rho)
+
+    @property
+    def factors(self) -> tuple:
+        """The N x N matrix of each axis operator A_j (H's, for a
+        conjugate), written afresh from the stencil on every access: only
+        the solve needs them.  On one axis it is H's matrix, bit for bit."""
+        return tuple(_axis_matrix(d, self.stencil[1], axis)
+                     for axis, d in enumerate(self.axis_diagonals))
 
     @property
     def base(self) -> "DiscreteOperator":
@@ -261,171 +272,156 @@ class DiscreteOperator:
 
     def eigendecomposition(self) -> "SpectralDecomposition":
         """Ascending eigenvalues and eigenvectors orthonormal under the
-        weights w, from one solve of H.
+        weights w, from one symmetric solve per axis operator.
 
-        With factors, one symmetric solve per axis and no n x n array: the
-        eigenvalues are the sums a_i + b_j in stable ascending order, kept
-        with the axis columns (u, v) and the index map (i, j) of the pairs;
-        mode k is kron(u_i, v_j) / sqrt(w).  In 1-D, one dense solve, kept
-        as its columns over sqrt(w).  A conjugate is not diagonalized: its
-        modes are e^{-rho/2} e_n under w e^rho, so per axis only the weights
-        change, and dense columns are also divided by e^{rho/2}.
+        The eigenvalues are the sums of one axis eigenvalue per axis, in
+        stable ascending order, kept with the axis columns and the index
+        map of the pairs.  A conjugate is not diagonalized: its modes are
+        H's times e^{-rho/2}, orthonormal under w e^rho, so only the weights
+        change.
         """
-        if self.factors is not None:
-            (a, u), (b, v) = (np.linalg.eigh(f) for f in self.factors)
-            summed = (a[:, None] + b[None, :]).ravel()
-            order = np.argsort(summed, kind="stable")
-            return SpectralDecomposition(self.grid, summed[order], None,
-                                         self.node_weights, (u, v),
-                                         np.divmod(order, b.size))
-        base = self.base
-        eigvals, vecs = np.linalg.eigh(base.matrix)
-        vecs /= np.sqrt(base.node_weights)[:, None]
-        if self.rho is not None:
-            vecs /= np.exp(self.rho / 2.0)[:, None]
-        return SpectralDecomposition(self.grid, eigvals, vecs,
-                                     self.node_weights)
+        solves = [np.linalg.eigh(f) for f in self.factors]
+        summed = reduce(np.add.outer, [lam for lam, _ in solves]).ravel()
+        order = np.argsort(summed, kind="stable")
+        return SpectralDecomposition(
+            self.grid, summed[order], self.node_weights,
+            tuple(x for _, x in solves),
+            np.unravel_index(order, tuple(lam.size for lam, _ in solves)))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues with eigenvectors orthonormal under the weights,
-    read through `modes`.
+    """Ascending eigenvalues with eigenvectors orthonormal under the weights
+    w (H's times e^rho for a conjugate), read through `modes`.
 
-    A dense decomposition keeps its formed columns in `vectors`.  A per-axis
-    one keeps no n x n array: the axis columns (u, v) and the index map
-    (i, j), mode k being kron(u[:, i_k], v[:, j_k]) / sqrt(w), with w the
-    weights (H's times e^rho for a conjugate).
+    Kept as one column basis per axis, `axis_vectors`, and the index map of
+    the summed pairs, `pairs`: mode k is the tensor product of the columns
+    x_j[:, pairs[j][k]] over sqrt(w), node-major as np.kron orders it.  The
+    axis sizes are read from the columns, so the dense solve of any grid is
+    the one-axis case.
     """
 
     grid: GridManifold
     eigenvalues: np.ndarray
-    vectors: np.ndarray | None  # formed columns of a dense solve
-    node_weights: np.ndarray    # quadrature weights incl. e^rho
-    axis_vectors: tuple | None = None
-    pairs: tuple | None = None
+    node_weights: np.ndarray  # quadrature weights incl. e^rho
+    axis_vectors: tuple       # one (N_j, N_j) column basis per axis
+    pairs: tuple              # one (modes,) index array per axis
 
     def modes(self, cols) -> np.ndarray:
         """The eigenvectors that cols (an int, a slice or an index array)
-        picks, as columns, like `vectors[:, cols]`.  Per axis they are formed
-        on the call, a block in one pass: kron(u_i, v_j) / sqrt(w), the same
-        values as a dense array of all columns would hold."""
-        if self.vectors is not None:
-            return self.vectors[:, cols]
+        picks, as contiguous columns, formed on the call in one pass: the
+        tensor product of each mode's axis columns over sqrt(w)."""
         k = np.arange(self.eigenvalues.size)[cols]
         if np.ndim(k) == 0:
             return self.modes(np.array([k]))[:, 0]
-        u, v = self.axis_vectors
-        i, j = self.pairs[0][k], self.pairs[1][k]
-        # node x * ny + y of column k is u[x, i_k] v[y, j_k], as np.kron has it
-        block = (u[:, None, i] * v[None, :, j]).reshape(-1, k.size)
-        block /= np.sqrt(self.node_weights)[:, None]
-        return block
+        # one row per mode, node-major within the row
+        rows = np.ones((k.size, 1))
+        for x, p in zip(self.axis_vectors, self.pairs):
+            rows = np.multiply(rows[:, :, None], x.T[p[k], None, :],
+                               order="C").reshape(k.size, -1)
+        rows /= np.sqrt(self.node_weights)
+        return rows.T
 
     def expand(self, f: Field) -> np.ndarray:
-        """Coefficients <e_n, f>_w per channel; shape (modes, channels),
-        after the sample axis of a test set.
+        """Coefficients <e_k, f>_w per channel, a contiguous array of shape
+        (modes, channels) after the sample axes of a test set.
 
-        Per axis, <e_k, f>_w = u_{i_k}^T G v_{j_k} with G the values
-        of sqrt(w) f on the N x N mesh: U^T G V per channel, O(N^3), and
-        the (i_k, j_k) entries of it.
+        <e_k, f>_w contracts sqrt(w) f, on the mesh of the axis sizes, with
+        the axis columns of mode k.  Each channel's mesh is multiplied by
+        each axis' columns in turn, real and imaginary parts as real
+        channels, so every product is real and a sample's coefficients do
+        not depend on the rest of the set; one take then picks the modes'
+        pairs.
         """
-        # (n, channels) per sample, so the matmul acts on each sample
-        flat = f.values.reshape(f.values.shape[:f.sample_axes]
-                                + (self.grid.node_count, -1))
-        if self.vectors is not None:
-            weighted = self.node_weights[:, None] * flat
-            if not np.iscomplexobj(weighted):
-                return self.vectors.T @ weighted
-            # real times complex would promote the vectors to one complex
-            # product per sample: the real and imaginary columns are real
-            return (self.vectors.T @ weighted.view(float)).view(complex)
-        u, v = self.axis_vectors
-        g = np.sqrt(self.node_weights)[:, None] * flat
-        mesh = np.swapaxes(g, -1, -2).reshape(
-            g.shape[:-2] + (g.shape[-1], u.shape[0], v.shape[0]))
-        coeffs = (u.T @ mesh @ v)[..., self.pairs[0], self.pairs[1]]
-        return np.swapaxes(coeffs, -1, -2)
+        sizes = tuple(x.shape[0] for x in self.axis_vectors)
+        g = np.sqrt(self.node_weights)[:, None] * f.values.reshape(
+            f.values.shape[:f.sample_axes] + (self.grid.node_count, -1))
+        real = g.view(float)
+        # channels first, then the mesh: (..., channels, N_0, N_1, ...)
+        coeffs = np.swapaxes(real, -1, -2).reshape(real.shape[:-2] + (-1,)
+                                                   + sizes)
+        for x in self.axis_vectors:
+            # the first mesh axis contracted; its mode index comes last
+            coeffs = np.moveaxis(coeffs, -len(sizes), -1) @ x
+        picked = np.take(coeffs.reshape(coeffs.shape[:-len(sizes)] + (-1,)),
+                         np.ravel_multi_index(self.pairs, sizes), axis=-1)
+        return np.ascontiguousarray(np.swapaxes(picked, -1, -2)).view(g.dtype)
 
     def gram_residual(self) -> float:
         """Largest entry of |E^T diag(w) E - I| over the eigenvectors E.
 
-        Per axis, column k is kron(u_{i_k}, v_{j_k}) over sqrt(w), which the
-        Gram's w cancels, so every entry is a product of entries of the axis
-        grams u^T u and v^T v, provided (i, j) visits every pair once; a pair
-        visited twice puts |u_i|^2 |v_j|^2 off the diagonal.  The diagonal
-        entry of mode k is |u_{i_k}|^2 |v_{j_k}|^2.
+        The Gram's w cancels the columns' sqrt(w), so entry (k, l) is the
+        product over the axes of the axis gram entries x_j^T x_j at
+        (pairs[j][k], pairs[j][l]).  Off the diagonal some axis has two
+        distinct columns, so the entry is at most that axis' largest
+        off-diagonal gram entry times the other axes' largest entries,
+        provided the pairs visit every tuple once; a tuple visited twice
+        puts its diagonal entry off the diagonal.
         """
-        w = self.node_weights
-        if self.axis_vectors is None:
-            g = self.vectors.T @ (w[:, None] * self.vectors)
-            g[np.diag_indices_from(g)] -= 1.0
-            return float(np.max(np.abs(g, out=g)))
-        gu, gv = (f.T @ f for f in self.axis_vectors)
-        du, dv = np.diagonal(gu), np.diagonal(gv)
-        off_u = np.max(np.abs(gu - np.diag(du)))
-        off_v = np.max(np.abs(gv - np.diag(dv)))
-        off = max(off_u * np.max(np.abs(gv)), np.max(np.abs(du)) * off_v)
-        i, j = self.pairs
-        twice = np.flatnonzero(np.bincount(i * dv.size + j) > 1)
-        if twice.size:
-            ti, tj = np.divmod(twice, dv.size)
-            off = max(off, np.max(np.abs(du[ti] * dv[tj])))
-        return float(max(off, np.max(np.abs(du[i] * dv[j] - 1.0))))
+        diagonals, offs, tops = [], [], []
+        for x in self.axis_vectors:
+            gram = x.T @ x
+            d = np.diagonal(gram).copy()
+            np.fill_diagonal(gram, 0.0)
+            off = float(np.max(np.abs(gram, out=gram)))
+            diagonals.append(d)
+            offs.append(off)
+            tops.append(max(off, float(np.max(np.abs(d)))))
+        off = max(o * math.prod(tops[:j] + tops[j + 1:])
+                  for j, o in enumerate(offs))
+        diagonal = math.prod(d[p] for d, p in zip(diagonals, self.pairs))
+        flat = np.ravel_multi_index(self.pairs, [d.size for d in diagonals])
+        twice = np.bincount(flat)[flat] > 1
+        if np.any(twice):
+            off = max(off, float(np.max(np.abs(diagonal[twice]))))
+        return float(max(off, np.max(np.abs(diagonal - 1.0))))
 
     def eigen_residual(self, op: DiscreteOperator) -> float:
-        """Largest ||H e_n - lambda_n e_n|| / max(|lambda_n|, 1).
+        """Largest ||H e_k - lambda_k e_k|| / max(|lambda_k|, 1), bounded
+        from the axis columns, for H under uniform weights; no mode is
+        formed.
 
-        The stencil is applied to the formed eigenvectors, a block of modes
-        at a time.  A per-axis decomposition of H forms no mode:
-        `_factor_residuals` bounds each norm from the axis factors and the
-        stencil, for H under uniform weights only, so not for a conjugate.
+        Per axis j, the axis operator A_j applied through its stencil bands
+        leaves r_j = A_j x - a x for each column x, a = <x, A_j x> / |x|^2.
+        Mode k is the tensor product of its columns x_j over sqrt(w), and
+        with c_k = sum_j a_j - lambda_k the Kronecker sum gives
+            (A_0 (+) A_1 (+) ... - lambda_k) (x)_j x_j
+                = sum_j (r_j in slot j) + c_k (x)_j x_j,
+        of squared norm P (sum_j (q_j - t_j^2) + (c_k + sum_j t_j)^2), with
+        P = prod_j |x_j|^2, q_j = |r_j|^2 / |x_j|^2 and
+        t_j = <r_j, x_j> / |x_j|^2.  H differs from the Kronecker sum by
+        `_kronecker_deviation` in the 2-norm, which adds that times |e_k|.
+        c_k catches a wrong pair map or a wrong sort.  A conjugate, or
+        non-uniform weights, raise GridError: the conjugate's eigenpairs
+        have their own gate, `eigenpair_map_residual`.
         """
-        lam, w = self.eigenvalues, self.node_weights
-        if (self.axis_vectors is not None and op.rho is None
-                and np.all(w == w[0])):
-            norms = self._factor_residuals(op)
-        else:
-            norms = np.empty(lam.size)
-            for cols in _blocks(lam.size):
-                v = self.modes(cols)
-                hx = op.apply(v) - v * lam[cols]
-                norms[cols] = np.linalg.norm(hx, axis=0)
+        w = self.node_weights
+        if op.rho is not None or not np.all(w == w[0]):
+            raise GridError("the eigen gate bounds H under uniform weights")
+        lam = self.eigenvalues
+        # per mode: sum_j (q_j - t_j^2), c_k + sum_j t_j, and P
+        spread, shift, size = 0.0, -lam, 1.0
+        for axis, (x, d, p) in enumerate(zip(self.axis_vectors,
+                                             op.axis_diagonals, self.pairs)):
+            # per column: |x|^2, the Rayleigh quotient, q and t
+            xx, rq, q, t = (np.empty(x.shape[1]) for _ in range(4))
+            for cols in _blocks(x.shape[1]):
+                xb = x[:, cols]
+                r = _axis_apply(d, op.stencil[1], axis, xb)
+                xx[cols] = np.einsum("ij,ij->j", xb, xb)
+                rq[cols] = np.einsum("ij,ij->j", xb, r) / xx[cols]
+                r -= xb * rq[cols]
+                q[cols] = np.einsum("ij,ij->j", r, r) / xx[cols]
+                t[cols] = np.einsum("ij,ij->j", r, xb) / xx[cols]
+                del r  # freed before the next block's is written
+            spread = spread + (q - t * t)[p]
+            shift = shift + (rq + t)[p]
+            size = size * xx[p]
+        square = size * (spread + shift * shift) / w[0]
+        # rounding can take q - t^2 below 0 where the residual is 0
+        norms = (np.sqrt(np.maximum(square, 0.0))
+                 + _kronecker_deviation(op) * np.sqrt(size / w[0]))
         return float(np.max(norms / np.maximum(np.abs(lam), 1.0)))
-
-    def _factor_residuals(self, op: DiscreteOperator) -> np.ndarray:
-        """Per mode k = (i, j), a bound on ||H e_k - lambda_k e_k|| from the
-        operator's factors (A, B) and its stencil, in O(N^3 + n).
-
-        With the axis residuals r^A_i = A u_i - alpha_i u_i (alpha_i the
-        Rayleigh quotient), r^B_j likewise, and c_k = alpha_i + beta_j -
-        lambda_k, the Kronecker sum gives
-            (A (+) B - lambda_k) kron(u_i, v_j)
-                = r^A_i (x) v_j + u_i (x) r^B_j + c_k u_i (x) v_j,
-        whose squared norm expands into axis inner products.  The weight w
-        is the same at every node, so e_k = kron(u_i, v_j) / sqrt(w).  H
-        differs from A (+) B by at most `_kronecker_deviation` in the
-        2-norm, which adds that times |e_k|.  c_k catches a wrong pair map
-        or a wrong sort.
-        """
-        # per axis, read at each mode's index: the Rayleigh quotient, |x|^2,
-        # |r|^2 and <r, x> of the axis columns x
-        axes = []
-        for f, x, p in zip(op.factors, self.axis_vectors, self.pairs):
-            fx = f @ x
-            xx = np.sum(x * x, axis=0)
-            rq = np.sum(x * fx, axis=0) / xx
-            r = fx - x * rq
-            axes.append([a[p] for a in (rq, xx, np.sum(r * r, axis=0),
-                                        np.sum(r * x, axis=0))])
-        (alpha, uu, rru, rxu), (beta, vv, rrv, rxv) = axes
-        c = alpha + beta - self.eigenvalues
-        w = self.node_weights[0]
-        square = (rru * vv + uu * rrv + c * c * uu * vv + 2.0 * rxu * rxv
-                  + 2.0 * c * rxu * vv + 2.0 * c * uu * rxv) / w
-        # the expanded square can round below 0 where the residual is 0
-        return (np.sqrt(np.maximum(square, 0.0))
-                + _kronecker_deviation(op) * np.sqrt(uu * vv / w))
 
 
 # ---------------------------------------------------------------------------
@@ -437,33 +433,31 @@ def assemble_h(grid: GridManifold, weight: WeightField) -> DiscreteOperator:
 
     grad†grad is the link Laplacian G^T G of one-sided links and their exact
     adjoints, per axis (`_axis_bands`): H is the Kronecker sum of the axis
-    Laplacians plus diag(W), kept as its stencil.  On a d = 2 grid W must
-    split by axis (`WeightField.parts`), and the operator also keeps its 1-D
-    factors: the axis Laplacian plus that axis' part of W.
+    Laplacians plus diag(W), kept as its stencil.  W must split by axis
+    (`WeightField.parts`; on one axis W is its own part), and the operator
+    also keeps each axis operator's diagonal: the axis Laplacian's plus
+    that axis' part of W, which alone may be below 1.
     """
     if np.min(weight.w) < 1.0:
         raise GridError("potential W must satisfy W >= 1 (condition on the scale)")
     if not grid.has_unit_scale():
         raise GridError("operator assembly requires the unrescaled flat metric")
+    parts = (weight.w,) if grid.dimension == 1 else weight.parts
+    if parts is None:
+        raise GridError("a d = 2 potential needs its per-axis parts")
     periodic = grid.topology == "periodic"
     axes = tuple(_axis_bands(nn, grid.spacing[j], periodic)
                  for j, nn in enumerate(grid.axis_sizes))
-    stencil = _stencil(grid, axes, weight.w)
-    factors = None
-    if grid.dimension == 2:
-        if weight.parts is None:
-            raise GridError("a d = 2 potential needs its per-axis parts")
-        # a part alone may be below 1: plain matrices, no WeightField
-        factors = tuple(_axis_matrix(diag + part, stencil[1], axis)
-                        for axis, ((diag, _), part)
-                        in enumerate(zip(axes, weight.parts)))
-    return DiscreteOperator(grid, grid.measure_weights(), None, stencil,
-                            factors)
+    return DiscreteOperator(grid, grid.measure_weights(), None,
+                            _stencil(grid, axes, weight.w),
+                            tuple(diag + part for (diag, _), part
+                                  in zip(axes, parts)))
 
 
 def conjugated_operator(op: DiscreteOperator,
                         rho: np.ndarray) -> DiscreteOperator:
-    """H_rho = E^{-1} H E with E = diag(e^{rho/2}); H's spectrum and factors."""
+    """H_rho = E^{-1} H E with E = diag(e^{rho/2}); H's stencil and
+    spectrum."""
     if op.rho is not None:
         raise GridError("conjugate H itself, not a conjugate")
     rho = np.asarray(rho, float)

@@ -58,9 +58,9 @@ def seminorm_p_batch(fields, p_values, dec: SpectralDecomposition) -> np.ndarray
     out = np.empty((len(p_values), len(fields.values)))
     weights = [dec.eigenvalues[:, None] ** (2.0 * p) for p in p_values]
     for cols, part in _slices(fields):
-        # (samples, modes, channels), contiguous: summed over a per-axis
-        # expansion's strided view, a sample would depend on its neighbours
-        power = np.abs(np.ascontiguousarray(dec.expand(part))) ** 2
+        # (samples, modes, channels), contiguous: each sample sums in one
+        # order, whatever its neighbours
+        power = np.abs(dec.expand(part)) ** 2
         for i, lam_2p in enumerate(weights):
             total = np.sum(lam_2p * power, axis=(1, 2))
             if part.algebra:

@@ -4,11 +4,14 @@ definitions of the su(2) kernels that the package writes out entry by
 entry, the centered difference as shifted copies, which the package reads
 from slices, and the dense matrices of the operators that the package
 keeps only in sparse form (the link Laplacian, the ladder letters), and
-their dense solves, a conjugate's too, which the package never makes."""
+their dense solves, a conjugate's too, which the package never makes; and
+the formed references of a decomposition's readers: the expansion, the
+eigen residual and the gram over every mode formed as a column."""
 import numpy as np
 
 from energyrep import su2
 from energyrep.gauge import GaugeField
+from energyrep.operators import SpectralDecomposition
 
 
 PAULI = np.array([
@@ -136,14 +139,51 @@ def symmetrized(op):
     return (sqw[:, None] * op.matrix) / sqw[None, :]
 
 
-def dense_solve(op):
-    """The eigh solve of op's own symmetrized matrix, a conjugate's too:
-    ascending eigenvalues, and the columns over sqrt(w), orthonormal under
-    the weights."""
-    lam, vecs = np.linalg.eigh(symmetrized(op))
-    return lam, vecs / np.sqrt(op.node_weights)[:, None]
-
-
 def dense_eigenvalues(op):
     """The eigvalsh solve of op's own symmetrized matrix."""
     return np.linalg.eigvalsh(symmetrized(op))
+
+
+def dense_decomposition(op):
+    """The eigh solve of op's own symmetrized matrix, a conjugate's too, as
+    a decomposition: the dense solve of any grid is the one-axis case, its
+    columns the axis columns, orthonormal, so the modes (over sqrt(w)) are
+    orthonormal under the weights."""
+    lam, vecs = np.linalg.eigh(symmetrized(op))
+    return SpectralDecomposition(op.grid, lam, op.node_weights, (vecs,),
+                                 (np.arange(lam.size),))
+
+
+def one_axis(dec):
+    """dec with every mode formed, as a one-axis decomposition of the same
+    modes."""
+    cols = dec.modes(slice(None)) * np.sqrt(dec.node_weights)[:, None]
+    return SpectralDecomposition(dec.grid, dec.eigenvalues, dec.node_weights,
+                                 (cols,), (np.arange(dec.eigenvalues.size),))
+
+
+def formed_expand(dec, f):
+    """The expansion as the formed product modes(slice(None)).T @ (w F),
+    per sample: shape (modes, channels) after the sample axes."""
+    flat = f.values.reshape(f.values.shape[:f.sample_axes]
+                            + (f.grid.node_count, -1))
+    return dec.modes(slice(None)).T @ (dec.node_weights[:, None] * flat)
+
+
+def formed_eigen_residual(dec, op):
+    """The eigen gate as the stencil applied to every formed mode, 64 modes
+    at a time: max ||H e_n - lambda_n e_n|| / max(|lambda_n|, 1)."""
+    lam = dec.eigenvalues
+    norms = np.empty(lam.size)
+    for start in range(0, lam.size, 64):
+        cols = slice(start, start + 64)
+        v = dec.modes(cols)
+        norms[cols] = np.linalg.norm(op.apply(v) - v * lam[cols], axis=0)
+    return float(np.max(norms / np.maximum(np.abs(lam), 1.0)))
+
+
+def formed_gram_residual(dec):
+    """The gram gate on the formed modes E: max |E^T diag(w) E - I|."""
+    vecs = dec.modes(slice(None))
+    g = vecs.T @ (dec.node_weights[:, None] * vecs)
+    return float(np.max(np.abs(g - np.eye(g.shape[0]))))

@@ -16,8 +16,9 @@ from energyrep.operators import (SpectralDecomposition, _blocks,
 from energyrep.seminorms import (eigenvector_covector, seminorm_p_batch,
                                  seminorm_prime_batch)
 from energyrep.suites import circle_dispersion, circle_modes
-from helpers import (dense_eigenvalues, dense_solve, link_laplacian, stack,
-                     symmetrized)
+from helpers import (dense_decomposition, dense_eigenvalues, formed_expand,
+                     formed_eigen_residual, formed_gram_residual,
+                     link_laplacian, one_axis, stack, symmetrized)
 
 
 def circle_operator(n=64, w0=2.0):
@@ -134,21 +135,22 @@ class TestDecomposition:
     def test_expand_of_complex_fields(self, algebra):
         g, op = circle_operator(48)
         dec = op.eigendecomposition()
-        assert dec.vectors is not None  # a dense 1-D decomposition
+        assert len(dec.axis_vectors) == 1  # a 1-D decomposition: one axis
         rng = np.random.default_rng(23)
         shape = (5, g.node_count, 1) + ((3,) if algebra else ())
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         fields = Field(g, 1, vals, algebra)
         weighted = dec.node_weights[:, None] * vals.reshape(5, g.node_count, -1)
         got = dec.expand(fields)
-        want = dec.vectors.T.astype(complex) @ weighted
+        want = formed_expand(dec, fields)
         assert got.shape == want.shape == (5, g.node_count, 3 if algebra else 1)
-        # each part of a coefficient is a sum of n real products, summed in
-        # its own order on each side: they differ by at most
-        # 2 n eps sum_j |V_jk| |part of (w f)_j|
-        v_abs = np.abs(dec.vectors.T)
+        # each part of a coefficient is a sum of n real products, each
+        # product within 4 eps of the formed one and summed in its own
+        # order on each side: they differ by at most
+        # (2 n + 8) eps sum_j |V_jk| |part of (w f)_j|
+        v_abs = np.abs(dec.modes(slice(None)).T)
         for part in (np.real, np.imag):
-            bound = 2 * g.node_count * np.finfo(float).eps * (
+            bound = (2 * g.node_count + 8) * np.finfo(float).eps * (
                 v_abs @ np.abs(part(weighted)))
             assert np.all(np.abs(part(got) - part(want)) <= bound)
         # a set's coefficients are its members' own, bit for bit
@@ -157,7 +159,8 @@ class TestDecomposition:
         # real values keep the real product
         real = dec.expand(fields.copy_with(vals.real))
         assert real.dtype == np.float64
-        assert np.array_equal(real, dec.vectors.T @ weighted.real)
+        assert _relative(real, formed_expand(dec, fields.copy_with(
+            vals.real))) <= 1e-13
 
 
 class TestConjugation:
@@ -270,7 +273,8 @@ class TestFastPathsAgainstDense:
 
     def test_degenerate_circle_is_the_eigh_columns(self):
         # the shells +-k: H's columns are eigh's of its matrix as assembled,
-        # over sqrt(w), and a conjugate's are those over e^{rho/2}
+        # over sqrt(w), and a conjugate's are those over e^{rho/2}, up to
+        # the rounding of sqrt(w e^rho) against sqrt(w) e^{rho/2}
         g, op = circle_operator(16)
         dec = op.eigendecomposition()
         assert np.min(np.diff(dec.eigenvalues)) <= 1e-10  # degenerate
@@ -279,9 +283,9 @@ class TestFastPathsAgainstDense:
                               np.linalg.eigh(op.matrix)[1] / sqw)
         rho = _rho(g)
         conj = conjugated_operator(op, rho).eigendecomposition()
-        assert np.array_equal(conj.modes(slice(None)),
-                              dec.modes(slice(None))
-                              / np.exp(rho / 2.0)[:, None])
+        assert _relative(conj.modes(slice(None)),
+                         dec.modes(slice(None))
+                         / np.exp(rho / 2.0)[:, None]) <= 1e-15
 
     def test_conjugation_residuals_on_torus(self):
         g = build_grid("torus", 8, radius=1.0)
@@ -318,13 +322,13 @@ class TestSeparableAgainstDense:
     def test_engine_matches_dense_solve(self, shape, kw, make, value, n):
         g = build_grid(shape, n, **kw)
         op = assemble_h(g, make(g, value))
-        assert op.factors is not None
+        assert len(op.factors) == 2
         dec = op.eigendecomposition()
-        lam, vecs = dense_solve(op)
+        dense = dense_decomposition(op)
+        lam = dense.eigenvalues
         assert np.max(np.abs(dec.eigenvalues - lam)) <= 1e-12
         assert dec.eigen_residual(op) <= 1e-12
         assert dec.gram_residual() <= 1e-13
-        dense = SpectralDecomposition(g, lam, vecs, op.node_weights)
         fields = _test_fields(g, 6, n)
         ps = (0.5, 1.0, 2.0)
         got = seminorm_p_batch(fields, ps, dec)
@@ -339,7 +343,9 @@ class TestSeparableAgainstDense:
                                               n):
         g = build_grid(shape, n, **kw)
         op = assemble_h(g, make(g, value))
-        assert op.factors is None
+        # one axis operator, H's own matrix bit for bit
+        (factor,) = op.factors
+        assert np.array_equal(_bits(factor), _bits(op.matrix))
         _assert_derived_conjugate(g, op)
 
     @pytest.mark.parametrize("n", [4, 7, 16])
@@ -348,7 +354,9 @@ class TestSeparableAgainstDense:
         g = build_grid(shape, n, **kw)
         op = assemble_h(g, make(g, value))
         h_rho = conjugated_operator(op, _rho(g))
-        assert h_rho.factors is op.factors is not None
+        assert h_rho.axis_diagonals is op.axis_diagonals
+        assert all(np.array_equal(_bits(a), _bits(b))
+                   for a, b in zip(h_rho.factors, op.factors))
         _assert_derived_conjugate(g, op)
 
     @pytest.mark.parametrize("shape,kw", [("torus", {"radius": 1.0}),
@@ -369,8 +377,8 @@ def _assert_derived_conjugate(g, op):
     rho = _rho(g)
     h_rho = conjugated_operator(op, rho)
     dec, dec_rho = op.eigendecomposition(), h_rho.eigendecomposition()
-    lam, vecs = dense_solve(h_rho)
-    dense = SpectralDecomposition(g, lam, vecs, h_rho.node_weights)
+    dense = dense_decomposition(h_rho)
+    lam = dense.eigenvalues
     assert np.max(np.abs(dec_rho.eigenvalues - lam) / lam) <= 1e-12
     fields = _test_fields(g, 6, g.node_count)
     ps = (0.0, 0.5, 1.0, 2.0)
@@ -380,10 +388,8 @@ def _assert_derived_conjugate(g, op):
     assert dec_rho.gram_residual() <= 1e-13
     assert np.array_equal(dec_rho.eigenvalues, dec.eigenvalues)
     derived = dec.modes(slice(None)) / np.exp(rho / 2.0)[:, None]
-    if dec_rho.vectors is not None:  # the stored columns, bit for bit
-        assert np.array_equal(dec_rho.modes(slice(None)), derived)
-    else:  # over sqrt(w e^rho) in one division, not sqrt(w) then e^{rho/2}
-        assert _relative(dec_rho.modes(slice(None)), derived) <= 1e-15
+    # over sqrt(w e^rho) in one division, not sqrt(w) then e^{rho/2}
+    assert _relative(dec_rho.modes(slice(None)), derived) <= 1e-15
 
 
 # The dense formulas the gates used before they went through the stencil and
@@ -410,19 +416,6 @@ def _dense_conjugate(matrix, rho):
 def _dense_symmetry_residual(op):
     s = op.node_weights[:, None] * op.matrix
     return float(np.max(np.abs(s - s.T)) / np.max(np.abs(s)))
-
-
-def _dense_eigen_residual(dec, op):
-    vecs = dec.modes(slice(None))
-    r = op.matrix @ vecs - vecs * dec.eigenvalues
-    return float(np.max(np.linalg.norm(r, axis=0)
-                        / np.maximum(np.abs(dec.eigenvalues), 1.0)))
-
-
-def _dense_gram_residual(dec):
-    vecs = dec.modes(slice(None))
-    g = vecs.T @ (dec.node_weights[:, None] * vecs)
-    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 
 def _loop_eigenpair_map_residual(h_rho, dec):
@@ -489,12 +482,14 @@ class TestStencilGatesAgainstDense:
         h_rho = conjugated_operator(op, _rho(g))
         dec = op.eigendecomposition()
         dec_rho = h_rho.eigendecomposition()
-        assert (dec.axis_vectors is not None) == (g.dimension == 2)
-        for d, h in ((dec, op), (dec_rho, h_rho)):
-            assert abs(d.eigen_residual(h) - _dense_eigen_residual(d, h)) <= 1e-14
-            assert abs(d.gram_residual() - _dense_gram_residual(d)) <= 1e-14
-            if d.axis_vectors is None:  # the dense gram, bit for bit
-                assert d.gram_residual() == _dense_gram_residual(d)
+        assert len(dec.axis_vectors) == g.dimension
+        assert abs(dec.eigen_residual(op)
+                   - formed_eigen_residual(dec, op)) <= 1e-14
+        for d in (dec, dec_rho):
+            assert abs(d.gram_residual() - formed_gram_residual(d)) <= 1e-14
+        # a conjugate's eigenpairs are gated by the eigenpair map below
+        with pytest.raises(GridError):
+            dec_rho.eigen_residual(h_rho)
         assert abs(eigenpair_map_residual(h_rho, dec)
                    - _loop_eigenpair_map_residual(h_rho, dec)) <= 1e-14
         rng = np.random.default_rng(n)
@@ -565,37 +560,40 @@ class TestClosedFormBands:
 
 
 def _refuse_dense(*args):
-    """Stands in for `operators._assembled` where no dense matrix may be
-    written."""
+    """Stands in for `operators._assembled` (or `_axis_matrix`) where no
+    dense matrix may be written."""
     raise AssertionError("dense matrix written")
 
 
 class TestGatesStayHonest:
     """The gates read what they claim to check, and fail on broken inputs."""
 
-    @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
+    @pytest.mark.parametrize("shape,kw,make,value",
+                             HONESTY_GRIDS + [ALL_GRIDS[1]])
     def test_stencil_paths_never_write_the_matrix(self, shape, kw, make,
                                                   value, monkeypatch):
         g = build_grid(shape, 7, **kw)
+        # the solve writes the axis matrices only, on every grid
+        monkeypatch.setattr(operators, "_assembled", _refuse_dense)
         base = assemble_h(g, make(g, value))
         decs = (base.eigendecomposition(),
                 conjugated_operator(base, _rho(g)).eigendecomposition())
 
-        monkeypatch.setattr(operators, "_assembled", _refuse_dense)
+        # the gates write neither
+        monkeypatch.setattr(operators, "_axis_matrix", _refuse_dense)
         op = assemble_h(g, make(g, value))
         h_rho = conjugated_operator(op, _rho(g))
-        with pytest.raises(AssertionError):
-            op.matrix
+        for dense in ("matrix", "factors"):
+            with pytest.raises(AssertionError):
+                getattr(op, dense)
         rng = np.random.default_rng(7)
         columns = rng.standard_normal((g.node_count, 2 * g.dimension))
         for h, dec in zip((op, h_rho), decs):
             assert h.symmetry_residual() <= 1e-12
             assert np.all(np.isfinite(h.apply(columns)))
-            assert dec.eigen_residual(h) <= 1e-11
+            assert dec.gram_residual() <= 1e-13
+        assert decs[0].eigen_residual(op) <= 1e-11
         assert eigenpair_map_residual(h_rho, decs[0]) <= 1e-12
-        if g.dimension == 2:
-            assert op.factors is not None
-            assert op.eigendecomposition().eigen_residual(op) <= 1e-12
 
     def test_weyl_spectrum_check_never_writes_the_matrix(self, monkeypatch):
         g = build_grid("torus", 64, radius=1.0)
@@ -648,10 +646,8 @@ class TestGatesStayHonest:
         assert peak <= 256 * 8 * n  # 32 MiB: O(n), where H alone is n^2
         diag, bands = op.stencil
         held = [op.node_weights, h_rho.node_weights, h_rho.rho, diag,
-                *(band[3] for band in bands)]
+                *(band[3] for band in bands), *op.axis_diagonals]
         assert all(a.size <= n for a in held)
-        # the one exception: the N x N factors of the per-axis solve
-        assert [f.shape for f in op.factors] == [(128, 128)] * 2
 
     def test_torus_at_96_holds_no_formed_eigenvectors(self):
         # n = 9216: the formed eigenvectors alone would take 648 MiB
@@ -666,7 +662,7 @@ class TestGatesStayHonest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dec.vectors is None
+        assert [x.shape for x in dec.axis_vectors] == [(96, 96)] * 2
         assert max(gates) <= 1e-10
         assert peak <= 64 * 2 ** 20
 
@@ -684,10 +680,28 @@ class TestGatesStayHonest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dec.vectors is None
+        assert [x.shape for x in dec.axis_vectors] == [(128, 128)] * 2
         assert peak <= 64 * 2 ** 20
         # p = 0 is the rho-weighted norm: the modes span the whole space
         assert _relative(vals[0], norm(fields, rho)) <= 1e-12
+
+    def test_circle_gates_at_1024_stay_within_the_formed_peaks(self):
+        # the bounds are the traced peaks of the two gates when a 1-D
+        # decomposition stored its formed columns: the stencil applied to
+        # 64 formed modes at a time, and the gram of all of them (an N x N
+        # array is 8 MiB here)
+        g, op = circle_operator(1024)
+        dec = op.eigendecomposition()
+        for gate, bound in ((lambda: dec.eigen_residual(op), 1_714_616),
+                            (dec.gram_residual, 16_777_968)):
+            tracemalloc.start()
+            try:
+                value = gate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value <= 1e-8
+            assert peak <= bound, f"peaked at {peak} bytes"
 
     @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
     def test_wrong_stencil_coefficient_fails_eigen_gate(self, shape, kw, make,
@@ -714,15 +728,11 @@ class TestGatesStayHonest:
         dec = assemble_h(g, make(g, value)).eigendecomposition()
         assert dec.gram_residual() <= 1e-13
         for k in (0, 5, g.node_count - 1):
-            if dec.vectors is None:  # per axis, mode k's first-axis column
-                u, v = dec.axis_vectors
-                u = u.copy()
-                u[:, dec.pairs[0][k]] *= 1.01
-                scaled = dataclasses.replace(dec, axis_vectors=(u, v))
-            else:
-                vecs = dec.vectors.copy()
-                vecs[:, k] *= 1.01
-                scaled = dataclasses.replace(dec, vectors=vecs)
+            # mode k's first-axis column
+            u, *rest = dec.axis_vectors
+            u = u.copy()
+            u[:, dec.pairs[0][k]] *= 1.01
+            scaled = dataclasses.replace(dec, axis_vectors=(u, *rest))
             assert scaled.gram_residual() > 1e-10
 
     @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS)
@@ -752,13 +762,12 @@ class TestGatesStayHonest:
         k = np.flatnonzero(np.diff(dec.eigenvalues) > 1e-3)[0]
         i[[k, k + 1]], j[[k, k + 1]] = i[[k + 1, k]], j[[k + 1, k]]
         assert dataclasses.replace(dec, pairs=(i, j)).eigen_residual(op) > 1e-8
-        # a factor entry outside H's stencil, solved consistently: the axis
-        # residuals stay at rounding, so only the structural deviation sees it
-        a, b = op.factors
+        # an axis diagonal off H's, solved consistently: the axis residuals
+        # stay at rounding, so only the structural deviation sees it
+        a, b = op.axis_diagonals
         a = a.copy()
-        a[0, 3] += 1e-3
-        a[3, 0] += 1e-3
-        off = dataclasses.replace(op, factors=(a, b))
+        a[3] += 1e-3
+        off = dataclasses.replace(op, axis_diagonals=(a, b))
         assert off.eigendecomposition().eigen_residual(off) > 1e-5
 
     @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS)
@@ -766,17 +775,17 @@ class TestGatesStayHonest:
                                                              make, value):
         g = build_grid(shape, 7, **kw)
         op = assemble_h(g, make(g, value))
-        a, b = op.factors
+        a, b = op.axis_diagonals
         diag, bands = op.stencil
         wrong_diag = diag.copy()
         wrong_diag[5] += 1e-3
         wrong_band = list(bands[0][:3]) + [bands[0][3] * 1.01]
         a_off = a.copy()
-        a_off[0, 3] += 1e-3
+        a_off[3] += 1e-3
         for h in (op, dataclasses.replace(op, stencil=(wrong_diag, bands)),
                   dataclasses.replace(op, stencil=(diag, [tuple(wrong_band)]
                                                    + bands[1:])),
-                  dataclasses.replace(op, factors=(a_off, b))):
+                  dataclasses.replace(op, axis_diagonals=(a_off, b))):
             fa, fb = h.factors
             kron_sum = (np.kron(fa, np.eye(fb.shape[0]))
                         + np.kron(np.eye(fa.shape[0]), fb))
@@ -827,17 +836,6 @@ def _relative(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def _formed_eigen_residual(dec, op):
-    """Oracle: the stencil applied to every formed mode, a block of modes at
-    a time, as the eigen gate ran before it read the axis factors."""
-    lam = dec.eigenvalues
-    norms = np.empty(lam.size)
-    for cols in _blocks(lam.size):
-        v = dec.modes(cols)
-        norms[cols] = np.linalg.norm(op.apply(v) - v * lam[cols], axis=0)
-    return float(np.max(norms / np.maximum(np.abs(lam), 1.0)))
-
-
 def _formed_gram_diagonal(dec):
     """Oracle: the weighted norms of the formed modes, a block at a time."""
     w = dec.node_weights
@@ -858,34 +856,27 @@ class TestFactorModes:
         dec = op.eigendecomposition()
         # both at rounding level, far below the 1e-8 gate
         assert abs(dec.eigen_residual(op)
-                   - _formed_eigen_residual(dec, op)) <= 1e-13
+                   - formed_eigen_residual(dec, op)) <= 1e-13
         u, v = dec.axis_vectors
         i, j = dec.pairs
         diagonal = np.sum(u * u, axis=0)[i] * np.sum(v * v, axis=0)[j]
         assert np.max(np.abs(diagonal - _formed_gram_diagonal(dec))) <= 1e-14
         assert dec.gram_residual() <= 1e-13
 
-    @pytest.mark.parametrize("shape,kw,make,value", TENSOR_GRIDS)
-    def test_conjugate_eigen_gate_forms_its_modes(self, shape, kw, make,
-                                                  value, monkeypatch):
-        # _factor_residuals models H under uniform weights: it must not
-        # run for a conjugate's weights or a conjugate's stencil
+    @pytest.mark.parametrize("shape,kw,make,value", ALL_GRIDS)
+    def test_conjugate_eigen_gate_raises(self, shape, kw, make, value):
+        # the axis bound models H under uniform weights: it refuses a
+        # conjugate's weights and a conjugate's stencil, whose eigenpairs
+        # the eigenpair map gates
         g = build_grid(shape, 16, **kw)
         op = assemble_h(g, make(g, value))
         h_rho = conjugated_operator(op, _rho(g))
         dec, dec_rho = op.eigendecomposition(), h_rho.eigendecomposition()
-        assert dec_rho.axis_vectors is not None
-        want = _formed_eigen_residual(dec_rho, h_rho)
-
-        def refused(self, op):
-            raise AssertionError("factor residuals off their model")
-
-        monkeypatch.setattr(SpectralDecomposition, "_factor_residuals",
-                            refused)
-        assert dec_rho.eigen_residual(h_rho) == want <= 1e-12
-        # the modes of one against the other operator are no eigenpairs
-        assert dec_rho.eigen_residual(op) > 1e-3
-        assert dec.eigen_residual(h_rho) > 1e-3
+        assert formed_eigen_residual(dec_rho, h_rho) <= 1e-12
+        for d, h in ((dec_rho, h_rho), (dec_rho, op), (dec, h_rho)):
+            with pytest.raises(GridError):
+                d.eigen_residual(h)
+        assert eigenpair_map_residual(h_rho, dec) <= 1e-12
 
     @pytest.mark.parametrize("n", [5, 7, 8, 16, 33, 48, 64])
     @pytest.mark.parametrize("shape,kw,make,value",
@@ -894,7 +885,7 @@ class TestFactorModes:
         g = build_grid(shape, n, **kw)
         op = assemble_h(g, make(g, value))
         dec = op.eigendecomposition()
-        assert dec.vectors is None
+        assert len(dec.axis_vectors) == 2
         lam, vecs = _formed_kronecker_solve(op.factors, op.node_weights)
         assert np.array_equal(_bits(dec.eigenvalues), _bits(lam))
         assert np.array_equal(_bits(dec.modes(slice(None))), _bits(vecs))
@@ -931,14 +922,15 @@ class TestFactorModes:
     def test_expand_matches_the_formed_path(self, shape, kw, make, value, n):
         g = build_grid(shape, n, **kw)
         dec = assemble_h(g, make(g, value)).eigendecomposition()
-        # the formed path: modes(slice(None)).T @ (w F)
-        formed = SpectralDecomposition(g, dec.eigenvalues,
-                                       dec.modes(slice(None)),
-                                       dec.node_weights)
+        # the formed modes as one axis: the dense solve's form
+        formed = one_axis(dec)
         fields = _test_fields(g, 5, n)
-        assert _relative(dec.expand(fields), formed.expand(fields)) <= 1e-13
+        assert _relative(dec.expand(fields), formed_expand(dec, fields)) \
+            <= 1e-13
         one = fields.copy_with(fields.values[0])
-        assert _relative(dec.expand(one), formed.expand(one)) <= 1e-13
+        assert _relative(dec.expand(one), formed_expand(dec, one)) <= 1e-13
+        assert _relative(formed.expand(fields), formed_expand(dec, fields)) \
+            <= 1e-13
         ps = (0.0, 0.5, 1.0, 2.0)
         got = seminorm_p_batch(fields, ps, dec)
         want = seminorm_p_batch(fields, ps, formed)
@@ -949,22 +941,60 @@ class TestFactorModes:
             <= 1e-13
         # i and j swapped: the expansion no longer matches
         swapped = dataclasses.replace(dec, pairs=dec.pairs[::-1])
-        assert _relative(swapped.expand(fields), formed.expand(fields)) > 1e-3
+        assert _relative(swapped.expand(fields),
+                         formed_expand(dec, fields)) > 1e-3
 
 
 def _negated(dec):
-    """dec with a fixed subset of its eigenvector columns negated, and the
-    sign each mode took: columns of `vectors` on a dense decomposition, of
-    both axis factors on a per-axis one."""
-    if dec.vectors is not None:
-        sign = np.where(np.arange(dec.eigenvalues.size) % 3 == 1, -1.0, 1.0)
-        return dataclasses.replace(dec, vectors=dec.vectors * sign), sign
-    u, v = dec.axis_vectors
-    su = np.where(np.arange(u.shape[1]) % 3 == 1, -1.0, 1.0)
-    sv = np.where(np.arange(v.shape[1]) % 2 == 0, -1.0, 1.0)
-    i, j = dec.pairs
-    return (dataclasses.replace(dec, axis_vectors=(u * su, v * sv)),
-            su[i] * sv[j])
+    """dec with a fixed subset of the columns of every axis negated, and
+    the sign each mode took."""
+    signs = [np.where(np.arange(x.shape[1]) % (3 - axis) == 1 - axis,
+                      -1.0, 1.0) for axis, x in enumerate(dec.axis_vectors)]
+    sign = np.prod([s[p] for s, p in zip(signs, dec.pairs)], axis=0)
+    return (dataclasses.replace(dec, axis_vectors=tuple(
+        x * s for x, s in zip(dec.axis_vectors, signs))), sign)
+
+
+class TestOneAxis:
+    """A 1-D H is the one-axis case of the per-axis solve, pinned against
+    the dense solve of its matrix; every expansion, one axis or two,
+    against the formed product."""
+
+    @pytest.mark.parametrize("shape,kw,make,value,n", [
+        ("circle", {"radius": 1.0}, WeightField.constant, 2.0, 16),
+        ("circle", {"radius": 1.0}, WeightField.constant, 2.0, 257),
+        ("interval", {"halfwidth": 8.0}, WeightField.quadratic, 1.0, 400)])
+    def test_solve_is_the_eigh_of_the_matrix(self, shape, kw, make, value,
+                                             n):
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        dec = op.eigendecomposition()
+        lam, vecs = np.linalg.eigh(op.matrix)
+        assert np.array_equal(_bits(dec.eigenvalues), _bits(lam))
+        assert np.array_equal(_bits(dec.modes(slice(None))),
+                              _bits(vecs / np.sqrt(op.node_weights)[:, None]))
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("shape,kw,make,value",
+                             ALL_GRIDS[:2] + TENSOR_GRIDS[:2])
+    def test_expand_is_the_formed_product(self, shape, kw, make, value,
+                                          conjugate):
+        g = build_grid(shape, 16, **kw)
+        op = assemble_h(g, make(g, value))
+        h = conjugated_operator(op, _rho(g)) if conjugate else op
+        dec = h.eigendecomposition()
+        fields = _test_fields(g, 5, 16)
+        for vals in (fields.values, fields.values.real):
+            f = fields.copy_with(vals)
+            got = dec.expand(f)
+            assert got.dtype == vals.dtype
+            assert _relative(got, formed_expand(dec, f)) <= 1e-13
+            one = f.copy_with(vals[0])
+            assert _relative(dec.expand(one), formed_expand(dec, one)) \
+                <= 1e-13
+            # a set's coefficients are its members' own, bit for bit
+            assert np.array_equal(got, np.stack([dec.expand(f.copy_with(v))
+                                                 for v in vals]))
 
 
 class TestSignInvariance:
@@ -992,10 +1022,11 @@ class TestSignInvariance:
         if conjugate:
             weight = WeightField(g, weight.w, h_rho.rho)
         dec = h.eigendecomposition()
-        assert (dec.vectors is None) == (g.dimension == 2)
+        assert len(dec.axis_vectors) == g.dimension
         flipped, sign = _negated(dec)
         assert np.sum(sign < 0) >= g.node_count // 4
-        assert flipped.eigen_residual(h) == dec.eigen_residual(h)
+        if not conjugate:  # a conjugate's eigen gate raises
+            assert flipped.eigen_residual(h) == dec.eigen_residual(h)
         assert flipped.gram_residual() == dec.gram_residual()
         fields = _test_fields(g, 4, n)
         assert np.array_equal(flipped.expand(fields),

@@ -12,8 +12,7 @@ from energyrep.config import ExperimentConfig, load_config
 from energyrep.grid import (ALGEBRA_METRIC_FACTOR, Field, GridError,
                             WeightField, build_grid, conformal_rescale,
                             covariant_derivative, norm, rebind)
-from energyrep.operators import (SpectralDecomposition, assemble_h,
-                                 conjugated_operator)
+from energyrep.operators import assemble_h, conjugated_operator
 from energyrep.profiles import bumps
 from energyrep.sampling import (random_covector_testset, random_one_form,
                                 rho_field)
@@ -23,7 +22,7 @@ from energyrep.seminorms import (chain_identity_residual, equivalence_probe,
                                  weighted_norms)
 from energyrep.suites import (REFERENCE_DOMAINS, SUITE_STREAMS, _probe_data,
                               run_suite)
-from helpers import dense_solve, stack
+from helpers import dense_decomposition, stack
 
 
 @pytest.fixture(scope="module")
@@ -412,8 +411,7 @@ class TestBatchedAgainstLoop:
         weight = WeightField.constant(torus, 2.0, rho)
         h_rho = conjugated_operator(
             assemble_h(torus, WeightField.constant(torus, 2.0)), rho)
-        dense = SpectralDecomposition(torus, *dense_solve(h_rho),
-                                      h_rho.node_weights)
+        dense = dense_decomposition(h_rho)
         rng = np.random.default_rng(17)
         fields = random_one_form(torus, rng, modes=2, count=6)
         chain = list(twisted_chain(fields, rho, 3))
@@ -424,15 +422,15 @@ class TestBatchedAgainstLoop:
         assert_batch_equals_loop(fields, M_LIST, P_LIST, weight, dense)
 
     def test_torus_per_axis_decomposition(self):
-        # a per-axis expansion is a strided view: every field still sums
-        # in one order, whatever the other fields of its set
+        # a two-axis expansion: every field still sums in one order,
+        # whatever the other fields of its set
         torus = build_grid("torus", 8, radius=1.0)
         rho = rho_field(torus, "cosine", 0.3, 1)
         weight = WeightField.constant(torus, 2.0, rho)
         dec = conjugated_operator(
             assemble_h(torus, WeightField.constant(torus, 2.0)),
             rho).eigendecomposition()
-        assert dec.vectors is None
+        assert len(dec.axis_vectors) == 2
         rng = np.random.default_rng(17)
         algebra = random_one_form(torus, rng, modes=2, count=6)
         covectors = random_covector_testset(torus, rng, 6)

@@ -4,7 +4,8 @@ einsum, the ladder calculus multiplies no matrices, nothing rolls an
 array, assembly writes no dense link matrix, every eigensolve is handed a
 symmetric matrix, a conjugate solves only what H solves, every CSV and
 JSON file of the shipped configs has the bytes of the writer it replaced,
-only the report module writes files, `energyrep conformal` at its element
+only the report module writes files, only the operators module reads a
+decomposition's stored form, `energyrep conformal` at its element
 cap stays small, and the spectrum convergence script runs."""
 import ast
 import csv
@@ -408,6 +409,58 @@ def test_roll_scan_sees_every_spelling(tmp_path):
         encoding="utf-8")
     assert _rolls(tmp_path) == ["mod.py:10", "mod.py:11", "mod.py:12",
                                 "mod.py:12", "mod.py:13"]
+
+
+# the stored form of a decomposition and the axis matrices of an operator:
+# outside operators.py they are read through modes, expand and eigenvalues
+SPECTRAL_FORM = ("axis_vectors", "pairs", "factors")
+
+
+def _spectral_form_reads(src):
+    """Every read of SPECTRAL_FORM outside operators.py, as file:line: an
+    attribute, a keyword (as dataclasses.replace takes the field), and
+    the name as a string (getattr, attrgetter)."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "operators.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr in SPECTRAL_FORM
+            elif isinstance(node, ast.keyword):
+                hit = node.arg in SPECTRAL_FORM
+            elif isinstance(node, ast.Constant):
+                hit = isinstance(node.value, str) and (
+                    node.value in SPECTRAL_FORM)
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    return [f"{file}:{line}" for file, line in sorted(found)]
+
+
+def test_only_the_operators_module_reads_the_spectral_form():
+    found = _spectral_form_reads(SRC)
+    assert not found, f"reads a decomposition's stored form: {found}"
+
+
+def test_spectral_form_scan_sees_every_spelling(tmp_path):
+    (tmp_path / "operators.py").write_text(
+        "def inner(dec, op):\n"
+        "    return dec.pairs, dec.axis_vectors, op.factors\n",
+        encoding="utf-8")
+    (tmp_path / "mod.py").write_text(
+        "import dataclasses\nfrom operator import attrgetter\n\n\n"
+        "def through(dec, cfg, pairs):\n"
+        "    return dec.modes(0), dec.expand, cfg.gauge_pairs, pairs\n\n\n"
+        "def reads(dec, op):\n"
+        "    a = dec.axis_vectors[0] + op.factors[0]\n"
+        "    b = getattr(dec, 'pairs')\n"
+        "    c = attrgetter('axis_vectors')(dec)\n"
+        "    return dataclasses.replace(dec, pairs=b), a, c\n",
+        encoding="utf-8")
+    assert _spectral_form_reads(tmp_path) == [
+        "mod.py:10", "mod.py:10", "mod.py:11", "mod.py:12", "mod.py:13"]
 
 
 REPORT_FORMATS = ("json", "csv")
