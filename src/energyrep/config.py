@@ -176,17 +176,23 @@ def _validate(cfg: ExperimentConfig) -> None:
     if len(set(cfg.regularity_t_list)) < 2:
         raise ConfigError("regularity.t_list needs at least two distinct "
                           "values for the slope fit")
-    # inclusive ranges of the integer keys and of each entry of a list key.
-    # The 1-D grids stop at the largest dense solve (a d = 2 solve is per
-    # axis); every other upper end keeps one key from exhausting memory or
-    # time: at each, with the other keys at test sizes, a suite ends in
-    # seconds under 0.5 GiB.
+    # inclusive ranges of the integer keys and of each entry of a list key,
+    # the one place each end is written.  The 1-D grids stop at the largest
+    # dense solve (a d = 2 solve is per axis); every other upper end keeps
+    # one key from exhausting memory or time: at each, with the other keys
+    # at test sizes, a suite ends in seconds under 0.5 GiB.
     one_d = SHAPES[cfg.domain_shape].dimension == 1
     grid = (MIN_NODES, DENSE_SOLVE_NODES)
     ranges = {
         "seed": (0, math.inf),
-        "domain.nodes": grid if one_d else (MIN_NODES, math.inf),
-        "spectrum.circle_nodes": grid, "spectrum.oscillator_nodes": grid,
+        # 8 on a 1-D domain, so that the Hilbert-Schmidt fit window
+        # n/4..n/2 holds two distinct eigenvalues
+        "domain.nodes": ((8, DENSE_SOLVE_NODES) if one_d
+                         else (MIN_NODES, math.inf)),
+        # 8, so that the continuum check has a mode |k| <= N/8
+        "spectrum.circle_nodes": (8, DENSE_SOLVE_NODES),
+        # every oscillator level checked
+        "spectrum.oscillator_nodes": (OSCILLATOR_LEVELS, DENSE_SOLVE_NODES),
         "seminorms.nodes": grid, "gauge.nodes": grid, "cutoff.nodes": grid,
         "fock.nodes": grid, "conformal.circle_nodes": grid,
         "conformal.torus_nodes": (MIN_NODES, 256),
@@ -210,16 +216,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"{key} must be at least {low}")
             if entry > high:
                 raise ConfigError(f"{key} must be at most {high}")
-    if cfg.spectrum_circle_nodes < 8:
-        raise ConfigError("spectrum.circle_nodes must be at least 8, so the "
-                          "continuum check has a mode |k| <= N/8")
-    if one_d and cfg.domain_nodes < 8:
-        raise ConfigError("domain.nodes must be at least 8 on a 1-D domain, so "
-                          "the Hilbert-Schmidt fit window n/4..n/2 holds two "
-                          "distinct eigenvalues")
-    if cfg.spectrum_oscillator_nodes < OSCILLATOR_LEVELS:
-        raise ConfigError(f"spectrum.oscillator_nodes must be at least "
-                          f"{OSCILLATOR_LEVELS}, the oscillator levels checked")
     if len(set(cfg.seminorms_nodes)) < 2:
         raise ConfigError("seminorms.nodes needs at least two distinct sizes "
                           "for the refinement-stability ratio")

@@ -17,7 +17,6 @@ orthonormal coordinates from one QR of the fields) cross-validates the kernel.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ import numpy as np
 from .gauge import GaugeField, gauge_product, log_derivative, v_action
 from .grid import (Field, conformal_rescale, gram, inner_product, node_weights,
                    norm, rebind)
+from .hermite import occupation_states
 from .operators import saturating_exp
 
 
@@ -155,51 +155,36 @@ MAX_CUTOFF = 170
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFockVector:
-    """Occupation-number coefficients per degree over a small orthonormal basis.
+    """Occupation-number coefficients over a small orthonormal basis.
 
-    Degree-k block: amplitudes on monomials |n_1..n_D|, sum n_j = k, with the
-    sqrt(prod n_j!) normalization that makes the blocks orthonormal.
+    One amplitude per state of hermite.occupation_states(dim, cutoff), on
+    the monomial |n_1..n_D> with the sqrt(prod n_j!) normalization that
+    makes the states orthonormal.
     """
 
-    cutoff: int
     dim: int
-    blocks: tuple  # tuple over degree of dict: occupation tuple -> complex
+    amplitudes: tuple  # complex, in occupation_states order
 
     @classmethod
-    def from_coherent(cls, coords: np.ndarray, coeff: complex = 1.0,
+    def from_coherent(cls, coords: np.ndarray,
                       cutoff: int = 12) -> "TruncatedFockVector":
         coords = np.asarray(coords, dtype=complex)
-        dim = coords.size
-        blocks = []
-        for k in range(cutoff + 1):
-            block = {}
-            for occ in _compositions(k, dim):
-                amp = coeff
-                for nj, fj in zip(occ, coords):
-                    amp = amp * fj ** nj / math.sqrt(math.factorial(nj))
-                block[occ] = complex(amp)
-            blocks.append(block)
-        return cls(cutoff, dim, tuple(blocks))
+        amplitudes = []
+        for occ in occupation_states(coords.size, cutoff):
+            amp = 1.0
+            for nj, fj in zip(occ, coords):
+                amp = amp * fj ** nj / math.sqrt(math.factorial(nj))
+            amplitudes.append(complex(amp))
+        return cls(coords.size, tuple(amplitudes))
 
     def inner(self, other: "TruncatedFockVector") -> complex:
+        """Summed over the lower cutoff's states, a prefix of the other's."""
         if self.dim != other.dim:
             raise ValueError("mismatched one-particle dimensions")
         total = 0.0 + 0.0j
-        for ka in range(min(self.cutoff, other.cutoff) + 1):
-            a, b = self.blocks[ka], other.blocks[ka]
-            for occ, va in a.items():
-                vb = b.get(occ)
-                if vb is not None:
-                    total += np.conj(va) * vb
+        for va, vb in zip(self.amplitudes, other.amplitudes):
+            total += np.conj(va) * vb
         return complex(total)
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of nonnegative ints of length parts summing to total, in
-    lexicographic order: the gaps between parts - 1 bars among total stars."""
-    end = total + parts - 1
-    for bars in itertools.combinations(range(end), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
 def orthonormal_coordinates(fields) -> list:

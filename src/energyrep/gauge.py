@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .grid import Field, GridManifold, GridError, norm
+from .grid import SHAPES, Field, GridManifold, GridError, norm
 from .profiles import AnnulusStepProfile, PlateauProfile
 from .report import loglog_slope
 from .seminorms import seminorm_p_batch, seminorm_prime_batch
@@ -264,7 +264,7 @@ def cutoff_approximation(field: AlgebraValuedField, stages, f_set: Field,
     (see punctured_plane_demo for why such domains admit no usable family).
     """
     grid = field.grid
-    if not grid.condition_c_ok:
+    if not SHAPES[grid.shape_name].condition_c:
         raise ConditionCViolation(
             "domain violates condition (c); no uniformly bounded cutoff "
             "sequence exists (see punctured_plane_demo)")

@@ -39,17 +39,23 @@ class GridError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GridManifold:
-    """A uniform tensor grid with measure weights and a conformal metric scale."""
+    """A uniform tensor grid with measure weights and a conformal metric
+    scale; its dimension and periodicity are its shape's row of SHAPES."""
 
-    dimension: int
     shape_name: str
-    topology: str  # "periodic" | "truncated"
     axis_sizes: tuple
     extent: float             # radius if periodic, else halfwidth
     spacing: np.ndarray       # (d,)
     nodes: np.ndarray         # (n, d)
     metric_scale: np.ndarray  # (n,), metric = scale * identity at each node
-    condition_c_ok: bool = True
+
+    @property
+    def dimension(self) -> int:
+        return SHAPES[self.shape_name].dimension
+
+    @property
+    def periodic(self) -> bool:
+        return SHAPES[self.shape_name].periodic
 
     @property
     def node_count(self) -> int:
@@ -124,15 +130,12 @@ def build_grid(shape: str, nodes: int, radius: float | None = None,
                        np.meshgrid(*(axis,) * d, indexing="ij")], axis=1)
 
     return GridManifold(
-        dimension=d,
         shape_name=shape,
-        topology="periodic" if facts.periodic else "truncated",
         axis_sizes=(nodes,) * d,
         extent=extent,
         spacing=np.full(d, h),
         nodes=coords,
         metric_scale=np.ones(coords.shape[0]),
-        condition_c_ok=facts.condition_c,
     )
 
 
@@ -327,7 +330,8 @@ def conformal_rescale(grid: GridManifold, rho: np.ndarray) -> GridManifold:
 
 def rebind(field: Field, grid: GridManifold) -> Field:
     """Carry a field's raw components onto a conformally rescaled copy of its grid."""
-    if field.grid.axis_sizes != grid.axis_sizes or field.grid.topology != grid.topology:
+    if (field.grid.axis_sizes != grid.axis_sizes
+            or field.grid.shape_name != grid.shape_name):
         raise GridError("cannot rebind field to an unrelated grid")
     return Field(grid, field.rank, field.values, field.algebra)
 
@@ -359,7 +363,7 @@ def centered_stencil(grid: GridManifold, axis: int) -> tuple:
     applies: each node and its +1 neighbour by _neighbours."""
     idx = np.arange(grid.node_count).reshape(grid.axis_sizes)
     pairs = [(_along(idx, axis, nodes).ravel(), _along(idx, axis, up).ravel())
-             for nodes, up, _ in _neighbours(grid.topology == "periodic")
+             for nodes, up, _ in _neighbours(grid.periodic)
              if up is not None]
     lo, hi = (np.concatenate(side) for side in zip(*pairs))
     c = 1.0 / (2.0 * grid.spacing[axis])
@@ -383,7 +387,7 @@ def covariant_derivative(f: Field) -> Field:
     split = lead + grid.dimension
     out = np.empty(mesh.shape[:split] + (grid.dimension,) + mesh.shape[split:],
                    np.result_type(mesh, grid.spacing))
-    rule = _neighbours(grid.topology == "periodic")
+    rule = _neighbours(grid.periodic)
     for j in range(grid.dimension):
         ax, slot = lead + j, out[(slice(None),) * split + (j,)]
         for nodes, up, down in rule:

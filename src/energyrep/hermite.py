@@ -13,6 +13,7 @@ monomial prod_j (A_j†)^k A_j^k = prod_j N_j(N_j-1)...(N_j-k+1) by
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ class HermiteLadder:
 
     dimension: int
     n_cut: int
-    states: tuple               # degree tuples, sorted by (total, tuple)
+    states: tuple               # occupation_states(dimension, n_cut)
     shifts: dict                # letter (mode, is_raising) -> (src, coef)
     _degrees: np.ndarray = field(init=False, repr=False)
 
@@ -69,18 +70,28 @@ class HermiteLadder:
 MIN_CUTOFF = 4
 
 
+def compositions(total: int, parts: int):
+    """All tuples of nonnegative ints of length parts summing to total, in
+    lexicographic order: the gaps between parts - 1 bars among total stars."""
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
+
+
+def occupation_states(d: int, n_cut: int) -> tuple:
+    """The occupation tuples |n_1..n_d> of total degree at most n_cut, by
+    degree and then lexicographically: the retained tensor-Hermite basis,
+    and the Fock truncation's.  A lower cutoff's states are a prefix."""
+    return tuple(occ for total in range(n_cut + 1)
+                 for occ in compositions(total, d))
+
+
 def build_ladders(d: int, n_cut: int) -> HermiteLadder:
     if d not in (1, 2):
         raise ValueError("ladder calculus shipped for d in {1, 2}")
     if n_cut < MIN_CUTOFF:
         raise ValueError(f"need n_cut >= {MIN_CUTOFF}")
-    if d == 1:
-        states = [(n,) for n in range(n_cut + 1)]
-    else:
-        states = [(i, j) for total in range(n_cut + 1)
-                  for i in range(total + 1) for j in [total - i]]
-        states.sort(key=lambda s: (sum(s), s))
-    states = tuple(states)
+    states = occupation_states(d, n_cut)
     degrees = np.array(states)  # (dim, d)
     # the index of each retained degree tuple, -1 elsewhere; a degree of -1
     # reads the last slot, n_cut + 1, which is never retained
@@ -190,16 +201,16 @@ def expansion_matrix(ladder: HermiteLadder, expansion) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def column_norms(states: np.ndarray) -> np.ndarray:
-    """The 2-norm of each column (a 1-D array is one state), one 1-D
-    np.linalg.norm per column.
+    """The 2-norm of each column (a 1-D array is one state): the square root
+    of each contiguous row's vecdot with itself, as the rows of the
+    transpose.
 
-    A 1-D norm is what a single state gets, so batched and per-state norms
-    agree bit for bit; np.linalg.norm(..., axis=0) sums in another order.
-    The norm copies a strided column before summing it, so the columns are
-    copied once, together, as the rows of the transpose.
+    That is the sum a 1-D np.linalg.norm takes, so batched and per-state
+    norms agree bit for bit; np.linalg.norm(..., axis=0) sums in another
+    order.
     """
     rows = np.ascontiguousarray(np.reshape(states, (len(states), -1)).T)
-    return np.array([np.linalg.norm(r) for r in rows])
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 @dataclass(frozen=True)

@@ -445,8 +445,7 @@ def assemble_h(grid: GridManifold, weight: WeightField) -> DiscreteOperator:
     parts = (weight.w,) if grid.dimension == 1 else weight.parts
     if parts is None:
         raise GridError("a d = 2 potential needs its per-axis parts")
-    periodic = grid.topology == "periodic"
-    axes = tuple(_axis_bands(nn, grid.spacing[j], periodic)
+    axes = tuple(_axis_bands(nn, grid.spacing[j], grid.periodic)
                  for j, nn in enumerate(grid.axis_sizes))
     return DiscreteOperator(grid, grid.measure_weights(), None,
                             _stencil(grid, axes, weight.w),

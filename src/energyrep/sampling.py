@@ -36,7 +36,7 @@ def _draw_rows(grid: GridManifold, rng: np.random.Generator, samples: int,
     # profiles per sample; a one-form takes six per axis
     per = {"rho": 1, "algebra": 3, "gauge": 3, "covector": d}
     specs = [(per.get(kind, 6 * d), modes, a) for kind, modes, a in kinds]
-    if grid.topology == "periodic" and d > 1:
+    if grid.periodic and d > 1:
         # one (amplitude, kx, ky, phase) row per plane wave
         sets = [np.zeros((samples, c, m, 4)) for c, m, _ in specs]
         for s in range(samples):
@@ -47,7 +47,7 @@ def _draw_rows(grid: GridManifold, rng: np.random.Generator, samples: int,
                     term[:] = (rng.uniform(-a, a) / max(kx + ky, 1), kx, ky,
                                rng.uniform(0, 2 * np.pi))
         return [np.concatenate(terms) for terms in sets]
-    if grid.topology == "periodic":
+    if grid.periodic:
         # cosine, then sine amplitudes of the modes 1..modes, the k-th over k
         parts = [(np.tile([[-a / max(m, 1)], [a / max(m, 1)]], c * 2 * m),
                   (2, m), np.arange(1, m + 1)) for c, m, a in specs]
@@ -71,10 +71,10 @@ def _profiles(grid: GridManifold, rows: np.ndarray, gradients: bool):
     exact gradients (P, n, d) if asked for, else None, from one call of the
     grid's family; the values do not depend on the ask."""
     nodes, periods = grid.nodes, grid.spacing * grid.axis_sizes
-    if grid.topology == "periodic" and grid.dimension == 1:
+    if grid.periodic and grid.dimension == 1:
         return fourier_series(nodes, periods[0], rows[:, 0], rows[:, 1],
                               gradients)
-    if grid.topology == "periodic":
+    if grid.periodic:
         return plane_waves([grid.axis_coordinates(j) for j in (0, 1)], periods,
                            rows, gradients)
     return bumps(nodes, rows[:, :-2], rows[:, -2], rows[:, -1], gradients)
@@ -163,7 +163,7 @@ def rho_field(grid: GridManifold, profile: str, amplitude: float,
     if profile == "constant":
         return np.full(grid.node_count, float(amplitude))
     if profile == "cosine":
-        if grid.topology != "periodic":
+        if not grid.periodic:
             raise ValueError("cosine rho profile needs a periodic domain")
         phases = 2 * np.pi * mode * nodes / (grid.spacing * grid.axis_sizes)
         if grid.dimension == 1:

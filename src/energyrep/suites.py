@@ -451,8 +451,8 @@ def suite_fock(cfg: ExperimentConfig, rng, rep: Report,
         # sizable overlap, so the tail binds
         g = Field(grid, 1, base * 0.6 + other * 0.4, algebra=True)
         coords = fock.orthonormal_coordinates([f, g])
-        tf = fock.TruncatedFockVector.from_coherent(coords[0], 1.0, cfg.fock_cutoff)
-        tg = fock.TruncatedFockVector.from_coherent(coords[1], 1.0, cfg.fock_cutoff)
+        tf = fock.TruncatedFockVector.from_coherent(coords[0], cfg.fock_cutoff)
+        tg = fock.TruncatedFockVector.from_coherent(coords[1], cfg.fock_cutoff)
         exact = fock.coherent_inner(fock.CoherentVector(1.0, f),
                                     fock.CoherentVector(1.0, g))
         bound = fock.truncation_tail_bound(norm(f), norm(g), cfg.fock_cutoff)

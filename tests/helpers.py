@@ -6,7 +6,11 @@ from slices, and the dense matrices of the operators that the package
 keeps only in sparse form (the link Laplacian, the ladder letters), and
 their dense solves, a conjugate's too, which the package never makes; and
 the formed references of a decomposition's readers: the expansion, the
-eigen residual and the gram over every mode formed as a column."""
+eigen residual and the gram over every mode formed as a column; and the
+Fock truncation as one dict per degree, looked up by occupation tuple."""
+import itertools
+import math
+
 import numpy as np
 
 from energyrep import su2
@@ -69,7 +73,7 @@ def centered_difference_oracle(f):
     parts = []
     for j in range(g.dimension):
         ax = lead + j
-        if g.topology == "periodic":
+        if g.periodic:
             up, down = np.roll(mesh, -1, ax), np.roll(mesh, 1, ax)
         else:
             pad = [(0, 0)] * mesh.ndim
@@ -187,3 +191,32 @@ def formed_gram_residual(dec):
     vecs = dec.modes(slice(None))
     g = vecs.T @ (dec.node_weights[:, None] * vecs)
     return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+
+
+def truncation_blocks(coords, cutoff):
+    """The truncated coherent vector exp(f) as one dict per degree k, from
+    each occupation tuple of degree k to z^n / sqrt(n!), per mode."""
+    coords = np.asarray(coords, dtype=complex)
+    blocks = []
+    for k in range(cutoff + 1):
+        block = {}
+        for occ in itertools.product(range(k + 1), repeat=coords.size):
+            if sum(occ) == k:
+                amp = 1.0
+                for nj, fj in zip(occ, coords):
+                    amp = amp * fj ** nj / math.sqrt(math.factorial(nj))
+                block[occ] = complex(amp)
+        blocks.append(block)
+    return blocks
+
+
+def truncation_blocks_inner(a, b):
+    """<a, b> of two per-degree dict truncations, summed degree by degree
+    over the states both hold."""
+    total = 0.0 + 0.0j
+    for ka in range(min(len(a), len(b))):
+        for occ, va in a[ka].items():
+            vb = b[ka].get(occ)
+            if vb is not None:
+                total += np.conj(va) * vb
+    return complex(total)

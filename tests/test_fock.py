@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from energyrep import fock, gauge
+from energyrep import fock, gauge, hermite
 from energyrep.grid import Field, build_grid, inner_product, norm
 from energyrep.sampling import (random_gauge_field, random_one_form,
                                 random_tuples, rho_field)
-from helpers import gauge_identity, gauge_inverse, stack
+from helpers import (gauge_identity, gauge_inverse, stack, truncation_blocks,
+                     truncation_blocks_inner)
 
 
 @pytest.fixture(scope="module")
@@ -42,17 +43,6 @@ class TestCoherentKernel:
                                                                rel=1e-14)
 
 
-def recursive_compositions(total, parts):
-    """The recursive form of `fock._compositions`: each head in increasing
-    order, then the compositions of the rest."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in recursive_compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 class TestTruncatedExpansion:
     def test_matches_kernel_within_tail_bound(self, circle, rng):
         # make the overlap sizable so the factorial tail is the binding term
@@ -64,8 +54,8 @@ class TestTruncatedExpansion:
         exact = fock.coherent_inner(fock.CoherentVector(1.0, f),
                                     fock.CoherentVector(1.0, g))
         for cutoff in (6, 9, 12):
-            tf = fock.TruncatedFockVector.from_coherent(coords[0], 1.0, cutoff)
-            tg = fock.TruncatedFockVector.from_coherent(coords[1], 1.0, cutoff)
+            tf = fock.TruncatedFockVector.from_coherent(coords[0], cutoff)
+            tg = fock.TruncatedFockVector.from_coherent(coords[1], cutoff)
             diff = abs(exact - tf.inner(tg))
             bound = fock.truncation_tail_bound(norm(f), norm(g), cutoff)
             assert diff <= bound
@@ -78,8 +68,8 @@ class TestTruncatedExpansion:
                                     fock.CoherentVector(1.0, g))
         diffs = []
         for cutoff in (4, 6, 8):
-            tf = fock.TruncatedFockVector.from_coherent(coords[0], 1.0, cutoff)
-            tg = fock.TruncatedFockVector.from_coherent(coords[1], 1.0, cutoff)
+            tf = fock.TruncatedFockVector.from_coherent(coords[0], cutoff)
+            tg = fock.TruncatedFockVector.from_coherent(coords[1], cutoff)
             diffs.append(abs(exact - tf.inner(tg)))
         assert diffs[0] > diffs[1] > diffs[2] > 0
 
@@ -108,27 +98,49 @@ class TestTruncatedExpansion:
                 bound = 2e-15 * (norm(a) * norm(b) + 1.0)
                 assert abs(np.vdot(ca, cb) - inner_product(a, b)) <= bound
 
-    @pytest.mark.parametrize("parts", range(1, 7))
-    def test_compositions_match_recursive_form(self, parts):
-        for total in range(9):
-            got = list(fock._compositions(total, parts))
-            assert got == list(recursive_compositions(total, parts))
-            assert all(type(n) is int for occ in got for n in occ)
-
-    def test_compositions_of_a_large_dimension(self):
-        # the recursive form raises RecursionError here
-        got = list(fock._compositions(1, 3000))
-        assert len(got) == len(set(got)) == 3000 and got == sorted(got)
-        assert all(sum(occ) == 1 and len(occ) == 3000 for occ in got)
-
     def test_occupation_normalization(self):
         # single mode: exp(z) has amplitude z^n / sqrt(n!) on |n>
-        v = fock.TruncatedFockVector.from_coherent(np.array([0.5 + 0.2j]),
-                                                   1.0, 6)
+        v = fock.TruncatedFockVector.from_coherent(np.array([0.5 + 0.2j]), 6)
         for n in range(7):
-            amp = v.blocks[n][(n,)]
+            amp = v.amplitudes[n]
             want = (0.5 + 0.2j) ** n / math.sqrt(math.factorial(n))
             assert amp == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_amplitudes_are_the_per_degree_truncation(self, dim):
+        # one amplitude per occupation state, in order, with the bits of
+        # the per-degree dict form
+        rng = np.random.default_rng(71 + dim)
+        coords = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for cutoff in (0, 1, 7, 12):
+            v = fock.TruncatedFockVector.from_coherent(coords, cutoff)
+            blocks = truncation_blocks(coords, cutoff)
+            assert v.dim == dim
+            assert v.amplitudes == tuple(
+                amp for block in blocks for amp in block.values())
+            assert tuple(occ for block in blocks for occ in block) == (
+                hermite.occupation_states(dim, cutoff))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_inner_is_the_per_degree_sum(self, dim):
+        # bit for bit, at equal cutoffs and at unequal ones (either side
+        # the lower), where the sum stops at the lower cutoff
+        rng = np.random.default_rng(83 + dim)
+        coords = rng.standard_normal((2, dim)) + 1j * rng.standard_normal(
+            (2, dim))
+        for ca, cb in ((9, 9), (5, 12), (12, 5), (0, 3)):
+            a = fock.TruncatedFockVector.from_coherent(coords[0], ca)
+            b = fock.TruncatedFockVector.from_coherent(coords[1], cb)
+            want = truncation_blocks_inner(truncation_blocks(coords[0], ca),
+                                           truncation_blocks(coords[1], cb))
+            got = a.inner(b)
+            assert type(got) is complex and got == want
+
+    def test_inner_rejects_mismatched_dimensions(self):
+        a = fock.TruncatedFockVector.from_coherent(np.array([0.5, 0.1]), 4)
+        b = fock.TruncatedFockVector.from_coherent(np.array([0.5]), 4)
+        with pytest.raises(ValueError, match="mismatched"):
+            a.inner(b)
 
     @pytest.mark.parametrize("x", [0.05, 0.6, 1.0, 3.0])
     def test_tail_bound_equals_factorial_form(self, x):
@@ -147,9 +159,9 @@ class TestTruncatedExpansion:
         assert fock.truncation_tail_bound(30.0, 30.0, 12) == math.inf
 
     def test_max_cutoff_normalization_is_finite(self):
-        v = fock.TruncatedFockVector.from_coherent(np.array([0.5]), 1.0,
+        v = fock.TruncatedFockVector.from_coherent(np.array([0.5]),
                                                    fock.MAX_CUTOFF)
-        assert math.isfinite(abs(v.blocks[fock.MAX_CUTOFF][(fock.MAX_CUTOFF,)]))
+        assert math.isfinite(abs(v.amplitudes[fock.MAX_CUTOFF]))
         with pytest.raises(OverflowError):
             math.sqrt(math.factorial(fock.MAX_CUTOFF + 1))
 

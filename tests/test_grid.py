@@ -43,13 +43,13 @@ class TestBuildGrid:
 
     def test_interval_spacing(self):
         g = build_grid("interval", 100, halfwidth=5.0)
-        assert g.topology == "truncated"
+        assert not g.periodic
         assert np.allclose(g.spacing, 0.1)
 
     def test_torus_node_count(self):
         g = build_grid("torus", 16, radius=1.0)
         assert g.node_count == 256
-        assert g.topology == "periodic"
+        assert g.periodic
         assert g.dimension == 2
 
     def test_rejects_bad_inputs(self):
@@ -74,10 +74,10 @@ class TestBuildGrid:
 
     @pytest.mark.parametrize("shape", SHAPE_FACTS)
     def test_grid_follows_the_shape_table(self, shape):
-        d, periodic, condition_c = self.SHAPE_FACTS[shape]
+        d, periodic, _ = self.SHAPE_FACTS[shape]
         g = build_grid(shape, 8, radius=0.5, halfwidth=3.0)
-        assert (g.dimension, g.condition_c_ok) == (d, condition_c)
-        assert g.topology == ("periodic" if periodic else "truncated")
+        assert (g.dimension, g.periodic) == (d, periodic)
+        assert g.shape_name == shape
         assert g.nodes.shape == (8 ** d, d) and g.axis_sizes == (8,) * d
         # a periodic axis closes after 2 pi r; a box's nodes fill [-L, L]
         extent = 0.5 if periodic else 3.0
@@ -89,7 +89,7 @@ class TestBuildGrid:
 
     def test_punctured_square_flagged(self):
         g = build_grid("punctured_square", 8, halfwidth=4.0)
-        assert not g.condition_c_ok
+        assert not SHAPES[g.shape_name].condition_c
         # cell-centered nodes with even count never hit the origin
         assert np.min(np.linalg.norm(g.nodes, axis=1)) > 0
 

@@ -1,4 +1,5 @@
 """Ladder-operator algebra on the truncated Hermite basis."""
+import math
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,44 @@ class TestBatchedAgainstPerState:
         assert got.shape == (ladder2.size, 30)
         assert np.array_equal(got, want)
         assert rng_new.standard_normal() == rng_ref.standard_normal()
+
+
+def recursive_compositions(total, parts):
+    """The recursive form of `hermite.compositions`: each head in
+    increasing order, then the compositions of the rest."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+@pytest.mark.parametrize("parts", range(1, 7))
+def test_compositions_match_recursive_form(parts):
+    for total in range(9):
+        got = list(hermite.compositions(total, parts))
+        assert got == list(recursive_compositions(total, parts))
+        assert all(type(n) is int for occ in got for n in occ)
+
+
+def test_compositions_of_a_large_dimension():
+    # the recursive form raises RecursionError here
+    got = list(hermite.compositions(1, 3000))
+    assert len(got) == len(set(got)) == 3000 and got == sorted(got)
+    assert all(sum(occ) == 1 and len(occ) == 3000 for occ in got)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n_cut", range(4, 17))
+def test_ladder_states_are_the_occupation_states(d, n_cut):
+    # by degree, then lexicographically: the order the Fock truncation sums
+    states = hermite.occupation_states(d, n_cut)
+    assert hermite.build_ladders(d, n_cut).states == states
+    assert states == tuple(sorted(states, key=lambda s: (sum(s), s)))
+    assert len(states) == len(set(states)) == math.comb(n_cut + d, d)
+    assert states[:math.comb(n_cut + d - 1, d)] == hermite.occupation_states(
+        d, n_cut - 1)
 
 
 def test_column_norms_are_one_dimensional_norms():

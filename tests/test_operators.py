@@ -208,7 +208,7 @@ def _dense_centered_differences(grid):
     mats = []
     for j, n in enumerate(grid.axis_sizes):
         d = np.eye(n, k=1) - np.eye(n, k=-1)
-        if grid.topology == "periodic":
+        if grid.periodic:
             d[n - 1, 0] += 1.0
             d[0, n - 1] -= 1.0
         mats.append(d / (2.0 * grid.spacing[j]))
@@ -262,7 +262,7 @@ class TestFastPathsAgainstDense:
     @pytest.mark.parametrize("shape,kw,n", GRIDS[1:])
     def test_eigenvalues_match_decomposition(self, shape, kw, n):
         g = build_grid(shape, n, **kw)
-        periodic = g.topology == "periodic"
+        periodic = g.periodic
         op = assemble_h(g, WeightField.constant(g, 2.0) if periodic
                         else WeightField.quadratic(g, 1.0))
         rho = 0.4 * np.cos(g.nodes[:, 0])
@@ -397,7 +397,7 @@ def _assert_derived_conjugate(g, op):
 
 def _kron_assembly(grid, w):
     """Oracle: H as the Kronecker sum of the axis Laplacians plus diag(W)."""
-    periodic = grid.topology == "periodic"
+    periodic = grid.periodic
     axes = [link_laplacian(nn, grid.spacing[j], periodic)
             for j, nn in enumerate(grid.axis_sizes)]
     if grid.dimension == 1:
@@ -528,7 +528,7 @@ class TestClosedFormBands:
         g = build_grid(shape, n, **kw)
         weight = make(g, value)
         diag, bands = assemble_h(g, weight).stencil
-        lap = link_laplacian(n, g.spacing[0], g.topology == "periodic")
+        lap = link_laplacian(n, g.spacing[0], g.periodic)
         rows, cols = np.nonzero(lap)
         offsets = sorted(set((cols - rows)[cols != rows].tolist()))
         # ascending offsets, as apply and the trace moments add them
@@ -550,7 +550,7 @@ class TestClosedFormBands:
         g = build_grid(shape, n, **kw)
         weight = make(g, value)
         op = assemble_h(g, weight)
-        periodic = g.topology == "periodic"
+        periodic = g.periodic
         laps = [link_laplacian(n, h, periodic) for h in g.spacing]
         for f, lap, part in zip(op.factors, laps, weight.parts):
             assert np.array_equal(_bits(f), _bits(lap + np.diag(part)))

@@ -140,13 +140,13 @@ class OneWaveRow:
 
 
 def ref_scalar_profile(grid, rng, modes, amplitude):
-    if grid.topology == "periodic" and grid.dimension == 1:
+    if grid.periodic and grid.dimension == 1:
         period = grid.spacing[0] * grid.axis_sizes[0]
         scale = amplitude / max(modes, 1)
         cos_amps = tuple(rng.uniform(-scale, scale) / k for k in range(1, modes + 1))
         sin_amps = tuple(rng.uniform(-scale, scale) / k for k in range(1, modes + 1))
         return FourierProfile(period, cos_amps, sin_amps)
-    if grid.topology == "periodic":
+    if grid.periodic:
         terms = []
         for _ in range(modes):
             kx, ky = int(rng.integers(0, 3)), int(rng.integers(0, 3))

@@ -5,8 +5,9 @@ array, assembly writes no dense link matrix, every eigensolve is handed a
 symmetric matrix, a conjugate solves only what H solves, every CSV and
 JSON file of the shipped configs has the bytes of the writer it replaced,
 only the report module writes files, only the operators module reads a
-decomposition's stored form, `energyrep conformal` at its element
-cap stays small, and the spectrum convergence script runs."""
+decomposition's stored form, no module keeps its own copy of a shape's
+facts, `energyrep conformal` at its element cap stays small, and the
+spectrum convergence script runs."""
 import ast
 import csv
 import io
@@ -531,6 +532,55 @@ def test_file_writer_scan_sees_every_spelling(tmp_path):
         encoding="utf-8")
     assert _file_writers(tmp_path) == [
         f"mod.py:{line}" for line in range(11, 18)]
+
+
+# a grid reads its dimension, periodicity and condition (c) from its row of
+# grid.SHAPES: no attribute copies them and no string encodes periodicity
+SHAPE_COPIES = ("topology", "condition_c_ok")
+SHAPE_STRINGS = ("periodic", "truncated")
+
+
+def _shape_copies(src):
+    """Every copy of a shape fact in the package, as file:line: an
+    attribute or keyword named in SHAPE_COPIES, and a string literal
+    (getattr, attrgetter, an f-string's text) in either tuple."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr in SHAPE_COPIES
+            elif isinstance(node, ast.keyword):
+                hit = node.arg in SHAPE_COPIES
+            elif isinstance(node, ast.Constant):
+                hit = isinstance(node.value, str) and (
+                    node.value in SHAPE_COPIES + SHAPE_STRINGS)
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    return [f"{file}:{line}" for file, line in sorted(found)]
+
+
+def test_no_module_copies_a_shape_fact():
+    found = _shape_copies(SRC)
+    assert not found, f"copies a fact of grid.SHAPES: {found}"
+
+
+def test_shape_copy_scan_sees_every_spelling(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from operator import attrgetter\n\n\n"
+        "def kept(grid, topology):\n"
+        "    '''A periodic grid, or a truncated box.'''\n"
+        "    return grid.periodic, SHAPES[grid.shape_name].condition_c\n\n\n"
+        "def copied(grid, make):\n"
+        "    a = grid.topology == 'periodic'\n"
+        "    b = grid.condition_c_ok or make(topology=\"truncated\")\n"
+        "    c = getattr(grid, 'topology'), attrgetter('condition_c_ok')\n"
+        "    return a, b, c, f'{a}' + f'truncated'\n",
+        encoding="utf-8")
+    assert _shape_copies(tmp_path) == [
+        "mod.py:10", "mod.py:10", "mod.py:11", "mod.py:11", "mod.py:11",
+        "mod.py:12", "mod.py:12", "mod.py:13"]
 
 
 def test_assembly_writes_no_dense_link_matrix():
