@@ -289,6 +289,21 @@ class DiscreteOperator:
             np.unravel_index(order, tuple(lam.size for lam, _ in solves)))
 
 
+def _rows_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x: one matrix product over all of a's rows when they are
+    contiguous (a one-axis expansion), else numpy's product per matrix.
+
+    gemm rounds a row alike whatever rows share its call, so a sample's
+    coefficients do not depend on its set.  numpy would hand a lone row to
+    gemv, which rounds differently, so a lone row goes in twice.
+    """
+    if not a.flags.c_contiguous:
+        return a @ x
+    rows = a.reshape(-1, a.shape[-1])
+    out = np.tile(rows, (2, 1)) @ x if len(rows) == 1 else rows @ x
+    return out[:len(rows)].reshape(a.shape[:-1] + (-1,))
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Ascending eigenvalues with eigenvectors orthonormal under the weights
@@ -329,9 +344,10 @@ class SpectralDecomposition:
         <e_k, f>_w contracts sqrt(w) f, on the mesh of the axis sizes, with
         the axis columns of mode k.  Each channel's mesh is multiplied by
         each axis' columns in turn, real and imaginary parts as real
-        channels, so every product is real and a sample's coefficients do
-        not depend on the rest of the set; one take then picks the modes'
-        pairs.
+        channels, so every product is real (a real set has no imaginary
+        channel); on one axis every sample's channels go through one
+        product.  A sample's coefficients do not depend on the rest of the
+        set.  One take then picks the modes' pairs.
         """
         sizes = tuple(x.shape[0] for x in self.axis_vectors)
         g = np.sqrt(self.node_weights)[:, None] * f.values.reshape(
@@ -342,7 +358,7 @@ class SpectralDecomposition:
                                                    + sizes)
         for x in self.axis_vectors:
             # the first mesh axis contracted; its mode index comes last
-            coeffs = np.moveaxis(coeffs, -len(sizes), -1) @ x
+            coeffs = _rows_times(np.moveaxis(coeffs, -len(sizes), -1), x)
         picked = np.take(coeffs.reshape(coeffs.shape[:-len(sizes)] + (-1,)),
                          np.ravel_multi_index(self.pairs, sizes), axis=-1)
         return np.ascontiguousarray(np.swapaxes(picked, -1, -2)).view(g.dtype)

@@ -89,7 +89,7 @@ def _build(grid: GridManifold, kind: str, lead: tuple, vals, grads):
         return vals.reshape(lead + (n,))
     if kind == "covector":
         return Field.covector(grid, np.ascontiguousarray(
-            np.swapaxes(vals.reshape(lead + (d, n)), -1, -2), dtype=complex))
+            np.swapaxes(vals.reshape(lead + (d, n)), -1, -2)))
     if kind in GRADIENT_KINDS:
         field = AlgebraValuedField(grid, np.ascontiguousarray(
             np.swapaxes(vals.reshape(lead + (3, n)), -1, -2)),
@@ -133,7 +133,8 @@ def random_one_form(grid: GridManifold, rng: np.random.Generator,
 
 def random_covector_testset(grid: GridManifold, rng: np.random.Generator,
                             count: int, modes: int = 3) -> Field:
-    """A set of smooth plain covector fields for the seminorm probe."""
+    """A set of smooth real covector fields (float64 values) for the
+    seminorm probe."""
     return random_tuples(grid, rng, count, ("covector", modes, 1.0))[0]
 
 

@@ -23,11 +23,13 @@ from .operators import SpectralDecomposition
 STABILITY_FACTOR = 2.0
 
 # A test set is evaluated in slices whose largest iterate holds about this
-# many values, so a complex batch temporary stays near 512 kB whatever the
-# size of the set, and peak memory stays that of the per-field loop.  On
-# the seminorm probe's circle and interval grids (N = 32..256, 404 fields)
-# a sweep of 2^12..2^17 gave the fastest |.|'_m at 2^15.  Every sample is
-# computed on its own, so the slicing does not change a bit of the result.
+# many values, so a batch temporary stays near 256 kB for a real covector
+# set (512 kB for complex one-forms) whatever the size of the set, and peak
+# memory stays that of the per-field loop.  On the seminorm probe's circle
+# and interval grids (N = 32..256, 404 real fields) a sweep of 2^14..2^17
+# put 2^15 and 2^16 within noise of each other for |.|'_m and |.|_p, both
+# ahead of 2^14 and 2^17.  Every sample is computed on its own, so the
+# slicing does not change a bit of the result.
 _SLICE_VALUES = 1 << 15
 
 
@@ -75,10 +77,10 @@ def seminorm_p(f: Field, p: float, dec: SpectralDecomposition) -> float:
 
 
 def eigenvector_covector(dec: SpectralDecomposition, k) -> Field:
-    """The k-th eigenvector of dec as a covector along the first axis; for a
-    sequence of k, the test set of those eigenvectors."""
+    """The k-th eigenvector of dec as a real covector along the first axis;
+    for a sequence of k, the test set of those eigenvectors."""
     cols = dec.modes(np.asarray(k)).T  # (n,), or (len(k), n)
-    vals = np.zeros(cols.shape + (dec.grid.dimension,), dtype=complex)
+    vals = np.zeros(cols.shape + (dec.grid.dimension,))
     vals[..., 0] = cols
     return Field.covector(dec.grid, vals)
 
@@ -222,9 +224,9 @@ def equivalence_probe(domain: str, grids_and_data, m_list, p_grid) -> SeminormRe
         prime_vals = dict(zip(m_list, seminorm_prime_batch(fields, m_list, weight)))
         spec_vals = dict(zip(p_grid, seminorm_p_batch(fields, p_grid, dec)))
         for m, vals in prime_vals.items():
-            report.prime_values[(m, n_size)] = [float(v) for v in vals]
+            report.prime_values[(m, n_size)] = vals.tolist()
         for p, vals in spec_vals.items():
-            report.spec_values[(p, n_size)] = [float(v) for v in vals]
+            report.spec_values[(p, n_size)] = vals.tolist()
         for m in m_list:
             for p in p_grid:
                 with np.errstate(divide="ignore", invalid="ignore"):

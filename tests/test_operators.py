@@ -162,6 +162,27 @@ class TestDecomposition:
         assert _relative(real, formed_expand(dec, fields.copy_with(
             vals.real))) <= 1e-13
 
+    @pytest.mark.parametrize("n", [32, 48, 256])
+    @pytest.mark.parametrize("count", [1, 2, 7, 404])
+    def test_real_set_coefficients_are_its_members(self, n, count):
+        # a one-axis set takes one product over all its rows, a lone row
+        # (one real sample, one channel) included: every sample's
+        # coefficients are its own whatever the set, bit for bit
+        g, op = circle_operator(n)
+        dec = op.eigendecomposition()
+        vals = np.random.default_rng(n + count).standard_normal(
+            (count, g.node_count, 1))
+        fields = Field(g, 1, vals)
+        got = dec.expand(fields)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == (count, g.node_count, 1)
+        assert np.array_equal(got, np.stack([dec.expand(fields.copy_with(v))
+                                             for v in vals]))
+        # the members' values held as complex: the same real parts
+        assert np.array_equal(got, dec.expand(fields.copy_with(
+            vals.astype(complex))).real)
+        assert _relative(got, formed_expand(dec, fields)) <= 1e-13
+
 
 class TestConjugation:
     def test_zero_rho_is_identity(self):

@@ -181,7 +181,7 @@ def ref_random_one_form(grid, rng, modes=3, amplitude=1.0, normalized=False):
 def ref_random_covector_testset(grid, rng, count, modes=3):
     out = []
     for _ in range(count):
-        vals = np.zeros((grid.node_count, grid.dimension), dtype=complex)
+        vals = np.zeros((grid.node_count, grid.dimension))
         for j in range(grid.dimension):
             vals[:, j] = ref_scalar_profile(grid, rng, modes, 1.0).value(grid.nodes)
         out.append(Field.covector(grid, vals))

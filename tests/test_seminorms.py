@@ -16,7 +16,8 @@ from energyrep.operators import assemble_h, conjugated_operator
 from energyrep.profiles import bumps
 from energyrep.sampling import (random_covector_testset, random_one_form,
                                 rho_field)
-from energyrep.seminorms import (chain_identity_residual, equivalence_probe,
+from energyrep.seminorms import (chain_identity_residual,
+                                 eigenvector_covector, equivalence_probe,
                                  seminorm_p, seminorm_p_batch, seminorm_prime,
                                  seminorm_prime_batch, twisted_chain,
                                  weighted_norms)
@@ -477,6 +478,69 @@ class TestBatchedAgainstLoop:
             seminorm_prime(moved, 1, w)
         with pytest.raises(GridError):
             seminorm_prime_batch(stack([moved]), (1,), w)
+
+
+# ---------------------------------------------------------------------------
+# Real covector sets against the same values held as complex
+# ---------------------------------------------------------------------------
+
+FOUR_SHAPES = [("circle", 48, {"radius": 1.0}),
+               ("interval", 48, {"halfwidth": 6.0}),
+               ("torus", 12, {"radius": 1.0}),
+               ("square", 12, {"halfwidth": 3.0})]
+
+# Real and complex arrays of the same values differ only in how numpy
+# rounds them: the centered difference's / 2h is a true quotient on a real
+# array and a product by the reciprocal on a complex one (within an ulp of
+# each other per step), and in d = 2 the weighted |.|^2 sums the same
+# squares with or without zero imaginary channels between them.  On these
+# smooth sets that moved |.|'_m (m <= 3) by at most 2 ulp and the expansion
+# and |.|_p by none; the bound allows a few ulp.
+REAL_PATH_BOUND = 8 * np.finfo(float).eps
+
+
+class TestRealCovectorSets:
+    @pytest.mark.parametrize("shape,nodes,kw", FOUR_SHAPES)
+    def test_sets_are_real(self, shape, nodes, kw):
+        g = build_grid(shape, nodes, **kw)
+        fields = random_covector_testset(g, np.random.default_rng(4), 3)
+        assert fields.values.dtype == np.float64
+        dec = assemble_h(g, WeightField.constant(g, 2.0)).eigendecomposition()
+        for k in (0, [0, 2, 5]):
+            assert eigenvector_covector(dec, k).values.dtype == np.float64
+
+    def test_probe_sets_are_real(self):
+        # the random members, the bump and the eigenvectors join as real rows
+        cfg = ExperimentConfig(seed=1, domain_shape="circle",
+                               seminorms_functions=4, seminorms_nodes=(16, 24))
+        for domain in REFERENCE_DOMAINS:
+            for *_, fields in _probe_data(domain, cfg, 3):
+                assert fields.values.dtype == np.float64
+                assert len(fields.values) == 4 + 1 + 3
+
+    @pytest.mark.parametrize("shape,nodes,kw", FOUR_SHAPES)
+    def test_real_path_matches_complex(self, shape, nodes, kw):
+        g = build_grid(shape, nodes, **kw)
+        rho = rho_field(g, "bump", 0.4)
+        weight = WeightField.constant(g, 2.0, rho)
+        dec = conjugated_operator(assemble_h(g, WeightField.constant(g, 2.0)),
+                                  rho).eigendecomposition()
+        real = random_covector_testset(g, np.random.default_rng(6), 9)
+        held = real.copy_with(real.values.astype(complex))
+        got, want = dec.expand(real), dec.expand(held)
+        assert got.dtype == np.float64 and not np.any(want.imag)
+        scale = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - want.real) <= REAL_PATH_BOUND * scale)
+        for batch, orders, op in ((seminorm_p_batch, P_LIST, dec),
+                                  (seminorm_prime_batch, M_LIST, weight)):
+            values, reference = (batch(f, orders, op) for f in (real, held))
+            assert np.all(np.abs(values - reference)
+                          <= REAL_PATH_BOUND * reference)
+        # relative residuals, both at rounding level: a few ulp apart
+        residual, reference = (chain_identity_residual(f, 3, weight)
+                               for f in (real, held))
+        assert np.all(np.abs(residual - reference) <= REAL_PATH_BOUND)
+        assert np.max(residual) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
