@@ -27,8 +27,8 @@ if "numpy" not in sys.modules:
             del os.environ["OPENBLAS_NUM_THREADS"]
         else:
             os.environ["OPENBLAS_NUM_THREADS"] = _caller_threads
-import numpy as np
 
+from .blas import find_symbol, library_paths as _blas_libraries
 from .config import ConfigError, load_config
 from .report import write_sidecar_meta
 from .suites import SUITES, run_suite
@@ -41,15 +41,6 @@ BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
                 "openblas_set_num_threads", "MKL_Set_Num_Threads")
 
 
-def _blas_libraries() -> list[str | None]:
-    """numpy's bundled BLAS (`numpy.libs` in Linux and Windows wheels,
-    `numpy/.dylibs` in macOS ones), then the process's global symbols."""
-    package = Path(np.__file__).parent
-    bundled = [*package.parent.glob("numpy.libs/libscipy_openblas*"),
-               *package.glob(".dylibs/libscipy_openblas*")]
-    return [str(path) for path in sorted(bundled)] + [None]
-
-
 def pin_blas_threads() -> str:
     """Run BLAS on one thread; return the setter's name, or "unpinned" when
     none is found.  Never raises.
@@ -59,21 +50,17 @@ def pin_blas_threads() -> str:
     process's first solve, and moves the last digits of a report with the
     thread count.  This module starts OpenBLAS on one thread when it loads
     numpy; the call covers a process that loaded numpy first (a test runner,
-    a library caller) and MKL, which reads its variables lazily.
+    a library caller) and MKL, which reads its variables lazily.  The
+    libraries are those the solve reads LAPACK from (`blas`).
     """
-    for path in _blas_libraries():
-        try:
-            library = ctypes.CDLL(path)
-        except (OSError, TypeError):
-            continue
-        for name in BLAS_SETTERS:
-            setter = getattr(library, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return name
-    return "unpinned"
+    found = find_symbol(BLAS_SETTERS, _blas_libraries())
+    if found is None:
+        return "unpinned"
+    name, setter = found
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,9 +18,14 @@ methods", Numer. Math. 6 (1964)).  A 1-D H is the one-axis case.
 An operator is stored once, as its stencil: the diagonal of H, the
 off-diagonal bands of each axis Laplacian, and the diagonal of each A_j;
 a conjugate adds its rho.  All of it is O(n) data.  `apply` and the gates
-evaluate through the stencil.  The N x N axis matrices (`factors`) are
-written from it for the solve only, and the dense n x n matrix (`matrix`)
-for the dense references only (`eigenvalues`).
+evaluate through the stencil.  A truncated axis operator is tridiagonal,
+and LAPACK's `dstevd` (`blas`) solves it from its diagonal and its -1
+band, with the bits of numpy's `eigh` of its matrix and no matrix
+written.  The N x N axis matrices (`factors`) are written from the
+stencil for the periodic solves only, and the dense n x n matrix
+(`matrix`) for the dense references only (`eigenvalues` off a 1-D
+truncated grid); where numpy's BLAS lacks dstevd, `eigh` and
+`eigvalsh` solve those matrices on every grid.
 
 A decomposition is kept as one column basis per axis and the index map of
 the summed pairs: mode k is the tensor product of one column per axis over
@@ -48,6 +53,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import blas
 from .grid import (Field, GridManifold, GridError, WeightField,
                    centered_stencil)
 from .report import loglog_slope
@@ -114,6 +120,18 @@ def _axis_matrix(diagonal: np.ndarray, bands: list, axis: int) -> np.ndarray:
         if band_axis == axis:
             mat[line[rows], line[cols]] += band
     return mat
+
+
+def _tridiagonal_solve(diagonal: np.ndarray, bands: list, axis: int,
+                      vectors: bool):
+    """LAPACK's dstevd (`blas.dstevd`) of the tridiagonal operator of one
+    truncated axis: this diagonal and the axis' -1 band, the lower triangle
+    that `eigh` reads.  The values and vectors of `eigh` of its
+    `_axis_matrix` bit for bit, or without vectors the values of
+    `eigvalsh`; None where numpy's BLAS lacks dstevd."""
+    (lower,) = (band for band_axis, rows, cols, band in bands
+                if band_axis == axis and cols.start < rows.start)
+    return blas.dstevd(diagonal, lower, vectors)
 
 
 def _axis_apply(diagonal: np.ndarray, bands: list, axis: int,
@@ -207,7 +225,9 @@ class DiscreteOperator:
     def factors(self) -> tuple:
         """The N x N matrix of each axis operator A_j (H's, for a
         conjugate), written afresh from the stencil on every access: only
-        the solve needs them.  On one axis it is H's matrix, bit for bit."""
+        the periodic solves need them, and the truncated ones where numpy's
+        BLAS lacks LAPACK's tridiagonal solver.  On one axis it is H's
+        matrix, bit for bit."""
         return tuple(_axis_matrix(d, self.stencil[1], axis)
                      for axis, d in enumerate(self.axis_diagonals))
 
@@ -256,10 +276,16 @@ class DiscreteOperator:
         return rows, cols, (sqw[rows] * values) / sqw[cols]
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the dense solve of H's whole n x n
-        matrix (a conjugate's too), no vectors; independent of the per-axis
-        solve.  It writes the dense matrix: the 1-D references call it."""
-        return np.linalg.eigvalsh(self.base.matrix)
+        """Ascending eigenvalues of H's whole n x n matrix (a conjugate's
+        too), no vectors; independent of the per-axis solve.  The 1-D
+        references call it.  On a 1-D truncated grid H is tridiagonal, and
+        LAPACK's dstevd solves its diagonal and -1 band with the values of
+        `eigvalsh` bit for bit and no matrix written; elsewhere it is
+        `eigvalsh` of the dense matrix."""
+        diag, bands = self.stencil
+        lam = (None if self.grid.periodic or self.grid.dimension > 1 else
+               _tridiagonal_solve(diag, bands, 0, vectors=False))
+        return np.linalg.eigvalsh(self.base.matrix) if lam is None else lam
 
     def trace_moments(self) -> tuple:
         """tr S and tr S^2 = sum_{r,c} S[r,c] S[c,r] of the symmetrized
@@ -274,13 +300,20 @@ class DiscreteOperator:
         """Ascending eigenvalues and eigenvectors orthonormal under the
         weights w, from one symmetric solve per axis operator.
 
-        The eigenvalues are the sums of one axis eigenvalue per axis, in
-        stable ascending order, kept with the axis columns and the index
-        map of the pairs.  A conjugate is not diagonalized: its modes are
-        H's times e^{-rho/2}, orthonormal under w e^rho, so only the weights
-        change.
+        A truncated axis is solved by LAPACK's tridiagonal solver from its
+        diagonal and -1 band, a periodic one by `eigh` of its matrix
+        (`factors`), as is every axis where numpy's BLAS lacks dstevd;
+        dstevd returns `eigh`'s bits.  The eigenvalues are the sums of
+        one axis eigenvalue per axis, in stable ascending order, kept with
+        the axis columns and the index map of the pairs.  A conjugate is
+        not diagonalized: its modes are H's times e^{-rho/2}, orthonormal
+        under w e^rho, so only the weights change.
         """
-        solves = [np.linalg.eigh(f) for f in self.factors]
+        solves = [None] if self.grid.periodic else [
+            _tridiagonal_solve(d, self.stencil[1], axis, vectors=True)
+            for axis, d in enumerate(self.axis_diagonals)]
+        if None in solves:
+            solves = [np.linalg.eigh(f) for f in self.factors]
         summed = reduce(np.add.outer, [lam for lam, _ in solves]).ravel()
         order = np.argsort(summed, kind="stable")
         return SpectralDecomposition(

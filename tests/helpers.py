@@ -7,16 +7,22 @@ keeps only in sparse form (the link Laplacian, the ladder letters), and
 their dense solves, a conjugate's too, which the package never makes; and
 the formed references of a decomposition's readers: the expansion, the
 eigen residual and the gram over every mode formed as a column; and the
-Fock truncation as one dict per degree, looked up by occupation tuple."""
+Fock truncation as one dict per degree, looked up by occupation tuple;
+and whether numpy's BLAS exports LAPACK's tridiagonal solver."""
 import itertools
 import math
 
 import numpy as np
 
-from energyrep import su2
+from energyrep import blas, su2
 from energyrep.gauge import GaugeField
 from energyrep.operators import SpectralDecomposition
 
+
+# whether the truncated solves run LAPACK's dstevd; without it they solve
+# the dense matrices, as on a numpy built on MKL or Accelerate
+TRIDIAGONAL_SOLVER = blas.find_symbol((blas.STEVD,),
+                                      blas.library_paths()) is not None
 
 PAULI = np.array([
     [[0.0, 1.0], [1.0, 0.0]],

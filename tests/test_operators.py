@@ -1,11 +1,12 @@
 """Schrodinger operator assembly, spectra, conjugation, Hilbert-Schmidt probe."""
 import dataclasses
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from energyrep import operators
+from energyrep import blas, operators
 from energyrep.grid import (Field, GridError, WeightField, build_grid,
                             centered_stencil, covariant_derivative, norm)
 from energyrep.operators import (SpectralDecomposition, _blocks,
@@ -16,9 +17,10 @@ from energyrep.operators import (SpectralDecomposition, _blocks,
 from energyrep.seminorms import (eigenvector_covector, seminorm_p_batch,
                                  seminorm_prime_batch)
 from energyrep.suites import circle_dispersion, circle_modes
-from helpers import (dense_decomposition, dense_eigenvalues, formed_expand,
-                     formed_eigen_residual, formed_gram_residual,
-                     link_laplacian, one_axis, stack, symmetrized)
+from helpers import (TRIDIAGONAL_SOLVER, dense_decomposition,
+                     dense_eigenvalues, formed_expand, formed_eigen_residual,
+                     formed_gram_residual, link_laplacian, one_axis, stack,
+                     symmetrized)
 
 
 def circle_operator(n=64, w0=2.0):
@@ -594,11 +596,17 @@ class TestGatesStayHonest:
     def test_stencil_paths_never_write_the_matrix(self, shape, kw, make,
                                                   value, monkeypatch):
         g = build_grid(shape, 7, **kw)
-        # the solve writes the axis matrices only, on every grid
+        # the solve writes the axis matrices only, on every grid, and on a
+        # truncated grid LAPACK's tridiagonal solver writes none
         monkeypatch.setattr(operators, "_assembled", _refuse_dense)
+        if TRIDIAGONAL_SOLVER and not g.periodic:
+            monkeypatch.setattr(operators, "_axis_matrix", _refuse_dense)
         base = assemble_h(g, make(g, value))
         decs = (base.eigendecomposition(),
                 conjugated_operator(base, _rho(g)).eigendecomposition())
+        if TRIDIAGONAL_SOLVER and not g.periodic and g.dimension == 1:
+            # the 1-D reference spectrum writes no dense matrix either
+            assert np.all(np.diff(base.eigenvalues()) > 0)
 
         # the gates write neither
         monkeypatch.setattr(operators, "_axis_matrix", _refuse_dense)
@@ -723,6 +731,35 @@ class TestGatesStayHonest:
                 tracemalloc.stop()
             assert value <= 1e-8
             assert peak <= bound, f"peaked at {peak} bytes"
+
+    @pytest.mark.skipif(not TRIDIAGONAL_SOLVER,
+                        reason="numpy's BLAS exports no dstevd")
+    def test_interval_solves_at_1024_stay_within_the_dense_peaks(self):
+        # the bounds are what the dense solves held at n = 1024, where an
+        # N x N array is 8 MiB: for eigh, its traced peak (the axis matrix
+        # and the vectors, 16,787,202 bytes) plus what numpy's LAPACK call
+        # held outside tracemalloc, a copy of the matrix and dsyevd's
+        # workspace of 1 + 6n + 2n^2 doubles (the process's resident peak
+        # rose by 42,328 kB); for eigvalsh, its traced peak, the matrix.
+        # dstevd holds the vectors and 1 + 4n + n^2 doubles of
+        # workspace, and no matrix
+        g = build_grid("interval", 1024, halfwidth=8.0)
+        op = assemble_h(g, WeightField.quadratic(g, 1.0))
+        n = g.node_count
+        peaks = []
+        for solve, bound in ((op.eigendecomposition,
+                              16_787_202 + 8 * (3 * n * n + 1 + 6 * n)),
+                             (op.eigenvalues, 8_466_224)):
+            tracemalloc.start()
+            try:
+                solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, f"peaked at {peak} bytes"
+            peaks.append(peak)
+        # the vectors and the workspace at once, and O(N) besides
+        assert peaks[0] <= 8 * (2 * n * n + 16 * n)
 
     @pytest.mark.parametrize("shape,kw,make,value", HONESTY_GRIDS)
     def test_wrong_stencil_coefficient_fails_eigen_gate(self, shape, kw, make,
@@ -1016,6 +1053,95 @@ class TestOneAxis:
             # a set's coefficients are its members' own, bit for bit
             assert np.array_equal(got, np.stack([dec.expand(f.copy_with(v))
                                                  for v in vals]))
+
+
+# the truncated grids whose axis operators LAPACK's tridiagonal solver
+# solves: odd and even N, both potentials
+TRUNCATED_GRIDS = [
+    ("interval", {"halfwidth": 8.0}, WeightField.quadratic, 1.0, 8),
+    ("interval", {"halfwidth": 8.0}, WeightField.quadratic, 1.0, 9),
+    ("interval", {"halfwidth": 8.0}, WeightField.quadratic, 1.0, 200),
+    ("interval", {"halfwidth": 8.0}, WeightField.constant, 2.0, 257),
+    ("interval", {"halfwidth": 8.0}, WeightField.quadratic, 1.0, 400),
+    *((shape, kw, make, value, n)
+      for shape, kw in (("square", {"halfwidth": 3.0}),
+                        ("punctured_square", {"halfwidth": 4.0}))
+      for make, value in ((WeightField.quadratic, 1.0),
+                          (WeightField.constant, 2.0))
+      for n in (16, 33))]
+
+
+class TestTridiagonalSolve:
+    """Every truncated solve against the dense solve it replaces, bit for
+    bit: `eigh` of each axis matrix, `eigvalsh` of a 1-D H's matrix, and
+    the same reports where numpy's BLAS lacks dstevd."""
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("shape,kw,make,value,n", TRUNCATED_GRIDS)
+    def test_solve_is_the_eigh_of_each_factor(self, shape, kw, make, value,
+                                              n, conjugate):
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        h = conjugated_operator(op, _rho(g)) if conjugate else op
+        dec = h.eigendecomposition()
+        solves = [np.linalg.eigh(f) for f in op.factors]
+        for axis, (lam, vecs) in enumerate(solves):
+            x = dec.axis_vectors[axis]
+            assert np.array_equal(x, vecs) and x.flags.c_contiguous
+            solved = operators._tridiagonal_solve(
+                op.axis_diagonals[axis], op.stencil[1], axis, vectors=True)
+            assert (solved is not None) == TRIDIAGONAL_SOLVER
+            if solved is not None:
+                assert np.array_equal(solved[0], lam)
+                assert np.array_equal(solved[1], vecs)
+                assert solved[1].flags.c_contiguous
+        summed = reduce(np.add.outer, [lam for lam, _ in solves]).ravel()
+        assert np.array_equal(dec.eigenvalues,
+                              summed[np.argsort(summed, kind="stable")])
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("shape,kw,make,value,n", TRUNCATED_GRIDS[:5])
+    def test_eigenvalues_are_the_eigvalsh_of_the_matrix(self, shape, kw,
+                                                        make, value, n,
+                                                        conjugate):
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        h = conjugated_operator(op, _rho(g)) if conjugate else op
+        lam = h.eigenvalues()
+        assert np.array_equal(lam, np.linalg.eigvalsh(op.matrix))
+        solved = operators._tridiagonal_solve(op.stencil[0], op.stencil[1],
+                                              0, vectors=False)
+        assert (solved is not None) == TRIDIAGONAL_SOLVER
+        if solved is not None:
+            assert np.array_equal(solved, lam)
+
+    @pytest.mark.parametrize("shape,kw,make,value,n",
+                             [TRUNCATED_GRIDS[2], TRUNCATED_GRIDS[-1]])
+    def test_without_dstevd_the_solve_is_the_same(self, shape, kw, make,
+                                                      value, n, monkeypatch):
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        solved = op.eigendecomposition(), op.eigenvalues()
+        # the lookup finds no library: every solve is the dense one
+        monkeypatch.setattr(blas, "library_paths", lambda: ())
+        assert blas.dstevd(np.ones(2), np.ones(1)) is None
+        dense = op.eigendecomposition(), op.eigenvalues()
+        assert np.array_equal(dense[0].eigenvalues, solved[0].eigenvalues)
+        for x, y in zip(dense[0].axis_vectors, solved[0].axis_vectors):
+            assert np.array_equal(x, y) and x.flags.c_contiguous
+        assert np.array_equal(dense[1], solved[1])
+
+    @pytest.mark.skipif(not TRIDIAGONAL_SOLVER,
+                        reason="numpy's BLAS exports no dstevd")
+    def test_dstevd_failure_raises_as_eigvalsh_does(self):
+        # a NaN on the diagonal: the QL iteration does not converge
+        diagonal, lower = np.ones(30), np.full(29, -1.0)
+        diagonal[15] = np.nan
+        matrix = np.diag(diagonal) + np.diag(lower, -1) + np.diag(lower, 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(matrix)
+        with pytest.raises(np.linalg.LinAlgError):
+            blas.dstevd(diagonal, lower, vectors=False)
 
 
 class TestSignInvariance:

@@ -4,10 +4,10 @@ einsum, the ladder calculus multiplies no matrices, nothing rolls an
 array, assembly writes no dense link matrix, every eigensolve is handed a
 symmetric matrix, a conjugate solves only what H solves, every CSV and
 JSON file of the shipped configs has the bytes of the writer it replaced,
-only the report module writes files, only the operators module reads a
-decomposition's stored form, no module keeps its own copy of a shape's
-facts, `energyrep conformal` at its element cap stays small, and the
-spectrum convergence script runs."""
+only the report module writes files, only the blas module loads a
+library, only the operators module reads a decomposition's stored form, no
+module keeps its own copy of a shape's facts, `energyrep conformal` at its
+element cap stays small, and the spectrum convergence script runs."""
 import ast
 import csv
 import io
@@ -23,11 +23,12 @@ import numpy as np
 import pytest
 
 import energyrep.cli  # noqa: F401  (the trace wraps what the CLI imports)
-from energyrep import grid as grid_module, report, suites
+from energyrep import blas, grid as grid_module, operators, report, suites
 from energyrep.config import load_config
 from energyrep.grid import WeightField, build_grid
 from energyrep.operators import assemble_h, conjugated_operator
 from energyrep.suites import run_suite
+from helpers import TRIDIAGONAL_SOLVER
 
 REPO = Path(__file__).resolve().parents[1]
 PERFBENCH = REPO / "perfbench"
@@ -72,27 +73,57 @@ def test_factored_eigendecomposition_is_one_traced_solve(monkeypatch):
     assert spans[0][4] == 64
 
 
-def _recorded_solves(monkeypatch):
-    """Wrap np.linalg.eigh and eigvalsh; the list collects a copy of every
-    matrix they are handed."""
-    seen = []
+def _recorded_solves(monkeypatch, bands=None):
+    """Wrap np.linalg.eigh and eigvalsh, and LAPACK's tridiagonal solver;
+    the list collects a copy of every matrix they are handed.
+
+    dstevd reads a diagonal and the -1 band of an axis operator, which
+    `operators._tridiagonal_solve` picks from the stencil; its matrix is
+    formed from those and the +1 band of the same axis, which it did not
+    read.  bands, if given, collects each call's -1 and +1 bands."""
+    seen, upper = [], []
     for name in ("eigh", "eigvalsh"):
         def recorded(a, *args, _solve=getattr(np.linalg, name), **kwargs):
             seen.append(np.array(a))
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
+
+    def picked(diagonal, stencil_bands, axis, vectors,
+               _solve=operators._tridiagonal_solve):
+        upper.extend(band for band_axis, rows, cols, band in stencil_bands
+                     if band_axis == axis and cols.start > rows.start)
+        return _solve(diagonal, stencil_bands, axis, vectors)
+
+    def driven(diagonal, lower, vectors=True, _solve=blas.dstevd):
+        solved = _solve(diagonal, lower, vectors)
+        if solved is not None:
+            plus = upper.pop()  # raises for a call from anywhere else
+            seen.append(np.diag(diagonal) + np.diag(lower, -1)
+                        + np.diag(plus, 1))
+            if bands is not None:
+                bands.append((np.array(lower), np.array(plus)))
+        return solved
+
+    monkeypatch.setattr(operators, "_tridiagonal_solve", picked)
+    monkeypatch.setattr(blas, "dstevd", driven)
     return seen
 
 
-@pytest.mark.parametrize("name", ["circle", "torus"])
+@pytest.mark.parametrize("name", ["circle", "interval", "torus", "punctured"])
 def test_every_solve_is_of_a_symmetric_matrix(name, monkeypatch, tmp_path):
     # no matrix is symmetrized before a solve: each is H's, or a factor of
-    # it, symmetric as assembled
-    seen = _recorded_solves(monkeypatch)
+    # it, symmetric as assembled; the tridiagonal solver reads one band of
+    # a truncated axis, and its mirror band holds the same bits
+    bands = []
+    seen = _recorded_solves(monkeypatch, bands)
     run_suite("all", load_config(REPO / "configs" / f"{name}.cfg"), tmp_path)
     assert seen
     assert all(np.array_equal(m, m.T) for m in seen)
+    # every config's spectrum suite solves the oscillator on an interval
+    assert bool(bands) == TRIDIAGONAL_SOLVER
+    assert all(np.array_equal(lower.view(np.uint64), plus.view(np.uint64))
+               for lower, plus in bands)
 
 
 def _fmt(v):
@@ -581,6 +612,55 @@ def test_shape_copy_scan_sees_every_spelling(tmp_path):
     assert _shape_copies(tmp_path) == [
         "mod.py:10", "mod.py:10", "mod.py:11", "mod.py:11", "mod.py:11",
         "mod.py:12", "mod.py:12", "mod.py:13"]
+
+
+# ctypes' library loaders: one module opens numpy's BLAS, and the thread pin
+# and the solve share it
+LIBRARY_LOADERS = ("CDLL", "PyDLL", "cdll", "pydll", "LoadLibrary")
+
+
+def _library_loads(src):
+    """Every library load of the package, as file:line: a read of a name
+    in LIBRARY_LOADERS as an attribute or a bare name, an import of one
+    under any name, and the name as a string (getattr)."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr in LIBRARY_LOADERS
+            elif isinstance(node, ast.Name):
+                hit = node.id in LIBRARY_LOADERS
+            elif isinstance(node, ast.ImportFrom):
+                hit = any(a.name in LIBRARY_LOADERS for a in node.names)
+            elif isinstance(node, ast.Constant):
+                hit = node.value in LIBRARY_LOADERS
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    return [f"{file}:{line}" for file, line in sorted(found)]
+
+
+def test_only_the_blas_module_loads_a_library():
+    found = _library_loads(SRC)
+    assert found and all(f.startswith("blas.py:") for f in found), found
+
+
+def test_library_load_scan_sees_every_spelling(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import ctypes\nfrom ctypes import CDLL\n\n\n"
+        "def kept(x):\n"
+        "    '''Not a CDLL: a number, a pointer, a symbol's name.'''\n"
+        "    return ctypes.c_int64(x), ctypes.byref(x), x.cdll_name\n\n\n"
+        "def opened(path):\n"
+        "    from ctypes import cdll as loader, PyDLL\n"
+        "    a = ctypes.CDLL(path), CDLL(path), PyDLL(path)\n"
+        "    b = ctypes.cdll.LoadLibrary(path), loader.LoadLibrary(path)\n"
+        "    return a, b, getattr(ctypes, 'CDLL')(path)\n",
+        encoding="utf-8")
+    assert _library_loads(tmp_path) == [
+        "mod.py:2", "mod.py:11", "mod.py:12", "mod.py:12", "mod.py:12",
+        "mod.py:13", "mod.py:13", "mod.py:13", "mod.py:14"]
 
 
 def test_assembly_writes_no_dense_link_matrix():
