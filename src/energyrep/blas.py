@@ -20,6 +20,10 @@ and without the O(N^3) reduction.  numpy's wheels bundle OpenBLAS with its
 LAPACK symbols as `scipy_<name>_64_`: 64-bit integer arguments, and after
 the last argument the hidden length of the JOBZ character.  A numpy on
 another BLAS (MKL, Accelerate) exports none, and `dstevd` returns None.
+`operators` hands it every tridiagonal solve: each truncated axis
+operator, and the two reflection blocks of each periodic one whose
+diagonal is even; where it returns None, `eigh` of the same matrix does
+the solve, with the same bits.
 """
 from __future__ import annotations
 

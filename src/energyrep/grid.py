@@ -225,7 +225,7 @@ class WeightField:
             raise GridError("W must be a per-node scalar array")
         if self.rho.shape != (self.grid.node_count,):
             raise GridError("rho must be a per-node scalar array")
-        if np.min(self.w) < 1.0:
+        if not np.all(self.w >= 1.0):  # a NaN fails it too
             raise GridError("potential W must satisfy W >= 1 everywhere")
         if self.parts is not None and (
                 tuple(np.shape(p) for p in self.parts)

@@ -21,11 +21,13 @@ a conjugate adds its rho.  All of it is O(n) data.  `apply` and the gates
 evaluate through the stencil.  A truncated axis operator is tridiagonal,
 and LAPACK's `dstevd` (`blas`) solves it from its diagonal and its -1
 band, with the bits of numpy's `eigh` of its matrix and no matrix
-written.  The N x N axis matrices (`factors`) are written from the
-stencil for the periodic solves only, and the dense n x n matrix
-(`matrix`) for the dense references only (`eigenvalues` off a 1-D
-truncated grid); where numpy's BLAS lacks dstevd, `eigh` and
-`eigvalsh` solve those matrices on every grid.
+written.  A periodic axis operator whose diagonal is even under the
+reflection i -> -i mod N, as every shipped potential is, commutes with
+that reflection and splits into two tridiagonal blocks, its even and its
+odd part, each solved the same way.  Where numpy's BLAS lacks dstevd,
+`eigh` of each tridiagonal matrix returns its bits.  Only a periodic
+potential that is not even writes an N x N axis matrix (`factors`) for
+`eigh`, and only a d = 2 `eigenvalues` the dense n x n matrix (`matrix`).
 
 A decomposition is kept as one column basis per axis and the index map of
 the summed pairs: mode k is the tensor product of one column per axis over
@@ -59,13 +61,14 @@ from .grid import (Field, GridManifold, GridError, WeightField,
 from .report import loglog_slope
 
 
-# columns per block in the eigen residual: its temporaries stay N x _BLOCK
+# columns per block in the eigen residual, and rows per block in the
+# reordering of the reflection solve: their temporaries stay N x _BLOCK
 # instead of N x N
 _BLOCK = 64
 
 
 def _blocks(size: int):
-    """Slices of _BLOCK consecutive columns covering range(size)."""
+    """Slices of _BLOCK consecutive columns (or rows) covering range(size)."""
     return (slice(c, c + _BLOCK) for c in range(0, size, _BLOCK))
 
 
@@ -122,16 +125,87 @@ def _axis_matrix(diagonal: np.ndarray, bands: list, axis: int) -> np.ndarray:
     return mat
 
 
-def _tridiagonal_solve(diagonal: np.ndarray, bands: list, axis: int,
-                      vectors: bool):
-    """LAPACK's dstevd (`blas.dstevd`) of the tridiagonal operator of one
-    truncated axis: this diagonal and the axis' -1 band, the lower triangle
-    that `eigh` reads.  The values and vectors of `eigh` of its
-    `_axis_matrix` bit for bit, or without vectors the values of
-    `eigvalsh`; None where numpy's BLAS lacks dstevd."""
+def _lower_band(bands: list, axis: int) -> np.ndarray:
+    """The -1 band of one axis' Laplacian among the stencil bands: row i + 1
+    coupled to column i, the lower triangle that `eigh` reads."""
     (lower,) = (band for band_axis, rows, cols, band in bands
-                if band_axis == axis and cols.start < rows.start)
-    return blas.dstevd(diagonal, lower, vectors)
+                if band_axis == axis and rows.start - cols.start == 1)
+    return lower
+
+
+def _tridiagonal(diagonal: np.ndarray, lower: np.ndarray, vectors: bool):
+    """The symmetric tridiagonal matrix with this diagonal and subdiagonal,
+    solved by LAPACK's dstevd (`blas.dstevd`): the ascending eigenvalues
+    and, with vectors, the C-contiguous eigenvector columns.  Where numpy's
+    BLAS lacks dstevd, `eigh` (`eigvalsh` without vectors) of the matrix,
+    written here, returns the same bits."""
+    solved = blas.dstevd(diagonal, lower, vectors)
+    if solved is None:
+        mat = np.diag(diagonal)
+        line = np.arange(1, diagonal.size)
+        mat[line, line - 1] = mat[line - 1, line] = lower
+        solved = np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
+    return solved
+
+
+def _tridiagonal_solve(diagonal: np.ndarray, bands: list, axis: int,
+                       vectors: bool):
+    """The tridiagonal operator of one truncated axis, this diagonal and
+    the axis' -1 band, by `_tridiagonal`: the values and vectors of `eigh`
+    of its `_axis_matrix` bit for bit, or without vectors the values of
+    `eigvalsh`."""
+    return _tridiagonal(diagonal, _lower_band(bands, axis), vectors)
+
+
+def _reflection_solve(diagonal: np.ndarray, bands: list, axis: int,
+                      vectors: bool):
+    """The operator of one periodic axis whose diagonal is even under the
+    reflection i -> -i mod N, as two tridiagonal blocks by `_tridiagonal`.
+
+    The axis bands are constant, so the operator commutes with the
+    reflection and splits into its even part, on e_0, (e_i + e_{N-i})/sqrt 2
+    and, for even N, e_{N/2}, and its odd part, on (e_i - e_{N-i})/sqrt 2
+    (Cantoni & Butler, Linear Algebra Appl. 13 (1976)).  Each part is
+    tridiagonal in that basis: the even block is d[0..N/2] with the -1 band
+    whose first entry, and for even N last entry, is times sqrt 2; the odd
+    block is d[1..(N-1)/2] with the plain band.  For odd N the middle pair
+    are neighbours, which adds their coupling c to the last even diagonal
+    entry and takes it from the last odd one.
+
+    The merged spectrum is ascending, the even block's value first on an
+    exact tie; the vectors are each block's columns written back onto the
+    nodes, the two halves of a pair over sqrt 2, in that order.
+    """
+    n = diagonal.size
+    half, pairs = n // 2, (n + 1) // 2   # nodes 1..pairs-1 pair with N - i
+    lower = _lower_band(bands, axis)
+    root2 = math.sqrt(2.0)
+    even_d, odd_d = diagonal[:half + 1].copy(), diagonal[1:pairs].copy()
+    even_b, odd_b = lower[:half].copy(), lower[1:pairs - 1]
+    even_b[0] *= root2
+    if n % 2:
+        even_d[-1] += lower[half]
+        odd_d[-1] -= lower[half]
+    else:
+        even_b[-1] *= root2
+    even = _tridiagonal(even_d, even_b, vectors)
+    odd = _tridiagonal(odd_d, odd_b, vectors)
+    values = np.concatenate([even[0], odd[0]] if vectors else [even, odd])
+    order = np.argsort(values, kind="stable")
+    if not vectors:
+        return values[order]
+    # the even block's columns, then the odd block's, on the nodes
+    x = np.zeros((n, n))
+    u, v = even[1], odd[1]
+    u[1:pairs] /= root2
+    v /= root2
+    x[:half + 1, :half + 1] = u
+    x[n - 1:half:-1, :half + 1] = u[1:pairs]
+    x[1:pairs, half + 1:] = v
+    x[n - 1:n - pairs:-1, half + 1:] = np.negative(v, out=v)
+    for rows in _blocks(n):  # into ascending order, in place
+        x[rows] = x[rows, order]
+    return values[order], x
 
 
 def _axis_apply(diagonal: np.ndarray, bands: list, axis: int,
@@ -224,10 +298,9 @@ class DiscreteOperator:
     @property
     def factors(self) -> tuple:
         """The N x N matrix of each axis operator A_j (H's, for a
-        conjugate), written afresh from the stencil on every access: only
-        the periodic solves need them, and the truncated ones where numpy's
-        BLAS lacks LAPACK's tridiagonal solver.  On one axis it is H's
-        matrix, bit for bit."""
+        conjugate), written afresh from the stencil on every access.  A
+        solve writes one only for a periodic axis whose diagonal is not
+        even (`_axis_solve`).  On one axis it is H's matrix, bit for bit."""
         return tuple(_axis_matrix(d, self.stencil[1], axis)
                      for axis, d in enumerate(self.axis_diagonals))
 
@@ -277,15 +350,12 @@ class DiscreteOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of H's whole n x n matrix (a conjugate's
-        too), no vectors; independent of the per-axis solve.  The 1-D
-        references call it.  On a 1-D truncated grid H is tridiagonal, and
-        LAPACK's dstevd solves its diagonal and -1 band with the values of
-        `eigvalsh` bit for bit and no matrix written; elsewhere it is
-        `eigvalsh` of the dense matrix."""
-        diag, bands = self.stencil
-        lam = (None if self.grid.periodic or self.grid.dimension > 1 else
-               _tridiagonal_solve(diag, bands, 0, vectors=False))
-        return np.linalg.eigvalsh(self.base.matrix) if lam is None else lam
+        too), no vectors; independent of the modes.  The 1-D references
+        call it.  A 1-D H is its one axis operator (`_axis_solve` without
+        vectors); on more axes it is `eigvalsh` of the dense matrix."""
+        if self.grid.dimension > 1:
+            return np.linalg.eigvalsh(self.base.matrix)
+        return self._axis_solve(0, vectors=False)
 
     def trace_moments(self) -> tuple:
         """tr S and tr S^2 = sum_{r,c} S[r,c] S[c,r] of the symmetrized
@@ -296,24 +366,33 @@ class DiscreteOperator:
         square = values * _transposed(rows, cols, values, self.grid.node_count)
         return float(np.sum(values[on_diag])), float(np.sum(square))
 
+    def _axis_solve(self, axis: int, vectors: bool):
+        """Axis operator A_axis's ascending eigenvalues and, with vectors,
+        its C-contiguous eigenvector columns: `_tridiagonal_solve` on a
+        truncated axis, `_reflection_solve` on a periodic one whose
+        diagonal is even under the reflection bit for bit, and otherwise
+        `eigh` (`eigvalsh`) of its matrix in `factors`."""
+        diagonal, bands = self.axis_diagonals[axis], self.stencil[1]
+        if not self.grid.periodic:
+            return _tridiagonal_solve(diagonal, bands, axis, vectors)
+        if np.array_equal(diagonal[1:], diagonal[:0:-1]):
+            return _reflection_solve(diagonal, bands, axis, vectors)
+        mat = self.factors[axis]
+        return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
+
     def eigendecomposition(self) -> "SpectralDecomposition":
         """Ascending eigenvalues and eigenvectors orthonormal under the
-        weights w, from one symmetric solve per axis operator.
-
-        A truncated axis is solved by LAPACK's tridiagonal solver from its
-        diagonal and -1 band, a periodic one by `eigh` of its matrix
-        (`factors`), as is every axis where numpy's BLAS lacks dstevd;
-        dstevd returns `eigh`'s bits.  The eigenvalues are the sums of
-        one axis eigenvalue per axis, in stable ascending order, kept with
-        the axis columns and the index map of the pairs.  A conjugate is
-        not diagonalized: its modes are H's times e^{-rho/2}, orthonormal
-        under w e^rho, so only the weights change.
+        weights w, from one symmetric solve per axis operator
+        (`_axis_solve`): two tridiagonal solves on a periodic axis with an
+        even diagonal, one on a truncated axis, `eigh` of the axis matrix
+        otherwise.  The eigenvalues are the sums of one axis eigenvalue per
+        axis, in stable ascending order, kept with the axis columns and the
+        index map of the pairs.  A conjugate is not diagonalized: its modes
+        are H's times e^{-rho/2}, orthonormal under w e^rho, so only the
+        weights change.
         """
-        solves = [None] if self.grid.periodic else [
-            _tridiagonal_solve(d, self.stencil[1], axis, vectors=True)
-            for axis, d in enumerate(self.axis_diagonals)]
-        if None in solves:
-            solves = [np.linalg.eigh(f) for f in self.factors]
+        solves = [self._axis_solve(axis, vectors=True)
+                  for axis in range(self.grid.dimension)]
         summed = reduce(np.add.outer, [lam for lam, _ in solves]).ravel()
         order = np.argsort(summed, kind="stable")
         return SpectralDecomposition(
@@ -487,7 +566,7 @@ def assemble_h(grid: GridManifold, weight: WeightField) -> DiscreteOperator:
     also keeps each axis operator's diagonal: the axis Laplacian's plus
     that axis' part of W, which alone may be below 1.
     """
-    if np.min(weight.w) < 1.0:
+    if not np.all(weight.w >= 1.0):  # a NaN fails it too
         raise GridError("potential W must satisfy W >= 1 (condition on the scale)")
     if not grid.has_unit_scale():
         raise GridError("operator assembly requires the unrescaled flat metric")

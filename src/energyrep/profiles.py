@@ -73,21 +73,34 @@ def bumps(nodes: np.ndarray, centers, widths, amplitudes,
     centers has shape (P, d); widths and amplitudes have shape (P,).
     """
     centers, widths = np.asarray(centers, float), np.asarray(widths, float)
-    diff = (nodes - centers[:, None, :]) / widths[:, None, None]
-    r2 = np.sum(diff ** 2, axis=2)
-    inside = r2 < 1.0 - 1e-12
-    denom = np.where(inside, 1.0 - r2, 1.0)
-    val = np.zeros(r2.shape)
-    amp = np.broadcast_to(np.asarray(amplitudes, float)[:, None], r2.shape)
-    val[inside] = amp[inside] * np.exp(1.0 - 1.0 / denom[inside])
+    diff = nodes - centers[:, None, :]
+    diff /= widths[:, None, None]
+    r2 = np.sum(np.square(diff), axis=2)
+    outside = ~(r2 < 1.0 - 1e-12)  # the support is r^2 < 1 - 1e-12
+    # r2 becomes 1 - r^2 inside the support and 1 outside it
+    denom = np.subtract(1.0, r2, out=r2)
+    denom[outside] = 1.0
+    if not gradients:
+        del diff
+    # amp * exp(1 - 1/denom) over every entry, 0 outside the support
+    val = np.divide(1.0, denom)
+    np.subtract(1.0, val, out=val)
+    np.exp(val, out=val)
+    val *= np.asarray(amplitudes, float)[:, None]
+    val[outside] = 0.0
     if not gradients:
         return val, None
     # d/dx_i of -1/(1-r^2) is -2 (x_i - c_i)/width^2 / (1-r^2)^2.  width^2 is
     # the scalar power, which rounds differently from squaring in an array.
-    w2 = np.broadcast_to(np.array([w ** 2 for w in widths])[:, None], r2.shape)
-    factor = np.zeros(r2.shape)
-    factor[inside] = -2.0 / (w2[inside] * denom[inside] ** 2)
-    return val, (val * factor)[:, :, None] * diff * widths[:, None, None]
+    w2 = np.array([w ** 2 for w in widths])[:, None]
+    factor = np.square(denom, out=denom)
+    factor *= w2
+    np.divide(-2.0, factor, out=factor)
+    factor[outside] = 0.0
+    factor *= val
+    diff *= factor[:, :, None]
+    diff *= widths[:, None, None]
+    return val, diff
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from energyrep.cli import main
 from energyrep.config import ConfigError, load_config
 from energyrep.grid import SHAPES, WEIGHT_KINDS
 from energyrep.report import Report, check, refusal, write_sidecar_meta
-from helpers import TRIDIAGONAL_SOLVER
 
 REPO = Path(__file__).resolve().parents[1]
 CIRCLE_CFG = REPO / "configs" / "circle.cfg"
@@ -551,10 +550,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("cfg", [TORUS_CFG, PUNCTURED_CFG])
     def test_two_dimensional_spectrum_writes_no_matrix_of_its_grid(
             self, tmp_path, cfg, monkeypatch):
-        # only the 1-D references (spectrum.circle_nodes = 64 and
-        # spectrum.oscillator_nodes = 400) are written as dense matrices,
-        # and the oscillator's not where LAPACK's dstevd solves its
-        # interval
+        # the 1-D references (spectrum.circle_nodes = 64 and
+        # spectrum.oscillator_nodes = 400) are tridiagonal solves too, the
+        # circle's split by its reflection: no dense matrix is written,
+        # with LAPACK's dstevd or without it
         written = []
         assembled = operators._assembled
 
@@ -565,7 +564,7 @@ class TestExitCodes:
         monkeypatch.setattr(operators, "_assembled", spy)
         assert main(["spectrum", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
-        assert written == ([64] if TRIDIAGONAL_SOLVER else [64, 400])
+        assert written == []
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -50,6 +50,20 @@ class TestAssembly:
         with pytest.raises(GridError):
             WeightField(g, np.full(8, 0.99), np.zeros(8))
 
+    @pytest.mark.parametrize("shape,kw", [("circle", {"radius": 1.0}),
+                                          ("interval", {"halfwidth": 4.0})])
+    def test_rejects_a_nan_potential(self, shape, kw):
+        # NaN >= 1 is false: one NaN node fails both guards
+        g = build_grid(shape, 8, **kw)
+        w = np.full(8, 2.0)
+        w[3] = np.nan
+        with pytest.raises(GridError):
+            WeightField(g, w, np.zeros(8))
+        weight = WeightField.constant(g, 2.0)
+        weight.w[3] = np.nan  # written after the field's own check
+        with pytest.raises(GridError):
+            assemble_h(g, weight)
+
     def test_constant_field_eigenvector(self):
         g, op = circle_operator(16)
         c = np.full((16, 1), 3.0)
@@ -295,15 +309,18 @@ class TestFastPathsAgainstDense:
                 assert np.max(np.abs(lam - ref) / np.abs(ref)) <= 1e-10
 
     def test_degenerate_circle_is_the_eigh_columns(self):
-        # the shells +-k: H's columns are eigh's of its matrix as assembled,
-        # over sqrt(w), and a conjugate's are those over e^{rho/2}, up to
-        # the rounding of sqrt(w e^rho) against sqrt(w) e^{rho/2}
+        # the shells +-k: H's columns span eigh's of its matrix as
+        # assembled, shell by shell, and over sqrt(w) they are H's modes;
+        # a conjugate's are those over e^{rho/2}, up to the rounding of
+        # sqrt(w e^rho) against sqrt(w) e^{rho/2}
         g, op = circle_operator(16)
         dec = op.eigendecomposition()
         assert np.min(np.diff(dec.eigenvalues)) <= 1e-10  # degenerate
         sqw = np.sqrt(op.node_weights)[:, None]
-        assert np.array_equal(dec.modes(slice(None)),
-                              np.linalg.eigh(op.matrix)[1] / sqw)
+        (x,) = dec.axis_vectors
+        _assert_split_is_the_eigh(dec.eigenvalues, x,
+                                  *np.linalg.eigh(op.matrix))
+        assert np.array_equal(dec.modes(slice(None)), x / sqw)
         rho = _rho(g)
         conj = conjugated_operator(op, rho).eigendecomposition()
         assert _relative(conj.modes(slice(None)),
@@ -596,17 +613,18 @@ class TestGatesStayHonest:
     def test_stencil_paths_never_write_the_matrix(self, shape, kw, make,
                                                   value, monkeypatch):
         g = build_grid(shape, 7, **kw)
-        # the solve writes the axis matrices only, on every grid, and on a
-        # truncated grid LAPACK's tridiagonal solver writes none
+        # every axis here is truncated, or periodic with an even potential:
+        # the solve is tridiagonal and writes no matrix of the stencil
         monkeypatch.setattr(operators, "_assembled", _refuse_dense)
-        if TRIDIAGONAL_SOLVER and not g.periodic:
-            monkeypatch.setattr(operators, "_axis_matrix", _refuse_dense)
+        monkeypatch.setattr(operators, "_axis_matrix", _refuse_dense)
         base = assemble_h(g, make(g, value))
         decs = (base.eigendecomposition(),
                 conjugated_operator(base, _rho(g)).eigendecomposition())
-        if TRIDIAGONAL_SOLVER and not g.periodic and g.dimension == 1:
-            # the 1-D reference spectrum writes no dense matrix either
-            assert np.all(np.diff(base.eigenvalues()) > 0)
+        if g.dimension == 1:
+            # the 1-D reference spectrum writes no dense matrix either; only
+            # the circle has degenerate eigenvalues
+            steps = np.diff(base.eigenvalues())
+            assert np.all(steps >= 0 if g.periodic else steps > 0)
 
         # the gates write neither
         monkeypatch.setattr(operators, "_axis_matrix", _refuse_dense)
@@ -860,11 +878,12 @@ def _torus_dispersion(n, w0):
     return np.sort((a[:, None] + a[None, :]).ravel())
 
 
-def _formed_kronecker_solve(factors, weights):
+def _formed_kronecker_solve(op):
     """Oracle: the per-axis solve with every column formed as
     kron(u_i, v_j) / sqrt(w), as it was stored before the decomposition kept
-    only its factors."""
-    (a, u), (b, v) = (np.linalg.eigh(f) for f in factors)
+    only its factors; each axis solved by the package's own axis solve."""
+    weights = op.node_weights
+    (a, u), (b, v) = (op._axis_solve(axis, vectors=True) for axis in (0, 1))
     summed = (a[:, None] + b[None, :]).ravel()
     order = np.argsort(summed, kind="stable")
     i, j = np.divmod(order, b.size)
@@ -944,7 +963,7 @@ class TestFactorModes:
         op = assemble_h(g, make(g, value))
         dec = op.eigendecomposition()
         assert len(dec.axis_vectors) == 2
-        lam, vecs = _formed_kronecker_solve(op.factors, op.node_weights)
+        lam, vecs = _formed_kronecker_solve(op)
         assert np.array_equal(_bits(dec.eigenvalues), _bits(lam))
         assert np.array_equal(_bits(dec.modes(slice(None))), _bits(vecs))
         picks = np.array([g.node_count - 1, 0, 3])
@@ -1024,13 +1043,20 @@ class TestOneAxis:
         ("interval", {"halfwidth": 8.0}, WeightField.quadratic, 1.0, 400)])
     def test_solve_is_the_eigh_of_the_matrix(self, shape, kw, make, value,
                                              n):
+        # bit for bit on the interval; on the circle the reflection split
+        # against eigh within the split's bounds, and bit for bit its own
         g = build_grid(shape, n, **kw)
         op = assemble_h(g, make(g, value))
         dec = op.eigendecomposition()
         lam, vecs = np.linalg.eigh(op.matrix)
+        sqw = np.sqrt(op.node_weights)[:, None]
+        if g.periodic:
+            _assert_split_is_the_eigh(dec.eigenvalues, dec.axis_vectors[0],
+                                      lam, vecs)
+            lam, vecs = op._axis_solve(0, vectors=True)
         assert np.array_equal(_bits(dec.eigenvalues), _bits(lam))
         assert np.array_equal(_bits(dec.modes(slice(None))),
-                              _bits(vecs / np.sqrt(op.node_weights)[:, None]))
+                              _bits(vecs / sqw))
 
     @pytest.mark.parametrize("conjugate", [False, True])
     @pytest.mark.parametrize("shape,kw,make,value",
@@ -1090,11 +1116,9 @@ class TestTridiagonalSolve:
             assert np.array_equal(x, vecs) and x.flags.c_contiguous
             solved = operators._tridiagonal_solve(
                 op.axis_diagonals[axis], op.stencil[1], axis, vectors=True)
-            assert (solved is not None) == TRIDIAGONAL_SOLVER
-            if solved is not None:
-                assert np.array_equal(solved[0], lam)
-                assert np.array_equal(solved[1], vecs)
-                assert solved[1].flags.c_contiguous
+            assert np.array_equal(solved[0], lam)
+            assert np.array_equal(solved[1], vecs)
+            assert solved[1].flags.c_contiguous
         summed = reduce(np.add.outer, [lam for lam, _ in solves]).ravel()
         assert np.array_equal(dec.eigenvalues,
                               summed[np.argsort(summed, kind="stable")])
@@ -1111,9 +1135,7 @@ class TestTridiagonalSolve:
         assert np.array_equal(lam, np.linalg.eigvalsh(op.matrix))
         solved = operators._tridiagonal_solve(op.stencil[0], op.stencil[1],
                                               0, vectors=False)
-        assert (solved is not None) == TRIDIAGONAL_SOLVER
-        if solved is not None:
-            assert np.array_equal(solved, lam)
+        assert np.array_equal(solved, lam)
 
     @pytest.mark.parametrize("shape,kw,make,value,n",
                              [TRUNCATED_GRIDS[2], TRUNCATED_GRIDS[-1]])
@@ -1142,6 +1164,165 @@ class TestTridiagonalSolve:
             np.linalg.eigvalsh(matrix)
         with pytest.raises(np.linalg.LinAlgError):
             blas.dstevd(diagonal, lower, vectors=False)
+
+
+# the reflection split against eigh of the same axis matrix: eigenvalues
+# within this many ulps of the largest, and per degenerate cluster the
+# largest norm of a split column's part outside the span of eigh's columns
+# of that cluster, which bounds the 2-norm difference of the cluster's two
+# spectral projectors up to sqrt of the cluster size (measured on the
+# circle at N = 1024: 9 ulps and 5.4e-12)
+SPLIT_VALUE_ULPS = 16
+SPLIT_PROJECTOR_BOUND = 1e-10
+
+
+def _assert_split_is_the_eigh(lam, x, eigh_lam, eigh_x):
+    """The ascending eigenvalues lam and columns x of a split solve against
+    eigh's, within the split's bounds; the clusters are `_shells` of eigh's
+    eigenvalues."""
+    scale = np.max(np.abs(eigh_lam))
+    assert np.max(np.abs(lam - eigh_lam)) <= (
+        SPLIT_VALUE_ULPS * np.finfo(float).eps * scale)
+    cluster = np.empty(lam.size, dtype=int)
+    for k, shell in enumerate(_shells(eigh_lam)):
+        cluster[shell] = k
+    overlap = eigh_x.T @ x
+    overlap[cluster[:, None] != cluster[None, :]] = 0.0
+    outside = x - eigh_x @ overlap
+    assert np.max(np.linalg.norm(outside, axis=0)) <= SPLIT_PROJECTOR_BOUND
+
+
+# periodic axes at odd and even N, from the smallest blocks up
+SPLIT_SIZES = [5, 7, 8, 16, 33, 64, 257, 1024]
+
+
+def _shifted_cosine(g):
+    """A potential that is not even under the reflection on its first axis:
+    W = 2 + cos(x - 0.3) on the circle; on the torus the parts
+    1.5 + cos(x - 0.3) and a constant 1, which is even.  (cos y itself is
+    not even bit for bit: the nodes h j and h (N - j) round apart.)"""
+    if g.dimension == 1:
+        w = 2.0 + np.cos(g.nodes[:, 0] - 0.3)
+        return WeightField(g, w, np.zeros(g.node_count))
+    parts = (1.5 + np.cos(g.axis_coordinates(0) - 0.3),
+             np.ones(g.axis_sizes[1]))
+    w = (parts[0][:, None] + parts[1][None, :]).ravel()
+    return WeightField(g, w, np.zeros(g.node_count), parts)
+
+
+class TestReflectionSolve:
+    """Every periodic axis whose diagonal is even under i -> -i mod N is two
+    tridiagonal solves, against `eigh` of its axis matrix within the split's
+    bounds; an axis whose diagonal is not even is `eigh` of its matrix, and
+    without dstevd every block is `eigh` of its own, with the same bits."""
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    @pytest.mark.parametrize("shape", ["circle", "torus"])
+    def test_split_is_the_eigh_of_each_factor(self, shape, n, conjugate):
+        g = build_grid(shape, n, radius=1.0)
+        op = assemble_h(g, WeightField.constant(g, 2.0))
+        h = conjugated_operator(op, _rho(g)) if conjugate else op
+        dec = h.eigendecomposition()
+        solves = [h._axis_solve(axis, vectors=True)
+                  for axis in range(g.dimension)]
+        for (lam, x), factor, y in zip(solves, op.factors, dec.axis_vectors):
+            assert np.array_equal(x, y) and y.flags.c_contiguous
+            _assert_split_is_the_eigh(lam, x, *np.linalg.eigh(factor))
+            # each column is even or odd under the reflection
+            mirrored = x[(-np.arange(n)) % n]
+            assert np.all(np.all(mirrored == x, axis=0)
+                          | np.all(mirrored == -x, axis=0))
+        summed = reduce(np.add.outer, [lam for lam, _ in solves]).ravel()
+        assert np.array_equal(dec.eigenvalues,
+                              summed[np.argsort(summed, kind="stable")])
+
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    def test_circle_eigenvalues_are_the_split_without_vectors(self, n):
+        g, op = circle_operator(n)
+        lam, ref = op.eigenvalues(), np.linalg.eigvalsh(op.matrix)
+        assert np.max(np.abs(lam - ref)) <= (
+            SPLIT_VALUE_ULPS * np.finfo(float).eps * np.max(ref))
+        assert np.array_equal(lam, operators._reflection_solve(
+            op.stencil[0], op.stencil[1], 0, vectors=False))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_merged_order_puts_the_even_block_first_on_a_tie(
+            self, n, monkeypatch):
+        # blocks whose values tie exactly: the even one's column comes first
+        odd = np.arange(2.0, 2.0 + (n - 1) // 2)
+        blocks = [np.array([1.0, 2.0, 3.0]), odd]
+
+        def fixed(diagonal, lower, vectors):
+            lam = blocks.pop(0)
+            assert lam.size == diagonal.size
+            return lam, np.eye(lam.size)
+
+        monkeypatch.setattr(operators, "_tridiagonal", fixed)
+        g, op = circle_operator(n)
+        lam, x = operators._reflection_solve(op.stencil[0], op.stencil[1], 0,
+                                             vectors=True)
+        assert np.array_equal(lam, np.sort(np.r_[1.0, 2.0, 3.0, odd]))
+        mirrored = x[(-np.arange(n)) % n]
+        even = np.all(mirrored == x, axis=0)
+        # value 2 twice: the even column, then the odd one
+        assert list(even[:3]) == [True, True, False]
+
+    @pytest.mark.parametrize("shape", ["circle", "torus"])
+    def test_potential_not_even_takes_the_eigh(self, shape):
+        g = build_grid(shape, 16, radius=1.0)
+        op = assemble_h(g, _shifted_cosine(g))
+        dec = op.eigendecomposition()
+        lam, vecs = np.linalg.eigh(op.factors[0])
+        assert np.array_equal(dec.axis_vectors[0], vecs)
+        if g.dimension == 1:
+            assert np.array_equal(dec.eigenvalues, lam)
+            assert np.array_equal(op.eigenvalues(),
+                                  np.linalg.eigvalsh(op.matrix))
+        else:
+            # the even part of the second axis is split
+            assert np.array_equal(dec.axis_vectors[1],
+                                  operators._reflection_solve(
+                                      op.axis_diagonals[1], op.stencil[1], 1,
+                                      vectors=True)[1])
+        assert dec.eigen_residual(op) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 16, 257])
+    @pytest.mark.parametrize("shape", ["circle", "torus"])
+    def test_without_dstevd_the_split_is_the_same(self, shape, n,
+                                                  monkeypatch):
+        g = build_grid(shape, n, radius=1.0)
+        op = assemble_h(g, WeightField.constant(g, 2.0))
+
+        def solve():
+            # a d = 2 grid has no solve without vectors but the dense one
+            return (op.eigendecomposition(),
+                    op.eigenvalues() if g.dimension == 1 else None)
+
+        solved = solve()
+        # the lookup finds no library: every block is eigh's of its matrix
+        monkeypatch.setattr(blas, "library_paths", lambda: ())
+        assert blas.dstevd(np.ones(2), np.ones(1)) is None
+        dense = solve()
+        assert np.array_equal(dense[0].eigenvalues, solved[0].eigenvalues)
+        for x, y in zip(dense[0].axis_vectors, solved[0].axis_vectors):
+            assert np.array_equal(x, y) and x.flags.c_contiguous
+        assert np.array_equal(dense[1], solved[1])
+
+    def test_circle_solve_at_1024_holds_two_n_by_n_arrays(self):
+        # each block's vectors and dstevd's workspace, a quarter of N^2
+        # doubles each, then the N columns written from the two blocks'
+        # vectors: numpy arrays all, which tracemalloc sees
+        g, op = circle_operator(1024)
+        n = g.node_count
+        for solve in (op.eigendecomposition, op.eigenvalues):
+            tracemalloc.start()
+            try:
+                solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * (2 * n * n + 64 * n), f"peaked at {peak} bytes"
 
 
 class TestSignInvariance:

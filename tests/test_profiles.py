@@ -9,6 +9,7 @@ profile alone through the family.  Every sampler must draw the same
 numbers in the same order, leaving the generator in the same state.
 """
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,26 @@ class BumpProfile:
         factor = np.zeros(nodes.shape[0])
         factor[inside] = -2.0 / (self.width ** 2 * denom[inside] ** 2)
         return (v * factor)[:, None] * diff * self.width
+
+
+def ref_bumps(nodes, centers, widths, amplitudes, gradients=True):
+    """The batched bump formula with a full-size temporary per step, kept
+    as the oracle of `profiles.bumps`, which reuses its arrays in place."""
+    centers, widths = np.asarray(centers, float), np.asarray(widths, float)
+    diff = (nodes - centers[:, None, :]) / widths[:, None, None]
+    r2 = np.sum(diff ** 2, axis=2)
+    inside = r2 < 1.0 - 1e-12
+    denom = np.where(inside, 1.0 - r2, 1.0)
+    val = np.zeros(r2.shape)
+    amp = np.broadcast_to(np.asarray(amplitudes, float)[:, None], r2.shape)
+    val[inside] = amp[inside] * np.exp(1.0 - 1.0 / denom[inside])
+    if not gradients:
+        return val, None
+    w2 = np.broadcast_to(np.array([w ** 2 for w in widths])[:, None],
+                         r2.shape)
+    factor = np.zeros(r2.shape)
+    factor[inside] = -2.0 / (w2[inside] * denom[inside] ** 2)
+    return val, (val * factor)[:, :, None] * diff * widths[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -334,6 +355,40 @@ class TestFamilies:
         assert grads is None and full[1].shape == vals.shape + (g.dimension,)
         assert vals.dtype == full[0].dtype and vals.shape == full[0].shape
         assert vals.tobytes() == full[0].tobytes()
+
+    @pytest.mark.parametrize("gradients", [True, False])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_bumps_are_the_batched_formula(self, dimension, gradients):
+        # random nodes, and nodes on rays from each center at r^2 within
+        # 5e-15 of the support's edge 1 - 1e-12, on both sides of it
+        rng = np.random.default_rng(dimension)
+        count = 7
+        centers = rng.uniform(-1, 1, (count, dimension))
+        widths = rng.uniform(0.2, 2, count)
+        amps = rng.uniform(-1, 1, count)
+        ray = rng.standard_normal(dimension)
+        ray /= np.linalg.norm(ray)
+        t = 1.0 - 1e-12 + 1e-16 * np.arange(-50, 51)
+        edge = (centers[:, None, :] + (widths[:, None, None] * np.sqrt(t)
+                                        [None, :, None]) * ray).reshape(
+            -1, dimension)
+        nodes = np.concatenate([rng.uniform(-3, 3, (200, dimension)), edge])
+        with warnings.catch_warnings():
+            # no overflow or division by zero off the support either
+            warnings.simplefilter("error")
+            got = bumps(nodes, centers, widths, amps, gradients)
+        want = ref_bumps(nodes, centers, widths, amps, gradients)
+        assert_same(got[0], want[0])
+        if gradients:
+            assert_same(got[1], want[1])
+        else:
+            assert got[1] is None and want[1] is None
+        # the edge rows straddle the support
+        r2 = np.sum(((nodes - centers[:, None, :])
+                     / widths[:, None, None]) ** 2, axis=2)
+        near = np.abs(r2 - (1.0 - 1e-12)) <= 5e-15
+        assert np.any(near & (r2 < 1.0 - 1e-12))
+        assert np.any(near & (r2 >= 1.0 - 1e-12))
 
     def test_bump_width_squared_as_a_scalar_power(self):
         # a width whose scalar square differs from the array square: the

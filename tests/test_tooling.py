@@ -73,18 +73,25 @@ def test_factored_eigendecomposition_is_one_traced_solve(monkeypatch):
     assert spans[0][4] == 64
 
 
-def _recorded_solves(monkeypatch, bands=None):
+def _recorded_solves(monkeypatch, bands=None, dense=None):
     """Wrap np.linalg.eigh and eigvalsh, and LAPACK's tridiagonal solver;
     the list collects a copy of every matrix they are handed.
 
-    dstevd reads a diagonal and the -1 band of an axis operator, which
-    `operators._tridiagonal_solve` picks from the stencil; its matrix is
+    dstevd reads a diagonal and a subdiagonal.  On a truncated axis those
+    are the axis diagonal and its -1 band, which
+    `operators._tridiagonal_solve` picks from the stencil; the matrix is
     formed from those and the +1 band of the same axis, which it did not
-    read.  bands, if given, collects each call's -1 and +1 bands."""
+    read.  On a periodic axis they are one block of
+    `operators._reflection_solve`, whose matrix is formed from the
+    diagonal and band it read.  bands, if given, collects each truncated
+    call's -1 and +1 bands; dense, if given, the matrices handed to eigh
+    and eigvalsh alone."""
     seen, upper = [], []
     for name in ("eigh", "eigvalsh"):
         def recorded(a, *args, _solve=getattr(np.linalg, name), **kwargs):
             seen.append(np.array(a))
+            if dense is not None:
+                dense.append(seen[-1])
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
@@ -95,17 +102,23 @@ def _recorded_solves(monkeypatch, bands=None):
                      if band_axis == axis and cols.start > rows.start)
         return _solve(diagonal, stencil_bands, axis, vectors)
 
+    def reflected(diagonal, stencil_bands, axis, vectors,
+                  _solve=operators._reflection_solve):
+        upper.extend([None, None])  # its two blocks
+        return _solve(diagonal, stencil_bands, axis, vectors)
+
     def driven(diagonal, lower, vectors=True, _solve=blas.dstevd):
         solved = _solve(diagonal, lower, vectors)
         if solved is not None:
             plus = upper.pop()  # raises for a call from anywhere else
             seen.append(np.diag(diagonal) + np.diag(lower, -1)
-                        + np.diag(plus, 1))
-            if bands is not None:
+                        + np.diag(lower if plus is None else plus, 1))
+            if bands is not None and plus is not None:
                 bands.append((np.array(lower), np.array(plus)))
         return solved
 
     monkeypatch.setattr(operators, "_tridiagonal_solve", picked)
+    monkeypatch.setattr(operators, "_reflection_solve", reflected)
     monkeypatch.setattr(blas, "dstevd", driven)
     return seen
 
@@ -115,8 +128,8 @@ def test_every_solve_is_of_a_symmetric_matrix(name, monkeypatch, tmp_path):
     # no matrix is symmetrized before a solve: each is H's, or a factor of
     # it, symmetric as assembled; the tridiagonal solver reads one band of
     # a truncated axis, and its mirror band holds the same bits
-    bands = []
-    seen = _recorded_solves(monkeypatch, bands)
+    bands, dense = [], []
+    seen = _recorded_solves(monkeypatch, bands, dense)
     run_suite("all", load_config(REPO / "configs" / f"{name}.cfg"), tmp_path)
     assert seen
     assert all(np.array_equal(m, m.T) for m in seen)
@@ -124,6 +137,9 @@ def test_every_solve_is_of_a_symmetric_matrix(name, monkeypatch, tmp_path):
     assert bool(bands) == TRIDIAGONAL_SOLVER
     assert all(np.array_equal(lower.view(np.uint64), plus.view(np.uint64))
                for lower, plus in bands)
+    # every shipped potential is even on a periodic axis: with dstevd no
+    # matrix reaches eigh or eigvalsh
+    assert bool(dense) == (not TRIDIAGONAL_SOLVER)
 
 
 def _fmt(v):
