@@ -80,10 +80,6 @@ class GridManifold:
         return values.reshape(values.shape[:lead] + self.axis_sizes
                               + values.shape[lead + 1:])
 
-    def from_mesh(self, mesh: np.ndarray, lead: int = 0) -> np.ndarray:
-        return mesh.reshape(mesh.shape[:lead] + (self.node_count,)
-                            + mesh.shape[lead + self.dimension:])
-
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Coordinates of the nodes along one grid axis, in axis order."""
         line = [0] * self.dimension
@@ -301,11 +297,15 @@ def gram(fs: Field, gs: Field, rho: np.ndarray | None = None) -> np.ndarray:
             @ gs.values.reshape(gs.values.shape[:gs.sample_axes] + (-1,)).T)
 
 
-def node_weights(f: Field, rho: np.ndarray | None = None) -> np.ndarray:
+def node_weights(f: Field, rho: np.ndarray | None = None,
+                 rank: int | None = None) -> np.ndarray:
     """Per-node weight of <f, f>_{rho,0}: the measure, times scale^-rank for
-    the covector indices, -B = 2 * identity for algebra indices, and e^rho."""
+    the covector indices, -B = 2 * identity for algebra indices, and e^rho.
+    A rank other than f's gives the weight of a field like f of that rank,
+    such as a derivative of f."""
     grid = f.grid
-    weight = grid.measure_weights() * grid.metric_scale ** (-f.rank)
+    rank = f.rank if rank is None else rank
+    weight = grid.measure_weights() * grid.metric_scale ** (-rank)
     if f.algebra:
         weight = weight * ALGEBRA_METRIC_FACTOR  # a power of 2: exact
     if rho is not None:
@@ -340,16 +340,28 @@ def rebind(field: Field, grid: GridManifold) -> Field:
 # Covariant derivative (centered, second order)
 # ---------------------------------------------------------------------------
 
-def _neighbours(periodic: bool) -> tuple:
-    """The centered difference's one neighbour rule along an axis, as
-    (nodes, their +1 neighbours, their -1 neighbours) slice triples: the
-    interior, then the two ends.  A periodic axis wraps at its ends; past a
-    truncated axis' end the neighbour is the zero extension, None."""
-    first, second = slice(0, 1), slice(1, 2)
-    last, penultimate = slice(-1, None), slice(-2, -1)
-    return ((slice(1, -1), slice(2, None), slice(None, -2)),
-            (first, second, last if periodic else None),
-            (last, first if periodic else None, penultimate))
+def _neighbours(size: int, periodic: bool, start: int = 0,
+                stop: int | None = None) -> list:
+    """The centered difference's one neighbour rule along an axis of `size`
+    nodes, for its nodes start..stop-1 (all of them by default), as (nodes,
+    their +1 neighbours, their -1 neighbours) slice triples: the interior,
+    then the ends the range holds.  `nodes` counts from start, the
+    neighbours index the whole axis.  A periodic axis wraps at its ends;
+    past a truncated axis' end the neighbour is the zero extension, None."""
+    stop = size if stop is None else stop
+    low, high = max(start, 1), min(stop, size - 1)
+    rule = []
+    if low < high:
+        rule.append((slice(low - start, high - start),
+                     slice(low + 1, high + 1), slice(low - 1, high - 1)))
+    if start == 0:
+        rule.append((slice(0, 1), slice(1, 2),
+                     slice(size - 1, size) if periodic else None))
+    if stop == size:
+        rule.append((slice(size - 1 - start, size - start),
+                     slice(0, 1) if periodic else None,
+                     slice(size - 2, size - 1)))
+    return rule
 
 
 def _along(a: np.ndarray, axis: int, part: slice) -> np.ndarray:
@@ -363,7 +375,8 @@ def centered_stencil(grid: GridManifold, axis: int) -> tuple:
     applies: each node and its +1 neighbour by _neighbours."""
     idx = np.arange(grid.node_count).reshape(grid.axis_sizes)
     pairs = [(_along(idx, axis, nodes).ravel(), _along(idx, axis, up).ravel())
-             for nodes, up, _ in _neighbours(grid.periodic)
+             for nodes, up, _ in _neighbours(grid.axis_sizes[axis],
+                                             grid.periodic)
              if up is not None]
     lo, hi = (np.concatenate(side) for side in zip(*pairs))
     c = 1.0 / (2.0 * grid.spacing[axis])
@@ -372,29 +385,42 @@ def centered_stencil(grid: GridManifold, axis: int) -> tuple:
             np.repeat([c, -c], lo.size))
 
 
-def covariant_derivative(f: Field) -> Field:
-    """Centered-difference covariant derivative, rank k -> k+1.
+def derivative_rows(f: Field, start: int, stop: int) -> np.ndarray:
+    """The values of covariant_derivative(f) at the nodes of mesh rows
+    start..stop-1 along grid axis 0, which run consecutively on the node
+    axis.
 
     (f_{i+1} - f_{i-1}) / 2h per axis, subtracted from slices of f straight
     into its slot of the new covector index, which sits right after the
-    node axis; a zero extension enters as the scalar 0.  Requires a
-    constant metric scale (flat connection); O(h^2) on smooth fields.
+    node axis; a zero extension enters as the scalar 0.  Along axis 0 a
+    row at the range's edge reads its neighbour from the whole mesh, or
+    across the wrap, as every other row does.  Requires a constant metric
+    scale (flat connection).
     """
     grid = f.grid
     grid.constant_scale()
     lead = f.sample_axes
     mesh = grid.to_mesh(f.values, lead)
+    rows = _along(mesh, lead, slice(start, stop))
     split = lead + grid.dimension
-    out = np.empty(mesh.shape[:split] + (grid.dimension,) + mesh.shape[split:],
+    out = np.empty(rows.shape[:split] + (grid.dimension,) + rows.shape[split:],
                    np.result_type(mesh, grid.spacing))
-    rule = _neighbours(grid.periodic)
-    for j in range(grid.dimension):
+    for j, size in enumerate(grid.axis_sizes):
         ax, slot = lead + j, out[(slice(None),) * split + (j,)]
+        source, rule = ((mesh, _neighbours(size, grid.periodic, start, stop))
+                        if j == 0 else (rows, _neighbours(size, grid.periodic)))
         for nodes, up, down in rule:
-            np.subtract(*(0.0 if part is None else _along(mesh, ax, part)
+            np.subtract(*(0.0 if part is None else _along(source, ax, part)
                           for part in (up, down)), out=_along(slot, ax, nodes))
         slot /= 2.0 * grid.spacing[j]
-    return Field(grid, f.rank + 1, grid.from_mesh(out, lead), f.algebra)
+    return out.reshape(out.shape[:lead] + (-1,) + out.shape[split:])
+
+
+def covariant_derivative(f: Field) -> Field:
+    """Centered-difference covariant derivative, rank k -> k+1: every mesh
+    row of `derivative_rows`.  O(h^2) on smooth fields."""
+    return Field(f.grid, f.rank + 1,
+                 derivative_rows(f, 0, f.grid.axis_sizes[0]), f.algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -250,15 +250,26 @@ def _kronecker_deviation(op: DiscreteOperator) -> float:
     return float(np.max(np.abs(op.stencil[0] - summed)))
 
 
-def _transposed(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                n: int) -> np.ndarray:
-    """The value at each entry's transpose (c, r), found among the sorted
-    entries; 0 where the pattern lacks it, as in the dense matrix."""
-    keys, transpose = rows * n + cols, cols * n + rows
-    order = np.argsort(keys)
-    at = order[np.minimum(np.searchsorted(keys[order], transpose),
-                          keys.size - 1)]
-    return np.where(keys[at] == transpose, values[at], 0.0)
+def _transposed(grid: GridManifold, stencil: tuple,
+                values: np.ndarray) -> np.ndarray:
+    """The value at each entry's transpose (c, r), for values in the entry
+    order of `_entries`: a diagonal entry's own, and for band k of an axis
+    band -k's of that axis, whose entries are the transposes in the same
+    order; 0 where the stencil lacks band -k, as in the dense matrix."""
+    diag, bands = stencil
+    n = diag.size
+    ends = np.cumsum([n] + [band.size * (n // grid.axis_sizes[axis])
+                            for axis, _, _, band in bands])
+    blocks = {(axis, rows.start - cols.start): slice(start, end)
+              for (axis, rows, cols, _), start, end
+              in zip(bands, ends[:-1], ends[1:])}
+    out = np.zeros_like(values)
+    out[:n] = values[:n]
+    for (axis, offset), block in blocks.items():
+        mirror = blocks.get((axis, -offset))
+        if mirror is not None:
+            out[block] = values[mirror]
+    return out
 
 
 def _assembled(grid: GridManifold, stencil: tuple,
@@ -336,8 +347,7 @@ class DiscreteOperator:
         rows, cols, values = _entries(self.grid, self.stencil, self.rho)
         w = self.node_weights
         s = w[rows] * values
-        asym = s - w[cols] * _transposed(rows, cols, values,
-                                         self.grid.node_count)
+        asym = s - w[cols] * _transposed(self.grid, self.stencil, values)
         return float(np.max(np.abs(asym)) / np.max(np.abs(s)))
 
     def _symmetrized_entries(self) -> tuple:
@@ -363,7 +373,7 @@ class DiscreteOperator:
         whole spectrum."""
         rows, cols, values = self._symmetrized_entries()
         on_diag = rows == cols
-        square = values * _transposed(rows, cols, values, self.grid.node_count)
+        square = values * _transposed(self.grid, self.stencil, values)
         return float(np.sum(values[on_diag])), float(np.sum(square))
 
     def _axis_solve(self, axis: int, vectors: bool):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (ALGEBRA_METRIC_FACTOR, Field, GridError, WeightField,
-                   covariant_derivative, node_weights)
+                   covariant_derivative, derivative_rows, node_weights)
 from .operators import SpectralDecomposition
 
 
@@ -24,12 +24,16 @@ STABILITY_FACTOR = 2.0
 
 # A test set is evaluated in slices whose largest iterate holds about this
 # many values, so a batch temporary stays near 256 kB for a real covector
-# set (512 kB for complex one-forms) whatever the size of the set, and peak
-# memory stays that of the per-field loop.  On the seminorm probe's circle
-# and interval grids (N = 32..256, 404 real fields) a sweep of 2^14..2^17
-# put 2^15 and 2^16 within noise of each other for |.|'_m and |.|_p, both
-# ahead of 2^14 and 2^17.  Every sample is computed on its own, so the
-# slicing does not change a bit of the result.
+# set (512 kB for complex one-forms) whatever the size of the set.  Where
+# one field's top iterate is larger (the order-3 chain over one d = 2
+# one-form from N = 27 on), the chain forms that order in blocks of mesh
+# rows holding about as many values, so its peak is set by the field's
+# whole lower orders, never by its top order.  On the seminorm probe's
+# circle and interval grids (N = 32..256, 404 real fields) a sweep of
+# 2^14..2^17 put 2^15 and 2^16 within noise of each other for |.|'_m and
+# |.|_p, both ahead of 2^14 and 2^17.  Every sample and every node is
+# computed on its own, so neither slices nor blocks change a bit of the
+# result.
 _SLICE_VALUES = 1 << 15
 
 
@@ -39,6 +43,8 @@ def _slices(fields, order: int = 0):
     A slice takes as many fields as fit in _SLICE_VALUES values of the
     largest iterate it holds: the fields themselves, or for a derivative
     chain up to `order` its top iterate, d**order values per field value.
+    A field that does not fit alone is a slice of its own, and the chain
+    splits its top order by `_row_blocks`.
     """
     count = len(fields.values)
     if fields.sample_axes != 1 or not count:
@@ -85,27 +91,91 @@ def eigenvector_covector(dec: SpectralDecomposition, k) -> Field:
     return Field.covector(dec.grid, vals)
 
 
-def twisted_chain(f: Field, rho: np.ndarray, order: int):
-    """Yield (grad^n (e^{rho/2} f), grad_rho^n f) for n = 0..order from one
-    derivative chain: grad_rho^n f = e^{-rho/2} grad^n (e^{rho/2} f), exact
-    as a chain."""
-    half = np.exp(np.asarray(rho, float) / 2.0)
-    out = f.scale_by_nodes(half)
-    for n in range(order + 1):
-        if n:
-            out = covariant_derivative(out)
-        yield out, out.scale_by_nodes(1.0 / half)
+def _row_blocks(part: Field, order: int):
+    """Slices of mesh rows along grid axis 0 that cover the grid, each as
+    many rows as fit in _SLICE_VALUES values of the order-`order` iterate
+    of a chain over the fields of `part`; one block when they all fit."""
+    size = part.grid.axis_sizes[0]
+    row = part.values.size * part.grid.dimension ** order // size
+    step = max(1, _SLICE_VALUES // row)
+    return [slice(start, min(start + step, size))
+            for start in range(0, size, step)]
 
 
-def weighted_norms(f: Field, rho, w2m) -> list:
-    """|W^m f|_{rho,0} per sample of f, one array for each W^{2m} of w2m.
+def _square(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weighted pointwise |.|^2 of a block of values with a leading
+    sample axis and a node axis: each node's components summed in one
+    order, whatever the block, times its weight."""
+    v = values.reshape(values.shape[:2] + (-1,)).view(float)
+    square = np.einsum("ijk,ijk->ij", v, v)
+    square *= weights
+    return square
 
-    The weighted pointwise |f|^2 (node_weights, with e^rho unless rho is
-    None) is formed once and summed against every W^{2m}.  Both |.|'_m and
-    the twisted-chain gate read the iterates of twisted_chain through here.
+
+def _block_squares(block, inverse, weights, plain_weights,
+                   in_place: bool) -> tuple:
+    """(twisted, untwisted): the `_square` of a block of a chain iterate
+    times e^{-rho/2} (`inverse`, per node of the block), and with
+    plain_weights the block's own, else None.  A block that nothing else
+    reads is twisted in place."""
+    untwisted = None if plain_weights is None else _square(block,
+                                                           plain_weights)
+    shaped = inverse.reshape((-1,) + (1,) * (block.ndim - 2))
+    twisted = _square(np.multiply(block, shaped,
+                                  out=block if in_place else None), weights)
+    return twisted, untwisted
+
+
+def _joined(squares):
+    """Block squares side by side on the node axis; one block as it is."""
+    if squares[0] is None or len(squares) == 1:
+        return squares[0]
+    return np.concatenate(squares, axis=1)
+
+
+def chain_squares(fields, rho, order: int, plain: bool = False):
+    """Yield (cols, n, twisted, untwisted) per slice of a test set
+    (`_slices`) and n = 0..order, from one derivative chain
+    g_n = grad^n (e^{rho/2} f): `twisted` the weighted pointwise |.|^2 of
+    grad_rho^n f = e^{-rho/2} g_n with e^rho, and with `plain` `untwisted`
+    that of g_n without it (else None), each of shape (samples, nodes).
+
+    The orders below the top are whole, each the next one's input.  The
+    top order is formed in blocks of mesh rows along axis 0
+    (`derivative_rows`), and every order is twisted and squared a block
+    at a time, each block as many rows as fit in the slice budget at its
+    order (`_row_blocks`), so neither the top iterate nor a twisted one is
+    ever whole.  Exact as a chain, and bit for bit the squares of the
+    whole iterates.
     """
-    v = f.values.reshape(f.values.shape[:2] + (-1,)).view(float)
-    square = np.einsum("ijk,ijk->ij", v, v) * node_weights(f, rho)
+    half = np.exp(np.asarray(rho, float) / 2.0)
+    inverse = 1.0 / half
+    ranks = range(fields.rank, fields.rank + order + 1)
+    twisted_w = [node_weights(fields, rho, rank) for rank in ranks]
+    plain_w = [node_weights(fields, None, rank) if plain else None
+               for rank in ranks]
+    row = fields.grid.node_count // fields.grid.axis_sizes[0]
+    for cols, part in _slices(fields, order):
+        g = part.scale_by_nodes(half)
+        for n in range(order + 1):
+            if 0 < n < order:
+                g = covariant_derivative(g)
+            top = 0 < n == order
+            parts = []
+            for rows in _row_blocks(part, n):
+                nodes = slice(rows.start * row, rows.stop * row)
+                parts.append(_block_squares(
+                    derivative_rows(g, rows.start, rows.stop) if top
+                    else g.values[:, nodes], inverse[nodes],
+                    twisted_w[n][nodes],
+                    None if plain_w[n] is None else plain_w[n][nodes],
+                    in_place=top))
+            yield (cols, n) + tuple(_joined(side) for side in zip(*parts))
+
+
+def weighted_norms(square: np.ndarray, w2m) -> list:
+    """|W^m f|_{rho,0} per sample, one array for each W^{2m} of w2m, from
+    the weighted pointwise |f|^2 of `chain_squares`: one sum per m."""
     return [np.sqrt(np.maximum(np.sum(square * w, axis=-1), 0.0))
             for w in w2m]
 
@@ -120,16 +190,14 @@ def seminorm_prime_batch(fields, m_list, weight: WeightField) -> np.ndarray:
     """
     if any(m < 0 for m in m_list):
         raise ValueError("order m must be nonnegative")
-    rho = weight.rho
     order = max(m_list, default=0)
     w2m = [weight.w ** (2 * m) for m in range(order + 1)]
     out = np.zeros((len(m_list), len(fields.values)))
-    for cols, part in _slices(fields, order):
-        for n, (_, g) in enumerate(twisted_chain(part, rho, order)):
-            terms = weighted_norms(g, rho, w2m[n:])
-            for i, m in enumerate(m_list):
-                if n <= m:
-                    out[i, cols] += terms[m - n]
+    for cols, n, twisted, _ in chain_squares(fields, weight.rho, order):
+        terms = weighted_norms(twisted, w2m[n:])
+        for i, m in enumerate(m_list):
+            if n <= m:
+                out[i, cols] += terms[m - n]
     return out
 
 
@@ -144,15 +212,14 @@ def chain_identity_residual(fields, order: int,
     """Per field of a set, the largest relative residual over n <= m <= order
     between |W^m grad_rho^n f|_{rho,0} and |W^m grad^n (e^{rho/2} f)|_0,
     both read from one derivative chain."""
-    rho = weight.rho
     w2m = [weight.w ** (2 * m) for m in range(order + 1)]
     out = np.zeros(len(fields.values))
-    for cols, part in _slices(fields, order):
-        for n, (g, twisted) in enumerate(twisted_chain(part, rho, order)):
-            for lhs, rhs in zip(weighted_norms(twisted, rho, w2m[n:]),
-                                weighted_norms(g, None, w2m[n:])):
-                rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
-                out[cols] = np.maximum(out[cols], rel)
+    for cols, n, twisted, untwisted in chain_squares(fields, weight.rho, order,
+                                                     plain=True):
+        for lhs, rhs in zip(weighted_norms(twisted, w2m[n:]),
+                            weighted_norms(untwisted, w2m[n:])):
+            rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1.0)
+            out[cols] = np.maximum(out[cols], rel)
     return out
 
 

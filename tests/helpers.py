@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from energyrep import blas, su2
+from energyrep import blas, seminorms, su2
 from energyrep.gauge import GaugeField
+from energyrep.grid import covariant_derivative, node_weights
 from energyrep.operators import SpectralDecomposition
 
 
@@ -87,8 +88,51 @@ def centered_difference_oracle(f):
             wide = np.pad(mesh, pad)
             up = np.take(wide, range(2, mesh.shape[ax] + 2), axis=ax)
             down = np.take(wide, range(mesh.shape[ax]), axis=ax)
-        parts.append(g.from_mesh((up - down) / (2.0 * g.spacing[j]), lead))
+        diff = (up - down) / (2.0 * g.spacing[j])
+        parts.append(diff.reshape(mesh.shape[:lead] + (g.node_count,)
+                                  + mesh.shape[lead + g.dimension:]))
     return np.stack(parts, axis=lead + 1)
+
+
+def whole_chain(f, rho, order, twist=0.5, untwist=None):
+    """Yield (g_n, e^{untwist rho} g_n) for n = 0..order, every iterate
+    whole, g_n = grad^n (e^{twist rho} f); e^{-rho/2} is 1 / e^{rho/2}
+    unless untwist is given."""
+    half = np.exp(np.asarray(rho, float) * twist)
+    inverse = 1.0 / half if untwist is None else np.exp(untwist * rho)
+    out = f.scale_by_nodes(half)
+    for n in range(order + 1):
+        if n:
+            out = covariant_derivative(out)
+        yield out, out.scale_by_nodes(inverse)
+
+
+def whole_square(f, rho):
+    """The weighted pointwise |f|^2 of a whole iterate, shape (samples,
+    nodes): node_weights (with e^rho unless rho is None) built for it."""
+    v = f.values.reshape(f.values.shape[:2] + (-1,)).view(float)
+    return np.einsum("ijk,ijk->ij", v, v) * node_weights(f, rho)
+
+
+def whole_chain_squares(fields, rho, order, plain=False, twist=0.5,
+                        untwist=None):
+    """seminorms.chain_squares from whole iterates (`whole_chain`), over
+    the same slices: (cols, n, twisted, untwisted or None)."""
+    for cols, part in seminorms._slices(fields, order):
+        chain = whole_chain(part, rho, order, twist, untwist)
+        for n, (g, twisted) in enumerate(chain):
+            yield (cols, n, whole_square(twisted, rho),
+                   whole_square(g, None) if plain else None)
+
+
+def transposed_oracle(rows, cols, values, n):
+    """The value at each entry's transpose (c, r), found among the sorted
+    entries; 0 where the pattern lacks it, as in the dense matrix."""
+    keys, transpose = rows * n + cols, cols * n + rows
+    order = np.argsort(keys)
+    at = order[np.minimum(np.searchsorted(keys[order], transpose),
+                          keys.size - 1)]
+    return np.where(keys[at] == transpose, values[at], 0.0)
 
 
 def gauge_identity(grid):

@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 
 from energyrep.grid import (SHAPES, Field, GridError, WeightField, build_grid,
                             conformal_rescale, covariant_derivative,
-                            field_to_csv, gram, inner_product, norm, rebind)
+                            derivative_rows, field_to_csv, gram,
+                            inner_product, node_weights, norm, rebind)
 from energyrep.operators import assemble_h
 from energyrep.sampling import random_covector_testset, random_one_form
 from helpers import centered_difference_oracle, stack
@@ -241,6 +242,27 @@ class TestCovariantDerivative:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape,kw", [
+        ("circle", {"radius": 1.0}), ("interval", {"halfwidth": 3.0}),
+        ("torus", {"radius": 1.0}), ("square", {"halfwidth": 3.0}),
+        ("punctured_square", {"halfwidth": 3.0})])
+    def test_every_row_range_is_its_rows_of_the_whole(self, shape, kw):
+        # rows start..stop-1 along axis 0, wrap and box ends included, bit
+        # for bit the whole derivative's nodes of those rows
+        g = build_grid(shape, 6, **kw)
+        row = g.node_count // 6
+        rng = np.random.default_rng(29)
+        for f in (random_field(g, rng, 1, True),
+                  stack([random_field(g, rng, 2) for _ in range(2)])):
+            whole = covariant_derivative(f).values
+            nodes = (slice(None),) * f.sample_axes
+            for start in range(6):
+                for stop in range(start + 1, 7):
+                    got = derivative_rows(f, start, stop)
+                    want = whole[nodes + (slice(start * row, stop * row),)]
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
     def test_adjoint_exact_under_constant_rescale(self):
         # constant conformal factor: connection still flat, adjoint picks up 1/c
         g = conformal_rescale(build_grid("circle", 12, radius=1.0),
@@ -427,3 +449,19 @@ def test_field_csv_roundtrip(tmp_path):
     assert len(rows) == 1 + 8
     got = complex(float(rows[1][1]), float(rows[1][2]))
     assert got == pytest.approx(complex(f.values[0, 0]))
+
+
+def test_node_weights_of_another_rank_are_that_fields():
+    # a constant conformal scale of 0.8 makes scale^-rank differ per rank
+    g = conformal_rescale(build_grid("torus", 6, radius=1.0),
+                          np.full(36, 0.8))
+    rng = np.random.default_rng(31)
+    rho = rng.uniform(-1, 1, g.node_count)
+    f = random_field(g, rng, rank=1, algebra=True)
+    d = f
+    for rank in range(1, 4):
+        assert d.rank == rank
+        for r in (rho, None):
+            assert np.array_equal(node_weights(f, r, rank), node_weights(d, r))
+        d = covariant_derivative(d)
+    assert not np.array_equal(node_weights(f, rho, 2), node_weights(f, rho))

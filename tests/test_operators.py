@@ -20,7 +20,7 @@ from energyrep.suites import circle_dispersion, circle_modes
 from helpers import (TRIDIAGONAL_SOLVER, dense_decomposition,
                      dense_eigenvalues, formed_expand, formed_eigen_residual,
                      formed_gram_residual, link_laplacian, one_axis, stack,
-                     symmetrized)
+                     symmetrized, transposed_oracle)
 
 
 def circle_operator(n=64, w0=2.0):
@@ -513,6 +513,27 @@ class TestStencilGatesAgainstDense:
             assert (one_sided.symmetry_residual()
                     == _dense_symmetry_residual(one_sided))
             assert one_sided.symmetry_residual() > 1e-12
+
+    @pytest.mark.parametrize("n", [4, 7, 16])
+    @pytest.mark.parametrize("shape,kw,make,value", ALL_GRIDS)
+    def test_band_pair_transpose_is_the_sorted_one(self, shape, kw, make,
+                                                   value, n):
+        # band k against band -k by slices, bit for bit the transposes
+        # that a sort of every entry finds, 0 where a band lacks its mirror
+        g = build_grid(shape, n, **kw)
+        op = assemble_h(g, make(g, value))
+        diag, bands = op.stencil
+        for h in (op, conjugated_operator(op, _rho(g))):
+            for stencil in (h.stencil, (diag, bands[1:])):
+                for rho in (None, h.rho):
+                    rows, cols, values = operators._entries(g, stencil, rho)
+                    got = operators._transposed(g, stencil, values)
+                    want = transposed_oracle(rows, cols, values, g.node_count)
+                    assert np.array_equal(_bits(got), _bits(want))
+            rows, cols, values = h._symmetrized_entries()
+            assert np.array_equal(
+                _bits(operators._transposed(g, h.stencil, values)),
+                _bits(transposed_oracle(rows, cols, values, g.node_count)))
 
     @pytest.mark.parametrize("n", [4, 7, 16])
     @pytest.mark.parametrize("shape,kw,make,value", ALL_GRIDS)

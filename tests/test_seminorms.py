@@ -16,14 +16,14 @@ from energyrep.operators import assemble_h, conjugated_operator
 from energyrep.profiles import bumps
 from energyrep.sampling import (random_covector_testset, random_one_form,
                                 rho_field)
-from energyrep.seminorms import (chain_identity_residual,
+from energyrep.seminorms import (chain_identity_residual, chain_squares,
                                  eigenvector_covector, equivalence_probe,
                                  seminorm_p, seminorm_p_batch, seminorm_prime,
-                                 seminorm_prime_batch, twisted_chain,
-                                 weighted_norms)
+                                 seminorm_prime_batch, weighted_norms)
 from energyrep.suites import (REFERENCE_DOMAINS, SUITE_STREAMS, _probe_data,
                               run_suite)
-from helpers import dense_decomposition, stack
+from helpers import (dense_decomposition, stack, whole_chain,
+                     whole_chain_squares)
 
 
 @pytest.fixture(scope="module")
@@ -154,16 +154,17 @@ class TestPrimeSeminorm:
                              amplitude=1.0, count=5)
         w2m = [w.w ** (2 * m) for m in range(4)]
         seen = set()
-        for _, part in seminorms._slices(fs):
-            for n, (g, twisted) in enumerate(twisted_chain(part, w.rho, 3)):
-                sides = zip(weighted_norms(twisted, w.rho, w2m[n:]),
-                            weighted_norms(g, None, w2m[n:]))
-                for m, (lhs, rhs) in enumerate(sides, start=n):
-                    ref = chain_sides_oracle(part, m, n, w)
-                    bound = chain_rounding_bound(part, n)
-                    for got, want in zip((lhs, rhs), ref):
-                        assert np.all(np.abs(got - want) <= bound * want)
-                    seen.add((m, n))
+        for cols, n, twisted, untwisted in chain_squares(fs, w.rho, 3,
+                                                         plain=True):
+            part = fs.copy_with(fs.values[cols])
+            sides = zip(weighted_norms(twisted, w2m[n:]),
+                        weighted_norms(untwisted, w2m[n:]))
+            for m, (lhs, rhs) in enumerate(sides, start=n):
+                ref = chain_sides_oracle(part, m, n, w)
+                bound = chain_rounding_bound(part, n)
+                for got, want in zip((lhs, rhs), ref):
+                    assert np.all(np.abs(got - want) <= bound * want)
+                seen.add((m, n))
         assert seen == {(m, n) for m in range(4) for n in range(m + 1)}
         per_pair = max(float(np.max(weighted_chain_residual(fs, m, n, w)))
                        for m in range(4) for n in range(m + 1))
@@ -212,6 +213,89 @@ def test_slices_are_sized_by_the_largest_iterate(shape, nodes, count):
                               fs.values)
         assert [cols.start for cols, _ in parts] == list(
             range(0, count, fit))
+
+
+FIVE_SHAPES = [("circle", {"radius": 1.0}), ("interval", {"halfwidth": 6.0}),
+               ("torus", {"radius": 1.0}), ("square", {"halfwidth": 3.0}),
+               ("punctured_square", {"halfwidth": 3.0})]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestChainBlocks:
+    """The chain's top order in blocks of mesh rows, and every twisted
+    iterate squared a block at a time, against the whole iterates."""
+
+    @staticmethod
+    def budget(fields, order, rows):
+        # _SLICE_VALUES that gives one field per slice and `rows` mesh rows
+        # per block, or the shipped budget for rows = None
+        if rows is None:
+            return seminorms._SLICE_VALUES
+        g = fields.grid
+        return rows * fields.values[0].size * g.dimension ** order // (
+            g.axis_sizes[0])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @pytest.mark.parametrize("shape,kw", FIVE_SHAPES)
+    def test_block_squares_equal_the_whole_chain(self, shape, kw, rows,
+                                                 monkeypatch):
+        # N = 7: 2- and 3-row blocks do not divide it, and 1-row blocks put
+        # a seam on each side of the wrap and next to either box end
+        g = build_grid(shape, 7, **kw)
+        rho = rho_field(g, "bump", 0.4)
+        rng = np.random.default_rng(12)
+        for fields in (random_one_form(g, rng, modes=2, count=3),
+                       random_covector_testset(g, rng, 3)):
+            for order in range(4):
+                monkeypatch.setattr(seminorms, "_SLICE_VALUES",
+                                    self.budget(fields, order, rows))
+                if rows is not None:
+                    blocks = seminorms._row_blocks(fields.copy_with(
+                        fields.values[:1]), order)
+                    assert [b.stop - b.start for b in blocks[:-1]] == (
+                        [rows] * (len(blocks) - 1))
+                    assert blocks[-1].stop == 7
+                got = list(chain_squares(fields, rho, order, plain=True))
+                want = list(whole_chain_squares(fields, rho, order,
+                                                plain=True))
+                assert [(c, n) for c, n, _, _ in got] == [
+                    (c, n) for c, n, _, _ in want]
+                for (_, _, *sides), (_, _, *whole) in zip(got, want):
+                    for a, b in zip(sides, whole):
+                        assert np.array_equal(_bits(a), _bits(b))
+                assert [u for *_, u in chain_squares(fields, rho, order)] == (
+                    [None] * len(got))
+
+    def test_row_blocks_take_the_budget(self):
+        # torus N = 48: one one-form's order-3 iterate is 2304 values per
+        # mesh row, so a block takes 14 of the 2^15 budget's rows
+        g = build_grid("torus", 48, radius=1.0)
+        fs = random_one_form(g, np.random.default_rng(8), modes=2, count=3)
+        part = fs.copy_with(fs.values[:1])
+        assert [(b.start, b.stop) for b in seminorms._row_blocks(part, 3)] == [
+            (0, 14), (14, 28), (28, 42), (42, 48)]
+        # whatever fits in the budget is one block
+        assert seminorms._row_blocks(part, 0) == [slice(0, 48)]
+
+    def test_chain_gate_peak_stays_below_one_top_iterate(self):
+        # torus N = 128: one one-form's order-3 iterate is 12 MiB; the
+        # whole-iterate chain peaked at 36.9 MiB, three times that
+        g = build_grid("torus", 128, radius=1.0)
+        w = WeightField.constant(g, 2.0, rho_field(g, "cosine", 0.3, 1))
+        fs = random_one_form(g, np.random.default_rng(6), modes=3,
+                             amplitude=1.0, count=5)
+        top = fs.values[0].nbytes * g.dimension ** 3
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            chain_identity_residual(fs, 3, w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < top
 
 
 class TestWeightedIntertwine:
@@ -415,10 +499,14 @@ class TestBatchedAgainstLoop:
         dense = dense_decomposition(h_rho)
         rng = np.random.default_rng(17)
         fields = random_one_form(torus, rng, modes=2, count=6)
-        chain = list(twisted_chain(fields, rho, 3))
-        # a test set of rank-1 algebra fields climbs to rank 4 at n = 3
+        chain = list(whole_chain(fields, rho, 3))
+        # a test set of rank-1 algebra fields climbs to rank 4 at n = 3,
+        # and the chain keeps one weighted |.|^2 per sample and node of each
         assert [g.values.shape for pair in chain for g in pair] == [
             (6, 64) + (2,) * (k + 1) + (3,) for k in range(4) for _ in "ut"]
+        assert [(n, t.shape, u.shape)
+                for _, n, t, u in chain_squares(fields, rho, 3, plain=True)
+                ] == [(n, (6, 64), (6, 64)) for n in range(4)]
         # the dense solve of H_rho, the path a per-axis solve replaces
         assert_batch_equals_loop(fields, M_LIST, P_LIST, weight, dense)
 
@@ -591,14 +679,10 @@ class TestIntertwiningGate:
 
 
 def _mutated_chain(twist, untwist):
-    """seminorms.twisted_chain with e^{twist rho} in place of e^{rho/2} and
-    e^{untwist rho} in place of e^{-rho/2}."""
-    def chain(f, rho, order):
-        out = f.scale_by_nodes(np.exp(twist * rho))
-        for n in range(order + 1):
-            if n:
-                out = covariant_derivative(out)
-            yield out, out.scale_by_nodes(np.exp(untwist * rho))
+    """seminorms.chain_squares with e^{twist rho} in place of e^{rho/2} and
+    e^{untwist rho} in place of e^{-rho/2}, from whole iterates."""
+    def chain(fields, rho, order, plain=False):
+        return whole_chain_squares(fields, rho, order, plain, twist, untwist)
     return chain
 
 
@@ -620,7 +704,7 @@ class TestTwistedChainGate:
     ])
     def test_twist_mutations_fail(self, name, twist, untwist, verdict,
                                   tmp_path, monkeypatch):
-        monkeypatch.setattr(seminorms, "twisted_chain",
+        monkeypatch.setattr(seminorms, "chain_squares",
                             _mutated_chain(twist, untwist))
         gate = self.chain_gate(name, tmp_path)
         assert gate.verdict == verdict
@@ -630,11 +714,12 @@ class TestTwistedChainGate:
 
 def test_chain_gate_work_is_linear_in_the_order(monkeypatch):
     # per slice: one twist and one untwist per order, no norm per (m, n),
-    # for the chain gate and for |.|'_m alike
+    # for the chain gate and for |.|'_m alike; per call, one node weight
+    # per order and side, however many slices
     g = build_grid("torus", 24, radius=1.0)
     w = WeightField.constant(g, 2.0, rho_field(g, "cosine", 0.3, 1))
     fs = random_one_form(g, np.random.default_rng(6), modes=3, count=5)
-    calls = {"scale": 0, "norm": 0}
+    calls = {"scale": 0, "norm": 0, "weights": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -645,12 +730,16 @@ def test_chain_gate_work_is_linear_in_the_order(monkeypatch):
     monkeypatch.setattr(Field, "scale_by_nodes",
                         counted("scale", Field.scale_by_nodes))
     monkeypatch.setattr(grid_module, "norm", counted("norm", grid_module.norm))
+    monkeypatch.setattr(seminorms, "node_weights",
+                        counted("weights", seminorms.node_weights))
     assert not hasattr(seminorms, "norm")  # no copy that bypasses the count
     order, slices = 3, len(list(seminorms._slices(fs, 3)))
     assert slices > 1
-    for run in (lambda: chain_identity_residual(fs, order, w),
-                lambda: seminorm_prime_batch(fs, tuple(range(order + 1)), w)):
-        calls.update(scale=0, norm=0)
+    for run, sides in ((lambda: chain_identity_residual(fs, order, w), 2),
+                       (lambda: seminorm_prime_batch(
+                           fs, tuple(range(order + 1)), w), 1)):
+        calls.update(scale=0, norm=0, weights=0)
         run()
         assert calls["scale"] <= (order + 2) * slices
         assert calls["norm"] == 0
+        assert calls["weights"] == sides * (order + 1)

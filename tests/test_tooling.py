@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 import energyrep.cli  # noqa: F401  (the trace wraps what the CLI imports)
-from energyrep import blas, grid as grid_module, operators, report, suites
+from energyrep import (blas, grid as grid_module, operators, report,
+                       seminorms, suites)
 from energyrep.config import load_config
 from energyrep.grid import WeightField, build_grid
 from energyrep.operators import assemble_h, conjugated_operator
@@ -140,6 +141,32 @@ def test_every_solve_is_of_a_symmetric_matrix(name, monkeypatch, tmp_path):
     # every shipped potential is even on a periodic axis: with dstevd no
     # matrix reaches eigh or eigvalsh
     assert bool(dense) == (not TRIDIAGONAL_SOLVER)
+
+
+def test_spectrum_reports_are_the_same_in_any_row_blocks(monkeypatch,
+                                                         tmp_path):
+    # the chain gate's top order in one-row blocks, one field per slice,
+    # and in whole-grid blocks, one slice for the set: the torus spectrum
+    # at N = 48 writes the same bytes as with the shipped budget
+    text = (REPO / "configs" / "torus.cfg").read_text(encoding="utf-8")
+    edited = text.replace("domain.nodes = 16\n", "domain.nodes = 48\n")
+    assert edited != text
+    config = tmp_path / "torus48.cfg"
+    config.write_text(edited, encoding="utf-8")
+    budgets = {"shipped": seminorms._SLICE_VALUES, "rows": 1,
+               "whole": 1 << 62}
+    for name, budget in budgets.items():
+        monkeypatch.setattr(seminorms, "_SLICE_VALUES", budget)
+        assert energyrep.cli.main(["spectrum", "--config", str(config),
+                                   "--out", str(tmp_path / name)]) == 0
+    outs = [tmp_path / name for name in budgets]
+    names = [sorted(f.name for f in out.iterdir() if f.name != "run_meta.txt")
+             for out in outs]
+    assert names[0] == names[1] == names[2]
+    for other in outs[1:]:
+        for name in names[0]:
+            assert ((outs[0] / name).read_bytes()
+                    == (other / name).read_bytes()), name
 
 
 def _fmt(v):
